@@ -459,7 +459,7 @@ func benchAblationColdAdapt(b *testing.B, pcfg proxy.Config) {
 }
 
 func BenchmarkAblationColdAdaptSerial(b *testing.B) {
-	benchAblationColdAdapt(b, proxy.Config{FetchWorkers: 1, RasterWorkers: 1, WriteWorkers: 1})
+	benchAblationColdAdapt(b, proxy.Config{FetchWorkers: 1, RasterWorkers: 1})
 }
 
 func BenchmarkAblationColdAdaptParallel(b *testing.B) {

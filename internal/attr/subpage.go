@@ -232,13 +232,13 @@ const ajaxRuntime = `function msiteLoad(url) {
 }
 `
 
-// SubpageFileName returns the on-disk name for a subpage's HTML file in
-// the session directory.
+// SubpageFileName returns the file name of a subpage's HTML page within
+// a build product.
 func SubpageFileName(name string) string {
 	return "sub_" + sanitize(name) + ".html"
 }
 
-// AssetFileName returns the on-disk name for a subpage's rendered image.
+// AssetFileName returns the file name of a subpage's rendered image.
 func AssetFileName(sub *Subpage) string {
 	return sanitize(sub.Name) + sub.Fidelity.Ext()
 }

@@ -32,8 +32,8 @@ import (
 
 // Config wires a Framework.
 type Config struct {
-	// SessionRoot is the directory per-user session trees live under
-	// (required).
+	// SessionRoot is the directory each session's (empty) protected
+	// subdirectory is created under (required).
 	SessionRoot string
 	// ViewportWidth overrides the spec's server-side render width.
 	ViewportWidth int

@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"image"
 	"image/png"
+	"sort"
+	"strings"
 	"time"
 
 	"msite/internal/attr"
 	"msite/internal/cache"
-	"msite/internal/html"
 	"msite/internal/imaging"
 	"msite/internal/obs"
 	"msite/internal/spec"
@@ -40,9 +43,86 @@ func bundleKey(s *spec.Spec, width int) (string, error) {
 		s.Name, h.Sum64(), width, snapshotFidelity(s)), nil
 }
 
-// bundleWire is the serialized form of a builtAdaptation. DOM trees gob
-// out as rendered HTML (the node graph is cyclic) and decoded images as
-// PNG; both re-materialize on load.
+// Bundle is the product of one pipeline run: everything the handlers
+// serve, held in memory and never modified once buildAdaptation or
+// decodeBundle has returned it. Sessions reference a Bundle, they do not
+// copy it: anonymous sessions share the proxy's current one, a
+// personalized session (stored HTTP auth, marshaled login) holds one
+// built for it alone, which is never shared and never persisted.
+type Bundle struct {
+	// pages and assets are the generated HTML documents (main.html,
+	// minimal.html, one per subpage) and images, by file name.
+	pages, assets map[string]*artifact
+	subpages      map[string]*attr.Subpage
+	// areas is the subpage set in name order: the entry overlay's <area>
+	// order, fixed so that a Bundle serves the same entry bytes however
+	// it came to be (built, decoded, fetched from a peer).
+	areas []*attr.Subpage
+	notes []string
+	// images are the decoded subresources downloaded on the client's
+	// behalf, reused for the snapshot render.
+	images map[string]image.Image
+	// validator is the origin's freshness evidence from this build's
+	// entry fetch, so the prefetch refresher can revalidate instead of
+	// re-downloading.
+	validator BundleValidator
+}
+
+// artifact is one servable body with the headers derived from it.
+type artifact struct {
+	data  []byte
+	ctype string
+	etag  string
+}
+
+// newArtifact derives an artifact's content type from its file name and
+// its validator from its bytes, once.
+func newArtifact(name string, data []byte) *artifact {
+	ctype := "application/octet-stream"
+	switch {
+	case strings.HasSuffix(name, ".html"):
+		ctype = "text/html; charset=utf-8"
+	case strings.HasSuffix(name, ".png"):
+		ctype = "image/png"
+	case strings.HasSuffix(name, ".jpg"):
+		ctype = "image/jpeg"
+	}
+	return &artifact{
+		data:  data,
+		ctype: ctype,
+		etag:  fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data)),
+	}
+}
+
+// orderAreas fixes the overlay order of a Bundle's subpages.
+func (b *Bundle) orderAreas() {
+	b.areas = make([]*attr.Subpage, 0, len(b.subpages))
+	for _, sub := range b.subpages {
+		b.areas = append(b.areas, sub)
+	}
+	sort.Slice(b.areas, func(i, j int) bool { return b.areas[i].Name < b.areas[j].Name })
+}
+
+// sameBytes reports whether a and b are the same backing bytes, not
+// merely equal ones.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// Wire directory names — the two artifact sets of a Bundle as fileWire
+// spells them — and the two pages every build generates besides the
+// subpages.
+const (
+	pagesDir  = "pages"
+	assetsDir = "images"
+
+	mainPage    = "main.html"
+	minimalPage = "minimal.html"
+)
+
+// bundleWire is the only serialized form of a Bundle. Decoded images
+// gob out as PNG and re-materialize on load; a subpage's document
+// travels as the HTML it is served as.
 type bundleWire struct {
 	Version  int
 	Site     string
@@ -73,24 +153,28 @@ func (v BundleValidator) Zero() bool {
 }
 
 type fileWire struct {
+	// Kind labelled write errors when records were installed as files;
+	// it is no longer written and is ignored when read.
 	Dir, Name, Kind string
 	Data            []byte
 }
 
 type subpageWire struct {
 	Name, Title string
-	DocHTML     []byte
-	Parent      string
-	Region      attr.Region
-	PreRender   bool
-	AJAX        bool
-	Fidelity    int
-	ImageData   []byte
-	ImageMIME   string
-	PartialCSS  bool
-	SearchJS    string
-	CacheTTL    time.Duration
-	Shared      bool
+	// DocHTML repeats the subpage's page file for readers that rebuild
+	// the document from it; this reader serves the file.
+	DocHTML    []byte
+	Parent     string
+	Region     attr.Region
+	PreRender  bool
+	AJAX       bool
+	Fidelity   int
+	ImageData  []byte
+	ImageMIME  string
+	PartialCSS bool
+	SearchJS   string
+	CacheTTL   time.Duration
+	Shared     bool
 }
 
 type imageWire struct {
@@ -101,7 +185,7 @@ type imageWire struct {
 }
 
 // encodeBundle serializes a build product for the durable tier.
-func encodeBundle(site string, b *builtAdaptation) ([]byte, error) {
+func encodeBundle(site string, b *Bundle) ([]byte, error) {
 	w := bundleWire{Version: bundleWireVersion, Site: site, Notes: b.notes, Validator: b.validator}
 	for _, sub := range b.subpages {
 		sw := subpageWire{
@@ -119,13 +203,16 @@ func encodeBundle(site string, b *builtAdaptation) ([]byte, error) {
 			CacheTTL:   sub.CacheTTL,
 			Shared:     sub.Shared,
 		}
-		if sub.Doc != nil {
-			sw.DocHTML = []byte(html.Render(sub.Doc))
+		if page := b.pages[attr.SubpageFileName(sub.Name)]; page != nil {
+			sw.DocHTML = page.data
 		}
 		w.Subpages = append(w.Subpages, sw)
 	}
-	for _, bf := range b.files {
-		w.Files = append(w.Files, fileWire{Dir: bf.dir, Name: bf.name, Kind: bf.kind, Data: bf.data})
+	for name, a := range b.pages {
+		w.Files = append(w.Files, fileWire{Dir: pagesDir, Name: name, Data: a.data})
+	}
+	for name, a := range b.assets {
+		w.Files = append(w.Files, fileWire{Dir: assetsDir, Name: name, Data: a.data})
 	}
 	// Images are stored once per distinct decoded image, carrying every
 	// alias key, so the src/absolute-URL double keying doesn't double the
@@ -150,9 +237,10 @@ func encodeBundle(site string, b *builtAdaptation) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBundle re-materializes a build product: subpage documents are
-// re-parsed from their rendered HTML and images decoded from PNG.
-func decodeBundle(data []byte) (*builtAdaptation, error) {
+// decodeBundle re-materializes a build product; images decode from PNG.
+// A record without a main page cannot serve an entry and is rejected
+// here, so the handlers never meet one.
+func decodeBundle(data []byte) (*Bundle, error) {
 	var w bundleWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("proxy: decoding bundle: %w", err)
@@ -160,13 +248,15 @@ func decodeBundle(data []byte) (*builtAdaptation, error) {
 	if w.Version < 1 || w.Version > bundleWireVersion {
 		return nil, fmt.Errorf("proxy: bundle version %d (want 1..%d)", w.Version, bundleWireVersion)
 	}
-	b := &builtAdaptation{
+	b := &Bundle{
+		pages:     make(map[string]*artifact),
+		assets:    make(map[string]*artifact),
 		subpages:  make(map[string]*attr.Subpage, len(w.Subpages)),
 		notes:     w.Notes,
 		validator: w.Validator,
 	}
 	for _, sw := range w.Subpages {
-		sub := &attr.Subpage{
+		b.subpages[sw.Name] = &attr.Subpage{
 			Name:       sw.Name,
 			Title:      sw.Title,
 			Parent:     sw.Parent,
@@ -181,13 +271,17 @@ func decodeBundle(data []byte) (*builtAdaptation, error) {
 			CacheTTL:   sw.CacheTTL,
 			Shared:     sw.Shared,
 		}
-		if len(sw.DocHTML) > 0 {
-			sub.Doc = tidyDoc(string(sw.DocHTML))
-		}
-		b.subpages[sub.Name] = sub
 	}
+	b.orderAreas()
 	for _, fw := range w.Files {
-		b.files = append(b.files, buildFile{dir: fw.Dir, name: fw.Name, data: fw.Data, kind: fw.Kind})
+		set := b.pages
+		if fw.Dir == assetsDir {
+			set = b.assets
+		}
+		set[fw.Name] = newArtifact(fw.Name, fw.Data)
+	}
+	if b.pages[mainPage] == nil {
+		return nil, errors.New("proxy: bundle has no main page")
 	}
 	if len(w.Images) > 0 {
 		b.images = make(map[string]image.Image, len(w.Images))
@@ -204,37 +298,64 @@ func decodeBundle(data []byte) (*builtAdaptation, error) {
 	return b, nil
 }
 
-// loadBundle tries to satisfy a build from the persisted bundle. With a
-// tiered cache this is where a restarted proxy skips the whole pipeline:
-// the durable record decodes into the same build product the pipeline
-// would produce. A bundle that fails to decode (version drift, torn
-// record) is deleted and rebuilt.
-func (p *Proxy) loadBundle(ctx context.Context) (*builtAdaptation, bool) {
+// loadBundle tries to satisfy a build from the persisted bundle. The
+// cache (and the durable tier behind it) decides whether a bundle
+// exists; the proxy only remembers the decoded form of the record it
+// last saw, so the record is decoded once, not once per session. With a
+// tiered cache this is where a restarted proxy skips the whole pipeline.
+// A bundle that fails to decode (version drift, torn record) is deleted
+// and rebuilt.
+func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
 	e, ok := p.cfg.Cache.Get(p.bundleKey)
+	p.sharedMu.Lock()
+	if !ok || !sameBytes(p.sharedSrc, e.Data) {
+		// The record the memo stood for is gone (expired, deleted,
+		// replaced): let go of it before its successor is decoded or
+		// built, not after.
+		p.shared, p.sharedSrc = nil, nil
+	}
+	b := p.shared
+	p.sharedMu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	b, err := decodeBundle(e.Data)
-	if err != nil {
-		p.cfg.Cache.Delete(p.bundleKey)
-		obs.TraceFrom(ctx).Annotate("bundle", "discarded")
-		return nil, false
+	if b == nil {
+		var err error
+		if b, err = decodeBundle(e.Data); err != nil {
+			p.cfg.Cache.Delete(p.bundleKey)
+			obs.TraceFrom(ctx).Annotate("bundle", "discarded")
+			return nil, false
+		}
+		p.setShared(b, e.Data)
 	}
 	p.obs.Counter("msite_proxy_bundle_reuses_total", "site", p.cfg.Spec.Name).Inc()
 	obs.TraceFrom(ctx).Annotate("bundle", "reuse")
-	p.setBundleValidator(b.validator)
 	return b, true
 }
 
 // saveBundle persists a fresh build product. The Put is L1-synchronous
 // and store-asynchronous (via the tiered write-through), so the build
 // path never waits on disk; encode failures only cost the persistence.
-func (p *Proxy) saveBundle(b *builtAdaptation) {
+func (p *Proxy) saveBundle(b *Bundle) {
 	data, err := encodeBundle(p.cfg.Spec.Name, b)
 	if err != nil {
 		p.obs.Counter("msite_proxy_bundle_encode_errors_total", "site", p.cfg.Spec.Name).Inc()
 		return
 	}
+	p.storeBundle(b, data)
+}
+
+// storeBundle puts an encoded bundle into the cache and remembers b as
+// its decoded form.
+func (p *Proxy) storeBundle(b *Bundle, data []byte) {
 	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, p.bundleTTL)
-	p.setBundleValidator(b.validator)
+	p.setShared(b, data)
+}
+
+// setShared records b as the decoded form of the encoded record src,
+// and its validator as the one the prefetch refresher reads.
+func (p *Proxy) setShared(b *Bundle, src []byte) {
+	p.sharedMu.Lock()
+	p.shared, p.sharedSrc, p.bundleVal = b, src, b.validator
+	p.sharedMu.Unlock()
 }

@@ -1,0 +1,379 @@
+package proxy
+
+import (
+	"context"
+	"io"
+	"io/fs"
+	"net/http"
+	"net/http/cookiejar"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
+	"testing"
+	"time"
+
+	"msite/internal/cache"
+	"msite/internal/session"
+)
+
+// served is what a device can observe of one response.
+type served struct {
+	Status             int
+	ContentType        string
+	CacheControl, ETag string
+	Body               string
+}
+
+// snapGenRE matches the streaming overlay's per-render upgrade version,
+// the one part of an entry page that legitimately differs per session.
+var snapGenRE = regexp.MustCompile(`\?v=\d+`)
+
+func newDevice(t *testing.T) *http.Client {
+	t.Helper()
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &http.Client{Jar: jar, Timeout: 30 * time.Second}
+}
+
+// viewAll plays one device through everything a proxy serves — the
+// entry, every subpage, every asset, and a conditional re-request of
+// every asset that carried a validator — and returns what it saw.
+func viewAll(t *testing.T, client *http.Client, base string, subpages, assets []string) map[string]served {
+	t.Helper()
+	out := make(map[string]served)
+	get := func(key, path, ifNoneMatch string) served {
+		req, err := http.NewRequest(http.MethodGet, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		s := served{
+			Status:       resp.StatusCode,
+			ContentType:  resp.Header.Get("Content-Type"),
+			CacheControl: resp.Header.Get("Cache-Control"),
+			ETag:         resp.Header.Get("ETag"),
+			Body:         snapGenRE.ReplaceAllString(string(body), "?v=N"),
+		}
+		out[key] = s
+		return s
+	}
+	if s := get("/", "/", ""); s.Status != http.StatusOK {
+		t.Fatalf("entry status %d: %s", s.Status, s.Body)
+	}
+	for _, name := range subpages {
+		path := "/subpage/" + url.PathEscape(name)
+		if s := get(path, path, ""); s.Status != http.StatusOK {
+			t.Fatalf("%s status %d", path, s.Status)
+		}
+	}
+	for _, name := range assets {
+		path := "/asset/" + url.PathEscape(name)
+		if s := get(path, path, ""); s.ETag != "" {
+			if c := get("conditional "+path, path, s.ETag); c.Status != http.StatusNotModified || c.Body != "" {
+				t.Fatalf("conditional %s = %d with %d body bytes", path, c.Status, len(c.Body))
+			}
+		}
+	}
+	return out
+}
+
+func diffViews(t *testing.T, label string, want, got map[string]served) {
+	t.Helper()
+	for key, w := range want {
+		if g := got[key]; !reflect.DeepEqual(w, g) {
+			t.Errorf("%s: %s differs:\n want %d %q %q %q (%d bytes)\n  got %d %q %q %q (%d bytes)", label, key,
+				w.Status, w.ContentType, w.CacheControl, w.ETag, len(w.Body),
+				g.Status, g.ContentType, g.CacheControl, g.ETag, len(g.Body))
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: %d responses, want %d", label, len(got), len(want))
+	}
+}
+
+// regularFiles lists the regular files under root.
+func regularFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestBundleServesIdenticallyFromEveryOrigin is the equivalence oracle
+// for the one build product: a Bundle built by the pipeline, the same
+// Bundle after encode→decode, and one loaded from the store by a
+// restarted proxy serve byte-identical bodies and headers for the
+// entry, every subpage, every asset and the ETag/304 exchange, in every
+// entry mode. On the way it checks that serving touches no session
+// directory: none holds a file after a full view, and warm views still
+// succeed once the directories are gone.
+func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"buffered", Config{}},
+		{"streaming", Config{Stream: true, SnapshotProgressive: true}},
+		{"minimal", Config{MinimalMarkup: true}},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			rig := newPersistRigWith(t, mode.cfg)
+			first := newDevice(t)
+			// Read the first entry to its end: a streamed one answers
+			// before the build has run.
+			resp, err := first.Get(rig.proxy.URL + "/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			var subpages, assets []string
+			bundle, _ := rig.p.sharedBundle()
+			for name := range bundle.subpages {
+				subpages = append(subpages, name)
+			}
+			for name := range bundle.assets {
+				assets = append(assets, name)
+			}
+			// The snapshot rungs too; a mode that has none must 404 them
+			// from every origin alike.
+			assets = append(assets, rig.p.snapName, coarseSnapshotName)
+			sort.Strings(subpages)
+			sort.Strings(assets)
+			if len(subpages) < 3 || len(assets) < 3 {
+				t.Fatalf("thin bundle: subpages %v assets %v", subpages, assets)
+			}
+			view := func(c *http.Client) map[string]served {
+				return viewAll(t, c, rig.proxy.URL, subpages, assets)
+			}
+
+			built := view(first)
+			if got := rig.p.Stats().Adaptations; got != 1 {
+				t.Fatalf("adaptations = %d, want 1", got)
+			}
+
+			if files := regularFiles(t, rig.sessionRoot); len(files) != 0 {
+				t.Fatalf("session directories hold generated files: %v", files)
+			}
+			dirs, err := os.ReadDir(rig.sessionRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range dirs {
+				if err := os.RemoveAll(filepath.Join(rig.sessionRoot, d.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			diffViews(t, "warm view without a session directory", built, view(first))
+
+			// Forget the decoded form: the next device's Bundle comes out
+			// of decodeBundle(encodeBundle(built)).
+			rig.p.sharedMu.Lock()
+			rig.p.shared, rig.p.sharedSrc = nil, nil
+			rig.p.sharedMu.Unlock()
+			diffViews(t, "after encode→decode", built, view(newDevice(t)))
+
+			rig.restart()
+			diffViews(t, "after warm restart", built, view(newDevice(t)))
+			if got := rig.p.Stats(); got.Adaptations != 0 || got.SnapshotRenders != 0 {
+				t.Fatalf("warm restart stats = %+v; want no adaptation, no render", got)
+			}
+		})
+	}
+}
+
+// sharedBundle returns the proxy's decoded-bundle memo and the encoded
+// record it stands for.
+func (p *Proxy) sharedBundle() (*Bundle, []byte) {
+	p.sharedMu.Lock()
+	defer p.sharedMu.Unlock()
+	return p.shared, p.sharedSrc
+}
+
+// sessionBundles returns the Bundle each live session references.
+func (p *Proxy) sessionBundles() map[string]*Bundle {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]*Bundle, len(p.adapted))
+	for id, v := range p.adapted {
+		out[id] = v.bundle
+	}
+	return out
+}
+
+// TestBundleDecodedOncePerRecord: N fresh sessions against a warm proxy
+// each count one bundle reuse and all reference one decoded Bundle, with
+// no adaptation; deleting the record (the benchmark's reset) makes the
+// next fresh session rebuild.
+func TestBundleDecodedOncePerRecord(t *testing.T) {
+	rig := newPersistRig(t)
+	if _, resp := rig.get("/"); resp.StatusCode != 200 {
+		t.Fatal("cold entry failed")
+	}
+	rig.restart()
+
+	reuses := rig.p.obs.Counter("msite_proxy_bundle_reuses_total", "site", rig.p.cfg.Spec.Name)
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, resp := rig.get("/"); resp.StatusCode != 200 {
+			t.Fatalf("warm entry %d failed", i)
+		}
+	}
+	if got := reuses.Value(); got != n {
+		t.Fatalf("bundle reuses = %d, want %d", got, n)
+	}
+	if got := rig.p.Stats().Adaptations; got != 0 {
+		t.Fatalf("warm sessions ran %d adaptations", got)
+	}
+	bundles := rig.p.sessionBundles()
+	if len(bundles) != n {
+		t.Fatalf("%d sessions attached, want %d", len(bundles), n)
+	}
+	shared, _ := rig.p.sharedBundle()
+	for id, b := range bundles {
+		if b != shared {
+			t.Fatalf("session %s holds its own decoded Bundle", id)
+		}
+	}
+
+	rig.tc.Delete(rig.p.bundleKey)
+	rig.tc.Purge()
+	if !rig.tc.Flush(10 * time.Second) {
+		t.Fatal("store delete did not drain")
+	}
+	// The memo goes as soon as the missing record is noticed, so a cold
+	// build does not run with its predecessor still held in memory.
+	if _, ok := rig.p.loadBundle(context.Background()); ok {
+		t.Fatal("loaded a bundle whose record was deleted")
+	}
+	if b, src := rig.p.sharedBundle(); b != nil || src != nil {
+		t.Fatal("the decoded memo outlived its record")
+	}
+	if _, resp := rig.get("/"); resp.StatusCode != 200 {
+		t.Fatal("entry after purge failed")
+	}
+	if got := rig.p.Stats().Adaptations; got != 1 {
+		t.Fatalf("adaptations after purge = %d, want 1 (the memo outlived its record)", got)
+	}
+	if got := reuses.Value(); got != n {
+		t.Fatalf("bundle reuses after purge = %d, want %d", got, n)
+	}
+}
+
+// TestPersonalizedBundlesStayPrivate: two logged-in sessions and an
+// anonymous one never reference each other's Bundle, a personalized
+// build never becomes the shared or persisted one, and logout and
+// ?refresh=1 replace only the caller's view.
+func TestPersonalizedBundlesStayPrivate(t *testing.T) {
+	base := loginRig(t)
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cache.New()
+	p, err := New(Config{Spec: base.p.cfg.Spec, Sessions: sessions, Cache: c, PersistBundles: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxySrv := httptest.NewServer(p)
+	t.Cleanup(proxySrv.Close)
+	srv := proxySrv.URL
+
+	sessionOf := func(client *http.Client) string {
+		u, _ := url.Parse(srv)
+		for _, ck := range client.Jar.Cookies(u) {
+			if ck.Name == session.CookieName {
+				return ck.Value
+			}
+		}
+		t.Fatal("device has no session cookie")
+		return ""
+	}
+	visit := func(client *http.Client, path string) {
+		t.Helper()
+		resp, err := client.Get(srv + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+	}
+	login := func(user string) *http.Client {
+		t.Helper()
+		client := newDevice(t)
+		resp, err := client.PostForm(srv+"/login", url.Values{"username": {user}, "password": {"sawdust"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		return client
+	}
+
+	anon := newDevice(t)
+	visit(anon, "/")
+	alice, oakhand := login("alice"), login("oakhand")
+	anonID, aliceID, oakhandID := sessionOf(anon), sessionOf(alice), sessionOf(oakhand)
+
+	shared, record := p.sharedBundle()
+	before := p.sessionBundles()
+	if before[anonID] != shared {
+		t.Fatal("anonymous session does not reference the shared Bundle")
+	}
+	if before[aliceID] == nil || before[oakhandID] == nil ||
+		before[aliceID] == before[oakhandID] || before[aliceID] == shared || before[oakhandID] == shared {
+		t.Fatalf("personalized sessions share a Bundle: %p %p shared %p", before[aliceID], before[oakhandID], shared)
+	}
+	if e, ok := c.Get(p.bundleKey); !ok || !sameBytes(e.Data, record) {
+		t.Fatal("a personalized build replaced the persisted bundle")
+	}
+
+	visit(alice, "/logout")
+	visit(oakhand, "/?refresh=1")
+	after := p.sessionBundles()
+	if after[anonID] != shared {
+		t.Fatal("another session's logout/refresh moved the anonymous view")
+	}
+	// The logout redirect re-adapted alice: a fresh view, still private.
+	if after[aliceID] == before[aliceID] {
+		t.Fatal("logout kept the logged-in view")
+	}
+	if after[oakhandID] == before[oakhandID] || after[oakhandID] == shared || after[oakhandID] == after[aliceID] {
+		t.Fatal("refresh did not give the caller a fresh private Bundle")
+	}
+	if now, _ := p.sharedBundle(); now != shared {
+		t.Fatal("a personalized build became the shared Bundle")
+	}
+	if e, ok := c.Get(p.bundleKey); !ok || !sameBytes(e.Data, record) {
+		t.Fatal("a personalized refresh overwrote the persisted bundle")
+	}
+}

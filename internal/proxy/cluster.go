@@ -3,7 +3,6 @@ package proxy
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"msite/internal/cache"
 	"msite/internal/fetch"
@@ -51,7 +50,7 @@ func (p *Proxy) BundleKey() string { return p.bundleKey }
 // decode, or the owner is down (local takeover — availability over
 // strict ownership; the hook has already marked the peer down and
 // counted the fallback).
-func (p *Proxy) fetchFromOwner(ctx context.Context) (*builtAdaptation, bool) {
+func (p *Proxy) fetchFromOwner(ctx context.Context) (*Bundle, bool) {
 	if p.cfg.Cluster == nil || p.bundleKey == "" {
 		return nil, false
 	}
@@ -70,10 +69,9 @@ func (p *Proxy) fetchFromOwner(ctx context.Context) (*builtAdaptation, bool) {
 	}
 	// Seed the local tiers with the owner's product so the next cold
 	// miss here (or a restart, via the durable tier) skips the hop too.
-	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, p.bundleTTL)
-	p.setBundleValidator(b.validator)
+	p.storeBundle(b, data)
 	if snap != nil {
-		if ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second; p.cfg.Spec.Snapshot.Shared && ttl > 0 {
+		if ttl := p.sharedSnapshotTTL(); ttl > 0 {
 			key := "snapshot:" + p.cfg.Spec.Name
 			if _, warm := p.cfg.Cache.Get(key); !warm {
 				p.cfg.Cache.Put(key, *snap, ttl)
@@ -98,7 +96,7 @@ func (p *Proxy) ClusterBuild(ctx context.Context) ([]byte, bool, error) {
 		return nil, false, ErrNoBundlePersistence
 	}
 	var ran atomic.Bool
-	build := func(bctx context.Context) (*builtAdaptation, error) {
+	build := func(bctx context.Context) (*Bundle, error) {
 		if b, ok := p.loadBundle(bctx); ok {
 			return b, nil
 		}

@@ -265,34 +265,56 @@ func TestAdaptationSingleFlightPerSession(t *testing.T) {
 	}
 }
 
+// TestAssetETagConditional: If-None-Match is a comma-separated list of
+// entity tags compared weakly, or "*" (RFC 9110 §13.1.2) — not one
+// string compared with ==.
 func TestAssetETagConditional(t *testing.T) {
 	rig := newRig(t, nil)
 	rig.get(t, "/")
-	_, resp := rig.get(t, "/asset/snapshot.jpg")
+	full, resp := rig.get(t, "/asset/snapshot.jpg")
 	etag := resp.Header.Get("ETag")
 	if etag == "" {
 		t.Fatal("no ETag")
 	}
-	req, err := http.NewRequest(http.MethodGet, rig.proxy.URL+"/asset/snapshot.jpg", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("If-None-Match", etag)
 	u, _ := url.Parse(rig.proxy.URL)
-	for _, c := range rig.client.Jar.Cookies(u) {
-		req.AddCookie(c)
-	}
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp2.Body)
-	_ = resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional = %d", resp2.StatusCode)
-	}
-	if len(body) != 0 {
-		t.Fatalf("304 carried %d bytes", len(body))
+	for _, tc := range []struct {
+		name, header string
+		status       int
+	}{
+		{"exact", etag, http.StatusNotModified},
+		{"list", `"stale-1", ` + etag + `,"stale-2"`, http.StatusNotModified},
+		{"weak prefix", "W/" + etag, http.StatusNotModified},
+		{"star", "*", http.StatusNotModified},
+		{"mismatch", `"deadbeef-1", W/"deadbeef-2"`, http.StatusOK},
+	} {
+		req, err := http.NewRequest(http.MethodGet, rig.proxy.URL+"/asset/snapshot.jpg", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-None-Match", tc.header)
+		for _, c := range rig.client.Jar.Cookies(u) {
+			req.AddCookie(c)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: If-None-Match %q = %d, want %d", tc.name, tc.header, resp.StatusCode, tc.status)
+			continue
+		}
+		want := ""
+		if tc.status == http.StatusOK {
+			want = full
+		}
+		if string(body) != want {
+			t.Errorf("%s: %d carried %d bytes, want %d", tc.name, resp.StatusCode, len(body), len(want))
+		}
+		if got := resp.Header.Get("ETag"); got != etag {
+			t.Errorf("%s: ETag %q, want %q", tc.name, got, etag)
+		}
 	}
 }
 

@@ -46,11 +46,10 @@ type MultiConfig struct {
 	Obs *obs.Registry
 	// Logger enables per-request structured logging on every site.
 	Logger *slog.Logger
-	// FetchWorkers, RasterWorkers, and WriteWorkers are the adaptation
-	// parallelism knobs, applied to every site (see Config).
+	// FetchWorkers and RasterWorkers are the adaptation parallelism
+	// knobs, applied to every site (see Config).
 	FetchWorkers  int
 	RasterWorkers int
-	WriteWorkers  int
 	// ServeStale and StaleFor are the staleness knobs, applied to every
 	// site (see Config).
 	ServeStale bool
@@ -114,7 +113,6 @@ func NewMulti(cfg MultiConfig) (*MultiProxy, error) {
 			Logger:              cfg.Logger,
 			FetchWorkers:        cfg.FetchWorkers,
 			RasterWorkers:       cfg.RasterWorkers,
-			WriteWorkers:        cfg.WriteWorkers,
 			ServeStale:          cfg.ServeStale,
 			StaleFor:            cfg.StaleFor,
 			Admission:           cfg.Admission,

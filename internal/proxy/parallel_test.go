@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -104,8 +102,8 @@ func TestAdaptedEvictedOnDelete(t *testing.T) {
 
 // TestConcurrentFirstRequests drives many cold sessions in parallel
 // through the full (now concurrent) adaptation pipeline — the -race
-// guard for FetchAll, the band-parallel rasterizer, and the concurrent
-// file writes behind one proxy.
+// guard for FetchAll, the band-parallel rasterizer, and many sessions
+// attaching to one shared Bundle behind one proxy.
 func TestConcurrentFirstRequests(t *testing.T) {
 	rig := newRig(t, nil)
 	const clients = 8
@@ -132,25 +130,5 @@ func TestConcurrentFirstRequests(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestWriteFilesErrorPropagates checks the bounded write pool surfaces
-// the first failure.
-func TestWriteFilesErrorPropagates(t *testing.T) {
-	dir := t.TempDir()
-	jobs := []writeJob{
-		{path: filepath.Join(dir, "ok.html"), data: []byte("x"), kind: "subpage"},
-		{path: filepath.Join(dir, "missing-dir", "bad.html"), data: []byte("x"), kind: "subpage"},
-		{path: filepath.Join(dir, "ok2.html"), data: []byte("x"), kind: "subpage"},
-	}
-	if err := writeFiles(jobs, 2); err == nil {
-		t.Fatal("expected write error")
-	}
-	if err := writeFiles(jobs[:1], 4); err != nil {
-		t.Fatalf("single good job: %v", err)
-	}
-	if _, err := os.Stat(jobs[0].path); err != nil {
-		t.Fatalf("good file missing: %v", err)
 	}
 }

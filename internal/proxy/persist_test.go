@@ -26,6 +26,10 @@ type persistRig struct {
 	t        *testing.T
 	origin   *httptest.Server
 	storeDir string
+	// cfg carries the entry-mode knobs every generation is built with.
+	cfg Config
+	// sessionRoot is the current generation's session directory root.
+	sessionRoot string
 
 	st    *store.Store
 	tc    *cache.Tiered
@@ -33,12 +37,14 @@ type persistRig struct {
 	proxy *httptest.Server
 }
 
-func newPersistRig(t *testing.T) *persistRig {
+func newPersistRig(t *testing.T) *persistRig { return newPersistRigWith(t, Config{}) }
+
+func newPersistRigWith(t *testing.T, cfg Config) *persistRig {
 	t.Helper()
 	forum := origin.NewForum(origin.DefaultForumConfig())
 	originSrv := httptest.NewServer(forum.Handler())
 	t.Cleanup(originSrv.Close)
-	rig := &persistRig{t: t, origin: originSrv, storeDir: t.TempDir()}
+	rig := &persistRig{t: t, origin: originSrv, storeDir: t.TempDir(), cfg: cfg}
 	rig.start()
 	return rig
 }
@@ -52,16 +58,17 @@ func (rig *persistRig) start() {
 		t.Fatal(err)
 	}
 	tc := cache.NewTiered(cache.New(), st, cache.TieredOptions{})
-	sessions, err := session.NewManager(t.TempDir())
+	rig.sessionRoot = t.TempDir()
+	sessions, err := session.NewManager(rig.sessionRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{
-		Spec:           forumSpec(rig.origin.URL),
-		Sessions:       sessions,
-		Cache:          tc,
-		PersistBundles: true,
-	})
+	cfg := rig.cfg
+	cfg.Spec = forumSpec(rig.origin.URL)
+	cfg.Sessions = sessions
+	cfg.Cache = tc
+	cfg.PersistBundles = true
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,41 +198,61 @@ func TestPersonalizedSessionsBypassBundle(t *testing.T) {
 	}
 }
 
+// testBundle assembles a Bundle from raw files the way buildAdaptation
+// does, for wire-format tests that need no pipeline run.
+func testBundle(pages, assets map[string]string, subs ...*attr.Subpage) *Bundle {
+	b := &Bundle{
+		pages:    make(map[string]*artifact),
+		assets:   make(map[string]*artifact),
+		subpages: make(map[string]*attr.Subpage),
+	}
+	for name, data := range pages {
+		b.pages[name] = newArtifact(name, []byte(data))
+	}
+	for name, data := range assets {
+		b.assets[name] = newArtifact(name, []byte(data))
+	}
+	for _, sub := range subs {
+		b.subpages[sub.Name] = sub
+	}
+	return b
+}
+
 // TestBundleRoundTrip pins the wire format: a build product survives
 // encode/decode with subpages, files, notes, and images intact.
 func TestBundleRoundTrip(t *testing.T) {
 	img := image.NewRGBA(image.Rect(0, 0, 3, 2))
 	img.Set(1, 1, color.RGBA{R: 200, G: 10, B: 30, A: 255})
-	src := &builtAdaptation{
-		subpages: map[string]*attr.Subpage{
-			"nav": {
-				Name:   "nav",
-				Title:  "Navigation",
-				Doc:    tidyDoc("<html><head><title>Navigation</title></head><body><ul><li>a</li></ul></body></html>"),
-				Parent: "",
-				Region: attr.Region{X: 1, Y: 2, W: 30, H: 40},
-				AJAX:   true,
-				Shared: true,
-			},
-			"pics": {
-				Name:      "pics",
-				PreRender: true,
-				Fidelity:  imaging.FidelityLow,
-				ImageData: []byte{1, 2, 3},
-				ImageMIME: "image/png",
-				CacheTTL:  time.Minute,
-			},
+	const navHTML = "<html><head><title>Navigation</title></head><body><ul><li>a</li></ul></body></html>"
+	src := testBundle(
+		map[string]string{"main.html": "<html></html>", attr.SubpageFileName("nav"): navHTML},
+		map[string]string{"t.png": "\x09"},
+		&attr.Subpage{
+			Name:   "nav",
+			Title:  "Navigation",
+			Region: attr.Region{X: 1, Y: 2, W: 30, H: 40},
+			AJAX:   true,
+			Shared: true,
 		},
-		notes: []string{"degraded filter: x"},
-		files: []buildFile{
-			{dir: "pages", name: "main.html", data: []byte("<html></html>"), kind: "main"},
-			{dir: "images", name: "t.png", data: []byte{9}, kind: "asset"},
+		&attr.Subpage{
+			Name:      "pics",
+			PreRender: true,
+			Fidelity:  imaging.FidelityLow,
+			ImageData: []byte{1, 2, 3},
+			ImageMIME: "image/png",
+			CacheTTL:  time.Minute,
 		},
-		images: map[string]image.Image{
-			"/logo.gif":               img,
-			"http://origin/logo.gif":  img, // alias of the same decoded image
-			"http://origin/other.gif": image.NewRGBA(image.Rect(0, 0, 1, 1)),
-		},
+	)
+	src.notes = []string{"degraded filter: x"}
+	src.images = map[string]image.Image{
+		"/logo.gif":               img,
+		"http://origin/logo.gif":  img, // alias of the same decoded image
+		"http://origin/other.gif": image.NewRGBA(image.Rect(0, 0, 1, 1)),
+	}
+	src.validator = BundleValidator{
+		ETag:         `"abc"`,
+		LastModified: "Mon, 02 Jan 2006 15:04:05 GMT",
+		FetchedAt:    time.Unix(1700000000, 0).UTC(),
 	}
 	blob, err := encodeBundle("sawdust", src)
 	if err != nil {
@@ -240,16 +267,27 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	nav := got.subpages["nav"]
 	if nav == nil || nav.Title != "Navigation" || !nav.AJAX || !nav.Shared ||
-		nav.Region != (attr.Region{X: 1, Y: 2, W: 30, H: 40}) || nav.Doc == nil {
+		nav.Region != (attr.Region{X: 1, Y: 2, W: 30, H: 40}) {
 		t.Fatalf("nav subpage mangled: %+v", nav)
+	}
+	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != navHTML {
+		t.Fatalf("nav page mangled: %+v", page)
 	}
 	pics := got.subpages["pics"]
 	if pics == nil || !pics.PreRender || pics.Fidelity != imaging.FidelityLow ||
 		string(pics.ImageData) != "\x01\x02\x03" || pics.CacheTTL != time.Minute {
 		t.Fatalf("pics subpage mangled: %+v", pics)
 	}
-	if len(got.files) != 2 || got.files[0].name != "main.html" || string(got.files[0].data) != "<html></html>" {
-		t.Fatalf("files mangled: %+v", got.files)
+	if len(got.pages) != 2 || string(got.pages["main.html"].data) != "<html></html>" ||
+		got.pages["main.html"].ctype != "text/html; charset=utf-8" {
+		t.Fatalf("pages mangled: %+v", got.pages)
+	}
+	if a := got.assets["t.png"]; len(got.assets) != 1 || a == nil || string(a.data) != "\x09" ||
+		a.ctype != "image/png" || a.etag != src.assets["t.png"].etag {
+		t.Fatalf("assets mangled: %+v", got.assets)
+	}
+	if got.validator != src.validator {
+		t.Fatalf("validator mangled: got %+v want %+v", got.validator, src.validator)
 	}
 	if len(got.notes) != 1 || got.notes[0] != "degraded filter: x" {
 		t.Fatalf("notes mangled: %v", got.notes)
@@ -264,9 +302,17 @@ func TestBundleRoundTrip(t *testing.T) {
 	if r>>8 != 200 || g>>8 != 10 || bb>>8 != 30 || a>>8 != 255 {
 		t.Fatalf("image pixel mangled: %d %d %d %d", r>>8, g>>8, bb>>8, a>>8)
 	}
-	// A corrupt blob is rejected, not served.
+	// A corrupt blob is rejected, not served; so is a record that could
+	// not serve an entry page.
 	if _, err := decodeBundle(blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated bundle decoded")
+	}
+	headless, err := encodeBundle("sawdust", testBundle(nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeBundle(headless); err == nil {
+		t.Fatal("bundle without a main page decoded")
 	}
 }
 
@@ -310,26 +356,6 @@ func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
 	}
 	if !got.validator.Zero() {
 		t.Fatalf("v1 record decoded with a non-zero validator: %+v", got.validator)
-	}
-	// A v2 record round-trips its validator.
-	v2src := &builtAdaptation{
-		subpages: map[string]*attr.Subpage{"nav": {Name: "nav"}},
-		validator: BundleValidator{
-			ETag:         `"abc"`,
-			LastModified: "Mon, 02 Jan 2006 15:04:05 GMT",
-			FetchedAt:    time.Unix(1700000000, 0).UTC(),
-		},
-	}
-	blob, err := encodeBundle("sawdust", v2src)
-	if err != nil {
-		t.Fatalf("encoding v2 record: %v", err)
-	}
-	v2got, err := decodeBundle(blob)
-	if err != nil {
-		t.Fatalf("decoding v2 record: %v", err)
-	}
-	if v2got.validator != v2src.validator {
-		t.Fatalf("v2 validator mangled: got %+v want %+v", v2got.validator, v2src.validator)
 	}
 	// A future version is rejected so the loader rebuilds.
 	future := bundleWireV1{Version: bundleWireVersion + 1}

@@ -3,14 +3,11 @@ package proxy
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"msite/internal/cache"
 	"msite/internal/fetch"
-	"msite/internal/imaging"
-	"msite/internal/raster"
 )
 
 // This file is the proxy surface the prefetch crawler
@@ -35,7 +32,7 @@ func (p *Proxy) PrefetchBuild(ctx context.Context, force bool) (bool, error) {
 		return false, ErrNoBundlePersistence
 	}
 	var ran atomic.Bool
-	build := func(bctx context.Context) (*builtAdaptation, error) {
+	build := func(bctx context.Context) (*Bundle, error) {
 		if !force {
 			if b, ok := p.loadBundle(bctx); ok {
 				return b, nil
@@ -70,60 +67,25 @@ func (p *Proxy) PrefetchBuild(ctx context.Context, force bool) (bool, error) {
 // cache entry means that visitor serves entirely warm. Sites with
 // per-session (non-shared) snapshots are skipped — there is no shared
 // entry to warm.
-func (p *Proxy) prerenderSnapshot(b *builtAdaptation) {
-	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
-	if !p.cfg.Spec.Snapshot.Shared || ttl <= 0 {
+func (p *Proxy) prerenderSnapshot(b *Bundle) {
+	ttl := p.sharedSnapshotTTL()
+	if ttl <= 0 {
 		return
-	}
-	var src []byte
-	for _, f := range b.files {
-		if f.dir == "pages" && f.name == "main.html" {
-			src = f.data
-			break
-		}
-	}
-	if src == nil {
-		return
-	}
-	fill := func() (cache.Entry, error) {
-		p.nSnapshotRenders.Add(1)
-		p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
-		doc := tidyDoc(string(src))
-		res := layoutForDoc(doc, p.width)
-		img := raster.Paint(res, raster.Options{Images: b.images, Workers: p.rasterWork})
-		scale := p.cfg.Spec.Snapshot.Scale
-		if scale <= 0 {
-			scale = 1
-		}
-		fid := snapshotFidelity(p.cfg.Spec)
-		scaled := imaging.ScaleFactor(img, scale)
-		encoded, err := imaging.Encode(scaled, fid)
-		if err != nil {
-			return cache.Entry{}, err
-		}
-		meta := fmt.Sprintf("%d,%d", scaled.Bounds().Dx(), scaled.Bounds().Dy())
-		return cache.Entry{Data: encoded, MIME: fid.MIME() + ";" + meta}, nil
 	}
 	// GetOrFill leaves an already-warm snapshot (live render or
 	// disk-tier rehydration) alone.
-	_, _ = p.cfg.Cache.GetOrFill("snapshot:"+p.cfg.Spec.Name, ttl, fill)
+	_, _ = p.cfg.Cache.GetOrFill("snapshot:"+p.cfg.Spec.Name, ttl, func() (cache.Entry, error) {
+		return p.renderSnapshot(context.Background(), b)
+	})
 }
 
 // BundleValidator returns the persisted bundle's origin validator. Zero
 // when no bundle has been built or loaded this process lifetime, or when
 // the bundle predates validator capture (wire version 1).
 func (p *Proxy) BundleValidator() BundleValidator {
-	p.valMu.Lock()
-	defer p.valMu.Unlock()
+	p.sharedMu.Lock()
+	defer p.sharedMu.Unlock()
 	return p.bundleVal
-}
-
-// setBundleValidator records the validator of the bundle most recently
-// saved or loaded.
-func (p *Proxy) setBundleValidator(v BundleValidator) {
-	p.valMu.Lock()
-	p.bundleVal = v
-	p.valMu.Unlock()
 }
 
 // TouchBundle restarts the persisted bundle's TTL — the 304 path: the
@@ -136,9 +98,9 @@ func (p *Proxy) TouchBundle() bool {
 	}
 	ok := p.cfg.Cache.Touch(p.bundleKey, p.bundleTTL)
 	if ok {
-		p.valMu.Lock()
+		p.sharedMu.Lock()
 		p.bundleVal.FetchedAt = time.Now()
-		p.valMu.Unlock()
+		p.sharedMu.Unlock()
 	}
 	return ok
 }

@@ -2,10 +2,11 @@
 // proxy (§3.2): the generated shell code's runtime. It manages session
 // cookies and per-user protected directories, downloads origin pages on
 // demand with per-user cookie jars and HTTP auth interposition, runs the
-// source-level filter phase and the DOM-level attribute phase, writes
-// generated subpages and images into the user's session directory,
-// serves the cached snapshot entry page, and satisfies rewritten AJAX
-// calls — all without a heavyweight browser instance per client.
+// source-level filter phase and the DOM-level attribute phase, keeps the
+// generated subpages and images as one immutable in-memory Bundle that
+// sessions reference, serves the cached snapshot entry page, and
+// satisfies rewritten AJAX calls — all without a heavyweight browser
+// instance per client.
 package proxy
 
 import (
@@ -13,15 +14,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"image"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,9 +75,6 @@ type Config struct {
 	// RasterWorkers is the band parallelism of snapshot rasterization.
 	// 0 uses GOMAXPROCS; 1 forces the serial painter.
 	RasterWorkers int
-	// WriteWorkers bounds the concurrent subpage/asset file writes per
-	// adaptation. 0 defaults to 4; 1 forces serial writes.
-	WriteWorkers int
 	// ServeStale keeps serving a session's previous adaptation (and the
 	// shared snapshot past its TTL) when re-adaptation fails because the
 	// origin is unreachable, instead of returning 502.
@@ -197,17 +191,22 @@ type Proxy struct {
 	obs        *obs.Registry
 	logger     *slog.Logger
 	rasterWork int
-	writeWork  int
 	staleFor   time.Duration
+	// snapName is the asset name of the full-fidelity entry snapshot.
+	snapName string
 	// bundleKey is the durable-bundle cache key for this proxy's
 	// (site, spec hash, device class, fidelity); empty when
 	// PersistBundles is off.
 	bundleKey string
 	bundleTTL time.Duration
-	// bundleVal mirrors the persisted bundle's validator in memory so the
-	// prefetch refresher reads it without decoding the stored bundle
-	// (valMu-guarded; populated by saveBundle and loadBundle).
-	valMu     sync.Mutex
+	// shared is the decoded form of sharedSrc, the encoded bundle record
+	// this proxy last put into or read from the cache. It is a memo, not
+	// an authority: loadBundle uses it only while the cache still returns
+	// those very bytes, so TTL expiry, Delete and Purge force a rebuild.
+	// bundleVal is that record's validator, which TouchBundle refreshes.
+	sharedMu  sync.Mutex
+	shared    *Bundle
+	sharedSrc []byte
 	bundleVal BundleValidator
 
 	// Work counters are atomic (not under mu) so Stats() snapshots and
@@ -220,20 +219,19 @@ type Proxy struct {
 	// coalesce collapses concurrent cold adaptations of the same page
 	// across sessions into one pipeline run (admission control tier 2);
 	// personalized sessions bypass it.
-	coalesce *admission.Coalescer[*builtAdaptation]
+	coalesce *admission.Coalescer[*Bundle]
 
-	mu       sync.Mutex
-	adapted  map[string]*adaptation // by session ID
+	mu      sync.Mutex
+	adapted map[string]*sessionView // by session ID
+	// live counts the sessions attached to each Bundle, so /stats walks
+	// distinct bundles rather than every session.
+	live     map[*Bundle]int
 	inflight map[string]chan struct{}
 
 	// snapGen versions the full-fidelity snapshot URL on the streaming
 	// path, so the coarse-first overlay's upgrade reference never hits a
 	// client cache entry from a previous render generation.
 	snapGen atomic.Uint64
-	// snaps tracks per-session background snapshot renders; the asset
-	// handler waits on them instead of 404ing a not-yet-written file.
-	snapMu sync.Mutex
-	snaps  map[string]*snapState
 
 	// repairRules is the parsed RepairRules pass (nil when disabled);
 	// lastParity is the most recent parity report for /debug/parity.
@@ -241,14 +239,36 @@ type Proxy struct {
 	lastParity  atomic.Pointer[quality.Parity]
 }
 
-// adaptation is one session's generated content.
-type adaptation struct {
-	subpages map[string]*attr.Subpage
-	notes    []string
-	when     time.Time
-	// images are the decoded subresources downloaded on the client's
-	// behalf, reused for the snapshot render.
-	images map[string]image.Image
+// sessionView is all a session owns of its adaptation: which Bundle it
+// is looking at, and the snapshot rungs it was last shown (the shared
+// snapshot may be re-rendered under a session; its assets must keep
+// matching the entry page it already has).
+type sessionView struct {
+	bundle           *Bundle
+	snapshot, coarse atomic.Pointer[artifact]
+
+	// render is the background snapshot render of a streamed entry; the
+	// asset handler waits on its rungs.
+	mu     sync.Mutex
+	render *snapState
+}
+
+// attach points a session at a view of a Bundle, or detaches it when v
+// is nil, keeping the per-Bundle session count.
+func (p *Proxy) attach(id string, v *sessionView) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if old := p.adapted[id]; old != nil {
+		if p.live[old.bundle]--; p.live[old.bundle] == 0 {
+			delete(p.live, old.bundle)
+		}
+	}
+	if v == nil {
+		delete(p.adapted, id)
+		return
+	}
+	p.adapted[id] = v
+	p.live[v.bundle]++
 }
 
 // New validates the config and builds the proxy.
@@ -288,10 +308,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.FetchWorkers > 0 {
 		cfg.FetchOptions = append(cfg.FetchOptions, fetch.WithWorkers(cfg.FetchWorkers))
 	}
-	writeWork := cfg.WriteWorkers
-	if writeWork <= 0 {
-		writeWork = 4
-	}
 	staleFor := cfg.StaleFor
 	if cfg.ServeStale && staleFor <= 0 {
 		staleFor = DefaultStaleFor
@@ -308,12 +324,12 @@ func New(cfg Config) (*Proxy, error) {
 		obs:        reg,
 		logger:     cfg.Logger,
 		rasterWork: cfg.RasterWorkers,
-		writeWork:  writeWork,
 		staleFor:   staleFor,
-		coalesce:   admission.NewCoalescer[*builtAdaptation](),
-		adapted:    make(map[string]*adaptation),
+		snapName:   "snapshot" + snapshotFidelity(cfg.Spec).Ext(),
+		coalesce:   admission.NewCoalescer[*Bundle](),
+		adapted:    make(map[string]*sessionView),
+		live:       make(map[*Bundle]int),
 		inflight:   make(map[string]chan struct{}),
-		snaps:      make(map[string]*snapState),
 	}
 	if cfg.RepairRules != "" {
 		rules, err := quality.ParseRules(cfg.RepairRules)
@@ -333,17 +349,10 @@ func New(cfg Config) (*Proxy, error) {
 			p.bundleTTL = DefaultBundleTTL
 		}
 	}
-	// Release per-session adaptation state when the session manager
-	// expires, deletes, or GCs the session — without this the adapted
-	// map grows for the life of the proxy.
-	cfg.Sessions.OnExpire(func(id string) {
-		p.mu.Lock()
-		delete(p.adapted, id)
-		p.mu.Unlock()
-		p.snapMu.Lock()
-		delete(p.snaps, id)
-		p.snapMu.Unlock()
-	})
+	// Release a session's view when the session manager expires,
+	// deletes, or GCs the session — without this the adapted map grows
+	// for the life of the proxy.
+	cfg.Sessions.OnExpire(func(id string) { p.attach(id, nil) })
 	p.applier = &attr.Applier{
 		ViewportWidth: width,
 		SubpageURL:    func(name string) string { return prefix + "/subpage/" + url.PathEscape(name) },
@@ -657,9 +666,7 @@ func (p *Proxy) handleLogin(w http.ResponseWriter, r *http.Request) {
 	// are user-specific and must never coalesce with other sessions'.
 	sess.MarkPersonalized()
 	// Re-adapt: the logged-in origin page may differ.
-	p.mu.Lock()
-	delete(p.adapted, sess.ID)
-	p.mu.Unlock()
+	p.attach(sess.ID, nil)
 	http.Redirect(w, r, p.prefix+"/", http.StatusSeeOther)
 }
 
@@ -673,8 +680,8 @@ func (p *Proxy) handleStats(w http.ResponseWriter, _ *http.Request) {
 	stats := p.Stats()
 	p.mu.Lock()
 	noteSet := make(map[string]bool)
-	for _, ad := range p.adapted {
-		for _, note := range ad.notes {
+	for b := range p.live {
+		for _, note := range b.notes {
 			noteSet[note] = true
 		}
 	}
@@ -717,19 +724,18 @@ func (p *Proxy) ensureSession(w http.ResponseWriter, r *http.Request) (*session.
 	return sess, true
 }
 
-// ensureAdaptation runs the full pipeline for a session once (or again
-// with ?refresh=1): fetch, filter phase, Tidy parse, attribute phase,
-// file generation.
-func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, force bool) (*adaptation, error) {
+// ensureAdaptation gives a session its view of a Bundle, running the
+// full pipeline (fetch, filter phase, Tidy parse, attribute phase, file
+// generation) at most once, or again with ?refresh=1.
+func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, force bool) (*sessionView, error) {
 	// Single-flight per session: concurrent first requests (a mobile
 	// browser fetching the entry page and a subpage in parallel) must
-	// not run the fetch+adapt pipeline twice or race on the session
-	// directory.
+	// not run the fetch+adapt pipeline twice.
 	for {
 		p.mu.Lock()
-		if ad, ok := p.adapted[sess.ID]; ok && !force {
+		if v, ok := p.adapted[sess.ID]; ok && !force {
 			p.mu.Unlock()
-			return ad, nil
+			return v, nil
 		}
 		if wait, busy := p.inflight[sess.ID]; busy {
 			p.mu.Unlock()
@@ -745,15 +751,17 @@ func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, for
 		p.inflight[sess.ID] = done
 		p.mu.Unlock()
 
-		ad, err := p.runAdaptation(ctx, sess, force)
+		b, err := p.runAdaptation(ctx, sess, force)
 
 		p.mu.Lock()
 		delete(p.inflight, sess.ID)
 		prev := p.adapted[sess.ID]
-		if err == nil {
-			p.adapted[sess.ID] = ad
-		}
 		p.mu.Unlock()
+		var v *sessionView
+		if err == nil {
+			v = &sessionView{bundle: b}
+			p.attach(sess.ID, v)
+		}
 		close(done)
 		if err != nil && p.cfg.ServeStale && prev != nil && !isAuthError(err) {
 			// The origin is unreachable but this session was adapted
@@ -764,7 +772,7 @@ func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, for
 			obs.TraceFrom(ctx).Annotate("degraded", "stale_adaptation")
 			return prev, nil
 		}
-		return ad, err
+		return v, err
 	}
 }
 
@@ -779,16 +787,16 @@ func isAuthError(err error) bool {
 // runAdaptation admits one pipeline run through the admission
 // controller and executes it. Anonymous sessions coalesce: a flash
 // crowd of N cold clients on the same page shares one build (one origin
-// fetch, one filter+attr pass, one admission slot) and then installs
-// the shared product into each session's directory. Personalized
-// sessions (stored HTTP auth, marshaled logins) never coalesce — their
-// origin content may differ per user.
-func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force bool) (*adaptation, error) {
+// fetch, one filter+attr pass, one admission slot) and then references
+// the one Bundle from every session. Personalized sessions (stored HTTP
+// auth, marshaled logins) never coalesce — their origin content may
+// differ per user — so each gets a Bundle built for it alone.
+func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force bool) (*Bundle, error) {
 	// Non-personalized builds may come out of the durable bundle instead
 	// of the pipeline: a restarted proxy warm-starts from its store. A
 	// forced refresh (?refresh=1) bypasses and overwrites the bundle.
 	usePersist := p.bundleKey != "" && !sess.Personalized()
-	build := func(bctx context.Context) (*builtAdaptation, error) {
+	build := func(bctx context.Context) (*Bundle, error) {
 		if usePersist && !force {
 			if b, ok := p.loadBundle(bctx); ok {
 				return b, nil
@@ -813,7 +821,7 @@ func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force 
 		return b, err
 	}
 	var (
-		b         *builtAdaptation
+		b         *Bundle
 		coalesced bool
 		err       error
 	)
@@ -835,31 +843,7 @@ func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force 
 		p.obs.Counter("msite_admission_coalesced_total", "site", p.cfg.Spec.Name).Inc()
 		obs.TraceFrom(ctx).Annotate("coalesced", "adaptation")
 	}
-	return p.installAdaptation(sess, b)
-}
-
-// builtAdaptation is the session-independent product of one pipeline
-// run: the subpage set, notes, decoded images, and the serialized files
-// to install under a session directory. One build may be installed into
-// many sessions when cold requests coalesce.
-type builtAdaptation struct {
-	subpages map[string]*attr.Subpage
-	notes    []string
-	images   map[string]image.Image
-	files    []buildFile
-	// validator is the origin's freshness evidence from this build's
-	// entry fetch, persisted with the bundle (v2) so the prefetch
-	// refresher can revalidate instead of re-downloading.
-	validator BundleValidator
-}
-
-// buildFile is one generated file, named relative to a session
-// directory ("pages" or "images").
-type buildFile struct {
-	dir  string
-	name string
-	data []byte
-	kind string
+	return b, nil
 }
 
 // buildAdaptation runs the fetch → filter → attribute → serialization
@@ -867,7 +851,7 @@ type buildFile struct {
 // into the request trace and the per-stage latency histograms. The
 // origin fetch and every subresource download abort when ctx ends, so a
 // disconnected client stops costing the origin anything.
-func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAdaptation, error) {
+func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*Bundle, error) {
 	total := obs.StartSpan(ctx, "adapt_total")
 	defer total.End()
 
@@ -937,15 +921,17 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAd
 	}
 	sp.End()
 
-	// Serialize the generated files (§3.2: "All of the files generated
-	// during a user's session are stored in the file system under a
-	// (protected) subdirectory"). The serialization (DOM walks) happens
-	// here, once per build; the writes happen per session in
-	// installAdaptation.
+	// Serialize the generated files, once per build. (§3.2 stores "all
+	// of the files generated during a user's session" under a per-user
+	// directory; here they are the Bundle's artifacts, in memory, and a
+	// session only references them.)
 	sp = obs.StartSpan(ctx, "subpage_split")
 	defer sp.End()
-	b := &builtAdaptation{
+	b := &Bundle{
+		pages:    make(map[string]*artifact),
+		assets:   make(map[string]*artifact),
 		subpages: make(map[string]*attr.Subpage),
+		notes:    append(result.Notes, degraded...),
 		images:   images,
 		validator: BundleValidator{
 			ETag:         page.ETag,
@@ -953,88 +939,31 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*builtAd
 			FetchedAt:    time.Now(),
 		},
 	}
+	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data) }
+	addAsset := func(name string, data []byte) { b.assets[name] = newArtifact(name, data) }
 	for _, sub := range result.Subpages {
 		b.subpages[sub.Name] = sub
-		b.files = append(b.files, buildFile{
-			dir:  "pages",
-			name: attr.SubpageFileName(sub.Name),
-			data: attr.SerializeSubpage(sub),
-			kind: "subpage",
-		})
+		addPage(attr.SubpageFileName(sub.Name), attr.SerializeSubpage(sub))
 		if len(sub.ImageData) > 0 {
-			b.files = append(b.files, buildFile{
-				dir:  "images",
-				name: attr.AssetFileName(sub),
-				data: sub.ImageData,
-				kind: "asset",
-			})
+			addAsset(attr.AssetFileName(sub), sub.ImageData)
 		}
 	}
-	for _, asset := range result.Assets {
-		b.files = append(b.files, buildFile{
-			dir:  "images",
-			name: asset.Name,
-			data: asset.Data,
-			kind: "thumbnail asset",
-		})
+	b.orderAreas()
+	for _, thumb := range result.Assets {
+		addAsset(thumb.Name, thumb.Data)
 	}
-	// The adapted main document feeds the snapshot; serialize it for the
-	// snapshot render (it excludes split-off objects, matching what the
-	// overlay's regions index).
-	b.files = append(b.files, buildFile{
-		dir:  "pages",
-		name: "main.html",
-		data: pageHTML(result),
-		kind: "main",
-	})
+	// The adapted main document feeds the snapshot render (it excludes
+	// split-off objects, matching what the overlay's regions index).
+	addPage(mainPage, pageHTML(result))
 	// The MAML-style minimal page is generated unconditionally: it is a
 	// cheap DOM walk, and building it per-adaptation keeps the bundle
 	// shape identical whether the serving mode is selected by the spec
 	// attribute or the proxy flag.
-	b.files = append(b.files, buildFile{
-		dir:  "pages",
-		name: "minimal.html",
-		data: attr.MinimalMarkupHTML(p.cfg.Spec.Name, result.Doc),
-		kind: "minimal",
-	})
-	b.notes = append(result.Notes, degraded...)
+	addPage(minimalPage, attr.MinimalMarkupHTML(p.cfg.Spec.Name, result.Doc))
 
 	p.nAdaptations.Add(1)
 	p.obs.Counter("msite_proxy_adaptations_total", "site", p.cfg.Spec.Name).Inc()
 	return b, nil
-}
-
-// installAdaptation writes a built adaptation's files into one
-// session's protected directory. The resulting byte slices are written
-// concurrently by a bounded worker set — subpage counts are small but
-// each write is an independent fsync path, so overlapping them trims
-// the tail of a cold adaptation.
-func (p *Proxy) installAdaptation(sess *session.Session, b *builtAdaptation) (*adaptation, error) {
-	pagesDir, err := sess.SubpageDir()
-	if err != nil {
-		return nil, err
-	}
-	imagesDir, err := sess.ImageDir()
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]writeJob, 0, len(b.files))
-	for _, bf := range b.files {
-		dir := pagesDir
-		if bf.dir == "images" {
-			dir = imagesDir
-		}
-		jobs = append(jobs, writeJob{path: filepath.Join(dir, bf.name), data: bf.data, kind: bf.kind})
-	}
-	if err := writeFiles(jobs, p.writeWork); err != nil {
-		return nil, err
-	}
-	return &adaptation{
-		subpages: b.subpages,
-		notes:    b.notes,
-		when:     time.Now(),
-		images:   b.images,
-	}, nil
 }
 
 // qualityPass is the post-attr quality hook: it runs the configured
@@ -1106,63 +1035,10 @@ func (p *Proxy) degrade(ctx context.Context, stage string, err error) string {
 	return fmt.Sprintf("degraded %s: %v", stage, err)
 }
 
-// writeJob is one generated file of an adaptation.
-type writeJob struct {
-	path string
-	data []byte
-	kind string
-}
-
-// writeFiles writes every job with a bounded worker set (errgroup
-// style): all writes are attempted concurrently up to the worker limit,
-// workers drain early once a failure is recorded, and the first error
-// is returned.
-func writeFiles(jobs []writeJob, workers int) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, job := range jobs {
-			if err := os.WriteFile(job.path, job.data, 0o600); err != nil {
-				return fmt.Errorf("proxy: writing %s: %w", job.kind, err)
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || failed.Load() {
-					return
-				}
-				job := jobs[i]
-				if err := os.WriteFile(job.path, job.data, 0o600); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = fmt.Errorf("proxy: writing %s: %w", job.kind, err)
-					}
-					mu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+// servePage writes one of a Bundle's HTML pages.
+func servePage(w http.ResponseWriter, a *artifact) {
+	w.Header().Set("Content-Type", a.ctype)
+	_, _ = w.Write(a.data)
 }
 
 func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
@@ -1176,26 +1052,22 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		p.streamEntry(w, r, sess, start)
 		return
 	}
-	ad, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
+	v, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
 	if err != nil {
 		p.fetchError(w, r, err)
 		return
 	}
+	main := v.bundle.pages[mainPage]
 
 	if minimal {
 		// MAML-style mode: the compact layout-only page, no snapshot
 		// work at all. Older persisted bundles predate minimal.html;
 		// degrade to the adapted main page if it is missing.
-		data, err := os.ReadFile(p.sessionFile(sess, "pages", "minimal.html"))
-		if err != nil {
-			data, err = os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
+		page := v.bundle.pages[minimalPage]
+		if page == nil {
+			page = main
 		}
-		if err != nil {
-			p.serverError(w, r, http.StatusInternalServerError, "adaptation missing", err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(data)
+		servePage(w, page)
 		p.obs.Histogram("msite_proxy_atf_seconds", "site", p.cfg.Spec.Name, "mode", "minimal").
 			ObserveDuration(time.Since(start))
 		return
@@ -1203,44 +1075,27 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 
 	if !p.cfg.Spec.Snapshot.Enabled {
 		// No snapshot: serve the adapted main page directly.
-		data, err := os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
-		if err != nil {
-			p.serverError(w, r, http.StatusInternalServerError, "adaptation missing", err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(data)
+		servePage(w, main)
 		return
 	}
 
-	snap, scale, width, height, err := p.snapshot(r.Context(), sess)
+	width, height, err := p.snapshot(r.Context(), v)
 	if err != nil {
 		// The graphical entry page is an enhancement over the adapted
 		// document, not a prerequisite: if the render fails, degrade to
 		// serving the adapted main page directly.
 		_ = p.degrade(r.Context(), "snapshot", err)
-		data, rerr := os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
-		if rerr != nil {
-			p.fetchError(w, r, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(data)
+		servePage(w, main)
 		return
 	}
-	_ = snap
 
-	var subs []*attr.Subpage
-	for _, sub := range ad.subpages {
-		subs = append(subs, sub)
-	}
 	overlay := p.applier.BuildOverlayHTML(attr.Overlay{
-		SnapshotURL: p.prefix + "/asset/snapshot" + snapshotFidelity(p.cfg.Spec).Ext(),
+		SnapshotURL: p.prefix + "/asset/" + p.snapName,
 		Width:       width,
 		Height:      height,
-		Scale:       scale,
+		Scale:       p.snapshotScale(),
 		Title:       p.cfg.Spec.Name,
-	}, subs)
+	}, v.bundle.areas)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write(overlay)
 	// Buffered serving completes everything at once: the whole page is
@@ -1262,57 +1117,64 @@ func snapshotFidelity(s *spec.Spec) imaging.Fidelity {
 	}
 }
 
-// snapshot renders (or fetches from the shared cache) the scaled entry
-// snapshot, returning its bytes and geometry. The layout, raster, and
-// encode stages of a cold render are recorded as spans; whether the
-// snapshot came from the shared cache is annotated on the request trace.
-func (p *Proxy) snapshot(ctx context.Context, sess *session.Session) (data []byte, scale float64, w, h int, err error) {
+// snapshotScale is the spec's snapshot scale factor, defaulting to 1.
+func (p *Proxy) snapshotScale() float64 {
+	if s := p.cfg.Spec.Snapshot.Scale; s > 0 {
+		return s
+	}
+	return 1
+}
+
+// sharedSnapshotTTL is how long the cross-session snapshot cache entry
+// lives; zero when the spec's snapshot is per-session or uncacheable.
+func (p *Proxy) sharedSnapshotTTL() time.Duration {
+	if !p.cfg.Spec.Snapshot.Shared {
+		return 0
+	}
+	return time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
+}
+
+// renderSnapshot is the buffered snapshot render of a Bundle's main
+// page: layout, raster, scale and encode, each recorded as a span when
+// ctx carries a trace. The geometry rides in the entry's MIME suffix so
+// it survives the shared cache, the durable tier and a peer hop.
+func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle) (cache.Entry, error) {
+	p.nSnapshotRenders.Add(1)
+	p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
+	sp := obs.StartSpan(ctx, "layout")
+	doc := tidyDoc(string(b.pages[mainPage].data))
+	res := layoutForDoc(doc, p.width)
+	sp.End()
+	sp = obs.StartSpan(ctx, "raster")
+	img := raster.Paint(res, raster.Options{Images: b.images, Workers: p.rasterWork})
+	sp.End()
+	sp = obs.StartSpan(ctx, "encode")
 	fid := snapshotFidelity(p.cfg.Spec)
-	scale = p.cfg.Spec.Snapshot.Scale
-	if scale <= 0 {
-		scale = 1
+	scaled := imaging.ScaleFactor(img, p.snapshotScale())
+	encoded, err := imaging.Encode(scaled, fid)
+	sp.End()
+	if err != nil {
+		return cache.Entry{}, err
 	}
-	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
+	meta := fmt.Sprintf("%d,%d", scaled.Bounds().Dx(), scaled.Bounds().Dy())
+	return cache.Entry{Data: encoded, MIME: fid.MIME() + ";" + meta}, nil
+}
 
-	p.mu.Lock()
-	var snapImages map[string]image.Image
-	if ad, ok := p.adapted[sess.ID]; ok {
-		snapImages = ad.images
-	}
-	p.mu.Unlock()
-
+// snapshot renders (or fetches from the shared cache) the scaled entry
+// snapshot of the view's Bundle, records it as what the session was
+// shown, and returns its geometry. Whether the snapshot came from the
+// shared cache is annotated on the request trace.
+func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err error) {
 	// filled is atomic: with stale-while-revalidate the fill can run on a
 	// background refresh goroutine while this request inspects it.
 	var filled atomic.Bool
 	fill := func() (cache.Entry, error) {
 		filled.Store(true)
-		p.nSnapshotRenders.Add(1)
-		p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
-		mainPath := p.sessionFile(sess, "pages", "main.html")
-		src, err := os.ReadFile(mainPath)
-		if err != nil {
-			return cache.Entry{}, fmt.Errorf("proxy: reading adapted main: %w", err)
-		}
-		sp := obs.StartSpan(ctx, "layout")
-		doc := tidyDoc(string(src))
-		res := layoutForDoc(doc, p.width)
-		sp.End()
-		sp = obs.StartSpan(ctx, "raster")
-		img := raster.Paint(res, raster.Options{Images: snapImages, Workers: p.rasterWork})
-		sp.End()
-		sp = obs.StartSpan(ctx, "encode")
-		scaled := imaging.ScaleFactor(img, scale)
-		encoded, err := imaging.Encode(scaled, fid)
-		sp.End()
-		if err != nil {
-			return cache.Entry{}, err
-		}
-		meta := fmt.Sprintf("%d,%d", scaled.Bounds().Dx(), scaled.Bounds().Dy())
-		return cache.Entry{Data: encoded, MIME: fid.MIME() + ";" + meta}, nil
+		return p.renderSnapshot(ctx, v.bundle)
 	}
 
 	var entry cache.Entry
-	if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
+	if ttl := p.sharedSnapshotTTL(); ttl > 0 {
 		key := "snapshot:" + p.cfg.Spec.Name
 		var stale bool
 		if p.cfg.ServeStale && p.staleFor > 0 {
@@ -1341,20 +1203,20 @@ func (p *Proxy) snapshot(ctx context.Context, sess *session.Session) (data []byt
 		obs.TraceFrom(ctx).Annotate("cache", "bypass")
 	}
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, err
 	}
+	showRung(&v.snapshot, p.snapName, entry.Data)
 	// Geometry rides in the MIME suffix; parse it back out.
 	w, h = parseGeometry(entry.MIME)
-	// Persist into the session image dir so /asset can serve it.
-	imagesDir, derr := sess.ImageDir()
-	if derr != nil {
-		return nil, 0, 0, 0, derr
+	return w, h, nil
+}
+
+// showRung records data as the snapshot rung a session now sees; bytes
+// it already holds keep the artifact (and ETag) derived from them.
+func showRung(rung *atomic.Pointer[artifact], name string, data []byte) {
+	if cur := rung.Load(); cur == nil || !sameBytes(cur.data, data) {
+		rung.Store(newArtifact(name, data))
 	}
-	name := "snapshot" + fid.Ext()
-	if werr := os.WriteFile(filepath.Join(imagesDir, name), entry.Data, 0o600); werr != nil {
-		return nil, 0, 0, 0, fmt.Errorf("proxy: writing snapshot: %w", werr)
-	}
-	return entry.Data, scale, w, h, nil
 }
 
 func parseGeometry(mime string) (w, h int) {
@@ -1381,18 +1243,14 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 		http.NotFound(w, r)
 		return
 	}
-	ad, err := p.ensureAdaptation(r.Context(), sess, false)
+	v, err := p.ensureAdaptation(r.Context(), sess, false)
 	if err != nil {
 		p.fetchError(w, r, err)
 		return
 	}
-	if _, ok := ad.subpages[name]; !ok {
+	page := v.bundle.pages[attr.SubpageFileName(name)]
+	if _, ok := v.bundle.subpages[name]; !ok || page == nil {
 		http.NotFound(w, r)
-		return
-	}
-	data, err := os.ReadFile(p.sessionFile(sess, "pages", attr.SubpageFileName(name)))
-	if err != nil {
-		p.serverError(w, r, http.StatusInternalServerError, "subpage missing", err)
 		return
 	}
 	// The pluggable engine hook (§1: "multiple rendering engines to
@@ -1404,7 +1262,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 			http.Error(w, "unknown format: "+format, http.StatusBadRequest)
 			return
 		}
-		out, err := engine.Render(tidyDoc(string(data)), layout.Viewport{Width: p.width})
+		out, err := engine.Render(tidyDoc(string(page.data)), layout.Viewport{Width: p.width})
 		if err != nil {
 			p.serverError(w, r, http.StatusInternalServerError, "render failed", err)
 			return
@@ -1413,8 +1271,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 		_, _ = w.Write(out)
 		return
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write(data)
+	servePage(w, page)
 }
 
 func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName string) {
@@ -1427,25 +1284,18 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 		http.NotFound(w, r)
 		return
 	}
-	data, err := os.ReadFile(p.sessionFile(sess, "images", name))
-	if err != nil {
-		// A streaming entry references snapshot assets before the
-		// background render has written them; wait for the render
-		// instead of 404ing the race.
-		data, err = p.awaitSnapshotAsset(r, sess, name)
-		if err != nil {
-			http.NotFound(w, r)
-			return
-		}
+	p.mu.Lock()
+	v := p.adapted[sess.ID]
+	p.mu.Unlock()
+	var a *artifact
+	if v != nil {
+		a = p.sessionAsset(r, v, name)
 	}
-	switch {
-	case strings.HasSuffix(name, ".png"):
-		w.Header().Set("Content-Type", "image/png")
-	case strings.HasSuffix(name, ".jpg"):
-		w.Header().Set("Content-Type", "image/jpeg")
-	default:
-		w.Header().Set("Content-Type", "application/octet-stream")
+	if a == nil {
+		http.NotFound(w, r)
+		return
 	}
+	w.Header().Set("Content-Type", a.ctype)
 	// Let the device cache images too: the shared snapshot for its
 	// configured TTL, per-user renders briefly.
 	if strings.HasPrefix(name, "snapshot") && p.cfg.Spec.Snapshot.CacheTTLSeconds > 0 {
@@ -1456,13 +1306,27 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 	}
 	// Conditional requests save the image bytes on revisits — the
 	// dominant cost on 3G links.
-	etag := fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data))
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
+	w.Header().Set("ETag", a.etag)
+	if etagMatches(r.Header.Get("If-None-Match"), a.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	_, _ = w.Write(data)
+	_, _ = w.Write(a.data)
+}
+
+// etagMatches evaluates an If-None-Match header against the current
+// entity tag (RFC 9110 §13.1.2): a comma-separated list compared weakly,
+// so a W/ prefix is ignored, or "*" for any current representation.
+func etagMatches(header, etag string) bool {
+	for header != "" {
+		var cand string
+		cand, header, _ = strings.Cut(header, ",")
+		cand = strings.TrimSpace(cand)
+		if cand == "*" || strings.TrimPrefix(cand, "W/") == etag {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *Proxy) handleAJAX(w http.ResponseWriter, r *http.Request) {
@@ -1538,9 +1402,7 @@ func (p *Proxy) handleLogout(w http.ResponseWriter, r *http.Request) {
 		p.serverError(w, r, http.StatusInternalServerError, "logout failed", err)
 		return
 	}
-	p.mu.Lock()
-	delete(p.adapted, sess.ID) // next visit re-fetches logged-out content
-	p.mu.Unlock()
+	p.attach(sess.ID, nil) // next visit re-fetches logged-out content
 	http.Redirect(w, r, p.prefix+"/", http.StatusSeeOther)
 }
 
@@ -1567,10 +1429,6 @@ func (p *Proxy) fetchError(w http.ResponseWriter, r *http.Request, err error) {
 		return
 	}
 	p.serverError(w, r, http.StatusBadGateway, "origin unavailable", err)
-}
-
-func (p *Proxy) sessionFile(sess *session.Session, sub, name string) string {
-	return filepath.Join(sess.Dir, sub, name)
 }
 
 func originHost(origin string) string {

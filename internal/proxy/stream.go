@@ -4,13 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"image"
 	"io"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,16 +21,16 @@ import (
 	"msite/internal/session"
 )
 
-// coarseSnapshotName is the session-directory file (and asset name) of
-// the coarse first rung of a progressive snapshot.
+// coarseSnapshotName is the asset name of the coarse first rung of a
+// progressive snapshot.
 const coarseSnapshotName = "snapshot-coarse.jpg"
 
-// snapState tracks one session's background snapshot render. The asset
-// handler waits on the rungs instead of 404ing a file the renderer has
-// not written yet.
+// snapState tracks one session view's background snapshot render. The
+// asset handler waits on the rungs instead of 404ing one the renderer
+// has not produced yet.
 type snapState struct {
 	coarseOnce sync.Once
-	// coarse closes when the coarse rung is on disk (or the render
+	// coarse closes when the view holds the coarse rung (or the render
 	// finished without one).
 	coarse chan struct{}
 	// full closes when the render completed; err is set first.
@@ -62,14 +58,9 @@ func flushNow(w http.ResponseWriter) {
 // (DRIVESHAFT's argument) tracks the first flush, not the pipeline.
 func (p *Proxy) streamEntry(w http.ResponseWriter, r *http.Request, sess *session.Session, start time.Time) {
 	site := p.cfg.Spec.Name
-	fid := snapshotFidelity(p.cfg.Spec)
-	scale := p.cfg.Spec.Snapshot.Scale
-	if scale <= 0 {
-		scale = 1
-	}
 	ov := attr.Overlay{
-		SnapshotURL: p.prefix + "/asset/snapshot" + fid.Ext(),
-		Scale:       scale,
+		SnapshotURL: p.prefix + "/asset/" + p.snapName,
+		Scale:       p.snapshotScale(),
 		Title:       site,
 	}
 	if p.cfg.SnapshotProgressive {
@@ -92,7 +83,7 @@ func (p *Proxy) streamEntry(w http.ResponseWriter, r *http.Request, sess *sessio
 	flushNow(w)
 	obs.TraceFrom(r.Context()).Annotate("stream", "head_flushed")
 
-	ad, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
+	v, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
 	if err != nil {
 		p.streamAbort(w, r, err)
 		return
@@ -100,13 +91,9 @@ func (p *Proxy) streamEntry(w http.ResponseWriter, r *http.Request, sess *sessio
 
 	// Kick the snapshot render off now: it overlaps with the client
 	// receiving and parsing the map fragments below.
-	p.ensureSnapshotAsync(sess)
+	p.ensureSnapshotAsync(v)
 
-	var subs []*attr.Subpage
-	for _, sub := range ad.subpages {
-		subs = append(subs, sub)
-	}
-	frags = p.applier.BuildOverlayStream(ov, subs, atfHeight)
+	frags = p.applier.BuildOverlayStream(ov, v.bundle.areas, atfHeight)
 	_, _ = w.Write(frags.ATF)
 	_, _ = io.WriteString(w, attr.ATFMarker)
 	flushNow(w)
@@ -132,95 +119,81 @@ func (p *Proxy) streamAbort(w http.ResponseWriter, r *http.Request, err error) {
 	fmt.Fprintf(w, "</map><p>%s</p></body></html>", msg)
 }
 
-// ensureSnapshotAsync starts (or joins) this session's background
-// snapshot render. A completed successful render is reused; a failed
-// one is retried.
-func (p *Proxy) ensureSnapshotAsync(sess *session.Session) *snapState {
-	p.snapMu.Lock()
-	defer p.snapMu.Unlock()
-	if st, ok := p.snaps[sess.ID]; ok {
+// ensureSnapshotAsync starts (or joins) this view's background snapshot
+// render. A completed successful render is reused; a failed one is
+// retried.
+func (p *Proxy) ensureSnapshotAsync(v *sessionView) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if st := v.render; st != nil {
 		select {
 		case <-st.full:
 			if st.err == nil {
-				return st
+				return
 			}
 			// A failed render is retried below.
 		default:
-			return st // in flight
+			return // in flight
 		}
 	}
-	st := newSnapState()
-	p.snaps[sess.ID] = st
-	go p.runSnapshotAsync(sess, st)
-	return st
+	v.render = newSnapState()
+	go p.runSnapshotAsync(v, v.render)
 }
 
 // runSnapshotAsync executes one background snapshot render. The context
 // is detached deliberately: the render is shared, cached work, and a
 // client disconnecting mid-stream must not abort it for the session's
 // (or, through the shared cache, every session's) next request.
-func (p *Proxy) runSnapshotAsync(sess *session.Session, st *snapState) {
+func (p *Proxy) runSnapshotAsync(v *sessionView, st *snapState) {
 	ctx := context.Background()
 	var err error
 	if p.cfg.SnapshotProgressive {
-		err = p.snapshotProgressive(ctx, sess, st)
+		err = p.snapshotProgressive(ctx, v, st)
 	} else {
-		_, _, _, _, err = p.snapshot(ctx, sess)
+		_, _, err = p.snapshot(ctx, v)
 	}
 	st.err = err
 	st.closeCoarse()
 	close(st.full)
 }
 
-// snapshotProgressive renders the session's snapshot as a temporal
-// fidelity ladder: the coarse rung is published (written to the session
-// directory and the shared cache) the moment rasterization finishes,
-// while the full-fidelity encode — byte-identical to the buffered
-// path's — is still running. The full artifact lands in the shared
-// cache under the same key the buffered path uses, so streaming and
-// buffered proxies interoperate across restarts.
-func (p *Proxy) snapshotProgressive(ctx context.Context, sess *session.Session, st *snapState) error {
+// snapshotProgressive renders the view's snapshot as a temporal
+// fidelity ladder: the coarse rung is published (shown to the session
+// and put in the shared cache) the moment rasterization finishes, while
+// the full-fidelity encode — byte-identical to the buffered path's — is
+// still running. The full artifact lands in the shared cache under the
+// same key the buffered path uses, so streaming and buffered proxies
+// interoperate across restarts.
+func (p *Proxy) snapshotProgressive(ctx context.Context, v *sessionView, st *snapState) error {
 	fid := snapshotFidelity(p.cfg.Spec)
-	scale := p.cfg.Spec.Snapshot.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	ttl := time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
+	// Zero for a per-session snapshot, in which case the cache Puts
+	// below store nothing.
+	ttl := p.sharedSnapshotTTL()
 	site := p.cfg.Spec.Name
-
-	p.mu.Lock()
-	var snapImages map[string]image.Image
-	if ad, ok := p.adapted[sess.ID]; ok {
-		snapImages = ad.images
+	showCoarse := func(data []byte) {
+		showRung(&v.coarse, coarseSnapshotName, data)
+		st.closeCoarse()
 	}
-	p.mu.Unlock()
 
 	var filled atomic.Bool
 	fill := func() (cache.Entry, error) {
 		filled.Store(true)
 		p.nSnapshotRenders.Add(1)
 		p.obs.Counter("msite_proxy_snapshot_renders_total", "site", site).Inc()
-		src, err := os.ReadFile(p.sessionFile(sess, "pages", "main.html"))
-		if err != nil {
-			return cache.Entry{}, fmt.Errorf("proxy: reading adapted main: %w", err)
-		}
 		sp := obs.StartSpan(ctx, "layout")
-		doc := tidyDoc(string(src))
+		doc := tidyDoc(string(v.bundle.pages[mainPage].data))
 		res := layoutForDoc(doc, p.width)
 		sp.End()
 		// Raster and coarse encode interleave inside progressive.Render;
 		// one span covers the ladder.
 		sp = obs.StartSpan(ctx, "raster_encode")
 		out, err := progressive.Render(res, progressive.Config{
-			Raster:   raster.Options{Images: snapImages, Workers: p.rasterWork},
+			Raster:   raster.Options{Images: v.bundle.images, Workers: p.rasterWork},
 			Fidelity: fid,
-			Scale:    scale,
+			Scale:    p.snapshotScale(),
 			OnCoarse: func(a progressive.Artifact) {
-				if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
-					p.cfg.Cache.Put("snapshot-coarse:"+site,
-						cache.Entry{Data: a.Data, MIME: a.MIME}, ttl)
-				}
-				p.writeCoarse(sess, st, a.Data)
+				p.cfg.Cache.Put("snapshot-coarse:"+site, cache.Entry{Data: a.Data, MIME: a.MIME}, ttl)
+				showCoarse(a.Data)
 			},
 		})
 		sp.End()
@@ -233,7 +206,7 @@ func (p *Proxy) snapshotProgressive(ctx context.Context, sess *session.Session, 
 
 	var entry cache.Entry
 	var err error
-	if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
+	if ttl > 0 {
 		entry, err = p.cfg.Cache.GetOrFill("snapshot:"+site, ttl, fill)
 		if err == nil && !filled.Load() {
 			p.nSnapshotHits.Add(1)
@@ -250,37 +223,14 @@ func (p *Proxy) snapshotProgressive(ctx context.Context, sess *session.Session, 
 		// session has no coarse rung yet. Reuse a cached one, or derive
 		// it from the full bytes (cheap relative to a render).
 		if e, ok := p.cfg.Cache.Get("snapshot-coarse:" + site); ok {
-			p.writeCoarse(sess, st, e.Data)
+			showCoarse(e.Data)
 		} else if data, derr := coarseFromFull(entry.Data); derr == nil {
-			if p.cfg.Spec.Snapshot.Shared && ttl > 0 {
-				p.cfg.Cache.Put("snapshot-coarse:"+site,
-					cache.Entry{Data: data, MIME: "image/jpeg"}, ttl)
-			}
-			p.writeCoarse(sess, st, data)
+			p.cfg.Cache.Put("snapshot-coarse:"+site, cache.Entry{Data: data, MIME: "image/jpeg"}, ttl)
+			showCoarse(data)
 		}
 	}
-	imagesDir, derr := sess.ImageDir()
-	if derr != nil {
-		return derr
-	}
-	name := "snapshot" + fid.Ext()
-	if werr := os.WriteFile(filepath.Join(imagesDir, name), entry.Data, 0o600); werr != nil {
-		return fmt.Errorf("proxy: writing snapshot: %w", werr)
-	}
+	showRung(&v.snapshot, p.snapName, entry.Data)
 	return nil
-}
-
-// writeCoarse lands the coarse rung in the session's image directory
-// and unblocks asset requests waiting on it.
-func (p *Proxy) writeCoarse(sess *session.Session, st *snapState, data []byte) {
-	imagesDir, err := sess.ImageDir()
-	if err != nil {
-		return
-	}
-	if err := os.WriteFile(filepath.Join(imagesDir, coarseSnapshotName), data, 0o600); err != nil {
-		return
-	}
-	st.closeCoarse()
 }
 
 // coarseFromFull derives the coarse rung from an already-encoded full
@@ -297,18 +247,29 @@ func coarseFromFull(full []byte) ([]byte, error) {
 	return data, err
 }
 
-// awaitSnapshotAsset blocks an asset request for a snapshot file the
-// background renderer has not written yet, bounded by the request
-// context. Non-snapshot assets never wait.
-func (p *Proxy) awaitSnapshotAsset(r *http.Request, sess *session.Session, name string) ([]byte, error) {
-	if !strings.HasPrefix(name, "snapshot") {
-		return nil, os.ErrNotExist
+// sessionAsset resolves an asset name against a session's view: the
+// snapshot rungs it has been shown, else its Bundle's images. A streamed
+// entry references the rungs before the background render has produced
+// them, so a missing rung waits for that render (bounded by the request
+// context) instead of 404ing the race. Nil means not found.
+func (p *Proxy) sessionAsset(r *http.Request, v *sessionView, name string) *artifact {
+	var rung *atomic.Pointer[artifact]
+	switch name {
+	case p.snapName:
+		rung = &v.snapshot
+	case coarseSnapshotName:
+		rung = &v.coarse
+	default:
+		return v.bundle.assets[name]
 	}
-	p.snapMu.Lock()
-	st := p.snaps[sess.ID]
-	p.snapMu.Unlock()
+	if a := rung.Load(); a != nil {
+		return a
+	}
+	v.mu.Lock()
+	st := v.render
+	v.mu.Unlock()
 	if st == nil {
-		return nil, os.ErrNotExist
+		return nil
 	}
 	ch := st.full
 	if name == coarseSnapshotName {
@@ -317,7 +278,6 @@ func (p *Proxy) awaitSnapshotAsset(r *http.Request, sess *session.Session, name 
 	select {
 	case <-ch:
 	case <-r.Context().Done():
-		return nil, r.Context().Err()
 	}
-	return os.ReadFile(p.sessionFile(sess, "images", name))
+	return rung.Load()
 }

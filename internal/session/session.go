@@ -1,7 +1,8 @@
 // Package session implements m.Site's multi-session state management
-// (§3.2): each mobile client is issued a session cookie; all files
-// generated during the session live under a protected per-user
-// subdirectory; the proxy keeps a per-user cookie jar so it can fetch
+// (§3.2): each mobile client is issued a session cookie and a protected
+// per-user subdirectory (generated content no longer lands there: the
+// proxy serves it from an in-memory Bundle the session references); the
+// proxy keeps a per-user cookie jar so it can fetch
 // authenticated origin content on the client's behalf; and HTTP
 // credentials are stored and replayed per user. This is the piece that
 // lets a single lightweight proxy replace one browser instance per
@@ -52,8 +53,8 @@ type Credentials struct {
 type Session struct {
 	// ID is the random session identifier carried in the cookie.
 	ID string
-	// Dir is the session's protected subdirectory; generated subpages
-	// and per-user images are written beneath it.
+	// Dir is the session's protected subdirectory, created and removed
+	// with the session. Nothing in this repository writes beneath it.
 	Dir string
 	// Jar holds the origin cookies the proxy presents on the client's
 	// behalf.
@@ -82,26 +83,6 @@ func (s *Session) Personalized() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.personal
-}
-
-// SubpageDir returns the directory generated subpages are written to,
-// creating it if needed.
-func (s *Session) SubpageDir() (string, error) {
-	return s.ensureDir("pages")
-}
-
-// ImageDir returns the directory pre-rendered per-user images are written
-// to, creating it if needed.
-func (s *Session) ImageDir() (string, error) {
-	return s.ensureDir("images")
-}
-
-func (s *Session) ensureDir(sub string) (string, error) {
-	dir := filepath.Join(s.Dir, sub)
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return "", fmt.Errorf("session: creating %s dir: %w", sub, err)
-	}
-	return dir, nil
 }
 
 // SetAuth stores HTTP credentials for a host.

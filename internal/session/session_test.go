@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -79,22 +78,13 @@ func TestUniqueIDs(t *testing.T) {
 	}
 }
 
-func TestSubdirectories(t *testing.T) {
+func TestSessionDirProtected(t *testing.T) {
 	m, _ := newTestManager(t)
 	s, _ := m.Create()
-	pages, err := s.SubpageDir()
+	fi, err := os.Stat(s.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	images, err := s.ImageDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Dir(pages) != s.Dir || filepath.Dir(images) != s.Dir {
-		t.Fatal("subdirs not under session dir")
-	}
-	// Protected: 0700.
-	fi, _ := os.Stat(pages)
 	if fi.Mode().Perm() != 0o700 {
 		t.Fatalf("perm = %v", fi.Mode().Perm())
 	}
