@@ -53,7 +53,9 @@ type Bundle struct {
 	// pages and assets are the generated HTML documents (main.html,
 	// minimal.html, one per subpage) and images, by file name.
 	pages, assets map[string]*artifact
-	subpages      map[string]*attr.Subpage
+	// subpages describe the split-off objects; a subpage's document is
+	// its page, so Doc is nil.
+	subpages map[string]*attr.Subpage
 	// areas is the subpage set in name order: the entry overlay's <area>
 	// order, fixed so that a Bundle serves the same entry bytes however
 	// it came to be (built, decoded, fetched from a peer).
@@ -122,7 +124,7 @@ const (
 
 // bundleWire is the only serialized form of a Bundle. Decoded images
 // gob out as PNG and re-materialize on load; a subpage's document
-// travels as the HTML it is served as.
+// travels as its page file.
 type bundleWire struct {
 	Version  int
 	Site     string
@@ -153,28 +155,23 @@ func (v BundleValidator) Zero() bool {
 }
 
 type fileWire struct {
-	// Kind labelled write errors when records were installed as files;
-	// it is no longer written and is ignored when read.
-	Dir, Name, Kind string
-	Data            []byte
+	Dir, Name string
+	Data      []byte
 }
 
 type subpageWire struct {
 	Name, Title string
-	// DocHTML repeats the subpage's page file for readers that rebuild
-	// the document from it; this reader serves the file.
-	DocHTML    []byte
-	Parent     string
-	Region     attr.Region
-	PreRender  bool
-	AJAX       bool
-	Fidelity   int
-	ImageData  []byte
-	ImageMIME  string
-	PartialCSS bool
-	SearchJS   string
-	CacheTTL   time.Duration
-	Shared     bool
+	Parent      string
+	Region      attr.Region
+	PreRender   bool
+	AJAX        bool
+	Fidelity    int
+	ImageData   []byte
+	ImageMIME   string
+	PartialCSS  bool
+	SearchJS    string
+	CacheTTL    time.Duration
+	Shared      bool
 }
 
 type imageWire struct {
@@ -188,7 +185,7 @@ type imageWire struct {
 func encodeBundle(site string, b *Bundle) ([]byte, error) {
 	w := bundleWire{Version: bundleWireVersion, Site: site, Notes: b.notes, Validator: b.validator}
 	for _, sub := range b.subpages {
-		sw := subpageWire{
+		w.Subpages = append(w.Subpages, subpageWire{
 			Name:       sub.Name,
 			Title:      sub.Title,
 			Parent:     sub.Parent,
@@ -202,11 +199,7 @@ func encodeBundle(site string, b *Bundle) ([]byte, error) {
 			SearchJS:   sub.SearchJS,
 			CacheTTL:   sub.CacheTTL,
 			Shared:     sub.Shared,
-		}
-		if page := b.pages[attr.SubpageFileName(sub.Name)]; page != nil {
-			sw.DocHTML = page.data
-		}
-		w.Subpages = append(w.Subpages, sw)
+		})
 	}
 	for name, a := range b.pages {
 		w.Files = append(w.Files, fileWire{Dir: pagesDir, Name: name, Data: a.data})
@@ -306,8 +299,10 @@ func decodeBundle(data []byte) (*Bundle, error) {
 // A bundle that fails to decode (version drift, torn record) is deleted
 // and rebuilt.
 func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
-	e, ok := p.cfg.Cache.Get(p.bundleKey)
+	// The Get sits under sharedMu, as storeBundle's Put does, so the memo
+	// is always compared with the record the cache holds now.
 	p.sharedMu.Lock()
+	e, ok := p.cfg.Cache.Get(p.bundleKey)
 	if !ok || !sameBytes(p.sharedSrc, e.Data) {
 		// The record the memo stood for is gone (expired, deleted,
 		// replaced): let go of it before its successor is decoded or
@@ -326,7 +321,11 @@ func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
 			obs.TraceFrom(ctx).Annotate("bundle", "discarded")
 			return nil, false
 		}
-		p.setShared(b, e.Data)
+		p.sharedMu.Lock()
+		if p.sharedSrc == nil {
+			p.shared, p.sharedSrc, p.bundleVal = b, e.Data, b.validator
+		} // else a newer record was stored or loaded during the decode
+		p.sharedMu.Unlock()
 	}
 	p.obs.Counter("msite_proxy_bundle_reuses_total", "site", p.cfg.Spec.Name).Inc()
 	obs.TraceFrom(ctx).Annotate("bundle", "reuse")
@@ -346,16 +345,11 @@ func (p *Proxy) saveBundle(b *Bundle) {
 }
 
 // storeBundle puts an encoded bundle into the cache and remembers b as
-// its decoded form.
+// its decoded form, and b's validator as the one the prefetch refresher
+// reads — in one step with respect to loadBundle.
 func (p *Proxy) storeBundle(b *Bundle, data []byte) {
-	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, p.bundleTTL)
-	p.setShared(b, data)
-}
-
-// setShared records b as the decoded form of the encoded record src,
-// and its validator as the one the prefetch refresher reads.
-func (p *Proxy) setShared(b *Bundle, src []byte) {
 	p.sharedMu.Lock()
-	p.shared, p.sharedSrc, p.bundleVal = b, src, b.validator
+	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, p.bundleTTL)
+	p.shared, p.sharedSrc, p.bundleVal = b, data, b.validator
 	p.sharedMu.Unlock()
 }

@@ -198,6 +198,10 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 			rig.p.shared, rig.p.sharedSrc = nil, nil
 			rig.p.sharedMu.Unlock()
 			diffViews(t, "after encode→decode", built, view(newDevice(t)))
+			if decoded, _ := rig.p.sharedBundle(); decoded == bundle ||
+				!reflect.DeepEqual(decoded.subpages, bundle.subpages) {
+				t.Fatal("the decoded Bundle's subpage set differs from the built one's (a kept DOM?)")
+			}
 
 			rig.restart()
 			diffViews(t, "after warm restart", built, view(newDevice(t)))
@@ -283,6 +287,70 @@ func TestBundleDecodedOncePerRecord(t *testing.T) {
 	}
 	if got := reuses.Value(); got != n {
 		t.Fatalf("bundle reuses after purge = %d, want %d", got, n)
+	}
+}
+
+// storeDuringGet is a cache layer that, on the first Get of key, gives a
+// concurrent writer a moment to replace the record just read.
+type storeDuringGet struct {
+	cache.Layer
+	key   string
+	write func()
+	done  chan struct{}
+}
+
+func (c *storeDuringGet) Get(key string) (cache.Entry, bool) {
+	e, ok := c.Layer.Get(key)
+	if key == c.key && c.write != nil {
+		write := c.write
+		c.write = nil
+		go func() { write(); close(c.done) }()
+		select {
+		case <-c.done:
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	return e, ok
+}
+
+// TestLoadBundleKeepsNewerRecord: a record stored while a load of its
+// predecessor is under way stays the proxy's memo and validator; the load
+// does not put the older record's decoded form back.
+func TestLoadBundleKeepsNewerRecord(t *testing.T) {
+	rig := newPersistRig(t)
+	if _, resp := rig.get("/"); resp.StatusCode != 200 {
+		t.Fatal("cold entry failed")
+	}
+	_, older := rig.p.sharedBundle()
+	newer, err := decodeBundle(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer.validator.ETag = `"newer"`
+	data, err := encodeBundle(rig.p.cfg.Spec.Name, newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.p.sharedMu.Lock()
+	rig.p.shared, rig.p.sharedSrc = nil, nil // the load below has to decode
+	rig.p.sharedMu.Unlock()
+	racing := &storeDuringGet{
+		Layer: rig.p.cfg.Cache,
+		key:   rig.p.bundleKey,
+		write: func() { rig.p.storeBundle(newer, data) },
+		done:  make(chan struct{}),
+	}
+	rig.p.cfg.Cache = racing
+
+	if _, ok := rig.p.loadBundle(context.Background()); !ok {
+		t.Fatal("load found no bundle")
+	}
+	<-racing.done
+	if b, src := rig.p.sharedBundle(); b != newer || !sameBytes(src, data) {
+		t.Fatal("the load replaced the newer record's memo with the older record")
+	}
+	if got := rig.p.BundleValidator(); got != newer.validator {
+		t.Fatalf("validator = %+v, want the newer record's %+v", got, newer.validator)
 	}
 }
 

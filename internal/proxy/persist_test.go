@@ -317,28 +317,49 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 // bundleWireV1 is the exact wire shape of version-1 records (pre
-// validator capture), kept here so the regression test below encodes a
-// genuinely old record rather than a new struct with the field zeroed.
+// validator capture, with the per-file Kind label and the per-subpage
+// DocHTML copy of its page that writers up to PR 13 emitted), kept here
+// so the regression test below encodes a genuinely old record rather
+// than a new struct with the fields zeroed.
 type bundleWireV1 struct {
 	Version  int
 	Site     string
-	Subpages []subpageWire
+	Subpages []subpageWireV1
 	Notes    []string
-	Files    []fileWire
+	Files    []fileWireV1
 	Images   []imageWire
 }
 
+type fileWireV1 struct {
+	Dir, Name, Kind string
+	Data            []byte
+}
+
+type subpageWireV1 struct {
+	Name, Title string
+	DocHTML     []byte
+	Parent      string
+	Region      attr.Region
+	AJAX        bool
+}
+
 func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
+	const navHTML = "<html><body><p>hi</p></body></html>"
 	old := bundleWireV1{
 		Version: 1,
 		Site:    "sawdust",
-		Subpages: []subpageWire{{
+		Subpages: []subpageWireV1{{
 			Name:    "nav",
 			Title:   "Navigation",
-			DocHTML: []byte("<html><body><p>hi</p></body></html>"),
+			DocHTML: []byte(navHTML),
+			Region:  attr.Region{X: 1, Y: 2, W: 30, H: 40},
+			AJAX:    true,
 		}},
 		Notes: []string{"from v1"},
-		Files: []fileWire{{Dir: "pages", Name: "main.html", Data: []byte("<html></html>"), Kind: "main"}},
+		Files: []fileWireV1{
+			{Dir: "pages", Name: "main.html", Data: []byte("<html></html>"), Kind: "main"},
+			{Dir: "pages", Name: attr.SubpageFileName("nav"), Data: []byte(navHTML), Kind: "subpage"},
+		},
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
@@ -348,8 +369,13 @@ func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding v1 record: %v", err)
 	}
-	if len(got.subpages) != 1 || got.subpages["nav"] == nil || got.subpages["nav"].Title != "Navigation" {
+	nav := got.subpages["nav"]
+	if len(got.subpages) != 1 || nav == nil || nav.Title != "Navigation" || !nav.AJAX ||
+		nav.Region != (attr.Region{X: 1, Y: 2, W: 30, H: 40}) {
 		t.Fatalf("v1 subpages mangled: %+v", got.subpages)
+	}
+	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != navHTML {
+		t.Fatalf("v1 subpage page mangled: %+v", page)
 	}
 	if len(got.notes) != 1 || got.notes[0] != "from v1" {
 		t.Fatalf("v1 notes mangled: %v", got.notes)

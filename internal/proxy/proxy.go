@@ -942,11 +942,15 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*Bundle,
 	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data) }
 	addAsset := func(name string, data []byte) { b.assets[name] = newArtifact(name, data) }
 	for _, sub := range result.Subpages {
-		b.subpages[sub.Name] = sub
 		addPage(attr.SubpageFileName(sub.Name), attr.SerializeSubpage(sub))
 		if len(sub.ImageData) > 0 {
 			addAsset(attr.AssetFileName(sub), sub.ImageData)
 		}
+		// The page now stands for the document: the Bundle keeps the
+		// subpage's description without its DOM, as a decoded one does.
+		desc := *sub
+		desc.Doc = nil
+		b.subpages[sub.Name] = &desc
 	}
 	b.orderAreas()
 	for _, thumb := range result.Assets {
