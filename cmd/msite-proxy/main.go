@@ -69,7 +69,6 @@ func run() error {
 	incidentDir := flag.String("incident-dir", "", "flight-recorder directory; the watchdog captures incident bundles there, browsable at /debug/incidents (empty = off)")
 	incidentMax := flag.Int("incident-max", 0, "incident bundles retained on disk, oldest deleted first (0 = default 16)")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
-	atfHeight := flag.Int("atf-height", 0, "above-the-fold boundary in scaled snapshot pixels for the streamed entry split (0 = default 480, negative = everything above the fold)")
 	snapshotProgressive := flag.Bool("snapshot-progressive", false, "with -stream, serve a coarse snapshot immediately and upgrade in-place once the full-fidelity encode completes")
 	minimalMarkup := flag.Bool("minimal-markup", false, "force the MAML-style minimal-markup entry mode (headings, text, links only) for every site")
 	prefetchOn := flag.Bool("prefetch", false, "speculative pre-adaptation: a background crawler pre-builds demanded bundles and keeps them fresh with conditional revalidation")
@@ -122,7 +121,6 @@ func run() error {
 		IncidentMax:     *incidentMax,
 
 		Stream:              *stream,
-		ATFHeight:           *atfHeight,
 		SnapshotProgressive: *snapshotProgressive,
 		MinimalMarkup:       *minimalMarkup,
 

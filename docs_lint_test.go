@@ -45,65 +45,6 @@ func TestReadmeDocumentsEveryProxyFlag(t *testing.T) {
 	}
 }
 
-func TestResilienceDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/RESILIENCE.md")
-	if err != nil {
-		t.Fatalf("read docs/RESILIENCE.md: %v", err)
-	}
-	for _, flag := range []string{
-		"-fetch-timeout", "-fetch-retries", "-breaker-threshold",
-		"-breaker-cooldown", "-serve-stale", "-stale-for",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/RESILIENCE.md does not document %s", flag)
-		}
-	}
-	for _, metric := range []string{
-		"msite_fetch_retries_total", "msite_breaker_state",
-		"msite_breaker_transitions_total", "msite_proxy_stale_served_total",
-		"msite_proxy_degraded_total", "msite_cache_stale_serves_total",
-		"msite_cache_refresh_errors_total",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/RESILIENCE.md does not document metric %s", metric)
-		}
-	}
-}
-
-func TestStoreDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/STORE.md")
-	if err != nil {
-		t.Fatalf("read docs/STORE.md: %v", err)
-	}
-	for _, flag := range []string{
-		"-store-dir", "-store-max-bytes", "-store-fsync",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/STORE.md does not document %s", flag)
-		}
-	}
-	obsDoc, err := os.ReadFile("docs/OBSERVABILITY.md")
-	if err != nil {
-		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
-	}
-	for _, metric := range []string{
-		"msite_store_hits_total", "msite_store_misses_total",
-		"msite_store_bytes", "msite_store_segments",
-		"msite_store_write_drops_total",
-		"msite_store_recovered_records_total",
-		"msite_store_corrupt_records_total",
-		"msite_proxy_bundle_reuses_total",
-		"msite_session_cleanup_errors_total",
-	} {
-		if strings.HasPrefix(metric, "msite_store") && !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/STORE.md does not document metric %s", metric)
-		}
-		if !strings.Contains(string(obsDoc), metric) {
-			t.Errorf("docs/OBSERVABILITY.md does not list metric %s", metric)
-		}
-	}
-}
-
 func TestReadmeLinksResolve(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -126,218 +67,191 @@ func TestReadmeLinksResolve(t *testing.T) {
 	}
 }
 
-func TestAdmissionDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/ADMISSION.md")
-	if err != nil {
-		t.Fatalf("read docs/ADMISSION.md: %v", err)
-	}
-	for _, flag := range []string{
-		"-max-concurrent-adaptations", "-admission-queue",
-		"-rate-limit", "-max-sessions",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/ADMISSION.md does not document %s", flag)
-		}
-	}
-	for _, metric := range []string{
-		"msite_admission_queue_depth", "msite_admission_shed_total",
-		"msite_admission_coalesced_total", "msite_ratelimit_rejects_total",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/ADMISSION.md does not document metric %s", metric)
-		}
-		obsDoc, err := os.ReadFile("docs/OBSERVABILITY.md")
+// subsystemDocs is the knob manifest: what each subsystem's document has
+// to keep up with.
+var subsystemDocs = []struct {
+	// doc is the subsystem's document under docs/.
+	doc string
+	// flags must each appear in doc as `-flag`; with inReadme, also as a
+	// row of the README's operator-runbook table.
+	flags    []string
+	inReadme bool
+	// metrics must each be named in doc; with inObs, also in
+	// docs/OBSERVABILITY.md's metric list.
+	metrics []string
+	inObs   bool
+	// topics are the endpoints, files, bench records and terms doc must
+	// cover.
+	topics []string
+	// elsewhere names what other documents must say about the subsystem.
+	elsewhere map[string][]string
+}{
+	{
+		doc: "RESILIENCE.md",
+		flags: []string{
+			"-fetch-timeout", "-fetch-retries", "-breaker-threshold",
+			"-breaker-cooldown", "-serve-stale", "-stale-for",
+		},
+		metrics: []string{
+			"msite_fetch_retries_total", "msite_breaker_state",
+			"msite_breaker_transitions_total", "msite_proxy_stale_served_total",
+			"msite_proxy_degraded_total", "msite_cache_stale_serves_total",
+			"msite_cache_refresh_errors_total",
+		},
+	},
+	{
+		doc:   "STORE.md",
+		flags: []string{"-store-dir", "-store-max-bytes", "-store-fsync"},
+		metrics: []string{
+			"msite_store_hits_total", "msite_store_misses_total",
+			"msite_store_bytes", "msite_store_segments",
+			"msite_store_write_drops_total",
+			"msite_store_recovered_records_total",
+			"msite_store_corrupt_records_total",
+		},
+		inObs: true,
+		elsewhere: map[string][]string{"OBSERVABILITY.md": {
+			"msite_proxy_bundle_reuses_total", "msite_session_cleanup_errors_total",
+		}},
+	},
+	{
+		doc: "ADMISSION.md",
+		flags: []string{
+			"-max-concurrent-adaptations", "-admission-queue",
+			"-rate-limit", "-max-sessions",
+		},
+		metrics: []string{
+			"msite_admission_queue_depth", "msite_admission_shed_total",
+			"msite_admission_coalesced_total", "msite_ratelimit_rejects_total",
+		},
+		inObs: true,
+	},
+	{
+		doc:      "PERFORMANCE.md",
+		flags:    []string{"-stream", "-snapshot-progressive", "-minimal-markup"},
+		inReadme: true,
+		metrics:  []string{"msite_proxy_ttfb_seconds", "msite_proxy_atf_seconds"},
+		topics:   []string{"BENCH_PR7.json", "byte-identical", "msite-bench streaming"},
+	},
+	{
+		doc:      "PREFETCH.md",
+		flags:    []string{"-prefetch", "-prefetch-top-n", "-prefetch-interval", "-prefetch-depth"},
+		inReadme: true,
+		metrics: []string{
+			"msite_prefetch_built_total", "msite_prefetch_revalidated_total",
+			"msite_prefetch_not_modified_total", "msite_prefetch_skipped_busy_total",
+			"msite_prefetch_queue",
+		},
+		inObs: true,
+		topics: []string{
+			"ETag", "Last-Modified", "304", "demand", "background lane",
+			"helping", "stealing", "BENCH_PR8.json", "msite-bench prefetch",
+		},
+	},
+	{
+		// Flags, metrics, the debug endpoint, the rule catalog, and the
+		// bench record.
+		doc:      "QUALITY.md",
+		flags:    []string{"-repair-rules", "-parity-check", "-parity-min-score"},
+		inReadme: true,
+		metrics: []string{
+			"msite_quality_repairs_total", "msite_quality_parity_score",
+			"msite_quality_parity_failures_total",
+		},
+		inObs: true,
+		topics: []string{
+			"viewport", "fixed-width", "touch-target", "font-floor",
+			"/debug/parity", "sanctioned", "BENCH_PR9.json",
+			"msite-bench quality", "RegisterExtension",
+		},
+		elsewhere: map[string][]string{"ATTRIBUTES.md": {"`repair`"}},
+	},
+	{
+		// Flags, metrics, the peer protocol endpoints, the failure matrix,
+		// and the bench record.
+		doc:      "CLUSTER.md",
+		flags:    []string{"-cluster-listen", "-cluster-peers", "-cluster-replicas", "-cluster-token"},
+		inReadme: true,
+		metrics: []string{
+			"msite_cluster_ring_nodes", "msite_cluster_peer_state",
+			"msite_cluster_forwarded_total", "msite_cluster_owner_builds_total",
+			"msite_cluster_fallback_local_total", "msite_cluster_peer_errors_total",
+		},
+		inObs: true,
+		topics: []string{
+			"consistent-hash", "owner", "/internal/cluster/health",
+			"/internal/cluster/bundle/", "/internal/cluster/snapshot/",
+			"X-MSite-Trace", "Sticky personalized", "Split config",
+			"Bounded movement", "ClusterProbeInterval",
+			"BENCH_PR10.json", "msite-bench cluster", "msite-bench\nhistory",
+		},
+	},
+	{
+		doc: "OBSERVABILITY.md",
+		flags: []string{
+			"-slo-target-p99", "-slo-availability",
+			"-incident-dir", "-incident-max",
+		},
+		metrics: []string{
+			"msite_slo_burn_rate", "msite_slo_compliance",
+			"msite_slo_budget_remaining", "msite_slo_alerting",
+			"msite_slo_alerts_total",
+			"msite_runtime_goroutines", "msite_runtime_heap_alloc_bytes",
+			"msite_runtime_gc_pause_total_seconds",
+			"msite_runtime_sched_latency_p99_seconds",
+			"msite_incidents_total", "msite_incidents_suppressed_total",
+			"msite_incident_capture_errors_total",
+		},
+		topics: []string{
+			"/slo", "/debug/incidents", "/debug/pprof",
+			"X-MSite-Trace",
+			"meta.json", "goroutines.txt", "heap.pprof", "cpu.pprof",
+			"traces.json", "metrics_delta.json",
+		},
+	},
+}
+
+// TestSubsystemDocsCoverEveryKnob pins each subsystem's document to that
+// subsystem's surface, as listed in subsystemDocs.
+func TestSubsystemDocsCoverEveryKnob(t *testing.T) {
+	read := func(path string) string {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
+			t.Fatalf("read %s: %v", path, err)
 		}
-		if !strings.Contains(string(obsDoc), metric) {
-			t.Errorf("docs/OBSERVABILITY.md does not list metric %s", metric)
+		return string(data)
+	}
+	readme, obsDoc := read("README.md"), read("docs/OBSERVABILITY.md")
+	for _, sub := range subsystemDocs {
+		doc := read("docs/" + sub.doc)
+		for _, flag := range sub.flags {
+			if !strings.Contains(doc, "`"+flag+"`") {
+				t.Errorf("docs/%s does not document %s", sub.doc, flag)
+			}
+			if sub.inReadme && !strings.Contains(readme, "| `"+flag+"`") {
+				t.Errorf("README.md operator runbook is missing a row for %s", flag)
+			}
 		}
-	}
-}
-
-func TestStreamingDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/PERFORMANCE.md")
-	if err != nil {
-		t.Fatalf("read docs/PERFORMANCE.md: %v", err)
-	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatalf("read README: %v", err)
-	}
-	for _, flag := range []string{
-		"-stream", "-atf-height", "-snapshot-progressive", "-minimal-markup",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/PERFORMANCE.md does not document %s", flag)
+		for _, metric := range sub.metrics {
+			if !strings.Contains(doc, metric) {
+				t.Errorf("docs/%s does not document metric %s", sub.doc, metric)
+			}
+			if sub.inObs && !strings.Contains(obsDoc, metric) {
+				t.Errorf("docs/OBSERVABILITY.md does not list metric %s", metric)
+			}
 		}
-		if !strings.Contains(string(readme), "| `"+flag+"`") {
-			t.Errorf("README.md operator runbook is missing a row for %s", flag)
+		for _, topic := range sub.topics {
+			if !strings.Contains(doc, topic) {
+				t.Errorf("docs/%s does not cover %q", sub.doc, topic)
+			}
 		}
-	}
-	for _, metric := range []string{
-		"msite_proxy_ttfb_seconds", "msite_proxy_atf_seconds",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/PERFORMANCE.md does not document metric %s", metric)
-		}
-	}
-	for _, topic := range []string{
-		"BENCH_PR7.json", "byte-identical", "msite-bench streaming",
-	} {
-		if !strings.Contains(string(doc), topic) {
-			t.Errorf("docs/PERFORMANCE.md does not cover %q", topic)
-		}
-	}
-}
-
-func TestPrefetchDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/PREFETCH.md")
-	if err != nil {
-		t.Fatalf("read docs/PREFETCH.md: %v", err)
-	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatalf("read README: %v", err)
-	}
-	for _, flag := range []string{
-		"-prefetch", "-prefetch-top-n", "-prefetch-interval", "-prefetch-depth",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/PREFETCH.md does not document %s", flag)
-		}
-		if !strings.Contains(string(readme), "| `"+flag+"`") {
-			t.Errorf("README.md operator runbook is missing a row for %s", flag)
-		}
-	}
-	obsDoc, err := os.ReadFile("docs/OBSERVABILITY.md")
-	if err != nil {
-		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
-	}
-	for _, metric := range []string{
-		"msite_prefetch_built_total", "msite_prefetch_revalidated_total",
-		"msite_prefetch_not_modified_total", "msite_prefetch_skipped_busy_total",
-		"msite_prefetch_queue",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/PREFETCH.md does not document metric %s", metric)
-		}
-		if !strings.Contains(string(obsDoc), metric) {
-			t.Errorf("docs/OBSERVABILITY.md does not list metric %s", metric)
-		}
-	}
-	for _, topic := range []string{
-		"ETag", "Last-Modified", "304", "demand", "background lane",
-		"helping", "stealing", "BENCH_PR8.json", "msite-bench prefetch",
-	} {
-		if !strings.Contains(string(doc), topic) {
-			t.Errorf("docs/PREFETCH.md does not cover %q", topic)
-		}
-	}
-}
-
-// TestQualityDocCoversEveryKnob pins the adaptation-quality doc to the
-// quality subsystem's surface: flags, metrics, the debug endpoint, the
-// rule catalog, and the bench record.
-func TestQualityDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/QUALITY.md")
-	if err != nil {
-		t.Fatalf("read docs/QUALITY.md: %v", err)
-	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatalf("read README: %v", err)
-	}
-	for _, flag := range []string{
-		"-repair-rules", "-parity-check", "-parity-min-score",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/QUALITY.md does not document %s", flag)
-		}
-		if !strings.Contains(string(readme), "| `"+flag+"`") {
-			t.Errorf("README.md operator runbook is missing a row for %s", flag)
-		}
-	}
-	obsDoc, err := os.ReadFile("docs/OBSERVABILITY.md")
-	if err != nil {
-		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
-	}
-	for _, metric := range []string{
-		"msite_quality_repairs_total", "msite_quality_parity_score",
-		"msite_quality_parity_failures_total",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/QUALITY.md does not document metric %s", metric)
-		}
-		if !strings.Contains(string(obsDoc), metric) {
-			t.Errorf("docs/OBSERVABILITY.md does not list metric %s", metric)
-		}
-	}
-	for _, topic := range []string{
-		"viewport", "fixed-width", "touch-target", "font-floor",
-		"/debug/parity", "sanctioned", "BENCH_PR9.json",
-		"msite-bench quality", "RegisterExtension",
-	} {
-		if !strings.Contains(string(doc), topic) {
-			t.Errorf("docs/QUALITY.md does not cover %q", topic)
-		}
-	}
-	attrDoc, err := os.ReadFile("docs/ATTRIBUTES.md")
-	if err != nil {
-		t.Fatalf("read docs/ATTRIBUTES.md: %v", err)
-	}
-	if !strings.Contains(string(attrDoc), "`repair`") {
-		t.Error("docs/ATTRIBUTES.md does not document the repair attribute")
-	}
-}
-
-// TestClusterDocCoversEveryKnob pins the cluster doc to the scale-out
-// subsystem's surface: flags, metrics, the peer protocol endpoints,
-// the failure matrix, and the bench record.
-func TestClusterDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/CLUSTER.md")
-	if err != nil {
-		t.Fatalf("read docs/CLUSTER.md: %v", err)
-	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatalf("read README: %v", err)
-	}
-	for _, flag := range []string{
-		"-cluster-listen", "-cluster-peers", "-cluster-replicas", "-cluster-token",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/CLUSTER.md does not document %s", flag)
-		}
-		if !strings.Contains(string(readme), "| `"+flag+"`") {
-			t.Errorf("README.md operator runbook is missing a row for %s", flag)
-		}
-	}
-	obsDoc, err := os.ReadFile("docs/OBSERVABILITY.md")
-	if err != nil {
-		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
-	}
-	for _, metric := range []string{
-		"msite_cluster_ring_nodes", "msite_cluster_peer_state",
-		"msite_cluster_forwarded_total", "msite_cluster_owner_builds_total",
-		"msite_cluster_fallback_local_total", "msite_cluster_peer_errors_total",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/CLUSTER.md does not document metric %s", metric)
-		}
-		if !strings.Contains(string(obsDoc), metric) {
-			t.Errorf("docs/OBSERVABILITY.md does not list metric %s", metric)
-		}
-	}
-	for _, topic := range []string{
-		"consistent-hash", "owner", "/internal/cluster/health",
-		"/internal/cluster/bundle/", "/internal/cluster/snapshot/",
-		"X-MSite-Trace", "Sticky personalized", "Split config",
-		"Bounded movement", "ClusterProbeInterval",
-		"BENCH_PR10.json", "msite-bench cluster", "msite-bench\nhistory",
-	} {
-		if !strings.Contains(string(doc), topic) {
-			t.Errorf("docs/CLUSTER.md does not cover %q", topic)
+		for other, wants := range sub.elsewhere {
+			text := read("docs/" + other)
+			for _, want := range wants {
+				if !strings.Contains(text, want) {
+					t.Errorf("docs/%s does not mention %s (for %s)", other, want, sub.doc)
+				}
+			}
 		}
 	}
 }
@@ -397,45 +311,6 @@ func TestDocsCoverConfigAndFlags(t *testing.T) {
 	for _, name := range proxyFlagNames(t) {
 		if !strings.Contains(docs, "`-"+name+"`") {
 			t.Errorf("msite-proxy flag -%s is not documented anywhere under docs/", name)
-		}
-	}
-}
-
-func TestObsDocCoversEveryKnob(t *testing.T) {
-	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
-	if err != nil {
-		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
-	}
-	for _, flag := range []string{
-		"-slo-target-p99", "-slo-availability",
-		"-incident-dir", "-incident-max",
-	} {
-		if !strings.Contains(string(doc), "`"+flag+"`") {
-			t.Errorf("docs/OBSERVABILITY.md does not document %s", flag)
-		}
-	}
-	for _, metric := range []string{
-		"msite_slo_burn_rate", "msite_slo_compliance",
-		"msite_slo_budget_remaining", "msite_slo_alerting",
-		"msite_slo_alerts_total",
-		"msite_runtime_goroutines", "msite_runtime_heap_alloc_bytes",
-		"msite_runtime_gc_pause_total_seconds",
-		"msite_runtime_sched_latency_p99_seconds",
-		"msite_incidents_total", "msite_incidents_suppressed_total",
-		"msite_incident_capture_errors_total",
-	} {
-		if !strings.Contains(string(doc), metric) {
-			t.Errorf("docs/OBSERVABILITY.md does not document metric %s", metric)
-		}
-	}
-	for _, surface := range []string{
-		"/slo", "/debug/incidents", "/debug/pprof",
-		"X-MSite-Trace",
-		"meta.json", "goroutines.txt", "heap.pprof", "cpu.pprof",
-		"traces.json", "metrics_delta.json",
-	} {
-		if !strings.Contains(string(doc), surface) {
-			t.Errorf("docs/OBSERVABILITY.md does not mention %s", surface)
 		}
 	}
 }

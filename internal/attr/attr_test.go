@@ -498,7 +498,13 @@ func TestApplyRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-func TestBuildOverlayHTML(t *testing.T) {
+// bufferedOverlay is the entry page as a buffered serve sends it: the
+// fragments in one piece, every area above the fold.
+func bufferedOverlay(a *Applier, ov Overlay, subpages []*Subpage) string {
+	return string(a.BuildOverlayStream(ov, subpages, -1).Page())
+}
+
+func TestBuildOverlayBuffered(t *testing.T) {
 	a := &Applier{}
 	subpages := []*Subpage{
 		{Name: "login", Title: "Log in", Region: Region{X: 100, Y: 200, W: 400, H: 80}},
@@ -506,10 +512,10 @@ func TestBuildOverlayHTML(t *testing.T) {
 		{Name: "nested", Title: "Nested", Region: Region{X: 1, Y: 1, W: 5, H: 5}, Parent: "login"},
 		{Name: "invisible", Title: "None"},
 	}
-	out := string(a.BuildOverlayHTML(Overlay{
+	out := bufferedOverlay(a, Overlay{
 		SnapshotURL: "/asset/snapshot.jpg", Width: 460, Height: 1350,
 		Scale: 0.45, Title: "m.Forum",
-	}, subpages))
+	}, subpages)
 	if !strings.Contains(out, `usemap="#msite-map"`) {
 		t.Fatal("no usemap")
 	}
@@ -530,8 +536,8 @@ func TestBuildOverlayHTML(t *testing.T) {
 
 func TestOverlayNoAJAXOmitsRuntime(t *testing.T) {
 	a := &Applier{}
-	out := string(a.BuildOverlayHTML(Overlay{SnapshotURL: "/s.jpg", Width: 10, Height: 10, Scale: 1},
-		[]*Subpage{{Name: "x", Region: Region{X: 0, Y: 0, W: 5, H: 5}}}))
+	out := bufferedOverlay(a, Overlay{SnapshotURL: "/s.jpg", Width: 10, Height: 10, Scale: 1},
+		[]*Subpage{{Name: "x", Region: Region{X: 0, Y: 0, W: 5, H: 5}}})
 	if strings.Contains(out, "msiteLoad") {
 		t.Fatal("runtime should be omitted without ajax areas")
 	}
@@ -588,8 +594,8 @@ func TestCustomURLFuncs(t *testing.T) {
 	if !strings.Contains(string(SerializeSubpage(sub)), "/u/abc/images/forums.jpg") {
 		t.Fatal("asset URL func ignored")
 	}
-	out := string(a.BuildOverlayHTML(Overlay{SnapshotURL: "/s", Width: 1, Height: 1, Scale: 1},
-		[]*Subpage{{Name: "forums", Region: Region{X: 0, Y: 0, W: 1, H: 1}}}))
+	out := bufferedOverlay(a, Overlay{SnapshotURL: "/s", Width: 1, Height: 1, Scale: 1},
+		[]*Subpage{{Name: "forums", Region: Region{X: 0, Y: 0, W: 1, H: 1}}})
 	if !strings.Contains(out, "/u/abc/pages/forums") {
 		t.Fatal("subpage URL func ignored")
 	}

@@ -14,12 +14,33 @@ import (
 // ATF-complete time without parsing HTML.
 const ATFMarker = "<!-- msite:atf -->"
 
-// OverlayStream is the entry page split into ordered fragments for
-// flush-early serving. The concatenation Head+ATF+BTF+Tail is one
-// complete overlay page; the proxy flushes each fragment as soon as the
-// pipeline can produce it (Head before adaptation even starts, ATF as
-// soon as the attribute phase has regions, the rest when the subpage
-// set is final).
+// Overlay builds the mobile entry page (§4.3): a scaled snapshot of the
+// full site overlaid with an image map whose regions link to the
+// generated subpages, with coordinates implicitly translated for the
+// scale factor.
+type Overlay struct {
+	// SnapshotURL is the snapshot image location.
+	SnapshotURL string
+	// Width and Height are the snapshot's scaled pixel dimensions; zero
+	// while they are unknown (a head flushed before the render).
+	Width, Height int
+	// Scale is the snapshot scale factor relative to the original
+	// layout.
+	Scale float64
+	// Title is the entry page title.
+	Title string
+	// UpgradeURL, when set, is the full-fidelity snapshot location the
+	// streamed overlay trades up to once the encode completes; the
+	// SnapshotURL then points at the coarse first rung.
+	UpgradeURL string
+}
+
+// OverlayStream is the entry page as ordered fragments. The
+// concatenation Head+ATF+BTF+Tail is one complete overlay page — Page,
+// what a buffered entry sends; a streamed entry flushes each fragment as
+// soon as the pipeline can produce it (Head before adaptation even
+// starts, ATF as soon as the attribute phase has regions, the rest when
+// the subpage set is final).
 type OverlayStream struct {
 	// Head opens the document through the image map: doctype, head,
 	// body, the snapshot img, and the map's opening tag. It references
@@ -35,30 +56,38 @@ type OverlayStream struct {
 	// asynchronously), the snapshot upgrade script (when the overlay
 	// references a coarse-first snapshot), and the document close.
 	Tail []byte
+	// page is the array the fragments are cut from.
+	page []byte
 }
 
-// BuildOverlayStream assembles the entry page as flushable fragments.
-// The markup matches BuildOverlayHTML's, with two streaming additions:
-// the snapshot img carries an id so the upgrade script can retarget it,
-// and areas are ordered above-the-fold first. Regions whose scaled top
-// edge is above atfHeight are above the fold; atfHeight <= 0 treats
-// everything as above the fold. When ov.UpgradeURL is set, the Tail
-// swaps the snapshot to the full-fidelity artifact once it exists.
-func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight int) OverlayStream {
-	var out OverlayStream
+// Page is the whole entry page in one piece.
+func (s OverlayStream) Page() []byte { return s.page }
 
-	var head strings.Builder
-	head.WriteString("<!DOCTYPE html><html><head>")
+// BuildOverlayStream assembles the entry page (§4.3): the snapshot image
+// under an image map with one region per subpage, AJAX subpages loading
+// into an injected pane instead of navigating. Areas are ordered
+// above-the-fold first: regions whose scaled top edge is above atfHeight
+// are above the fold, and atfHeight <= 0 treats everything as above it,
+// which keeps the subpages' order. When ov.UpgradeURL is set, the
+// snapshot img carries an id and the Tail swaps it to the full-fidelity
+// artifact once that exists.
+func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight int) OverlayStream {
+	// One buffer, cut where the fragments meet.
+	var b strings.Builder
+	b.Grow(2048)
+	b.WriteString("<!DOCTYPE html><html><head>")
 	titleEl := dom.NewElement("title")
 	titleEl.AppendChild(dom.NewText(ov.Title))
-	head.WriteString(html.Render(titleEl))
+	html.RenderTo(&b, titleEl)
 	meta := dom.NewElement("meta")
 	meta.SetAttr("name", "viewport")
 	meta.SetAttr("content", "width=device-width, initial-scale=1")
-	head.WriteString(html.Render(meta))
-	head.WriteString("</head><body>")
+	html.RenderTo(&b, meta)
+	b.WriteString("</head><body>")
 	img := dom.NewElement("img")
-	img.SetAttr("id", "msite-snap")
+	if ov.UpgradeURL != "" {
+		img.SetAttr("id", "msite-snap")
+	}
 	img.SetAttr("src", ov.SnapshotURL)
 	img.SetAttr("alt", ov.Title)
 	img.SetAttr("usemap", "#msite-map")
@@ -69,60 +98,83 @@ func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight 
 		img.SetAttr("height", itoa(ov.Height))
 	}
 	img.SetAttr("style", "border: 0")
-	head.WriteString(html.Render(img))
-	head.WriteString(`<map name="msite-map">`)
-	out.Head = []byte(head.String())
+	html.RenderTo(&b, img)
+	b.WriteString(`<map name="msite-map">`)
+	head := b.Len()
 
-	var atf, btf strings.Builder
 	hasAJAX := false
-	for _, sub := range subpages {
-		if !sub.Region.Valid() || sub.Parent != "" {
-			continue
-		}
-		r := sub.Region.Scale(ov.Scale)
-		area := dom.NewElement("area")
-		area.SetAttr("shape", "rect")
-		area.SetAttr("coords", fmt.Sprintf("%d,%d,%d,%d", r.X, r.Y, r.X+r.W, r.Y+r.H))
-		area.SetAttr("alt", sub.Title)
-		url := a.subpageURL(sub.Name)
-		area.SetAttr("href", url)
-		if sub.AJAX {
-			hasAJAX = true
-			area.SetAttr("onclick", "return msiteLoad('"+url+"');")
-		}
-		if atfHeight <= 0 || r.Y < atfHeight {
-			atf.WriteString(html.Render(area))
-		} else {
-			btf.WriteString(html.Render(area))
+	areas := func(aboveFold bool) {
+		for _, sub := range subpages {
+			if !sub.Region.Valid() || sub.Parent != "" {
+				continue
+			}
+			r := sub.Region.Scale(ov.Scale)
+			if aboveFold != (atfHeight <= 0 || r.Y < atfHeight) {
+				continue
+			}
+			area := dom.NewElement("area")
+			area.SetAttr("shape", "rect")
+			area.SetAttr("coords", fmt.Sprintf("%d,%d,%d,%d", r.X, r.Y, r.X+r.W, r.Y+r.H))
+			area.SetAttr("alt", sub.Title)
+			url := a.subpageURL(sub.Name)
+			area.SetAttr("href", url)
+			if sub.AJAX {
+				hasAJAX = true
+				area.SetAttr("onclick", "return msiteLoad('"+url+"');")
+			}
+			html.RenderTo(&b, area)
 		}
 	}
-	btf.WriteString("</map>")
-	out.ATF = []byte(atf.String())
-	out.BTF = []byte(btf.String())
+	areas(true)
+	atf := b.Len()
+	areas(false)
+	b.WriteString("</map>")
+	btf := b.Len()
 
-	var tail strings.Builder
 	if hasAJAX {
 		pane := dom.NewElement("div")
 		pane.SetAttr("id", "msite-pane")
 		pane.SetAttr("style", "display: none; position: absolute; top: 20px; left: 5%; width: 90%; background-color: white; border: 2px solid #444444")
-		tail.WriteString(html.Render(pane))
+		html.RenderTo(&b, pane)
 		script := dom.NewElement("script")
 		script.SetAttr("type", "text/javascript")
 		script.SetAttr("data-msite", "runtime")
 		script.AppendChild(dom.NewText(ajaxRuntime))
-		tail.WriteString(html.Render(script))
+		html.RenderTo(&b, script)
 	}
 	if ov.UpgradeURL != "" {
 		script := dom.NewElement("script")
 		script.SetAttr("type", "text/javascript")
 		script.SetAttr("data-msite", "upgrade")
 		script.AppendChild(dom.NewText(upgradeScript(ov.UpgradeURL)))
-		tail.WriteString(html.Render(script))
+		html.RenderTo(&b, script)
 	}
-	tail.WriteString("</body></html>")
-	out.Tail = []byte(tail.String())
-	return out
+	b.WriteString("</body></html>")
+	page := []byte(b.String())
+	return OverlayStream{
+		Head: page[:head:head], ATF: page[head:atf:atf], BTF: page[atf:btf:btf], Tail: page[btf:],
+		page: page,
+	}
 }
+
+// ajaxRuntime mirrors ajax.ClientRuntimeJS; duplicated as a constant to
+// keep the overlay self-contained even when no Action rewriting is
+// configured.
+const ajaxRuntime = `function msiteLoad(url) {
+  var pane = document.getElementById('msite-pane');
+  if (!pane) { window.location = url; return false; }
+  var xhr = new XMLHttpRequest();
+  xhr.open('GET', url, true);
+  xhr.onreadystatechange = function () {
+    if (xhr.readyState === 4 && xhr.status === 200) {
+      pane.innerHTML = xhr.responseText;
+      pane.style.display = 'block';
+    }
+  };
+  xhr.send(null);
+  return false;
+}
+`
 
 // upgradeScript polls the full-fidelity snapshot URL and swaps it into
 // the overlay image once the encode has completed server-side. The

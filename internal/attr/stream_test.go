@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -23,10 +24,13 @@ func TestBuildOverlayStreamFragmentsConcatenate(t *testing.T) {
 		SnapshotURL: "/asset/snapshot.jpg", Scale: 0.45, Title: "m.Forum",
 	}, streamSubpages(), 480)
 	page := string(frags.Head) + string(frags.ATF) + string(frags.BTF) + string(frags.Tail)
+	if page != string(frags.Page()) {
+		t.Fatal("Page is not the fragments in order")
+	}
 
 	for _, want := range []string{
 		"<!DOCTYPE html>", "<title>m.Forum</title>",
-		`id="msite-snap"`, `usemap="#msite-map"`,
+		`usemap="#msite-map"`,
 		`<map name="msite-map">`, "</map>",
 		"function msiteLoad", "</body></html>",
 		// login at 100,200 scaled by 0.45
@@ -41,13 +45,30 @@ func TestBuildOverlayStreamFragmentsConcatenate(t *testing.T) {
 	}
 	// The streamed page must carry the same areas and runtime as the
 	// buffered overlay — only fragment order and the marker differ.
-	buffered := string(a.BuildOverlayHTML(Overlay{
+	buffered := bufferedOverlay(a, Overlay{
 		SnapshotURL: "/asset/snapshot.jpg", Scale: 0.45, Title: "m.Forum",
-	}, streamSubpages()))
+	}, streamSubpages())
 	for _, want := range []string{`coords="45,90,225,126"`, "msiteLoad('/subpage/nav')"} {
 		if !strings.Contains(buffered, want) || !strings.Contains(page, want) {
 			t.Errorf("buffered and streamed overlays disagree on %q", want)
 		}
+	}
+}
+
+// TestBufferedOverlayMatchesGolden pins the buffered page to the bytes
+// the separate document builder produced before the fragment builder
+// became the only one (AJAX pane included).
+func TestBufferedOverlayMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/overlay_buffered.golden.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bufferedOverlay(&Applier{}, Overlay{
+		SnapshotURL: "/asset/snapshot.jpg", Width: 460, Height: 1350,
+		Scale: 0.45, Title: "m.Forum",
+	}, streamSubpages())
+	if got != string(want) {
+		t.Fatalf("buffered overlay moved:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -104,14 +125,17 @@ func TestBuildOverlayStreamHeadIsStatic(t *testing.T) {
 func TestBuildOverlayStreamUpgradeScript(t *testing.T) {
 	a := &Applier{}
 	plain := a.BuildOverlayStream(Overlay{SnapshotURL: "/s.jpg", Scale: 1}, nil, 480)
-	if strings.Contains(string(plain.Tail), "msite-snap'") || strings.Contains(string(plain.Tail), "data-msite=\"upgrade\"") {
-		t.Fatal("upgrade script emitted without an UpgradeURL")
+	if strings.Contains(string(plain.Page()), "msite-snap") || strings.Contains(string(plain.Tail), "data-msite=\"upgrade\"") {
+		t.Fatal("upgrade script or the img id it reads emitted without an UpgradeURL")
 	}
 	up := a.BuildOverlayStream(Overlay{
 		SnapshotURL: "/asset/snapshot-coarse.jpg",
 		UpgradeURL:  "/asset/snapshot.jpg?v=7",
 		Scale:       1,
 	}, nil, 480)
+	if !strings.Contains(string(up.Head), `id="msite-snap"`) {
+		t.Fatalf("upgradable img has no id: %s", up.Head)
+	}
 	tail := string(up.Tail)
 	if !strings.Contains(tail, `data-msite="upgrade"`) {
 		t.Fatalf("upgrade script missing: %s", tail)

@@ -6,9 +6,8 @@ import (
 
 	"msite/internal/css"
 	"msite/internal/dom"
-	"msite/internal/html"
-	"msite/internal/imaging"
 	"msite/internal/layout"
+	"msite/internal/progressive"
 	"msite/internal/raster"
 	"msite/internal/search"
 	"msite/internal/spec"
@@ -36,22 +35,24 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 		return nil
 	}
 
+	// The subpage's graphic: all of it for a full pre-render (§3.3
+	// "Pre-rendering"), the text-free background for a partial-CSS one.
 	res := layoutDoc(sub.Doc, width)
-
-	if sub.PartialCSS {
-		return a.finishPartialCSS(sub, res, searchable, searchTrigger)
-	}
-
-	// Full pre-render: the subpage becomes a single graphic (§3.3
-	// "Pre-rendering"), optionally searchable via the word index.
-	img := raster.Paint(res, raster.Options{Images: a.Images})
-	data, err := imaging.Encode(img, sub.Fidelity)
+	out, err := progressive.Render(res, progressive.Config{
+		Raster:   raster.Options{SkipText: sub.PartialCSS, Images: a.Images},
+		Fidelity: sub.Fidelity,
+	})
 	if err != nil {
 		return fmt.Errorf("attr: pre-rendering subpage %q: %w", sub.Name, err)
 	}
-	sub.ImageData = data
-	sub.ImageMIME = sub.Fidelity.MIME()
+	sub.ImageData, sub.ImageMIME = out.Full.Data, out.Full.MIME
+	if sub.PartialCSS {
+		a.finishPartialCSS(sub, res, searchable, searchTrigger)
+		return nil
+	}
 
+	// The subpage becomes a single graphic, optionally searchable via
+	// the word index.
 	assetName := sub.Name + sub.Fidelity.Ext()
 	page := newSubpageDoc(sub.Title)
 	body := page.Body()
@@ -83,15 +84,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 // renders the object's graphical component (backgrounds, borders, box
 // art) with text suppressed, and the device draws the text at the
 // measured coordinates over that background.
-func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable bool, trigger string) error {
-	img := raster.Paint(res, raster.Options{SkipText: true, Images: a.Images})
-	data, err := imaging.Encode(img, sub.Fidelity)
-	if err != nil {
-		return fmt.Errorf("attr: partial-css render of %q: %w", sub.Name, err)
-	}
-	sub.ImageData = data
-	sub.ImageMIME = sub.Fidelity.MIME()
-
+func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable bool, trigger string) {
 	assetName := sub.Name + sub.Fidelity.Ext()
 	page := newSubpageDoc(sub.Title)
 	body := page.Body()
@@ -117,7 +110,6 @@ func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable 
 		injectScript(page, sub.SearchJS)
 	}
 	sub.Doc = page
-	return nil
 }
 
 func layoutDoc(doc *dom.Node, width int) *layout.Result {
@@ -137,100 +129,6 @@ func injectScript(doc *dom.Node, code string) {
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
-
-// Overlay builds the mobile entry page (§4.3): a scaled snapshot of the
-// full site overlaid with an image map whose regions link to the
-// generated subpages, with coordinates implicitly translated for the
-// scale factor.
-type Overlay struct {
-	// SnapshotURL is the snapshot image location.
-	SnapshotURL string
-	// Width and Height are the snapshot's scaled pixel dimensions.
-	Width, Height int
-	// Scale is the snapshot scale factor relative to the original
-	// layout.
-	Scale float64
-	// Title is the entry page title.
-	Title string
-	// UpgradeURL, when set, is the full-fidelity snapshot location the
-	// streamed overlay trades up to once the encode completes; the
-	// SnapshotURL then points at the coarse first rung. Only the
-	// streaming builder (BuildOverlayStream) emits the upgrade script.
-	UpgradeURL string
-}
-
-// BuildOverlayHTML assembles the entry page document: the snapshot image
-// wrapped in an image map with one region per subpage. AJAX subpages
-// load into the injected pane instead of navigating.
-func (a *Applier) BuildOverlayHTML(ov Overlay, subpages []*Subpage) []byte {
-	doc := newSubpageDoc(ov.Title)
-	body := doc.Body()
-
-	img := dom.NewElement("img")
-	img.SetAttr("src", ov.SnapshotURL)
-	img.SetAttr("alt", ov.Title)
-	img.SetAttr("usemap", "#msite-map")
-	img.SetAttr("width", itoa(ov.Width))
-	img.SetAttr("height", itoa(ov.Height))
-	img.SetAttr("style", "border: 0")
-	body.AppendChild(img)
-
-	imageMap := dom.NewElement("map")
-	imageMap.SetAttr("name", "msite-map")
-	hasAJAX := false
-	for _, sub := range subpages {
-		if !sub.Region.Valid() || sub.Parent != "" {
-			continue
-		}
-		r := sub.Region.Scale(ov.Scale)
-		area := dom.NewElement("area")
-		area.SetAttr("shape", "rect")
-		area.SetAttr("coords", fmt.Sprintf("%d,%d,%d,%d", r.X, r.Y, r.X+r.W, r.Y+r.H))
-		area.SetAttr("alt", sub.Title)
-		url := a.subpageURL(sub.Name)
-		if sub.AJAX {
-			hasAJAX = true
-			area.SetAttr("href", url)
-			area.SetAttr("onclick", "return msiteLoad('"+url+"');")
-		} else {
-			area.SetAttr("href", url)
-		}
-		imageMap.AppendChild(area)
-	}
-	body.AppendChild(imageMap)
-
-	if hasAJAX {
-		pane := dom.NewElement("div")
-		pane.SetAttr("id", "msite-pane")
-		pane.SetAttr("style", "display: none; position: absolute; top: 20px; left: 5%; width: 90%; background-color: white; border: 2px solid #444444")
-		body.AppendChild(pane)
-		script := dom.NewElement("script")
-		script.SetAttr("type", "text/javascript")
-		script.SetAttr("data-msite", "runtime")
-		script.AppendChild(dom.NewText(ajaxRuntime))
-		body.AppendChild(script)
-	}
-	return []byte(html.Render(doc))
-}
-
-// ajaxRuntime mirrors ajax.ClientRuntimeJS; duplicated as a constant to
-// keep the overlay self-contained even when no Action rewriting is
-// configured.
-const ajaxRuntime = `function msiteLoad(url) {
-  var pane = document.getElementById('msite-pane');
-  if (!pane) { window.location = url; return false; }
-  var xhr = new XMLHttpRequest();
-  xhr.open('GET', url, true);
-  xhr.onreadystatechange = function () {
-    if (xhr.readyState === 4 && xhr.status === 200) {
-      pane.innerHTML = xhr.responseText;
-      pane.style.display = 'block';
-    }
-  };
-  xhr.send(null);
-  return false;
-}
-`
 
 // SubpageFileName returns the file name of a subpage's HTML page within
 // a build product.

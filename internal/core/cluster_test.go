@@ -71,7 +71,7 @@ func newClusterRig(t *testing.T, token string) *clusterRig {
 // forum bundle to, plus the owner's index.
 func (rig *clusterRig) nonOwner(t *testing.T) (requester, owner int) {
 	t.Helper()
-	key := rig.fws[0].proxy.BundleKey()
+	key := rig.fws[0].sites[0].BundleKey()
 	if key == "" {
 		t.Fatal("cluster frameworks must persist bundles")
 	}

@@ -161,10 +161,6 @@ type Config struct {
 	// overlay head is flushed before the origin fetch begins and the
 	// snapshot renders in the background.
 	Stream bool
-	// ATFHeight is the streaming entry's above-the-fold boundary in
-	// scaled snapshot pixels (the -atf-height knob). 0 uses
-	// proxy.DefaultATFHeight.
-	ATFHeight int
 	// SnapshotProgressive serves streamed snapshots coarse-first with a
 	// full-fidelity upgrade (the -snapshot-progressive knob).
 	SnapshotProgressive bool
@@ -443,131 +439,74 @@ func clusterHook(node *cluster.Node) proxy.ClusterHook {
 	return node
 }
 
-// Framework is a running m.Site instance for one adaptation spec.
-type Framework struct {
-	sp       *spec.Spec
+// instance is what a Framework and a MultiFramework both are: the
+// proxies of one or several specs behind one handler, around one session
+// manager, render cache (and store), registry, and the optional
+// admission, observability, prefetch and cluster tiers.
+type instance struct {
+	handler  http.Handler
+	sites    []*proxy.Proxy // in name order
 	sessions *session.Manager
 	cache    cache.Layer
 	store    *store.Store // nil without StoreDir
-	proxy    *proxy.Proxy
 	obs      *obs.Registry
 	tier     *obsTier          // nil without SLO/incident knobs
 	crawler  *prefetch.Crawler // nil without Prefetch
 	cluster  *cluster.Node     // nil without ClusterListen
 }
+
+// Framework is a running m.Site instance for one adaptation spec, mounted
+// at the root.
+type Framework struct {
+	*instance
+	sp *spec.Spec
+}
+
+// MultiFramework hosts the proxies for several adapted pages under one
+// handler (each at /p/<name>/), sharing sessions and the render cache.
+type MultiFramework struct{ *instance }
 
 // New builds a Framework from a validated spec.
 func New(sp *spec.Spec, cfg Config) (*Framework, error) {
 	if sp == nil {
 		return nil, errors.New("core: nil spec")
 	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.SessionRoot == "" {
-		return nil, errors.New("core: SessionRoot required")
-	}
-	ttl := cfg.SessionTTL
-	if ttl <= 0 {
-		ttl = session.DefaultTTL
-	}
-	sessions, err := session.NewManagerWithClock(cfg.SessionRoot, ttl, time.Now)
-	if err != nil {
-		return nil, err
-	}
-	sessions.SetLimit(cfg.MaxSessions)
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	adm, err := cfg.admissionController()
-	if err != nil {
-		return nil, err
-	}
-	sharedCache, st, err := cfg.buildCache(reg)
-	if err != nil {
-		return nil, err
-	}
-	sessions.InstrumentObs(reg)
-	sessions.SetLogger(cfg.Logger)
-	crawler := cfg.buildPrefetch(reg)
-	var demand func(string)
-	if crawler != nil {
-		demand = crawler.RecordHit
-	}
-	node, err := cfg.buildCluster(reg)
-	if err != nil {
-		sharedCache.Close()
-		if st != nil {
-			_ = st.Close()
-		}
-		return nil, err
-	}
-	p, err := proxy.New(proxy.Config{
-		Spec:                sp,
-		Sessions:            sessions,
-		Cache:               sharedCache,
-		ViewportWidth:       cfg.ViewportWidth,
-		FetchOptions:        cfg.fetchOptions(reg),
-		Obs:                 reg,
-		Logger:              cfg.Logger,
-		FetchWorkers:        cfg.FetchWorkers,
-		RasterWorkers:       cfg.RasterWorkers,
-		ServeStale:          cfg.ServeStale,
-		StaleFor:            cfg.StaleFor,
-		Admission:           adm,
-		PersistBundles:      st != nil || cfg.Prefetch || node != nil,
-		Stream:              cfg.Stream,
-		ATFHeight:           cfg.ATFHeight,
-		SnapshotProgressive: cfg.SnapshotProgressive,
-		MinimalMarkup:       cfg.MinimalMarkup,
-		Demand:              demand,
-		RepairRules:         cfg.RepairRules,
-		ParityCheck:         cfg.ParityCheck,
-		ParityMinScore:      cfg.ParityMinScore,
-		Cluster:             clusterHook(node),
+	inst, err := wire(cfg, func(pc proxy.Config) (http.Handler, []*proxy.Proxy, error) {
+		pc.Spec = sp
+		p, err := proxy.New(pc)
+		return p, []*proxy.Proxy{p}, err
 	})
 	if err != nil {
-		sharedCache.Close()
-		if st != nil {
-			_ = st.Close()
-		}
 		return nil, err
 	}
-	tier, err := cfg.buildObsTier(reg)
-	if err != nil {
-		sharedCache.Close()
-		if st != nil {
-			_ = st.Close()
-		}
-		return nil, err
-	}
-	if crawler != nil {
-		crawler.SetSites([]prefetch.Site{p})
-		crawler.Start()
-	}
-	if node != nil {
-		node.SetSites(map[string]cluster.Builder{sp.Name: p})
-		node.Start()
-	}
-	return &Framework{sp: sp, sessions: sessions, cache: sharedCache, store: st, proxy: p, obs: reg, tier: tier, crawler: crawler, cluster: node}, nil
-}
-
-// MultiFramework hosts the proxies for several adapted pages under one
-// handler (each at /p/<name>/), sharing sessions and the render cache.
-type MultiFramework struct {
-	sessions *session.Manager
-	cache    cache.Layer
-	store    *store.Store // nil without StoreDir
-	multi    *proxy.MultiProxy
-	obs      *obs.Registry
-	tier     *obsTier          // nil without SLO/incident knobs
-	crawler  *prefetch.Crawler // nil without Prefetch
-	cluster  *cluster.Node     // nil without ClusterListen
+	return &Framework{instance: inst, sp: sp}, nil
 }
 
 // NewMulti wires several specs into one composite handler.
 func NewMulti(specs []*spec.Spec, cfg Config) (*MultiFramework, error) {
+	inst, err := wire(cfg, func(pc proxy.Config) (http.Handler, []*proxy.Proxy, error) {
+		multi, err := proxy.NewMulti(specs, pc)
+		if err != nil {
+			return nil, nil, err
+		}
+		var sites []*proxy.Proxy
+		for _, name := range multi.Names() {
+			p, _ := multi.Site(name)
+			sites = append(sites, p)
+		}
+		return multi, sites, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &MultiFramework{inst}, nil
+}
+
+// wire builds an instance: everything the Config describes, around the
+// proxies mount makes from the one proxy.Config the knobs map onto. The
+// crawler and the cluster node exist before the proxies (their hooks go
+// into that config), learn the sites after, and only then start.
+func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, error)) (*instance, error) {
 	if cfg.SessionRoot == "" {
 		return nil, errors.New("core: SessionRoot required")
 	}
@@ -592,23 +531,22 @@ func NewMulti(specs []*spec.Spec, cfg Config) (*MultiFramework, error) {
 	if err != nil {
 		return nil, err
 	}
-	sessions.InstrumentObs(reg)
-	sessions.SetLogger(cfg.Logger)
-	crawler := cfg.buildPrefetch(reg)
-	var demand func(string)
-	if crawler != nil {
-		demand = crawler.RecordHit
-	}
-	node, err := cfg.buildCluster(reg)
-	if err != nil {
-		sharedCache.Close()
-		if st != nil {
-			_ = st.Close()
-		}
+	inst := &instance{sessions: sessions, cache: sharedCache, store: st, obs: reg}
+	fail := func(err error) (*instance, error) {
+		inst.Close()
 		return nil, err
 	}
-	multi, err := proxy.NewMulti(proxy.MultiConfig{
-		Specs:               specs,
+	sessions.InstrumentObs(reg)
+	sessions.SetLogger(cfg.Logger)
+	inst.crawler = cfg.buildPrefetch(reg)
+	var demand func(string)
+	if inst.crawler != nil {
+		demand = inst.crawler.RecordHit
+	}
+	if inst.cluster, err = cfg.buildCluster(reg); err != nil {
+		return fail(err)
+	}
+	inst.handler, inst.sites, err = mount(proxy.Config{
 		Sessions:            sessions,
 		Cache:               sharedCache,
 		ViewportWidth:       cfg.ViewportWidth,
@@ -620,115 +558,39 @@ func NewMulti(specs []*spec.Spec, cfg Config) (*MultiFramework, error) {
 		ServeStale:          cfg.ServeStale,
 		StaleFor:            cfg.StaleFor,
 		Admission:           adm,
-		PersistBundles:      st != nil || cfg.Prefetch || node != nil,
+		PersistBundles:      st != nil || cfg.Prefetch || inst.cluster != nil,
 		Stream:              cfg.Stream,
-		ATFHeight:           cfg.ATFHeight,
 		SnapshotProgressive: cfg.SnapshotProgressive,
 		MinimalMarkup:       cfg.MinimalMarkup,
 		Demand:              demand,
 		RepairRules:         cfg.RepairRules,
 		ParityCheck:         cfg.ParityCheck,
 		ParityMinScore:      cfg.ParityMinScore,
-		Cluster:             clusterHook(node),
+		Cluster:             clusterHook(inst.cluster),
 	})
 	if err != nil {
-		sharedCache.Close()
-		if st != nil {
-			_ = st.Close()
+		return fail(err)
+	}
+	if inst.tier, err = cfg.buildObsTier(reg); err != nil {
+		return fail(err)
+	}
+	if inst.crawler != nil {
+		sites := make([]prefetch.Site, len(inst.sites))
+		for i, p := range inst.sites {
+			sites[i] = p
 		}
-		return nil, err
+		inst.crawler.SetSites(sites)
+		inst.crawler.Start()
 	}
-	tier, err := cfg.buildObsTier(reg)
-	if err != nil {
-		sharedCache.Close()
-		if st != nil {
-			_ = st.Close()
+	if inst.cluster != nil {
+		builders := make(map[string]cluster.Builder, len(inst.sites))
+		for _, p := range inst.sites {
+			builders[p.SiteName()] = p
 		}
-		return nil, err
+		inst.cluster.SetSites(builders)
+		inst.cluster.Start()
 	}
-	if crawler != nil {
-		var sites []prefetch.Site
-		for _, name := range multi.Names() {
-			if p, ok := multi.Site(name); ok {
-				sites = append(sites, p)
-			}
-		}
-		crawler.SetSites(sites)
-		crawler.Start()
-	}
-	if node != nil {
-		builders := make(map[string]cluster.Builder)
-		for _, name := range multi.Names() {
-			if p, ok := multi.Site(name); ok {
-				builders[name] = p
-			}
-		}
-		node.SetSites(builders)
-		node.Start()
-	}
-	return &MultiFramework{sessions: sessions, cache: sharedCache, store: st, multi: multi, obs: reg, tier: tier, crawler: crawler, cluster: node}, nil
-}
-
-// Handler returns the composite handler.
-func (m *MultiFramework) Handler() http.Handler { return m.multi }
-
-// Obs exposes the shared metric/trace registry.
-func (m *MultiFramework) Obs() *obs.Registry { return m.obs }
-
-// MetricsHandler serves the registry at /metrics (Prometheus text or
-// JSON, content-negotiated).
-func (m *MultiFramework) MetricsHandler() http.Handler { return obs.Handler(m.obs) }
-
-// TracesHandler serves recent request traces at /debug/traces.
-func (m *MultiFramework) TracesHandler() http.Handler { return obs.TracesHandler(m.obs) }
-
-// HandlerWithMetrics mounts the composite proxy plus the observability
-// surface (/metrics, /debug/traces) on one handler.
-func (m *MultiFramework) HandlerWithMetrics() http.Handler {
-	return mountMetrics(m.multi, m.obs, m.tier, parityHandler(func() map[string]*quality.Parity {
-		reports := make(map[string]*quality.Parity)
-		for _, name := range m.multi.Names() {
-			if p, ok := m.multi.Site(name); ok {
-				reports[name] = p.ParityReport()
-			}
-		}
-		return reports
-	}), m.cluster)
-}
-
-// Sessions exposes the shared session manager.
-func (m *MultiFramework) Sessions() *session.Manager { return m.sessions }
-
-// Sites lists the mounted site names.
-func (m *MultiFramework) Sites() []string { return m.multi.Names() }
-
-// ProxyStats sums the per-site proxy work counters.
-func (m *MultiFramework) ProxyStats() proxy.Stats {
-	var total proxy.Stats
-	for _, name := range m.multi.Names() {
-		if p, ok := m.multi.Site(name); ok {
-			s := p.Stats()
-			total.Requests += s.Requests
-			total.Adaptations += s.Adaptations
-			total.SnapshotRenders += s.SnapshotRenders
-			total.SnapshotHits += s.SnapshotHits
-		}
-	}
-	return total
-}
-
-// ListenAndServe serves the composite proxy with the observability
-// surface mounted at /metrics and /debug/traces.
-func (m *MultiFramework) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           m.HandlerWithMetrics(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	if err := srv.ListenAndServe(); err != nil {
-		return fmt.Errorf("core: serving: %w", err)
-	}
-	return nil
+	return inst, nil
 }
 
 // NewFromJSON parses, validates, and wires a spec in one step — the
@@ -744,199 +606,160 @@ func NewFromJSON(specJSON []byte, cfg Config) (*Framework, error) {
 // Spec returns the framework's adaptation spec.
 func (f *Framework) Spec() *spec.Spec { return f.sp }
 
-// Handler returns the proxy handler.
-func (f *Framework) Handler() http.Handler { return f.proxy }
-
-// Sessions exposes the session manager (for GC loops and tests).
-func (f *Framework) Sessions() *session.Manager { return f.sessions }
-
-// Cache exposes the shared render cache layer (a *cache.Cache, or a
-// *cache.Tiered when a durable store is configured).
-func (f *Framework) Cache() cache.Layer { return f.cache }
-
-// Store exposes the durable render store; nil without StoreDir.
-func (f *Framework) Store() *store.Store { return f.store }
-
-// SLO exposes the SLO engine; nil unless an SLO knob is set.
-func (f *Framework) SLO() *obs.SLOEngine {
-	if f.tier == nil {
-		return nil
-	}
-	return f.tier.slo
-}
-
-// Recorder exposes the flight recorder; nil without IncidentDir.
-func (f *Framework) Recorder() *obs.Recorder {
-	if f.tier == nil {
-		return nil
-	}
-	return f.tier.recorder
-}
-
-// Health exposes the runtime health sampler; nil unless the second
-// observability tier is enabled.
-func (f *Framework) Health() *obs.HealthSampler {
-	if f.tier == nil {
-		return nil
-	}
-	return f.tier.health
-}
-
-// ProxyStats returns the proxy's work counters.
-func (f *Framework) ProxyStats() proxy.Stats { return f.proxy.Stats() }
-
-// Obs exposes the shared metric/trace registry.
-func (f *Framework) Obs() *obs.Registry { return f.obs }
-
-// MetricsHandler serves the registry at /metrics (Prometheus text or
-// JSON, content-negotiated).
-func (f *Framework) MetricsHandler() http.Handler { return obs.Handler(f.obs) }
-
-// TracesHandler serves recent request traces at /debug/traces.
-func (f *Framework) TracesHandler() http.Handler { return obs.TracesHandler(f.obs) }
-
-// HandlerWithMetrics mounts the proxy plus the observability surface
-// (/metrics, /debug/traces) on one handler.
-func (f *Framework) HandlerWithMetrics() http.Handler {
-	return mountMetrics(f.proxy, f.obs, f.tier, parityHandler(func() map[string]*quality.Parity {
-		return map[string]*quality.Parity{f.sp.Name: f.proxy.ParityReport()}
-	}), f.cluster)
-}
-
-// parityHandler serves the latest content-parity report per site as
-// JSON at /debug/parity. Sites whose validator has not produced a
-// report yet (ParityCheck off, or no build completed) are omitted.
-func parityHandler(reports func() map[string]*quality.Parity) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		out := make(map[string]*quality.Parity)
-		for name, p := range reports() {
-			if p != nil {
-				out[name] = p
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(out)
-	})
-}
-
-// mountMetrics composes a serving handler with the observability
-// endpoints; the longer mux patterns win over the proxy's catch-all.
-// The pprof handlers are mounted on the debug mux unconditionally;
-// /slo and /debug/incidents appear when the second tier is enabled.
-func mountMetrics(h http.Handler, reg *obs.Registry, tier *obsTier, parity http.Handler, node *cluster.Node) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(reg))
-	mux.Handle("/debug/traces", obs.TracesHandler(reg))
-	if parity != nil {
-		mux.Handle("/debug/parity", parity)
-	}
-	if node != nil {
-		mux.Handle(cluster.PathPrefix, node.Handler())
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if tier != nil {
-		if tier.slo != nil {
-			mux.Handle("/slo", obs.SLOHandler(tier.slo))
-		}
-		if tier.recorder != nil {
-			mux.Handle("/debug/incidents", obs.IncidentsHandler(tier.recorder))
-			mux.Handle("/debug/incidents/", obs.IncidentsHandler(tier.recorder))
-		}
-	}
-	mux.Handle("/", h)
-	return mux
-}
-
-// CacheStats returns the shared cache counters.
-func (f *Framework) CacheStats() cache.Stats { return f.cache.Stats() }
-
-// Close releases background resources: the prefetch crawler (stopped
-// first, so no cycle races the teardown), the cache's expiry sweeper,
-// and — when a durable store is configured — the write-through pool
-// (drained first, so queued persists land) and the store itself. Safe
-// to call more than once.
-func (f *Framework) Close() {
-	if f.cluster != nil {
-		f.cluster.Close()
-	}
-	if f.crawler != nil {
-		f.crawler.Close()
-	}
-	f.tier.stop()
-	f.cache.Close()
-	if f.store != nil {
-		_ = f.store.Close()
-	}
-}
-
-// Prefetcher exposes the speculative pre-adaptation crawler; nil unless
-// Prefetch is enabled.
-func (f *Framework) Prefetcher() *prefetch.Crawler { return f.crawler }
-
-// Cluster exposes the consistent-hash membership node; nil unless
-// ClusterListen is set.
-func (f *Framework) Cluster() *cluster.Node { return f.cluster }
-
-// Store exposes the durable render store; nil without StoreDir.
-func (m *MultiFramework) Store() *store.Store { return m.store }
-
-// SLO exposes the SLO engine; nil unless an SLO knob is set.
-func (m *MultiFramework) SLO() *obs.SLOEngine {
-	if m.tier == nil {
-		return nil
-	}
-	return m.tier.slo
-}
-
-// Recorder exposes the flight recorder; nil without IncidentDir.
-func (m *MultiFramework) Recorder() *obs.Recorder {
-	if m.tier == nil {
-		return nil
-	}
-	return m.tier.recorder
-}
-
-// Close releases background resources (the prefetch crawler, the shared
-// cache's expiry sweeper, the store write-through pool, and the store).
-// Safe to call more than once.
-func (m *MultiFramework) Close() {
-	if m.cluster != nil {
-		m.cluster.Close()
-	}
-	if m.crawler != nil {
-		m.crawler.Close()
-	}
-	m.tier.stop()
-	m.cache.Close()
-	if m.store != nil {
-		_ = m.store.Close()
-	}
-}
-
-// Prefetcher exposes the speculative pre-adaptation crawler; nil unless
-// Prefetch is enabled.
-func (m *MultiFramework) Prefetcher() *prefetch.Crawler { return m.crawler }
-
-// Cluster exposes the consistent-hash membership node; nil unless
-// ClusterListen is set.
-func (m *MultiFramework) Cluster() *cluster.Node { return m.cluster }
-
 // GenerateCode emits the standalone Go proxy source for this framework's
 // spec — the m.Site "shell code" artifact.
 func (f *Framework) GenerateCode(opts gen.Options) ([]byte, error) {
 	return gen.GenerateProxyMain(f.sp, opts)
 }
 
-// ListenAndServe serves the proxy (with /metrics and /debug/traces
+// Sites lists the mounted site names, sorted.
+func (m *MultiFramework) Sites() []string {
+	names := make([]string, len(m.sites))
+	for i, p := range m.sites {
+		names[i] = p.SiteName()
+	}
+	return names
+}
+
+// Handler returns the proxy handler (the composite one for several
+// specs).
+func (in *instance) Handler() http.Handler { return in.handler }
+
+// Sessions exposes the session manager (for GC loops and tests).
+func (in *instance) Sessions() *session.Manager { return in.sessions }
+
+// Cache exposes the shared render cache layer (a *cache.Cache, or a
+// *cache.Tiered when a durable store is configured).
+func (in *instance) Cache() cache.Layer { return in.cache }
+
+// CacheStats returns the shared cache counters.
+func (in *instance) CacheStats() cache.Stats { return in.cache.Stats() }
+
+// Store exposes the durable render store; nil without StoreDir.
+func (in *instance) Store() *store.Store { return in.store }
+
+// SLO exposes the SLO engine; nil unless an SLO knob is set.
+func (in *instance) SLO() *obs.SLOEngine {
+	if in.tier == nil {
+		return nil
+	}
+	return in.tier.slo
+}
+
+// Recorder exposes the flight recorder; nil without IncidentDir.
+func (in *instance) Recorder() *obs.Recorder {
+	if in.tier == nil {
+		return nil
+	}
+	return in.tier.recorder
+}
+
+// Health exposes the runtime health sampler; nil unless the second
+// observability tier is enabled.
+func (in *instance) Health() *obs.HealthSampler {
+	if in.tier == nil {
+		return nil
+	}
+	return in.tier.health
+}
+
+// Prefetcher exposes the speculative pre-adaptation crawler; nil unless
+// Prefetch is enabled.
+func (in *instance) Prefetcher() *prefetch.Crawler { return in.crawler }
+
+// Cluster exposes the consistent-hash membership node; nil unless
+// ClusterListen is set.
+func (in *instance) Cluster() *cluster.Node { return in.cluster }
+
+// ProxyStats sums the per-site proxy work counters.
+func (in *instance) ProxyStats() proxy.Stats {
+	var total proxy.Stats
+	for _, p := range in.sites {
+		s := p.Stats()
+		total.Requests += s.Requests
+		total.Adaptations += s.Adaptations
+		total.SnapshotRenders += s.SnapshotRenders
+		total.SnapshotHits += s.SnapshotHits
+	}
+	return total
+}
+
+// Obs exposes the shared metric/trace registry.
+func (in *instance) Obs() *obs.Registry { return in.obs }
+
+// MetricsHandler serves the registry at /metrics (Prometheus text or
+// JSON, content-negotiated).
+func (in *instance) MetricsHandler() http.Handler { return obs.Handler(in.obs) }
+
+// TracesHandler serves recent request traces at /debug/traces.
+func (in *instance) TracesHandler() http.Handler { return obs.TracesHandler(in.obs) }
+
+// HandlerWithMetrics mounts the proxy plus the observability surface on
+// one handler; the longer mux patterns win over the proxy's catch-all.
+// /metrics, /debug/traces, /debug/parity (the latest content-parity
+// report per site, omitting sites that have none yet) and the pprof
+// handlers are always there; the peer transport, /slo and
+// /debug/incidents appear when their tier is enabled.
+func (in *instance) HandlerWithMetrics() http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler(in.obs))
+	mux.Handle("/debug/traces", obs.TracesHandler(in.obs))
+	mux.HandleFunc("/debug/parity", func(w http.ResponseWriter, _ *http.Request) {
+		out := make(map[string]*quality.Parity)
+		for _, p := range in.sites {
+			if report := p.ParityReport(); report != nil {
+				out[p.SiteName()] = report
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(out)
+	})
+	if in.cluster != nil {
+		mux.Handle(cluster.PathPrefix, in.cluster.Handler())
+	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if in.tier != nil {
+		if in.tier.slo != nil {
+			mux.Handle("/slo", obs.SLOHandler(in.tier.slo))
+		}
+		if in.tier.recorder != nil {
+			mux.Handle("/debug/incidents", obs.IncidentsHandler(in.tier.recorder))
+			mux.Handle("/debug/incidents/", obs.IncidentsHandler(in.tier.recorder))
+		}
+	}
+	mux.Handle("/", in.handler)
+	return mux
+}
+
+// Close releases background resources: the cluster node and the prefetch
+// crawler (stopped first, so no cycle races the teardown), the
+// observability tier, the cache's expiry sweeper, and — when a durable
+// store is configured — the write-through pool (drained first, so queued
+// persists land) and the store itself. Safe to call more than once.
+func (in *instance) Close() {
+	if in.cluster != nil {
+		in.cluster.Close()
+	}
+	if in.crawler != nil {
+		in.crawler.Close()
+	}
+	in.tier.stop()
+	in.cache.Close()
+	if in.store != nil {
+		_ = in.store.Close()
+	}
+}
+
+// ListenAndServe serves the proxy (with the observability surface
 // mounted) until the listener fails.
-func (f *Framework) ListenAndServe(addr string) error {
+func (in *instance) ListenAndServe(addr string) error {
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           f.HandlerWithMetrics(),
+		Handler:           in.HandlerWithMetrics(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	if err := srv.ListenAndServe(); err != nil {
@@ -945,12 +768,12 @@ func (f *Framework) ListenAndServe(addr string) error {
 	return nil
 }
 
-// Serve serves the proxy (with /metrics and /debug/traces mounted) on
-// an existing listener (tests and examples bind :0 and need the
-// resolved address).
-func (f *Framework) Serve(l net.Listener) error {
+// Serve serves the proxy (with the observability surface mounted) on an
+// existing listener (tests and examples bind :0 and need the resolved
+// address).
+func (in *instance) Serve(l net.Listener) error {
 	srv := &http.Server{
-		Handler:           f.HandlerWithMetrics(),
+		Handler:           in.HandlerWithMetrics(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	if err := srv.Serve(l); err != nil {

@@ -27,6 +27,10 @@ func Render(n *dom.Node) string {
 	return b.String()
 }
 
+// RenderTo appends the HTML serialization of the tree rooted at n to b,
+// for callers assembling one document from several trees.
+func RenderTo(b *strings.Builder, n *dom.Node) { render(b, n, ModeHTML) }
+
 // RenderXHTML serializes the tree rooted at n to well-formed XHTML.
 func RenderXHTML(n *dom.Node) string {
 	var b strings.Builder

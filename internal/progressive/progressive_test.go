@@ -73,6 +73,50 @@ func TestFullRungMatchesOneShotEncode(t *testing.T) {
 	}
 }
 
+// TestFullRungIndependentOfLadderAndWorkers is the one renderer's
+// property: asking for the coarse rung, and the worker count, change
+// nothing about the full rung, which stays the plain
+// Encode(ScaleFactor(Paint)) of the layout — or Encode(Paint) when no
+// scale is given, the pre-rendered subpages' case.
+func TestFullRungIndependentOfLadderAndWorkers(t *testing.T) {
+	res := testLayout(t)
+	frame := raster.Paint(res, raster.Options{Workers: 1})
+	unscaled, err := imaging.Encode(frame, imaging.FidelityLow)
+	raster.Release(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		want  []byte
+	}{
+		{"scaled", 0.45, oneShot(t, res, raster.Options{Workers: 1}, imaging.FidelityLow, 0.45)},
+		{"as-painted", 0, unscaled},
+	} {
+		for _, workers := range []int{1, 2, 0, 64} {
+			for _, ladder := range []bool{false, true} {
+				cfg := Config{Raster: raster.Options{Workers: workers}, Fidelity: imaging.FidelityLow, Scale: tc.scale}
+				coarse := 0
+				if ladder {
+					cfg.OnCoarse = func(Artifact) { coarse++ }
+				}
+				out, err := Render(res, cfg)
+				if err != nil {
+					t.Fatalf("%s workers=%d ladder=%v: %v", tc.name, workers, ladder, err)
+				}
+				if !bytes.Equal(out.Full.Data, tc.want) {
+					t.Errorf("%s workers=%d ladder=%v: full rung differs from the one-shot encode", tc.name, workers, ladder)
+				}
+				if ladder != (coarse == 1) || ladder != (len(out.Coarse.Data) > 0) {
+					t.Errorf("%s workers=%d ladder=%v: coarse rung produced %d times, %d bytes",
+						tc.name, workers, ladder, coarse, len(out.Coarse.Data))
+				}
+			}
+		}
+	}
+}
+
 func TestCoarseArrivesBeforeFull(t *testing.T) {
 	res := testLayout(t)
 	var coarse Artifact
@@ -110,6 +154,7 @@ func TestCoarseRungDecodesAtExpectedGeometry(t *testing.T) {
 		Raster:   raster.Options{Workers: 2},
 		Fidelity: imaging.FidelityLow,
 		Scale:    0.45,
+		OnCoarse: func(Artifact) {},
 	})
 	if err != nil {
 		t.Fatalf("Render: %v", err)

@@ -349,7 +349,7 @@ func (p *Proxy) saveBundle(b *Bundle) {
 // reads — in one step with respect to loadBundle.
 func (p *Proxy) storeBundle(b *Bundle, data []byte) {
 	p.sharedMu.Lock()
-	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, p.bundleTTL)
+	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, DefaultBundleTTL)
 	p.shared, p.sharedSrc, p.bundleVal = b, data, b.validator
 	p.sharedMu.Unlock()
 }

@@ -1,7 +1,9 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -13,9 +15,11 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"msite/internal/attr"
 	"msite/internal/cache"
 	"msite/internal/session"
 )
@@ -131,16 +135,22 @@ func regularFiles(t *testing.T, root string) []string {
 // entry, every subpage, every asset and the ETag/304 exchange, in every
 // entry mode. On the way it checks that serving touches no session
 // directory: none holds a file after a full view, and warm views still
-// succeed once the directories are gone.
+// succeed once the directories are gone. Across modes, the buffered entry
+// is pinned to a golden file captured before the overlay had one builder,
+// and the streamed entry is the buffered one but for what streaming
+// changes: no geometry in the head, the ATF marker, above-the-fold areas
+// first.
 func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 	modes := []struct {
 		name string
 		cfg  Config
 	}{
 		{"buffered", Config{}},
-		{"streaming", Config{Stream: true, SnapshotProgressive: true}},
+		{"streaming", Config{Stream: true}},
+		{"progressive", Config{Stream: true, SnapshotProgressive: true}},
 		{"minimal", Config{MinimalMarkup: true}},
 	}
+	entries := make(map[string]string)
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			rig := newPersistRigWith(t, mode.cfg)
@@ -174,6 +184,7 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 			}
 
 			built := view(first)
+			entries[mode.name] = built["/"].Body
 			if got := rig.p.Stats().Adaptations; got != 1 {
 				t.Fatalf("adaptations = %d, want 1", got)
 			}
@@ -210,6 +221,34 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 			}
 		})
 	}
+	golden, err := os.ReadFile("testdata/entry_buffered.golden.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries["buffered"] != string(golden) {
+		t.Errorf("buffered entry moved from the golden file:\n got %s\nwant %s", entries["buffered"], golden)
+	}
+	if got, want := normalizeOverlay(entries["streaming"]), normalizeOverlay(entries["buffered"]); got != want {
+		t.Errorf("streamed entry is not the buffered one rearranged:\n got %s\nwant %s", got, want)
+	}
+}
+
+var (
+	snapGeometryRE = regexp.MustCompile(` width="\d+" height="\d+"`)
+	areaRE         = regexp.MustCompile(`<area [^>]*>`)
+)
+
+// normalizeOverlay removes from an overlay page what legitimately differs
+// between a buffered and a streamed serve of one Bundle: the snapshot's
+// geometry (unknown when a streamed head is flushed), the ATF marker, and
+// the order of the image map's areas.
+func normalizeOverlay(page string) string {
+	page = snapGeometryRE.ReplaceAllString(page, "")
+	page = strings.Replace(page, attr.ATFMarker, "", 1)
+	areas := areaRE.FindAllString(page, -1)
+	sort.Strings(areas)
+	i := 0
+	return areaRE.ReplaceAllStringFunc(page, func(string) string { i++; return areas[i-1] })
 }
 
 // sharedBundle returns the proxy's decoded-bundle memo and the encoded
@@ -443,5 +482,93 @@ func TestPersonalizedBundlesStayPrivate(t *testing.T) {
 	}
 	if e, ok := c.Get(p.bundleKey); !ok || !sameBytes(e.Data, record) {
 		t.Fatal("a personalized refresh overwrote the persisted bundle")
+	}
+
+	// The same holds for what is rendered from a Bundle: the cross-session
+	// snapshot is only ever a picture of the anonymous page, and a
+	// logged-in session is shown its own page, whichever of the two
+	// arrives first and however the entry is served.
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"buffered", Config{}},
+		{"streaming", Config{Stream: true, SnapshotProgressive: true}},
+	} {
+		for _, loggedInFirst := range []bool{true, false} {
+			t.Run(fmt.Sprintf("snapshot/%s/loggedInFirst=%v", mode.name, loggedInFirst), func(t *testing.T) {
+				testPersonalizedSnapshotStaysPrivate(t, mode.cfg, loggedInFirst)
+			})
+		}
+	}
+}
+
+func testPersonalizedSnapshotStaysPrivate(t *testing.T, cfg Config, loggedInFirst bool) {
+	// An origin whose entry page greets a logged-in member above the fold.
+	rig := newStreamRig(t, cfg, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			ck, err := r.Cookie("bbuserid")
+			if r.URL.Path != "/" || err != nil {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			greeting := `<body><div style="background-color: #cc0000; height: 120px">Inbox of ` + ck.Value + `</div>`
+			_, _ = io.WriteString(w, strings.Replace(rec.Body.String(), "<body>", greeting, 1))
+		})
+	})
+	rig.p.cfg.Spec.Login.URL = rig.origin.URL + "/login.php"
+	sharedKeys := []string{"snapshot:" + rig.p.cfg.Spec.Name, "snapshot-coarse:" + rig.p.cfg.Spec.Name}
+
+	snapshotOf := func(client *http.Client) []byte {
+		t.Helper()
+		var body []byte
+		for _, path := range []string{"/", "/asset/" + rig.p.snapName} {
+			resp, err := client.Get(rig.proxy.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err = io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+			}
+		}
+		return body
+	}
+	alice := newDevice(t)
+	logIn := func() {
+		t.Helper()
+		resp, err := alice.PostForm(rig.proxy.URL+"/login", url.Values{"username": {"alice"}, "password": {"sawdust"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+	}
+
+	var anonSnap []byte
+	if loggedInFirst {
+		logIn()
+		snapshotOf(alice)
+		for _, key := range sharedKeys {
+			if _, ok := rig.cache.Get(key); ok {
+				t.Fatalf("a logged-in session's render was published as %s", key)
+			}
+		}
+		anonSnap = snapshotOf(newDevice(t))
+	} else {
+		anonSnap = snapshotOf(newDevice(t))
+		logIn()
+	}
+	if aliceSnap := snapshotOf(alice); bytes.Equal(aliceSnap, anonSnap) {
+		t.Fatal("the logged-in session and the anonymous one were shown the same snapshot")
+	}
+	if again := snapshotOf(newDevice(t)); !bytes.Equal(again, anonSnap) {
+		t.Fatal("a later anonymous session was shown a different snapshot")
+	}
+	if e, ok := rig.cache.Get(sharedKeys[0]); !ok || !bytes.Equal(e.Data, anonSnap) {
+		t.Fatal("the shared snapshot is not the anonymous render")
 	}
 }

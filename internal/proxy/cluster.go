@@ -2,10 +2,8 @@ package proxy
 
 import (
 	"context"
-	"sync/atomic"
 
 	"msite/internal/cache"
-	"msite/internal/fetch"
 	"msite/internal/layout"
 	"msite/internal/obs"
 	"msite/internal/spec"
@@ -95,30 +93,9 @@ func (p *Proxy) ClusterBuild(ctx context.Context) ([]byte, bool, error) {
 	if p.bundleKey == "" {
 		return nil, false, ErrNoBundlePersistence
 	}
-	var ran atomic.Bool
-	build := func(bctx context.Context) (*Bundle, error) {
-		if b, ok := p.loadBundle(bctx); ok {
-			return b, nil
-		}
-		release, err := p.cfg.Admission.Acquire(bctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		b, err := p.buildAdaptation(bctx, fetch.New(nil, p.cfg.FetchOptions...))
-		if err == nil {
-			p.saveBundle(b)
-			ran.Store(true)
-		}
-		return b, err
-	}
-	b, coalesced, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, build)
+	b, ran, err := p.coalescedBuild(ctx, buildPlan{persist: true})
 	if err != nil {
 		return nil, false, err
-	}
-	if coalesced {
-		p.obs.Counter("msite_admission_coalesced_total", "site", p.cfg.Spec.Name).Inc()
-		obs.TraceFrom(ctx).Annotate("coalesced", "adaptation")
 	}
 	// Warm the shared snapshot too, so the requester's snapshot fetch
 	// (and this node's next visitor) serves without a render.
@@ -126,13 +103,13 @@ func (p *Proxy) ClusterBuild(ctx context.Context) ([]byte, bool, error) {
 	// Serve the stored bytes when present (saveBundle just put them, or
 	// an earlier build did); re-encode only if the cache dropped them.
 	if e, ok := p.cfg.Cache.Get(p.bundleKey); ok {
-		return e.Data, ran.Load(), nil
+		return e.Data, ran, nil
 	}
 	data, err := encodeBundle(p.cfg.Spec.Name, b)
 	if err != nil {
 		return nil, false, err
 	}
-	return data, ran.Load(), nil
+	return data, ran, nil
 }
 
 // ClusterSnapshot implements cluster.Builder: the shared snapshot

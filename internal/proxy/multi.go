@@ -3,18 +3,12 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"sort"
 	"strings"
-	"time"
 
-	"msite/internal/admission"
-	"msite/internal/cache"
-	"msite/internal/fetch"
 	"msite/internal/obs"
-	"msite/internal/session"
 	"msite/internal/spec"
 )
 
@@ -29,69 +23,21 @@ type MultiProxy struct {
 	obs   *obs.Registry
 }
 
-// MultiConfig wires a MultiProxy.
-type MultiConfig struct {
-	// Specs are the adaptation specs, one per page; names must be unique
-	// and URL-safe.
-	Specs []*spec.Spec
-	// Sessions and Cache are shared across every site (required); Cache
-	// may be a *cache.Cache or a durable *cache.Tiered.
-	Sessions *session.Manager
-	Cache    cache.Layer
-	// ViewportWidth and FetchOptions apply to every site.
-	ViewportWidth int
-	FetchOptions  []fetch.Option
-	// Obs is the metric registry shared by every site (the site label
-	// distinguishes them). Nil creates one.
-	Obs *obs.Registry
-	// Logger enables per-request structured logging on every site.
-	Logger *slog.Logger
-	// FetchWorkers and RasterWorkers are the adaptation parallelism
-	// knobs, applied to every site (see Config).
-	FetchWorkers  int
-	RasterWorkers int
-	// ServeStale and StaleFor are the staleness knobs, applied to every
-	// site (see Config).
-	ServeStale bool
-	StaleFor   time.Duration
-	// Stream, ATFHeight, SnapshotProgressive, and MinimalMarkup are the
-	// streaming-path knobs, applied to every site (see Config).
-	Stream              bool
-	ATFHeight           int
-	SnapshotProgressive bool
-	MinimalMarkup       bool
-	// Admission is the overload-protection controller, shared by every
-	// site: one concurrency budget and one per-client rate limit cover
-	// the whole server, not each page separately. Nil admits everything.
-	Admission *admission.Controller
-	// PersistBundles and BundleTTL are the durable-store knobs, applied
-	// to every site (see Config).
-	PersistBundles bool
-	BundleTTL      time.Duration
-	// Demand is the live-traffic feed for the prefetch crawler's demand
-	// ranking, applied to every site (see Config).
-	Demand func(site string)
-	// RepairRules, ParityCheck, and ParityMinScore are the adaptation
-	// quality knobs, applied to every site (see Config).
-	RepairRules    string
-	ParityCheck    bool
-	ParityMinScore float64
-	// Cluster is the consistent-hash routing hook, shared by every site
-	// (see Config.Cluster).
-	Cluster ClusterHook
-}
-
-// NewMulti builds the composite proxy.
-func NewMulti(cfg MultiConfig) (*MultiProxy, error) {
-	if len(cfg.Specs) == 0 {
+// NewMulti builds the composite proxy: one Proxy per spec, each
+// configured by cfg with its own Spec and a /p/<name> PathPrefix (cfg's
+// own are ignored). Spec names must be unique and URL-safe. Sessions,
+// Cache, Obs and Admission are thereby shared across every site: one
+// cookie, one render cache, one concurrency budget and one per-client
+// rate limit cover the whole server, not each page separately.
+func NewMulti(specs []*spec.Spec, cfg Config) (*MultiProxy, error) {
+	if len(specs) == 0 {
 		return nil, errors.New("proxy: no specs")
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
 	}
-	m := &MultiProxy{sites: make(map[string]*Proxy, len(cfg.Specs)), obs: reg}
-	for _, sp := range cfg.Specs {
+	m := &MultiProxy{sites: make(map[string]*Proxy, len(specs)), obs: cfg.Obs}
+	for _, sp := range specs {
 		if sp == nil {
 			return nil, errors.New("proxy: nil spec")
 		}
@@ -102,32 +48,8 @@ func NewMulti(cfg MultiConfig) (*MultiProxy, error) {
 		if _, dup := m.sites[name]; dup {
 			return nil, fmt.Errorf("proxy: duplicate spec name %q", name)
 		}
-		p, err := New(Config{
-			Spec:                sp,
-			Sessions:            cfg.Sessions,
-			Cache:               cfg.Cache,
-			ViewportWidth:       cfg.ViewportWidth,
-			FetchOptions:        cfg.FetchOptions,
-			PathPrefix:          "/p/" + name,
-			Obs:                 reg,
-			Logger:              cfg.Logger,
-			FetchWorkers:        cfg.FetchWorkers,
-			RasterWorkers:       cfg.RasterWorkers,
-			ServeStale:          cfg.ServeStale,
-			StaleFor:            cfg.StaleFor,
-			Admission:           cfg.Admission,
-			PersistBundles:      cfg.PersistBundles,
-			BundleTTL:           cfg.BundleTTL,
-			Stream:              cfg.Stream,
-			ATFHeight:           cfg.ATFHeight,
-			SnapshotProgressive: cfg.SnapshotProgressive,
-			MinimalMarkup:       cfg.MinimalMarkup,
-			Demand:              cfg.Demand,
-			RepairRules:         cfg.RepairRules,
-			ParityCheck:         cfg.ParityCheck,
-			ParityMinScore:      cfg.ParityMinScore,
-			Cluster:             cfg.Cluster,
-		})
+		cfg.Spec, cfg.PathPrefix = sp, "/p/"+name
+		p, err := New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("proxy: site %q: %w", name, err)
 		}

@@ -44,8 +44,7 @@ func multiRig(t *testing.T) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMulti(MultiConfig{
-		Specs:    []*spec.Spec{entrySpec, threadSpec},
+	m, err := NewMulti([]*spec.Spec{entrySpec, threadSpec}, Config{
 		Sessions: sessions,
 		Cache:    cache.New(),
 	})
@@ -138,18 +137,18 @@ func TestMultiUnknownSite404(t *testing.T) {
 func TestNewMultiValidation(t *testing.T) {
 	sessions, _ := session.NewManager(t.TempDir())
 	base := &spec.Spec{Name: "a", Origin: "http://o/"}
-	if _, err := NewMulti(MultiConfig{Sessions: sessions, Cache: cache.New()}); err == nil {
+	if _, err := NewMulti(nil, Config{Sessions: sessions, Cache: cache.New()}); err == nil {
 		t.Fatal("empty specs accepted")
 	}
 	dup := &spec.Spec{Name: "a", Origin: "http://o2/"}
-	if _, err := NewMulti(MultiConfig{Specs: []*spec.Spec{base, dup}, Sessions: sessions, Cache: cache.New()}); err == nil {
+	if _, err := NewMulti([]*spec.Spec{base, dup}, Config{Sessions: sessions, Cache: cache.New()}); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
 	bad := &spec.Spec{Name: "a/b", Origin: "http://o/"}
-	if _, err := NewMulti(MultiConfig{Specs: []*spec.Spec{bad}, Sessions: sessions, Cache: cache.New()}); err == nil {
+	if _, err := NewMulti([]*spec.Spec{bad}, Config{Sessions: sessions, Cache: cache.New()}); err == nil {
 		t.Fatal("unsafe name accepted")
 	}
-	m, err := NewMulti(MultiConfig{Specs: []*spec.Spec{base}, Sessions: sessions, Cache: cache.New()})
+	m, err := NewMulti([]*spec.Spec{base}, Config{Sessions: sessions, Cache: cache.New()})
 	if err != nil {
 		t.Fatal(err)
 	}

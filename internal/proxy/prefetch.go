@@ -3,7 +3,6 @@ package proxy
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"msite/internal/cache"
@@ -31,33 +30,11 @@ func (p *Proxy) PrefetchBuild(ctx context.Context, force bool) (bool, error) {
 	if p.bundleKey == "" {
 		return false, ErrNoBundlePersistence
 	}
-	var ran atomic.Bool
-	build := func(bctx context.Context) (*Bundle, error) {
-		if !force {
-			if b, ok := p.loadBundle(bctx); ok {
-				return b, nil
-			}
-		}
-		release, err := p.cfg.Admission.AcquireBackground(bctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		b, err := p.buildAdaptation(bctx, fetch.New(nil, p.cfg.FetchOptions...))
-		if err == nil {
-			p.saveBundle(b)
-			ran.Store(true)
-		}
-		return b, err
-	}
-	// The coalesce key is shared with live cold adaptations: a prefetch
-	// arriving while a live build runs joins it (and vice versa) instead
-	// of fetching the origin twice.
-	b, _, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, build)
+	b, ran, err := p.coalescedBuild(ctx, buildPlan{persist: true, force: force, background: true})
 	if err == nil && b != nil {
 		p.prerenderSnapshot(b)
 	}
-	return ran.Load(), err
+	return ran, err
 }
 
 // prerenderSnapshot renders the shared entry snapshot from a bundle the
@@ -75,7 +52,7 @@ func (p *Proxy) prerenderSnapshot(b *Bundle) {
 	// GetOrFill leaves an already-warm snapshot (live render or
 	// disk-tier rehydration) alone.
 	_, _ = p.cfg.Cache.GetOrFill("snapshot:"+p.cfg.Spec.Name, ttl, func() (cache.Entry, error) {
-		return p.renderSnapshot(context.Background(), b)
+		return p.renderSnapshot(context.Background(), b, nil)
 	})
 }
 
@@ -96,7 +73,7 @@ func (p *Proxy) TouchBundle() bool {
 	if p.bundleKey == "" {
 		return false
 	}
-	ok := p.cfg.Cache.Touch(p.bundleKey, p.bundleTTL)
+	ok := p.cfg.Cache.Touch(p.bundleKey, DefaultBundleTTL)
 	if ok {
 		p.sharedMu.Lock()
 		p.bundleVal.FetchedAt = time.Now()

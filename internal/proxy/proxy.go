@@ -36,6 +36,7 @@ import (
 	"msite/internal/imaging"
 	"msite/internal/layout"
 	"msite/internal/obs"
+	"msite/internal/progressive"
 	"msite/internal/quality"
 	"msite/internal/raster"
 	"msite/internal/render"
@@ -95,20 +96,12 @@ type Config struct {
 	// of re-running the pipeline. Off by default; core enables it when a
 	// store is configured.
 	PersistBundles bool
-	// BundleTTL bounds a persisted bundle's lifetime (zero uses
-	// DefaultBundleTTL). A spec change rotates the key, so the TTL only
-	// has to cover origin-content drift.
-	BundleTTL time.Duration
 	// Stream enables flush-early entry serving: the overlay head is
 	// written and flushed before the origin fetch begins, above-the-fold
 	// image-map areas follow as soon as the attribute phase has regions,
 	// and the snapshot renders on a background goroutine the asset
 	// handler waits on. Off, the entry buffers as before.
 	Stream bool
-	// ATFHeight is the above-the-fold boundary in scaled snapshot
-	// pixels for the streaming entry's fragment split. 0 uses
-	// DefaultATFHeight; negative treats everything as above the fold.
-	ATFHeight int
 	// SnapshotProgressive serves the snapshot as a temporal fidelity
 	// ladder on the streaming path: a coarse quarter-scale JPEG the
 	// moment rasterization finishes, upgraded in-place to the
@@ -145,12 +138,13 @@ type Config struct {
 }
 
 // DefaultATFHeight is the above-the-fold boundary (in scaled snapshot
-// pixels) when streaming is on and no ATFHeight is configured — a
-// typical small-screen viewport height.
+// pixels) of a streamed entry's fragment split — a typical small-screen
+// viewport height.
 const DefaultATFHeight = 480
 
-// DefaultBundleTTL is the persisted-bundle lifetime when PersistBundles
-// is on and no BundleTTL is configured.
+// DefaultBundleTTL is a persisted bundle's lifetime. A spec change
+// rotates the bundle key, so the TTL only has to cover origin-content
+// drift.
 const DefaultBundleTTL = time.Hour
 
 // TraceHeader is the response header carrying the request's trace ID;
@@ -198,7 +192,6 @@ type Proxy struct {
 	// (site, spec hash, device class, fidelity); empty when
 	// PersistBundles is off.
 	bundleKey string
-	bundleTTL time.Duration
 	// shared is the decoded form of sharedSrc, the encoded bundle record
 	// this proxy last put into or read from the cache. It is a memo, not
 	// an authority: loadBundle uses it only while the cache still returns
@@ -244,7 +237,10 @@ type Proxy struct {
 // snapshot may be re-rendered under a session; its assets must keep
 // matching the entry page it already has).
 type sessionView struct {
-	bundle           *Bundle
+	bundle *Bundle
+	// private marks a Bundle built with this session's own credentials:
+	// nothing rendered from it may reach the cross-session cache.
+	private          bool
 	snapshot, coarse atomic.Pointer[artifact]
 
 	// render is the background snapshot render of a streamed entry; the
@@ -344,10 +340,6 @@ func New(cfg Config) (*Proxy, error) {
 			return nil, err
 		}
 		p.bundleKey = key
-		p.bundleTTL = cfg.BundleTTL
-		if p.bundleTTL <= 0 {
-			p.bundleTTL = DefaultBundleTTL
-		}
 	}
 	// Release a session's view when the session manager expires,
 	// deletes, or GCs the session — without this the adapted map grows
@@ -751,7 +743,9 @@ func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, for
 		p.inflight[sess.ID] = done
 		p.mu.Unlock()
 
-		b, err := p.runAdaptation(ctx, sess, force)
+		// Read once: the build and the view must agree on whose it is.
+		private := sess.Personalized()
+		b, err := p.runAdaptation(ctx, sess, private, force)
 
 		p.mu.Lock()
 		delete(p.inflight, sess.ID)
@@ -759,7 +753,7 @@ func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, for
 		p.mu.Unlock()
 		var v *sessionView
 		if err == nil {
-			v = &sessionView{bundle: b}
+			v = &sessionView{bundle: b, private: private}
 			p.attach(sess.ID, v)
 		}
 		close(done)
@@ -784,66 +778,98 @@ func isAuthError(err error) bool {
 	return errors.As(err, &authErr)
 }
 
-// runAdaptation admits one pipeline run through the admission
-// controller and executes it. Anonymous sessions coalesce: a flash
-// crowd of N cold clients on the same page shares one build (one origin
-// fetch, one filter+attr pass, one admission slot) and then references
-// the one Bundle from every session. Personalized sessions (stored HTTP
-// auth, marshaled logins) never coalesce — their origin content may
-// differ per user — so each gets a Bundle built for it alone.
-func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, force bool) (*Bundle, error) {
-	// Non-personalized builds may come out of the durable bundle instead
-	// of the pipeline: a restarted proxy warm-starts from its store. A
-	// forced refresh (?refresh=1) bypasses and overwrites the bundle.
-	usePersist := p.bundleKey != "" && !sess.Personalized()
-	build := func(bctx context.Context) (*Bundle, error) {
-		if usePersist && !force {
-			if b, ok := p.loadBundle(bctx); ok {
-				return b, nil
-			}
-			// Cold here: in cluster mode the ring owner may already have
-			// (or be building) this bundle — fetch it instead of running
-			// the pipeline. The owner's admission controller holds the
-			// build's one slot; this node spends none.
-			if b, ok := p.fetchFromOwner(bctx); ok {
-				return b, nil
-			}
-		}
-		release, err := p.cfg.Admission.Acquire(bctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		b, err := p.buildAdaptation(bctx, fetch.New(sess, p.cfg.FetchOptions...))
-		if err == nil && usePersist {
-			p.saveBundle(b)
-		}
-		return b, err
-	}
-	var (
-		b         *Bundle
-		coalesced bool
-		err       error
-	)
-	if sess.Personalized() {
+// runAdaptation gets a session its Bundle. Anonymous sessions coalesce:
+// a flash crowd of N cold clients on the same page shares one build (one
+// origin fetch, one filter+attr pass, one admission slot) and then
+// references the one Bundle from every session. Personalized sessions
+// (stored HTTP auth, marshaled logins) never coalesce — their origin
+// content may differ per user — so each gets a Bundle built for it
+// alone, which is neither loaded from nor saved to the durable bundle.
+func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, private, force bool) (*Bundle, error) {
+	plan := buildPlan{sess: sess, persist: p.bundleKey != "" && !private, force: force, askOwner: true}
+	if private {
 		// Sticky routing: a session-bearing build never leaves this node
 		// (its origin content may be user-specific, and its session state
 		// lives here).
 		if p.cfg.Cluster != nil {
 			obs.TraceFrom(ctx).Annotate("cluster", "sticky_local")
 		}
-		b, err = build(ctx)
-	} else {
-		b, coalesced, err = p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, build)
+		b, _, err := p.loadOrBuild(ctx, plan)
+		return b, err
 	}
+	b, _, err := p.coalescedBuild(ctx, plan)
+	return b, err
+}
+
+// buildPlan is what distinguishes one caller's "load, else admit, build,
+// save" from another's.
+type buildPlan struct {
+	// sess is the session the origin is fetched as; nil fetches
+	// anonymously.
+	sess *session.Session
+	// persist loads the durable bundle when there is one and saves the
+	// build; force skips the load, so the build overwrites it (the
+	// ?refresh=1 and changed-origin paths).
+	persist, force bool
+	// askOwner consults the cluster ring owner before building: it may
+	// already have (or be building) this bundle, and its admission
+	// controller then holds the build's one slot.
+	askOwner bool
+	// background takes the admission slot from the background lane, which
+	// fails with admission.ErrBackgroundBusy under live load instead of
+	// queueing.
+	background bool
+}
+
+// loadOrBuild satisfies a plan from the durable bundle (with a tiered
+// cache this is where a restarted proxy skips the whole pipeline) or the
+// ring owner, else admits and runs one pipeline build. ran reports
+// whether the pipeline ran.
+func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran bool, err error) {
+	if plan.persist && !plan.force {
+		if b, ok := p.loadBundle(ctx); ok {
+			return b, false, nil
+		}
+		if plan.askOwner {
+			if b, ok := p.fetchFromOwner(ctx); ok {
+				return b, false, nil
+			}
+		}
+	}
+	acquire := p.cfg.Admission.Acquire
+	if plan.background {
+		acquire = p.cfg.Admission.AcquireBackground
+	}
+	release, err := acquire(ctx)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if coalesced {
+	defer release()
+	if b, err = p.buildAdaptation(ctx, fetch.New(plan.sess, p.cfg.FetchOptions...)); err != nil {
+		return nil, false, err
+	}
+	if plan.persist {
+		p.saveBundle(b)
+	}
+	return b, true, nil
+}
+
+// coalescedBuild runs loadOrBuild under the site's coalesce key, which
+// live cold adaptations, forwarded cluster builds and prefetch builds
+// share: whichever arrives while another runs joins it instead of
+// fetching the origin twice. ran is false for a caller that joined; a
+// joining client request (not the crawler) counts as coalesced.
+func (p *Proxy) coalescedBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran bool, err error) {
+	b, coalesced, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, func(bctx context.Context) (*Bundle, error) {
+		built, r, err := p.loadOrBuild(bctx, plan)
+		ran = r
+		return built, err
+	})
+	if err == nil && coalesced && !plan.background {
 		p.obs.Counter("msite_admission_coalesced_total", "site", p.cfg.Spec.Name).Inc()
 		obs.TraceFrom(ctx).Annotate("coalesced", "adaptation")
 	}
-	return b, nil
+	return b, ran, err
 }
 
 // buildAdaptation runs the fetch → filter → attribute → serialization
@@ -1045,67 +1071,96 @@ func servePage(w http.ResponseWriter, a *artifact) {
 	_, _ = w.Write(a.data)
 }
 
+// handleEntry serves the entry page (§4.3) on its one path: resolve the
+// session, decide the page — the MAML-style minimal page, the adapted
+// main document when the spec has no snapshot or its render failed, else
+// the snapshot overlay — adapt, write. With Stream, the overlay's head,
+// which needs nothing from the origin, is on the wire before the
+// adaptation starts, so perceived latency tracks the first flush and not
+// the pipeline (DRIVESHAFT's argument). The rate limiter and the session
+// cap have answered with real statuses by then; a failure after the head
+// closes the committed document in-band.
 func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sess, ok := p.ensureSession(w, r)
 	if !ok {
 		return
 	}
+	site := p.cfg.Spec.Name
 	minimal := p.cfg.MinimalMarkup || p.cfg.Spec.MinimalMarkup
-	if p.cfg.Stream && p.cfg.Spec.Snapshot.Enabled && !minimal {
-		p.streamEntry(w, r, sess, start)
-		return
+	overlay := p.cfg.Spec.Snapshot.Enabled && !minimal
+	stream := p.cfg.Stream && overlay
+	ov := attr.Overlay{
+		SnapshotURL: p.prefix + "/asset/" + p.snapName,
+		Scale:       p.snapshotScale(),
+		Title:       site,
 	}
+	if stream {
+		if p.cfg.SnapshotProgressive {
+			// The overlay paints the coarse rung first and trades up to the
+			// versioned full-fidelity URL once its encode completes.
+			ov.UpgradeURL = fmt.Sprintf("%s?v=%d", ov.SnapshotURL, p.snapGen.Add(1))
+			ov.SnapshotURL = p.prefix + "/asset/" + coarseSnapshotName
+		}
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		_, _ = w.Write(p.applier.BuildOverlayStream(ov, nil, DefaultATFHeight).Head)
+		flushNow(w)
+		obs.TraceFrom(r.Context()).Annotate("stream", "head_flushed")
+	}
+
 	v, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
 	if err != nil {
-		p.fetchError(w, r, err)
+		if stream {
+			p.streamAbort(w, r, err)
+		} else {
+			p.fetchError(w, r, err)
+		}
 		return
 	}
+	atf := func(mode string) {
+		p.obs.Histogram("msite_proxy_atf_seconds", "site", site, "mode", mode).
+			ObserveDuration(time.Since(start))
+	}
 	main := v.bundle.pages[mainPage]
-
-	if minimal {
-		// MAML-style mode: the compact layout-only page, no snapshot
-		// work at all. Older persisted bundles predate minimal.html;
-		// degrade to the adapted main page if it is missing.
+	switch {
+	case minimal:
+		// The compact layout-only page, no snapshot work at all. Older
+		// persisted bundles predate minimal.html; degrade to the adapted
+		// main page if it is missing.
 		page := v.bundle.pages[minimalPage]
 		if page == nil {
 			page = main
 		}
 		servePage(w, page)
-		p.obs.Histogram("msite_proxy_atf_seconds", "site", p.cfg.Spec.Name, "mode", "minimal").
-			ObserveDuration(time.Since(start))
-		return
-	}
-
-	if !p.cfg.Spec.Snapshot.Enabled {
-		// No snapshot: serve the adapted main page directly.
+		atf("minimal")
+	case !overlay:
 		servePage(w, main)
-		return
+	case stream:
+		// The render starts now, in the background, overlapping with the
+		// client receiving and parsing the map; the asset handler waits
+		// on it.
+		p.ensureSnapshotAsync(v)
+		frags := p.applier.BuildOverlayStream(ov, v.bundle.areas, DefaultATFHeight)
+		_, _ = w.Write(frags.ATF)
+		_, _ = io.WriteString(w, attr.ATFMarker)
+		flushNow(w)
+		atf("streaming")
+		_, _ = w.Write(frags.BTF)
+		_, _ = w.Write(frags.Tail)
+	default:
+		if ov.Width, ov.Height, err = p.snapshot(r.Context(), v, nil); err != nil {
+			// The graphical entry page is an enhancement over the adapted
+			// document, not a prerequisite.
+			_ = p.degrade(r.Context(), "snapshot", err)
+			servePage(w, main)
+			return
+		}
+		// Buffered serving completes everything at once: the whole page
+		// is the above-the-fold content.
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		_, _ = w.Write(p.applier.BuildOverlayStream(ov, v.bundle.areas, -1).Page())
+		atf("buffered")
 	}
-
-	width, height, err := p.snapshot(r.Context(), v)
-	if err != nil {
-		// The graphical entry page is an enhancement over the adapted
-		// document, not a prerequisite: if the render fails, degrade to
-		// serving the adapted main page directly.
-		_ = p.degrade(r.Context(), "snapshot", err)
-		servePage(w, main)
-		return
-	}
-
-	overlay := p.applier.BuildOverlayHTML(attr.Overlay{
-		SnapshotURL: p.prefix + "/asset/" + p.snapName,
-		Width:       width,
-		Height:      height,
-		Scale:       p.snapshotScale(),
-		Title:       p.cfg.Spec.Name,
-	}, v.bundle.areas)
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write(overlay)
-	// Buffered serving completes everything at once: the whole page is
-	// the above-the-fold content.
-	p.obs.Histogram("msite_proxy_atf_seconds", "site", p.cfg.Spec.Name, "mode", "buffered").
-		ObserveDuration(time.Since(start))
 }
 
 func snapshotFidelity(s *spec.Spec) imaging.Fidelity {
@@ -1138,48 +1193,67 @@ func (p *Proxy) sharedSnapshotTTL() time.Duration {
 	return time.Duration(p.cfg.Spec.Snapshot.CacheTTLSeconds) * time.Second
 }
 
-// renderSnapshot is the buffered snapshot render of a Bundle's main
-// page: layout, raster, scale and encode, each recorded as a span when
-// ctx carries a trace. The geometry rides in the entry's MIME suffix so
-// it survives the shared cache, the durable tier and a peer hop.
-func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle) (cache.Entry, error) {
+// renderSnapshot renders a Bundle's main page into the entry snapshot,
+// layout, raster and encode each recorded as a span when ctx carries a
+// trace. The geometry rides in the entry's MIME suffix so it survives
+// the shared cache, the durable tier and a peer hop.
+func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle, onCoarse func(progressive.Artifact)) (cache.Entry, error) {
 	p.nSnapshotRenders.Add(1)
 	p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
 	sp := obs.StartSpan(ctx, "layout")
-	doc := tidyDoc(string(b.pages[mainPage].data))
-	res := layoutForDoc(doc, p.width)
+	res := layoutForDoc(tidyDoc(string(b.pages[mainPage].data)), p.width)
 	sp.End()
-	sp = obs.StartSpan(ctx, "raster")
-	img := raster.Paint(res, raster.Options{Images: b.images, Workers: p.rasterWork})
-	sp.End()
-	sp = obs.StartSpan(ctx, "encode")
-	fid := snapshotFidelity(p.cfg.Spec)
-	scaled := imaging.ScaleFactor(img, p.snapshotScale())
-	encoded, err := imaging.Encode(scaled, fid)
-	sp.End()
+	out, err := progressive.Render(res, progressive.Config{
+		Ctx:      ctx,
+		Raster:   raster.Options{Images: b.images, Workers: p.rasterWork},
+		Fidelity: snapshotFidelity(p.cfg.Spec),
+		Scale:    p.snapshotScale(),
+		OnCoarse: onCoarse,
+	})
 	if err != nil {
 		return cache.Entry{}, err
 	}
-	meta := fmt.Sprintf("%d,%d", scaled.Bounds().Dx(), scaled.Bounds().Dy())
-	return cache.Entry{Data: encoded, MIME: fid.MIME() + ";" + meta}, nil
+	full := out.Full
+	return cache.Entry{Data: full.Data, MIME: fmt.Sprintf("%s;%d,%d", full.MIME, full.Width, full.Height)}, nil
 }
 
 // snapshot renders (or fetches from the shared cache) the scaled entry
 // snapshot of the view's Bundle, records it as what the session was
 // shown, and returns its geometry. Whether the snapshot came from the
-// shared cache is annotated on the request trace.
-func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err error) {
+// shared cache is annotated on the request trace. A private view's
+// Bundle may show what only its user may see, so it takes the route of a
+// spec without a shared snapshot: rendered from its own Bundle, kept on
+// the view, never read from or written to the cross-session entry.
+// showCoarse, when non-nil, asks for the coarse rung too and receives it
+// as soon as it exists — before the full-fidelity encode when this call
+// renders.
+func (p *Proxy) snapshot(ctx context.Context, v *sessionView, showCoarse func(data []byte)) (w, h int, err error) {
+	site := p.cfg.Spec.Name
+	ttl := p.sharedSnapshotTTL()
+	if v.private {
+		ttl = 0
+	}
+	var onCoarse func(progressive.Artifact)
+	if showCoarse != nil {
+		onCoarse = func(a progressive.Artifact) {
+			if ttl > 0 {
+				p.cfg.Cache.Put("snapshot-coarse:"+site, cache.Entry{Data: a.Data, MIME: a.MIME}, ttl)
+			}
+			showCoarse(a.Data)
+		}
+	}
 	// filled is atomic: with stale-while-revalidate the fill can run on a
 	// background refresh goroutine while this request inspects it.
 	var filled atomic.Bool
 	fill := func() (cache.Entry, error) {
 		filled.Store(true)
-		return p.renderSnapshot(ctx, v.bundle)
+		return p.renderSnapshot(ctx, v.bundle, onCoarse)
 	}
 
 	var entry cache.Entry
-	if ttl := p.sharedSnapshotTTL(); ttl > 0 {
-		key := "snapshot:" + p.cfg.Spec.Name
+	cached := false
+	if ttl > 0 {
+		key := "snapshot:" + site
 		var stale bool
 		if p.cfg.ServeStale && p.staleFor > 0 {
 			// Stale-while-revalidate: an expired shared snapshot is served
@@ -1188,26 +1262,36 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 		} else {
 			entry, err = p.cfg.Cache.GetOrFill(key, ttl, fill)
 		}
+		// Served from the shared cache (directly, stale, or by another
+		// goroutine's single-flight fill) — the amortization §3.3 is about.
+		cached = stale || (err == nil && !filled.Load())
+		outcome := "miss"
 		if stale {
-			p.nSnapshotHits.Add(1)
-			p.obs.Counter("msite_proxy_snapshot_hits_total", "site", p.cfg.Spec.Name).Inc()
-			obs.TraceFrom(ctx).Annotate("cache", "stale")
-		} else if err == nil && !filled.Load() {
-			// Served from the shared cache (either directly or by another
-			// goroutine's single-flight fill) — the amortization §3.3 is
-			// about.
-			p.nSnapshotHits.Add(1)
-			p.obs.Counter("msite_proxy_snapshot_hits_total", "site", p.cfg.Spec.Name).Inc()
-			obs.TraceFrom(ctx).Annotate("cache", "hit")
-		} else {
-			obs.TraceFrom(ctx).Annotate("cache", "miss")
+			outcome = "stale"
+		} else if cached {
+			outcome = "hit"
 		}
+		if cached {
+			p.nSnapshotHits.Add(1)
+			p.obs.Counter("msite_proxy_snapshot_hits_total", "site", site).Inc()
+		}
+		obs.TraceFrom(ctx).Annotate("cache", outcome)
 	} else {
 		entry, err = fill()
 		obs.TraceFrom(ctx).Annotate("cache", "bypass")
 	}
 	if err != nil {
 		return 0, 0, err
+	}
+	if cached && showCoarse != nil {
+		// No paint ran for this view, so nothing fed it a coarse rung:
+		// reuse the cached one, or derive it from the full bytes (cheap
+		// relative to a render).
+		if e, ok := p.cfg.Cache.Get("snapshot-coarse:" + site); ok {
+			showCoarse(e.Data)
+		} else if data, derr := coarseFromFull(entry.Data); derr == nil {
+			onCoarse(progressive.Artifact{Data: data, MIME: "image/jpeg"})
+		}
 	}
 	showRung(&v.snapshot, p.snapName, entry.Data)
 	// Geometry rides in the MIME suffix; parse it back out.

@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"msite/internal/admission"
 	"msite/internal/attr"
 	"msite/internal/cache"
 	"msite/internal/origin"
@@ -119,7 +121,7 @@ func TestStreamEntryHeadFlushedBeforeOrigin(t *testing.T) {
 	if got := rig.p.Stats().SnapshotRenders; got != 0 {
 		t.Fatalf("snapshot rendered (%d) before the origin was even reachable", got)
 	}
-	if !strings.Contains(string(head), "msite-snap") {
+	if !strings.Contains(string(head), `<img src="/asset/snapshot.jpg"`) {
 		t.Fatalf("head missing snapshot img: %s", head)
 	}
 
@@ -423,5 +425,113 @@ func TestStatusRecorderPreservesFlusher(t *testing.T) {
 	_, _ = rec.Write([]byte("x"))
 	if rec.firstByte != mark {
 		t.Fatal("later writes moved the TTFB mark")
+	}
+}
+
+// TestEntryFailuresAroundTheHeadFlush pins where the head flush sits in
+// the one entry handler. The rate limiter and the session cap decide
+// before it, so they answer with real statuses however the entry is
+// served; a pipeline shed or an origin failure comes after it, so a
+// buffered entry still gets the status while a streamed one — its 200
+// already on the wire — has its document closed in-band.
+func TestEntryFailuresAroundTheHeadFlush(t *testing.T) {
+	cases := []struct {
+		name string
+		adm  admission.Config
+		// arrange breaks the rig; the entry is requested after it.
+		arrange    func(t *testing.T, rig *streamRig, adm *admission.Controller)
+		status     int
+		retryAfter bool
+		afterHead  bool
+	}{
+		{
+			name: "rate-limited", adm: admission.Config{RatePerSec: 0.01, Burst: 1},
+			arrange: func(t *testing.T, rig *streamRig, _ *admission.Controller) {
+				resp, err := http.Get(rig.proxy.URL + "/stats") // spends the burst
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = resp.Body.Close()
+			},
+			status: http.StatusTooManyRequests, retryAfter: true,
+		},
+		{
+			name: "session-capped",
+			arrange: func(t *testing.T, rig *streamRig, _ *admission.Controller) {
+				resp, err := rig.client.Get(rig.proxy.URL + "/") // the one allowed session
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _ = io.ReadAll(resp.Body)
+				_ = resp.Body.Close()
+				rig.p.cfg.Sessions.SetLimit(1)
+			},
+			status: http.StatusServiceUnavailable, retryAfter: true,
+		},
+		{
+			name: "queue-full", adm: admission.Config{MaxConcurrent: 1, QueueLen: -1},
+			arrange: func(t *testing.T, _ *streamRig, adm *admission.Controller) {
+				release, err := adm.Acquire(context.Background()) // the only slot
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(release)
+			},
+			status: http.StatusServiceUnavailable, retryAfter: true, afterHead: true,
+		},
+		{
+			name:    "origin-down",
+			arrange: func(_ *testing.T, rig *streamRig, _ *admission.Controller) { rig.origin.Close() },
+			status:  http.StatusBadGateway, afterHead: true,
+		},
+	}
+	for _, tc := range cases {
+		for _, stream := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stream=%v", tc.name, stream), func(t *testing.T) {
+				var adm *admission.Controller
+				if tc.adm != (admission.Config{}) {
+					var err error
+					if adm, err = admission.NewController(tc.adm); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rig := newStreamRig(t, Config{Stream: stream, Admission: adm}, nil)
+				tc.arrange(t, rig, adm)
+
+				resp, err := http.Get(rig.proxy.URL + "/") // a new device
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				_ = resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				page := string(body)
+				if stream && tc.afterHead {
+					if resp.StatusCode != http.StatusOK || !strings.HasPrefix(page, "<!DOCTYPE html>") ||
+						!strings.HasSuffix(page, "</map><p>origin unavailable; retry shortly</p></body></html>") {
+						t.Fatalf("streamed entry not closed in-band: %d %s", resp.StatusCode, page)
+					}
+					if strings.Contains(page, "<area") || strings.Contains(page, attr.ATFMarker) {
+						t.Fatalf("aborted entry carries map content: %s", page)
+					}
+					snap := rig.p.Obs().Snapshot()
+					if got := counterValue(snap, "msite_proxy_degraded_total", "stage", "stream_entry"); got != 1 {
+						t.Errorf("degraded_total{stage=stream_entry} = %v, want 1", got)
+					}
+					return
+				}
+				if resp.StatusCode != tc.status {
+					t.Fatalf("status = %d, want %d; body %.80s", resp.StatusCode, tc.status, page)
+				}
+				if tc.retryAfter {
+					assertRetryAfter(t, resp)
+				}
+				if strings.Contains(page, "<html") {
+					t.Fatalf("an error status carries a document: %.120s", page)
+				}
+			})
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"image/color"
 	"image/draw"
 	"runtime"
-	"sync"
 
 	"msite/internal/css"
 	"msite/internal/dom"
@@ -48,102 +47,115 @@ type Options struct {
 	Workers int
 }
 
+// BandFunc consumes one painted horizontal band of the frame. The view
+// is a clipped sub-image of the full frame: earlier bands' rows remain
+// valid for the consumer (an incremental encoder can read back from the
+// top of the frame), but rows below the view are still being painted and
+// must not be touched.
+type BandFunc func(view *image.RGBA)
+
 // Paint rasterizes a layout result into a new RGBA image. The frame's
 // backing array may come from a recycled pool; callers that are done
 // with the image can hand it back with Release.
 func Paint(res *layout.Result, opts Options) *image.RGBA {
-	img := newFrame(res, opts)
+	return StreamPaint(res, opts, nil)
+}
+
+// StreamPaint is Paint that also hands each horizontal band to onBand as
+// soon as it is fully painted, in top-to-bottom order, while later bands
+// are still being painted by the worker set — the interleaving stage of
+// the progressive snapshot: a consumer folds band N while the rasterizer
+// paints band N+1. A nil onBand is plain Paint.
+//
+// The frame is byte-identical for every worker count and with or without
+// a consumer: each band paints exactly the primitives that intersect it,
+// clipped to its rows, and the antialias jitter is seeded per row.
+func StreamPaint(res *layout.Result, opts Options, onBand BandFunc) *image.RGBA {
+	w, h := FrameSize(res, opts)
+	img := imaging.GetRGBA(w, h)
+	// Fill edge-to-edge with the page background, so the pooled memory's
+	// stale contents never show through.
+	draw.Draw(img, img.Bounds(), &image.Uniform{C: background(res, opts)}, image.Point{}, draw.Src)
+
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if res.Root != nil {
-		// Replaced-element images are scaled once up front: a box
-		// spanning several bands must not re-run the (expensive) scale
-		// per band, and the shared read-only map keeps bands
-		// independent.
-		scaled := prescaleImages(res.Root, opts, nil)
-		forEachBand(img, workers, func(view *image.RGBA) {
-			paintBox(view, res.Root, opts, scaled)
-		})
-		releaseScaled(scaled)
+	if workers > h {
+		workers = h
 	}
-	if opts.Antialias {
-		forEachBand(img, workers, applyAntialiasJitter)
+	// Replaced-element images are scaled once up front: a box spanning
+	// several bands must not re-run the (expensive) scale per band, and
+	// the shared read-only map keeps bands independent.
+	var scaled map[*layout.Box]*image.RGBA
+	if res.Root != nil {
+		scaled = prescaleImages(res.Root, opts, nil)
+	}
+	paint := func(view *image.RGBA) {
+		if res.Root != nil {
+			paintBox(view, res.Root, opts, scaled)
+		}
+		if opts.Antialias {
+			applyAntialiasJitter(view)
+		}
+	}
+	if workers <= 1 {
+		paint(img)
+		if onBand != nil {
+			onBand(img)
+		}
+	} else {
+		// Band i covers rows [i*h/workers, (i+1)*h/workers).
+		views := make([]*image.RGBA, workers)
+		done := make([]chan struct{}, workers)
+		for i := range views {
+			views[i] = img.SubImage(image.Rect(0, i*h/workers, w, (i+1)*h/workers)).(*image.RGBA)
+			done[i] = make(chan struct{})
+			go func(i int) {
+				paint(views[i])
+				close(done[i])
+			}(i)
+		}
+		// Deliver strictly in order: band i+1 may finish first, but the
+		// consumer sees a top-to-bottom scanline stream.
+		for i, ch := range done {
+			<-ch
+			if onBand != nil {
+				onBand(views[i])
+			}
+		}
+	}
+	for _, s := range scaled {
+		imaging.PutRGBA(s)
 	}
 	return img
 }
 
-// newFrame allocates the framebuffer (from the shared pixel pool) and
-// fills it edge-to-edge with the page background, so the pooled
-// memory's stale contents never show through.
-func newFrame(res *layout.Result, opts Options) *image.RGBA {
-	bg := opts.Background
-	if bg.A == 0 {
-		bg = color.RGBA{255, 255, 255, 255}
-	}
-	// Respect an explicit body background if painted box has one.
+// FrameSize is the pixel size of the frame Paint allocates for res:
+// consumers of StreamPaint's bands dimension themselves from it before
+// the first band arrives.
+func FrameSize(res *layout.Result, opts Options) (w, h int) {
+	return max(res.Width, 1), max(res.Height, opts.MinHeight, 1)
+}
+
+// background is the frame's fill: an explicit root background, else the
+// configured one, else white.
+func background(res *layout.Result, opts Options) color.RGBA {
 	if res.Root != nil {
 		if c, ok := css.ParseColor(res.Root.Style.Get("background-color", "")); ok && c.A > 0 {
-			bg = c
+			return c
 		}
 	}
-	h := res.Height
-	if h < opts.MinHeight {
-		h = opts.MinHeight
+	if opts.Background.A == 0 {
+		return color.RGBA{255, 255, 255, 255}
 	}
-	if h < 1 {
-		h = 1
-	}
-	w := res.Width
-	if w < 1 {
-		w = 1
-	}
-	img := imaging.GetRGBA(w, h)
-	draw.Draw(img, img.Bounds(), &image.Uniform{C: bg}, image.Point{}, draw.Src)
-	return img
+	return opts.Background
 }
 
 // Release recycles a frame returned by Paint or StreamPaint once the
 // caller has encoded or copied it. Nil-safe; the frame must not be used
 // afterwards.
 func Release(img *image.RGBA) { imaging.PutRGBA(img) }
-
-// releaseScaled recycles the pre-scaled replaced-element scratch images
-// once painting no longer references them.
-func releaseScaled(scaled map[*layout.Box]*image.RGBA) {
-	for _, img := range scaled {
-		imaging.PutRGBA(img)
-	}
-}
-
-// forEachBand partitions img into up to workers horizontal strips and
-// runs paint on a clipped view of each, concurrently. One band (or a
-// one-row image) degenerates to a direct serial call.
-func forEachBand(img *image.RGBA, workers int, paint func(view *image.RGBA)) {
-	b := img.Bounds()
-	h := b.Dy()
-	if workers > h {
-		workers = h
-	}
-	if workers <= 1 {
-		paint(img)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		// Split rows evenly; the first h%workers bands get one extra.
-		y0 := b.Min.Y + i*h/workers
-		y1 := b.Min.Y + (i+1)*h/workers
-		view := img.SubImage(image.Rect(b.Min.X, y0, b.Max.X, y1)).(*image.RGBA)
-		go func(view *image.RGBA) {
-			defer wg.Done()
-			paint(view)
-		}(view)
-	}
-	wg.Wait()
-}
 
 // applyAntialiasJitter perturbs a deterministic ~13% subset of pixels by
 // a couple of counts per channel — invisible to the eye, but it restores
@@ -192,7 +204,7 @@ func prescaleImages(b *layout.Box, opts Options, out map[*layout.Box]*image.RGBA
 						out = make(map[*layout.Box]*image.RGBA)
 					}
 					// Pooled scratch: ScaleInto writes every pixel, and
-					// releaseScaled recycles the buffer after painting.
+					// StreamPaint recycles the buffer after painting.
 					dst := imaging.GetRGBA(w, h)
 					imaging.ScaleInto(dst, decoded)
 					out[b] = dst

@@ -21,6 +21,7 @@ import (
 	"msite/internal/imaging"
 	"msite/internal/layout"
 	"msite/internal/obs"
+	"msite/internal/progressive"
 	"msite/internal/raster"
 )
 
@@ -238,8 +239,10 @@ func (e ImageEngine) MIME() string { return e.Fidelity.MIME() }
 
 // Render implements Engine.
 func (e ImageEngine) Render(doc *dom.Node, vp layout.Viewport) ([]byte, error) {
-	styler := css.StylerForDocument(doc)
-	res := layout.Layout(doc, styler, vp)
-	img := raster.Paint(res, raster.Options{})
-	return imaging.Encode(img, e.Fidelity)
+	res := layout.Layout(doc, css.StylerForDocument(doc), vp)
+	out, err := progressive.Render(res, progressive.Config{Fidelity: e.Fidelity})
+	if err != nil {
+		return nil, err
+	}
+	return out.Full.Data, nil
 }
