@@ -10,6 +10,8 @@
 //	BenchmarkFigure5*, BenchmarkFigure6* — the qualitative adaptations
 //	BenchmarkAblation*    — render cache, filter-only fast path,
 //	                        browser pooling
+//	BenchmarkScaleFactor, BenchmarkRenderScaled — the device-scale
+//	                        render and its scale step, with allocations
 package msite_test
 
 import (
@@ -32,6 +34,7 @@ import (
 	"msite/internal/jq"
 	"msite/internal/layout"
 	"msite/internal/origin"
+	"msite/internal/progressive"
 	"msite/internal/proxy"
 	"msite/internal/raster"
 	"msite/internal/session"
@@ -415,6 +418,37 @@ func benchAblationPaint(b *testing.B, workers int) {
 
 func BenchmarkAblationPaintSerial(b *testing.B)   { benchAblationPaint(b, 1) }
 func BenchmarkAblationPaintParallel(b *testing.B) { benchAblationPaint(b, 0) }
+
+// BenchmarkScaleFactor is the snapshot's scale step on its own: the painted
+// desktop-width entry page to the device's 0.45. Its allocations are the
+// filter's bookkeeping and the scaled frame, whatever the pixel count.
+func BenchmarkScaleFactor(b *testing.B) {
+	_, url := forumOrigin(b)
+	doc := html.Tidy(entrySource(b, url))
+	res := layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 1024})
+	frame := raster.Paint(res, raster.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		imaging.ScaleFactor(frame, 0.45)
+	}
+}
+
+// BenchmarkRenderScaled is the whole device-scale render — paint in bands,
+// fold, encode — as the snapshot and the pre-rendered subpages run it; B/op
+// holds the scaled frame and the band buffers, never the desktop-size one.
+func BenchmarkRenderScaled(b *testing.B) {
+	_, url := forumOrigin(b)
+	doc := html.Tidy(entrySource(b, url))
+	res := layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 1024})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := progressive.Render(res, progressive.Config{Fidelity: imaging.FidelityLow, Scale: 0.45}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // benchAblationColdAdapt times a fresh client's first request through
 // the whole proxy pipeline against a latency-injected origin — each

@@ -369,7 +369,7 @@ func (a *Applier) Apply(sp *spec.Spec, doc *dom.Node) (*Result, error) {
 			}
 		}
 		if len(children) > 0 {
-			a.attachChildMap(parent, children)
+			a.attachChildMap(parent, children, prerenderScale(sp))
 		}
 	}
 	return res, nil
@@ -407,8 +407,9 @@ func subpageObjectsTopological(sp *spec.Spec, subpages map[string]*Subpage) []sp
 }
 
 // attachChildMap overlays a pre-rendered parent's graphic with an image
-// map whose regions link to its child subpages.
-func (a *Applier) attachChildMap(parent *Subpage, children []*Subpage) {
+// map whose regions link to its child subpages; scale is the factor the
+// graphic was scaled by.
+func (a *Applier) attachChildMap(parent *Subpage, children []*Subpage, scale float64) {
 	img := parent.Doc.FindFirst(func(n *dom.Node) bool {
 		return n.Type == dom.ElementNode && n.Tag == "img"
 	})
@@ -422,9 +423,8 @@ func (a *Applier) attachChildMap(parent *Subpage, children []*Subpage) {
 	for _, child := range children {
 		area := dom.NewElement("area")
 		area.SetAttr("shape", "rect")
-		area.SetAttr("coords", fmt.Sprintf("%d,%d,%d,%d",
-			child.Region.X, child.Region.Y,
-			child.Region.X+child.Region.W, child.Region.Y+child.Region.H))
+		r := child.Region.Scale(scale)
+		area.SetAttr("coords", fmt.Sprintf("%d,%d,%d,%d", r.X, r.Y, r.X+r.W, r.Y+r.H))
 		area.SetAttr("href", a.subpageURL(child.Name))
 		area.SetAttr("alt", child.Title)
 		imageMap.AppendChild(area)
@@ -453,11 +453,6 @@ type applyEnv struct {
 	res      *Result
 	subpages map[string]*Subpage
 	rewriter *ajax.Rewriter
-	// mainImage is the original page's raster, rendered lazily the
-	// first time a thumbnail attribute needs pixels to crop. It is left to
-	// the garbage collector: released to the frame pool it raised the
-	// benchmark's peak RSS by half (see progressive.Render).
-	mainImage *image.RGBA
 	// assetSeen tracks emitted asset names: distinct object names can
 	// sanitize to the same file name ("nav bar" vs "nav_bar") and must
 	// not overwrite each other's Asset.
@@ -631,10 +626,10 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 	return nil
 }
 
-// applyThumbnail crops the object's rendered region from the original
-// page raster, scales it down, and swaps the rich-media element for a
-// linked thumbnail image — "thumbnail snapshots of rich media content
-// for resource-constrained devices".
+// applyThumbnail paints the object's rendered region of the original
+// page — that rectangle and no other pixel — scales it down, and swaps
+// the rich-media element for a linked thumbnail image — "thumbnail
+// snapshots of rich media content for resource-constrained devices".
 func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribute,
 	nodes []*dom.Node) error {
 	scale := 0.5
@@ -652,11 +647,8 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 				fmt.Sprintf("object %q: thumbnail target has no rendered region", obj.Name))
 			continue
 		}
-		if env.mainImage == nil {
-			env.mainImage = raster.Paint(env.res.Layout, raster.Options{Images: a.Images})
-		}
-		cropped := imaging.Crop(env.mainImage, image.Rect(x, y, x+w, y+h))
-		scaled := imaging.ScaleFactor(cropped, scale)
+		region := raster.PaintRegion(env.res.Layout, raster.Options{Images: a.Images}, image.Rect(x, y, x+w, y+h))
+		scaled := imaging.ScaleFactor(region, scale)
 		data, err := imaging.Encode(scaled, fid)
 		if err != nil {
 			return fmt.Errorf("attr: object %q: encoding thumbnail: %w", obj.Name, err)

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,6 +94,25 @@ func TestSubSubpageHierarchicalMap(t *testing.T) {
 	pollHTML := string(SerializeSubpage(poll))
 	if !strings.Contains(pollHTML, "Weekly poll") {
 		t.Fatal("poll content missing from its own page")
+	}
+}
+
+// TestHierarchicalMapFollowsPreRenderScale: a pre-rendered parent shipped
+// at the snapshot's scale links its children where they are in the scaled
+// graphic, not where they were in the layout.
+func TestHierarchicalMapFollowsPreRenderScale(t *testing.T) {
+	sp := hierSpec()
+	sp.Snapshot = spec.SnapshotSpec{Enabled: true, Scale: 0.5}
+	res, err := (&Applier{ViewportWidth: 800}).Apply(sp, html.Tidy(hierPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forums, _ := res.FindSubpage("forums")
+	hot, _ := res.FindSubpage("hot")
+	r := hot.Region.Scale(0.5)
+	want := fmt.Sprintf(`coords="%d,%d,%d,%d"`, r.X, r.Y, r.X+r.W, r.Y+r.H)
+	if page := string(SerializeSubpage(forums)); !strings.Contains(page, want) || !strings.Contains(page, `width="400"`) {
+		t.Fatalf("forums page at half scale lacks %s or width=400: %s", want, page)
 	}
 }
 

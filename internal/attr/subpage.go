@@ -37,10 +37,18 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 
 	// The subpage's graphic: all of it for a full pre-render (§3.3
 	// "Pre-rendering"), the text-free background for a partial-CSS one.
+	// A full pre-render is an image of the page like the snapshot, and
+	// ships at the snapshot's scale; a partial-CSS background stays as
+	// painted, since the device draws its text at layout coordinates.
 	res := layoutDoc(sub.Doc, width)
+	scale := 1.0
+	if !sub.PartialCSS {
+		scale = prerenderScale(sp)
+	}
 	out, err := progressive.Render(res, progressive.Config{
 		Raster:   raster.Options{SkipText: sub.PartialCSS, Images: a.Images},
 		Fidelity: sub.Fidelity,
+		Scale:    scale,
 	})
 	if err != nil {
 		return fmt.Errorf("attr: pre-rendering subpage %q: %w", sub.Name, err)
@@ -59,12 +67,16 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	imgEl := dom.NewElement("img")
 	imgEl.SetAttr("src", a.assetURL(assetName))
 	imgEl.SetAttr("alt", sub.Title)
-	imgEl.SetAttr("width", itoa(res.Width))
-	imgEl.SetAttr("height", itoa(res.Height))
+	imgEl.SetAttr("width", itoa(out.Full.Width))
+	imgEl.SetAttr("height", itoa(out.Full.Height))
 	body.AppendChild(imgEl)
 
 	if searchable {
-		sub.SearchJS = search.Build(res).JS(searchTrigger)
+		idx := search.Build(res)
+		if scale < 1 {
+			idx = idx.Scale(scale)
+		}
+		sub.SearchJS = idx.JS(searchTrigger)
 		injectScript(page, sub.SearchJS)
 		// Pre-rendered pages need the trigger element the administrator
 		// referenced; synthesize a default if it is not present.
@@ -78,6 +90,16 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	}
 	sub.Doc = page
 	return nil
+}
+
+// prerenderScale is the factor pre-rendered subpage images are scaled by:
+// the spec's one scale, snapshot.scale, when the snapshot is enabled and
+// scales down; otherwise 1, as painted.
+func prerenderScale(sp *spec.Spec) float64 {
+	if s := sp.Snapshot.Scale; sp.Snapshot.Enabled && s > 0 && s < 1 {
+		return s
+	}
+	return 1
 }
 
 // finishPartialCSS implements §3.3 "Partial CSS rendering": the server

@@ -153,9 +153,11 @@ func (n *Node) Classes() []string {
 	return strings.Fields(n.AttrOr("class", ""))
 }
 
-// HasClass reports whether the element's class list contains c.
+// HasClass reports whether the element's class list contains c. Selector
+// matching asks this of every candidate element, so it scans the
+// attribute in place and builds no list.
 func (n *Node) HasClass(c string) bool {
-	for _, have := range n.Classes() {
+	for have := range strings.FieldsSeq(n.AttrOr("class", "")) {
 		if have == c {
 			return true
 		}

@@ -258,6 +258,27 @@ func TestClassHelpers(t *testing.T) {
 	}
 }
 
+// TestHasClassScansInPlace: HasClass agrees with Classes on any
+// whitespace and allocates nothing — selector matching calls it for every
+// class selector against every candidate element.
+func TestHasClassScansInPlace(t *testing.T) {
+	e := NewElement("td")
+	e.SetAttr("class", "  alt1\tforumrow\n smallfont\u00a0wide ")
+	for _, c := range e.Classes() {
+		if !e.HasClass(c) {
+			t.Fatalf("HasClass(%q) false for a member of %q", c, e.Classes())
+		}
+	}
+	for _, c := range []string{"", "alt", "alt1 forumrow", "font", " "} {
+		if e.HasClass(c) {
+			t.Fatalf("HasClass(%q) true for %q", c, e.Classes())
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { e.HasClass("wide"); e.HasClass("absent") }); n != 0 {
+		t.Fatalf("HasClass allocates %v times per call pair", n)
+	}
+}
+
 func TestTextSkipsScriptAndStyle(t *testing.T) {
 	div := NewElement("div")
 	div.AppendChild(NewText("a "))

@@ -1,7 +1,7 @@
 // Package imaging is the image post-processor of the m.Site pipeline
-// (§3.3 "Image fidelity"): scaling, cropping, and fidelity-ladder
-// encoding that turns a ~600 KB full-page PNG snapshot into the 25–50 KB
-// JPEG a mobile client actually downloads.
+// (§3.3 "Image fidelity"): scaling and fidelity-ladder encoding that
+// turns a ~600 KB full-page PNG snapshot into the 25–50 KB JPEG a mobile
+// client actually downloads.
 package imaging
 
 import (
@@ -126,11 +126,10 @@ func EncodeJPEG(img image.Image, quality int) ([]byte, error) {
 }
 
 // pixPool recycles RGBA backing arrays for short-lived frames: the
-// rasterizer's framebuffers, pre-scaled replaced-element images, and the
-// progressive renderer's coarse accumulator. Get returns an image whose
-// every pixel the caller is expected to overwrite (pooled memory is NOT
-// zeroed); Put recycles it. Images built on a caller-provided or
-// non-recyclable buffer are simply dropped.
+// rasterizer's framebuffers and pre-scaled replaced-element images. Get
+// returns an image whose every pixel the caller is expected to overwrite
+// (pooled memory is NOT zeroed); Put recycles it. Images built on a
+// caller-provided or non-recyclable buffer are simply dropped.
 var pixPool = sync.Pool{
 	New: func() any { return []uint8(nil) },
 }
@@ -180,22 +179,16 @@ func Decode(data []byte) (image.Image, error) {
 // Scale resizes img to w x h using box sampling for minification and
 // bilinear interpolation for magnification. Dimensions are clamped to 1.
 func Scale(img image.Image, w, h int) *image.RGBA {
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	out := image.NewRGBA(image.Rect(0, 0, w, h))
+	out := image.NewRGBA(image.Rect(0, 0, max(w, 1), max(h, 1)))
 	ScaleInto(out, img)
 	return out
 }
 
-// ScaleInto resizes img to fill dst (whose bounds must be zero-anchored),
-// box sampling for minification and bilinear for magnification. It
-// writes every destination pixel, so dst may come from GetRGBA without
-// clearing. An empty source leaves dst zero-filled only if the caller
-// cleared it; sources are non-empty on every pipeline path.
+// ScaleInto resizes img to fill dst, box sampling for minification and
+// bilinear for magnification. It writes every destination pixel, so dst
+// may come from GetRGBA without clearing. An empty source leaves dst
+// zero-filled only if the caller cleared it; sources are non-empty on
+// every pipeline path.
 func ScaleInto(dst *image.RGBA, img image.Image) {
 	w, h := dst.Rect.Dx(), dst.Rect.Dy()
 	src := img.Bounds()
@@ -203,11 +196,15 @@ func ScaleInto(dst *image.RGBA, img image.Image) {
 	if sw == 0 || sh == 0 {
 		return
 	}
-	if w < sw || h < sh {
-		boxScale(dst, img, w, h)
+	if w >= sw && h >= sh {
+		bilinearScale(dst, img, w, h)
 		return
 	}
-	bilinearScale(dst, img, w, h)
+	if rgba, ok := img.(*image.RGBA); ok {
+		NewBoxFilter(dst, sw, sh).Add(rgba)
+		return
+	}
+	boxScale(dst, img, w, h)
 }
 
 // ScaleToWidth resizes preserving aspect ratio.
@@ -220,14 +217,103 @@ func ScaleToWidth(img image.Image, w int) *image.RGBA {
 	return Scale(img, w, h)
 }
 
+// FactorSize is the pixel size ScaleFactor gives a w×h image.
+func FactorSize(w, h int, factor float64) (int, int) {
+	return max(int(float64(w)*factor), 1), max(int(float64(h)*factor), 1)
+}
+
 // ScaleFactor resizes by a multiplicative factor.
 func ScaleFactor(img image.Image, factor float64) *image.RGBA {
 	b := img.Bounds()
-	return Scale(img, int(float64(b.Dx())*factor), int(float64(b.Dy())*factor))
+	w, h := FactorSize(b.Dx(), b.Dy(), factor)
+	return Scale(img, w, h)
 }
 
-// boxScale averages all source pixels covered by each destination pixel —
-// the right filter for the strong minification snapshots need.
+// BoxFilter is the box filter over *image.RGBA — the only type the
+// painter produces — fed a source of known size a run of rows at a time:
+// a whole image at once (ScaleInto) or the bands of a page being painted,
+// none of which need outlive their Add. It reads and writes pixel bytes
+// in place, so its few allocations do not grow with the pixel count. Its
+// arithmetic and partition are boxScale's: destination pixel (dx, dy)
+// averages source columns [dx*sw/w, (dx+1)*sw/w) of rows [dy*sh/h,
+// (dy+1)*sh/h), each span widened to one where it is empty.
+type BoxFilter struct {
+	dst    *image.RGBA
+	sw, sh int
+	// x0[dx], x1[dx] is the span of source columns of destination column dx.
+	x0, x1 []int
+	// sums holds the 8-bit channel sums of destination row dy, gathered
+	// from rows source rows so far; next is the source row Add continues at.
+	sums           []uint64
+	rows, dy, next int
+}
+
+// NewBoxFilter returns a filter that fills dst from a source sw×sh pixels
+// large. Every pixel of dst is written once all sh rows have been added.
+func NewBoxFilter(dst *image.RGBA, sw, sh int) *BoxFilter {
+	w := dst.Rect.Dx()
+	f := &BoxFilter{dst: dst, sw: sw, sh: sh, x0: make([]int, w), x1: make([]int, w), sums: make([]uint64, 4*w)}
+	for dx := range f.x0 {
+		f.x0[dx] = dx * sw / w
+		f.x1[dx] = max((dx+1)*sw/w, f.x0[dx]+1)
+	}
+	return f
+}
+
+// Add folds the rows of src, which continue the source where the previous
+// Add stopped, into the destination. src's width must be the source's.
+func (f *BoxFilter) Add(src *image.RGBA) {
+	b, h := src.Bounds(), f.dst.Rect.Dy()
+	for y := b.Min.Y; y < b.Max.Y; y++ {
+		off := src.PixOffset(b.Min.X, y)
+		row := src.Pix[off : off+4*f.sw]
+		// When the filter magnifies vertically several destination rows
+		// share this source row; otherwise the loop runs once.
+		for f.dy < h && f.next >= f.dy*f.sh/h {
+			f.gather(row)
+			if f.next+1 < (f.dy+1)*f.sh/h {
+				break
+			}
+			f.flush()
+		}
+		f.next++
+	}
+}
+
+// gather adds one source row to the sums of the current destination row.
+func (f *BoxFilter) gather(row []uint8) {
+	f.rows++
+	for dx, x0 := range f.x0 {
+		s := f.sums[4*dx : 4*dx+4]
+		for p := row[4*x0 : 4*f.x1[dx]]; len(p) >= 4; p = p[4:] {
+			s[0] += uint64(p[0])
+			s[1] += uint64(p[1])
+			s[2] += uint64(p[2])
+			s[3] += uint64(p[3])
+		}
+	}
+}
+
+// flush writes the current destination row and starts the next. A sum of
+// 8-bit samples times 0x101 is the sum of the 16-bit values color.RGBA
+// reports, so the quotient is boxScale's.
+func (f *BoxFilter) flush() {
+	off := f.dst.PixOffset(f.dst.Rect.Min.X, f.dst.Rect.Min.Y+f.dy)
+	out := f.dst.Pix[off : off+len(f.sums)]
+	for dx, x0 := range f.x0 {
+		n := uint64(f.rows * (f.x1[dx] - x0))
+		for c := 4 * dx; c < 4*dx+4; c++ {
+			out[c] = uint8(f.sums[c] * 0x101 / n >> 8)
+			f.sums[c] = 0
+		}
+	}
+	f.rows = 0
+	f.dy++
+}
+
+// boxScale is the box filter for sources that are not *image.RGBA
+// (decoded origin images), and the reference BoxFilter is tested against:
+// it averages all source pixels covered by each destination pixel.
 func boxScale(out *image.RGBA, img image.Image, w, h int) {
 	src := img.Bounds()
 	sw, sh := src.Dx(), src.Dy()
@@ -324,16 +410,4 @@ func lerpPixels(img image.Image, src image.Rectangle, sx, sy int, tx, ty float64
 		B: lerp2(b00, b10, b01, b11),
 		A: lerp2(a00, a10, a01, a11),
 	}
-}
-
-// Crop returns the sub-image of img covering r, copied into a new RGBA.
-func Crop(img image.Image, r image.Rectangle) *image.RGBA {
-	r = r.Intersect(img.Bounds())
-	out := image.NewRGBA(image.Rect(0, 0, r.Dx(), r.Dy()))
-	for y := r.Min.Y; y < r.Max.Y; y++ {
-		for x := r.Min.X; x < r.Max.X; x++ {
-			out.Set(x-r.Min.X, y-r.Min.Y, img.At(x, y))
-		}
-	}
-	return out
 }

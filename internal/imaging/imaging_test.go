@@ -1,8 +1,10 @@
 package imaging
 
 import (
+	"bytes"
 	"image"
 	"image/color"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -183,23 +185,70 @@ func TestScaleFactor(t *testing.T) {
 	}
 }
 
-func TestCrop(t *testing.T) {
-	img := gradient(100, 100)
-	out := Crop(img, image.Rect(10, 20, 60, 70))
-	if out.Bounds().Dx() != 50 || out.Bounds().Dy() != 50 {
-		t.Fatalf("bounds = %v", out.Bounds())
+// randomRGBA is a w×h image of random pixels (alpha included) that is a
+// sub-image of a larger allocation, so its origin and stride are not the
+// zero-anchored ones.
+func randomRGBA(rng *rand.Rand, w, h int) *image.RGBA {
+	ox, oy := rng.Intn(9), rng.Intn(9)
+	big := image.NewRGBA(image.Rect(0, 0, ox+w+rng.Intn(5), oy+h+rng.Intn(5)))
+	rng.Read(big.Pix)
+	return big.SubImage(image.Rect(ox, oy, ox+w, oy+h)).(*image.RGBA)
+}
+
+// generic hides the concrete type so ScaleInto takes the image.Image path.
+type generic struct{ image.Image }
+
+// TestBoxFilterMatchesGenericBoxScale: the typed filter is the generic
+// box filter, byte for byte, for every shape that reaches it — both axes
+// minified, one minified and the other magnified or equal, 1×N and N×1 —
+// whether the source arrives whole or in bands of any height.
+func TestBoxFilterMatchesGenericBoxScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := [][4]int{{1, 40, 1, 7}, {40, 1, 9, 1}, {97, 53, 31, 17}, {64, 48, 64, 11}, {33, 9, 5, 20}, {9, 33, 20, 5}, {1024, 3, 460, 1}}
+	for i := 0; i < 60; i++ {
+		sw, sh := 1+rng.Intn(120), 1+rng.Intn(120)
+		sizes = append(sizes, [4]int{sw, sh, 1 + rng.Intn(sw+10), 1 + rng.Intn(sh+10)})
 	}
-	want := img.RGBAAt(10, 20)
-	if got := out.RGBAAt(0, 0); got != want {
-		t.Fatalf("origin pixel = %v, want %v", got, want)
+	for _, sz := range sizes {
+		sw, sh, w, h := sz[0], sz[1], sz[2], sz[3]
+		if w >= sw && h >= sh {
+			continue // magnification: bilinear, not this filter
+		}
+		src := randomRGBA(rng, sw, sh)
+		want := image.NewRGBA(image.Rect(0, 0, w, h))
+		ScaleInto(want, generic{src})
+
+		whole := image.NewRGBA(image.Rect(0, 0, w, h))
+		ScaleInto(whole, src)
+		if !bytes.Equal(whole.Pix, want.Pix) {
+			t.Fatalf("%dx%d -> %dx%d: typed filter differs from generic boxScale", sw, sh, w, h)
+		}
+		for _, band := range []int{1, 3, 64} {
+			banded := image.NewRGBA(image.Rect(0, 0, w, h))
+			f := NewBoxFilter(banded, sw, sh)
+			for y := src.Rect.Min.Y; y < src.Rect.Max.Y; y += band {
+				r := image.Rect(src.Rect.Min.X, y, src.Rect.Max.X, min(y+band, src.Rect.Max.Y))
+				f.Add(src.SubImage(r).(*image.RGBA))
+			}
+			if !bytes.Equal(banded.Pix, want.Pix) {
+				t.Fatalf("%dx%d -> %dx%d in bands of %d: differs from generic boxScale", sw, sh, w, h, band)
+			}
+		}
 	}
 }
 
-func TestCropOutOfBoundsClamped(t *testing.T) {
-	img := solid(10, 10, color.RGBA{1, 1, 1, 255})
-	out := Crop(img, image.Rect(5, 5, 50, 50))
-	if out.Bounds().Dx() != 5 || out.Bounds().Dy() != 5 {
-		t.Fatalf("bounds = %v", out.Bounds())
+// TestScaleIntoRGBAAllocsIndependentOfSize: minifying the painter's own
+// type costs the filter's few bookkeeping allocations however many pixels
+// it reads — a per-pixel interface call shows up here as thousands.
+func TestScaleIntoRGBAAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(sw, sh int) float64 {
+		src := gradient(sw, sh)
+		dst := image.NewRGBA(image.Rect(0, 0, sw*45/100, sh*45/100))
+		return testing.AllocsPerRun(5, func() { ScaleInto(dst, src) })
+	}
+	small, large := allocs(64, 48), allocs(1024, 590)
+	if small != large || large > 4 {
+		t.Fatalf("ScaleInto allocates %v times for 64x48 and %v for 1024x590; want one small constant", small, large)
 	}
 }
 

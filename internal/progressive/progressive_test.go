@@ -2,7 +2,11 @@ package progressive
 
 import (
 	"bytes"
+	"fmt"
 	"image"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"msite/internal/css"
@@ -73,47 +77,122 @@ func TestFullRungMatchesOneShotEncode(t *testing.T) {
 	}
 }
 
-// TestFullRungIndependentOfLadderAndWorkers is the one renderer's
-// property: asking for the coarse rung, and the worker count, change
-// nothing about the full rung, which stays the plain
-// Encode(ScaleFactor(Paint)) of the layout — or Encode(Paint) when no
-// scale is given, the pre-rendered subpages' case.
-func TestFullRungIndependentOfLadderAndWorkers(t *testing.T) {
-	res := testLayout(t)
-	frame := raster.Paint(res, raster.Options{Workers: 1})
-	unscaled, err := imaging.Encode(frame, imaging.FidelityLow)
-	raster.Release(frame)
-	if err != nil {
-		t.Fatal(err)
+// randomLayout lays out a random page of backgrounds, borders, text and
+// replaced elements at a random width; heights land on no band boundary.
+func randomLayout(rng *rand.Rand) *layout.Result {
+	var sb strings.Builder
+	sb.WriteString(`<html><body>`)
+	for i, n := 0, 3+rng.Intn(5); i < n; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			fmt.Fprintf(&sb, `<div style="background-color: #%06x; border: %dpx solid #246; height: %dpx"></div>`,
+				rng.Intn(1<<24), rng.Intn(5), 5+rng.Intn(90))
+		case 1:
+			fmt.Fprintf(&sb, `<h2>heading %d</h2><p>paragraph %d with <b>bold</b>, <i>italic</i> and <a href="/x">a link</a></p>`, i, i)
+		case 2:
+			fmt.Fprintf(&sb, `<img src="p%d.gif" width="%d" height="%d">`, i, 10+rng.Intn(80), 10+rng.Intn(80))
+		case 3:
+			fmt.Fprintf(&sb, `<ul><li>item %d</li><li style="background-color: #8c4">item b</li></ul>`, i)
+		}
 	}
-	for _, tc := range []struct {
-		name  string
-		scale float64
-		want  []byte
-	}{
-		{"scaled", 0.45, oneShot(t, res, raster.Options{Workers: 1}, imaging.FidelityLow, 0.45)},
-		{"as-painted", 0, unscaled},
-	} {
-		for _, workers := range []int{1, 2, 0, 64} {
-			for _, ladder := range []bool{false, true} {
-				cfg := Config{Raster: raster.Options{Workers: workers}, Fidelity: imaging.FidelityLow, Scale: tc.scale}
-				coarse := 0
-				if ladder {
-					cfg.OnCoarse = func(Artifact) { coarse++ }
-				}
-				out, err := Render(res, cfg)
-				if err != nil {
-					t.Fatalf("%s workers=%d ladder=%v: %v", tc.name, workers, ladder, err)
-				}
-				if !bytes.Equal(out.Full.Data, tc.want) {
-					t.Errorf("%s workers=%d ladder=%v: full rung differs from the one-shot encode", tc.name, workers, ladder)
-				}
-				if ladder != (coarse == 1) || ladder != (len(out.Coarse.Data) > 0) {
-					t.Errorf("%s workers=%d ladder=%v: coarse rung produced %d times, %d bytes",
-						tc.name, workers, ladder, coarse, len(out.Coarse.Data))
+	sb.WriteString(`</body></html>`)
+	doc := html.Parse(sb.String())
+	return layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 150 + rng.Intn(500)})
+}
+
+// generic hides *image.RGBA so imaging takes its reference box filter.
+type generic struct{ image.Image }
+
+// TestFullRungIndependentOfLadderAndWorkers is the one renderer's
+// property, over random layouts: asking for the coarse rung, and the
+// worker count, change nothing about the full rung, which stays the plain
+// Encode(ScaleFactor(Paint)) of the layout whether it is folded from
+// bands (a scale below 1), painted whole and encoded as painted (no
+// scale, or one that changes nothing) or magnified; and the coarse rung
+// is the reference box filter's quarter-scale of the painted frame
+// whichever way the bands reached it.
+func TestFullRungIndependentOfLadderAndWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	layouts := []*layout.Result{testLayout(t)}
+	for i := 0; i < 3; i++ {
+		layouts = append(layouts, randomLayout(rng))
+	}
+	for li, res := range layouts {
+		frame := raster.Paint(res, raster.Options{Workers: 1})
+		unscaled, err := imaging.Encode(frame, imaging.FidelityLow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			scale float64
+			want  []byte
+		}{
+			{"scaled", 0.45, oneShot(t, res, raster.Options{Workers: 1}, imaging.FidelityLow, 0.45)},
+			{"scaled-small", 0.11, oneShot(t, res, raster.Options{Workers: 1}, imaging.FidelityLow, 0.11)},
+			{"as-painted", 0, unscaled},
+			{"scale-one", 1, unscaled},
+			{"magnified", 1.3, oneShot(t, res, raster.Options{Workers: 1}, imaging.FidelityLow, 1.3)},
+		} {
+			outW, outH := frame.Rect.Dx(), frame.Rect.Dy()
+			if tc.scale > 0 {
+				outW, outH = imaging.FactorSize(outW, outH, tc.scale)
+			}
+			cw, ch := imaging.FactorSize(outW, outH, CoarseScale)
+			wantCoarse, err := imaging.EncodeJPEG(imaging.Scale(generic{frame}, min(cw, frame.Rect.Dx()), min(ch, frame.Rect.Dy())), CoarseQuality)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 0, 64} {
+				for _, ladder := range []bool{false, true} {
+					cfg := Config{Raster: raster.Options{Workers: workers}, Fidelity: imaging.FidelityLow, Scale: tc.scale}
+					coarse := 0
+					if ladder {
+						cfg.OnCoarse = func(Artifact) { coarse++ }
+					}
+					out, err := Render(res, cfg)
+					if err != nil {
+						t.Fatalf("layout %d %s workers=%d ladder=%v: %v", li, tc.name, workers, ladder, err)
+					}
+					if !bytes.Equal(out.Full.Data, tc.want) {
+						t.Errorf("layout %d %s workers=%d ladder=%v: full rung differs from the one-shot encode", li, tc.name, workers, ladder)
+					}
+					if out.Full.Width != outW || out.Full.Height != outH {
+						t.Errorf("layout %d %s: full rung claims %dx%d, want %dx%d", li, tc.name, out.Full.Width, out.Full.Height, outW, outH)
+					}
+					if ladder != (coarse == 1) || ladder != (len(out.Coarse.Data) > 0) {
+						t.Errorf("layout %d %s workers=%d ladder=%v: coarse rung produced %d times, %d bytes",
+							li, tc.name, workers, ladder, coarse, len(out.Coarse.Data))
+					}
+					if ladder && !bytes.Equal(out.Coarse.Data, wantCoarse) {
+						t.Errorf("layout %d %s workers=%d: coarse rung differs from the reference quarter-scale", li, tc.name, workers)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestScaleOnePaintsOnce: a render whose scale leaves the size unchanged
+// (what a spec without snapshot.scale asks for) encodes the painted frame
+// itself; the scaler is never handed a second frame to fill.
+func TestScaleOnePaintsOnce(t *testing.T) {
+	res := testLayout(t)
+	fw, fh := raster.FrameSize(res, raster.Options{})
+	perFrame := float64(4 * fw * fh)
+	bytesFor := func(scale float64) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Render(res, Config{Raster: raster.Options{Workers: 1}, Fidelity: imaging.FidelityLow, Scale: scale}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	bytesFor(0) // fill the encoder and frame pools
+	asPainted, one := bytesFor(0), bytesFor(1)
+	if one > asPainted+perFrame/2 {
+		t.Fatalf("Scale 1 allocated %.0f bytes, as-painted %.0f: a second %0.f-byte frame", one, asPainted, perFrame)
 	}
 }
 
@@ -176,37 +255,5 @@ func TestCoarseRungDecodesAtExpectedGeometry(t *testing.T) {
 	if b.Dx() >= out.Full.Width || b.Dy() >= out.Full.Height {
 		t.Fatalf("coarse %dx%d not smaller than full %dx%d",
 			b.Dx(), b.Dy(), out.Full.Width, out.Full.Height)
-	}
-}
-
-// TestCoarseAccumMatchesBoxScale checks the incremental accumulator
-// against imaging's one-shot box filter on the same frame.
-func TestCoarseAccumMatchesBoxScale(t *testing.T) {
-	res := testLayout(t)
-	frame := raster.Paint(res, raster.Options{Workers: 1})
-	defer raster.Release(frame)
-	fb := frame.Bounds()
-	cw, ch := fb.Dx()/4, fb.Dy()/4
-
-	want := imaging.Scale(frame, cw, ch)
-	defer imaging.PutRGBA(want)
-
-	acc := newCoarseAccum(fb.Dx(), fb.Dy(), cw, ch)
-	// Feed the frame in uneven chunks to exercise row-boundary handling.
-	for y := fb.Min.Y; y < fb.Max.Y; {
-		end := y + 7
-		if end > fb.Max.Y {
-			end = fb.Max.Y
-		}
-		acc.addBand(frame.SubImage(image.Rect(fb.Min.X, y, fb.Max.X, end)).(*image.RGBA))
-		y = end
-	}
-	got := acc.finish()
-	defer imaging.PutRGBA(got)
-	if got.Rect != want.Rect {
-		t.Fatalf("bounds: got %v, want %v", got.Rect, want.Rect)
-	}
-	if !bytes.Equal(got.Pix, want.Pix) {
-		t.Fatal("incremental coarse accumulation differs from one-shot box scale")
 	}
 }

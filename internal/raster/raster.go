@@ -9,6 +9,8 @@ import (
 	"image/color"
 	"image/draw"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"msite/internal/css"
 	"msite/internal/dom"
@@ -47,12 +49,17 @@ type Options struct {
 	Workers int
 }
 
-// BandFunc consumes one painted horizontal band of the frame. The view
-// is a clipped sub-image of the full frame: earlier bands' rows remain
-// valid for the consumer (an incremental encoder can read back from the
-// top of the frame), but rows below the view are still being painted and
-// must not be touched.
-type BandFunc func(view *image.RGBA)
+// BandFunc consumes one painted horizontal band of the frame: a full-width
+// image whose bounds are the band's rows. Rows below the band are still
+// being painted and must not be touched. Under StreamPaint the band is a
+// view of the frame, so earlier bands' rows stay valid; under PaintBands
+// its pixels are reused as soon as the call returns.
+type BandFunc func(band *image.RGBA)
+
+// bandRows is the height of the bands PaintBands paints: a 1024 px wide
+// band is 256 KB, a fraction of a desktop-size frame, yet walking the box
+// tree once per band stays far below the cost of filling its pixels.
+const bandRows = 64
 
 // Paint rasterizes a layout result into a new RGBA image. The frame's
 // backing array may come from a recycled pool; callers that are done
@@ -73,25 +80,126 @@ func Paint(res *layout.Result, opts Options) *image.RGBA {
 func StreamPaint(res *layout.Result, opts Options, onBand BandFunc) *image.RGBA {
 	w, h := FrameSize(res, opts)
 	img := imaging.GetRGBA(w, h)
-	// Fill edge-to-edge with the page background, so the pooled memory's
-	// stale contents never show through.
-	draw.Draw(img, img.Bounds(), &image.Uniform{C: background(res, opts)}, image.Point{}, draw.Src)
+	paintBands(res, opts, img, 0, onBand)
+	return img
+}
 
+// PaintBands paints res without ever holding its frame: bandRows-high
+// bands are painted into a few buffers owned by this call — plain
+// allocations dropped at return — and handed to onBand in top-to-bottom
+// order. Laid end to end the bands are Paint's frame, byte for byte, for
+// every worker count.
+func PaintBands(res *layout.Result, opts Options, onBand BandFunc) {
+	paintBands(res, opts, nil, bandRows, onBand)
+}
+
+// PaintRegion paints the part of res's frame inside r and nothing else:
+// the returned image's bounds are r clipped to the frame, and its pixels
+// are those Paint gives that rectangle.
+func PaintRegion(res *layout.Result, opts Options, r image.Rectangle) *image.RGBA {
+	w, h := FrameSize(res, opts)
+	img := image.NewRGBA(r.Intersect(image.Rect(0, 0, w, h)))
+	paint, release := painter(res, opts, img.Rect)
+	defer release()
+	paint(img)
+	return img
+}
+
+// paintBands is the one band loop: rows-high bands (0: one band per
+// worker), painted into their rows of frame or, without one, into recycled
+// buffers, so that a band is valid only until onBand returns. Bands are
+// delivered strictly in order: band i+1 may finish first, but the consumer
+// sees a top-to-bottom scanline stream.
+func paintBands(res *layout.Result, opts Options, frame *image.RGBA, rows int, onBand BandFunc) {
+	w, h := FrameSize(res, opts)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > h {
-		workers = h
+	if rows <= 0 {
+		rows = (h + workers - 1) / workers
 	}
-	// Replaced-element images are scaled once up front: a box spanning
-	// several bands must not re-run the (expensive) scale per band, and
-	// the shared read-only map keeps bands independent.
+	n := (h + rows - 1) / rows
+	workers = min(workers, n)
+	bufLen := 0
+	if frame == nil {
+		bufLen = 4 * w * rows
+	}
+	paint, release := painter(res, opts, image.Rect(0, 0, w, h))
+	defer release()
+	band := func(i int, buf []uint8) *image.RGBA {
+		r := image.Rect(0, i*rows, w, min((i+1)*rows, h))
+		view := &image.RGBA{Pix: buf, Stride: 4 * w, Rect: r}
+		if frame != nil {
+			view = frame.SubImage(r).(*image.RGBA)
+		}
+		paint(view)
+		return view
+	}
+	if workers <= 1 {
+		buf := make([]uint8, bufLen)
+		for i := 0; i < n; i++ {
+			if view := band(i, buf); onBand != nil {
+				onBand(view)
+			}
+		}
+		return
+	}
+
+	// One buffer per worker and one for the consumer. A worker takes a
+	// buffer before it takes the next band, so the bands holding buffers
+	// are always the lowest undelivered ones and the consumer never waits
+	// on a band that cannot start.
+	free := make(chan []uint8, workers+1)
+	for range cap(free) {
+		free <- make([]uint8, bufLen)
+	}
+	done := make([]chan *image.RGBA, n)
+	for i := range done {
+		done[i] = make(chan *image.RGBA, 1)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for buf := range free {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				done[i] <- band(i, buf)
+			}
+		}()
+	}
+	for _, ch := range done {
+		view := <-ch
+		if onBand != nil {
+			onBand(view)
+		}
+		free <- view.Pix
+	}
+	close(free)
+	wg.Wait()
+}
+
+// painter returns the function every band or region of one paint of res
+// inside clip shares, which paints the part of the frame a view covers,
+// and the function that recycles what the first holds. Replaced-element
+// images are scaled once up front: a box spanning several bands must not
+// re-run the (expensive) scale per band, and the shared read-only map
+// keeps bands independent.
+func painter(res *layout.Result, opts Options, clip image.Rectangle) (paint func(*image.RGBA), release func()) {
+	bg := &image.Uniform{C: background(res, opts)}
 	var scaled map[*layout.Box]*image.RGBA
 	if res.Root != nil {
-		scaled = prescaleImages(res.Root, opts, nil)
+		scaled = prescaleImages(res.Root, opts, clip, nil)
 	}
-	paint := func(view *image.RGBA) {
+	paint = func(view *image.RGBA) {
+		// Fill edge to edge with the page background first, so recycled
+		// memory's stale contents never show through.
+		draw.Draw(view, view.Rect, bg, image.Point{}, draw.Src)
 		if res.Root != nil {
 			paintBox(view, res.Root, opts, scaled)
 		}
@@ -99,36 +207,11 @@ func StreamPaint(res *layout.Result, opts Options, onBand BandFunc) *image.RGBA 
 			applyAntialiasJitter(view)
 		}
 	}
-	if workers <= 1 {
-		paint(img)
-		if onBand != nil {
-			onBand(img)
-		}
-	} else {
-		// Band i covers rows [i*h/workers, (i+1)*h/workers).
-		views := make([]*image.RGBA, workers)
-		done := make([]chan struct{}, workers)
-		for i := range views {
-			views[i] = img.SubImage(image.Rect(0, i*h/workers, w, (i+1)*h/workers)).(*image.RGBA)
-			done[i] = make(chan struct{})
-			go func(i int) {
-				paint(views[i])
-				close(done[i])
-			}(i)
-		}
-		// Deliver strictly in order: band i+1 may finish first, but the
-		// consumer sees a top-to-bottom scanline stream.
-		for i, ch := range done {
-			<-ch
-			if onBand != nil {
-				onBand(views[i])
-			}
+	return paint, func() {
+		for _, s := range scaled {
+			imaging.PutRGBA(s)
 		}
 	}
-	for _, s := range scaled {
-		imaging.PutRGBA(s)
-	}
-	return img
 }
 
 // FrameSize is the pixel size of the frame Paint allocates for res:
@@ -161,41 +244,40 @@ func Release(img *image.RGBA) { imaging.PutRGBA(img) }
 // a couple of counts per channel — invisible to the eye, but it restores
 // the entropy an antialiased rendering carries so the PNG/JPEG fidelity
 // ladder matches real screenshot behaviour. The generator is seeded per
-// row, so any horizontal banding produces identical bytes.
+// row and stepped from the frame's column 0, so any band or region of the
+// frame gets the bytes the whole frame would.
 func applyAntialiasJitter(img *image.RGBA) {
 	b := img.Bounds()
 	for y := b.Min.Y; y < b.Max.Y; y++ {
 		state := uint32(0x9e3779b9) ^ (uint32(y)*2654435761 + 1)
 		row := img.Pix[img.PixOffset(b.Min.X, y):img.PixOffset(b.Max.X, y)]
-		for i := 0; i+3 < len(row); i += 4 {
+		for x := 0; x < b.Max.X; x++ {
 			state = state*1664525 + 1013904223
 			if state>>24 > 33 { // ~13% of pixels
 				continue
 			}
 			for ch := 0; ch < 3; ch++ {
 				state = state*1664525 + 1013904223
+				if x < b.Min.X {
+					continue
+				}
 				delta := int(state>>30) - 1 // -1, 0, 1, 2
-				v := int(row[i+ch]) + delta
-				if v < 0 {
-					v = 0
-				}
-				if v > 255 {
-					v = 255
-				}
-				row[i+ch] = uint8(v)
+				i := 4*(x-b.Min.X) + ch
+				row[i] = uint8(min(max(int(row[i])+delta, 0), 255))
 			}
 		}
 	}
 }
 
-// prescaleImages walks the box tree scaling every replaced element's
-// decoded image to its box size, keyed by box. The returned map is
-// read-only during painting, shared by every band worker.
-func prescaleImages(b *layout.Box, opts Options, out map[*layout.Box]*image.RGBA) map[*layout.Box]*image.RGBA {
+// prescaleImages walks the box tree scaling the decoded image of every
+// replaced element that shows inside clip to its box size, keyed by box.
+// The returned map is read-only during painting, shared by every band
+// worker.
+func prescaleImages(b *layout.Box, opts Options, clip image.Rectangle, out map[*layout.Box]*image.RGBA) map[*layout.Box]*image.RGBA {
 	if len(opts.Images) == 0 {
 		return nil
 	}
-	if b.Node != nil && b.Node.Type == dom.ElementNode && isReplaced(b.Node.Tag) {
+	if b.Node != nil && b.Node.Type == dom.ElementNode && isReplaced(b.Node.Tag) && boxIntersects(b, clip) {
 		if src, ok := b.Node.Attr("src"); ok && src != "" {
 			if decoded, ok := opts.Images[src]; ok {
 				w, h := int(b.W), int(b.H)
@@ -213,7 +295,7 @@ func prescaleImages(b *layout.Box, opts Options, out map[*layout.Box]*image.RGBA
 		}
 	}
 	for _, c := range b.Children {
-		out = prescaleImages(c, opts, out)
+		out = prescaleImages(c, opts, clip, out)
 	}
 	return out
 }

@@ -3,6 +3,8 @@ package raster
 import (
 	"bytes"
 	"image"
+	"image/draw"
+	"math/rand"
 	"testing"
 
 	"msite/internal/css"
@@ -111,5 +113,69 @@ func TestStreamPaintNilBandFunc(t *testing.T) {
 	got := StreamPaint(res, Options{Workers: 2}, nil)
 	if !bytes.Equal(want.Pix, got.Pix) {
 		t.Fatal("nil onBand should degenerate to Paint")
+	}
+}
+
+// TestPaintBandsMatchesPaint: laid end to end, the bands PaintBands hands
+// over are Paint's frame — for random layouts, every worker count and any
+// band height, including one row, heights that divide nothing evenly and
+// one taller than the frame — and each is only valid until its callback
+// returns, which the test honours by copying it out.
+func TestPaintBandsMatchesPaint(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 4; trial++ {
+		res, images := layoutRandomPage(t, rng)
+		for _, antialias := range []bool{false, true} {
+			opts := Options{Images: images, Antialias: antialias, MinHeight: 64, Workers: 1}
+			want := clone(Paint(res, opts))
+			for _, workers := range []int{1, 2, 0, 64} {
+				for _, rows := range []int{1, 7, bandRows, want.Rect.Dy() + 10} {
+					opts.Workers = workers
+					got := image.NewRGBA(want.Rect)
+					nextY := 0
+					paintBands(res, opts, nil, rows, func(band *image.RGBA) {
+						if band.Rect.Min.Y != nextY || band.Rect.Dx() != want.Rect.Dx() || band.Rect.Dy() > rows {
+							t.Fatalf("band %v after row %d with %d-row bands", band.Rect, nextY, rows)
+						}
+						nextY = band.Rect.Max.Y
+						draw.Draw(got, band.Rect, band, band.Rect.Min, draw.Src)
+					})
+					if nextY != want.Rect.Dy() {
+						t.Fatalf("bands stopped at row %d of %d", nextY, want.Rect.Dy())
+					}
+					if !bytes.Equal(got.Pix, want.Pix) {
+						t.Fatalf("trial %d antialias %v workers %d rows %d: bands differ from Paint at %v",
+							trial, antialias, workers, rows, firstPixelDiff(want, got))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPaintRegionMatchesCropOfPaint: painting a rectangle of the page is
+// cropping the whole page's paint to it, for random rectangles — which
+// cut through text runs, borders and replaced images — and for ones that
+// reach past the frame.
+func TestPaintRegionMatchesCropOfPaint(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 8; trial++ {
+		res, images := layoutRandomPage(t, rng)
+		opts := Options{Images: images, Antialias: trial%2 == 1, Workers: 1}
+		full := clone(Paint(res, opts))
+		fw, fh := full.Rect.Dx(), full.Rect.Dy()
+		for i := 0; i < 25; i++ {
+			x, y := rng.Intn(fw)-20, rng.Intn(fh)-20
+			r := image.Rect(x, y, x+1+rng.Intn(fw), y+1+rng.Intn(fh))
+			got := PaintRegion(res, opts, r)
+			if got.Rect != r.Intersect(full.Rect) {
+				t.Fatalf("region %v painted as %v, frame %v", r, got.Rect, full.Rect)
+			}
+			want := image.NewRGBA(got.Rect)
+			draw.Draw(want, want.Rect, full, want.Rect.Min, draw.Src)
+			if !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("trial %d region %v differs from the crop at %v", trial, r, firstPixelDiff(want, got))
+			}
+		}
 	}
 }

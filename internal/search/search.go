@@ -7,6 +7,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -23,6 +24,8 @@ type Hit struct {
 // Index is a sorted word index over a rendered page.
 type Index struct {
 	hits []Hit // sorted by Word, then Y, then X
+	// w, h is the size of the image the hits locate words in.
+	w, h int
 }
 
 // Build constructs the index from a layout's text runs. Words are
@@ -31,19 +34,16 @@ type Index struct {
 func Build(res *layout.Result) *Index {
 	var hits []Hit
 	for _, run := range res.Runs() {
-		x := run.X
-		charW := layout.CharWidth(run.FontSize)
 		word := normalizeWord(run.Text)
 		if len(word) >= 2 {
 			hits = append(hits, Hit{
 				Word: word,
-				X:    int(x),
+				X:    int(run.X),
 				Y:    int(run.Y),
 				W:    int(run.Width() + 0.5),
 				H:    int(run.Height() + 0.5),
 			})
 		}
-		_ = charW
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Word != hits[j].Word {
@@ -54,7 +54,7 @@ func Build(res *layout.Result) *Index {
 		}
 		return hits[i].X < hits[j].X
 	})
-	return &Index{hits: hits}
+	return &Index{hits: hits, w: max(res.Width, 1), h: max(res.Height, 1)}
 }
 
 func normalizeWord(s string) string {
@@ -96,21 +96,29 @@ func (idx *Index) Lookup(word string) []Hit {
 	return out
 }
 
-// Scale returns a copy of the index with every coordinate multiplied by
-// factor, matching a scaled-down snapshot (the framework "implicitly
-// translates the coordinates", §4.3).
+// Scale returns a copy of the index for the image scaled by factor (the
+// framework "implicitly translates the coordinates", §4.3). A scaled hit
+// still covers its word: the origin is floored and the far edge ceiled,
+// and the box is kept at least a pixel wide and high and inside the scaled
+// image, which has the size imaging.ScaleFactor gives it.
 func (idx *Index) Scale(factor float64) *Index {
-	scaled := make([]Hit, len(idx.hits))
-	for i, h := range idx.hits {
-		scaled[i] = Hit{
-			Word: h.Word,
-			X:    int(float64(h.X) * factor),
-			Y:    int(float64(h.Y) * factor),
-			W:    int(float64(h.W) * factor),
-			H:    int(float64(h.H) * factor),
-		}
+	out := &Index{
+		hits: make([]Hit, len(idx.hits)),
+		w:    max(int(float64(idx.w)*factor), 1),
+		h:    max(int(float64(idx.h)*factor), 1),
 	}
-	return &Index{hits: scaled}
+	// span scales [at, at+size) and fits it inside [0, limit).
+	span := func(at, size, limit int) (int, int) {
+		lo := min(max(int(math.Floor(float64(at)*factor)), 0), limit-1)
+		hi := min(int(math.Ceil(float64(at+size)*factor)), limit)
+		return lo, max(hi-lo, 1)
+	}
+	for i, h := range idx.hits {
+		out.hits[i].Word = h.Word
+		out.hits[i].X, out.hits[i].W = span(h.X, h.W, out.w)
+		out.hits[i].Y, out.hits[i].H = span(h.Y, h.H, out.h)
+	}
+	return out
 }
 
 // JS emits the client payload: the ordered index array, a binary-search

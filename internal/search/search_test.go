@@ -85,6 +85,37 @@ func TestScale(t *testing.T) {
 	}
 }
 
+// TestScaledHitsCoverTheirWord: at any factor a scaled hit contains the
+// scaled box of the word it indexes, is at least a pixel in each axis —
+// truncating each coordinate on its own stopped a pixel short on both axes
+// and collapsed to nothing at small factors — and lies inside the scaled
+// image.
+func TestScaledHitsCoverTheirWord(t *testing.T) {
+	idx, res := buildIndex(t, `<html><body><h1>alpha beta</h1><p style="margin: 37px">gamma delta
+		epsilon</p><p>zeta eta theta iota kappa lambda</p></body></html>`)
+	for _, f := range []float64{0.45, 0.5, 0.33, 0.11, 0.01} {
+		scaled := idx.Scale(f)
+		w, h := max(int(float64(res.Width)*f), 1), max(int(float64(res.Height)*f), 1)
+		for _, word := range idx.Words() {
+			orig, got := idx.Lookup(word), scaled.Lookup(word)
+			if len(orig) != len(got) {
+				t.Fatalf("factor %v: %q has %d hits, scaled %d", f, word, len(orig), len(got))
+			}
+			for i, o := range orig {
+				g := got[i]
+				if g.W < 1 || g.H < 1 || g.X < 0 || g.Y < 0 || g.X+g.W > w || g.Y+g.H > h {
+					t.Fatalf("factor %v: %q scaled to %+v, outside the %dx%d image", f, word, g, w, h)
+				}
+				x0, x1 := float64(o.X)*f, min(float64(o.X+o.W)*f, float64(w))
+				y0, y1 := float64(o.Y)*f, min(float64(o.Y+o.H)*f, float64(h))
+				if float64(g.X) > x0 || float64(g.X+g.W) < x1 || float64(g.Y) > y0 || float64(g.Y+g.H) < y1 {
+					t.Fatalf("factor %v: %q hit %+v does not cover its scaled box [%v,%v)x[%v,%v)", f, word, g, x0, x1, y0, y1)
+				}
+			}
+		}
+	}
+}
+
 func TestJSPayload(t *testing.T) {
 	idx, _ := buildIndex(t, `<html><body><p>alpha beta</p></body></html>`)
 	js := idx.JS("search-btn")
