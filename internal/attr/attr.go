@@ -18,7 +18,6 @@ import (
 	"msite/internal/ajax"
 	"msite/internal/css"
 	"msite/internal/dom"
-	"msite/internal/html"
 	"msite/internal/imaging"
 	"msite/internal/jq"
 	"msite/internal/layout"
@@ -80,6 +79,10 @@ type Subpage struct {
 	// rendered output.
 	CacheTTL time.Duration
 	Shared   bool
+	// Sheets is the build's stylesheet memo (Result.Sheets), which
+	// SerializeSubpage prunes through. It belongs to the build, not to the
+	// subpage's description.
+	Sheets *css.Sheets
 }
 
 // Asset is a standalone generated artifact (e.g. a rich-media
@@ -106,6 +109,10 @@ type Result struct {
 	// Notes records non-fatal adaptation observations (objects that
 	// matched nothing, etc.).
 	Notes []string
+	// Sheets holds every stylesheet the build has parsed, each once: the
+	// main document and the subpages carry clones of the same <style>
+	// elements, and so does the main page the snapshot is rendered from.
+	Sheets *css.Sheets
 }
 
 // FindSubpage returns the named subpage.
@@ -205,12 +212,11 @@ func (a *Applier) Apply(sp *spec.Spec, doc *dom.Node) (*Result, error) {
 	if width == 0 {
 		width = sp.ViewportWidth
 	}
-	res := &Result{Doc: doc}
+	res := &Result{Doc: doc, Sheets: new(css.Sheets)}
 
 	// Original-page layout: regions must be measured before any object
 	// moves.
-	styler := css.StylerForDocument(doc)
-	res.Layout = layout.Layout(doc, styler, layout.Viewport{Width: width})
+	res.Layout = layoutDoc(doc, width, res.Sheets)
 
 	// Pass A: locate every object.
 	located := make(map[string][]*dom.Node, len(sp.Objects))
@@ -239,6 +245,7 @@ func (a *Applier) Apply(sp *spec.Spec, doc *dom.Node) (*Result, error) {
 			Parent:   attrSpec.Param("parent", ""),
 			AJAX:     attrSpec.Param("ajax", "") == "true",
 			Fidelity: fidelityFromName(attrSpec.Param("fidelity", "low")),
+			Sheets:   res.Sheets,
 		}
 		if attrSpec.Param("prerender", "") == "true" || obj.HasAttr(spec.AttrPreRender) {
 			sub.PreRender = true
@@ -314,7 +321,7 @@ func (a *Applier) Apply(sp *spec.Spec, doc *dom.Node) (*Result, error) {
 		node := located[obj.Name][0]
 		if sub.Parent != "" {
 			if parent, ok := subpages[sub.Parent]; ok && parent.Doc.Contains(node) {
-				parentLayout := layoutDoc(parent.Doc, width)
+				parentLayout := layoutDoc(parent.Doc, width, res.Sheets)
 				if x, y, w, h, ok := parentLayout.Region(node); ok {
 					sub.Region = Region{X: x, Y: y, W: w, H: h}
 				}
@@ -782,9 +789,4 @@ func newSubpageDoc(title string) *dom.Node {
 	root.AppendChild(body)
 	doc.AppendChild(root)
 	return doc
-}
-
-// SerializeSubpage renders a subpage document to HTML bytes.
-func SerializeSubpage(sub *Subpage) []byte {
-	return []byte(html.Render(sub.Doc))
 }

@@ -47,7 +47,9 @@ const (
 	goldenForumsScaledJPEG = "62673:b7b354257865a9396b4c6d0c81304504e2f1bea1f3266a1f537c3d3ddcc701f1"
 
 	goldenForumsJPEG = "250673:a9b4e29e1e068d74eb4586bb5fe670db96d88e0e525adc25f70646c5a227635b"
-	goldenForumsHTML = "15487:51f86ad636af23d9bf02dfa789dca2d92661b11b86f5e403c8c1db81b7ed5194"
+	// Captured again when the search index went to one entry per word:
+	// the same markup around the regrouped index and its runtime.
+	goldenForumsHTML = "11736:7c30212111e01aafc381a4504055e7403b86809fb0d5de43fd03a2817e5e354a"
 	goldenThumbJPEG  = "1576:ecd15929f88c64d7f567d1e5ec7945b7675610e0f5476a7f41dad2d6f3181d18"
 )
 
@@ -75,18 +77,25 @@ func TestPreRenderShipsAtSnapshotScale(t *testing.T) {
 	if want := fmt.Sprintf(`<img src="/asset/forums.jpg" alt="Forums" width="%d" height="%d">`, w, h); !bytes.Contains(page, []byte(want)) {
 		t.Fatalf("subpage lacks %s", want)
 	}
-	hits := regexp.MustCompile(`\["[^"]*",(\d+),(\d+),(\d+),(\d+)\]`).FindAllSubmatch(page, -1)
-	if len(hits) < 100 {
-		t.Fatalf("search index has %d hits", len(hits))
+	// One entry per word, its hits following it in fours.
+	hits := 0
+	for _, entry := range regexp.MustCompile(`\["[^"]*"((?:,\d+)+)\]`).FindAllSubmatch(page, -1) {
+		var v []int
+		for _, num := range bytes.Split(entry[1][1:], []byte(",")) {
+			n, _ := strconv.Atoi(string(num))
+			v = append(v, n)
+		}
+		if len(v)%4 != 0 {
+			t.Fatalf("entry %s does not hold its hits in fours", entry[0])
+		}
+		for ; len(v) > 0; v, hits = v[4:], hits+1 {
+			if v[2] < 1 || v[3] < 1 || v[0]+v[2] > w || v[1]+v[3] > h {
+				t.Fatalf("a hit of %s lies outside the %dx%d image", entry[0], w, h)
+			}
+		}
 	}
-	for _, m := range hits {
-		var v [4]int
-		for i := range v {
-			v[i], _ = strconv.Atoi(string(m[i+1]))
-		}
-		if v[2] < 1 || v[3] < 1 || v[0]+v[2] > w || v[1]+v[3] > h {
-			t.Fatalf("hit %s lies outside the %dx%d image", m[0], w, h)
-		}
+	if hits < 500 {
+		t.Fatalf("search index has %d hits", hits)
 	}
 	// The thumbnail is painted as a region of the page, not cropped from a
 	// full paint; its bytes are the crop's.

@@ -28,7 +28,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 		if searchable {
 			// Searchable without pre-rendering indexes the subpage as it
 			// will lay out on the client.
-			res := layoutDoc(sub.Doc, width)
+			res := layoutDoc(sub.Doc, width, sub.Sheets)
 			sub.SearchJS = search.Build(res).JS(searchTrigger)
 			injectScript(sub.Doc, sub.SearchJS)
 		}
@@ -40,7 +40,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	// A full pre-render is an image of the page like the snapshot, and
 	// ships at the snapshot's scale; a partial-CSS background stays as
 	// painted, since the device draws its text at layout coordinates.
-	res := layoutDoc(sub.Doc, width)
+	res := layoutDoc(sub.Doc, width, sub.Sheets)
 	scale := 1.0
 	if !sub.PartialCSS {
 		scale = prerenderScale(sp)
@@ -134,8 +134,8 @@ func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable 
 	sub.Doc = page
 }
 
-func layoutDoc(doc *dom.Node, width int) *layout.Result {
-	styler := css.StylerForDocument(doc)
+func layoutDoc(doc *dom.Node, width int, sheets *css.Sheets) *layout.Result {
+	styler := css.StylerForDocument(doc, sheets)
 	return layout.Layout(doc, styler, layout.Viewport{Width: width})
 }
 
@@ -193,13 +193,7 @@ func ComplexityOf(doc *dom.Node, totalBytes, requests int) DocComplexity {
 		case "img":
 			c.Images++
 		case "style":
-			var src strings.Builder
-			for t := n.FirstChild; t != nil; t = t.NextSibling {
-				if t.Type == dom.TextNode {
-					src.WriteString(t.Data)
-				}
-			}
-			c.StyleRules += len(css.ParseStylesheet(src.String()).Rules)
+			c.StyleRules += len(css.ParseStylesheet(css.StyleSource(n)).Rules)
 		}
 		return true
 	})

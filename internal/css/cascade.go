@@ -106,11 +106,16 @@ func NewStyler(sheets ...*Stylesheet) *Styler {
 	return &Styler{sheets: sheets, mediaAccept: []string{"screen", "all"}}
 }
 
-// StylerForDocument collects every <style> element in doc, plus any
-// extra sheets (e.g. fetched from <link> by the caller), into a Styler.
-// Style elements whose media attribute targets another medium (e.g.
-// media="print") are skipped, matching a screen renderer.
-func StylerForDocument(doc *dom.Node, extra ...*Stylesheet) *Styler {
+// StylerForDocument collects every <style> element in doc into a
+// Styler. Style elements whose media attribute targets another medium
+// (e.g. media="print") are skipped, matching a screen renderer. memo, when
+// given, is what the sheets are parsed through: stylers over documents
+// that carry the same <style> text then share one parse of it.
+func StylerForDocument(doc *dom.Node, memo ...*Sheets) *Styler {
+	var sheets *Sheets
+	if len(memo) > 0 {
+		sheets = memo[0]
+	}
 	s := NewStyler()
 	for _, styleEl := range doc.Elements("style") {
 		if media := strings.ToLower(styleEl.AttrOr("media", "")); media != "" {
@@ -118,20 +123,26 @@ func StylerForDocument(doc *dom.Node, extra ...*Stylesheet) *Styler {
 				continue
 			}
 		}
-		// dom.Text() deliberately skips style content (it is code, not
-		// copy), so read the raw text children directly.
-		var src strings.Builder
-		for c := styleEl.FirstChild; c != nil; c = c.NextSibling {
-			if c.Type == dom.TextNode {
-				src.WriteString(c.Data)
-			}
-		}
-		s.AddSheet(ParseStylesheet(src.String()))
-	}
-	for _, sheet := range extra {
-		s.AddSheet(sheet)
+		s.AddSheet(sheets.Parse(StyleSource(styleEl)))
 	}
 	return s
+}
+
+// StyleSource returns a <style> element's stylesheet text: its raw text
+// children (dom.Text() deliberately skips style content — it is code, not
+// copy).
+func StyleSource(styleEl *dom.Node) string {
+	first := styleEl.FirstChild
+	if first != nil && first.Type == dom.TextNode && first.NextSibling == nil {
+		return first.Data // the usual case, without a copy
+	}
+	var src strings.Builder
+	for c := first; c != nil; c = c.NextSibling {
+		if c.Type == dom.TextNode {
+			src.WriteString(c.Data)
+		}
+	}
+	return src.String()
 }
 
 // AddSheet appends a stylesheet; later sheets win ties in source order.

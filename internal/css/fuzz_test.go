@@ -1,9 +1,15 @@
 package css
 
-import "testing"
+import (
+	"testing"
+
+	"msite/internal/html"
+)
 
 // FuzzParseStylesheet: the stylesheet parser is error-tolerant by
-// contract — arbitrary input must parse without panicking.
+// contract — arbitrary input must parse without panicking — and so is
+// the pruner over what it parsed: whatever the input, pruning yields a
+// sheet whose rules are a subset of the input's, and is idempotent.
 func FuzzParseStylesheet(f *testing.F) {
 	seeds := []string{
 		"",
@@ -14,15 +20,19 @@ func FuzzParseStylesheet(f *testing.F) {
 		"p { color: red",
 		"@import url(x.css); @font-face { src: url(y) }",
 		"a[href^=\"/\"]:not(.x):nth-child(2n+1) { x: y }",
+		"} p { a: b } @media print { .unused { c: d } p:hover { e: f } } @import 'late';",
+		"@media screen { @media (min-width: 1px) { p { a: b",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	elems := elementsOf(html.Parse(pruneDoc))
 	f.Fuzz(func(t *testing.T, src string) {
 		sheet := ParseStylesheet(src)
 		if sheet == nil {
 			t.Fatal("nil sheet")
 		}
+		checkPruned(t, src, elems)
 	})
 }
 

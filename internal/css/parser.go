@@ -2,6 +2,8 @@ package css
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Declaration is a single property: value pair.
@@ -17,23 +19,100 @@ type Rule struct {
 	Selectors []*Selector
 	Decls     []Declaration
 	Media     string
+	// Source is the rule as written, selector list through closing brace:
+	// a span of the sheet's source text (comments stripped), not a copy.
+	Source string
 }
 
-// Stylesheet is a parsed sequence of rules in source order.
+// Stylesheet is a parsed sequence of rules in source order. It is not
+// modified once parsed, so stylers and goroutines may share one.
 type Stylesheet struct {
 	Rules []Rule
+	// pieces is everything in the source, in order: what Prune chooses
+	// from.
+	pieces []piece
+	// src is the source the pieces are spans of: the text parsed, less its
+	// comments. unclosed says it ends inside a block or a string; Prune
+	// does not cut into such a sheet.
+	src      string
+	unclosed bool
 }
+
+// piece is one top-level span of a stylesheet's source, or of an @media
+// block's body.
+type piece struct {
+	kind pieceKind
+	// rule indexes Stylesheet.Rules, for a rulePiece.
+	rule int
+	// text is the piece as written; for a mediaPiece, its prelude.
+	text string
+	// block is a mediaPiece's body.
+	block []piece
+}
+
+type pieceKind uint8
+
+const (
+	// textPiece is text the parser did not understand: a rule whose
+	// selector list it rejects or whose block is empty, a block at-rule
+	// other than @media, whatever trails the last rule.
+	textPiece pieceKind = iota
+	// rulePiece is a style rule in Stylesheet.Rules.
+	rulePiece
+	// statementPiece is an at-rule without a block (@import ...;).
+	statementPiece
+	// mediaPiece is an @media block.
+	mediaPiece
+)
+
+// parses counts ParseStylesheet calls.
+var parses atomic.Uint64
+
+// ParseCount returns how many stylesheets this process has parsed; tests
+// hold a build to one parse per distinct sheet with it.
+func ParseCount() uint64 { return parses.Load() }
 
 // ParseStylesheet parses CSS source. It is error-tolerant in the CSS
 // tradition: rules whose selectors fail to parse are skipped, not fatal,
 // so one vendor-prefixed oddity cannot take down a forum skin.
 func ParseStylesheet(src string) *Stylesheet {
-	sheet := &Stylesheet{}
-	parseRules(stripComments(src), "", sheet)
+	parses.Add(1)
+	sheet := &Stylesheet{src: stripComments(src)}
+	sheet.pieces = parseRules(sheet.src, "", sheet)
 	return sheet
 }
 
-func parseRules(src, media string, sheet *Stylesheet) {
+// Sheets remembers parsed stylesheets by their source text, so that
+// everything styling the documents of one build — which carry clones of
+// the same <style> elements — parses each distinct text once. It is safe
+// for concurrent use; a nil *Sheets parses and remembers nothing.
+type Sheets struct {
+	mu     sync.Mutex
+	byText map[string]*Stylesheet
+}
+
+// Parse returns the parsed form of src, parsing it on first sight.
+func (s *Sheets) Parse(src string) *Stylesheet {
+	if s == nil {
+		return ParseStylesheet(src)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sheet, ok := s.byText[src]
+	if !ok {
+		if s.byText == nil {
+			s.byText = make(map[string]*Stylesheet)
+		}
+		sheet = ParseStylesheet(src)
+		s.byText[src] = sheet
+	}
+	return sheet
+}
+
+// parseRules appends the style rules of src to sheet.Rules and returns
+// src cut into pieces.
+func parseRules(src, media string, sheet *Stylesheet) []piece {
+	var pieces []piece
 	pos := 0
 	for pos < len(src) {
 		// Skip whitespace.
@@ -41,68 +120,78 @@ func parseRules(src, media string, sheet *Stylesheet) {
 			pos++
 		}
 		if pos >= len(src) {
-			return
+			break
 		}
 		if src[pos] == '@' {
-			pos = parseAtRule(src, pos, media, sheet)
+			var p piece
+			p, pos = parseAtRule(src, pos, media, sheet)
+			pieces = append(pieces, p)
 			continue
 		}
 		// Selector up to '{'.
 		braceIdx := indexTopLevel(src[pos:], '{')
 		if braceIdx < 0 {
-			return
+			pieces = append(pieces, piece{text: src[pos:]})
+			break
 		}
 		selText := strings.TrimSpace(src[pos : pos+braceIdx])
 		bodyStart := pos + braceIdx + 1
 		bodyEnd := matchBrace(src, pos+braceIdx)
 		if bodyEnd < 0 {
 			bodyEnd = len(src)
+			sheet.unclosed = true
 		}
 		body := src[bodyStart:bodyEnd]
+		source := src[pos:min(bodyEnd+1, len(src))]
 		pos = bodyEnd + 1
 
+		// An unparseable selector list or an empty block is not a rule to
+		// style with, but only text the parser failed to read: it stays.
 		sels, err := ParseSelectorList(selText)
-		if err != nil {
-			continue // skip unparseable rule, keep going
+		var decls []Declaration
+		if err == nil {
+			decls = ParseDeclarations(body)
 		}
-		decls := ParseDeclarations(body)
 		if len(decls) == 0 {
+			pieces = append(pieces, piece{text: source})
 			continue
 		}
-		sheet.Rules = append(sheet.Rules, Rule{Selectors: sels, Decls: decls, Media: media})
+		pieces = append(pieces, piece{kind: rulePiece, rule: len(sheet.Rules)})
+		sheet.Rules = append(sheet.Rules, Rule{Selectors: sels, Decls: decls, Media: media, Source: source})
 	}
+	return pieces
 }
 
 // parseAtRule handles @media (recursing into its block), and skips any
-// other at-rule safely. It returns the position after the rule.
-func parseAtRule(src string, pos int, media string, sheet *Stylesheet) int {
+// other at-rule safely. It returns the rule as a piece and the position
+// after it.
+func parseAtRule(src string, pos int, media string, sheet *Stylesheet) (piece, int) {
 	semi := strings.IndexByte(src[pos:], ';')
 	brace := indexTopLevel(src[pos:], '{')
 	// Statement at-rule (@import, @charset ...): ends at ';'.
 	if semi >= 0 && (brace < 0 || semi < brace) {
-		return pos + semi + 1
+		return piece{kind: statementPiece, text: src[pos : pos+semi+1]}, pos + semi + 1
 	}
 	if brace < 0 {
-		return len(src)
+		return piece{kind: statementPiece, text: src[pos:]}, len(src)
 	}
 	header := strings.TrimSpace(src[pos : pos+brace])
 	end := matchBrace(src, pos+brace)
 	if end < 0 {
 		end = len(src)
+		sheet.unclosed = true
 	}
-	body := src[pos+brace+1 : end]
-	if strings.HasPrefix(header, "@media") {
-		cond := strings.TrimSpace(strings.TrimPrefix(header, "@media"))
-		if media != "" {
-			cond = media + " and " + cond
-		}
-		parseRules(body, cond, sheet)
+	next := min(end+1, len(src))
+	if !strings.HasPrefix(header, "@media") {
+		// @font-face, @keyframes, @page ...: skipped.
+		return piece{text: src[pos:next]}, next
 	}
-	// @font-face, @keyframes, @page ...: skipped.
-	if end >= len(src) {
-		return len(src)
+	cond := strings.TrimSpace(strings.TrimPrefix(header, "@media"))
+	if media != "" {
+		cond = media + " and " + cond
 	}
-	return end + 1
+	block := parseRules(src[pos+brace+1:end], cond, sheet)
+	return piece{kind: mediaPiece, text: header, block: block}, next
 }
 
 // ParseDeclarations parses the inside of a declaration block (or an

@@ -29,6 +29,9 @@ type Selector struct {
 	combs []Combinator
 	spec  int
 	raw   string
+	// userState says the selector asks for a state a user puts an element
+	// in or takes it out of (see MayMatch).
+	userState bool
 }
 
 // String returns the original selector text.
@@ -141,6 +144,16 @@ func (p *selParser) parse() (*Selector, error) {
 	}
 	sel := &Selector{parts: parts, combs: combs}
 	sel.spec = computeSpecificity(parts)
+	for _, comp := range parts {
+		for _, ps := range comp.pseudos {
+			switch ps.name {
+			case "link", "visited", "hover", "active", "focus", "checked":
+				sel.userState = true
+			case "not":
+				sel.userState = sel.userState || ps.sub.userState
+			}
+		}
+	}
 	return sel, nil
 }
 
@@ -403,16 +416,30 @@ func computeSpecificity(parts []compound) int {
 	return a*1_000_000 + b*1_000 + c
 }
 
-// Match reports whether n satisfies the selector.
+// Match reports whether n satisfies the selector as the server sees the
+// document: no element is hovered, focused, active or a link.
 func (s *Selector) Match(n *dom.Node) bool {
 	if n == nil || n.Type != dom.ElementNode {
 		return false
 	}
-	return s.matchFrom(0, n)
+	return s.matchFrom(0, n, false)
 }
 
-func (s *Selector) matchFrom(idx int, n *dom.Node) bool {
-	if !matchCompound(s.parts[idx], n) {
+// MayMatch reports whether n can satisfy the selector on a device
+// without the document changing: Match with the states a user puts an
+// element in (:hover, :focus, :active, :link, :visited, :checked) taken
+// to hold wherever the selector asks for them.
+func (s *Selector) MayMatch(n *dom.Node) bool {
+	if n == nil || n.Type != dom.ElementNode {
+		return false
+	}
+	return s.matchFrom(0, n, true)
+}
+
+// matchFrom matches parts[idx:] leftwards from n; user says what a
+// user-driven state is taken to be.
+func (s *Selector) matchFrom(idx int, n *dom.Node, user bool) bool {
+	if !matchCompound(s.parts[idx], n, user) {
 		return false
 	}
 	if idx == len(s.parts)-1 {
@@ -425,19 +452,19 @@ func (s *Selector) matchFrom(idx int, n *dom.Node) bool {
 		if p == nil || p.Type != dom.ElementNode {
 			return false
 		}
-		return s.matchFrom(idx+1, p)
+		return s.matchFrom(idx+1, p, user)
 	case Descendant:
 		for p := n.Parent; p != nil && p.Type == dom.ElementNode; p = p.Parent {
-			if s.matchFrom(idx+1, p) {
+			if s.matchFrom(idx+1, p, user) {
 				return true
 			}
 		}
 		return false
 	case Adjacent:
-		return s.matchFrom(idx+1, n.PrevElement())
+		return s.matchFrom(idx+1, n.PrevElement(), user)
 	case Sibling:
 		for p := n.PrevElement(); p != nil; p = p.PrevElement() {
-			if s.matchFrom(idx+1, p) {
+			if s.matchFrom(idx+1, p, user) {
 				return true
 			}
 		}
@@ -446,7 +473,7 @@ func (s *Selector) matchFrom(idx int, n *dom.Node) bool {
 	return false
 }
 
-func matchCompound(c compound, n *dom.Node) bool {
+func matchCompound(c compound, n *dom.Node, user bool) bool {
 	if n == nil || n.Type != dom.ElementNode {
 		return false
 	}
@@ -467,7 +494,7 @@ func matchCompound(c compound, n *dom.Node) bool {
 		}
 	}
 	for _, pm := range c.pseudos {
-		if !matchPseudo(pm, n) {
+		if !matchPseudo(pm, n, user) {
 			return false
 		}
 	}
@@ -503,7 +530,7 @@ func matchAttr(m attrMatcher, n *dom.Node) bool {
 	return false
 }
 
-func matchPseudo(m pseudoMatcher, n *dom.Node) bool {
+func matchPseudo(m pseudoMatcher, n *dom.Node, user bool) bool {
 	switch m.name {
 	case "first-child":
 		return n.PrevElement() == nil && n.Parent != nil
@@ -541,18 +568,20 @@ func matchPseudo(m pseudoMatcher, n *dom.Node) bool {
 	case "nth-of-type":
 		return matchNth(m.a, m.b, nthOfTypeIndex(n))
 	case "not":
-		return m.sub != nil && !m.sub.Match(n)
+		// :not asks that its argument can fail, which one that needs a
+		// user state always can.
+		return m.sub != nil && (user && m.sub.userState || !m.sub.Match(n))
 	case "contains":
 		return strings.Contains(n.Text(), m.arg)
 	case "checked":
-		return n.HasAttr("checked")
+		return user || n.HasAttr("checked")
 	case "disabled":
 		return n.HasAttr("disabled")
 	case "enabled":
 		return !n.HasAttr("disabled")
 	case "link", "visited", "hover", "active", "focus":
 		// Dynamic states never hold in a server-side DOM.
-		return false
+		return user
 	}
 	return false
 }

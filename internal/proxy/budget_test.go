@@ -2,29 +2,37 @@ package proxy
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 
 	"msite/internal/spec"
 )
 
-// TestColdBuildAllocationBudget cold-builds the evaluation spec — a
-// pre-rendered searchable forums subpage, a thumbnailed <object>, the
-// scaled entry snapshot — and holds what the build allocates to a budget.
-// Before the renderer scaled in bands a build cost ~790 k allocations and
-// ~35 MB, 600 k of them one boxed color.RGBA per pixel read through
-// image.Image.At and 21 MB of it three desktop-size frames; the budget
-// sits between the two, so neither a per-pixel interface call nor a full
-// frame can come back unnoticed.
+// evaluationSpec turns forumSpec into the evaluation spec
+// (experiments.SpecForForum, which this package cannot import): a
+// searchable pre-rendered forums subpage and a thumbnailed <object>
+// beside the login page that a dependency attribute hands the site's
+// stylesheets and the scaled entry snapshot.
+func evaluationSpec(sp *spec.Spec) {
+	sp.Objects = append(sp.Objects, spec.Object{Name: "shoptour", Selector: "#shoptour object",
+		Attributes: []spec.Attribute{{Type: spec.AttrThumbnail, Params: map[string]string{"scale": "0.4"}}}})
+	forums := &sp.Objects[len(sp.Objects)-2]
+	forums.Attributes = append(forums.Attributes,
+		spec.Attribute{Type: spec.AttrSearchable, Params: map[string]string{"trigger": "msite-search"}})
+}
+
+// TestColdBuildAllocationBudget cold-builds the evaluation spec and holds
+// what the build allocates to a budget. Before the renderer scaled in
+// bands a build cost ~790 k allocations and ~35 MB, 600 k of them one
+// boxed color.RGBA per pixel read through image.Image.At and 21 MB of it
+// three desktop-size frames; since then it is ~38 k and ~9 MB, a tenth of
+// that a stylesheet every styler of the build used to parse for itself.
+// The budget sits above what a build costs now and below any of those
+// coming back.
 func TestColdBuildAllocationBudget(t *testing.T) {
-	const maxMallocs, maxBytes = 150_000, 22 << 20
+	const maxMallocs, maxBytes = 150_000, 14 << 20
 	build := func() (mallocs, bytes uint64) {
-		rig := newRig(t, func(sp *spec.Spec) {
-			sp.Objects = append(sp.Objects, spec.Object{Name: "shoptour", Selector: "#shoptour object",
-				Attributes: []spec.Attribute{{Type: spec.AttrThumbnail, Params: map[string]string{"scale": "0.4"}}}})
-			forums := &sp.Objects[len(sp.Objects)-2]
-			forums.Attributes = append(forums.Attributes,
-				spec.Attribute{Type: spec.AttrSearchable, Params: map[string]string{"trigger": "msite-search"}})
-		})
+		rig := newRig(t, evaluationSpec)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rig.get(t, "/")
@@ -36,9 +44,52 @@ func TestColdBuildAllocationBudget(t *testing.T) {
 	}
 	build() // the process's first build also pays for lazily built tables
 	mallocs, bytes := build()
-	t.Logf("cold build: %d allocations, %.1f MB", mallocs, float64(bytes)/(1<<20))
+	t.Logf("| cold build | measured | budget |")
+	t.Logf("|---|---|---|")
+	t.Logf("| allocations | %d | %d |", mallocs, maxMallocs)
+	t.Logf("| MB | %.1f | %d |", float64(bytes)/(1<<20), maxBytes>>20)
 	if mallocs > maxMallocs || bytes > maxBytes {
 		t.Fatalf("cold build allocated %d objects, %.1f MB; budget %d, %d MB",
 			mallocs, float64(bytes)/(1<<20), maxMallocs, maxBytes>>20)
+	}
+}
+
+// TestFirstViewWireBudget holds what a phone downloads to see the
+// evaluation spec's site for the first time — the entry overlay, its
+// snapshot, the three subpages and the images they reference — to a
+// budget, artifact by artifact: a first view is Table 1's unit, and on a
+// 300 kbps link every kilobyte is 27 ms. The login page was 31 KB while a
+// dependency attribute shipped it the whole stylesheet to use one rule,
+// and the forums page 14.6 KB while its index spelled a word once per
+// occurrence.
+func TestFirstViewWireBudget(t *testing.T) {
+	const maxView = 95 << 10
+	budget := map[string]int{"/subpage/login": 2 << 10, "/subpage/forums": 12 << 10}
+	rig := newRig(t, evaluationSpec)
+	paths := []string{"/", "/asset/snapshot.jpg", "/subpage/login", "/subpage/nav", "/subpage/forums", "/asset/forums.jpg"}
+	sizes, total := make([]int, len(paths)), 0
+	for i, path := range paths {
+		body, resp := rig.get(t, path)
+		if resp.StatusCode != 200 {
+			t.Fatalf("GET %s = %d", path, resp.StatusCode)
+		}
+		sizes[i] = len(body)
+		total += len(body)
+	}
+	t.Logf("| artifact | bytes | share of a first view | budget |")
+	t.Logf("|---|---|---|---|")
+	for i, path := range paths {
+		limit := "-"
+		if max, ok := budget[path]; ok {
+			limit = strconv.Itoa(max)
+			if sizes[i] > max {
+				t.Errorf("%s is %d B, budget %d", path, sizes[i], max)
+			}
+		}
+		t.Logf("| %s | %d | %.1f%% | %s |", path, sizes[i], 100*float64(sizes[i])/float64(total), limit)
+	}
+	t.Logf("| first view | %d | 100%% | %d |", total, maxView)
+	if total > maxView {
+		t.Errorf("a first view is %d B, budget %d", total, maxView)
 	}
 }

@@ -12,11 +12,14 @@ import (
 	"image"
 	"image/png"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"msite/internal/attr"
 	"msite/internal/cache"
+	"msite/internal/css"
 	"msite/internal/imaging"
 	"msite/internal/obs"
 	"msite/internal/spec"
@@ -45,7 +48,8 @@ func bundleKey(s *spec.Spec, width int) (string, error) {
 
 // Bundle is the product of one pipeline run: everything the handlers
 // serve, held in memory and never modified once buildAdaptation or
-// decodeBundle has returned it. Sessions reference a Bundle, they do not
+// decodeBundle has returned it (sheets, which is not served, is handed
+// on once). Sessions reference a Bundle, they do not
 // copy it: anonymous sessions share the proxy's current one, a
 // personalized session (stored HTTP auth, marshaled login) holds one
 // built for it alone, which is never shared and never persisted.
@@ -64,6 +68,14 @@ type Bundle struct {
 	// images are the decoded subresources downloaded on the client's
 	// behalf, reused for the snapshot render.
 	images map[string]image.Image
+	// sheets holds the stylesheets the build parsed until the first
+	// snapshot render of the main page, which carries the same <style>
+	// text, takes them; a render usually follows its build at once, the
+	// next is a cache TTL away, and a site's parsed sheet is ten times its
+	// text in every Bundle alive (each logged-in session holds its own).
+	// It is not on the wire; a render that finds none, as every render of
+	// a decoded Bundle does, parses for itself.
+	sheets atomic.Pointer[css.Sheets]
 	// validator is the origin's freshness evidence from this build's
 	// entry fetch, so the prefetch refresher can revalidate instead of
 	// re-downloading.
@@ -75,6 +87,8 @@ type artifact struct {
 	data  []byte
 	ctype string
 	etag  string
+	// length is len(data) as a Content-Length header spells it.
+	length string
 }
 
 // newArtifact derives an artifact's content type from its file name and
@@ -90,9 +104,10 @@ func newArtifact(name string, data []byte) *artifact {
 		ctype = "image/jpeg"
 	}
 	return &artifact{
-		data:  data,
-		ctype: ctype,
-		etag:  fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data)),
+		data:   data,
+		ctype:  ctype,
+		etag:   fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data)),
+		length: strconv.Itoa(len(data)),
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"msite/internal/attr"
 	"msite/internal/cache"
+	"msite/internal/css"
 	"msite/internal/session"
 )
 
@@ -29,7 +30,9 @@ type served struct {
 	Status             int
 	ContentType        string
 	CacheControl, ETag string
-	Body               string
+	// Length is the declared Content-Length, -1 for a chunked body.
+	Length int64
+	Body   string
 }
 
 // snapGenRE matches the streaming overlay's per-render upgrade version,
@@ -73,7 +76,14 @@ func viewAll(t *testing.T, client *http.Client, base string, subpages, assets []
 			ContentType:  resp.Header.Get("Content-Type"),
 			CacheControl: resp.Header.Get("Cache-Control"),
 			ETag:         resp.Header.Get("ETag"),
+			Length:       resp.ContentLength,
 			Body:         snapGenRE.ReplaceAllString(string(body), "?v=N"),
+		}
+		// An artifact is complete before it is served: a 200 of one
+		// declares its length instead of going out chunked.
+		if path != "/" && s.Status == http.StatusOK && s.Length != int64(len(body)) {
+			t.Errorf("%s: Content-Length %d (transfer encoding %v) for a %d-byte artifact",
+				key, s.Length, resp.TransferEncoding, len(body))
 		}
 		out[key] = s
 		return s
@@ -570,5 +580,78 @@ func testPersonalizedSnapshotStaysPrivate(t *testing.T, cfg Config, loggedInFirs
 	}
 	if e, ok := rig.cache.Get(sharedKeys[0]); !ok || !bytes.Equal(e.Data, anonSnap) {
 		t.Fatal("the shared snapshot is not the anonymous render")
+	}
+}
+
+// TestStylesheetsParsedOncePerBuild: everything that styles a build's
+// documents — the attribute phase's layouts, the pre-render's, the
+// pruner, the snapshot render of the main page — goes through the
+// build's one memo, so a cold view of the evaluation spec costs one parse
+// per distinct <style> text, and a warm view none. The first render takes
+// the memo with it; a later one, and any render of a decoded Bundle,
+// parses for itself — once per sheet — and renders the same bytes.
+func TestStylesheetsParsedOncePerBuild(t *testing.T) {
+	rig := newPersistRigSpec(t, Config{}, evaluationSpec)
+	view := func() (snapshot string) {
+		t.Helper()
+		c := newDevice(t)
+		for _, path := range []string{"/", "/asset/" + rig.p.snapName, "/subpage/login", "/subpage/nav", "/subpage/forums", "/asset/forums.jpg"} {
+			resp, err := c.Get(rig.proxy.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s = %d", path, resp.StatusCode)
+			}
+			if path == "/asset/"+rig.p.snapName {
+				snapshot = string(body)
+			}
+		}
+		return snapshot
+	}
+	parsed := func(f func()) int {
+		before := css.ParseCount()
+		f()
+		return int(css.ParseCount() - before)
+	}
+
+	var built string
+	cold := parsed(func() { built = view() })
+	bundle, _ := rig.p.sharedBundle()
+	texts := make(map[string]bool)
+	for _, style := range tidyDoc(string(bundle.pages[mainPage].data)).Elements("style") {
+		texts[css.StyleSource(style)] = true
+	}
+	if len(texts) < 2 || cold != len(texts) {
+		t.Fatalf("a cold view parsed %d stylesheets; the main page carries %d distinct ones", cold, len(texts))
+	}
+	if n := parsed(func() { view() }); n != 0 {
+		t.Fatalf("a warm view parsed %d stylesheets", n)
+	}
+	if bundle.sheets.Load() != nil {
+		t.Fatal("the built Bundle still holds the build's parsed stylesheets after its snapshot render")
+	}
+
+	// Without the rendered snapshot the next view has to render: first
+	// from the built Bundle again, then from its decoded form.
+	for _, from := range []string{"built", "decoded"} {
+		if from == "decoded" {
+			rig.p.sharedMu.Lock()
+			rig.p.shared, rig.p.sharedSrc = nil, nil
+			rig.p.sharedMu.Unlock()
+		}
+		rig.p.cfg.Cache.Delete("snapshot:" + rig.p.cfg.Spec.Name)
+		var again string
+		if n := parsed(func() { again = view() }); n != len(texts) {
+			t.Fatalf("a later render of the %s Bundle parsed %d stylesheets, want %d", from, n, len(texts))
+		}
+		if again != built {
+			t.Fatalf("the %s Bundle re-rendered a %d-byte snapshot, at first %d bytes", from, len(again), len(built))
+		}
+	}
+	if got := rig.p.Stats(); got.Adaptations != 1 || got.SnapshotRenders != 3 {
+		t.Fatalf("stats %+v; want one adaptation and three snapshot renders", got)
 	}
 }

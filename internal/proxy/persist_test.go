@@ -17,6 +17,7 @@ import (
 	"msite/internal/imaging"
 	"msite/internal/origin"
 	"msite/internal/session"
+	"msite/internal/spec"
 	"msite/internal/store"
 )
 
@@ -26,8 +27,10 @@ type persistRig struct {
 	t        *testing.T
 	origin   *httptest.Server
 	storeDir string
-	// cfg carries the entry-mode knobs every generation is built with.
-	cfg Config
+	// cfg carries the entry-mode knobs every generation is built with,
+	// mutate (may be nil) what its spec adds to forumSpec.
+	cfg    Config
+	mutate func(*spec.Spec)
 	// sessionRoot is the current generation's session directory root.
 	sessionRoot string
 
@@ -39,12 +42,14 @@ type persistRig struct {
 
 func newPersistRig(t *testing.T) *persistRig { return newPersistRigWith(t, Config{}) }
 
-func newPersistRigWith(t *testing.T, cfg Config) *persistRig {
+func newPersistRigWith(t *testing.T, cfg Config) *persistRig { return newPersistRigSpec(t, cfg, nil) }
+
+func newPersistRigSpec(t *testing.T, cfg Config, mutate func(*spec.Spec)) *persistRig {
 	t.Helper()
 	forum := origin.NewForum(origin.DefaultForumConfig())
 	originSrv := httptest.NewServer(forum.Handler())
 	t.Cleanup(originSrv.Close)
-	rig := &persistRig{t: t, origin: originSrv, storeDir: t.TempDir(), cfg: cfg}
+	rig := &persistRig{t: t, origin: originSrv, storeDir: t.TempDir(), cfg: cfg, mutate: mutate}
 	rig.start()
 	return rig
 }
@@ -65,6 +70,9 @@ func (rig *persistRig) start() {
 	}
 	cfg := rig.cfg
 	cfg.Spec = forumSpec(rig.origin.URL)
+	if rig.mutate != nil {
+		rig.mutate(cfg.Spec)
+	}
 	cfg.Sessions = sessions
 	cfg.Cache = tc
 	cfg.PersistBundles = true

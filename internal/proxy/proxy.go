@@ -965,9 +965,13 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*Bundle,
 			FetchedAt:    time.Now(),
 		},
 	}
+	b.sheets.Store(result.Sheets)
 	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data) }
 	addAsset := func(name string, data []byte) { b.assets[name] = newArtifact(name, data) }
 	for _, sub := range result.Subpages {
+		if why := attr.StylesKeptWhole(sub); why != "" {
+			b.notes = append(b.notes, fmt.Sprintf("subpage %q ships its stylesheets whole: %s", sub.Name, why))
+		}
 		addPage(attr.SubpageFileName(sub.Name), attr.SerializeSubpage(sub))
 		if len(sub.ImageData) > 0 {
 			addAsset(attr.AssetFileName(sub), sub.ImageData)
@@ -975,7 +979,7 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*Bundle,
 		// The page now stands for the document: the Bundle keeps the
 		// subpage's description without its DOM, as a decoded one does.
 		desc := *sub
-		desc.Doc = nil
+		desc.Doc, desc.Sheets = nil, nil
 		b.subpages[sub.Name] = &desc
 	}
 	b.orderAreas()
@@ -1068,6 +1072,13 @@ func (p *Proxy) degrade(ctx context.Context, stage string, err error) string {
 // servePage writes one of a Bundle's HTML pages.
 func servePage(w http.ResponseWriter, a *artifact) {
 	w.Header().Set("Content-Type", a.ctype)
+	writeBody(w, a)
+}
+
+// writeBody sends an artifact's bytes as a 200 of known length: left to
+// itself net/http chunks any body that outgrows its 2 KB buffer.
+func writeBody(w http.ResponseWriter, a *artifact) {
+	w.Header().Set("Content-Length", a.length)
 	_, _ = w.Write(a.data)
 }
 
@@ -1201,7 +1212,7 @@ func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle, onCoarse func(pro
 	p.nSnapshotRenders.Add(1)
 	p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
 	sp := obs.StartSpan(ctx, "layout")
-	res := layoutForDoc(tidyDoc(string(b.pages[mainPage].data)), p.width)
+	res := layoutForDoc(tidyDoc(string(b.pages[mainPage].data)), p.width, b.sheets.Swap(nil))
 	sp.End()
 	out, err := progressive.Render(res, progressive.Config{
 		Ctx:      ctx,
@@ -1399,7 +1410,7 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	_, _ = w.Write(a.data)
+	writeBody(w, a)
 }
 
 // etagMatches evaluates an If-None-Match header against the current

@@ -265,6 +265,33 @@ func TestLoginSubpage(t *testing.T) {
 	}
 }
 
+// TestSubpageStylesPrunedOrNoted: the login page ships the one rule of the
+// site's 30 KB stylesheet that its form can match; the ajax navigation
+// pane, handed the same sheets, joins the entry page's document on the
+// device, so it ships them whole and the Bundle's notes say so.
+func TestSubpageStylesPrunedOrNoted(t *testing.T) {
+	rig := newRig(t, func(sp *spec.Spec) {
+		styles := &sp.Objects[2]
+		styles.Attributes = append(styles.Attributes,
+			spec.Attribute{Type: spec.AttrDependency, Params: map[string]string{"subpage": "nav"}})
+	})
+	rig.get(t, "/")
+	login, _ := rig.get(t, "/subpage/login")
+	if len(login) > 2<<10 || !strings.Contains(login, "body { font-family:") || strings.Contains(login, ".vb-rule-") {
+		t.Errorf("login page is %d B; want the body rule and no dead ones:\n%.300s", len(login), login)
+	}
+	if nav, _ := rig.get(t, "/subpage/nav"); strings.Count(nav, ".vb-rule-") < 400 {
+		t.Errorf("ajax nav pane lost its stylesheet: %d B", len(nav))
+	}
+	stats, _ := rig.get(t, "/stats")
+	if want := `subpage \"nav\" ships its stylesheets whole: it is loaded into the entry page (ajax)`; !strings.Contains(stats, want) {
+		t.Errorf("notes lack %q: %s", want, stats)
+	}
+	if strings.Contains(stats, `subpage \"login\" ships`) {
+		t.Errorf("a pruned subpage is noted: %s", stats)
+	}
+}
+
 func TestSubpageWithoutPriorEntry(t *testing.T) {
 	// Hitting a subpage first still adapts on demand.
 	rig := newRig(t, nil)

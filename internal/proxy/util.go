@@ -20,9 +20,10 @@ func tidyDoc(src string) *dom.Node {
 	return html.Tidy(src)
 }
 
-// layoutForDoc lays out a document at the proxy's render width.
-func layoutForDoc(doc *dom.Node, width int) *layout.Result {
-	styler := css.StylerForDocument(doc)
+// layoutForDoc lays out a document at the proxy's render width, its
+// stylesheets parsed through sheets.
+func layoutForDoc(doc *dom.Node, width int, sheets *css.Sheets) *layout.Result {
+	styler := css.StylerForDocument(doc, sheets)
 	return layout.Layout(doc, styler, layout.Viewport{Width: width})
 }
 

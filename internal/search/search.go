@@ -124,15 +124,24 @@ func (idx *Index) Scale(factor float64) *Index {
 // JS emits the client payload: the ordered index array, a binary-search
 // function, and a trigger hookup for the element the site administrator
 // designated (§3.3: "the site administrator must define an HTML element
-// (button or link) to make the initial Javascript call").
+// (button or link) to make the initial Javascript call"). The array has
+// one entry per distinct word, the word and then x,y,w,h for each of its
+// occurrences in order: ["word",x,y,w,h,x,y,w,h,...] — a page repeats its
+// words, and a word is most of what a hit costs to write.
 func (idx *Index) JS(triggerID string) string {
 	var b strings.Builder
 	b.WriteString("var msiteSearchIndex = [")
 	for i, h := range idx.hits {
-		if i > 0 {
-			b.WriteByte(',')
+		if i == 0 || h.Word != idx.hits[i-1].Word {
+			if i > 0 {
+				b.WriteString("],")
+			}
+			fmt.Fprintf(&b, "[%q", h.Word)
 		}
-		fmt.Fprintf(&b, "[%q,%d,%d,%d,%d]", h.Word, h.X, h.Y, h.W, h.H)
+		fmt.Fprintf(&b, ",%d,%d,%d,%d", h.X, h.Y, h.W, h.H)
+	}
+	if len(idx.hits) > 0 {
+		b.WriteByte(']')
 	}
 	b.WriteString("];\n")
 	b.WriteString(searchRuntimeJS)
@@ -143,8 +152,8 @@ func (idx *Index) JS(triggerID string) string {
 }
 
 // searchRuntimeJS is the device-side runtime: binary search over the
-// sorted array plus a highlight overlay positioned at the hit
-// coordinates.
+// sorted words, a word's hits read off its entry four numbers at a time,
+// plus a highlight overlay positioned at the first hit's coordinates.
 const searchRuntimeJS = `function msiteSearch(word) {
   word = word.toLowerCase();
   var lo = 0, hi = msiteSearchIndex.length;
@@ -152,9 +161,9 @@ const searchRuntimeJS = `function msiteSearch(word) {
     var mid = (lo + hi) >> 1;
     if (msiteSearchIndex[mid][0] < word) { lo = mid + 1; } else { hi = mid; }
   }
-  var hits = [];
-  while (lo < msiteSearchIndex.length && msiteSearchIndex[lo][0] === word) {
-    hits.push(msiteSearchIndex[lo]); lo++;
+  var hits = [], entry = msiteSearchIndex[lo];
+  if (entry && entry[0] === word) {
+    for (var i = 1; i + 3 < entry.length; i += 4) { hits.push(entry.slice(i, i + 4)); }
   }
   return hits;
 }
@@ -166,13 +175,13 @@ function msiteHighlight(hits) {
   var box = document.createElement('div');
   box.id = 'msite-hit';
   box.style.position = 'absolute';
-  box.style.left = h[1] + 'px';
-  box.style.top = h[2] + 'px';
-  box.style.width = h[3] + 'px';
-  box.style.height = h[4] + 'px';
+  box.style.left = h[0] + 'px';
+  box.style.top = h[1] + 'px';
+  box.style.width = h[2] + 'px';
+  box.style.height = h[3] + 'px';
   box.style.border = '2px solid red';
   document.body.appendChild(box);
-  window.scrollTo(0, Math.max(0, h[2] - 40));
+  window.scrollTo(0, Math.max(0, h[1] - 40));
 }
 function msiteBindSearch(id) {
   var el = document.getElementById(id);

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,6 +133,51 @@ func TestJSPayload(t *testing.T) {
 	// Index array must be sorted for the binary search.
 	if strings.Index(js, `["alpha"`) > strings.Index(js, `["beta"`) {
 		t.Fatal("index not sorted in payload")
+	}
+}
+
+// decodePayload reads the index array back out of a JS payload the way
+// the device runtime does: one entry per word, hits in fours.
+func decodePayload(t *testing.T, js string) []Hit {
+	t.Helper()
+	line, _, _ := strings.Cut(js, ";\n")
+	var entries [][]any
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "var msiteSearchIndex = ")), &entries); err != nil {
+		t.Fatalf("index array does not parse: %v\n%s", err, line)
+	}
+	var hits []Hit
+	for i, e := range entries {
+		word, ok := e[0].(string)
+		if !ok || len(e) < 5 || len(e)%4 != 1 {
+			t.Fatalf("entry %d is %v, want a word and hits in fours", i, e)
+		}
+		if i > 0 && word <= entries[i-1][0].(string) {
+			t.Fatalf("entry %d: %q does not sort after %q", i, word, entries[i-1][0])
+		}
+		for j := 1; j < len(e); j += 4 {
+			n := func(k int) int { return int(e[j+k].(float64)) }
+			hits = append(hits, Hit{Word: word, X: n(0), Y: n(1), W: n(2), H: n(3)})
+		}
+	}
+	return hits
+}
+
+// TestJSPayloadDecodesToTheIndex: grouping hits under their word loses
+// none and reorders none, as built and after Scale.
+func TestJSPayloadDecodesToTheIndex(t *testing.T) {
+	idx, _ := buildIndex(t, `<html><body><h1>alpha beta alpha</h1><p style="margin: 37px">gamma "quoted" beta
+		alpha</p><p>zeta eta theta alpha kappa beta</p></body></html>`)
+	if len(idx.Words()) == idx.Len() {
+		t.Fatal("fixture repeats no word")
+	}
+	for name, ix := range map[string]*Index{"built": idx, "scaled": idx.Scale(0.45)} {
+		js := ix.JS("go")
+		if got := decodePayload(t, js); !reflect.DeepEqual(got, ix.hits) {
+			t.Errorf("%s: payload decodes to\n%v\nwant\n%v", name, got, ix.hits)
+		}
+		if got, want := strings.Count(js, `["`), len(ix.Words()); got != want {
+			t.Errorf("%s: %d entries for %d distinct words", name, got, want)
+		}
 	}
 }
 
