@@ -100,7 +100,7 @@ func run() error {
 		return err
 	}
 	fmt.Println("\n== pre-rendered forums subpage ==")
-	fmt.Printf("served as single graphic:    %v\n", strings.Contains(forums, "/asset/forums.jpg"))
+	fmt.Printf("served as single graphic:    %v\n", strings.Contains(forums, "/asset/forums.png"))
 	fmt.Printf("search index shipped:        %v\n", strings.Contains(forums, "msiteSearchIndex"))
 	fmt.Printf("binary search function:      %v\n", strings.Contains(forums, "function msiteSearch"))
 

@@ -80,7 +80,7 @@ func TestIntegrationMultiUserConcurrency(t *testing.T) {
 			}
 			client := &http.Client{Jar: jar, Timeout: 60 * time.Second}
 			journey := func() error {
-				for _, path := range []string{"/", "/subpage/login", "/subpage/forums", "/asset/forums.jpg", "/asset/shoptour_thumb.jpg", "/ajax?action=1&p=3"} {
+				for _, path := range []string{"/", "/subpage/login", "/subpage/forums", "/asset/forums.png", "/asset/shoptour_thumb.jpg", "/ajax?action=1&p=3"} {
 					resp, err := client.Get(proxySrv.URL + path)
 					if err != nil {
 						return fmt.Errorf("user %d %s: %w", u, path, err)
@@ -140,7 +140,7 @@ func TestIntegrationOriginLoss(t *testing.T) {
 
 	// Already-generated artifacts still serve.
 	fetchOK(t, client, proxySrv.URL+"/subpage/login")
-	fetchOK(t, client, proxySrv.URL+"/asset/forums.jpg")
+	fetchOK(t, client, proxySrv.URL+"/asset/forums.png")
 
 	// A forced re-adaptation needs the origin: 502.
 	resp, err := client.Get(proxySrv.URL + "/?refresh=1")

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -323,16 +324,17 @@ func TestPreRenderSubpage(t *testing.T) {
 	if !sub.PreRender || len(sub.ImageData) == 0 {
 		t.Fatal("no pre-rendered image")
 	}
-	if sub.ImageMIME != "image/jpeg" {
+	// A page of text and boxes has few colours: it ships as an exact PNG
+	// whatever its fidelity.
+	if sub.ImageMIME != "image/png" {
 		t.Fatalf("mime = %q", sub.ImageMIME)
 	}
 	out := string(SerializeSubpage(sub))
-	if !strings.Contains(out, `src="/asset/forums.jpg"`) {
+	if !strings.Contains(out, `src="/asset/forums.png"`) {
 		t.Fatalf("subpage should reference rendered asset: %s", out)
 	}
-	// JPEG magic.
-	if sub.ImageData[0] != 0xff || sub.ImageData[1] != 0xd8 {
-		t.Fatal("not a JPEG")
+	if !bytes.HasPrefix(sub.ImageData, []byte("\x89PNG")) {
+		t.Fatal("not a PNG")
 	}
 }
 
@@ -376,7 +378,7 @@ func TestPartialCSSSubpage(t *testing.T) {
 		t.Fatal("no partial-css background")
 	}
 	out := string(SerializeSubpage(sub))
-	if !strings.Contains(out, "background-image: url(/asset/forums.jpg)") {
+	if !strings.Contains(out, "background-image: url(/asset/forums.png)") {
 		t.Fatalf("no background: %s", out)
 	}
 	// Text must be client-side, absolutely positioned.
@@ -543,13 +545,22 @@ func TestOverlayNoAJAXOmitsRuntime(t *testing.T) {
 	}
 }
 
+// TestFileNameHelpers: a name is made path-safe, and a pre-render's
+// extension follows what it was encoded as, not the fidelity it asked for.
 func TestFileNameHelpers(t *testing.T) {
-	if SubpageFileName("log in/form") != "sub_log_in_form.html" {
-		t.Fatalf("got %q", SubpageFileName("log in/form"))
-	}
-	sub := &Subpage{Name: "snap", Fidelity: imaging.FidelityHigh}
-	if AssetFileName(sub) != "snap.png" {
-		t.Fatalf("got %q", AssetFileName(sub))
+	for _, tc := range []struct{ name, mime, page, asset string }{
+		{"snap", "image/png", "sub_snap.html", "snap.png"},
+		{"snap", "image/jpeg", "sub_snap.html", "snap.jpg"},
+		{"all forums", "image/png", "sub_all_forums.html", "all_forums.png"},
+		{"log in/form", "image/jpeg", "sub_log_in_form.html", "log_in_form.jpg"},
+	} {
+		sub := &Subpage{Name: tc.name, Fidelity: imaging.FidelityHigh, ImageMIME: tc.mime}
+		if got := SubpageFileName(tc.name); got != tc.page {
+			t.Errorf("SubpageFileName(%q) = %q, want %q", tc.name, got, tc.page)
+		}
+		if got := AssetFileName(sub); got != tc.asset {
+			t.Errorf("AssetFileName(%q, %s) = %q, want %q", tc.name, tc.mime, got, tc.asset)
+		}
 	}
 }
 
@@ -591,7 +602,7 @@ func TestCustomURLFuncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub, _ := res.FindSubpage("forums")
-	if !strings.Contains(string(SerializeSubpage(sub)), "/u/abc/images/forums.jpg") {
+	if !strings.Contains(string(SerializeSubpage(sub)), "/u/abc/images/forums.png") {
 		t.Fatal("asset URL func ignored")
 	}
 	out := bufferedOverlay(a, Overlay{SnapshotURL: "/s", Width: 1, Height: 1, Scale: 1},

@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"image"
+	"image/color"
+	"image/png"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"testing"
 
 	"msite/internal/attr"
+	"msite/internal/css"
 	"msite/internal/experiments"
 	"msite/internal/html"
 	"msite/internal/imaging"
+	"msite/internal/layout"
 	"msite/internal/origin"
+	"msite/internal/raster"
 	"msite/internal/spec"
 )
 
@@ -39,17 +45,16 @@ func digest(data []byte) string {
 	return fmt.Sprintf("%d:%x", len(data), sha256.Sum256(data))
 }
 
-// Captured at the commit before pre-renders were scaled: what the forum
-// spec's artifacts are when nothing asks for a scale.
+// The forum spec's artifacts. TestPreRenderIsLossless is what says the
+// forums images are right; their digests say only that they did not move.
 const (
-	// Encode(ScaleFactor(Paint(res), 0.45), low), by that commit's
-	// full-frame path with the scale passed to it.
-	goldenForumsScaledJPEG = "62673:b7b354257865a9396b4c6d0c81304504e2f1bea1f3266a1f537c3d3ddcc701f1"
-
-	goldenForumsJPEG = "250673:a9b4e29e1e068d74eb4586bb5fe670db96d88e0e525adc25f70646c5a227635b"
-	// Captured again when the search index went to one entry per word:
-	// the same markup around the regrouped index and its runtime.
-	goldenForumsHTML = "11736:7c30212111e01aafc381a4504055e7403b86809fb0d5de43fd03a2817e5e354a"
+	// EncodeExact(ScaleFactor(Paint(res), 0.45)): 48 colours.
+	goldenForumsScaledPNG = "32325:023b66bf9dca3999b994d9e0d95e695e6374e20c91625dcd8478a267ad882a5c"
+	// EncodeExact(Paint(res)).
+	goldenForumsPNG = "38285:7368cf4c9fca1b3183c3c2dcd6b82cc6186d6aefc52e0440981110c1e0a2d55d"
+	// The page around the unscaled image: captured when the search index
+	// went to one entry per word, and again when its <img> went .png.
+	goldenForumsHTML = "11736:b06ff35c27865a2170ad63b99294dac9829a94a6c971f4021e5b448140a0cd6b"
 	goldenThumbJPEG  = "1576:ecd15929f88c64d7f567d1e5ec7945b7675610e0f5476a7f41dad2d6f3181d18"
 )
 
@@ -62,8 +67,8 @@ func TestPreRenderShipsAtSnapshotScale(t *testing.T) {
 	if !ok {
 		t.Fatal("no forums subpage")
 	}
-	if got := digest(sub.ImageData); got != goldenForumsScaledJPEG {
-		t.Errorf("band-folded forums.jpg is %s, want the scaled full paint %s", got, goldenForumsScaledJPEG)
+	if got := digest(sub.ImageData); got != goldenForumsScaledPNG {
+		t.Errorf("band-folded forums.png is %s, want the scaled full paint %s", got, goldenForumsScaledPNG)
 	}
 	img, err := imaging.Decode(sub.ImageData)
 	if err != nil {
@@ -74,7 +79,7 @@ func TestPreRenderShipsAtSnapshotScale(t *testing.T) {
 		t.Fatalf("pre-render is %d px wide, want the 1024 px layout at 0.45", w)
 	}
 	page := attr.SerializeSubpage(sub)
-	if want := fmt.Sprintf(`<img src="/asset/forums.jpg" alt="Forums" width="%d" height="%d">`, w, h); !bytes.Contains(page, []byte(want)) {
+	if want := fmt.Sprintf(`<img src="/asset/forums.png" alt="Forums" width="%d" height="%d">`, w, h); !bytes.Contains(page, []byte(want)) {
 		t.Fatalf("subpage lacks %s", want)
 	}
 	// One entry per word, its hits following it in fours.
@@ -114,11 +119,52 @@ func TestPreRenderAsPaintedWithoutAScale(t *testing.T) {
 	} {
 		res := applyForum(t, mutate)
 		sub, _ := res.FindSubpage("forums")
-		if got := digest(sub.ImageData); got != goldenForumsJPEG {
-			t.Errorf("%s: forums.jpg is %s, want %s", name, got, goldenForumsJPEG)
+		if got := digest(sub.ImageData); got != goldenForumsPNG {
+			t.Errorf("%s: forums.png is %s, want %s", name, got, goldenForumsPNG)
 		}
 		if got := digest(attr.SerializeSubpage(sub)); got != goldenForumsHTML {
 			t.Errorf("%s: forums subpage is %s, want %s", name, got, goldenForumsHTML)
+		}
+	}
+}
+
+// TestPreRenderIsLossless is the oracle for the forums image: it decodes
+// to exactly the frame the renderer paints — ScaleFactor(Paint(res),
+// 0.45) at the spec's snapshot.scale, Paint(res) itself at scale 1 —
+// where res is the forums subpage laid out as the pre-render lays it out.
+func TestPreRenderIsLossless(t *testing.T) {
+	plain, _ := applyForum(t, func(sp *spec.Spec) {
+		forums := &sp.Objects[len(sp.Objects)-1]
+		forums.Attributes = []spec.Attribute{{Type: spec.AttrSubpage, Params: map[string]string{"title": "Forums"}}}
+	}).FindSubpage("forums")
+	res := layout.Layout(plain.Doc, css.StylerForDocument(plain.Doc, plain.Sheets), layout.Viewport{Width: 1024})
+	painted := raster.Paint(res, raster.Options{})
+	for _, tc := range []struct {
+		name   string
+		mutate func(*spec.Spec)
+		want   *image.RGBA
+	}{
+		{"scaled", nil, imaging.ScaleFactor(painted, 0.45)},
+		{"as-painted", func(sp *spec.Spec) { sp.Snapshot.Scale = 1 }, painted},
+	} {
+		sub, _ := applyForum(t, tc.mutate).FindSubpage("forums")
+		if sub.ImageMIME != "image/png" {
+			t.Fatalf("%s: forums image is %s", tc.name, sub.ImageMIME)
+		}
+		got, err := png.Decode(bytes.NewReader(sub.ImageData))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Bounds() != tc.want.Bounds() {
+			t.Fatalf("%s: decoded %v, painted %v", tc.name, got.Bounds(), tc.want.Bounds())
+		}
+		b := got.Bounds()
+		for y := b.Min.Y; y < b.Max.Y; y++ {
+			for x := b.Min.X; x < b.Max.X; x++ {
+				if c := color.RGBAModel.Convert(got.At(x, y)); c != tc.want.RGBAAt(x, y) {
+					t.Fatalf("%s: pixel (%d,%d) decodes to %v, painted %v", tc.name, x, y, c, tc.want.RGBAAt(x, y))
+				}
+			}
 		}
 	}
 }

@@ -45,9 +45,12 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	if !sub.PartialCSS {
 		scale = prerenderScale(sp)
 	}
+	// A page painted from text and boxes is flat, and ships as an exact
+	// PNG smaller than the spec's fidelity rung would be.
 	out, err := progressive.Render(res, progressive.Config{
 		Raster:   raster.Options{SkipText: sub.PartialCSS, Images: a.Images},
 		Fidelity: sub.Fidelity,
+		Exact:    true,
 		Scale:    scale,
 	})
 	if err != nil {
@@ -61,11 +64,10 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 
 	// The subpage becomes a single graphic, optionally searchable via
 	// the word index.
-	assetName := sub.Name + sub.Fidelity.Ext()
 	page := newSubpageDoc(sub.Title)
 	body := page.Body()
 	imgEl := dom.NewElement("img")
-	imgEl.SetAttr("src", a.assetURL(assetName))
+	imgEl.SetAttr("src", a.assetURL(AssetFileName(sub)))
 	imgEl.SetAttr("alt", sub.Title)
 	imgEl.SetAttr("width", itoa(out.Full.Width))
 	imgEl.SetAttr("height", itoa(out.Full.Height))
@@ -107,13 +109,12 @@ func prerenderScale(sp *spec.Spec) float64 {
 // art) with text suppressed, and the device draws the text at the
 // measured coordinates over that background.
 func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable bool, trigger string) {
-	assetName := sub.Name + sub.Fidelity.Ext()
 	page := newSubpageDoc(sub.Title)
 	body := page.Body()
 	container := dom.NewElement("div")
 	container.SetAttr("style", fmt.Sprintf(
 		"position: relative; width: %dpx; height: %dpx; background-image: url(%s)",
-		res.Width, res.Height, a.assetURL(assetName)))
+		res.Width, res.Height, a.assetURL(AssetFileName(sub))))
 	for _, run := range res.Runs() {
 		span := dom.NewElement("span")
 		style := fmt.Sprintf(
@@ -158,9 +159,15 @@ func SubpageFileName(name string) string {
 	return "sub_" + sanitize(name) + ".html"
 }
 
-// AssetFileName returns the file name of a subpage's rendered image.
+// AssetFileName returns the file name of a subpage's rendered image: the
+// one name its page references and its Bundle stores it under. The
+// extension follows the MIME type the image was encoded as, so a Bundle
+// decoded from a record that stored a JPEG still names it .jpg.
 func AssetFileName(sub *Subpage) string {
-	return sanitize(sub.Name) + sub.Fidelity.Ext()
+	if sub.ImageMIME == "image/png" {
+		return sanitize(sub.Name) + ".png"
+	}
+	return sanitize(sub.Name) + ".jpg"
 }
 
 func sanitize(name string) string {

@@ -535,34 +535,35 @@ func (n *Node) Path() string {
 
 // SortNodes sorts nodes in document order relative to the given root and
 // removes duplicates. Nodes not under root keep their relative order at
-// the end. The input slice is modified and returned.
+// the end. The input slice is modified and returned. Only the selected
+// nodes are indexed, and a selection of at most one node is returned as
+// it is, so sorting costs nothing in proportion to the document.
 func SortNodes(root *Node, nodes []*Node) []*Node {
-	order := make(map[*Node]int)
-	i := 0
-	root.Walk(func(d *Node) bool {
-		order[d] = i
-		i++
-		return true
-	})
-	seen := make(map[*Node]bool, len(nodes))
+	if len(nodes) < 2 {
+		return nodes
+	}
+	// order is each selected node's position under root, -1 until the
+	// walk meets it.
+	order := make(map[*Node]int, len(nodes))
 	uniq := nodes[:0]
 	for _, n := range nodes {
-		if !seen[n] {
-			seen[n] = true
+		if _, dup := order[n]; !dup {
+			order[n] = -1
 			uniq = append(uniq, n)
 		}
 	}
-	sort.SliceStable(uniq, func(a, b int) bool {
-		oa, oka := order[uniq[a]]
-		ob, okb := order[uniq[b]]
-		switch {
-		case oka && okb:
-			return oa < ob
-		case oka:
-			return true
-		default:
-			return false
+	pos, left := 0, len(uniq)
+	root.Walk(func(d *Node) bool {
+		if o, ok := order[d]; ok && o < 0 {
+			order[d] = pos
+			left--
 		}
+		pos++
+		return left > 0
+	})
+	sort.SliceStable(uniq, func(a, b int) bool {
+		oa, ob := order[uniq[a]], order[uniq[b]]
+		return oa >= 0 && (ob < 0 || oa < ob)
 	})
 	return uniq
 }

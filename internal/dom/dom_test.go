@@ -516,6 +516,90 @@ func TestSortNodesForeign(t *testing.T) {
 	}
 }
 
+// TestSortNodesMatchesDocumentOrder: over random trees and random
+// selections with duplicates and nodes from elsewhere, SortNodes keeps
+// one of each node, those under root in document order and the rest
+// after them in the order given.
+func TestSortNodesMatchesDocumentOrder(t *testing.T) {
+	f := func(shape, picks []uint8) bool {
+		root := NewElement("root")
+		all := []*Node{root}
+		for _, op := range shape {
+			n := NewElement("n")
+			all[int(op)%len(all)].AppendChild(n)
+			all = append(all, n)
+		}
+		var inOrder []*Node
+		root.Walk(func(d *Node) bool { inOrder = append(inOrder, d); return true })
+		foreign := []*Node{NewElement("x"), NewElement("y")}
+		var sel []*Node
+		for _, p := range picks {
+			if p%8 == 0 {
+				sel = append(sel, foreign[p/8%2])
+			} else {
+				sel = append(sel, all[int(p)%len(all)])
+			}
+		}
+		var want []*Node
+		for _, d := range inOrder {
+			for _, n := range sel {
+				if n == d {
+					want = append(want, d)
+					break
+				}
+			}
+		}
+		for _, n := range sel {
+			if n.Parent == nil && n != root && !containsNode(want, n) {
+				want = append(want, n)
+			}
+		}
+		got := SortNodes(root, append([]*Node(nil), sel...))
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func containsNode(list []*Node, n *Node) bool {
+	for _, m := range list {
+		if m == n {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSortNodesAllocsIndependentOfDocument: sorting indexes the selected
+// nodes only, so what it allocates does not grow with the document.
+func TestSortNodesAllocsIndependentOfDocument(t *testing.T) {
+	allocs := func(size int) float64 {
+		doc := NewDocument()
+		body := NewElement("body")
+		doc.AppendChild(body)
+		for i := 0; i < size; i++ {
+			body.AppendChild(NewElement("p"))
+		}
+		sel := make([]*Node, 2)
+		return testing.AllocsPerRun(20, func() {
+			sel[0], sel[1] = body.LastChild, body.FirstChild
+			SortNodes(doc, sel)
+		})
+	}
+	if small, large := allocs(10), allocs(5000); large > small {
+		t.Fatalf("sorting 2 nodes allocates %.0f times in a 10-node document, %.0f in a 5000-node one", small, large)
+	}
+}
+
 // Property: a randomly built tree always maintains link invariants.
 func TestQuickTreeInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {

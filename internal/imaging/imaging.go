@@ -1,11 +1,14 @@
 // Package imaging is the image post-processor of the m.Site pipeline
 // (§3.3 "Image fidelity"): scaling and fidelity-ladder encoding that
 // turns a ~600 KB full-page PNG snapshot into the 25–50 KB JPEG a mobile
-// client actually downloads.
+// client actually downloads. A flat frame — a render of text and boxes
+// with at most 256 colours — needs no ladder: EncodeExact writes it as a
+// palette PNG that is both exact and smaller than the JPEG.
 package imaging
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -110,6 +113,76 @@ func EncodePNG(img image.Image) ([]byte, error) {
 	return encodeWith(func(buf *bytes.Buffer) error {
 		return png.Encode(buf, img)
 	}, "png")
+}
+
+// EncodeExact encodes img losslessly as a palette PNG when it has at most
+// 256 colours, each of which survives PNG's non-premultiplied palette; ok
+// is false, with no data and no error, for any other image, which the
+// caller encodes lossily instead. One pass over the pixels fills the
+// colour table and stops at the 257th colour, and the encoder reads the
+// palette indices through that table, so nothing the size of the image is
+// allocated beside the encoder's own state.
+func EncodeExact(img *image.RGBA) (data []byte, ok bool, err error) {
+	b := img.Bounds()
+	if b.Empty() {
+		return nil, false, nil
+	}
+	v := &paletteView{RGBA: img}
+	var last uint32
+	for y := b.Min.Y; y < b.Max.Y; y++ {
+		off := img.PixOffset(b.Min.X, y)
+		for row := img.Pix[off : off+4*b.Dx()]; len(row) >= 4; row = row[4:] {
+			key := binary.LittleEndian.Uint32(row)
+			if key == last && len(v.pal) > 0 {
+				continue // runs of one colour are most of a page
+			}
+			last = key
+			s := v.slot(key)
+			if v.index[s] != 0 {
+				continue
+			}
+			c := color.RGBA{R: row[0], G: row[1], B: row[2], A: row[3]}
+			if len(v.pal) == 256 || c.A != 0xff && color.RGBAModel.Convert(color.NRGBAModel.Convert(c)) != c {
+				return nil, false, nil
+			}
+			v.keys[s], v.index[s] = key, uint16(len(v.pal)+1)
+			v.pal = append(v.pal, c)
+		}
+	}
+	data, err = EncodePNG(v)
+	return data, err == nil, err
+}
+
+// tableBits sizes paletteView's colour table: 512 slots keep its load at
+// most one half with 256 colours.
+const tableBits = 9
+
+// paletteView is an *image.RGBA seen as an image.PalettedImage, which
+// png.Encode writes as a palette PNG: ColorIndexAt looks each pixel up in
+// an open-addressed table of the image's colours.
+type paletteView struct {
+	*image.RGBA
+	pal  color.Palette
+	keys [1 << tableBits]uint32
+	// index holds a slot's palette index plus one; 0 marks an empty slot.
+	index [1 << tableBits]uint16
+}
+
+func (v *paletteView) ColorModel() color.Model { return v.pal }
+
+func (v *paletteView) ColorIndexAt(x, y int) uint8 {
+	s := v.slot(binary.LittleEndian.Uint32(v.Pix[v.PixOffset(x, y):]))
+	return uint8(v.index[s] - 1)
+}
+
+// slot is the slot holding key, or the empty slot where it belongs.
+func (v *paletteView) slot(key uint32) int {
+	const mask = 1<<tableBits - 1
+	s := int(key * 0x9e3779b1 >> (32 - tableBits))
+	for v.index[s] != 0 && v.keys[s] != key {
+		s = (s + 1) & mask
+	}
+	return s
 }
 
 // EncodeJPEG encodes img as JPEG at the given quality (1-100).

@@ -52,6 +52,10 @@ type Config struct {
 	Raster raster.Options
 	// Fidelity selects the full-fidelity rung's encoding.
 	Fidelity imaging.Fidelity
+	// Exact encodes the full rung as an exact palette PNG when the frame
+	// has at most 256 colours (imaging.EncodeExact), and at Fidelity only
+	// when it has more.
+	Exact bool
 	// Scale is the scale factor of the encoded image relative to the
 	// layout (the spec's snapshot.scale); 0, or any factor that leaves the
 	// size unchanged, encodes the frame as painted.
@@ -68,13 +72,15 @@ type Result struct {
 	// Coarse is the low-quality first rung; zero without OnCoarse.
 	Coarse Artifact
 	// Full is the full-fidelity artifact. Its bytes depend only on the
-	// layout, the raster options other than Workers, Fidelity and Scale.
+	// layout, the raster options other than Workers, Fidelity, Exact and
+	// Scale.
 	Full Artifact
 }
 
 // Render paints res, scales and encodes it. The full rung is
 // Encode(ScaleFactor(Paint(res), scale), fidelity) byte for byte on every
-// path — the ladder changes when bytes exist, never which bytes — but a
+// path (with Exact, EncodeExact of that frame when it has at most 256
+// colours) — the ladder changes when bytes exist, never which bytes — but a
 // render that scales down gets there without the painted frame: the bands
 // raster.PaintBands delivers are folded into the scaled output (and, with
 // OnCoarse, into the coarse frame) while later bands are still painting.
@@ -139,10 +145,19 @@ func Render(res *layout.Result, cfg Config) (*Result, error) {
 		out.Coarse = Artifact{Data: data, MIME: "image/jpeg", Width: coarse.Rect.Dx(), Height: coarse.Rect.Dy()}
 		cfg.OnCoarse(out.Coarse)
 	}
-	data, err := imaging.Encode(frame, cfg.Fidelity)
+	out.Full = Artifact{MIME: cfg.Fidelity.MIME(), Width: outW, Height: outH}
+	var exact bool
+	var err error
+	if cfg.Exact {
+		out.Full.Data, exact, err = imaging.EncodeExact(frame)
+	}
+	if exact {
+		out.Full.MIME = "image/png"
+	} else if err == nil {
+		out.Full.Data, err = imaging.Encode(frame, cfg.Fidelity)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("progressive: full encode: %w", err)
 	}
-	out.Full = Artifact{Data: data, MIME: cfg.Fidelity.MIME(), Width: outW, Height: outH}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"image"
+	"image/color"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -74,6 +75,53 @@ func TestFullRungMatchesOneShotEncode(t *testing.T) {
 				t.Fatalf("full MIME = %q", out.Full.MIME)
 			}
 		})
+	}
+}
+
+// TestExactFullRung: with Exact, a flat frame's full rung is EncodeExact
+// of the frame Encode would otherwise have been given, and says it is a
+// PNG; a frame holding a photo, of more than 256 colours, gets the
+// Fidelity rung byte for byte as without Exact.
+func TestExactFullRung(t *testing.T) {
+	photo := image.NewRGBA(image.Rect(0, 0, 64, 64))
+	for y := 0; y < 64; y++ {
+		for x := 0; x < 64; x++ {
+			photo.SetRGBA(x, y, color.RGBA{R: uint8(4 * x), G: uint8(4 * y), B: 99, A: 0xff})
+		}
+	}
+	doc := html.Parse(strings.Replace(testPage, "</body>", `<img src="photo.png" width="64" height="64"></body>`, 1))
+	withPhoto := layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 480})
+	for _, tc := range []struct {
+		name      string
+		res       *layout.Result
+		opts      raster.Options
+		scale     float64
+		wantExact bool
+	}{
+		{"flat-scaled", testLayout(t), raster.Options{Workers: 2}, 0.45, true},
+		{"flat-as-painted", testLayout(t), raster.Options{Workers: 2}, 0, true},
+		{"photo", withPhoto, raster.Options{Workers: 2, Images: map[string]image.Image{"photo.png": photo}}, 1, false},
+	} {
+		res := tc.res
+		frame := raster.Paint(res, tc.opts)
+		if tc.scale > 0 {
+			frame = imaging.ScaleFactor(frame, tc.scale)
+		}
+		want, exact, err := imaging.EncodeExact(frame)
+		if err != nil || exact != tc.wantExact {
+			t.Fatalf("%s: EncodeExact of the frame: exact %v, err %v", tc.name, exact, err)
+		}
+		wantMIME := "image/png"
+		if !exact {
+			want, wantMIME = oneShot(t, res, tc.opts, imaging.FidelityLow, tc.scale), "image/jpeg"
+		}
+		out, err := Render(res, Config{Raster: tc.opts, Fidelity: imaging.FidelityLow, Exact: true, Scale: tc.scale})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(out.Full.Data, want) || out.Full.MIME != wantMIME {
+			t.Errorf("%s: full rung is %d bytes of %s, want %d bytes of %s", tc.name, len(out.Full.Data), out.Full.MIME, len(want), wantMIME)
+		}
 	}
 }
 

@@ -595,7 +595,7 @@ func TestStylesheetsParsedOncePerBuild(t *testing.T) {
 	view := func() (snapshot string) {
 		t.Helper()
 		c := newDevice(t)
-		for _, path := range []string{"/", "/asset/" + rig.p.snapName, "/subpage/login", "/subpage/nav", "/subpage/forums", "/asset/forums.jpg"} {
+		for _, path := range []string{"/", "/asset/" + rig.p.snapName, "/subpage/login", "/subpage/nav", "/subpage/forums", "/asset/forums.png"} {
 			resp, err := c.Get(rig.proxy.URL + path)
 			if err != nil {
 				t.Fatal(err)

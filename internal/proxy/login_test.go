@@ -185,7 +185,7 @@ func TestAssetCacheControl(t *testing.T) {
 	if got := resp.Header.Get("Cache-Control"); !strings.Contains(got, "max-age=3600") {
 		t.Fatalf("snapshot cache-control = %q", got)
 	}
-	_, resp = rig.get(t, "/asset/forums.jpg")
+	_, resp = rig.get(t, "/asset/forums.png")
 	if got := resp.Header.Get("Cache-Control"); !strings.Contains(got, "max-age=300") {
 		t.Fatalf("per-user asset cache-control = %q", got)
 	}

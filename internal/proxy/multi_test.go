@@ -86,10 +86,10 @@ func TestMultiSitePrefixedURLs(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("subpage = %d", resp.StatusCode)
 	}
-	if !strings.Contains(sub, `/p/forum/asset/forums.jpg`) {
+	if !strings.Contains(sub, `/p/forum/asset/forums.png`) {
 		t.Fatalf("prerender asset unprefixed: %s", sub)
 	}
-	if _, resp := rig.get(t, "/p/forum/asset/forums.jpg"); resp.StatusCode != 200 {
+	if _, resp := rig.get(t, "/p/forum/asset/forums.png"); resp.StatusCode != 200 {
 		t.Fatal("prefixed asset not served")
 	}
 }

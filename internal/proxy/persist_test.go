@@ -226,6 +226,31 @@ func testBundle(pages, assets map[string]string, subs ...*attr.Subpage) *Bundle 
 	return b
 }
 
+// TestDecodedJPEGRecordKeepsItsAssetName: a record stored before flat
+// pre-renders shipped as PNGs holds its forums image as forums.jpg, and
+// a page that references that name. Decoded, the subpage still names the
+// asset .jpg, from its stored ImageMIME.
+func TestDecodedJPEGRecordKeepsItsAssetName(t *testing.T) {
+	src := testBundle(
+		map[string]string{"main.html": "<html></html>", attr.SubpageFileName("forums"): `<img src="/asset/forums.jpg">`},
+		map[string]string{"forums.jpg": "\xff\xd8\xff"},
+		&attr.Subpage{Name: "forums", PreRender: true, Fidelity: imaging.FidelityLow,
+			ImageData: []byte("\xff\xd8\xff"), ImageMIME: "image/jpeg"},
+	)
+	blob, err := encodeBundle("sawdust", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeBundle(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := attr.AssetFileName(got.subpages["forums"])
+	if a := got.assets[name]; name != "forums.jpg" || a == nil || a.ctype != "image/jpeg" {
+		t.Fatalf("decoded subpage names its asset %q; stored assets %v", name, got.assets)
+	}
+}
+
 // TestBundleRoundTrip pins the wire format: a build product survives
 // encode/decode with subpages, files, notes, and images intact.
 func TestBundleRoundTrip(t *testing.T) {

@@ -313,12 +313,41 @@ func TestPreRenderedSubpageAsset(t *testing.T) {
 	rig := newRig(t, nil)
 	rig.get(t, "/")
 	body, _ := rig.get(t, "/subpage/forums")
-	if !strings.Contains(body, `src="/asset/forums.jpg"`) {
+	if !strings.Contains(body, `src="/asset/forums.png"`) {
 		t.Fatalf("prerendered subpage should reference asset: %s", body)
 	}
-	data, resp := rig.get(t, "/asset/forums.jpg")
-	if resp.StatusCode != 200 || !strings.HasPrefix(data, "\xff\xd8") {
-		t.Fatal("asset not served")
+	data, resp := rig.get(t, "/asset/forums.png")
+	if resp.StatusCode != 200 || !strings.HasPrefix(data, "\x89PNG") || resp.Header.Get("Content-Type") != "image/png" {
+		t.Fatalf("asset not served as a PNG: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+}
+
+// TestPreRenderAssetNamedAsStored: a pre-rendered or partial-CSS
+// subpage references its image by the name the Bundle stores it under,
+// whatever its object is called. An object named "all forums" used to
+// ship /asset/all%20forums.jpg beside a stored all_forums.jpg: a 404.
+func TestPreRenderAssetNamedAsStored(t *testing.T) {
+	for _, name := range []string{"forums", "all forums", "forums/all"} {
+		for kind, attrs := range map[string][]spec.Attribute{
+			"prerender": {{Type: spec.AttrSubpage, Params: map[string]string{"title": "Forums", "prerender": "true"}}},
+			"partial-css": {
+				{Type: spec.AttrSubpage, Params: map[string]string{"title": "Forums"}},
+				{Type: spec.AttrPartialCSS},
+			},
+		} {
+			rig := newRig(t, func(sp *spec.Spec) {
+				forums := &sp.Objects[len(sp.Objects)-1]
+				forums.Name, forums.Attributes = name, attrs
+			})
+			body, resp := rig.get(t, "/subpage/"+url.PathEscape(name))
+			refs := assetRef.FindAllStringSubmatch(body, -1)
+			if resp.StatusCode != 200 || len(refs) != 1 {
+				t.Fatalf("%s %q: subpage %d references %d assets", kind, name, resp.StatusCode, len(refs))
+			}
+			if _, resp := rig.get(t, refs[0][1]); resp.StatusCode != 200 {
+				t.Errorf("%s %q: GET %s = %d", kind, name, refs[0][1], resp.StatusCode)
+			}
+		}
 	}
 }
 
