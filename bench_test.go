@@ -450,56 +450,6 @@ func BenchmarkRenderScaled(b *testing.B) {
 	}
 }
 
-// benchAblationColdAdapt times a fresh client's first request through
-// the whole proxy pipeline against a latency-injected origin — each
-// iteration is a true cold start (fresh session root, fresh cache).
-func benchAblationColdAdapt(b *testing.B, pcfg proxy.Config) {
-	url := latencyForumOrigin(b, 10*time.Millisecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sessions, err := session.NewManager(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := pcfg
-		cfg.Spec = experiments.SpecForForum(url)
-		cfg.Sessions = sessions
-		cfg.Cache = cache.New()
-		p, err := proxy.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := httptest.NewServer(p)
-		jar, err := cookiejar.New(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		client := &http.Client{Jar: jar}
-		b.StartTimer()
-		resp, err := client.Get(srv.URL + "/")
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
-		b.StopTimer()
-		srv.Close()
-		b.StartTimer()
-	}
-}
-
-func BenchmarkAblationColdAdaptSerial(b *testing.B) {
-	benchAblationColdAdapt(b, proxy.Config{FetchWorkers: 1, RasterWorkers: 1})
-}
-
-func BenchmarkAblationColdAdaptParallel(b *testing.B) {
-	benchAblationColdAdapt(b, proxy.Config{})
-}
-
 // BenchmarkWorkloadMixed10 is the Figure 7 mid-curve point: 10% browser
 // renders, matching the knee region of the paper's plot.
 func BenchmarkWorkloadMixed10(b *testing.B) {

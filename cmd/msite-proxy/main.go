@@ -48,15 +48,12 @@ func run() error {
 	gcEvery := flag.Duration("gc", 10*time.Minute, "session GC interval")
 	metrics := flag.Bool("metrics", true, "mount /metrics and /debug/traces")
 	logLevel := flag.String("log-level", "info", "request log level: debug|info|warn|error|off")
-	fetchWorkers := flag.Int("fetch-workers", 0, "concurrent subresource downloads per adaptation (0 = default, 1 = serial)")
-	rasterWorkers := flag.Int("raster-workers", 0, "snapshot rasterization bands (0 = GOMAXPROCS, 1 = serial)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "render cache byte budget, LRU-evicted past it (0 = unbounded)")
 	fetchTimeout := flag.Duration("fetch-timeout", 30*time.Second, "per-request origin deadline")
 	fetchRetries := flag.Int("fetch-retries", 2, "retries per idempotent origin GET after transient failures (0 = none)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive origin failures that trip a circuit breaker (0 = default 5, negative = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker rejects before re-probing (0 = default 5s)")
 	serveStale := flag.Bool("serve-stale", true, "serve previous adaptations and expired snapshots when the origin is unreachable")
-	staleFor := flag.Duration("stale-for", 0, "how long past expiry a shared snapshot stays servable under -serve-stale (0 = default 5m)")
 	maxAdapt := flag.Int("max-concurrent-adaptations", 0, "adaptation pipelines allowed to run at once; excess waits in a bounded queue or is shed with 503 (0 = unlimited)")
 	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length behind -max-concurrent-adaptations (0 = 4x concurrency, negative = no queue)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client requests/second budget, 429 + Retry-After past the burst (0 = unlimited)")
@@ -69,15 +66,13 @@ func run() error {
 	incidentDir := flag.String("incident-dir", "", "flight-recorder directory; the watchdog captures incident bundles there, browsable at /debug/incidents (empty = off)")
 	incidentMax := flag.Int("incident-max", 0, "incident bundles retained on disk, oldest deleted first (0 = default 16)")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
-	snapshotProgressive := flag.Bool("snapshot-progressive", false, "with -stream, serve a coarse snapshot immediately and upgrade in-place once the full-fidelity encode completes")
-	minimalMarkup := flag.Bool("minimal-markup", false, "force the MAML-style minimal-markup entry mode (headings, text, links only) for every site")
 	prefetchOn := flag.Bool("prefetch", false, "speculative pre-adaptation: a background crawler pre-builds demanded bundles and keeps them fresh with conditional revalidation")
 	prefetchTopN := flag.Int("prefetch-top-n", 0, "sites the crawler builds or revalidates per cycle (0 = default 4)")
 	prefetchInterval := flag.Duration("prefetch-interval", 0, "nominal gap between crawler cycles, jittered ±20% (0 = default 30s)")
 	prefetchDepth := flag.Int("prefetch-depth", 0, "links deep the crawler walks from each entry page when ranking by proximity (0 = default 1)")
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
 	parityCheck := flag.Bool("parity-check", false, "validate content parity of origin vs adapted closure on every build (score via /metrics and /debug/parity)")
-	parityMinScore := flag.Float64("parity-min-score", 0, "fail builds whose parity score drops below this (0 = report only; requires -parity-check)")
+	parityMinScore := flag.Float64("parity-min-score", 0, "fail builds whose parity score drops below this, in [0, 1]; above 0 it implies -parity-check (0 = report only)")
 	clusterListen := flag.String("cluster-listen", "", "cluster mode: this node's advertised base URL, e.g. http://10.0.0.1:8900 (empty = clustering off)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated advertised base URLs of the full fleet, including this node")
 	clusterReplicas := flag.Int("cluster-replicas", 0, "consistent-hash virtual nodes per peer (0 = default 64)")
@@ -92,19 +87,15 @@ func run() error {
 		return err
 	}
 	cfg := core.Config{
-		SessionRoot:        *sessions,
-		ViewportWidth:      *width,
-		Logger:             logger,
-		FetchWorkers:       *fetchWorkers,
-		RasterWorkers:      *rasterWorkers,
-		CacheMaxBytes:      *cacheMaxBytes,
-		CacheSweepInterval: time.Minute,
-		FetchTimeout:       *fetchTimeout,
-		FetchRetries:       *fetchRetries,
-		BreakerThreshold:   *breakerThreshold,
-		BreakerCooldown:    *breakerCooldown,
-		ServeStale:         *serveStale,
-		StaleFor:           *staleFor,
+		SessionRoot:      *sessions,
+		ViewportWidth:    *width,
+		Logger:           logger,
+		CacheMaxBytes:    *cacheMaxBytes,
+		FetchTimeout:     *fetchTimeout,
+		FetchRetries:     *fetchRetries,
+		BreakerThreshold: *breakerThreshold,
+		BreakerCooldown:  *breakerCooldown,
+		ServeStale:       *serveStale,
 
 		MaxConcurrentAdaptations: *maxAdapt,
 		AdmissionQueue:           *admissionQueue,
@@ -120,9 +111,7 @@ func run() error {
 		IncidentDir:     *incidentDir,
 		IncidentMax:     *incidentMax,
 
-		Stream:              *stream,
-		SnapshotProgressive: *snapshotProgressive,
-		MinimalMarkup:       *minimalMarkup,
+		Stream: *stream,
 
 		Prefetch:         *prefetchOn,
 		PrefetchTopN:     *prefetchTopN,

@@ -1,7 +1,9 @@
 // Docs lint: the operator-facing documentation must keep up with the
 // code. Every flag msite-proxy registers has to appear in the README's
-// operator-runbook flag table, and the docs the README links to have to
-// exist. CI runs this with the rest of the suite.
+// operator-runbook flag table, every row of that table and of the
+// core.Config reference has to name a knob that still exists, and the
+// docs the README links to have to exist. CI runs this with the rest of
+// the suite.
 package msite_test
 
 import (
@@ -22,7 +24,7 @@ func proxyFlagNames(t *testing.T) []string {
 		t.Fatalf("read msite-proxy source: %v", err)
 	}
 	// flag.String("addr", ...) / flag.Var(&specPaths, "spec", ...)
-	decl := regexp.MustCompile(`flag\.[A-Za-z0-9]+\((?:&[A-Za-z0-9]+, )?"([a-z-]+)"`)
+	decl := regexp.MustCompile(`flag\.[A-Za-z0-9]+\((?:&[A-Za-z0-9]+, )?"([a-z0-9-]+)"`)
 	var names []string
 	for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
 		names = append(names, m[1])
@@ -94,7 +96,7 @@ var subsystemDocs = []struct {
 		doc: "RESILIENCE.md",
 		flags: []string{
 			"-fetch-timeout", "-fetch-retries", "-breaker-threshold",
-			"-breaker-cooldown", "-serve-stale", "-stale-for",
+			"-breaker-cooldown", "-serve-stale",
 		},
 		metrics: []string{
 			"msite_fetch_retries_total", "msite_breaker_state",
@@ -141,7 +143,7 @@ var subsystemDocs = []struct {
 	},
 	{
 		doc:      "PERFORMANCE.md",
-		flags:    []string{"-stream", "-snapshot-progressive", "-minimal-markup"},
+		flags:    []string{"-cache-max-bytes", "-stream"},
 		inReadme: true,
 		metrics:  []string{"msite_proxy_ttfb_seconds", "msite_proxy_atf_seconds"},
 		topics:   []string{"byte-identical"},
@@ -326,10 +328,11 @@ func coreConfigFields(t *testing.T) []string {
 	if body == "" {
 		t.Fatal("could not locate the core.Config struct — lint regexp out of date?")
 	}
-	field := regexp.MustCompile(`(?m)^\t([A-Z][A-Za-z0-9]*) `)
+	// One name per line, or several: "SLOFastWindow, SLOSlowWindow time.Duration".
+	field := regexp.MustCompile(`(?m)^\t([A-Z][A-Za-z0-9]*(?:, [A-Z][A-Za-z0-9]*)*) `)
 	var names []string
 	for _, m := range field.FindAllStringSubmatch(body, -1) {
-		names = append(names, m[1])
+		names = append(names, strings.Split(m[1], ", ")...)
 	}
 	if len(names) < 20 {
 		t.Fatalf("field extraction found only %d fields (%v) — regexp out of date?", len(names), names)
@@ -368,6 +371,43 @@ func TestDocsCoverConfigAndFlags(t *testing.T) {
 	for _, name := range proxyFlagNames(t) {
 		if !strings.Contains(docs, "`-"+name+"`") {
 			t.Errorf("msite-proxy flag -%s is not documented anywhere under docs/", name)
+		}
+	}
+}
+
+// TestDocsNameOnlyLiveKnobs is the converse of TestDocsCoverConfigAndFlags
+// and TestReadmeDocumentsEveryProxyFlag: every field row of docs/README.md's
+// core.Config reference names a field core.Config has, and every flag row
+// of README.md's runbook names a flag msite-proxy registers, so a deleted
+// knob cannot linger in the docs.
+func TestDocsNameOnlyLiveKnobs(t *testing.T) {
+	live := func(names []string) map[string]bool {
+		set := make(map[string]bool, len(names))
+		for _, n := range names {
+			set[n] = true
+		}
+		return set
+	}
+	for _, table := range []struct {
+		path, what string
+		row        *regexp.Regexp
+		live       map[string]bool
+	}{
+		{"docs/README.md", "core.Config field", regexp.MustCompile("(?m)^\\| `([A-Z][A-Za-z0-9]*)` \\|"), live(coreConfigFields(t))},
+		{"README.md", "msite-proxy flag", regexp.MustCompile("(?m)^\\| `-([a-z0-9-]+)` \\|"), live(proxyFlagNames(t))},
+	} {
+		data, err := os.ReadFile(table.path)
+		if err != nil {
+			t.Fatalf("read %s: %v", table.path, err)
+		}
+		rows := table.row.FindAllStringSubmatch(string(data), -1)
+		if len(rows) < 10 {
+			t.Fatalf("%s: found only %d %s rows — regexp out of date?", table.path, len(rows), table.what)
+		}
+		for _, m := range rows {
+			if !table.live[m[1]] {
+				t.Errorf("%s has a row for %s %s, which does not exist", table.path, table.what, m[1])
+			}
 		}
 	}
 }

@@ -29,10 +29,6 @@ type Overlay struct {
 	Scale float64
 	// Title is the entry page title.
 	Title string
-	// UpgradeURL, when set, is the full-fidelity snapshot location the
-	// streamed overlay trades up to once the encode completes; the
-	// SnapshotURL then points at the coarse first rung.
-	UpgradeURL string
 }
 
 // OverlayStream is the entry page as ordered fragments. The
@@ -53,8 +49,7 @@ type OverlayStream struct {
 	// BTF holds the remaining areas and closes the map.
 	BTF []byte
 	// Tail holds the AJAX pane and runtime (when any subpage loads
-	// asynchronously), the snapshot upgrade script (when the overlay
-	// references a coarse-first snapshot), and the document close.
+	// asynchronously) and the document close.
 	Tail []byte
 	// page is the array the fragments are cut from.
 	page []byte
@@ -68,9 +63,7 @@ func (s OverlayStream) Page() []byte { return s.page }
 // into an injected pane instead of navigating. Areas are ordered
 // above-the-fold first: regions whose scaled top edge is above atfHeight
 // are above the fold, and atfHeight <= 0 treats everything as above it,
-// which keeps the subpages' order. When ov.UpgradeURL is set, the
-// snapshot img carries an id and the Tail swaps it to the full-fidelity
-// artifact once that exists.
+// which keeps the subpages' order.
 func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight int) OverlayStream {
 	// One buffer, cut where the fragments meet.
 	var b strings.Builder
@@ -85,9 +78,6 @@ func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight 
 	html.RenderTo(&b, meta)
 	b.WriteString("</head><body>")
 	img := dom.NewElement("img")
-	if ov.UpgradeURL != "" {
-		img.SetAttr("id", "msite-snap")
-	}
 	img.SetAttr("src", ov.SnapshotURL)
 	img.SetAttr("alt", ov.Title)
 	img.SetAttr("usemap", "#msite-map")
@@ -142,13 +132,6 @@ func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight 
 		script.AppendChild(dom.NewText(ajaxRuntime))
 		html.RenderTo(&b, script)
 	}
-	if ov.UpgradeURL != "" {
-		script := dom.NewElement("script")
-		script.SetAttr("type", "text/javascript")
-		script.SetAttr("data-msite", "upgrade")
-		script.AppendChild(dom.NewText(upgradeScript(ov.UpgradeURL)))
-		html.RenderTo(&b, script)
-	}
 	b.WriteString("</body></html>")
 	page := []byte(b.String())
 	return OverlayStream{
@@ -176,27 +159,6 @@ const ajaxRuntime = `function msiteLoad(url) {
 }
 `
 
-// upgradeScript polls the full-fidelity snapshot URL and swaps it into
-// the overlay image once the encode has completed server-side. The
-// asset handler blocks briefly for an in-flight render, so the first
-// probe usually succeeds; the retry loop covers slow encodes.
-func upgradeScript(url string) string {
-	return fmt.Sprintf(`(function () {
-  var u = %q, n = 0;
-  function probe() {
-    var p = new Image();
-    p.onload = function () {
-      var img = document.getElementById('msite-snap');
-      if (img) { img.src = u; }
-    };
-    p.onerror = function () { if (++n < 40) { setTimeout(probe, 500); } };
-    p.src = u;
-  }
-  probe();
-})();
-`, url)
-}
-
 // minimalSkip are subtrees the minimal-markup mode drops entirely:
 // graphics, scripting, styling, embeds, and the overlay machinery.
 var minimalSkip = map[string]bool{
@@ -222,7 +184,7 @@ var minimalBlocks = map[string]bool{
 // MinimalMarkupHTML renders doc as MAML-style minimal markup: headings,
 // text runs, and links only — no images, scripts, styles, or layout
 // machinery. The output is the extreme low end of the fidelity ladder,
-// sized for 2G-class links where even the coarse snapshot is too heavy.
+// sized for 2G-class links where even the snapshot is too heavy.
 func MinimalMarkupHTML(title string, doc *dom.Node) []byte {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html><html><head>")

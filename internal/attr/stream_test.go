@@ -122,32 +122,6 @@ func TestBuildOverlayStreamHeadIsStatic(t *testing.T) {
 	}
 }
 
-func TestBuildOverlayStreamUpgradeScript(t *testing.T) {
-	a := &Applier{}
-	plain := a.BuildOverlayStream(Overlay{SnapshotURL: "/s.jpg", Scale: 1}, nil, 480)
-	if strings.Contains(string(plain.Page()), "msite-snap") || strings.Contains(string(plain.Tail), "data-msite=\"upgrade\"") {
-		t.Fatal("upgrade script or the img id it reads emitted without an UpgradeURL")
-	}
-	up := a.BuildOverlayStream(Overlay{
-		SnapshotURL: "/asset/snapshot-coarse.jpg",
-		UpgradeURL:  "/asset/snapshot.jpg?v=7",
-		Scale:       1,
-	}, nil, 480)
-	if !strings.Contains(string(up.Head), `id="msite-snap"`) {
-		t.Fatalf("upgradable img has no id: %s", up.Head)
-	}
-	tail := string(up.Tail)
-	if !strings.Contains(tail, `data-msite="upgrade"`) {
-		t.Fatalf("upgrade script missing: %s", tail)
-	}
-	if !strings.Contains(tail, "/asset/snapshot.jpg?v=7") {
-		t.Fatal("upgrade script does not reference the versioned URL")
-	}
-	if !strings.Contains(tail, "msite-snap") {
-		t.Fatal("upgrade script does not retarget the snapshot img")
-	}
-}
-
 func TestMinimalMarkupHTML(t *testing.T) {
 	doc := html.Parse(`<html><head><style>body{color:red}</style></head><body>
 		<h1>Forum &amp; Friends</h1>

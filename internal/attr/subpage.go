@@ -56,7 +56,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	if err != nil {
 		return fmt.Errorf("attr: pre-rendering subpage %q: %w", sub.Name, err)
 	}
-	sub.ImageData, sub.ImageMIME = out.Full.Data, out.Full.MIME
+	sub.ImageData, sub.ImageMIME = out.Data, out.MIME
 	if sub.PartialCSS {
 		a.finishPartialCSS(sub, res, searchable, searchTrigger)
 		return nil
@@ -69,8 +69,8 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	imgEl := dom.NewElement("img")
 	imgEl.SetAttr("src", a.assetURL(AssetFileName(sub)))
 	imgEl.SetAttr("alt", sub.Title)
-	imgEl.SetAttr("width", itoa(out.Full.Width))
-	imgEl.SetAttr("height", itoa(out.Full.Height))
+	imgEl.SetAttr("width", itoa(out.Width))
+	imgEl.SetAttr("height", itoa(out.Height))
 	body.AppendChild(imgEl)
 
 	if searchable {

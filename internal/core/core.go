@@ -32,36 +32,22 @@ import (
 
 // Config wires a Framework.
 type Config struct {
-	// SessionRoot is the directory each session's (empty) protected
-	// subdirectory is created under (required).
+	// SessionRoot is the directory the session manager creates one
+	// directory per session under (required). The directories stay
+	// empty: generated content lives in the in-memory Bundle a session
+	// references.
 	SessionRoot string
 	// ViewportWidth overrides the spec's server-side render width.
 	ViewportWidth int
-	// SessionTTL bounds idle sessions (default session.DefaultTTL).
-	SessionTTL time.Duration
 	// FetchTimeout bounds each origin request.
 	FetchTimeout time.Duration
-	// Obs is the metric/trace registry shared by the proxy, cache,
-	// fetcher, and session manager. Nil creates one (exposed via Obs()).
-	Obs *obs.Registry
 	// Logger enables structured per-request logging in the proxy; nil
 	// disables it.
 	Logger *slog.Logger
-	// FetchWorkers bounds concurrent subresource downloads per
-	// adaptation (the -fetch-workers knob). 0 uses the fetcher default;
-	// 1 forces serial fetching.
-	FetchWorkers int
-	// RasterWorkers is the band parallelism of snapshot rasterization
-	// (the -raster-workers knob). 0 uses GOMAXPROCS; 1 is serial.
-	RasterWorkers int
 	// CacheMaxBytes bounds the shared render cache; least-recently-used
 	// entries are evicted past it (the -cache-max-bytes knob). 0 means
-	// unbounded (TTL-only).
+	// unbounded (TTL-only). Expired entries are swept every minute.
 	CacheMaxBytes int64
-	// CacheSweepInterval starts the cache's background expiry sweeper
-	// on that period; stop it with Close. 0 disables the sweeper
-	// (expired entries are then only dropped on access).
-	CacheSweepInterval time.Duration
 	// FetchRetries is how many times an idempotent origin GET is retried
 	// after a transient failure, with exponential backoff (the
 	// -fetch-retries knob). 0 disables retries.
@@ -74,14 +60,11 @@ type Config struct {
 	// before probing the origin again (the -breaker-cooldown knob).
 	// 0 uses fetch.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// ServeStale keeps serving previously adapted content (and expired
-	// shared snapshots, revalidated in the background) when the origin
-	// is unreachable (the -serve-stale knob).
+	// ServeStale keeps serving previously adapted content (and shared
+	// snapshots up to proxy.DefaultStaleFor past expiry, revalidated in
+	// the background) when the origin is unreachable (the -serve-stale
+	// knob).
 	ServeStale bool
-	// StaleFor bounds how long past expiry a shared snapshot stays
-	// servable under ServeStale (the -stale-for knob). 0 uses
-	// proxy.DefaultStaleFor.
-	StaleFor time.Duration
 	// MaxConcurrentAdaptations bounds how many adaptation pipelines run
 	// at once (the -max-concurrent-adaptations knob); excess requests
 	// wait in a bounded, deadline-aware queue and are shed with 503 +
@@ -93,12 +76,9 @@ type Config struct {
 	// slots are busy).
 	AdmissionQueue int
 	// RateLimit is the per-client request budget in requests/second (the
-	// -rate-limit knob); clients past their token bucket get 429 +
-	// Retry-After. 0 disables rate limiting.
+	// -rate-limit knob); clients past their token bucket, max(5,
+	// 2×RateLimit) deep, get 429 + Retry-After. 0 disables rate limiting.
 	RateLimit float64
-	// RateBurst is the token-bucket depth behind RateLimit. 0 defaults
-	// to max(5, 2×RateLimit).
-	RateBurst float64
 	// MaxSessions caps live sessions (the -max-sessions knob); past it,
 	// first contacts are shed with 503 + Retry-After instead of
 	// allocating session state. 0 means uncapped.
@@ -125,9 +105,6 @@ type Config struct {
 	// -slo-availability knob): the required non-5xx request fraction,
 	// e.g. 0.999. 0 disables the objective.
 	SLOAvailability float64
-	// SLOWarmHitRatio enables the warm-hit objective: the required
-	// render-cache hit fraction. 0 disables the objective.
-	SLOWarmHitRatio float64
 	// SLOInterval is the SLO evaluation tick (default
 	// obs.DefaultSLOInterval).
 	SLOInterval time.Duration
@@ -147,12 +124,6 @@ type Config struct {
 	// IncidentCPUProfile is the capture's CPU-profile length (default
 	// obs.DefaultCPUProfile).
 	IncidentCPUProfile time.Duration
-	// IncidentCooldown suppresses repeat captures for the same reason
-	// (default obs.DefaultIncidentCooldown).
-	IncidentCooldown time.Duration
-	// IncidentInterval is the watchdog tick (default
-	// obs.DefaultWatchInterval).
-	IncidentInterval time.Duration
 	// HealthInterval is the runtime health sampling tick (default
 	// obs.DefaultHealthInterval). The sampler runs whenever the SLO
 	// engine or the flight recorder is enabled.
@@ -161,13 +132,6 @@ type Config struct {
 	// overlay head is flushed before the origin fetch begins and the
 	// snapshot renders in the background.
 	Stream bool
-	// SnapshotProgressive serves streamed snapshots coarse-first with a
-	// full-fidelity upgrade (the -snapshot-progressive knob).
-	SnapshotProgressive bool
-	// MinimalMarkup forces the MAML-style minimal-markup entry mode
-	// everywhere (the -minimal-markup knob); individual specs can also
-	// opt in via their minimal_markup attribute.
-	MinimalMarkup bool
 	// Prefetch enables the speculative pre-adaptation crawler (the
 	// -prefetch knob): a background loop that walks the origin link
 	// graph, ranks sites by live demand plus link proximity, pre-builds
@@ -198,8 +162,8 @@ type Config struct {
 	ParityCheck bool
 	// ParityMinScore fails a build loudly when its parity score drops
 	// below this threshold (the -parity-min-score knob; 0 means report
-	// only, 1 demands every non-sanctioned item survive). Requires
-	// ParityCheck.
+	// only, 1 demands every non-sanctioned item survive). Above 0 it
+	// turns the parity check on; it must lie in [0, 1].
 	ParityMinScore float64
 	// ClusterListen enables cluster mode (the -cluster-listen knob): this
 	// node's advertised base URL — its identity on the consistent-hash
@@ -263,7 +227,6 @@ func (cfg Config) admissionController() (*admission.Controller, error) {
 		MaxConcurrent: cfg.MaxConcurrentAdaptations,
 		QueueLen:      cfg.AdmissionQueue,
 		RatePerSec:    cfg.RateLimit,
-		Burst:         cfg.RateBurst,
 	})
 }
 
@@ -284,9 +247,6 @@ func (cfg Config) sloObjectives() []obs.Objective {
 	if cfg.SLOAvailability > 0 {
 		objectives = append(objectives, obs.AvailabilityObjective(cfg.SLOAvailability))
 	}
-	if cfg.SLOWarmHitRatio > 0 {
-		objectives = append(objectives, obs.WarmHitObjective(cfg.SLOWarmHitRatio))
-	}
 	return objectives
 }
 
@@ -305,8 +265,6 @@ func (cfg Config) buildObsTier(reg *obs.Registry) (*obsTier, error) {
 			Dir:          cfg.IncidentDir,
 			MaxIncidents: cfg.IncidentMax,
 			CPUProfile:   cfg.IncidentCPUProfile,
-			Cooldown:     cfg.IncidentCooldown,
-			Interval:     cfg.IncidentInterval,
 			Health:       tier.health,
 		})
 		if err != nil {
@@ -357,11 +315,12 @@ func (t *obsTier) stop() {
 	}
 }
 
-// cacheOptions maps the Config knobs onto the cache.
+// cacheOptions maps the Config knobs onto the cache; its expiry
+// sweeper runs every minute and stops with Close.
 func (cfg Config) cacheOptions() cache.Options {
 	return cache.Options{
 		MaxBytes:      cfg.CacheMaxBytes,
-		SweepInterval: cfg.CacheSweepInterval,
+		SweepInterval: time.Minute,
 	}
 }
 
@@ -510,19 +469,12 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 	if cfg.SessionRoot == "" {
 		return nil, errors.New("core: SessionRoot required")
 	}
-	ttl := cfg.SessionTTL
-	if ttl <= 0 {
-		ttl = session.DefaultTTL
-	}
-	sessions, err := session.NewManagerWithClock(cfg.SessionRoot, ttl, time.Now)
+	sessions, err := session.NewManager(cfg.SessionRoot)
 	if err != nil {
 		return nil, err
 	}
 	sessions.SetLimit(cfg.MaxSessions)
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	adm, err := cfg.admissionController()
 	if err != nil {
 		return nil, err
@@ -547,26 +499,21 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		return fail(err)
 	}
 	inst.handler, inst.sites, err = mount(proxy.Config{
-		Sessions:            sessions,
-		Cache:               sharedCache,
-		ViewportWidth:       cfg.ViewportWidth,
-		FetchOptions:        cfg.fetchOptions(reg),
-		Obs:                 reg,
-		Logger:              cfg.Logger,
-		FetchWorkers:        cfg.FetchWorkers,
-		RasterWorkers:       cfg.RasterWorkers,
-		ServeStale:          cfg.ServeStale,
-		StaleFor:            cfg.StaleFor,
-		Admission:           adm,
-		PersistBundles:      st != nil || cfg.Prefetch || inst.cluster != nil,
-		Stream:              cfg.Stream,
-		SnapshotProgressive: cfg.SnapshotProgressive,
-		MinimalMarkup:       cfg.MinimalMarkup,
-		Demand:              demand,
-		RepairRules:         cfg.RepairRules,
-		ParityCheck:         cfg.ParityCheck,
-		ParityMinScore:      cfg.ParityMinScore,
-		Cluster:             clusterHook(inst.cluster),
+		Sessions:       sessions,
+		Cache:          sharedCache,
+		ViewportWidth:  cfg.ViewportWidth,
+		FetchOptions:   cfg.fetchOptions(reg),
+		Obs:            reg,
+		Logger:         cfg.Logger,
+		ServeStale:     cfg.ServeStale,
+		Admission:      adm,
+		PersistBundles: st != nil || cfg.Prefetch || inst.cluster != nil,
+		Stream:         cfg.Stream,
+		Demand:         demand,
+		RepairRules:    cfg.RepairRules,
+		ParityCheck:    cfg.ParityCheck,
+		ParityMinScore: cfg.ParityMinScore,
+		Cluster:        clusterHook(inst.cluster),
 	})
 	if err != nil {
 		return fail(err)

@@ -40,7 +40,6 @@ func TestResilienceChaos(t *testing.T) {
 		FetchRetries:    1,
 		BreakerCooldown: 300 * time.Millisecond,
 		ServeStale:      true,
-		StaleFor:        time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -90,7 +90,6 @@ type Fetcher struct {
 	sess      *session.Session
 	userAgent string
 	obs       *obs.Registry
-	workers   int
 
 	// Resilience knobs: retries is the extra attempts allowed for
 	// idempotent GETs on retryable failures (see Error.Temporary),
@@ -153,16 +152,6 @@ func WithTimeout(d time.Duration) Option {
 // and the msite_fetch_concurrent in-flight gauge FetchAll maintains.
 func WithObs(reg *obs.Registry) Option {
 	return func(f *Fetcher) { f.obs = reg }
-}
-
-// WithWorkers sets the default FetchAll parallelism (the -fetch-workers
-// knob). n <= 0 keeps DefaultWorkers; n == 1 makes batch fetches serial.
-func WithWorkers(n int) Option {
-	return func(f *Fetcher) {
-		if n > 0 {
-			f.workers = n
-		}
-	}
 }
 
 // WithRetries allows n extra attempts for idempotent GETs whose failure
@@ -238,7 +227,6 @@ func New(sess *session.Session, opts ...Option) *Fetcher {
 		client:      client,
 		sess:        sess,
 		userAgent:   "m.Site-proxy/1.0",
-		workers:     DefaultWorkers,
 		backoffBase: 100 * time.Millisecond,
 		backoffMax:  2 * time.Second,
 	}

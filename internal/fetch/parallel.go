@@ -23,8 +23,7 @@ type Result struct {
 }
 
 // FetchAll downloads every URL concurrently with a bounded worker pool
-// and returns results in input order. workers <= 0 uses the Fetcher's
-// configured parallelism (WithWorkers, default DefaultWorkers);
+// and returns results in input order. workers <= 0 uses DefaultWorkers;
 // workers == 1 degenerates to the serial loop. The in-flight request
 // count is exported as the msite_fetch_concurrent gauge when the
 // Fetcher carries an obs registry.
@@ -42,7 +41,7 @@ func (f *Fetcher) FetchAllContext(ctx context.Context, urls []string, workers in
 		return results
 	}
 	if workers <= 0 {
-		workers = f.workers
+		workers = DefaultWorkers
 	}
 	if workers <= 0 {
 		workers = DefaultWorkers

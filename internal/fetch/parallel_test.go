@@ -100,8 +100,8 @@ func TestFetchAllSerialFallback(t *testing.T) {
 		fmt.Fprint(w, "ok")
 	}))
 	defer srv.Close()
-	f := New(nil, WithWorkers(1))
-	results := f.FetchAll([]string{srv.URL + "/x", srv.URL + "/y"}, 0)
+	f := New(nil)
+	results := f.FetchAll([]string{srv.URL + "/x", srv.URL + "/y"}, 1)
 	for i, res := range results {
 		if res.Err != nil || string(res.Page.Body) != "ok" {
 			t.Fatalf("result %d = %+v", i, res)

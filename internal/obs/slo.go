@@ -137,21 +137,6 @@ func AvailabilityObjective(target float64) Objective {
 	)
 }
 
-// WarmHitObjective promises that at least target of render-cache
-// lookups hit (warm serving is the product's latency story; a falling
-// hit ratio is a leading indicator of p99 trouble).
-func WarmHitObjective(target float64) Objective {
-	return RatioObjective(
-		"warm_hit_ratio",
-		fmt.Sprintf("≥ %.4g of render-cache lookups served warm", target),
-		target,
-		func(s Snapshot) float64 { return CounterSum(s, "msite_cache_hits_total") },
-		func(s Snapshot) float64 {
-			return CounterSum(s, "msite_cache_hits_total") + CounterSum(s, "msite_cache_misses_total")
-		},
-	)
-}
-
 // AdaptationLatencyObjective promises that at least 99% of proxied
 // requests complete within threshold — the "-slo-target-p99" flag's
 // objective.

@@ -305,7 +305,7 @@ func TestSLOHandler(t *testing.T) {
 func TestSLOEngineStartStop(t *testing.T) {
 	r := NewRegistry()
 	e := NewSLOEngine(r, SLOConfig{Interval: 10 * time.Millisecond},
-		WarmHitObjective(0.8))
+		AvailabilityObjective(0.999))
 	e.Start()
 	time.Sleep(30 * time.Millisecond)
 	e.Stop()

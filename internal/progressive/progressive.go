@@ -1,16 +1,9 @@
 // Package progressive is the one snapshot renderer: it paints a laid-out
 // page, scales it and encodes it at a fidelity level. Every server-side
-// render — the entry snapshot, its pre-renders, pre-rendered subpages and
-// the image engines — goes through Render.
-//
-// A caller that passes OnCoarse gets the snapshot as a temporal fidelity
-// ladder: a coarse, heavily down-scaled JPEG the proxy can serve the
-// moment rasterization finishes, followed by the full-fidelity encode as
-// an upgrade artifact. It applies the paper's fidelity-reduction
-// attribute (§3.3 "Image fidelity") along the time axis, and the coarse
-// frame is folded from the same bands while later bands are still
-// painting, so the coarse rung costs almost nothing beyond the paint
-// itself.
+// render — the entry snapshot, pre-rendered subpages and the image
+// engines — goes through Render. A render that scales down folds the
+// painted bands into the scaled output while later bands are still
+// painting, so it never holds the full-size frame.
 package progressive
 
 import (
@@ -24,16 +17,7 @@ import (
 	"msite/internal/raster"
 )
 
-// CoarseScale is the coarse snapshot's linear scale relative to the
-// full-fidelity output: a quarter-scale frame is 1/16th the pixels,
-// which with CoarseQuality lands the coarse artifact around 2–5% of the
-// full PNG's bytes.
-const CoarseScale = 0.25
-
-// CoarseQuality is the coarse snapshot's JPEG quality.
-const CoarseQuality = 35
-
-// Artifact is one encoded snapshot rung.
+// Artifact is one encoded render.
 type Artifact struct {
 	// Data is the encoded image.
 	Data []byte
@@ -50,40 +34,25 @@ type Config struct {
 	Ctx context.Context
 	// Raster configures the painting pass (images, workers, antialias).
 	Raster raster.Options
-	// Fidelity selects the full-fidelity rung's encoding.
+	// Fidelity selects the encoding.
 	Fidelity imaging.Fidelity
-	// Exact encodes the full rung as an exact palette PNG when the frame
-	// has at most 256 colours (imaging.EncodeExact), and at Fidelity only
+	// Exact encodes the image as an exact palette PNG when the frame has
+	// at most 256 colours (imaging.EncodeExact), and at Fidelity only
 	// when it has more.
 	Exact bool
 	// Scale is the scale factor of the encoded image relative to the
 	// layout (the spec's snapshot.scale); 0, or any factor that leaves the
 	// size unchanged, encodes the frame as painted.
 	Scale float64
-	// OnCoarse, when non-nil, asks for the coarse rung and receives it as
-	// soon as it is encoded — before the full-fidelity encode begins. The
-	// serving path uses this to publish the low-quality snapshot while
-	// the full encode is still running.
-	OnCoarse func(Artifact)
 }
 
-// Result carries the rungs of one render.
-type Result struct {
-	// Coarse is the low-quality first rung; zero without OnCoarse.
-	Coarse Artifact
-	// Full is the full-fidelity artifact. Its bytes depend only on the
-	// layout, the raster options other than Workers, Fidelity, Exact and
-	// Scale.
-	Full Artifact
-}
-
-// Render paints res, scales and encodes it. The full rung is
-// Encode(ScaleFactor(Paint(res), scale), fidelity) byte for byte on every
-// path (with Exact, EncodeExact of that frame when it has at most 256
-// colours) — the ladder changes when bytes exist, never which bytes — but a
-// render that scales down gets there without the painted frame: the bands
-// raster.PaintBands delivers are folded into the scaled output (and, with
-// OnCoarse, into the coarse frame) while later bands are still painting.
+// Render paints res, scales and encodes it. The result is
+// Encode(ScaleFactor(Paint(res), scale), fidelity) byte for byte (with
+// Exact, EncodeExact of that frame when it has at most 256 colours), and
+// its bytes depend only on the layout, the raster options other than
+// Workers, Fidelity, Exact and Scale. A render that scales down gets
+// there without the painted frame: the bands raster.PaintBands delivers
+// are folded into the scaled output while later bands are still painting.
 // Only a render that encodes the frame as painted, or magnifies it, paints
 // it whole.
 //
@@ -93,7 +62,7 @@ type Result struct {
 // cannot use: on the benchmark's cold builds that raised peak RSS by 15%
 // (a 2.4 MB snapshot frame alone) to 42% (with a 10 MB pre-rendered
 // subpage's) and saved at most 6% of the bytes allocated.
-func Render(res *layout.Result, cfg Config) (*Result, error) {
+func Render(res *layout.Result, cfg Config) (Artifact, error) {
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -103,31 +72,14 @@ func Render(res *layout.Result, cfg Config) (*Result, error) {
 	if cfg.Scale > 0 {
 		outW, outH = imaging.FactorSize(fw, fh, cfg.Scale)
 	}
-	var folds []*imaging.BoxFilter
-	fold := func(w, h int) *image.RGBA {
-		dst := image.NewRGBA(image.Rect(0, 0, w, h))
-		folds = append(folds, imaging.NewBoxFilter(dst, fw, fh))
-		return dst
-	}
-	var coarse *image.RGBA
-	if cfg.OnCoarse != nil {
-		// The coarse rung is strictly a minification of the frame.
-		cw, ch := imaging.FactorSize(outW, outH, CoarseScale)
-		coarse = fold(min(cw, fw), min(ch, fh))
-	}
-	onBand := func(band *image.RGBA) {
-		for _, f := range folds {
-			f.Add(band)
-		}
-	}
 
 	sp := obs.StartSpan(ctx, "raster")
 	var frame *image.RGBA
 	if outW < fw || outH < fh {
-		frame = fold(outW, outH)
-		raster.PaintBands(res, cfg.Raster, onBand)
+		frame = image.NewRGBA(image.Rect(0, 0, outW, outH))
+		raster.PaintBands(res, cfg.Raster, imaging.NewBoxFilter(frame, fw, fh).Add)
 	} else {
-		frame = raster.StreamPaint(res, cfg.Raster, onBand)
+		frame = raster.Paint(res, cfg.Raster)
 	}
 	sp.End()
 	sp = obs.StartSpan(ctx, "encode")
@@ -136,28 +88,19 @@ func Render(res *layout.Result, cfg Config) (*Result, error) {
 		frame = imaging.Scale(frame, outW, outH)
 	}
 
-	out := &Result{}
-	if coarse != nil {
-		data, err := imaging.EncodeJPEG(coarse, CoarseQuality)
-		if err != nil {
-			return nil, fmt.Errorf("progressive: coarse encode: %w", err)
-		}
-		out.Coarse = Artifact{Data: data, MIME: "image/jpeg", Width: coarse.Rect.Dx(), Height: coarse.Rect.Dy()}
-		cfg.OnCoarse(out.Coarse)
-	}
-	out.Full = Artifact{MIME: cfg.Fidelity.MIME(), Width: outW, Height: outH}
+	out := Artifact{MIME: cfg.Fidelity.MIME(), Width: outW, Height: outH}
 	var exact bool
 	var err error
 	if cfg.Exact {
-		out.Full.Data, exact, err = imaging.EncodeExact(frame)
+		out.Data, exact, err = imaging.EncodeExact(frame)
 	}
 	if exact {
-		out.Full.MIME = "image/png"
+		out.MIME = "image/png"
 	} else if err == nil {
-		out.Full.Data, err = imaging.Encode(frame, cfg.Fidelity)
+		out.Data, err = imaging.Encode(frame, cfg.Fidelity)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("progressive: full encode: %w", err)
+		return Artifact{}, fmt.Errorf("progressive: encode: %w", err)
 	}
 	return out, nil
 }

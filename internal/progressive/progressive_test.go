@@ -21,7 +21,7 @@ const testPage = `<html><body>
 	<div style="background-color: #884422; width: 300px; height: 80px"></div>
 	<h1>Progressive ladder</h1>
 	<p>Some body text that paints glyph pixels across several bands of the
-	frame so the coarse accumulator sees non-uniform content.</p>
+	frame so the band fold sees non-uniform content.</p>
 	<div style="border: 3px solid green; width: 200px; height: 240px"></div>
 </body></html>`
 
@@ -46,8 +46,8 @@ func oneShot(t *testing.T, res *layout.Result, opts raster.Options, fid imaging.
 	return data
 }
 
-// TestFullRungMatchesOneShotEncode is the PR's byte-identity property:
-// the progressive pipeline changes when bytes exist, never which bytes.
+// TestFullRungMatchesOneShotEncode is the renderer's byte-identity
+// property: folding bands changes when bytes exist, never which bytes.
 func TestFullRungMatchesOneShotEncode(t *testing.T) {
 	res := testLayout(t)
 	for _, tc := range []struct {
@@ -67,12 +67,12 @@ func TestFullRungMatchesOneShotEncode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Render: %v", err)
 			}
-			if !bytes.Equal(out.Full.Data, want) {
-				t.Fatalf("full rung differs from one-shot encode (%d vs %d bytes)",
-					len(out.Full.Data), len(want))
+			if !bytes.Equal(out.Data, want) {
+				t.Fatalf("render differs from one-shot encode (%d vs %d bytes)",
+					len(out.Data), len(want))
 			}
-			if out.Full.MIME != tc.fid.MIME() {
-				t.Fatalf("full MIME = %q", out.Full.MIME)
+			if out.MIME != tc.fid.MIME() {
+				t.Fatalf("MIME = %q", out.MIME)
 			}
 		})
 	}
@@ -119,8 +119,8 @@ func TestExactFullRung(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !bytes.Equal(out.Full.Data, want) || out.Full.MIME != wantMIME {
-			t.Errorf("%s: full rung is %d bytes of %s, want %d bytes of %s", tc.name, len(out.Full.Data), out.Full.MIME, len(want), wantMIME)
+		if !bytes.Equal(out.Data, want) || out.MIME != wantMIME {
+			t.Errorf("%s: render is %d bytes of %s, want %d bytes of %s", tc.name, len(out.Data), out.MIME, len(want), wantMIME)
 		}
 	}
 }
@@ -148,18 +148,13 @@ func randomLayout(rng *rand.Rand) *layout.Result {
 	return layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 150 + rng.Intn(500)})
 }
 
-// generic hides *image.RGBA so imaging takes its reference box filter.
-type generic struct{ image.Image }
-
-// TestFullRungIndependentOfLadderAndWorkers is the one renderer's
-// property, over random layouts: asking for the coarse rung, and the
-// worker count, change nothing about the full rung, which stays the plain
-// Encode(ScaleFactor(Paint)) of the layout whether it is folded from
-// bands (a scale below 1), painted whole and encoded as painted (no
-// scale, or one that changes nothing) or magnified; and the coarse rung
-// is the reference box filter's quarter-scale of the painted frame
-// whichever way the bands reached it.
-func TestFullRungIndependentOfLadderAndWorkers(t *testing.T) {
+// TestFullRungIndependentOfWorkers is the one renderer's property,
+// over random layouts: the worker count changes nothing about the
+// render, which stays the plain Encode(ScaleFactor(Paint)) of the layout
+// whether it is folded from bands (a scale below 1), painted whole and
+// encoded as painted (no scale, or one that changes nothing) or
+// magnified.
+func TestFullRungIndependentOfWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	layouts := []*layout.Result{testLayout(t)}
 	for i := 0; i < 3; i++ {
@@ -186,35 +181,16 @@ func TestFullRungIndependentOfLadderAndWorkers(t *testing.T) {
 			if tc.scale > 0 {
 				outW, outH = imaging.FactorSize(outW, outH, tc.scale)
 			}
-			cw, ch := imaging.FactorSize(outW, outH, CoarseScale)
-			wantCoarse, err := imaging.EncodeJPEG(imaging.Scale(generic{frame}, min(cw, frame.Rect.Dx()), min(ch, frame.Rect.Dy())), CoarseQuality)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 2, 0, 64} {
-				for _, ladder := range []bool{false, true} {
-					cfg := Config{Raster: raster.Options{Workers: workers}, Fidelity: imaging.FidelityLow, Scale: tc.scale}
-					coarse := 0
-					if ladder {
-						cfg.OnCoarse = func(Artifact) { coarse++ }
-					}
-					out, err := Render(res, cfg)
-					if err != nil {
-						t.Fatalf("layout %d %s workers=%d ladder=%v: %v", li, tc.name, workers, ladder, err)
-					}
-					if !bytes.Equal(out.Full.Data, tc.want) {
-						t.Errorf("layout %d %s workers=%d ladder=%v: full rung differs from the one-shot encode", li, tc.name, workers, ladder)
-					}
-					if out.Full.Width != outW || out.Full.Height != outH {
-						t.Errorf("layout %d %s: full rung claims %dx%d, want %dx%d", li, tc.name, out.Full.Width, out.Full.Height, outW, outH)
-					}
-					if ladder != (coarse == 1) || ladder != (len(out.Coarse.Data) > 0) {
-						t.Errorf("layout %d %s workers=%d ladder=%v: coarse rung produced %d times, %d bytes",
-							li, tc.name, workers, ladder, coarse, len(out.Coarse.Data))
-					}
-					if ladder && !bytes.Equal(out.Coarse.Data, wantCoarse) {
-						t.Errorf("layout %d %s workers=%d: coarse rung differs from the reference quarter-scale", li, tc.name, workers)
-					}
+				out, err := Render(res, Config{Raster: raster.Options{Workers: workers}, Fidelity: imaging.FidelityLow, Scale: tc.scale})
+				if err != nil {
+					t.Fatalf("layout %d %s workers=%d: %v", li, tc.name, workers, err)
+				}
+				if !bytes.Equal(out.Data, tc.want) {
+					t.Errorf("layout %d %s workers=%d: render differs from the one-shot encode", li, tc.name, workers)
+				}
+				if out.Width != outW || out.Height != outH {
+					t.Errorf("layout %d %s: render claims %dx%d, want %dx%d", li, tc.name, out.Width, out.Height, outW, outH)
 				}
 			}
 		}
@@ -241,67 +217,5 @@ func TestScaleOnePaintsOnce(t *testing.T) {
 	asPainted, one := bytesFor(0), bytesFor(1)
 	if one > asPainted+perFrame/2 {
 		t.Fatalf("Scale 1 allocated %.0f bytes, as-painted %.0f: a second %0.f-byte frame", one, asPainted, perFrame)
-	}
-}
-
-func TestCoarseArrivesBeforeFull(t *testing.T) {
-	res := testLayout(t)
-	var coarse Artifact
-	called := 0
-	out, err := Render(res, Config{
-		Raster:   raster.Options{Workers: 4},
-		Fidelity: imaging.FidelityLow,
-		Scale:    0.45,
-		OnCoarse: func(a Artifact) {
-			called++
-			coarse = a
-		},
-	})
-	if err != nil {
-		t.Fatalf("Render: %v", err)
-	}
-	if called != 1 {
-		t.Fatalf("OnCoarse called %d times", called)
-	}
-	if !bytes.Equal(coarse.Data, out.Coarse.Data) {
-		t.Fatal("callback artifact differs from result's coarse rung")
-	}
-	if len(coarse.Data) == 0 || len(out.Full.Data) == 0 {
-		t.Fatal("empty rung")
-	}
-	if len(coarse.Data) >= len(out.Full.Data) {
-		t.Fatalf("coarse rung (%d bytes) is not smaller than full (%d bytes)",
-			len(coarse.Data), len(out.Full.Data))
-	}
-}
-
-func TestCoarseRungDecodesAtExpectedGeometry(t *testing.T) {
-	res := testLayout(t)
-	out, err := Render(res, Config{
-		Raster:   raster.Options{Workers: 2},
-		Fidelity: imaging.FidelityLow,
-		Scale:    0.45,
-		OnCoarse: func(Artifact) {},
-	})
-	if err != nil {
-		t.Fatalf("Render: %v", err)
-	}
-	img, err := imaging.Decode(out.Coarse.Data)
-	if err != nil {
-		t.Fatalf("coarse rung does not decode: %v", err)
-	}
-	b := img.Bounds()
-	if b.Dx() != out.Coarse.Width || b.Dy() != out.Coarse.Height {
-		t.Fatalf("decoded %dx%d, artifact claims %dx%d",
-			b.Dx(), b.Dy(), out.Coarse.Width, out.Coarse.Height)
-	}
-	if out.Coarse.MIME != "image/jpeg" {
-		t.Fatalf("coarse MIME = %q", out.Coarse.MIME)
-	}
-	// Quarter scale of the 0.45-scaled output, and strictly smaller than
-	// the full rung's geometry.
-	if b.Dx() >= out.Full.Width || b.Dy() >= out.Full.Height {
-		t.Fatalf("coarse %dx%d not smaller than full %dx%d",
-			b.Dx(), b.Dy(), out.Full.Width, out.Full.Height)
 	}
 }

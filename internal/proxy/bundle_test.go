@@ -23,6 +23,7 @@ import (
 	"msite/internal/cache"
 	"msite/internal/css"
 	"msite/internal/session"
+	"msite/internal/spec"
 )
 
 // served is what a device can observe of one response.
@@ -34,10 +35,6 @@ type served struct {
 	Length int64
 	Body   string
 }
-
-// snapGenRE matches the streaming overlay's per-render upgrade version,
-// the one part of an entry page that legitimately differs per session.
-var snapGenRE = regexp.MustCompile(`\?v=\d+`)
 
 func newDevice(t *testing.T) *http.Client {
 	t.Helper()
@@ -77,7 +74,7 @@ func viewAll(t *testing.T, client *http.Client, base string, subpages, assets []
 			CacheControl: resp.Header.Get("Cache-Control"),
 			ETag:         resp.Header.Get("ETag"),
 			Length:       resp.ContentLength,
-			Body:         snapGenRE.ReplaceAllString(string(body), "?v=N"),
+			Body:         string(body),
 		}
 		// An artifact is complete before it is served: a 200 of one
 		// declares its length instead of going out chunked.
@@ -152,18 +149,18 @@ func regularFiles(t *testing.T, root string) []string {
 // first.
 func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 	modes := []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		minimal bool // the spec's minimal_markup
 	}{
-		{"buffered", Config{}},
-		{"streaming", Config{Stream: true}},
-		{"progressive", Config{Stream: true, SnapshotProgressive: true}},
-		{"minimal", Config{MinimalMarkup: true}},
+		{"buffered", Config{}, false},
+		{"streaming", Config{Stream: true}, false},
+		{"minimal", Config{}, true},
 	}
 	entries := make(map[string]string)
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			rig := newPersistRigWith(t, mode.cfg)
+			rig := newPersistRigSpec(t, mode.cfg, func(sp *spec.Spec) { sp.MinimalMarkup = mode.minimal })
 			first := newDevice(t)
 			// Read the first entry to its end: a streamed one answers
 			// before the build has run.
@@ -181,12 +178,12 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 			for name := range bundle.assets {
 				assets = append(assets, name)
 			}
-			// The snapshot rungs too; a mode that has none must 404 them
-			// from every origin alike.
-			assets = append(assets, rig.p.snapName, coarseSnapshotName)
+			// The snapshot too; a mode that has none must 404 it from
+			// every origin alike.
+			assets = append(assets, rig.p.snapName)
 			sort.Strings(subpages)
 			sort.Strings(assets)
-			if len(subpages) < 3 || len(assets) < 3 {
+			if len(subpages) < 3 || len(assets) < 2 {
 				t.Fatalf("thin bundle: subpages %v assets %v", subpages, assets)
 			}
 			view := func(c *http.Client) map[string]served {
@@ -503,7 +500,7 @@ func TestPersonalizedBundlesStayPrivate(t *testing.T) {
 		cfg  Config
 	}{
 		{"buffered", Config{}},
-		{"streaming", Config{Stream: true, SnapshotProgressive: true}},
+		{"streaming", Config{Stream: true}},
 	} {
 		for _, loggedInFirst := range []bool{true, false} {
 			t.Run(fmt.Sprintf("snapshot/%s/loggedInFirst=%v", mode.name, loggedInFirst), func(t *testing.T) {
@@ -529,7 +526,7 @@ func testPersonalizedSnapshotStaysPrivate(t *testing.T, cfg Config, loggedInFirs
 		})
 	})
 	rig.p.cfg.Spec.Login.URL = rig.origin.URL + "/login.php"
-	sharedKeys := []string{"snapshot:" + rig.p.cfg.Spec.Name, "snapshot-coarse:" + rig.p.cfg.Spec.Name}
+	sharedKey := "snapshot:" + rig.p.cfg.Spec.Name
 
 	snapshotOf := func(client *http.Client) []byte {
 		t.Helper()
@@ -562,10 +559,8 @@ func testPersonalizedSnapshotStaysPrivate(t *testing.T, cfg Config, loggedInFirs
 	if loggedInFirst {
 		logIn()
 		snapshotOf(alice)
-		for _, key := range sharedKeys {
-			if _, ok := rig.cache.Get(key); ok {
-				t.Fatalf("a logged-in session's render was published as %s", key)
-			}
+		if _, ok := rig.cache.Get(sharedKey); ok {
+			t.Fatalf("a logged-in session's render was published as %s", sharedKey)
 		}
 		anonSnap = snapshotOf(newDevice(t))
 	} else {
@@ -578,7 +573,7 @@ func testPersonalizedSnapshotStaysPrivate(t *testing.T, cfg Config, loggedInFirs
 	if again := snapshotOf(newDevice(t)); !bytes.Equal(again, anonSnap) {
 		t.Fatal("a later anonymous session was shown a different snapshot")
 	}
-	if e, ok := rig.cache.Get(sharedKeys[0]); !ok || !bytes.Equal(e.Data, anonSnap) {
+	if e, ok := rig.cache.Get(sharedKey); !ok || !bytes.Equal(e.Data, anonSnap) {
 		t.Fatal("the shared snapshot is not the anonymous render")
 	}
 }

@@ -177,15 +177,26 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestAssetCacheControl: the entry snapshot is cached for its TTL, and
+// every other asset briefly, even one whose name starts like the
+// snapshot's.
 func TestAssetCacheControl(t *testing.T) {
-	rig := newRig(t, nil)
-	body, _ := rig.get(t, "/")
-	_ = body
+	rig := newRig(t, func(sp *spec.Spec) {
+		for i := range sp.Objects {
+			if sp.Objects[i].Name == "forums" {
+				sp.Objects[i].Name = "snapshot_forums"
+			}
+		}
+	})
+	rig.get(t, "/")
 	_, resp := rig.get(t, "/asset/snapshot.jpg")
 	if got := resp.Header.Get("Cache-Control"); !strings.Contains(got, "max-age=3600") {
 		t.Fatalf("snapshot cache-control = %q", got)
 	}
-	_, resp = rig.get(t, "/asset/forums.png")
+	_, resp = rig.get(t, "/asset/snapshot_forums.png")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pre-render status %d", resp.StatusCode)
+	}
 	if got := resp.Header.Get("Cache-Control"); !strings.Contains(got, "max-age=300") {
 		t.Fatalf("per-user asset cache-control = %q", got)
 	}

@@ -40,9 +40,7 @@ type persistRig struct {
 	proxy *httptest.Server
 }
 
-func newPersistRig(t *testing.T) *persistRig { return newPersistRigWith(t, Config{}) }
-
-func newPersistRigWith(t *testing.T, cfg Config) *persistRig { return newPersistRigSpec(t, cfg, nil) }
+func newPersistRig(t *testing.T) *persistRig { return newPersistRigSpec(t, Config{}, nil) }
 
 func newPersistRigSpec(t *testing.T, cfg Config, mutate func(*spec.Spec)) *persistRig {
 	t.Helper()

@@ -1,12 +1,11 @@
 // Package proxy implements m.Site's multi-session content adaptation
 // proxy (§3.2): the generated shell code's runtime. It manages session
-// cookies and per-user protected directories, downloads origin pages on
-// demand with per-user cookie jars and HTTP auth interposition, runs the
-// source-level filter phase and the DOM-level attribute phase, keeps the
-// generated subpages and images as one immutable in-memory Bundle that
-// sessions reference, serves the cached snapshot entry page, and
-// satisfies rewritten AJAX calls — all without a heavyweight browser
-// instance per client.
+// cookies, downloads origin pages on demand with per-user cookie jars
+// and HTTP auth interposition, runs the source-level filter phase and
+// the DOM-level attribute phase, keeps the generated subpages and images
+// as one immutable in-memory Bundle that sessions reference, serves the
+// cached snapshot entry page, and satisfies rewritten AJAX calls — all
+// without a heavyweight browser instance per client.
 package proxy
 
 import (
@@ -70,21 +69,11 @@ type Config struct {
 	// session id, handler kind, cache outcome, status, and duration.
 	// Nil disables request logging (the default, and what tests use).
 	Logger *slog.Logger
-	// FetchWorkers bounds the parallelism of subresource downloads
-	// (stylesheets, render images) during adaptation. 0 uses the
-	// fetcher's default; 1 forces serial fetching.
-	FetchWorkers int
-	// RasterWorkers is the band parallelism of snapshot rasterization.
-	// 0 uses GOMAXPROCS; 1 forces the serial painter.
-	RasterWorkers int
 	// ServeStale keeps serving a session's previous adaptation (and the
-	// shared snapshot past its TTL) when re-adaptation fails because the
+	// shared snapshot up to DefaultStaleFor past its TTL, while a
+	// background refresh runs) when re-adaptation fails because the
 	// origin is unreachable, instead of returning 502.
 	ServeStale bool
-	// StaleFor bounds how long past expiry a shared snapshot remains
-	// servable while a background refresh runs (stale-while-revalidate).
-	// Zero with ServeStale set uses DefaultStaleFor.
-	StaleFor time.Duration
 	// Admission is the overload-protection tier: the adaptation
 	// concurrency limiter and per-client rate limiter. Nil admits
 	// everything (the default, and what most tests use). One controller
@@ -103,15 +92,6 @@ type Config struct {
 	// and the snapshot renders on a background goroutine the asset
 	// handler waits on. Off, the entry buffers as before.
 	Stream bool
-	// SnapshotProgressive serves the snapshot as a temporal fidelity
-	// ladder on the streaming path: a coarse quarter-scale JPEG the
-	// moment rasterization finishes, upgraded in-place to the
-	// full-fidelity artifact (byte-identical to the buffered encode)
-	// once it completes. Requires Stream.
-	SnapshotProgressive bool
-	// MinimalMarkup forces the MAML-style minimal-markup entry mode for
-	// every request, regardless of the spec's minimal_markup attribute.
-	MinimalMarkup bool
 	// Demand, when non-nil, is called with the site name on every entry
 	// and subpage request — the live-traffic signal the prefetch
 	// crawler's demand ranking decays over. Must be cheap and
@@ -126,9 +106,10 @@ type Config struct {
 	// inventories origin vs adapted text/links/forms, records the score
 	// in metrics, notes, and the /debug/parity report.
 	ParityCheck bool
-	// ParityMinScore, with ParityCheck, fails the build loudly when the
-	// parity score drops below it (0 disables the hard gate; 1 demands
-	// every non-sanctioned content item survive adaptation).
+	// ParityMinScore fails the build loudly when the parity score drops
+	// below it, and turns the parity check on when above 0 (0 disables
+	// the hard gate; 1 demands every non-sanctioned content item survive
+	// adaptation). It must lie in [0, 1].
 	ParityMinScore float64
 	// Cluster, when non-nil, routes cold non-personalized builds to the
 	// bundle key's consistent-hash ring owner (internal/cluster) before
@@ -159,7 +140,7 @@ const TraceHeader = "X-MSite-Trace"
 const SessionCapRetryAfter = 30 * time.Second
 
 // DefaultStaleFor is how long past its TTL a shared snapshot stays
-// servable when ServeStale is on and no StaleFor is configured.
+// servable when ServeStale is on.
 const DefaultStaleFor = 5 * time.Minute
 
 // Stats counts proxy work for the scalability experiments.
@@ -185,9 +166,7 @@ type Proxy struct {
 	prefix     string
 	obs        *obs.Registry
 	logger     *slog.Logger
-	rasterWork int
-	staleFor   time.Duration
-	// snapName is the asset name of the full-fidelity entry snapshot.
+	// snapName is the asset name of the entry snapshot.
 	snapName string
 	// bundleKey is the durable-bundle cache key for this proxy's
 	// (site, spec hash, device class, fidelity); empty when
@@ -222,11 +201,6 @@ type Proxy struct {
 	live     map[*Bundle]int
 	inflight map[string]chan struct{}
 
-	// snapGen versions the full-fidelity snapshot URL on the streaming
-	// path, so the coarse-first overlay's upgrade reference never hits a
-	// client cache entry from a previous render generation.
-	snapGen atomic.Uint64
-
 	// repairRules is the parsed RepairRules pass (nil when disabled);
 	// lastParity is the most recent parity report for /debug/parity.
 	repairRules []quality.Rule
@@ -234,18 +208,18 @@ type Proxy struct {
 }
 
 // sessionView is all a session owns of its adaptation: which Bundle it
-// is looking at, and the snapshot rungs it was last shown (the shared
-// snapshot may be re-rendered under a session; its assets must keep
-// matching the entry page it already has).
+// is looking at, and the snapshot it was last shown (the shared snapshot
+// may be re-rendered under a session; its asset must keep matching the
+// entry page it already has).
 type sessionView struct {
 	bundle *Bundle
 	// private marks a Bundle built with this session's own credentials:
 	// nothing rendered from it may reach the cross-session cache.
-	private          bool
-	snapshot, coarse atomic.Pointer[artifact]
+	private  bool
+	snapshot atomic.Pointer[artifact]
 
 	// render is the background snapshot render of a streamed entry; the
-	// asset handler waits on its rungs.
+	// asset handler waits on it.
 	mu     sync.Mutex
 	render *snapState
 }
@@ -293,6 +267,11 @@ func New(cfg Config) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !(cfg.ParityMinScore >= 0 && cfg.ParityMinScore <= 1) {
+		return nil, fmt.Errorf("proxy: parity minimum score %v outside [0, 1]", cfg.ParityMinScore)
+	}
+	// A minimum score is a parity check with a gate.
+	cfg.ParityCheck = cfg.ParityCheck || cfg.ParityMinScore > 0
 	prefix := strings.TrimSuffix(cfg.PathPrefix, "/")
 	if prefix != "" && !strings.HasPrefix(prefix, "/") {
 		return nil, fmt.Errorf("proxy: path prefix %q must start with /", cfg.PathPrefix)
@@ -302,13 +281,6 @@ func New(cfg Config) (*Proxy, error) {
 		reg = obs.NewRegistry()
 	}
 	cfg.Sessions.InstrumentObs(reg)
-	if cfg.FetchWorkers > 0 {
-		cfg.FetchOptions = append(cfg.FetchOptions, fetch.WithWorkers(cfg.FetchWorkers))
-	}
-	staleFor := cfg.StaleFor
-	if cfg.ServeStale && staleFor <= 0 {
-		staleFor = DefaultStaleFor
-	}
 	if cfg.Admission != nil {
 		cfg.Admission.SetObs(reg)
 	}
@@ -320,8 +292,6 @@ func New(cfg Config) (*Proxy, error) {
 		prefix:     prefix,
 		obs:        reg,
 		logger:     cfg.Logger,
-		rasterWork: cfg.RasterWorkers,
-		staleFor:   staleFor,
 		snapName:   "snapshot" + snapshotFidelity(cfg.Spec).Ext(),
 		coalesce:   admission.NewCoalescer[*Bundle](),
 		adapted:    make(map[string]*sessionView),
@@ -990,11 +960,12 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*Bundle,
 	// The adapted main document feeds the snapshot render (it excludes
 	// split-off objects, matching what the overlay's regions index).
 	addPage(mainPage, pageHTML(result))
-	// The MAML-style minimal page is generated unconditionally: it is a
-	// cheap DOM walk, and building it per-adaptation keeps the bundle
-	// shape identical whether the serving mode is selected by the spec
-	// attribute or the proxy flag.
-	addPage(minimalPage, attr.MinimalMarkupHTML(p.cfg.Spec.Name, result.Doc))
+	// The MAML-style minimal page, for a spec that serves it. The spec
+	// is part of the bundle key, so a persisted bundle has it exactly
+	// when its spec asks for it.
+	if p.cfg.Spec.MinimalMarkup {
+		addPage(minimalPage, attr.MinimalMarkupHTML(p.cfg.Spec.Name, result.Doc))
+	}
 
 	p.nAdaptations.Add(1)
 	p.obs.Counter("msite_proxy_adaptations_total", "site", p.cfg.Spec.Name).Inc()
@@ -1099,7 +1070,7 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	site := p.cfg.Spec.Name
-	minimal := p.cfg.MinimalMarkup || p.cfg.Spec.MinimalMarkup
+	minimal := p.cfg.Spec.MinimalMarkup
 	overlay := p.cfg.Spec.Snapshot.Enabled && !minimal
 	stream := p.cfg.Stream && overlay
 	ov := attr.Overlay{
@@ -1108,12 +1079,6 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		Title:       site,
 	}
 	if stream {
-		if p.cfg.SnapshotProgressive {
-			// The overlay paints the coarse rung first and trades up to the
-			// versioned full-fidelity URL once its encode completes.
-			ov.UpgradeURL = fmt.Sprintf("%s?v=%d", ov.SnapshotURL, p.snapGen.Add(1))
-			ov.SnapshotURL = p.prefix + "/asset/" + coarseSnapshotName
-		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_, _ = w.Write(p.applier.BuildOverlayStream(ov, nil, DefaultATFHeight).Head)
 		flushNow(w)
@@ -1160,7 +1125,7 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(frags.BTF)
 		_, _ = w.Write(frags.Tail)
 	default:
-		if ov.Width, ov.Height, err = p.snapshot(r.Context(), v, nil); err != nil {
+		if ov.Width, ov.Height, err = p.snapshot(r.Context(), v); err != nil {
 			// The graphical entry page is an enhancement over the adapted
 			// document, not a prerequisite.
 			_ = p.degrade(r.Context(), "snapshot", err)
@@ -1209,7 +1174,7 @@ func (p *Proxy) sharedSnapshotTTL() time.Duration {
 // layout, raster and encode each recorded as a span when ctx carries a
 // trace. The geometry rides in the entry's MIME suffix so it survives
 // the shared cache, the durable tier and a peer hop.
-func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle, onCoarse func(progressive.Artifact)) (cache.Entry, error) {
+func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle) (cache.Entry, error) {
 	p.nSnapshotRenders.Add(1)
 	p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
 	sp := obs.StartSpan(ctx, "layout")
@@ -1217,16 +1182,14 @@ func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle, onCoarse func(pro
 	sp.End()
 	out, err := progressive.Render(res, progressive.Config{
 		Ctx:      ctx,
-		Raster:   raster.Options{Images: b.images, Workers: p.rasterWork},
+		Raster:   raster.Options{Images: b.images},
 		Fidelity: snapshotFidelity(p.cfg.Spec),
 		Scale:    p.snapshotScale(),
-		OnCoarse: onCoarse,
 	})
 	if err != nil {
 		return cache.Entry{}, err
 	}
-	full := out.Full
-	return cache.Entry{Data: full.Data, MIME: fmt.Sprintf("%s;%d,%d", full.MIME, full.Width, full.Height)}, nil
+	return cache.Entry{Data: out.Data, MIME: fmt.Sprintf("%s;%d,%d", out.MIME, out.Width, out.Height)}, nil
 }
 
 // snapshot renders (or fetches from the shared cache) the scaled entry
@@ -1236,30 +1199,18 @@ func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle, onCoarse func(pro
 // Bundle may show what only its user may see, so it takes the route of a
 // spec without a shared snapshot: rendered from its own Bundle, kept on
 // the view, never read from or written to the cross-session entry.
-// showCoarse, when non-nil, asks for the coarse rung too and receives it
-// as soon as it exists — before the full-fidelity encode when this call
-// renders.
-func (p *Proxy) snapshot(ctx context.Context, v *sessionView, showCoarse func(data []byte)) (w, h int, err error) {
+func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err error) {
 	site := p.cfg.Spec.Name
 	ttl := p.sharedSnapshotTTL()
 	if v.private {
 		ttl = 0
-	}
-	var onCoarse func(progressive.Artifact)
-	if showCoarse != nil {
-		onCoarse = func(a progressive.Artifact) {
-			if ttl > 0 {
-				p.cfg.Cache.Put("snapshot-coarse:"+site, cache.Entry{Data: a.Data, MIME: a.MIME}, ttl)
-			}
-			showCoarse(a.Data)
-		}
 	}
 	// filled is atomic: with stale-while-revalidate the fill can run on a
 	// background refresh goroutine while this request inspects it.
 	var filled atomic.Bool
 	fill := func() (cache.Entry, error) {
 		filled.Store(true)
-		return p.renderSnapshot(ctx, v.bundle, onCoarse)
+		return p.renderSnapshot(ctx, v.bundle)
 	}
 
 	var entry cache.Entry
@@ -1267,10 +1218,10 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView, showCoarse func(da
 	if ttl > 0 {
 		key := "snapshot:" + site
 		var stale bool
-		if p.cfg.ServeStale && p.staleFor > 0 {
+		if p.cfg.ServeStale {
 			// Stale-while-revalidate: an expired shared snapshot is served
 			// immediately while a background goroutine re-renders it.
-			entry, stale, err = p.cfg.Cache.GetOrFillStale(key, ttl, p.staleFor, fill)
+			entry, stale, err = p.cfg.Cache.GetOrFillStale(key, ttl, DefaultStaleFor, fill)
 		} else {
 			entry, err = p.cfg.Cache.GetOrFill(key, ttl, fill)
 		}
@@ -1295,28 +1246,14 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView, showCoarse func(da
 	if err != nil {
 		return 0, 0, err
 	}
-	if cached && showCoarse != nil {
-		// No paint ran for this view, so nothing fed it a coarse rung:
-		// reuse the cached one, or derive it from the full bytes (cheap
-		// relative to a render).
-		if e, ok := p.cfg.Cache.Get("snapshot-coarse:" + site); ok {
-			showCoarse(e.Data)
-		} else if data, derr := coarseFromFull(entry.Data); derr == nil {
-			onCoarse(progressive.Artifact{Data: data, MIME: "image/jpeg"})
-		}
+	if cur := v.snapshot.Load(); cur == nil || !sameBytes(cur.data, entry.Data) {
+		// Bytes the view already holds keep the artifact (and ETag)
+		// derived from them.
+		v.snapshot.Store(newArtifact(p.snapName, entry.Data))
 	}
-	showRung(&v.snapshot, p.snapName, entry.Data)
 	// Geometry rides in the MIME suffix; parse it back out.
 	w, h = parseGeometry(entry.MIME)
 	return w, h, nil
-}
-
-// showRung records data as the snapshot rung a session now sees; bytes
-// it already holds keep the artifact (and ETag) derived from them.
-func showRung(rung *atomic.Pointer[artifact], name string, data []byte) {
-	if cur := rung.Load(); cur == nil || !sameBytes(cur.data, data) {
-		rung.Store(newArtifact(name, data))
-	}
 }
 
 func parseGeometry(mime string) (w, h int) {
@@ -1398,7 +1335,7 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 	w.Header().Set("Content-Type", a.ctype)
 	// Let the device cache images too: the shared snapshot for its
 	// configured TTL, per-user renders briefly.
-	if strings.HasPrefix(name, "snapshot") && p.cfg.Spec.Snapshot.CacheTTLSeconds > 0 {
+	if name == p.snapName && p.cfg.Spec.Snapshot.CacheTTLSeconds > 0 {
 		w.Header().Set("Cache-Control",
 			"private, max-age="+strconv.Itoa(p.cfg.Spec.Snapshot.CacheTTLSeconds))
 	} else {

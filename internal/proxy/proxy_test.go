@@ -596,7 +596,7 @@ func TestServeStaleOnOriginFailure(t *testing.T) {
 	defer c.Close()
 	p, err := New(Config{
 		Spec: sp, Sessions: sessions, Cache: c,
-		ServeStale: true, StaleFor: time.Hour,
+		ServeStale: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"math"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
@@ -66,7 +67,6 @@ func qualityRigOver(t *testing.T, h http.Handler, specFor func(originURL string)
 // be exactly 1.
 func strictQuality(cfg *Config) {
 	cfg.RepairRules = "all"
-	cfg.ParityCheck = true
 	cfg.ParityMinScore = 1
 }
 
@@ -121,7 +121,8 @@ func TestQualityCleanClassifiedsPassesStrictParity(t *testing.T) {
 
 // TestQualityParityFailsBuildOnContentDrop: an overzealous filter that
 // eats a text block, the login form or a list of links must fail the
-// build loudly when the strict gate is on.
+// build loudly when the strict gate is on — a minimum score alone turns
+// the parity check on.
 func TestQualityParityFailsBuildOnContentDrop(t *testing.T) {
 	for _, drop := range []struct{ name, pattern string }{
 		{"announcement text", `(?is)<div id="announce".*?</div>`},
@@ -134,10 +135,7 @@ func TestQualityParityFailsBuildOnContentDrop(t *testing.T) {
 					Type:   "replace",
 					Params: map[string]string{"pattern": drop.pattern},
 				})
-			}, func(cfg *Config) {
-				cfg.ParityCheck = true
-				cfg.ParityMinScore = 1
-			})
+			}, func(cfg *Config) { cfg.ParityMinScore = 1 })
 			_, resp := rig.get(t, "/")
 			if resp.StatusCode == http.StatusOK {
 				t.Fatal("build served OK despite dropped content under the strict parity gate")
@@ -199,5 +197,23 @@ func TestQualityUnknownRuleRejectedAtConstruction(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown rule accepted: %v", err)
+	}
+}
+
+// TestQualityParityMinScoreOutOfRange: a minimum score is a fraction;
+// anything outside [0, 1] is refused at construction.
+func TestQualityParityMinScoreOutOfRange(t *testing.T) {
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, min := range []float64{-0.1, 1.5, math.NaN()} {
+		_, err := New(Config{
+			Spec: forumSpec("http://origin.invalid"), Sessions: sessions, Cache: cache.New(),
+			ParityMinScore: min,
+		})
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("ParityMinScore %v: err = %v", min, err)
+		}
 	}
 }

@@ -187,12 +187,12 @@ func TestStreamTTFBWellBeforeTotal(t *testing.T) {
 }
 
 // TestStreamSnapshotByteIdenticalToBuffered is the cross-mode identity
-// property at the proxy level: the streaming (progressive) proxy's
-// full-fidelity snapshot must be byte-identical to the buffered
-// proxy's for the same origin content.
+// property at the proxy level: the streaming proxy's snapshot must be
+// byte-identical to the buffered proxy's for the same origin content,
+// and both entries reference it by the same URL.
 func TestStreamSnapshotByteIdenticalToBuffered(t *testing.T) {
 	buffered := newStreamRig(t, Config{}, nil)
-	streaming := newStreamRig(t, Config{Stream: true, SnapshotProgressive: true}, nil)
+	streaming := newStreamRig(t, Config{Stream: true}, nil)
 
 	fetchSnap := func(rig *streamRig) (string, []byte) {
 		t.Helper()
@@ -230,39 +230,10 @@ func TestStreamSnapshotByteIdenticalToBuffered(t *testing.T) {
 			len(bufSnap), len(streamSnap))
 	}
 
-	// The streamed entry serves the coarse rung first and upgrades to a
-	// versioned full URL; the buffered entry references the full asset
-	// directly.
-	if !strings.Contains(streamPage, "snapshot-coarse.jpg") {
-		t.Fatal("streamed entry does not reference the coarse snapshot")
-	}
-	if !strings.Contains(streamPage, "/asset/snapshot.jpg?v=") {
-		t.Fatal("streamed entry has no versioned upgrade URL")
-	}
-	if strings.Contains(bufPage, "snapshot-coarse") {
-		t.Fatal("buffered entry should not reference the coarse rung")
-	}
-
-	// The coarse rung is a decodable JPEG, much smaller than the full
-	// artifact.
-	resp, err := streaming.client.Get(streaming.proxy.URL + "/asset/snapshot-coarse.jpg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("coarse asset status %d", resp.StatusCode)
-	}
-	coarse, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coarse) < 2 || coarse[0] != 0xFF || coarse[1] != 0xD8 {
-		t.Fatal("coarse rung is not a JPEG")
-	}
-	if len(coarse) >= len(streamSnap) {
-		t.Fatalf("coarse rung (%d bytes) not smaller than full (%d bytes)",
-			len(coarse), len(streamSnap))
+	for name, page := range map[string]string{"buffered": bufPage, "streamed": streamPage} {
+		if !strings.Contains(page, `src="/asset/snapshot.jpg"`) {
+			t.Fatalf("%s entry does not reference the snapshot: %s", name, page)
+		}
 	}
 }
 
@@ -338,8 +309,11 @@ func TestStreamClientCrashPersistsNoPartialBundle(t *testing.T) {
 	}
 }
 
+// TestMinimalMarkupEntry: a spec's minimal_markup attribute serves the
+// MAML-style page even to a streaming proxy.
 func TestMinimalMarkupEntry(t *testing.T) {
-	rig := newStreamRig(t, Config{Stream: true, MinimalMarkup: true}, nil)
+	rig := newStreamRig(t, Config{Stream: true}, nil)
+	rig.p.cfg.Spec.MinimalMarkup = true
 	resp, err := rig.client.Get(rig.proxy.URL + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -377,8 +351,8 @@ func TestMinimalMarkupEntry(t *testing.T) {
 	}
 }
 
-// TestSpecMinimalMarkupSelectsMode: the MAML-style mode is selectable
-// per spec, not only by the global flag.
+// TestSpecMinimalMarkupSelectsMode: the MAML-style mode is selected by
+// the spec, on the buffered path too.
 func TestSpecMinimalMarkupSelectsMode(t *testing.T) {
 	forum := origin.NewForum(origin.DefaultForumConfig())
 	originSrv := httptest.NewServer(forum.Handler())

@@ -42,7 +42,7 @@ type Options struct {
 	// downloads on the client's behalf (§3.2).
 	Images map[string]image.Image
 	// Workers is the number of goroutines painting horizontal bands of
-	// the framebuffer (the -raster-workers knob). 0 uses GOMAXPROCS;
+	// the framebuffer. 0 uses GOMAXPROCS;
 	// 1 forces the serial path. Output is byte-identical for every
 	// worker count: each band paints exactly the primitives that
 	// intersect it, clipped to its rows.
@@ -70,9 +70,8 @@ func Paint(res *layout.Result, opts Options) *image.RGBA {
 
 // StreamPaint is Paint that also hands each horizontal band to onBand as
 // soon as it is fully painted, in top-to-bottom order, while later bands
-// are still being painted by the worker set — the interleaving stage of
-// the progressive snapshot: a consumer folds band N while the rasterizer
-// paints band N+1. A nil onBand is plain Paint.
+// are still being painted by the worker set: a consumer folds band N
+// while the rasterizer paints band N+1. A nil onBand is plain Paint.
 //
 // The frame is byte-identical for every worker count and with or without
 // a consumer: each band paints exactly the primitives that intersect it,

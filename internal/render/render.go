@@ -244,5 +244,5 @@ func (e ImageEngine) Render(doc *dom.Node, vp layout.Viewport) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return out.Full.Data, nil
+	return out.Data, nil
 }

@@ -253,8 +253,8 @@ var validFilterTypes = map[string]bool{
 	"strip-css": true, "rewrite-images": true, "replace": true,
 }
 
-// Validate checks structural integrity: object names unique and
-// non-empty, identifiers parseable, attribute and filter types known,
+// Validate checks structural integrity: object names unique, non-empty
+// and not the reserved "snapshot", identifiers parseable, attribute and filter types known,
 // action regexes compilable, and cross-references (copy-to/dependency
 // subpage names) resolvable.
 func (s *Spec) Validate() error {
@@ -275,6 +275,10 @@ func (s *Spec) Validate() error {
 		}
 		if names[o.Name] {
 			return fmt.Errorf("spec: duplicate object name %q", o.Name)
+		}
+		if o.Name == "snapshot" {
+			// Its pre-render would be named like the entry snapshot.
+			return errors.New(`spec: object name "snapshot" is reserved for the entry snapshot`)
 		}
 		names[o.Name] = true
 		if (o.Selector == "") == (o.XPath == "") {

@@ -86,6 +86,7 @@ func TestValidateErrors(t *testing.T) {
 		{func(s *Spec) { s.Origin = "" }, "missing origin"},
 		{func(s *Spec) { s.Objects[0].Name = "" }, "empty name"},
 		{func(s *Spec) { s.Objects[1].Name = "login" }, "duplicate object"},
+		{func(s *Spec) { s.Objects[2].Name = "snapshot" }, "reserved"},
 		{func(s *Spec) { s.Objects[0].Selector = "" }, "exactly one"},
 		{func(s *Spec) { s.Objects[0].XPath = "//x" }, "exactly one"},
 		{func(s *Spec) { s.Objects[0].Selector = ":bad(" }, "parsing selector"},
