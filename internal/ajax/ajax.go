@@ -108,24 +108,11 @@ func (r *Rewriter) RewriteDoc(root *dom.Node) int {
 	return count
 }
 
-// ClientRuntimeJS is injected once per adapted page: msiteLoad fetches a
-// proxy action response into the target div ("#msite-pane" by default)
-// without a page reload.
-const ClientRuntimeJS = `function msiteLoad(url) {
-  var pane = document.getElementById('msite-pane');
-  if (!pane) { window.location = url; return false; }
-  var xhr = new XMLHttpRequest();
-  xhr.open('GET', url, true);
-  xhr.onreadystatechange = function () {
-    if (xhr.readyState === 4 && xhr.status === 200) {
-      pane.innerHTML = xhr.responseText;
-      pane.style.display = 'block';
-    }
-  };
-  xhr.send(null);
-  return false;
-}
-`
+// ClientRuntimeJS is injected once per adapted page, and into every entry
+// overlay with an AJAX subpage: msiteLoad fetches a proxy action response
+// or a subpage into the target div ("#msite-pane") without a page reload,
+// and navigates to it where the page has no pane. It ships minified.
+const ClientRuntimeJS = `function msiteLoad(u){var p=document.getElementById("msite-pane"),x;if(!p){window.location=u;return false}x=new XMLHttpRequest;x.open("GET",u,true);x.onreadystatechange=function(){if(x.readyState==4&&x.status==200){p.innerHTML=x.responseText;p.style.display="block"}};x.send(null);return false}`
 
 // InjectRuntime adds the client runtime script and the response pane div
 // to a document, once.

@@ -8,8 +8,6 @@ import (
 	"image/color"
 	"image/png"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"testing"
 
 	"msite/internal/attr"
@@ -20,6 +18,7 @@ import (
 	"msite/internal/layout"
 	"msite/internal/origin"
 	"msite/internal/raster"
+	"msite/internal/search"
 	"msite/internal/spec"
 )
 
@@ -28,8 +27,16 @@ import (
 // page.
 func applyForum(t *testing.T, mutate func(*spec.Spec)) *attr.Result {
 	t.Helper()
+	return applyForumSeed(t, origin.DefaultForumConfig().Seed, mutate)
+}
+
+// applyForumSeed is applyForum on the forum generated from seed.
+func applyForumSeed(t *testing.T, seed int64, mutate func(*spec.Spec)) *attr.Result {
+	t.Helper()
+	cfg := origin.DefaultForumConfig()
+	cfg.Seed = seed
 	rec := httptest.NewRecorder()
-	origin.NewForum(origin.DefaultForumConfig()).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	origin.NewForum(cfg).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	sp := experiments.SpecForForum("http://forum.test")
 	if mutate != nil {
 		mutate(sp)
@@ -53,8 +60,9 @@ const (
 	// EncodeExact(Paint(res)).
 	goldenForumsPNG = "38285:7368cf4c9fca1b3183c3c2dcd6b82cc6186d6aefc52e0440981110c1e0a2d55d"
 	// The page around the unscaled image: captured when the search index
-	// went to one entry per word, and again when its <img> went .png.
-	goldenForumsHTML = "11736:b06ff35c27865a2170ad63b99294dac9829a94a6c971f4021e5b448140a0cd6b"
+	// went to one entry per word, again when its <img> went .png, and again
+	// when a word's hits went to one string of deltas.
+	goldenForumsHTML = "7130:42512762a25a1c13abf79123eaaa8d483b1e7ae8d919fe8613c8ad38b2b422b4"
 	goldenThumbJPEG  = "1576:ecd15929f88c64d7f567d1e5ec7945b7675610e0f5476a7f41dad2d6f3181d18"
 )
 
@@ -82,21 +90,19 @@ func TestPreRenderShipsAtSnapshotScale(t *testing.T) {
 	if want := fmt.Sprintf(`<img src="/asset/forums.png" alt="Forums" width="%d" height="%d">`, w, h); !bytes.Contains(page, []byte(want)) {
 		t.Fatalf("subpage lacks %s", want)
 	}
-	// One entry per word, its hits following it in fours.
+	// The page ships the forums index, and every hit of it lies inside the
+	// image.
+	idx := forumsIndex(t, origin.DefaultForumConfig().Seed)
+	if !bytes.Contains(page, []byte(sub.SearchJS)) {
+		t.Fatal("subpage lacks its search payload")
+	}
 	hits := 0
-	for _, entry := range regexp.MustCompile(`\["[^"]*"((?:,\d+)+)\]`).FindAllSubmatch(page, -1) {
-		var v []int
-		for _, num := range bytes.Split(entry[1][1:], []byte(",")) {
-			n, _ := strconv.Atoi(string(num))
-			v = append(v, n)
-		}
-		if len(v)%4 != 0 {
-			t.Fatalf("entry %s does not hold its hits in fours", entry[0])
-		}
-		for ; len(v) > 0; v, hits = v[4:], hits+1 {
-			if v[2] < 1 || v[3] < 1 || v[0]+v[2] > w || v[1]+v[3] > h {
-				t.Fatalf("a hit of %s lies outside the %dx%d image", entry[0], w, h)
+	for _, word := range idx.Words() {
+		for _, v := range idx.Lookup(word) {
+			if v.W < 1 || v.H < 1 || v.X < 0 || v.Y < 0 || v.X+v.W > w || v.Y+v.H > h {
+				t.Fatalf("hit %+v lies outside the %dx%d image", v, w, h)
 			}
+			hits++
 		}
 	}
 	if hits < 500 {
@@ -133,12 +139,7 @@ func TestPreRenderAsPaintedWithoutAScale(t *testing.T) {
 // 0.45) at the spec's snapshot.scale, Paint(res) itself at scale 1 —
 // where res is the forums subpage laid out as the pre-render lays it out.
 func TestPreRenderIsLossless(t *testing.T) {
-	plain, _ := applyForum(t, func(sp *spec.Spec) {
-		forums := &sp.Objects[len(sp.Objects)-1]
-		forums.Attributes = []spec.Attribute{{Type: spec.AttrSubpage, Params: map[string]string{"title": "Forums"}}}
-	}).FindSubpage("forums")
-	res := layout.Layout(plain.Doc, css.StylerForDocument(plain.Doc, plain.Sheets), layout.Viewport{Width: 1024})
-	painted := raster.Paint(res, raster.Options{})
+	painted := raster.Paint(forumsLayout(t, origin.DefaultForumConfig().Seed), raster.Options{})
 	for _, tc := range []struct {
 		name   string
 		mutate func(*spec.Spec)
@@ -167,4 +168,29 @@ func TestPreRenderIsLossless(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forumsLayout lays the forums subpage of the forum generated from seed out
+// as its pre-render does: the subpage as the attribute phase leaves it, at
+// the spec's viewport width.
+func forumsLayout(t *testing.T, seed int64) *layout.Result {
+	t.Helper()
+	plain, _ := applyForumSeed(t, seed, func(sp *spec.Spec) {
+		forums := &sp.Objects[len(sp.Objects)-1]
+		forums.Attributes = []spec.Attribute{{Type: spec.AttrSubpage, Params: map[string]string{"title": "Forums"}}}
+	}).FindSubpage("forums")
+	return layout.Layout(plain.Doc, css.StylerForDocument(plain.Doc, plain.Sheets), layout.Viewport{Width: 1024})
+}
+
+// forumsIndex is the word index the evaluation spec's forums subpage ships
+// for the forum generated from seed, as an Index: its payload is the
+// subpage's SearchJS byte for byte.
+func forumsIndex(t *testing.T, seed int64) *search.Index {
+	t.Helper()
+	sub, _ := applyForumSeed(t, seed, nil).FindSubpage("forums")
+	idx := search.Build(forumsLayout(t, seed)).Scale(0.45)
+	if idx.JS("msite-search") != sub.SearchJS {
+		t.Fatal("the forums index built here is not the one the subpage ships")
+	}
+	return idx
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"msite/internal/ajax"
 	"msite/internal/dom"
 	"msite/internal/html"
 )
@@ -129,7 +130,7 @@ func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight 
 		script := dom.NewElement("script")
 		script.SetAttr("type", "text/javascript")
 		script.SetAttr("data-msite", "runtime")
-		script.AppendChild(dom.NewText(ajaxRuntime))
+		script.AppendChild(dom.NewText(ajax.ClientRuntimeJS))
 		html.RenderTo(&b, script)
 	}
 	b.WriteString("</body></html>")
@@ -139,25 +140,6 @@ func (a *Applier) BuildOverlayStream(ov Overlay, subpages []*Subpage, atfHeight 
 		page: page,
 	}
 }
-
-// ajaxRuntime mirrors ajax.ClientRuntimeJS; duplicated as a constant to
-// keep the overlay self-contained even when no Action rewriting is
-// configured.
-const ajaxRuntime = `function msiteLoad(url) {
-  var pane = document.getElementById('msite-pane');
-  if (!pane) { window.location = url; return false; }
-  var xhr = new XMLHttpRequest();
-  xhr.open('GET', url, true);
-  xhr.onreadystatechange = function () {
-    if (xhr.readyState === 4 && xhr.status === 200) {
-      pane.innerHTML = xhr.responseText;
-      pane.style.display = 'block';
-    }
-  };
-  xhr.send(null);
-  return false;
-}
-`
 
 // minimalSkip are subtrees the minimal-markup mode drops entirely:
 // graphics, scripting, styling, embeds, and the overlay machinery.

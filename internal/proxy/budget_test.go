@@ -67,11 +67,12 @@ var assetRef = regexp.MustCompile(`(?:src="|url\()(/asset/[^")]+)`)
 // 300 kbps link every kilobyte is 27 ms. The login page was 31 KB while a
 // dependency attribute shipped it the whole stylesheet to use one rule,
 // the forums page 14.6 KB while its index spelled a word once per
-// occurrence, and the forums image a 62.7 KB q40 JPEG before a flat
+// occurrence and 10.8 KB while it wrote every coordinate of a hit in
+// decimal, and the forums image a 62.7 KB q40 JPEG before a flat
 // pre-render shipped as an exact palette PNG.
 func TestFirstViewWireBudget(t *testing.T) {
-	const maxView = 60 << 10
-	budget := map[string]int{"/subpage/login": 2 << 10, "/subpage/forums": 12 << 10}
+	const maxView = 55 << 10
+	budget := map[string]int{"/subpage/login": 2 << 10, "/subpage/forums": 15 << 9} // forums 7.5 KB
 	// imageBudget holds, by subpage, the budget of each image it references.
 	imageBudget := map[string]int{"/subpage/forums": 36 << 10}
 	rig := newRig(t, evaluationSpec)

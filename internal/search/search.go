@@ -6,7 +6,7 @@
 package search
 
 import (
-	"fmt"
+	"encoding/json"
 	"math"
 	"sort"
 	"strings"
@@ -45,6 +45,12 @@ func Build(res *layout.Result) *Index {
 			})
 		}
 	}
+	sortHits(hits)
+	return &Index{hits: hits, w: max(res.Width, 1), h: max(res.Height, 1)}
+}
+
+// sortHits puts hits in index order: by Word, then Y, then X.
+func sortHits(hits []Hit) {
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Word != hits[j].Word {
 			return hits[i].Word < hits[j].Word
@@ -54,11 +60,14 @@ func Build(res *layout.Result) *Index {
 		}
 		return hits[i].X < hits[j].X
 	})
-	return &Index{hits: hits, w: max(res.Width, 1), h: max(res.Height, 1)}
 }
 
+// wordTrim is the punctuation stripped from both ends of a word, by Build,
+// by Lookup and by the device runtime's query normalisation.
+const wordTrim = `.,;:!?"'()[]{}<>`
+
 func normalizeWord(s string) string {
-	return strings.Trim(strings.ToLower(s), ".,;:!?\"'()[]{}<>")
+	return strings.Trim(strings.ToLower(s), wordTrim)
 }
 
 // Len returns the number of indexed occurrences.
@@ -121,75 +130,80 @@ func (idx *Index) Scale(factor float64) *Index {
 	return out
 }
 
-// JS emits the client payload: the ordered index array, a binary-search
-// function, and a trigger hookup for the element the site administrator
+// JS emits the client payload: the ordered index array, the device
+// runtime, and a trigger hookup for the element the site administrator
 // designated (§3.3: "the site administrator must define an HTML element
-// (button or link) to make the initial Javascript call"). The array has
-// one entry per distinct word, the word and then x,y,w,h for each of its
-// occurrences in order: ["word",x,y,w,h,x,y,w,h,...] — a page repeats its
-// words, and a word is most of what a hit costs to write.
+// (button or link) to make the initial Javascript call"). The array is flat,
+// two slots per distinct word: ["word","<hits>","word","<hits>",...], words
+// sorted. A word's hits are one string of Base64 VLQ numbers (the source-map
+// encoding), four per hit in index order: its x, y, w and h less those of
+// the word's previous hit, the first hit's less zero. A page repeats its
+// words and its rows, so most deltas are a character or two.
+//
+// Every string is written as HTML-safe JSON: encoding/json escapes <, > and
+// &, so no word can close the <script> the payload ships in, and U+2028 and
+// U+2029, which older JavaScript does not allow in a string literal. A word
+// that is not valid UTF-8 ships with U+FFFD for its bad bytes.
 func (idx *Index) JS(triggerID string) string {
-	var b strings.Builder
-	b.WriteString("var msiteSearchIndex = [")
-	for i, h := range idx.hits {
-		if i == 0 || h.Word != idx.hits[i-1].Word {
-			if i > 0 {
-				b.WriteString("],")
+	entries := []string{}
+	var deltas []byte
+	for i := 0; i < len(idx.hits); {
+		word := idx.hits[i].Word
+		var prev Hit
+		deltas = deltas[:0]
+		for ; i < len(idx.hits) && idx.hits[i].Word == word; i++ {
+			h := idx.hits[i]
+			for _, d := range [4]int{h.X - prev.X, h.Y - prev.Y, h.W - prev.W, h.H - prev.H} {
+				deltas = appendVLQ(deltas, d)
 			}
-			fmt.Fprintf(&b, "[%q", h.Word)
+			prev = h
 		}
-		fmt.Fprintf(&b, ",%d,%d,%d,%d", h.X, h.Y, h.W, h.H)
+		entries = append(entries, word, string(deltas))
 	}
-	if len(idx.hits) > 0 {
-		b.WriteByte(']')
-	}
-	b.WriteString("];\n")
+	var b strings.Builder
+	b.WriteString("var msiteSearchIndex=")
+	b.Write(htmlSafeJSON(entries))
+	b.WriteString(";\n")
 	b.WriteString(searchRuntimeJS)
 	if triggerID != "" {
-		fmt.Fprintf(&b, "msiteBindSearch(%q);\n", triggerID)
+		b.WriteString("msiteBindSearch(")
+		b.Write(htmlSafeJSON(triggerID))
+		b.WriteString(");\n")
 	}
 	return b.String()
 }
 
-// searchRuntimeJS is the device-side runtime: binary search over the
-// sorted words, a word's hits read off its entry four numbers at a time,
-// plus a highlight overlay positioned at the first hit's coordinates.
-const searchRuntimeJS = `function msiteSearch(word) {
-  word = word.toLowerCase();
-  var lo = 0, hi = msiteSearchIndex.length;
-  while (lo < hi) {
-    var mid = (lo + hi) >> 1;
-    if (msiteSearchIndex[mid][0] < word) { lo = mid + 1; } else { hi = mid; }
-  }
-  var hits = [], entry = msiteSearchIndex[lo];
-  if (entry && entry[0] === word) {
-    for (var i = 1; i + 3 < entry.length; i += 4) { hits.push(entry.slice(i, i + 4)); }
-  }
-  return hits;
+// htmlSafeJSON marshals a string or a []string, which cannot fail.
+func htmlSafeJSON(v any) []byte {
+	data, _ := json.Marshal(v)
+	return data
 }
-function msiteHighlight(hits) {
-  var old = document.getElementById('msite-hit');
-  if (old) { old.parentNode.removeChild(old); }
-  if (!hits.length) { return; }
-  var h = hits[0];
-  var box = document.createElement('div');
-  box.id = 'msite-hit';
-  box.style.position = 'absolute';
-  box.style.left = h[0] + 'px';
-  box.style.top = h[1] + 'px';
-  box.style.width = h[2] + 'px';
-  box.style.height = h[3] + 'px';
-  box.style.border = '2px solid red';
-  document.body.appendChild(box);
-  window.scrollTo(0, Math.max(0, h[1] - 40));
+
+// vlqDigits are the Base64 digits a VLQ number is written in.
+const vlqDigits = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+// appendVLQ appends v as one Base64 VLQ: the magnitude shifted left with
+// the sign in the low bit, then five bits per digit, least significant
+// first, with 0x20 set on every digit but the last. |v| must be below
+// 2^63.
+func appendVLQ(b []byte, v int) []byte {
+	u := uint64(v) << 1
+	if v < 0 {
+		u = uint64(-v)<<1 | 1
+	}
+	for ; u >= 32; u >>= 5 {
+		b = append(b, vlqDigits[32|u&31])
+	}
+	return append(b, vlqDigits[u])
 }
-function msiteBindSearch(id) {
-  var el = document.getElementById(id);
-  if (!el) { return; }
-  el.onclick = function () {
-    var word = window.prompt('Search page:');
-    if (word) { msiteHighlight(msiteSearch(word)); }
-    return false;
-  };
-}
+
+// searchRuntimeJS is the device-side runtime, one function a line.
+// msiteSearch normalises the query as Lookup does (lowercase, wordTrim cut
+// from both ends), binary-searches the even slots for it and decodes only
+// that word's hit string into [x,y,w,h] boxes; its arithmetic is exact to
+// 2^53. msiteHighlight outlines the first hit and scrolls to it;
+// msiteBindSearch makes the trigger element prompt for a word.
+const searchRuntimeJS = `function msiteSearch(q){q=q.toLowerCase().replace(/^[.,;:!?"'()[\]{}<>]+|[.,;:!?"'()[\]{}<>]+$/g,"");var a=msiteSearchIndex,l=0,h=a.length>>1,m,r=[];while(l<h){m=l+h>>1;if(a[2*m]<q)l=m+1;else h=m}if(a[2*l]!==q)return r;for(var s=a[2*l+1],b=[0,0,0,0],i=0,k=0,v,f,d;i<s.length;){v=0;f=1;do{d="` + vlqDigits + `".indexOf(s.charAt(i++));v+=(d&31)*f;f*=32}while(d&32);b[k]+=v%2?(1-v)/2:v/2;if(++k>3){r.push(b.slice());k=0}}return r}
+function msiteHighlight(r){var d=document,o=d.getElementById("msite-hit"),h=r[0],e;if(o)o.parentNode.removeChild(o);if(!h)return;e=d.createElement("div");e.id="msite-hit";e.style.cssText="position:absolute;left:"+h[0]+"px;top:"+h[1]+"px;width:"+h[2]+"px;height:"+h[3]+"px;border:2px solid red";d.body.appendChild(e);scrollTo(0,Math.max(0,h[1]-40))}
+function msiteBindSearch(id){var e=document.getElementById(id);if(e)e.onclick=function(){var q=prompt("Search page:");if(q)msiteHighlight(msiteSearch(q));return false}}
 `

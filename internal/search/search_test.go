@@ -1,12 +1,16 @@
 package search
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"msite/internal/css"
+	"msite/internal/dom"
 	"msite/internal/html"
 	"msite/internal/layout"
 )
@@ -122,7 +126,7 @@ func TestJSPayload(t *testing.T) {
 	idx, _ := buildIndex(t, `<html><body><p>alpha beta</p></body></html>`)
 	js := idx.JS("search-btn")
 	for _, want := range []string{
-		"msiteSearchIndex", `["alpha",`, `["beta",`,
+		`var msiteSearchIndex=["alpha","`, `","beta","`,
 		"function msiteSearch", "function msiteHighlight",
 		`msiteBindSearch("search-btn")`,
 	} {
@@ -131,38 +135,88 @@ func TestJSPayload(t *testing.T) {
 		}
 	}
 	// Index array must be sorted for the binary search.
-	if strings.Index(js, `["alpha"`) > strings.Index(js, `["beta"`) {
+	if strings.Index(js, `"alpha"`) > strings.Index(js, `"beta"`) {
 		t.Fatal("index not sorted in payload")
 	}
 }
 
+// TestAppendVLQ: numbers are written as source maps write them.
+func TestAppendVLQ(t *testing.T) {
+	for v, want := range map[int]string{
+		0: "A", 1: "C", -1: "D", 15: "e", -15: "f", 16: "gB", -16: "hB",
+		511: "+f", 512: "ggB", 1 << 30: "ggggggC",
+	} {
+		if got := string(appendVLQ(nil, v)); got != want {
+			t.Errorf("appendVLQ(%d) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// decodeVLQ reads a string of Base64 VLQ numbers, as the device runtime
+// does.
+func decodeVLQ(s string) ([]int, error) {
+	var out []int
+	v, shift := 0, 0
+	for i := 0; i < len(s); i++ {
+		d := strings.IndexByte(vlqDigits, s[i])
+		if d < 0 {
+			return nil, fmt.Errorf("%q is not a Base64 digit", s[i])
+		}
+		v |= (d & 31) << shift
+		shift += 5
+		if d&32 != 0 {
+			continue
+		}
+		if v&1 != 0 {
+			out = append(out, -(v >> 1))
+		} else {
+			out = append(out, v>>1)
+		}
+		v, shift = 0, 0
+	}
+	if shift != 0 {
+		return nil, fmt.Errorf("%q ends inside a number", s)
+	}
+	return out, nil
+}
+
 // decodePayload reads the index array back out of a JS payload the way
-// the device runtime does: one entry per word, hits in fours.
+// the device runtime does: words in the even slots, each strictly after
+// the one before, so a word has one entry; in the odd slot after it, its
+// hits as x,y,w,h deltas from its previous hit.
 func decodePayload(t *testing.T, js string) []Hit {
 	t.Helper()
-	line, _, _ := strings.Cut(js, ";\n")
-	var entries [][]any
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "var msiteSearchIndex = ")), &entries); err != nil {
-		t.Fatalf("index array does not parse: %v\n%s", err, line)
+	rest, ok := strings.CutPrefix(js, "var msiteSearchIndex=")
+	if !ok {
+		t.Fatalf("payload does not open with the index: %.40q", js)
+	}
+	var slots []string
+	if err := json.NewDecoder(strings.NewReader(rest)).Decode(&slots); err != nil {
+		t.Fatalf("index array does not parse: %v\n%s", err, js)
+	}
+	if len(slots)%2 != 0 {
+		t.Fatalf("index array has %d slots, want word and hits pairs", len(slots))
 	}
 	var hits []Hit
-	for i, e := range entries {
-		word, ok := e[0].(string)
-		if !ok || len(e) < 5 || len(e)%4 != 1 {
-			t.Fatalf("entry %d is %v, want a word and hits in fours", i, e)
+	for i := 0; i < len(slots); i += 2 {
+		word := slots[i]
+		if i > 0 && word <= slots[i-2] {
+			t.Fatalf("entry %d: %q does not sort after %q", i/2, word, slots[i-2])
 		}
-		if i > 0 && word <= entries[i-1][0].(string) {
-			t.Fatalf("entry %d: %q does not sort after %q", i, word, entries[i-1][0])
+		deltas, err := decodeVLQ(slots[i+1])
+		if err != nil || len(deltas) == 0 || len(deltas)%4 != 0 {
+			t.Fatalf("entry %q: hits %q decode to %v (%v), want boxes in fours", word, slots[i+1], deltas, err)
 		}
-		for j := 1; j < len(e); j += 4 {
-			n := func(k int) int { return int(e[j+k].(float64)) }
-			hits = append(hits, Hit{Word: word, X: n(0), Y: n(1), W: n(2), H: n(3)})
+		var prev Hit
+		for ; len(deltas) > 0; deltas = deltas[4:] {
+			prev = Hit{Word: word, X: prev.X + deltas[0], Y: prev.Y + deltas[1], W: prev.W + deltas[2], H: prev.H + deltas[3]}
+			hits = append(hits, prev)
 		}
 	}
 	return hits
 }
 
-// TestJSPayloadDecodesToTheIndex: grouping hits under their word loses
+// TestJSPayloadDecodesToTheIndex: delta-coding hits under their word loses
 // none and reorders none, as built and after Scale.
 func TestJSPayloadDecodesToTheIndex(t *testing.T) {
 	idx, _ := buildIndex(t, `<html><body><h1>alpha beta alpha</h1><p style="margin: 37px">gamma "quoted" beta
@@ -171,14 +225,76 @@ func TestJSPayloadDecodesToTheIndex(t *testing.T) {
 		t.Fatal("fixture repeats no word")
 	}
 	for name, ix := range map[string]*Index{"built": idx, "scaled": idx.Scale(0.45)} {
-		js := ix.JS("go")
-		if got := decodePayload(t, js); !reflect.DeepEqual(got, ix.hits) {
+		if got := decodePayload(t, ix.JS("go")); !reflect.DeepEqual(got, ix.hits) {
 			t.Errorf("%s: payload decodes to\n%v\nwant\n%v", name, got, ix.hits)
 		}
-		if got, want := strings.Count(js, `["`), len(ix.Words()); got != want {
-			t.Errorf("%s: %d entries for %d distinct words", name, got, want)
-		}
 	}
+}
+
+// TestJSCannotCloseItsScript: origin text that spells a closing tag is
+// indexed as a word, and the page the payload ships in still has one
+// </script>: the word is escaped, and reads back as it was.
+func TestJSCannotCloseItsScript(t *testing.T) {
+	const word = "x</script><img/src=1/onerror=alert(1)>y"
+	idx, _ := buildIndex(t, `<html><body><p>x&lt;/script&gt;&lt;img/src=1/onerror=alert(1)&gt;y</p></body></html>`)
+	if len(idx.Lookup(word)) != 1 {
+		t.Fatalf("fixture indexes %v, want %q", idx.Words(), word)
+	}
+	page := html.Parse(`<html><body></body></html>`)
+	script := dom.NewElement("script")
+	script.AppendChild(dom.NewText(idx.JS(`"</script><b>`)))
+	page.Body().AppendChild(script)
+	if n := strings.Count(strings.ToLower(html.Render(page)), "</script"); n != 1 {
+		t.Fatalf("the page holds %d </script, want 1:\n%s", n, html.Render(page))
+	}
+	if got := decodePayload(t, idx.JS("")); !reflect.DeepEqual(got, idx.hits) {
+		t.Fatalf("payload decodes to %v, want %v", got, idx.hits)
+	}
+}
+
+// FuzzSearchJS: any words and boxes give a payload that cannot end the
+// <script> it ships in and decodes back to exactly the index, and the
+// trigger id reads back as given. Boxes are 32-bit, as pixels are.
+func FuzzSearchJS(f *testing.F) {
+	box := func(v ...int32) []byte {
+		var b []byte
+		for _, n := range v {
+			b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		}
+		return b
+	}
+	f.Add("alpha\x00beta\x00alpha", box(10, 20, 30, 8, 5, 40, 30, 8, -7, 0, 1<<30, -1<<31), "search-btn")
+	f.Add("x</script><img src=1>\x00bell\aok\x00\u2028\U0001F600\x00<!--", box(1, 2, 3, 4, 1, 2, 3, 4, 0, 0, 0, 0), `"</SCRIPT>`)
+	f.Add("", box(), "")
+	f.Fuzz(func(t *testing.T, words string, boxes []byte, trigger string) {
+		if !utf8.ValidString(words) || !utf8.ValidString(trigger) {
+			t.Skip("a word ships as valid UTF-8")
+		}
+		list := strings.Split(words, "\x00")
+		idx := &Index{}
+		for i := 0; i+16 <= len(boxes); i += 16 {
+			n := func(k int) int { return int(int32(binary.LittleEndian.Uint32(boxes[i+4*k:]))) }
+			idx.hits = append(idx.hits, Hit{Word: list[i/16%len(list)], X: n(0), Y: n(1), W: n(2), H: n(3)})
+		}
+		sortHits(idx.hits)
+		js := idx.JS(trigger)
+		if lower := strings.ToLower(js); strings.Contains(lower, "</script") || strings.Contains(lower, "<!--") {
+			t.Fatalf("payload can end or escape its <script>:\n%s", js)
+		}
+		if got := decodePayload(t, js); !reflect.DeepEqual(got, idx.hits) {
+			t.Fatalf("payload decodes to\n%v\nwant\n%v", got, idx.hits)
+		}
+		_, call, bound := strings.Cut(js, "\nmsiteBindSearch(")
+		if bound != (trigger != "") {
+			t.Fatalf("trigger %q: bound %v", trigger, bound)
+		}
+		var id string
+		if bound {
+			if err := json.NewDecoder(strings.NewReader(call)).Decode(&id); err != nil || id != trigger {
+				t.Fatalf("trigger %q reads back as %q (%v)", trigger, id, err)
+			}
+		}
+	})
 }
 
 func TestJSNoTrigger(t *testing.T) {
@@ -197,7 +313,7 @@ func TestEmptyIndex(t *testing.T) {
 	if idx.Lookup("anything") != nil {
 		t.Fatal("empty index lookup should be nil")
 	}
-	if !strings.Contains(idx.JS(""), "msiteSearchIndex = []") {
+	if !strings.HasPrefix(idx.JS(""), "var msiteSearchIndex=[];\n") {
 		t.Fatal("empty payload malformed")
 	}
 }
