@@ -8,6 +8,7 @@
 package attr
 
 import (
+	"errors"
 	"fmt"
 	"image"
 	"strconv"
@@ -21,6 +22,7 @@ import (
 	"msite/internal/imaging"
 	"msite/internal/jq"
 	"msite/internal/layout"
+	"msite/internal/progressive"
 	"msite/internal/raster"
 	"msite/internal/spec"
 	"msite/internal/xpath"
@@ -633,10 +635,11 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 	return nil
 }
 
-// applyThumbnail paints the object's rendered region of the original
-// page — that rectangle and no other pixel — scales it down, and swaps
-// the rich-media element for a linked thumbnail image — "thumbnail
-// snapshots of rich media content for resource-constrained devices".
+// applyThumbnail renders the object's rendered region of the original
+// page — that rectangle and no other pixel — scaled down, and swaps the
+// rich-media element for a linked thumbnail image — "thumbnail snapshots
+// of rich media content for resource-constrained devices". An object laid
+// out wholly outside the page keeps its element and gets a note.
 func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribute,
 	nodes []*dom.Node) error {
 	scale := 0.5
@@ -647,18 +650,20 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 	if fid == imaging.FidelityThumb {
 		fid = imaging.FidelityLow // explicit scale already applied below
 	}
+	cfg := progressive.Config{Raster: raster.Options{Images: a.Images}, Fidelity: fid, Scale: scale}
 	for i, n := range nodes {
-		x, y, w, h, ok := env.res.Layout.Region(n)
-		if !ok || w <= 0 || h <= 0 {
+		// A node without a box has the empty region; Rectangle, unlike
+		// image.Rect, keeps a negative size empty.
+		x, y, w, h, _ := env.res.Layout.Region(n)
+		r := image.Rectangle{Min: image.Pt(x, y), Max: image.Pt(x+w, y+h)}
+		out, err := progressive.RenderRegion(env.res.Layout, cfg, r)
+		if errors.Is(err, progressive.ErrOutsideFrame) {
 			env.res.Notes = append(env.res.Notes,
 				fmt.Sprintf("object %q: thumbnail target has no rendered region", obj.Name))
 			continue
 		}
-		region := raster.PaintRegion(env.res.Layout, raster.Options{Images: a.Images}, image.Rect(x, y, x+w, y+h))
-		scaled := imaging.ScaleFactor(region, scale)
-		data, err := imaging.Encode(scaled, fid)
 		if err != nil {
-			return fmt.Errorf("attr: object %q: encoding thumbnail: %w", obj.Name, err)
+			return fmt.Errorf("attr: object %q: rendering thumbnail: %w", obj.Name, err)
 		}
 		base := sanitize(obj.Name)
 		if i > 0 {
@@ -666,7 +671,7 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 		}
 		name := env.uniqueAssetName(base+"_thumb", fid.Ext())
 		env.res.Assets = append(env.res.Assets, Asset{
-			Name: name, Data: data, MIME: fid.MIME(),
+			Name: name, Data: out.Data, MIME: out.MIME,
 		})
 
 		href := at.Param("href", n.AttrOr("src", ""))
@@ -679,8 +684,8 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 		}
 		img := dom.NewElement("img")
 		img.SetAttr("src", a.assetURL(name))
-		img.SetAttr("width", itoa(scaled.Bounds().Dx()))
-		img.SetAttr("height", itoa(scaled.Bounds().Dy()))
+		img.SetAttr("width", itoa(out.Width))
+		img.SetAttr("height", itoa(out.Height))
 		img.SetAttr("alt", obj.Name+" thumbnail")
 		var repl *dom.Node = img
 		if href != "" {

@@ -8,6 +8,7 @@ import (
 	"image/color"
 	"image/png"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"msite/internal/attr"
@@ -17,6 +18,7 @@ import (
 	"msite/internal/imaging"
 	"msite/internal/layout"
 	"msite/internal/origin"
+	"msite/internal/progressive"
 	"msite/internal/raster"
 	"msite/internal/search"
 	"msite/internal/spec"
@@ -55,9 +57,9 @@ func digest(data []byte) string {
 // The forum spec's artifacts. TestPreRenderIsLossless is what says the
 // forums images are right; their digests say only that they did not move.
 const (
-	// EncodeExact(ScaleFactor(Paint(res), 0.45)): 48 colours.
+	// The palette PNG of ScaleFactor(Paint(res), 0.45): 48 colours.
 	goldenForumsScaledPNG = "32325:023b66bf9dca3999b994d9e0d95e695e6374e20c91625dcd8478a267ad882a5c"
-	// EncodeExact(Paint(res)).
+	// The palette PNG of Paint(res).
 	goldenForumsPNG = "38285:7368cf4c9fca1b3183c3c2dcd6b82cc6186d6aefc52e0440981110c1e0a2d55d"
 	// The page around the unscaled image: captured when the search index
 	// went to one entry per word, again when its <img> went .png, and again
@@ -108,8 +110,8 @@ func TestPreRenderShipsAtSnapshotScale(t *testing.T) {
 	if hits < 500 {
 		t.Fatalf("search index has %d hits", hits)
 	}
-	// The thumbnail is painted as a region of the page, not cropped from a
-	// full paint; its bytes are the crop's.
+	// The thumbnail is painted in bands of the object's rectangle of the
+	// page, not cropped from a full paint; its bytes are the crop's.
 	if len(res.Assets) != 1 || digest(res.Assets[0].Data) != goldenThumbJPEG {
 		t.Fatalf("thumbnail assets %d, first %s; want %s", len(res.Assets), digest(res.Assets[0].Data), goldenThumbJPEG)
 	}
@@ -167,6 +169,34 @@ func TestPreRenderIsLossless(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScaledRenderHoldsNoFrame: rendering the forums pre-render at the
+// spec's scale allocates less than one RGBA frame of its output (460×1162
+// at 4 bytes a pixel, 2.1 MB), encoder state included: the painted bands
+// are folded into an image held as palette indices.
+func TestScaledRenderHoldsNoFrame(t *testing.T) {
+	res := forumsLayout(t, origin.DefaultForumConfig().Seed)
+	cfg := progressive.Config{Raster: raster.Options{Workers: 2}, Fidelity: imaging.FidelityLow, Exact: true, Scale: 0.45}
+	var least uint64
+	var out progressive.Artifact
+	for i := 0; i < 3; i++ { // the first render also fills the encoders' buffer pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		if out, err = progressive.Render(res, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < least {
+			least = n
+		}
+	}
+	frame := uint64(4 * out.Width * out.Height)
+	t.Logf("a %dx%d render allocates %d B; an RGBA frame of it is %d B", out.Width, out.Height, least, frame)
+	if least >= frame {
+		t.Fatalf("a %dx%d render allocated %d B, at least an RGBA frame (%d B)", out.Width, out.Height, least, frame)
 	}
 }
 

@@ -243,3 +243,34 @@ func TestThumbnailNameCollision(t *testing.T) {
 		}
 	}
 }
+
+// TestThumbnailOutsideFrameNoted: a target laid out wholly outside the
+// rendered page has no pixels to show, so it keeps its element and gets a
+// note, as a target with no region does, instead of turning into a 1×1
+// image of nothing.
+func TestThumbnailOutsideFrameNoted(t *testing.T) {
+	page := `<html><body><h1>Tour</h1>
+<div id="offpage" style="margin-left:1100px;width:200px;height:100px">clip</div>
+</body></html>`
+	sp := &spec.Spec{
+		Name: "media", Origin: "http://o/",
+		Objects: []spec.Object{
+			{Name: "offpage", Selector: "#offpage", Attributes: []spec.Attribute{
+				{Type: spec.AttrThumbnail},
+			}},
+		},
+	}
+	res, err := (&Applier{ViewportWidth: 1024}).Apply(sp, html.Tidy(page))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Assets) != 0 {
+		t.Fatalf("%d assets; the first is %d bytes", len(res.Assets), len(res.Assets[0].Data))
+	}
+	if !strings.Contains(html.Render(res.Doc), `id="offpage"`) {
+		t.Fatal("the element was replaced")
+	}
+	if len(res.Notes) != 1 || !strings.Contains(res.Notes[0], "no rendered region") {
+		t.Fatalf("notes %q", res.Notes)
+	}
+}

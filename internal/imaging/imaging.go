@@ -2,8 +2,9 @@
 // (§3.3 "Image fidelity"): scaling and fidelity-ladder encoding that
 // turns a ~600 KB full-page PNG snapshot into the 25–50 KB JPEG a mobile
 // client actually downloads. A flat frame — a render of text and boxes
-// with at most 256 colours — needs no ladder: EncodeExact writes it as a
-// palette PNG that is both exact and smaller than the JPEG.
+// with at most 256 colours — needs no ladder: a Frame holds it as palette
+// indices and writes it as a palette PNG that is both exact and smaller
+// than the JPEG.
 package imaging
 
 import (
@@ -115,75 +116,123 @@ func EncodePNG(img image.Image) ([]byte, error) {
 	}, "png")
 }
 
-// EncodeExact encodes img losslessly as a palette PNG when it has at most
-// 256 colours, each of which survives PNG's non-premultiplied palette; ok
-// is false, with no data and no error, for any other image, which the
-// caller encodes lossily instead. One pass over the pixels fills the
-// colour table and stops at the 257th colour, and the encoder reads the
-// palette indices through that table, so nothing the size of the image is
-// allocated beside the encoder's own state.
-func EncodeExact(img *image.RGBA) (data []byte, ok bool, err error) {
-	b := img.Bounds()
-	if b.Empty() {
-		return nil, false, nil
-	}
-	v := &paletteView{RGBA: img}
-	var last uint32
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		off := img.PixOffset(b.Min.X, y)
-		for row := img.Pix[off : off+4*b.Dx()]; len(row) >= 4; row = row[4:] {
-			key := binary.LittleEndian.Uint32(row)
-			if key == last && len(v.pal) > 0 {
-				continue // runs of one colour are most of a page
-			}
-			last = key
-			s := v.slot(key)
-			if v.index[s] != 0 {
-				continue
-			}
-			c := color.RGBA{R: row[0], G: row[1], B: row[2], A: row[3]}
-			if len(v.pal) == 256 || c.A != 0xff && color.RGBAModel.Convert(color.NRGBAModel.Convert(c)) != c {
-				return nil, false, nil
-			}
-			v.keys[s], v.index[s] = key, uint16(len(v.pal)+1)
-			v.pal = append(v.pal, c)
-		}
-	}
-	data, err = EncodePNG(v)
-	return data, err == nil, err
-}
-
-// tableBits sizes paletteView's colour table: 512 slots keep its load at
-// most one half with 256 colours.
-const tableBits = 9
-
-// paletteView is an *image.RGBA seen as an image.PalettedImage, which
-// png.Encode writes as a palette PNG: ColorIndexAt looks each pixel up in
-// an open-addressed table of the image's colours.
-type paletteView struct {
-	*image.RGBA
-	pal  color.Palette
-	keys [1 << tableBits]uint32
-	// index holds a slot's palette index plus one; 0 marks an empty slot.
+// Frame is an image collected a row at a time, top to bottom. While its
+// rows hold at most 256 colours, each of which survives PNG's
+// non-premultiplied palette, it keeps them as palette indices, one byte a
+// pixel, numbered in order of first appearance. The row that brings the
+// 257th colour, or one the palette cannot give back exactly, turns it into
+// an RGBA image, the rows before it copied through the palette.
+type Frame struct {
+	pal  *image.Paletted // nil once the frame is RGBA
+	rgba *image.RGBA
+	y    int // rows added so far
+	// keys and index are an open-addressed table of the palette; index
+	// holds a slot's palette index plus one, 0 marking an empty slot.
+	keys  [1 << tableBits]uint32
 	index [1 << tableBits]uint16
 }
 
-func (v *paletteView) ColorModel() color.Model { return v.pal }
+// tableBits sizes a Frame's colour table: 512 slots keep its load at most
+// one half with 256 colours.
+const tableBits = 9
 
-func (v *paletteView) ColorIndexAt(x, y int) uint8 {
-	s := v.slot(binary.LittleEndian.Uint32(v.Pix[v.PixOffset(x, y):]))
-	return uint8(v.index[s] - 1)
+// NewFrame returns an empty w×h frame.
+func NewFrame(w, h int) *Frame {
+	return &Frame{pal: image.NewPaletted(image.Rect(0, 0, w, h), make(color.Palette, 0, 256))}
 }
 
-// slot is the slot holding key, or the empty slot where it belongs.
-func (v *paletteView) slot(key uint32) int {
-	const mask = 1<<tableBits - 1
-	s := int(key * 0x9e3779b1 >> (32 - tableBits))
-	for v.index[s] != 0 && v.keys[s] != key {
-		s = (s + 1) & mask
+// Add appends the rows of band, which is as wide as the frame.
+func (f *Frame) Add(band *image.RGBA) {
+	b := band.Rect
+	for y := b.Min.Y; y < b.Max.Y; y++ {
+		off := band.PixOffset(b.Min.X, y)
+		row := band.Pix[off : off+4*b.Dx()]
+		if f.rgba == nil && !f.indexRow(row) {
+			f.promote()
+		}
+		if f.rgba != nil {
+			copy(f.rgba.Pix[f.y*f.rgba.Stride:], row)
+		}
+		f.y++
 	}
-	return s
 }
+
+// indexRow writes the palette indices of row, adding its new colours to
+// the palette, and reports false at the first colour that does not fit.
+func (f *Frame) indexRow(row []uint8) bool {
+	const mask = 1<<tableBits - 1
+	out := f.pal.Pix[f.y*f.pal.Stride:][:f.pal.Stride]
+	var last uint32
+	var i uint8
+	for x := range out {
+		p := row[4*x : 4*x+4]
+		// Runs of one colour are most of a page.
+		if key := binary.LittleEndian.Uint32(p); x == 0 || key != last {
+			s := int(key * 0x9e3779b1 >> (32 - tableBits))
+			for f.index[s] != 0 && f.keys[s] != key {
+				s = (s + 1) & mask
+			}
+			if f.index[s] == 0 {
+				c := color.RGBA{R: p[0], G: p[1], B: p[2], A: p[3]}
+				if len(f.pal.Palette) == 256 || c.A != 0xff && color.RGBAModel.Convert(color.NRGBAModel.Convert(c)) != c {
+					return false
+				}
+				f.keys[s], f.index[s] = key, uint16(len(f.pal.Palette)+1)
+				f.pal.Palette = append(f.pal.Palette, c)
+			}
+			last, i = key, uint8(f.index[s]-1)
+		}
+		out[x] = i
+	}
+	return true
+}
+
+// promote turns the frame into RGBA, copying the rows added so far
+// through the palette.
+func (f *Frame) promote() {
+	f.rgba = image.NewRGBA(f.pal.Rect)
+	for i, ci := range f.pal.Pix[:f.y*f.pal.Stride] {
+		c := f.pal.Palette[ci].(color.RGBA)
+		copy(f.rgba.Pix[4*i:], []uint8{c.R, c.G, c.B, c.A})
+	}
+	f.pal = nil
+}
+
+// Image is the frame as an *image.Paletted, or an *image.RGBA once it has
+// more colours than a palette holds.
+func (f *Frame) Image() image.Image {
+	if f.rgba != nil {
+		return f.rgba
+	}
+	return f.pal
+}
+
+// Encode encodes the frame. With exact, a frame that kept its palette is
+// written as a palette PNG, which decodes to exactly its pixels; any other
+// frame is encoded at fid, byte for byte as Encode encodes it as an RGBA
+// image. mime is the content type of data.
+func (f *Frame) Encode(fid Fidelity, exact bool) (data []byte, mime string, err error) {
+	if f.rgba == nil && len(f.pal.Palette) == 0 {
+		f.promote() // an empty frame has no palette to write or read from
+	}
+	switch {
+	case f.rgba != nil:
+		data, err = Encode(f.rgba, fid)
+	case exact:
+		data, err = EncodePNG(f.pal)
+		return data, "image/png", err
+	default:
+		data, err = Encode(truecolour{f.pal}, fid)
+	}
+	return data, fid.MIME(), err
+}
+
+// truecolour is a palette frame seen as an RGBA image. image/png writes it
+// as a truecolour PNG and image/jpeg reads it through At, whose 8-bit
+// channels are the bytes both read from an *image.RGBA of the same pixels.
+type truecolour struct{ *image.Paletted }
+
+func (truecolour) ColorModel() color.Model { return color.RGBAModel }
 
 // EncodeJPEG encodes img as JPEG at the given quality (1-100).
 func EncodeJPEG(img image.Image, quality int) ([]byte, error) {
@@ -274,7 +323,9 @@ func ScaleInto(dst *image.RGBA, img image.Image) {
 		return
 	}
 	if rgba, ok := img.(*image.RGBA); ok {
-		NewBoxFilter(dst, sw, sh).Add(rgba)
+		NewBoxFilter(w, h, sw, sh, func(row *image.RGBA) {
+			copy(dst.Pix[dst.PixOffset(dst.Rect.Min.X, dst.Rect.Min.Y+row.Rect.Min.Y):], row.Pix)
+		}).Add(rgba)
 		return
 	}
 	boxScale(dst, img, w, h)
@@ -305,27 +356,32 @@ func ScaleFactor(img image.Image, factor float64) *image.RGBA {
 // BoxFilter is the box filter over *image.RGBA — the only type the
 // painter produces — fed a source of known size a run of rows at a time:
 // a whole image at once (ScaleInto) or the bands of a page being painted,
-// none of which need outlive their Add. It reads and writes pixel bytes
-// in place, so its few allocations do not grow with the pixel count. Its
-// arithmetic and partition are boxScale's: destination pixel (dx, dy)
-// averages source columns [dx*sw/w, (dx+1)*sw/w) of rows [dy*sh/h,
-// (dy+1)*sh/h), each span widened to one where it is empty.
+// none of which need outlive their Add. It reads pixel bytes in place and
+// hands each destination row to a sink as soon as its source rows are in,
+// so its few allocations do not grow with the pixel count. Its arithmetic
+// and partition are boxScale's: destination pixel (dx, dy) averages source
+// columns [dx*sw/w, (dx+1)*sw/w) of rows [dy*sh/h, (dy+1)*sh/h), each span
+// widened to one where it is empty.
 type BoxFilter struct {
-	dst    *image.RGBA
-	sw, sh int
+	sink      func(row *image.RGBA)
+	sw, sh, h int
 	// x0[dx], x1[dx] is the span of source columns of destination column dx.
 	x0, x1 []int
 	// sums holds the 8-bit channel sums of destination row dy, gathered
 	// from rows source rows so far; next is the source row Add continues at.
 	sums           []uint64
+	row            image.RGBA
 	rows, dy, next int
 }
 
-// NewBoxFilter returns a filter that fills dst from a source sw×sh pixels
-// large. Every pixel of dst is written once all sh rows have been added.
-func NewBoxFilter(dst *image.RGBA, sw, sh int) *BoxFilter {
-	w := dst.Rect.Dx()
-	f := &BoxFilter{dst: dst, sw: sw, sh: sh, x0: make([]int, w), x1: make([]int, w), sums: make([]uint64, 4*w)}
+// NewBoxFilter returns a filter from a source sw×sh pixels large to a w×h
+// destination. It hands the destination's rows to sink in order, each an
+// image of that one row whose pixels are reused once sink returns; the
+// last goes once all sh source rows have been added.
+func NewBoxFilter(w, h, sw, sh int, sink func(row *image.RGBA)) *BoxFilter {
+	spans := make([]int, 2*w)
+	f := &BoxFilter{sink: sink, sw: sw, sh: sh, h: h, x0: spans[:w], x1: spans[w:], sums: make([]uint64, 4*w)}
+	f.row = image.RGBA{Pix: make([]uint8, 4*w), Stride: 4 * w}
 	for dx := range f.x0 {
 		f.x0[dx] = dx * sw / w
 		f.x1[dx] = max((dx+1)*sw/w, f.x0[dx]+1)
@@ -336,7 +392,7 @@ func NewBoxFilter(dst *image.RGBA, sw, sh int) *BoxFilter {
 // Add folds the rows of src, which continue the source where the previous
 // Add stopped, into the destination. src's width must be the source's.
 func (f *BoxFilter) Add(src *image.RGBA) {
-	b, h := src.Bounds(), f.dst.Rect.Dy()
+	b, h := src.Bounds(), f.h
 	for y := b.Min.Y; y < b.Max.Y; y++ {
 		off := src.PixOffset(b.Min.X, y)
 		row := src.Pix[off : off+4*f.sw]
@@ -367,19 +423,19 @@ func (f *BoxFilter) gather(row []uint8) {
 	}
 }
 
-// flush writes the current destination row and starts the next. A sum of
-// 8-bit samples times 0x101 is the sum of the 16-bit values color.RGBA
-// reports, so the quotient is boxScale's.
+// flush hands the current destination row to the sink and starts the
+// next. A sum of 8-bit samples times 0x101 is the sum of the 16-bit values
+// color.RGBA reports, so the quotient is boxScale's.
 func (f *BoxFilter) flush() {
-	off := f.dst.PixOffset(f.dst.Rect.Min.X, f.dst.Rect.Min.Y+f.dy)
-	out := f.dst.Pix[off : off+len(f.sums)]
 	for dx, x0 := range f.x0 {
 		n := uint64(f.rows * (f.x1[dx] - x0))
 		for c := 4 * dx; c < 4*dx+4; c++ {
-			out[c] = uint8(f.sums[c] * 0x101 / n >> 8)
+			f.row.Pix[c] = uint8(f.sums[c] * 0x101 / n >> 8)
 			f.sums[c] = 0
 		}
 	}
+	f.row.Rect = image.Rect(0, f.dy, len(f.x0), f.dy+1)
+	f.sink(&f.row)
 	f.rows = 0
 	f.dy++
 }

@@ -225,7 +225,14 @@ func TestBoxFilterMatchesGenericBoxScale(t *testing.T) {
 		}
 		for _, band := range []int{1, 3, 64} {
 			banded := image.NewRGBA(image.Rect(0, 0, w, h))
-			f := NewBoxFilter(banded, sw, sh)
+			rows := 0
+			f := NewBoxFilter(w, h, sw, sh, func(row *image.RGBA) {
+				if row.Rect != image.Rect(0, rows, w, rows+1) {
+					t.Fatalf("row %v after %d rows", row.Rect, rows)
+				}
+				copy(banded.Pix[rows*banded.Stride:], row.Pix)
+				rows++
+			})
 			for y := src.Rect.Min.Y; y < src.Rect.Max.Y; y += band {
 				r := image.Rect(src.Rect.Min.X, y, src.Rect.Max.X, min(y+band, src.Rect.Max.Y))
 				f.Add(src.SubImage(r).(*image.RGBA))
@@ -238,8 +245,9 @@ func TestBoxFilterMatchesGenericBoxScale(t *testing.T) {
 }
 
 // TestScaleIntoRGBAAllocsIndependentOfSize: minifying the painter's own
-// type costs the filter's few bookkeeping allocations however many pixels
-// it reads — a per-pixel interface call shows up here as thousands.
+// type costs the filter's few bookkeeping allocations (column spans, sums,
+// one output row, the sink copying it into dst) however many pixels it
+// reads — a per-pixel interface call shows up here as thousands.
 func TestScaleIntoRGBAAllocsIndependentOfSize(t *testing.T) {
 	allocs := func(sw, sh int) float64 {
 		src := gradient(sw, sh)
@@ -247,7 +255,7 @@ func TestScaleIntoRGBAAllocsIndependentOfSize(t *testing.T) {
 		return testing.AllocsPerRun(5, func() { ScaleInto(dst, src) })
 	}
 	small, large := allocs(64, 48), allocs(1024, 590)
-	if small != large || large > 4 {
+	if small != large || large > 5 {
 		t.Fatalf("ScaleInto allocates %v times for 64x48 and %v for 1024x590; want one small constant", small, large)
 	}
 }

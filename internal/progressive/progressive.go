@@ -1,13 +1,20 @@
 // Package progressive is the one snapshot renderer: it paints a laid-out
-// page, scales it and encodes it at a fidelity level. Every server-side
-// render — the entry snapshot, pre-rendered subpages and the image
-// engines — goes through Render. A render that scales down folds the
-// painted bands into the scaled output while later bands are still
-// painting, so it never holds the full-size frame.
+// page, or a rectangle of it, scales it and encodes it at a fidelity
+// level. Every server-side render — the entry snapshot, pre-rendered
+// subpages, thumbnails and the image engines — goes through RenderRegion.
+// The painted bands stream, through the box filter when the render scales
+// down, into an imaging.Frame, which holds the image as palette indices,
+// one byte a pixel, while it has at most 256 colours: no render holds an
+// RGBA frame of its source, and a flat one none of its output either. A
+// render of more colours — a photo on the page — pays for both: the
+// palette indices and the RGBA frame the Frame turns into, 5 bytes an
+// output pixel against an RGBA frame's 4. An image is magnified, if at
+// all, from the collected frame.
 package progressive
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"image"
 
@@ -36,9 +43,8 @@ type Config struct {
 	Raster raster.Options
 	// Fidelity selects the encoding.
 	Fidelity imaging.Fidelity
-	// Exact encodes the image as an exact palette PNG when the frame has
-	// at most 256 colours (imaging.EncodeExact), and at Fidelity only
-	// when it has more.
+	// Exact encodes the image as an exact palette PNG when it has at most
+	// 256 colours, and at Fidelity only when it has more.
 	Exact bool
 	// Scale is the scale factor of the encoded image relative to the
 	// layout (the spec's snapshot.scale); 0, or any factor that leaves the
@@ -46,61 +52,70 @@ type Config struct {
 	Scale float64
 }
 
-// Render paints res, scales and encodes it. The result is
-// Encode(ScaleFactor(Paint(res), scale), fidelity) byte for byte (with
-// Exact, EncodeExact of that frame when it has at most 256 colours), and
-// its bytes depend only on the layout, the raster options other than
-// Workers, Fidelity, Exact and Scale. A render that scales down gets
-// there without the painted frame: the bands raster.PaintBands delivers
-// are folded into the scaled output while later bands are still painting.
-// Only a render that encodes the frame as painted, or magnifies it, paints
-// it whole.
-//
-// Frames and band buffers are plain allocations left to the garbage
-// collector. Handing them to imaging's process-wide pool keeps megabytes
-// alive across two collections that the next, differently sized, frame
-// cannot use: on the benchmark's cold builds that raised peak RSS by 15%
-// (a 2.4 MB snapshot frame alone) to 42% (with a 10 MB pre-rendered
-// subpage's) and saved at most 6% of the bytes allocated.
+// Render renders the whole frame of res: RenderRegion of the rectangle
+// raster.FrameSize gives.
 func Render(res *layout.Result, cfg Config) (Artifact, error) {
+	w, h := raster.FrameSize(res, cfg.Raster)
+	return RenderRegion(res, cfg, image.Rect(0, 0, w, h))
+}
+
+// ErrOutsideFrame is RenderRegion's error for a region that covers no
+// pixel of the frame.
+var ErrOutsideFrame = errors.New("progressive: region covers no pixel of the frame")
+
+// RenderRegion paints the part of res's frame inside r, scales and
+// encodes it: Encode(ScaleFactor(crop, scale), fidelity) of that rectangle
+// of Paint(res) byte for byte (with Exact, a palette PNG of that image when
+// it has at most 256 colours), whatever raster.Options.Workers is. Frames
+// and band buffers are plain allocations: a pool keeps megabytes alive
+// across two collections that the next, differently sized, frame cannot
+// use (peak RSS +15–42% on the benchmark's cold builds for at most 6%
+// fewer bytes allocated).
+func RenderRegion(res *layout.Result, cfg Config, r image.Rectangle) (Artifact, error) {
+	fw, fh := raster.FrameSize(res, cfg.Raster)
+	if r = r.Intersect(image.Rect(0, 0, fw, fh)); r.Empty() {
+		return Artifact{}, ErrOutsideFrame
+	}
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fw, fh := raster.FrameSize(res, cfg.Raster)
-	outW, outH := fw, fh
+	sw, sh := r.Dx(), r.Dy()
+	outW, outH := sw, sh
 	if cfg.Scale > 0 {
-		outW, outH = imaging.FactorSize(fw, fh, cfg.Scale)
+		outW, outH = imaging.FactorSize(sw, sh, cfg.Scale)
 	}
 
 	sp := obs.StartSpan(ctx, "raster")
-	var frame *image.RGBA
-	if outW < fw || outH < fh {
-		frame = image.NewRGBA(image.Rect(0, 0, outW, outH))
-		raster.PaintBands(res, cfg.Raster, imaging.NewBoxFilter(frame, fw, fh).Add)
+	fold := outW < sw || outH < sh
+	var frame *imaging.Frame
+	if fold {
+		frame = imaging.NewFrame(outW, outH)
+		raster.PaintBands(res, cfg.Raster, r, imaging.NewBoxFilter(outW, outH, sw, sh, frame.Add).Add)
 	} else {
-		frame = raster.Paint(res, cfg.Raster)
+		frame = imaging.NewFrame(sw, sh)
+		raster.PaintBands(res, cfg.Raster, r, frame.Add)
 	}
 	sp.End()
 	sp = obs.StartSpan(ctx, "encode")
 	defer sp.End()
-	if outW > fw || outH > fh {
-		frame = imaging.Scale(frame, outW, outH)
-	}
-
-	out := Artifact{MIME: cfg.Fidelity.MIME(), Width: outW, Height: outH}
-	var exact bool
+	mime := cfg.Fidelity.MIME()
+	var data []byte
 	var err error
-	if cfg.Exact {
-		out.Data, exact, err = imaging.EncodeExact(frame)
-	}
-	if exact {
-		out.MIME = "image/png"
-	} else if err == nil {
-		out.Data, err = imaging.Encode(frame, cfg.Fidelity)
+	switch {
+	case fold || outW <= sw && outH <= sh:
+		data, mime, err = frame.Encode(cfg.Fidelity, cfg.Exact)
+	case !cfg.Exact:
+		// Bilinear magnification blends neighbouring colours, so only an
+		// exact render collects the magnified image to look for a palette.
+		data, err = imaging.Encode(imaging.Scale(frame.Image(), outW, outH), cfg.Fidelity)
+	default:
+		magnified := imaging.NewFrame(outW, outH)
+		magnified.Add(imaging.Scale(frame.Image(), outW, outH))
+		data, mime, err = magnified.Encode(cfg.Fidelity, true)
 	}
 	if err != nil {
 		return Artifact{}, fmt.Errorf("progressive: encode: %w", err)
 	}
-	return out, nil
+	return Artifact{Data: data, MIME: mime, Width: outW, Height: outH}, nil
 }

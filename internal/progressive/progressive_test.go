@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"image/draw"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -78,9 +79,23 @@ func TestFullRungMatchesOneShotEncode(t *testing.T) {
 	}
 }
 
-// TestExactFullRung: with Exact, a flat frame's full rung is EncodeExact
-// of the frame Encode would otherwise have been given, and says it is a
-// PNG; a frame holding a photo, of more than 256 colours, gets the
+// exactOf is the exact encoding of frame collected whole into an
+// imaging.Frame, and its MIME type: a palette PNG when it has at most 256
+// colours, a JPEG at FidelityLow when it has more.
+func exactOf(t *testing.T, frame *image.RGBA) ([]byte, string) {
+	t.Helper()
+	f := imaging.NewFrame(frame.Rect.Dx(), frame.Rect.Dy())
+	f.Add(frame)
+	data, mime, err := f.Encode(imaging.FidelityLow, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, mime
+}
+
+// TestExactFullRung: with Exact, a flat frame's full rung is the exact
+// encoding of the frame Encode would otherwise have been given, and says
+// it is a PNG; a frame holding a photo, of more than 256 colours, gets the
 // Fidelity rung byte for byte as without Exact.
 func TestExactFullRung(t *testing.T) {
 	photo := image.NewRGBA(image.Rect(0, 0, 64, 64))
@@ -100,6 +115,7 @@ func TestExactFullRung(t *testing.T) {
 	}{
 		{"flat-scaled", testLayout(t), raster.Options{Workers: 2}, 0.45, true},
 		{"flat-as-painted", testLayout(t), raster.Options{Workers: 2}, 0, true},
+		{"flat-magnified", testLayout(t), raster.Options{Workers: 2}, 1.3, false},
 		{"photo", withPhoto, raster.Options{Workers: 2, Images: map[string]image.Image{"photo.png": photo}}, 1, false},
 	} {
 		res := tc.res
@@ -107,13 +123,12 @@ func TestExactFullRung(t *testing.T) {
 		if tc.scale > 0 {
 			frame = imaging.ScaleFactor(frame, tc.scale)
 		}
-		want, exact, err := imaging.EncodeExact(frame)
-		if err != nil || exact != tc.wantExact {
-			t.Fatalf("%s: EncodeExact of the frame: exact %v, err %v", tc.name, exact, err)
+		want, wantMIME := exactOf(t, frame)
+		if exact := wantMIME == "image/png"; exact != tc.wantExact {
+			t.Fatalf("%s: the frame's exact encoding is %s", tc.name, wantMIME)
 		}
-		wantMIME := "image/png"
-		if !exact {
-			want, wantMIME = oneShot(t, res, tc.opts, imaging.FidelityLow, tc.scale), "image/jpeg"
+		if wantMIME != "image/png" {
+			want = oneShot(t, res, tc.opts, imaging.FidelityLow, tc.scale)
 		}
 		out, err := Render(res, Config{Raster: tc.opts, Fidelity: imaging.FidelityLow, Exact: true, Scale: tc.scale})
 		if err != nil {
@@ -121,6 +136,41 @@ func TestExactFullRung(t *testing.T) {
 		}
 		if !bytes.Equal(out.Data, want) || out.MIME != wantMIME {
 			t.Errorf("%s: render is %d bytes of %s, want %d bytes of %s", tc.name, len(out.Data), out.MIME, len(want), wantMIME)
+		}
+	}
+}
+
+// TestRegionMatchesCropOfPaint: rendering a rectangle of the page is
+// encoding the scaled crop of the whole page's paint, for rectangles that
+// cut through boxes and text or reach past the frame, at every scale the
+// renderer handles; a rectangle outside the frame is an error.
+func TestRegionMatchesCropOfPaint(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 3; trial++ {
+		res := randomLayout(rng)
+		full := raster.Paint(res, raster.Options{Workers: 1})
+		fw, fh := full.Rect.Dx(), full.Rect.Dy()
+		for _, scale := range []float64{0.4, 1, 1.5} {
+			x, y := rng.Intn(fw)-20, rng.Intn(fh)-20
+			r := image.Rect(x, y, x+1+rng.Intn(fw), y+1+rng.Intn(fh))
+			crop := image.NewRGBA(r.Intersect(full.Rect))
+			draw.Draw(crop, crop.Rect, full, crop.Rect.Min, draw.Src)
+			for _, fid := range []imaging.Fidelity{imaging.FidelityLow, imaging.FidelityHigh} {
+				want, err := imaging.Encode(imaging.ScaleFactor(crop, scale), fid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := RenderRegion(res, Config{Raster: raster.Options{Workers: 3}, Fidelity: fid, Scale: scale}, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Data, want) || out.MIME != fid.MIME() {
+					t.Errorf("trial %d region %v scale %v %v: render differs from the crop's encode", trial, r, scale, fid)
+				}
+			}
+		}
+		if _, err := RenderRegion(res, Config{Fidelity: imaging.FidelityLow}, image.Rect(fw, 0, fw+50, 50)); err == nil {
+			t.Fatal("a region outside the frame rendered")
 		}
 	}
 }

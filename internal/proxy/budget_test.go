@@ -27,12 +27,20 @@ func evaluationSpec(sp *spec.Spec) {
 // what the build allocates to a budget. Before the renderer scaled in
 // bands a build cost ~790 k allocations and ~35 MB, 600 k of them one
 // boxed color.RGBA per pixel read through image.Image.At and 21 MB of it
-// three desktop-size frames; since then it is ~38 k and ~9 MB, a tenth of
-// that a stylesheet every styler of the build used to parse for itself.
-// The budget sits above what a build costs now and below any of those
-// coming back.
+// three desktop-size frames; band folding brought it to ~38 k and ~9 MB,
+// a tenth of that a stylesheet every styler of the build used to parse
+// for itself. Since renders collect their rows as palette indices rather
+// than into RGBA frames (the forums pre-render's alone was 2.1 MB) it is
+// ~27 k and ~6 MB. The budget sits above what a build costs now and below
+// any of those coming back.
+//
+// A render paints with one band buffer per CPU and one more, 128 KB each
+// for a 1024 px page, so the test runs on two CPUs — the figures above —
+// whatever the machine has: on sixteen a build would allocate ~4 MB more.
 func TestColdBuildAllocationBudget(t *testing.T) {
-	const maxMallocs, maxBytes = 150_000, 14 << 20
+	const maxMallocs, maxBytes = 150_000, 7 << 20
+	prev := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	build := func() (mallocs, bytes uint64) {
 		rig := newRig(t, evaluationSpec)
 		var before, after runtime.MemStats

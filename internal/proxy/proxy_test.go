@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/cookiejar"
@@ -219,6 +221,20 @@ func TestSnapshotAssetServed(t *testing.T) {
 	// generous upper bound.
 	if len(data) < 2_000 || len(data) > 120_000 {
 		t.Fatalf("snapshot = %d bytes", len(data))
+	}
+}
+
+// goldenSnapshotJPEG is the evaluation spec's /asset/snapshot.jpg on the
+// default forum. The renderer's property tests say the bytes are right;
+// the digest says only that they did not move.
+const goldenSnapshotJPEG = "11435:f709b87590d897917f819c8b5c6234251c8ae23357fc02eeacb56fbfa87c8dbb"
+
+func TestSnapshotMatchesGolden(t *testing.T) {
+	rig := newRig(t, evaluationSpec)
+	rig.get(t, "/")
+	data, _ := rig.get(t, "/asset/snapshot.jpg")
+	if got := fmt.Sprintf("%d:%x", len(data), sha256.Sum256([]byte(data))); got != goldenSnapshotJPEG {
+		t.Fatalf("snapshot.jpg is %s, want %s", got, goldenSnapshotJPEG)
 	}
 }
 

@@ -50,14 +50,14 @@ func BenchmarkPaintPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamPaint is StreamPaint with a consuming band callback —
-// the progressive pipeline's paint cost.
-func BenchmarkStreamPaint(b *testing.B) {
+// BenchmarkPaintBands is PaintBands over the whole frame with a consuming
+// band callback — the renderer's paint cost, no frame held.
+func BenchmarkPaintBands(b *testing.B) {
 	res := benchLayout(b)
+	w, h := FrameSize(res, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img := StreamPaint(res, Options{}, func(*image.RGBA) {})
-		Release(img)
+		PaintBands(res, Options{}, image.Rect(0, 0, w, h), func(*image.RGBA) {})
 	}
 }
 

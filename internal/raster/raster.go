@@ -49,88 +49,68 @@ type Options struct {
 	Workers int
 }
 
-// BandFunc consumes one painted horizontal band of the frame: a full-width
-// image whose bounds are the band's rows. Rows below the band are still
-// being painted and must not be touched. Under StreamPaint the band is a
-// view of the frame, so earlier bands' rows stay valid; under PaintBands
-// its pixels are reused as soon as the call returns.
+// BandFunc consumes one painted horizontal band: an image whose bounds are
+// the band's rows of the painted rectangle. Its pixels are reused as soon
+// as the call returns.
 type BandFunc func(band *image.RGBA)
 
 // bandRows is the height of the bands PaintBands paints: a 1024 px wide
-// band is 256 KB, a fraction of a desktop-size frame, yet walking the box
+// band is 128 KB, a fraction of a desktop-size frame, yet walking the box
 // tree once per band stays far below the cost of filling its pixels.
-const bandRows = 64
+const bandRows = 32
 
-// Paint rasterizes a layout result into a new RGBA image. The frame's
-// backing array may come from a recycled pool; callers that are done
-// with the image can hand it back with Release.
+// Paint rasterizes a layout result into a new RGBA image, one band per
+// worker. The frame's backing array may come from a recycled pool;
+// callers that are done with the image can hand it back with Release.
 func Paint(res *layout.Result, opts Options) *image.RGBA {
-	return StreamPaint(res, opts, nil)
-}
-
-// StreamPaint is Paint that also hands each horizontal band to onBand as
-// soon as it is fully painted, in top-to-bottom order, while later bands
-// are still being painted by the worker set: a consumer folds band N
-// while the rasterizer paints band N+1. A nil onBand is plain Paint.
-//
-// The frame is byte-identical for every worker count and with or without
-// a consumer: each band paints exactly the primitives that intersect it,
-// clipped to its rows, and the antialias jitter is seeded per row.
-func StreamPaint(res *layout.Result, opts Options, onBand BandFunc) *image.RGBA {
 	w, h := FrameSize(res, opts)
 	img := imaging.GetRGBA(w, h)
-	paintBands(res, opts, img, 0, onBand)
+	paintBands(res, opts, img, img.Rect, 0, func(*image.RGBA) {})
 	return img
 }
 
-// PaintBands paints res without ever holding its frame: bandRows-high
-// bands are painted into a few buffers owned by this call — plain
-// allocations dropped at return — and handed to onBand in top-to-bottom
-// order. Laid end to end the bands are Paint's frame, byte for byte, for
-// every worker count.
-func PaintBands(res *layout.Result, opts Options, onBand BandFunc) {
-	paintBands(res, opts, nil, bandRows, onBand)
-}
-
-// PaintRegion paints the part of res's frame inside r and nothing else:
-// the returned image's bounds are r clipped to the frame, and its pixels
-// are those Paint gives that rectangle.
-func PaintRegion(res *layout.Result, opts Options, r image.Rectangle) *image.RGBA {
+// PaintBands paints the part of res's frame inside r, and nothing else,
+// without ever holding it: bandRows-high bands of r clipped to the frame
+// are painted into a few buffers owned by this call — plain allocations
+// dropped at return — and handed to onBand in top-to-bottom order while
+// later bands are still being painted. Laid end to end the bands are that
+// rectangle of Paint's frame, byte for byte, for every worker count: each
+// band paints exactly the primitives that intersect it, clipped to it, and
+// the antialias jitter is seeded per row.
+func PaintBands(res *layout.Result, opts Options, r image.Rectangle, onBand BandFunc) {
 	w, h := FrameSize(res, opts)
-	img := image.NewRGBA(r.Intersect(image.Rect(0, 0, w, h)))
-	paint, release := painter(res, opts, img.Rect)
-	defer release()
-	paint(img)
-	return img
+	paintBands(res, opts, nil, r.Intersect(image.Rect(0, 0, w, h)), bandRows, onBand)
 }
 
-// paintBands is the one band loop: rows-high bands (0: one band per
+// paintBands is the one band loop over r: rows-high bands (0: one band per
 // worker), painted into their rows of frame or, without one, into recycled
 // buffers, so that a band is valid only until onBand returns. Bands are
 // delivered strictly in order: band i+1 may finish first, but the consumer
 // sees a top-to-bottom scanline stream.
-func paintBands(res *layout.Result, opts Options, frame *image.RGBA, rows int, onBand BandFunc) {
-	w, h := FrameSize(res, opts)
+func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rectangle, rows int, onBand BandFunc) {
+	if r.Empty() {
+		return
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if rows <= 0 {
-		rows = (h + workers - 1) / workers
+		rows = (r.Dy() + workers - 1) / workers
 	}
-	n := (h + rows - 1) / rows
+	n := (r.Dy() + rows - 1) / rows
 	workers = min(workers, n)
 	bufLen := 0
 	if frame == nil {
-		bufLen = 4 * w * rows
+		bufLen = 4 * r.Dx() * rows
 	}
-	paint, release := painter(res, opts, image.Rect(0, 0, w, h))
+	paint, release := painter(res, opts, r)
 	defer release()
 	band := func(i int, buf []uint8) *image.RGBA {
-		r := image.Rect(0, i*rows, w, min((i+1)*rows, h))
-		view := &image.RGBA{Pix: buf, Stride: 4 * w, Rect: r}
+		br := image.Rect(r.Min.X, r.Min.Y+i*rows, r.Max.X, min(r.Min.Y+(i+1)*rows, r.Max.Y))
+		view := &image.RGBA{Pix: buf, Stride: 4 * r.Dx(), Rect: br}
 		if frame != nil {
-			view = frame.SubImage(r).(*image.RGBA)
+			view = frame.SubImage(br).(*image.RGBA)
 		}
 		paint(view)
 		return view
@@ -138,9 +118,7 @@ func paintBands(res *layout.Result, opts Options, frame *image.RGBA, rows int, o
 	if workers <= 1 {
 		buf := make([]uint8, bufLen)
 		for i := 0; i < n; i++ {
-			if view := band(i, buf); onBand != nil {
-				onBand(view)
-			}
+			onBand(band(i, buf))
 		}
 		return
 	}
@@ -174,18 +152,16 @@ func paintBands(res *layout.Result, opts Options, frame *image.RGBA, rows int, o
 	}
 	for _, ch := range done {
 		view := <-ch
-		if onBand != nil {
-			onBand(view)
-		}
+		onBand(view)
 		free <- view.Pix
 	}
 	close(free)
 	wg.Wait()
 }
 
-// painter returns the function every band or region of one paint of res
-// inside clip shares, which paints the part of the frame a view covers,
-// and the function that recycles what the first holds. Replaced-element
+// painter returns the function every band of one paint of res inside clip
+// shares, which paints the part of the frame a view covers, and the
+// function that recycles what the first holds. Replaced-element
 // images are scaled once up front: a box spanning several bands must not
 // re-run the (expensive) scale per band, and the shared read-only map
 // keeps bands independent.
@@ -214,8 +190,8 @@ func painter(res *layout.Result, opts Options, clip image.Rectangle) (paint func
 }
 
 // FrameSize is the pixel size of the frame Paint allocates for res:
-// consumers of StreamPaint's bands dimension themselves from it before
-// the first band arrives.
+// consumers of PaintBands' bands dimension themselves from it before the
+// first band arrives.
 func FrameSize(res *layout.Result, opts Options) (w, h int) {
 	return max(res.Width, 1), max(res.Height, opts.MinHeight, 1)
 }
@@ -234,9 +210,8 @@ func background(res *layout.Result, opts Options) color.RGBA {
 	return opts.Background
 }
 
-// Release recycles a frame returned by Paint or StreamPaint once the
-// caller has encoded or copied it. Nil-safe; the frame must not be used
-// afterwards.
+// Release recycles a frame returned by Paint once the caller has encoded
+// or copied it. Nil-safe; the frame must not be used afterwards.
 func Release(img *image.RGBA) { imaging.PutRGBA(img) }
 
 // applyAntialiasJitter perturbs a deterministic ~13% subset of pixels by
@@ -285,7 +260,7 @@ func prescaleImages(b *layout.Box, opts Options, clip image.Rectangle, out map[*
 						out = make(map[*layout.Box]*image.RGBA)
 					}
 					// Pooled scratch: ScaleInto writes every pixel, and
-					// StreamPaint recycles the buffer after painting.
+					// the painter recycles the buffer after painting.
 					dst := imaging.GetRGBA(w, h)
 					imaging.ScaleInto(dst, decoded)
 					out[b] = dst

@@ -34,6 +34,33 @@ func clone(img *image.RGBA) *image.RGBA {
 	return out
 }
 
+// bandsOf lays the bands PaintBands hands over for r end to end in an
+// image with r's bounds clipped to the frame, copying each out before its
+// callback returns, and fails t unless they arrive top to bottom without
+// a gap, each as wide as that rectangle and at most bandRows high.
+func bandsOf(t *testing.T, res *layout.Result, opts Options, r image.Rectangle) *image.RGBA {
+	t.Helper()
+	w, h := FrameSize(res, opts)
+	r = r.Intersect(image.Rect(0, 0, w, h))
+	got := image.NewRGBA(r)
+	nextY := r.Min.Y
+	PaintBands(res, opts, r, func(band *image.RGBA) {
+		b := band.Rect
+		if b.Min.Y != nextY || b.Min.X != r.Min.X || b.Max.X != r.Max.X || b.Empty() || b.Dy() > bandRows {
+			t.Fatalf("band %v after row %d of %v", b, nextY, r)
+		}
+		nextY = b.Max.Y
+		draw.Draw(got, b, band, b.Min, draw.Src)
+	})
+	if nextY != r.Max.Y && !r.Empty() {
+		t.Fatalf("bands of %v stopped at row %d", r, nextY)
+	}
+	return got
+}
+
+// TestStreamPaintMatchesPaint: the bands PaintBands streams over the
+// whole frame, each copied out at delivery while later ones are still
+// painting, are Paint's frame.
 func TestStreamPaintMatchesPaint(t *testing.T) {
 	res := streamLayout(t, 320)
 	for _, tc := range []struct {
@@ -48,72 +75,34 @@ func TestStreamPaintMatchesPaint(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := clone(Paint(res, tc.opts))
-			got := StreamPaint(res, tc.opts, func(*image.RGBA) {})
-			if want.Rect != got.Rect {
-				t.Fatalf("bounds: streamed %v, buffered %v", got.Rect, want.Rect)
-			}
+			got := bandsOf(t, res, tc.opts, want.Rect)
 			if !bytes.Equal(want.Pix, got.Pix) {
-				t.Fatal("StreamPaint frame differs from Paint")
+				t.Fatalf("streamed bands differ from Paint at %v", firstPixelDiff(want, got))
 			}
 		})
 	}
 }
 
+// TestStreamPaintDeliversOrderedFullCoverage: over any rectangle — inside
+// the frame, straddling its edges, or outside it — the bands cover the
+// rectangle clipped to the frame top to bottom, each as wide as it, and
+// a rectangle outside the frame gets no band.
 func TestStreamPaintDeliversOrderedFullCoverage(t *testing.T) {
 	res := streamLayout(t, 320)
-	var bands []image.Rectangle
-	frame := StreamPaint(res, Options{Workers: 5}, func(view *image.RGBA) {
-		bands = append(bands, view.Bounds())
+	w, h := FrameSize(res, Options{})
+	for _, r := range []image.Rectangle{
+		image.Rect(0, 0, w, h),
+		image.Rect(13, 40, 200, 41),
+		image.Rect(-50, 70, 100, h+100),
+		image.Rect(w-5, h-90, w+300, h+5),
+	} {
+		if got := bandsOf(t, res, Options{Workers: 5}, r); got.Rect != r.Intersect(image.Rect(0, 0, w, h)) {
+			t.Fatalf("bands of %v cover %v", r, got.Rect)
+		}
+	}
+	PaintBands(res, Options{Workers: 5}, image.Rect(w, 0, w+200, 100), func(band *image.RGBA) {
+		t.Fatalf("band %v of a rectangle outside the %dx%d frame", band.Rect, w, h)
 	})
-	if len(bands) == 0 {
-		t.Fatal("no bands delivered")
-	}
-	b := frame.Bounds()
-	nextY := b.Min.Y
-	for i, r := range bands {
-		if r.Min.X != b.Min.X || r.Max.X != b.Max.X {
-			t.Fatalf("band %d spans x %d..%d, want %d..%d", i, r.Min.X, r.Max.X, b.Min.X, b.Max.X)
-		}
-		if r.Min.Y != nextY {
-			t.Fatalf("band %d starts at y=%d, want %d (out of order or gapped)", i, r.Min.Y, nextY)
-		}
-		if r.Max.Y <= r.Min.Y {
-			t.Fatalf("band %d is empty: %v", i, r)
-		}
-		nextY = r.Max.Y
-	}
-	if nextY != b.Max.Y {
-		t.Fatalf("bands cover rows up to %d, frame ends at %d", nextY, b.Max.Y)
-	}
-}
-
-func TestStreamPaintBandsAreFinalPixels(t *testing.T) {
-	res := streamLayout(t, 320)
-	opts := Options{Workers: 4}
-	want := clone(Paint(res, opts))
-	// Copy each band's pixels at delivery time; the stream must already
-	// hold the final image content band by band.
-	got := image.NewRGBA(want.Rect)
-	StreamPaint(res, opts, func(view *image.RGBA) {
-		r := view.Bounds()
-		for y := r.Min.Y; y < r.Max.Y; y++ {
-			i := view.PixOffset(r.Min.X, y)
-			o := got.PixOffset(r.Min.X, y)
-			copy(got.Pix[o:o+r.Dx()*4], view.Pix[i:i+r.Dx()*4])
-		}
-	})
-	if !bytes.Equal(want.Pix, got.Pix) {
-		t.Fatal("band-copied pixels differ from the final Paint frame")
-	}
-}
-
-func TestStreamPaintNilBandFunc(t *testing.T) {
-	res := streamLayout(t, 320)
-	want := clone(Paint(res, Options{Workers: 2}))
-	got := StreamPaint(res, Options{Workers: 2}, nil)
-	if !bytes.Equal(want.Pix, got.Pix) {
-		t.Fatal("nil onBand should degenerate to Paint")
-	}
 }
 
 // TestPaintBandsMatchesPaint: laid end to end, the bands PaintBands hands
@@ -133,7 +122,7 @@ func TestPaintBandsMatchesPaint(t *testing.T) {
 					opts.Workers = workers
 					got := image.NewRGBA(want.Rect)
 					nextY := 0
-					paintBands(res, opts, nil, rows, func(band *image.RGBA) {
+					paintBands(res, opts, nil, want.Rect, rows, func(band *image.RGBA) {
 						if band.Rect.Min.Y != nextY || band.Rect.Dx() != want.Rect.Dx() || band.Rect.Dy() > rows {
 							t.Fatalf("band %v after row %d with %d-row bands", band.Rect, nextY, rows)
 						}
@@ -153,24 +142,21 @@ func TestPaintBandsMatchesPaint(t *testing.T) {
 	}
 }
 
-// TestPaintRegionMatchesCropOfPaint: painting a rectangle of the page is
-// cropping the whole page's paint to it, for random rectangles — which
-// cut through text runs, borders and replaced images — and for ones that
-// reach past the frame.
+// TestPaintRegionMatchesCropOfPaint: painting a rectangle of the page in
+// bands is cropping the whole page's paint to it, for random rectangles —
+// which cut through text runs, borders and replaced images — and for ones
+// that reach past the frame.
 func TestPaintRegionMatchesCropOfPaint(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 8; trial++ {
 		res, images := layoutRandomPage(t, rng)
-		opts := Options{Images: images, Antialias: trial%2 == 1, Workers: 1}
+		opts := Options{Images: images, Antialias: trial%2 == 1, Workers: 1 + trial%3}
 		full := clone(Paint(res, opts))
 		fw, fh := full.Rect.Dx(), full.Rect.Dy()
 		for i := 0; i < 25; i++ {
 			x, y := rng.Intn(fw)-20, rng.Intn(fh)-20
 			r := image.Rect(x, y, x+1+rng.Intn(fw), y+1+rng.Intn(fh))
-			got := PaintRegion(res, opts, r)
-			if got.Rect != r.Intersect(full.Rect) {
-				t.Fatalf("region %v painted as %v, frame %v", r, got.Rect, full.Rect)
-			}
+			got := bandsOf(t, res, opts, r)
 			want := image.NewRGBA(got.Rect)
 			draw.Draw(want, want.Rect, full, want.Rect.Min, draw.Src)
 			if !bytes.Equal(got.Pix, want.Pix) {
