@@ -433,6 +433,10 @@ func (c *Controller) AcquireBackground(ctx context.Context) (func(), error) {
 	return c.limiter.AcquireBackground(ctx)
 }
 
+// RateLimited reports whether the controller has a per-client rate
+// limiter, so a caller can skip deriving a client key it would not use.
+func (c *Controller) RateLimited() bool { return c != nil && c.rate != nil }
+
 // AllowClient spends one token from the client's bucket. A nil
 // Controller or one without a rate limiter always allows.
 func (c *Controller) AllowClient(key string) (ok bool, retryAfter time.Duration) {

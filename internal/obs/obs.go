@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,8 +81,8 @@ type Registry struct {
 	metrics   map[string]any // *Counter, *Gauge, *gaugeFunc, *Histogram
 	cardLimit int
 	// labelSeen tracks the distinct values per (family, label key) for
-	// the cardinality cap; keys are name+"\x00"+labelKey.
-	labelSeen map[string]map[string]struct{}
+	// the cardinality cap.
+	labelSeen map[labelFamily]map[string]struct{}
 	traces    *traceRing
 	tail      *tailReservoir
 
@@ -96,7 +97,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		metrics:   make(map[string]any),
 		cardLimit: DefaultLabelCardinality,
-		labelSeen: make(map[string]map[string]struct{}),
+		labelSeen: make(map[labelFamily]map[string]struct{}),
 		traces:    newTraceRing(DefaultTraceCapacity),
 		tail:      newTailReservoir(DefaultTailCapacity, DefaultTailSlow),
 	}
@@ -143,19 +144,23 @@ func (r *Registry) SetLabelCardinality(n int) {
 	r.mu.Unlock()
 }
 
-// capLabels enforces the cardinality cap: label values beyond the
-// per-(family, key) limit are replaced with OverflowLabelValue. The
+// labelFamily is one (metric family, label key) pair the cardinality
+// cap counts values for.
+type labelFamily struct{ name, key string }
+
+// capLabels enforces the cardinality cap in place: label values beyond
+// the per-(family, key) limit are replaced with OverflowLabelValue. The
 // fast path (every value already seen) takes only the read lock.
-func (r *Registry) capLabels(name string, labels []Label) []Label {
+func (r *Registry) capLabels(name string, labels []Label) {
 	if len(labels) == 0 {
-		return labels
+		return
 	}
 	r.mu.RLock()
 	limit := r.cardLimit
 	allSeen := limit >= 0
 	if allSeen {
 		for _, l := range labels {
-			if _, ok := r.labelSeen[name+"\x00"+l.Key][l.Value]; !ok {
+			if _, ok := r.labelSeen[labelFamily{name, l.Key}][l.Value]; !ok {
 				allSeen = false
 				break
 			}
@@ -163,17 +168,16 @@ func (r *Registry) capLabels(name string, labels []Label) []Label {
 	}
 	r.mu.RUnlock()
 	if limit < 0 || allSeen {
-		return labels
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	capped := labels
 	for i, l := range labels {
-		famKey := name + "\x00" + l.Key
-		seen := r.labelSeen[famKey]
+		fam := labelFamily{name, l.Key}
+		seen := r.labelSeen[fam]
 		if seen == nil {
 			seen = make(map[string]struct{})
-			r.labelSeen[famKey] = seen
+			r.labelSeen[fam] = seen
 		}
 		if _, ok := seen[l.Value]; ok {
 			continue
@@ -182,101 +186,101 @@ func (r *Registry) capLabels(name string, labels []Label) []Label {
 			seen[l.Value] = struct{}{}
 			continue
 		}
-		// Over the cap: rewrite this pair to the overflow bucket (on a
-		// copy, the caller's slice may be shared).
-		if &capped[0] == &labels[0] {
-			capped = make([]Label, len(labels))
-			copy(capped, labels)
-		}
-		capped[i].Value = OverflowLabelValue
+		labels[i].Value = OverflowLabelValue
 	}
-	return capped
 }
 
-// metricID canonicalizes a name plus label pairs into a map key (and the
-// exposition series identity): labels are sorted by key.
-func metricID(name string, labels []Label) string {
+// appendMetricID appends the canonical series identity of a name plus
+// sorted label pairs — name{k1="v1",k2="v2"}, values quoted as %q quotes
+// them — to dst. It keys the registry and orders the exposition.
+func appendMetricID(dst []byte, name string, labels []Label) []byte {
+	dst = append(dst, name...)
 	if len(labels) == 0 {
-		return name
+		return dst
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = strconv.AppendQuote(dst, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
-// makeLabels turns variadic "k1, v1, k2, v2" pairs into a sorted label
-// slice. Odd-length input is a programming error.
-func makeLabels(pairs []string) []Label {
+// makeLabels appends variadic "k1, v1, k2, v2" pairs to dst as labels
+// sorted by key. Odd-length input is a programming error.
+func makeLabels(dst []Label, pairs []string) []Label {
 	if len(pairs)%2 != 0 {
-		panic(fmt.Sprintf("obs: odd label pairs %v", pairs))
+		panic("obs: odd label pairs " + strings.Join(pairs, ", "))
 	}
-	labels := make([]Label, 0, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
-		labels = append(labels, Label{Key: pairs[i], Value: pairs[i+1]})
+		dst = append(dst, Label{Key: pairs[i], Value: pairs[i+1]})
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
-	return labels
+	// Insertion sort: a metric has a handful of labels.
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].Key < dst[j-1].Key; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
 }
 
-// lookup returns the existing metric under id, or runs make under the
-// write lock and stores its result.
-func (r *Registry) lookup(id string, make func() any) any {
+// resolve returns the metric registered under name and label pairs,
+// registering create's on first use. Label values past the cardinality
+// cap collapse into OverflowLabelValue. Looking up a series that exists
+// builds its labels and identity on the stack, so a lookup allocates
+// nothing once the series is registered; still, a handle whose labels are
+// fixed is best resolved once and kept.
+func resolve[M any](r *Registry, name string, pairs []string, create func(labels []Label) M) M {
+	var labelBuf [4]Label
+	labels := makeLabels(labelBuf[:0], pairs)
+	r.capLabels(name, labels)
+	var idBuf [128]byte
+	id := appendMetricID(idBuf[:0], name, labels)
 	r.mu.RLock()
-	m, ok := r.metrics[id]
+	m, ok := r.metrics[string(id)]
 	r.mu.RUnlock()
-	if ok {
-		return m
+	if !ok {
+		r.mu.Lock()
+		if m, ok = r.metrics[string(id)]; !ok {
+			m = create(slices.Clone(labels))
+			r.metrics[string(id)] = m
+		}
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[id]; ok {
-		return m
+	typed, ok := m.(M)
+	if !ok {
+		panic(fmt.Sprintf("obs: metric %s already registered as %T", string(id), m))
 	}
-	m = make()
-	r.metrics[id] = m
-	return m
+	return typed
 }
 
 // Counter returns (creating on first use) the counter for name and label
 // pairs ("k1", "v1", ...). Label values past the cardinality cap
 // collapse into OverflowLabelValue.
 func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
-	labels := r.capLabels(name, makeLabels(labelPairs))
-	id := metricID(name, labels)
-	m := r.lookup(id, func() any { return &Counter{name: name, labels: labels} })
-	c, ok := m.(*Counter)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %s already registered as %T", id, m))
-	}
-	return c
+	return resolve(r, name, labelPairs, func(labels []Label) *Counter {
+		return &Counter{name: name, labels: labels}
+	})
 }
 
 // Gauge returns (creating on first use) the settable gauge for name and
 // label pairs.
 func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
-	labels := r.capLabels(name, makeLabels(labelPairs))
-	id := metricID(name, labels)
-	m := r.lookup(id, func() any { return &Gauge{name: name, labels: labels} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %s already registered as %T", id, m))
-	}
-	return g
+	return resolve(r, name, labelPairs, func(labels []Label) *Gauge {
+		return &Gauge{name: name, labels: labels}
+	})
 }
 
 // GaugeFunc registers (or replaces) a gauge whose value is read from fn
 // at snapshot time — e.g. the live-session count.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labelPairs ...string) {
-	labels := r.capLabels(name, makeLabels(labelPairs))
-	id := metricID(name, labels)
+	labels := makeLabels(nil, labelPairs)
+	r.capLabels(name, labels)
+	id := string(appendMetricID(nil, name, labels))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[id]; ok {
@@ -296,14 +300,9 @@ func (r *Registry) Histogram(name string, labelPairs ...string) *Histogram {
 // HistogramBuckets is Histogram with explicit upper bounds (sorted
 // ascending; an implicit +Inf bucket is appended).
 func (r *Registry) HistogramBuckets(name string, bounds []float64, labelPairs ...string) *Histogram {
-	labels := r.capLabels(name, makeLabels(labelPairs))
-	id := metricID(name, labels)
-	m := r.lookup(id, func() any { return newHistogram(name, labels, bounds) })
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %s already registered as %T", id, m))
-	}
-	return h
+	return resolve(r, name, labelPairs, func(labels []Label) *Histogram {
+		return newHistogram(name, labels, bounds)
+	})
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -562,7 +561,7 @@ type Snapshot struct {
 // Histogram returns the named histogram stat matching every given label
 // pair, or false.
 func (s Snapshot) Histogram(name string, labelPairs ...string) (HistogramStat, bool) {
-	want := makeLabels(labelPairs)
+	want := makeLabels(nil, labelPairs)
 	for _, h := range s.Histograms {
 		if h.Name == name && labelsMatch(h.Labels, want) {
 			return h, true
@@ -574,7 +573,7 @@ func (s Snapshot) Histogram(name string, labelPairs ...string) (HistogramStat, b
 // Counter returns the named counter stat matching every given label
 // pair, or false.
 func (s Snapshot) Counter(name string, labelPairs ...string) (CounterStat, bool) {
-	want := makeLabels(labelPairs)
+	want := makeLabels(nil, labelPairs)
 	for _, c := range s.Counters {
 		if c.Name == name && labelsMatch(c.Labels, want) {
 			return c, true

@@ -1,10 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -75,8 +75,17 @@ type traceCtxKey struct{}
 // newTraceID returns a 16-hex-digit request ID. math/rand/v2's global
 // generator is seeded from OS entropy and safe for concurrent use;
 // collisions within a 128-entry ring are vanishingly unlikely.
-func newTraceID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
+func newTraceID() string { return formatTraceID(rand.Uint64()) }
+
+// formatTraceID spells v as 16 zero-padded lowercase hex digits.
+func formatTraceID(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // StartTrace begins a request trace (assigning it a fresh trace ID) and
@@ -113,13 +122,17 @@ func TraceFrom(ctx context.Context) *Trace {
 }
 
 // Annotate attaches a key=value attribute to the trace (session id,
-// cache hit/miss, error summaries).
+// cache hit/miss, error summaries). Once the trace has ended its record
+// is fixed, and later annotations are dropped, as later spans are.
 func (t *Trace) Annotate(key, value string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.done {
+		return
+	}
 	if t.attrs == nil {
 		t.attrs = make(map[string]string)
 	}
@@ -153,15 +166,11 @@ func (t *Trace) End() time.Duration {
 		return d
 	}
 	t.done = true
-	spans := make([]SpanRecord, len(t.spans))
-	copy(spans, t.spans)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].OffsetMS < spans[j].OffsetMS })
-	var attrs map[string]string
-	if len(t.attrs) > 0 {
-		attrs = make(map[string]string, len(t.attrs))
-		for k, v := range t.attrs {
-			attrs[k] = v
-		}
+	// Nothing writes to spans or attrs once done is set, so the record
+	// takes them as they are.
+	spans, attrs := t.spans, t.attrs
+	if len(spans) > 1 {
+		slices.SortStableFunc(spans, func(a, b SpanRecord) int { return cmp.Compare(a.OffsetMS, b.OffsetMS) })
 	}
 	t.mu.Unlock()
 	rec := TraceRecord{

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -224,5 +225,59 @@ func TestConcurrentTraces(t *testing.T) {
 	wg.Wait()
 	if h, ok := r.Snapshot().Histogram(StageHistogram, "stage", "fetch"); !ok || h.Count != 8*50 {
 		t.Fatalf("stage observations = %+v", h)
+	}
+}
+
+// TestTraceIDFormat: an ID is 16 lowercase hex digits, zero-padded for
+// small values.
+func TestTraceIDFormat(t *testing.T) {
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for v, want := range map[uint64]string{
+		0:                  "0000000000000000",
+		1:                  "0000000000000001",
+		0xabc:              "0000000000000abc",
+		0x0123456789abcdef: "0123456789abcdef",
+		^uint64(0):         "ffffffffffffffff",
+	} {
+		if got := formatTraceID(v); got != want {
+			t.Errorf("formatTraceID(%#x) = %q, want %q", v, got, want)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if id := newTraceID(); !hex16.MatchString(id) {
+			t.Fatalf("trace ID %q does not match %s", id, hex16)
+		}
+	}
+}
+
+// TestTraceAllocations: a trace with no spans costs its Trace, its ID and
+// its context — 3 allocations, 5 when the ID went through fmt and End
+// sorted every span list through sort.Slice.
+func TestTraceAllocations(t *testing.T) {
+	r := NewRegistry()
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, tr := r.StartTrace(context.Background(), "entry")
+		tr.End()
+	})
+	t.Logf("StartTrace+End: %v allocations", allocs)
+	if allocs > 3 {
+		t.Fatalf("StartTrace+End allocates %v times, want ≤ 3", allocs)
+	}
+}
+
+// TestAnnotateAfterEndIsDropped: a record is fixed when its trace ends;
+// a late annotation changes neither it nor the trace's attributes.
+func TestAnnotateAfterEndIsDropped(t *testing.T) {
+	r := NewRegistry()
+	_, tr := r.StartTrace(context.Background(), "entry")
+	tr.Annotate("cache", "hit")
+	tr.End()
+	tr.Annotate("cache", "late")
+	tr.Annotate("error", "late")
+	if rec := r.RecentTraces()[0]; len(rec.Attrs) != 1 || rec.Attrs["cache"] != "hit" {
+		t.Fatalf("record attrs = %v", rec.Attrs)
+	}
+	if attrs := tr.Attrs(); len(attrs) != 1 || attrs["cache"] != "hit" {
+		t.Fatalf("trace attrs = %v", attrs)
 	}
 }

@@ -1,12 +1,16 @@
 package proxy
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"msite/internal/session"
 	"msite/internal/spec"
 )
 
@@ -128,5 +132,114 @@ func TestFirstViewWireBudget(t *testing.T) {
 	t.Logf("| first view | %d | 100%% | %d |", total, maxView)
 	if total > maxView {
 		t.Errorf("a first view is %d B, budget %d", total, maxView)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps a response's status and
+// length and drops its body, so what a handler allocates is all that is
+// measured.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header { return d.header }
+
+func (d *discardWriter) WriteHeader(code int) {
+	if d.status == 0 {
+		d.status = code
+	}
+}
+
+func (d *discardWriter) Write(b []byte) (int, error) {
+	d.WriteHeader(http.StatusOK)
+	d.n += len(b)
+	return len(b), nil
+}
+
+// TestWarmViewAllocationBudget holds what the handler allocates to serve
+// one warm view of the evaluation spec — a session that has seen the site
+// coming back with the validators it was given: entry 200, snapshot 304,
+// forums and login subpages 200, the forums image 304 — to a budget.
+// While every request looked its metric series up by name, derived a
+// rate-limit key with no rate limiter and traced through fmt, and every
+// entry rebuilt its overlay, a view cost 320 allocations here (the entry
+// 116, each other request ~51); with the handles resolved when the proxy
+// is built and the overlay built once per Bundle and snapshot geometry it
+// costs ~60, about 12 a request: the trace, its context and the request
+// copy carrying it, the session cookie's parse, and the headers set. The
+// budget is half as much again, below the ~100 of a view whose entry
+// rebuilds its overlay.
+func TestWarmViewAllocationBudget(t *testing.T) {
+	const maxAllocs = 90
+	rig := newRig(t, evaluationSpec)
+	snapshot := "/asset/" + rig.p.snapName
+	etags := make(map[string]string)
+	for _, path := range []string{"/", snapshot, "/subpage/forums", "/subpage/login", "/asset/forums.png"} {
+		if _, resp := rig.get(t, path); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold GET %s = %d", path, resp.StatusCode)
+		} else if etag := resp.Header.Get("ETag"); etag != "" {
+			etags[path] = etag
+		}
+	}
+	u, _ := url.Parse(rig.proxy.URL)
+	var cookie *http.Cookie
+	for _, c := range rig.client.Jar.Cookies(u) {
+		if c.Name == session.CookieName {
+			cookie = c
+		}
+	}
+	if cookie == nil || etags[snapshot] == "" || etags["/asset/forums.png"] == "" {
+		t.Fatalf("cold view left no session cookie or no asset validators (%v)", etags)
+	}
+
+	view := []struct {
+		path   string
+		status int
+	}{
+		{"/", http.StatusOK},
+		{snapshot, http.StatusNotModified},
+		{"/subpage/forums", http.StatusOK},
+		{"/subpage/login", http.StatusOK},
+		{"/asset/forums.png", http.StatusNotModified},
+	}
+	reqs := make([]*http.Request, len(view))
+	for i, step := range view {
+		reqs[i] = httptest.NewRequest(http.MethodGet, step.path, nil)
+		reqs[i].AddCookie(cookie)
+		if etag := etags[step.path]; step.status == http.StatusNotModified {
+			reqs[i].Header.Set("If-None-Match", etag)
+		}
+	}
+	w := &discardWriter{header: make(http.Header)}
+	serve := func(i int) {
+		clear(w.header)
+		w.status, w.n = 0, 0
+		rig.p.ServeHTTP(w, reqs[i])
+		if w.status != view[i].status {
+			t.Fatalf("warm GET %s = %d, want %d", view[i].path, w.status, view[i].status)
+		}
+	}
+	for i := range view {
+		serve(i) // the first warm request of each kind pays for lazily built state
+	}
+	before := rig.p.Stats()
+
+	t.Logf("| warm view | allocations | budget |")
+	t.Logf("|---|---|---|")
+	total := 0.0
+	for i, step := range view {
+		allocs := testing.AllocsPerRun(200, func() { serve(i) })
+		total += allocs
+		t.Logf("| %s %d | %.0f | - |", step.path, step.status, allocs)
+	}
+	t.Logf("| view | %.0f | %d |", total, maxAllocs)
+	if st := rig.p.Stats(); st.Adaptations != before.Adaptations || st.SnapshotRenders != before.SnapshotRenders {
+		t.Fatalf("warm views ran %d adaptations and %d snapshot renders",
+			st.Adaptations-before.Adaptations, st.SnapshotRenders-before.SnapshotRenders)
+	}
+	if total > maxAllocs {
+		t.Fatalf("a warm view allocated %.0f objects; budget %d", total, maxAllocs)
 	}
 }

@@ -49,10 +49,12 @@ func bundleKey(s *spec.Spec, width int) (string, error) {
 // Bundle is the product of one pipeline run: everything the handlers
 // serve, held in memory and never modified once buildAdaptation or
 // decodeBundle has returned it (sheets, which is not served, is handed
-// on once). Sessions reference a Bundle, they do not
-// copy it: anonymous sessions share the proxy's current one, a
-// personalized session (stored HTTP auth, marshaled login) holds one
-// built for it alone, which is never shared and never persisted.
+// on once; overlay only memoises a page built from it). Sessions
+// reference a Bundle, they do not copy it: anonymous sessions share the
+// proxy's current one, a personalized session (stored HTTP auth,
+// marshaled login) holds one built for it alone, which is never shared
+// and never persisted. A Bundle belongs to the proxy that built or
+// decoded it.
 type Bundle struct {
 	// pages and assets are the generated HTML documents (main.html,
 	// minimal.html, one per subpage) and images, by file name.
@@ -80,6 +82,34 @@ type Bundle struct {
 	// entry fetch, so the prefetch refresher can revalidate instead of
 	// re-downloading.
 	validator BundleValidator
+	// overlay is the entry overlay last built over areas (see
+	// Proxy.entryOverlay). Like sheets, it is not on the wire.
+	overlay atomic.Pointer[builtOverlay]
+}
+
+// builtOverlay is a Bundle's entry overlay for one snapshot geometry and
+// fold.
+type builtOverlay struct {
+	width, height, atf int
+	page               attr.OverlayStream
+}
+
+// entryOverlay returns b's entry overlay for a snapshot of the given
+// geometry, its areas split at atf (see attr.BuildOverlayStream). The
+// rest of the page is the proxy's own, so the Bundle keeps the last one
+// built and serves it while the geometry and the fold hold. The geometry
+// is part of the key, not implied by the Bundle: the shared snapshot may
+// have been rendered from another Bundle, and may be re-rendered at
+// another height while this one is still served.
+func (p *Proxy) entryOverlay(b *Bundle, width, height, atf int) attr.OverlayStream {
+	if o := b.overlay.Load(); o != nil && o.width == width && o.height == height && o.atf == atf {
+		return o.page
+	}
+	ov := p.overlay
+	ov.Width, ov.Height = width, height
+	o := &builtOverlay{width: width, height: height, atf: atf, page: p.applier.BuildOverlayStream(ov, b.areas, atf)}
+	b.overlay.Store(o)
+	return o.page
 }
 
 // artifact is one servable body with the headers derived from it.
@@ -342,7 +372,7 @@ func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
 		} // else a newer record was stored or loaded during the decode
 		p.sharedMu.Unlock()
 	}
-	p.obs.Counter("msite_proxy_bundle_reuses_total", "site", p.cfg.Spec.Name).Inc()
+	p.metrics.bundleReuses.Inc()
 	obs.TraceFrom(ctx).Annotate("bundle", "reuse")
 	return b, true
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"image"
+	_ "image/jpeg"
 	"io"
 	"io/fs"
+	"maps"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
@@ -22,6 +25,7 @@ import (
 	"msite/internal/attr"
 	"msite/internal/cache"
 	"msite/internal/css"
+	"msite/internal/origin"
 	"msite/internal/session"
 	"msite/internal/spec"
 )
@@ -648,5 +652,107 @@ func TestStylesheetsParsedOncePerBuild(t *testing.T) {
 	}
 	if got := rig.p.Stats(); got.Adaptations != 1 || got.SnapshotRenders != 3 {
 		t.Fatalf("stats %+v; want one adaptation and three snapshot renders", got)
+	}
+}
+
+// TestEntryOverlayFollowsSnapshotGeometry: a Bundle builds its entry
+// overlay once and serves it to every session that references it, and a
+// re-render of the shared snapshot at another height reaches the entry of
+// every Bundle it is shown under. The origin here grows taller with each
+// revision, so after Bump and a refresh the new Bundle is first shown
+// under the old render's geometry and then, once the shared snapshot is
+// rendered again, under its own; the old Bundle, still held by a session
+// that did not refresh, follows the same render. A memo keyed by the
+// Bundle alone keeps the first geometry and fails here.
+func TestEntryOverlayFollowsSnapshotGeometry(t *testing.T) {
+	forum := origin.NewForum(origin.DefaultForumConfig())
+	handler := forum.Handler()
+	originSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			handler.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		maps.Copy(w.Header(), rec.Header())
+		w.Header().Del("Content-Length")
+		w.WriteHeader(rec.Code)
+		tall := fmt.Sprintf(`<div style="height: %dpx">revision %d</div></body>`, 300*forum.Generation(), forum.Generation())
+		_, _ = io.WriteString(w, strings.Replace(rec.Body.String(), "</body>", tall, 1))
+	}))
+	t.Cleanup(originSrv.Close)
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := cache.New()
+	p, err := New(Config{Spec: forumSpec(originSrv.URL), Sessions: sessions, Cache: shared, PersistBundles: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxySrv := httptest.NewServer(p)
+	t.Cleanup(proxySrv.Close)
+
+	geometry := regexp.MustCompile(`<img [^>]*width="(\d+)" height="(\d+)"`)
+	// entry GETs path and the snapshot it references, and returns the
+	// entry page, checking that it states the snapshot's geometry.
+	entry := func(c *http.Client, path string) string {
+		t.Helper()
+		get := func(path string) []byte {
+			resp, err := c.Get(proxySrv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = resp.Body.Close() }()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+			}
+			return body
+		}
+		page := string(get(path))
+		m := geometry.FindStringSubmatch(page)
+		if m == nil {
+			t.Fatalf("entry states no snapshot geometry: %s", page)
+		}
+		img, _, err := image.DecodeConfig(bytes.NewReader(get("/asset/" + p.snapName)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%d,%d", img.Width, img.Height); m[1]+","+m[2] != want {
+			t.Fatalf("entry states a %sx%s snapshot; the snapshot served is %dx%d", m[1], m[2], img.Width, img.Height)
+		}
+		return page
+	}
+
+	first, second := newDevice(t), newDevice(t)
+	built := entry(first, "/")
+	if again := entry(second, "/"); again != built {
+		t.Fatalf("two sessions on one Bundle were served different entries:\n%s\n%s", built, again)
+	}
+	old, _ := p.sharedBundle()
+	if got := p.sessionBundles(); len(got) != 2 {
+		t.Fatalf("%d sessions attached, want 2", len(got))
+	} else {
+		for id, b := range got {
+			if b != old {
+				t.Fatalf("session %s does not reference the shared Bundle", id)
+			}
+		}
+	}
+
+	forum.Bump()
+	entry(first, "/?refresh=1") // the new Bundle under the old render
+	if now, _ := p.sharedBundle(); now == old {
+		t.Fatal("the refresh did not build a new Bundle")
+	}
+	shared.Delete(p.snapKey)
+	taller := entry(first, "/") // the new Bundle under its own render
+	if geometry.FindStringSubmatch(taller)[2] == geometry.FindStringSubmatch(built)[2] {
+		t.Fatal("the new revision's snapshot is no taller; the test shows nothing")
+	}
+	entry(second, "/") // the old Bundle under the new render
+	if got := p.Stats(); got.Adaptations != 2 || got.SnapshotRenders != 2 {
+		t.Fatalf("stats %+v; want two adaptations and two snapshot renders", got)
 	}
 }

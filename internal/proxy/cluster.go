@@ -70,13 +70,12 @@ func (p *Proxy) fetchFromOwner(ctx context.Context) (*Bundle, bool) {
 	p.storeBundle(b, data)
 	if snap != nil {
 		if ttl := p.sharedSnapshotTTL(); ttl > 0 {
-			key := "snapshot:" + p.cfg.Spec.Name
-			if _, warm := p.cfg.Cache.Get(key); !warm {
-				p.cfg.Cache.Put(key, *snap, ttl)
+			if _, warm := p.cfg.Cache.Get(p.snapKey); !warm {
+				p.cfg.Cache.Put(p.snapKey, *snap, ttl)
 			}
 		}
 	}
-	p.obs.Counter("msite_proxy_bundle_reuses_total", "site", p.cfg.Spec.Name).Inc()
+	p.metrics.bundleReuses.Inc()
 	obs.TraceFrom(ctx).Annotate("cluster", "forwarded")
 	return b, true
 }
@@ -118,5 +117,5 @@ func (p *Proxy) ClusterSnapshot() (cache.Entry, bool) {
 	if !p.cfg.Spec.Snapshot.Shared {
 		return cache.Entry{}, false
 	}
-	return p.cfg.Cache.Get("snapshot:" + p.cfg.Spec.Name)
+	return p.cfg.Cache.Get(p.snapKey)
 }

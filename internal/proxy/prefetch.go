@@ -51,7 +51,7 @@ func (p *Proxy) prerenderSnapshot(b *Bundle) {
 	}
 	// GetOrFill leaves an already-warm snapshot (live render or
 	// disk-tier rehydration) alone.
-	_, _ = p.cfg.Cache.GetOrFill("snapshot:"+p.cfg.Spec.Name, ttl, func() (cache.Entry, error) {
+	_, _ = p.cfg.Cache.GetOrFill(p.snapKey, ttl, func() (cache.Entry, error) {
 		return p.renderSnapshot(context.Background(), b)
 	})
 }

@@ -165,9 +165,18 @@ type Proxy struct {
 	width      int
 	prefix     string
 	obs        *obs.Registry
+	metrics    *metrics
 	logger     *slog.Logger
-	// snapName is the asset name of the entry snapshot.
-	snapName string
+	// snapName is the asset name of the entry snapshot, snapKey its
+	// cross-session cache key and snapCacheControl the Cache-Control its
+	// asset goes out with.
+	snapName, snapKey, snapCacheControl string
+	// overlay is the entry overlay as this proxy builds every one: all of
+	// it but the snapshot's geometry, which a render decides.
+	overlay attr.Overlay
+	// streamHead is a streamed entry's head, flushed before the
+	// adaptation starts; it references only static URLs.
+	streamHead []byte
 	// bundleKey is the durable-bundle cache key for this proxy's
 	// (site, spec hash, device class, fidelity); empty when
 	// PersistBundles is off.
@@ -291,8 +300,10 @@ func New(cfg Config) (*Proxy, error) {
 		width:      width,
 		prefix:     prefix,
 		obs:        reg,
+		metrics:    newMetrics(reg, cfg.Spec.Name),
 		logger:     cfg.Logger,
 		snapName:   "snapshot" + snapshotFidelity(cfg.Spec).Ext(),
+		snapKey:    "snapshot:" + cfg.Spec.Name,
 		coalesce:   admission.NewCoalescer[*Bundle](),
 		adapted:    make(map[string]*sessionView),
 		live:       make(map[*Bundle]int),
@@ -316,12 +327,22 @@ func New(cfg Config) (*Proxy, error) {
 	// deletes, or GCs the session — without this the adapted map grows
 	// for the life of the proxy.
 	cfg.Sessions.OnExpire(func(id string) { p.attach(id, nil) })
+	p.snapCacheControl = "private, max-age=300"
+	if ttl := cfg.Spec.Snapshot.CacheTTLSeconds; ttl > 0 {
+		p.snapCacheControl = "private, max-age=" + strconv.Itoa(ttl)
+	}
 	p.applier = &attr.Applier{
 		ViewportWidth: width,
 		SubpageURL:    func(name string) string { return prefix + "/subpage/" + url.PathEscape(name) },
 		AssetURL:      func(name string) string { return prefix + "/asset/" + url.PathEscape(name) },
 		AJAXEndpoint:  prefix + "/ajax",
 	}
+	p.overlay = attr.Overlay{
+		SnapshotURL: prefix + "/asset/" + p.snapName,
+		Scale:       p.snapshotScale(),
+		Title:       cfg.Spec.Name,
+	}
+	p.streamHead = p.applier.BuildOverlayStream(p.overlay, nil, DefaultATFHeight).Head
 	return p, nil
 }
 
@@ -339,31 +360,6 @@ func (p *Proxy) Stats() Stats {
 // Obs exposes the proxy's metric registry (shared with core when wired
 // through it).
 func (p *Proxy) Obs() *obs.Registry { return p.obs }
-
-// handlerKind classifies a proxy-relative path for metrics, traces, and
-// logs.
-func handlerKind(path string) string {
-	switch {
-	case path == "/":
-		return "entry"
-	case strings.HasPrefix(path, "/subpage/"):
-		return "subpage"
-	case strings.HasPrefix(path, "/asset/"):
-		return "asset"
-	case path == "/ajax":
-		return "ajax"
-	case path == "/auth":
-		return "auth"
-	case path == "/login":
-		return "login"
-	case path == "/logout":
-		return "logout"
-	case path == "/stats":
-		return "stats"
-	default:
-		return "notfound"
-	}
-}
 
 // statusRecorder captures the response status for metrics and logging.
 // It forwards the optional ResponseWriter interfaces the stdlib sniffs
@@ -443,67 +439,74 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	kind := handlerKind(path)
-	site := p.cfg.Spec.Name
-	p.obs.Counter("msite_proxy_requests_total", "handler", kind, "site", site).Inc()
-	if p.cfg.Demand != nil && (kind == "entry" || kind == "subpage") {
-		p.cfg.Demand(site)
+	kind := kindOf(path)
+	km := &p.metrics.kinds[kind]
+	km.requests.Inc()
+	if p.cfg.Demand != nil && (kind == kindEntry || kind == kindSubpage) {
+		p.cfg.Demand(p.cfg.Spec.Name)
 	}
-	ctx, tr := p.obs.StartTrace(r.Context(), kind)
+	ctx, tr := p.obs.StartTrace(r.Context(), kind.String())
 	r = r.WithContext(ctx)
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	// The trace ID goes back to the client so a slow or failed request
 	// can be matched to its /debug/traces entry and log lines.
-	rec.Header().Set(TraceHeader, tr.ID())
+	rec.Header()[traceHeaderKey] = []string{tr.ID()}
 
 	if ok, retry := p.allowClient(r); !ok {
 		obs.TraceFrom(ctx).Annotate("shed", admission.ReasonRateLimit)
 		rec.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(retry)))
 		http.Error(rec, "rate limit exceeded, retry later", http.StatusTooManyRequests)
 		d := tr.End()
-		p.obs.Histogram("msite_http_request_seconds", "handler", kind).ObserveDuration(d)
+		km.latency.ObserveDuration(d)
 		p.logRequest(r, tr, kind, rec.status, d)
 		return
 	}
 
 	switch kind {
-	case "entry":
+	case kindEntry:
 		p.handleEntry(rec, r)
-	case "subpage":
+	case kindSubpage:
 		p.handleSubpage(rec, r, strings.TrimPrefix(path, "/subpage/"))
-	case "asset":
+	case kindAsset:
 		p.handleAsset(rec, r, strings.TrimPrefix(path, "/asset/"))
-	case "ajax":
+	case kindAJAX:
 		p.handleAJAX(rec, r)
-	case "auth":
+	case kindAuth:
 		p.handleAuth(rec, r)
-	case "login":
+	case kindLogin:
 		p.handleLogin(rec, r)
-	case "logout":
+	case kindLogout:
 		p.handleLogout(rec, r)
-	case "stats":
+	case kindStats:
 		p.handleStats(rec, r)
 	default:
 		http.NotFound(rec, r)
 	}
 
 	d := tr.End()
-	p.obs.Histogram("msite_http_request_seconds", "handler", kind).ObserveDuration(d)
+	km.latency.ObserveDuration(d)
 	if !rec.firstByte.IsZero() {
-		p.obs.Histogram("msite_proxy_ttfb_seconds", "handler", kind).
-			ObserveDuration(rec.firstByte.Sub(reqStart))
+		km.ttfb.ObserveDuration(rec.firstByte.Sub(reqStart))
 	}
 	if rec.status >= 500 {
-		p.obs.Counter("msite_proxy_errors_total", "handler", kind, "site", site).Inc()
+		km.errors.Inc()
 	}
 	p.logRequest(r, tr, kind, rec.status, d)
 }
 
+// traceHeaderKey is TraceHeader as net/http canonicalizes it, so setting
+// it does not canonicalize it again on every response.
+var traceHeaderKey = http.CanonicalHeaderKey(TraceHeader)
+
 // allowClient applies the per-client token bucket (admission control
 // tier 3). Requests from clients with a session cookie are keyed by the
 // cookie value (NATed users stay independent); cookieless first contacts
-// fall back to the remote address.
+// fall back to the remote address. Without a rate limiter there is no
+// bucket, and no key is derived.
 func (p *Proxy) allowClient(r *http.Request) (bool, time.Duration) {
+	if !p.cfg.Admission.RateLimited() {
+		return true, 0
+	}
 	return p.cfg.Admission.AllowClient(clientKey(r))
 }
 
@@ -549,7 +552,7 @@ func (p *Proxy) shedError(w http.ResponseWriter, r *http.Request, shed *admissio
 }
 
 // logRequest emits the per-request structured log line.
-func (p *Proxy) logRequest(r *http.Request, tr *obs.Trace, kind string, status int, d time.Duration) {
+func (p *Proxy) logRequest(r *http.Request, tr *obs.Trace, kind handlerKind, status int, d time.Duration) {
 	if p.logger == nil {
 		return
 	}
@@ -560,7 +563,7 @@ func (p *Proxy) logRequest(r *http.Request, tr *obs.Trace, kind string, status i
 	attrs := []slog.Attr{
 		slog.String("trace", tr.ID()),
 		slog.String("site", p.cfg.Spec.Name),
-		slog.String("handler", kind),
+		slog.String("handler", kind.String()),
 		slog.String("path", r.URL.Path),
 		slog.Int("status", status),
 		slog.Duration("duration", d),
@@ -733,7 +736,7 @@ func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, for
 			// before: serve the previous adaptation rather than fail the
 			// request (§3.2's "any error handling should the page be
 			// unavailable", resolved in favor of availability).
-			p.obs.Counter("msite_proxy_stale_served_total", "site", p.cfg.Spec.Name).Inc()
+			p.metrics.staleServed.Inc()
 			obs.TraceFrom(ctx).Annotate("degraded", "stale_adaptation")
 			return prev, nil
 		}
@@ -837,7 +840,7 @@ func (p *Proxy) coalescedBuild(ctx context.Context, plan buildPlan) (b *Bundle, 
 		return built, err
 	})
 	if err == nil && coalesced && !plan.background {
-		p.obs.Counter("msite_admission_coalesced_total", "site", p.cfg.Spec.Name).Inc()
+		p.metrics.coalesced.Inc()
 		obs.TraceFrom(ctx).Annotate("coalesced", "adaptation")
 	}
 	return b, ran, err
@@ -968,7 +971,7 @@ func (p *Proxy) buildAdaptation(ctx context.Context, f *fetch.Fetcher) (*Bundle,
 	}
 
 	p.nAdaptations.Add(1)
-	p.obs.Counter("msite_proxy_adaptations_total", "site", p.cfg.Spec.Name).Inc()
+	p.metrics.adaptations.Inc()
 	return b, nil
 }
 
@@ -1069,23 +1072,17 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	site := p.cfg.Spec.Name
 	minimal := p.cfg.Spec.MinimalMarkup
 	overlay := p.cfg.Spec.Snapshot.Enabled && !minimal
 	stream := p.cfg.Stream && overlay
-	ov := attr.Overlay{
-		SnapshotURL: p.prefix + "/asset/" + p.snapName,
-		Scale:       p.snapshotScale(),
-		Title:       site,
-	}
 	if stream {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(p.applier.BuildOverlayStream(ov, nil, DefaultATFHeight).Head)
+		_, _ = w.Write(p.streamHead)
 		flushNow(w)
 		obs.TraceFrom(r.Context()).Annotate("stream", "head_flushed")
 	}
 
-	v, err := p.ensureAdaptation(r.Context(), sess, r.URL.Query().Get("refresh") == "1")
+	v, err := p.ensureAdaptation(r.Context(), sess, queryParam(r, "refresh") == "1")
 	if err != nil {
 		if stream {
 			p.streamAbort(w, r, err)
@@ -1093,10 +1090,6 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 			p.fetchError(w, r, err)
 		}
 		return
-	}
-	atf := func(mode string) {
-		p.obs.Histogram("msite_proxy_atf_seconds", "site", site, "mode", mode).
-			ObserveDuration(time.Since(start))
 	}
 	main := v.bundle.pages[mainPage]
 	switch {
@@ -1109,7 +1102,7 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 			page = main
 		}
 		servePage(w, page)
-		atf("minimal")
+		p.metrics.atfMinimal.ObserveDuration(time.Since(start))
 	case !overlay:
 		servePage(w, main)
 	case stream:
@@ -1117,15 +1110,17 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		// client receiving and parsing the map; the asset handler waits
 		// on it.
 		p.ensureSnapshotAsync(v)
-		frags := p.applier.BuildOverlayStream(ov, v.bundle.areas, DefaultATFHeight)
+		// The head went out before the render: no geometry.
+		frags := p.entryOverlay(v.bundle, 0, 0, DefaultATFHeight)
 		_, _ = w.Write(frags.ATF)
 		_, _ = io.WriteString(w, attr.ATFMarker)
 		flushNow(w)
-		atf("streaming")
+		p.metrics.atfStreaming.ObserveDuration(time.Since(start))
 		_, _ = w.Write(frags.BTF)
 		_, _ = w.Write(frags.Tail)
 	default:
-		if ov.Width, ov.Height, err = p.snapshot(r.Context(), v); err != nil {
+		width, height, err := p.snapshot(r.Context(), v)
+		if err != nil {
 			// The graphical entry page is an enhancement over the adapted
 			// document, not a prerequisite.
 			_ = p.degrade(r.Context(), "snapshot", err)
@@ -1135,8 +1130,8 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		// Buffered serving completes everything at once: the whole page
 		// is the above-the-fold content.
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(p.applier.BuildOverlayStream(ov, v.bundle.areas, -1).Page())
-		atf("buffered")
+		_, _ = w.Write(p.entryOverlay(v.bundle, width, height, -1).Page())
+		p.metrics.atfBuffered.ObserveDuration(time.Since(start))
 	}
 }
 
@@ -1176,7 +1171,7 @@ func (p *Proxy) sharedSnapshotTTL() time.Duration {
 // the shared cache, the durable tier and a peer hop.
 func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle) (cache.Entry, error) {
 	p.nSnapshotRenders.Add(1)
-	p.obs.Counter("msite_proxy_snapshot_renders_total", "site", p.cfg.Spec.Name).Inc()
+	p.metrics.snapshotRenders.Inc()
 	sp := obs.StartSpan(ctx, "layout")
 	res := layoutForDoc(tidyDoc(string(b.pages[mainPage].data)), p.width, b.sheets.Swap(nil))
 	sp.End()
@@ -1200,7 +1195,6 @@ func (p *Proxy) renderSnapshot(ctx context.Context, b *Bundle) (cache.Entry, err
 // spec without a shared snapshot: rendered from its own Bundle, kept on
 // the view, never read from or written to the cross-session entry.
 func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err error) {
-	site := p.cfg.Spec.Name
 	ttl := p.sharedSnapshotTTL()
 	if v.private {
 		ttl = 0
@@ -1216,14 +1210,13 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 	var entry cache.Entry
 	cached := false
 	if ttl > 0 {
-		key := "snapshot:" + site
 		var stale bool
 		if p.cfg.ServeStale {
 			// Stale-while-revalidate: an expired shared snapshot is served
 			// immediately while a background goroutine re-renders it.
-			entry, stale, err = p.cfg.Cache.GetOrFillStale(key, ttl, DefaultStaleFor, fill)
+			entry, stale, err = p.cfg.Cache.GetOrFillStale(p.snapKey, ttl, DefaultStaleFor, fill)
 		} else {
-			entry, err = p.cfg.Cache.GetOrFill(key, ttl, fill)
+			entry, err = p.cfg.Cache.GetOrFill(p.snapKey, ttl, fill)
 		}
 		// Served from the shared cache (directly, stale, or by another
 		// goroutine's single-flight fill) — the amortization §3.3 is about.
@@ -1236,7 +1229,7 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 		}
 		if cached {
 			p.nSnapshotHits.Add(1)
-			p.obs.Counter("msite_proxy_snapshot_hits_total", "site", site).Inc()
+			p.metrics.snapshotHits.Inc()
 		}
 		obs.TraceFrom(ctx).Annotate("cache", outcome)
 	} else {
@@ -1261,12 +1254,12 @@ func parseGeometry(mime string) (w, h int) {
 	if i < 0 {
 		return 0, 0
 	}
-	parts := strings.SplitN(mime[i+1:], ",", 2)
-	if len(parts) != 2 {
+	ws, hs, ok := strings.Cut(mime[i+1:], ",")
+	if !ok {
 		return 0, 0
 	}
-	w, _ = strconv.Atoi(parts[0])
-	h, _ = strconv.Atoi(parts[1])
+	w, _ = strconv.Atoi(ws)
+	h, _ = strconv.Atoi(hs)
 	return w, h
 }
 
@@ -1293,7 +1286,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 	// The pluggable engine hook (§1: "multiple rendering engines to
 	// produce HTML, static images, PDF, plain text ... at any point in
 	// the rendering process"): ?format selects an alternate engine.
-	if format := r.URL.Query().Get("format"); format != "" && format != "html" {
+	if format := queryParam(r, "format"); format != "" && format != "html" {
 		engine, err := p.engines.Get(format)
 		if err != nil {
 			http.Error(w, "unknown format: "+format, http.StatusBadRequest)
@@ -1335,9 +1328,8 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 	w.Header().Set("Content-Type", a.ctype)
 	// Let the device cache images too: the shared snapshot for its
 	// configured TTL, per-user renders briefly.
-	if name == p.snapName && p.cfg.Spec.Snapshot.CacheTTLSeconds > 0 {
-		w.Header().Set("Cache-Control",
-			"private, max-age="+strconv.Itoa(p.cfg.Spec.Snapshot.CacheTTLSeconds))
+	if name == p.snapName {
+		w.Header().Set("Cache-Control", p.snapCacheControl)
 	} else {
 		w.Header().Set("Cache-Control", "private, max-age=300")
 	}

@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"image"
+	"net/http"
 	"net/url"
 	"strings"
 
@@ -14,6 +15,15 @@ import (
 	"msite/internal/imaging"
 	"msite/internal/layout"
 )
+
+// queryParam is the first value of a query parameter of r; a request
+// without a query is not parsed for one.
+func queryParam(r *http.Request, key string) string {
+	if r.URL.RawQuery == "" {
+		return ""
+	}
+	return r.URL.Query().Get(key)
+}
 
 // tidyDoc parses filtered source into a normalized document.
 func tidyDoc(src string) *dom.Node {
