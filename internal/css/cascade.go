@@ -1,7 +1,8 @@
 package css
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"msite/internal/dom"
@@ -237,11 +238,8 @@ func (s *Styler) ComputedStyle(n *dom.Node, parentStyle Style) Style {
 		}
 	}
 	applyOrdered := func(decls []weightedDecl) {
-		sort.SliceStable(decls, func(i, j int) bool {
-			if decls[i].spec != decls[j].spec {
-				return decls[i].spec < decls[j].spec
-			}
-			return decls[i].seq < decls[j].seq
+		slices.SortStableFunc(decls, func(a, b weightedDecl) int {
+			return cmp.Or(cmp.Compare(a.spec, b.spec), cmp.Compare(a.seq, b.seq))
 		})
 		for _, wd := range decls {
 			out[wd.decl.Prop] = wd.decl.Value

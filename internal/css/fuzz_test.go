@@ -1,29 +1,39 @@
 package css
 
 import (
+	"fmt"
 	"testing"
 
 	"msite/internal/html"
 )
 
+// fuzzSheets seed FuzzParseStylesheet, and TestParseMatchesOracle runs
+// them too. The last two hold a stray closing bracket: it takes the
+// nesting depth below zero, so no later separator of its block or
+// selector list cuts, which is how the parser has always read it.
+var fuzzSheets = []string{
+	"",
+	"p { color: red }",
+	"@media screen { a, b.c { margin: 1px 2px !important } }",
+	"/* unterminated",
+	".a { background: url(x;y.png) }",
+	"p { color: red",
+	"@import url(x.css); @font-face { src: url(y) }",
+	"a[href^=\"/\"]:not(.x):nth-child(2n+1) { x: y }",
+	"} p { a: b } @media print { .unused { c: d } p:hover { e: f } } @import 'late';",
+	"@media screen { @media (min-width: 1px) { p { a: b",
+	"p { a: b); c: d } q, r) , s { e: f }",
+	"p { a: b]; c: d; MARGIN: 1PX 2PX !IMPORTANT } s ) t { border: thin solid red }",
+}
+
 // FuzzParseStylesheet: the stylesheet parser is error-tolerant by
 // contract — arbitrary input must parse without panicking — and so is
 // the pruner over what it parsed: whatever the input, pruning yields a
-// sheet whose rules are a subset of the input's, and is idempotent.
+// sheet whose rules are a subset of the input's, and is idempotent. The
+// parse, of the input as a sheet, a declaration block and a selector
+// list, is the oracle's.
 func FuzzParseStylesheet(f *testing.F) {
-	seeds := []string{
-		"",
-		"p { color: red }",
-		"@media screen { a, b.c { margin: 1px 2px !important } }",
-		"/* unterminated",
-		".a { background: url(x;y.png) }",
-		"p { color: red",
-		"@import url(x.css); @font-face { src: url(y) }",
-		"a[href^=\"/\"]:not(.x):nth-child(2n+1) { x: y }",
-		"} p { a: b } @media print { .unused { c: d } p:hover { e: f } } @import 'late';",
-		"@media screen { @media (min-width: 1px) { p { a: b",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSheets {
 		f.Add(s)
 	}
 	elems := elementsOf(html.Parse(pruneDoc))
@@ -32,12 +42,14 @@ func FuzzParseStylesheet(f *testing.F) {
 		if sheet == nil {
 			t.Fatal("nil sheet")
 		}
+		checkAgainstOracle(t, "fuzz input", src)
 		checkPruned(t, src, elems)
 	})
 }
 
 // FuzzParseSelector: selector parsing either errors or yields a selector
-// that can be matched without panicking.
+// that can be matched without panicking, and reads every input as the
+// oracle does.
 func FuzzParseSelector(f *testing.F) {
 	seeds := []string{
 		"*", "div p", "a > b + c ~ d", "#x.y[z=\"w\"]:first-child",
@@ -49,8 +61,15 @@ func FuzzParseSelector(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		sel, err := ParseSelector(src)
+		want, wantErr := oracleParseSelector(src)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseSelector(%q) error %v, oracle's %v", src, err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if d := selectorDiff(sel, want); d != "" {
+			t.Fatalf("ParseSelector(%q) differs from the oracle: %s", src, d)
 		}
 		if sel.Specificity() < 0 {
 			t.Fatalf("negative specificity for %q", src)

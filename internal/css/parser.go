@@ -1,6 +1,8 @@
 package css
 
 import (
+	"iter"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,7 +80,18 @@ func ParseCount() uint64 { return parses.Load() }
 func ParseStylesheet(src string) *Stylesheet {
 	parses.Add(1)
 	sheet := &Stylesheet{src: stripComments(src)}
-	sheet.pieces = parseRules(sheet.src, "", sheet)
+	// Every rule and every block has a '{': counted, they size the rules
+	// and, but for statements and stray text, the top-level pieces.
+	var pieces []piece
+	if blocks := strings.Count(sheet.src, "{"); blocks > 0 {
+		sheet.Rules = make([]Rule, 0, blocks)
+		pieces = make([]piece, 0, blocks+1)
+	}
+	p := sheetParser{sheet: sheet}
+	sheet.pieces = p.parseRules(sheet.src, "", pieces)
+	if len(sheet.Rules) == 0 {
+		sheet.Rules = nil
+	}
 	return sheet
 }
 
@@ -109,10 +122,18 @@ func (s *Sheets) Parse(src string) *Stylesheet {
 	return sheet
 }
 
-// parseRules appends the style rules of src to sheet.Rules and returns
-// src cut into pieces.
-func parseRules(src, media string, sheet *Stylesheet) []piece {
-	var pieces []piece
+// sheetParser is the state one stylesheet's parse carries from rule to
+// rule.
+type sheetParser struct {
+	sheet *Stylesheet
+	// decls collects a rule's declarations, which are then copied out at
+	// their exact size: the rule keeps one allocation and no spare room.
+	decls []Declaration
+}
+
+// parseRules appends the style rules of src to the sheet's Rules and
+// src cut into pieces to pieces, which it returns.
+func (p *sheetParser) parseRules(src, media string, pieces []piece) []piece {
 	pos := 0
 	for pos < len(src) {
 		// Skip whitespace.
@@ -123,9 +144,9 @@ func parseRules(src, media string, sheet *Stylesheet) []piece {
 			break
 		}
 		if src[pos] == '@' {
-			var p piece
-			p, pos = parseAtRule(src, pos, media, sheet)
-			pieces = append(pieces, p)
+			var at piece
+			at, pos = p.parseAtRule(src, pos, media)
+			pieces = append(pieces, at)
 			continue
 		}
 		// Selector up to '{'.
@@ -139,7 +160,7 @@ func parseRules(src, media string, sheet *Stylesheet) []piece {
 		bodyEnd := matchBrace(src, pos+braceIdx)
 		if bodyEnd < 0 {
 			bodyEnd = len(src)
-			sheet.unclosed = true
+			p.sheet.unclosed = true
 		}
 		body := src[bodyStart:bodyEnd]
 		source := src[pos:min(bodyEnd+1, len(src))]
@@ -148,16 +169,17 @@ func parseRules(src, media string, sheet *Stylesheet) []piece {
 		// An unparseable selector list or an empty block is not a rule to
 		// style with, but only text the parser failed to read: it stays.
 		sels, err := ParseSelectorList(selText)
-		var decls []Declaration
+		p.decls = p.decls[:0]
 		if err == nil {
-			decls = ParseDeclarations(body)
+			p.decls = appendDeclarations(p.decls, body)
 		}
-		if len(decls) == 0 {
+		if len(p.decls) == 0 {
 			pieces = append(pieces, piece{text: source})
 			continue
 		}
+		sheet := p.sheet
 		pieces = append(pieces, piece{kind: rulePiece, rule: len(sheet.Rules)})
-		sheet.Rules = append(sheet.Rules, Rule{Selectors: sels, Decls: decls, Media: media, Source: source})
+		sheet.Rules = append(sheet.Rules, Rule{Selectors: sels, Decls: slices.Clone(p.decls), Media: media, Source: source})
 	}
 	return pieces
 }
@@ -165,7 +187,7 @@ func parseRules(src, media string, sheet *Stylesheet) []piece {
 // parseAtRule handles @media (recursing into its block), and skips any
 // other at-rule safely. It returns the rule as a piece and the position
 // after it.
-func parseAtRule(src string, pos int, media string, sheet *Stylesheet) (piece, int) {
+func (p *sheetParser) parseAtRule(src string, pos int, media string) (piece, int) {
 	semi := strings.IndexByte(src[pos:], ';')
 	brace := indexTopLevel(src[pos:], '{')
 	// Statement at-rule (@import, @charset ...): ends at ';'.
@@ -179,7 +201,7 @@ func parseAtRule(src string, pos int, media string, sheet *Stylesheet) (piece, i
 	end := matchBrace(src, pos+brace)
 	if end < 0 {
 		end = len(src)
-		sheet.unclosed = true
+		p.sheet.unclosed = true
 	}
 	next := min(end+1, len(src))
 	if !strings.HasPrefix(header, "@media") {
@@ -190,15 +212,20 @@ func parseAtRule(src string, pos int, media string, sheet *Stylesheet) (piece, i
 	if media != "" {
 		cond = media + " and " + cond
 	}
-	block := parseRules(src[pos+brace+1:end], cond, sheet)
+	block := p.parseRules(src[pos+brace+1:end], cond, nil)
 	return piece{kind: mediaPiece, text: header, block: block}, next
 }
 
 // ParseDeclarations parses the inside of a declaration block (or an
 // inline style attribute value).
 func ParseDeclarations(src string) []Declaration {
-	var out []Declaration
-	for _, part := range splitTopLevel(stripComments(src), ';') {
+	return appendDeclarations(nil, src)
+}
+
+// appendDeclarations appends the declarations of the block src to dst,
+// shorthands as their longhands, and returns the extended slice.
+func appendDeclarations(dst []Declaration, src string) []Declaration {
+	for part := range topLevelParts(stripComments(src), ';') {
 		colon := indexTopLevel(part, ':')
 		if colon <= 0 {
 			continue
@@ -213,104 +240,123 @@ func ParseDeclarations(src string) []Declaration {
 			d.Important = true
 			d.Value = strings.TrimSpace(val[:len(val)-len("!important")])
 		}
-		out = append(out, expandShorthand(d)...)
+		dst = appendLonghands(dst, d)
 	}
-	return out
+	return dst
 }
 
-// expandShorthand expands the shorthand properties the layout engine
-// consumes into their longhand forms. Unknown properties pass through.
-func expandShorthand(d Declaration) []Declaration {
+// The longhands of the box shorthands, in the order a value lists the
+// sides: top, right, bottom, left.
+var (
+	marginSides      = [4]string{"margin-top", "margin-right", "margin-bottom", "margin-left"}
+	paddingSides     = [4]string{"padding-top", "padding-right", "padding-bottom", "padding-left"}
+	borderWidthSides = [4]string{"border-top-width", "border-right-width", "border-bottom-width", "border-left-width"}
+)
+
+// borderSides holds each side's width, style and color longhands, top,
+// right, bottom, left.
+var borderSides = [4][3]string{
+	{"border-top-width", "border-top-style", "border-top-color"},
+	{"border-right-width", "border-right-style", "border-right-color"},
+	{"border-bottom-width", "border-bottom-style", "border-bottom-color"},
+	{"border-left-width", "border-left-style", "border-left-color"},
+}
+
+// appendLonghands appends d to dst, a shorthand the layout engine
+// consumes as its longhands. Other properties pass through.
+func appendLonghands(dst []Declaration, d Declaration) []Declaration {
 	switch d.Prop {
-	case "margin", "padding":
-		return expandBox(d.Prop, d)
+	case "margin":
+		return appendBox(dst, &marginSides, d)
+	case "padding":
+		return appendBox(dst, &paddingSides, d)
 	case "border-width":
-		return expandBox("border", d, "-width")
+		return appendBox(dst, &borderWidthSides, d)
 	case "border":
-		return expandBorder(d, "top", "right", "bottom", "left")
-	case "border-top", "border-right", "border-bottom", "border-left":
-		side := strings.TrimPrefix(d.Prop, "border-")
-		return expandBorder(d, side)
+		return appendBorder(dst, borderSides[:], d)
+	case "border-top":
+		return appendBorder(dst, borderSides[0:1], d)
+	case "border-right":
+		return appendBorder(dst, borderSides[1:2], d)
+	case "border-bottom":
+		return appendBorder(dst, borderSides[2:3], d)
+	case "border-left":
+		return appendBorder(dst, borderSides[3:4], d)
 	case "background":
 		// Take the first token that parses as a color.
-		for _, tok := range strings.Fields(d.Value) {
+		for tok := range strings.FieldsSeq(d.Value) {
 			if _, ok := ParseColor(tok); ok {
-				return []Declaration{{Prop: "background-color", Value: tok, Important: d.Important}}
+				return append(dst, Declaration{Prop: "background-color", Value: tok, Important: d.Important})
 			}
 		}
-		return []Declaration{d}
-	default:
-		return []Declaration{d}
 	}
+	return append(dst, d)
 }
 
-// expandBox expands 1-4 value box shorthands: margin/padding/border-width.
-func expandBox(prefix string, d Declaration, suffix ...string) []Declaration {
-	suf := ""
-	if len(suffix) > 0 {
-		suf = suffix[0]
+// appendBox appends the four longhands of a 1-4 value box shorthand
+// (margin, padding, border-width); a value of more than four tokens
+// appends nothing.
+func appendBox(dst []Declaration, sides *[4]string, d Declaration) []Declaration {
+	var vals [4]string
+	n := 0
+	for tok := range strings.FieldsSeq(d.Value) {
+		if n == len(vals) {
+			return dst
+		}
+		vals[n] = tok
+		n++
 	}
-	vals := strings.Fields(d.Value)
-	if len(vals) == 0 || len(vals) > 4 {
-		return nil
-	}
-	var top, right, bottom, left string
-	switch len(vals) {
+	switch n {
+	case 0:
+		return dst
 	case 1:
-		top, right, bottom, left = vals[0], vals[0], vals[0], vals[0]
+		vals[1], vals[2], vals[3] = vals[0], vals[0], vals[0]
 	case 2:
-		top, right, bottom, left = vals[0], vals[1], vals[0], vals[1]
+		vals[2], vals[3] = vals[0], vals[1]
 	case 3:
-		top, right, bottom, left = vals[0], vals[1], vals[2], vals[1]
-	case 4:
-		top, right, bottom, left = vals[0], vals[1], vals[2], vals[3]
+		vals[3] = vals[1]
 	}
-	mk := func(side, v string) Declaration {
-		return Declaration{Prop: prefix + "-" + side + suf, Value: v, Important: d.Important}
+	for i, prop := range sides {
+		dst = append(dst, Declaration{Prop: prop, Value: vals[i], Important: d.Important})
 	}
-	return []Declaration{mk("top", top), mk("right", right), mk("bottom", bottom), mk("left", left)}
+	return dst
 }
 
-// expandBorder expands "border[-side]: width style color" for the given
-// sides.
-func expandBorder(d Declaration, sides ...string) []Declaration {
-	var width, style, colorVal string
-	for _, tok := range strings.Fields(d.Value) {
+// appendBorder appends, for each of sides, the width, style and color
+// longhands "border[-side]: width style color" sets.
+func appendBorder(dst []Declaration, sides [][3]string, d Declaration) []Declaration {
+	var vals [3]string // width, style, color
+	for tok := range strings.FieldsSeq(d.Value) {
 		lower := strings.ToLower(tok)
 		switch {
 		case lower == "none" || lower == "solid" || lower == "dashed" ||
 			lower == "dotted" || lower == "double" || lower == "hidden":
-			style = lower
+			vals[1] = lower
 		default:
 			if _, ok := ParseColor(tok); ok {
-				colorVal = tok
+				vals[2] = tok
 			} else if _, ok := ParseLength(tok, 0); ok || lower == "thin" || lower == "medium" || lower == "thick" {
 				switch lower {
 				case "thin":
-					width = "1px"
+					vals[0] = "1px"
 				case "medium":
-					width = "3px"
+					vals[0] = "3px"
 				case "thick":
-					width = "5px"
+					vals[0] = "5px"
 				default:
-					width = tok
+					vals[0] = tok
 				}
 			}
 		}
 	}
-	var out []Declaration
 	for _, side := range sides {
-		if width != "" {
-			out = append(out, Declaration{Prop: "border-" + side + "-width", Value: width, Important: d.Important})
-		}
-		if style != "" {
-			out = append(out, Declaration{Prop: "border-" + side + "-style", Value: style, Important: d.Important})
-		}
-		if colorVal != "" {
-			out = append(out, Declaration{Prop: "border-" + side + "-color", Value: colorVal, Important: d.Important})
+		for i, prop := range side {
+			if vals[i] != "" {
+				dst = append(dst, Declaration{Prop: prop, Value: vals[i], Important: d.Important})
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 func stripComments(src string) string {
@@ -325,6 +371,52 @@ func stripComments(src string) string {
 		}
 		src = src[:start] + " " + src[start+2+end+2:]
 	}
+}
+
+// topLevelParts yields the parts of src between the separators sep that
+// are not nested inside parentheses, brackets or quotes, each trimmed of
+// space, empty ones skipped.
+func topLevelParts(src string, sep byte) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for rest := src; rest != ""; {
+			var part string
+			part, rest = cutTopLevel(rest, sep)
+			if part = strings.TrimSpace(part); part != "" && !yield(part) {
+				return
+			}
+		}
+	}
+}
+
+// cutTopLevel slices src around the first sep that is not nested inside
+// parentheses, brackets or quotes; after is "" when there is none. A
+// closing bracket with no opener takes the depth below zero: no later sep
+// cuts until an opener brings it back.
+func cutTopLevel(src string, sep byte) (before, after string) {
+	var depth int
+	var quote byte
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if quote != 0 {
+			if c == quote {
+				quote = 0
+			}
+			continue
+		}
+		switch c {
+		case '"', '\'':
+			quote = c
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case sep:
+			if depth == 0 {
+				return src[:i], src[i+1:]
+			}
+		}
+	}
+	return src, ""
 }
 
 // indexTopLevel returns the index of the first occurrence of target in

@@ -32,6 +32,12 @@ type Selector struct {
 	// userState says the selector asks for a state a user puts an element
 	// in or takes it out of (see MayMatch).
 	userState bool
+	// inline backs parts and combs while a selector has at most two
+	// compounds, as most do, so they need no allocation of their own. A
+	// Selector is therefore not copied: a copy's parts would still be
+	// the original's.
+	inline      [2]compound
+	inlineCombs [1]Combinator
 }
 
 // String returns the original selector text.
@@ -70,29 +76,42 @@ var ErrEmptySelector = errors.New("css: empty selector")
 
 // ParseSelectorList parses a comma-separated selector list.
 func ParseSelectorList(src string) ([]*Selector, error) {
-	var out []*Selector
-	for _, part := range splitTopLevel(src, ',') {
-		sel, err := ParseSelector(part)
-		if err != nil {
+	n := 0
+	for range topLevelParts(src, ',') {
+		n++
+	}
+	if n == 0 {
+		return nil, ErrEmptySelector
+	}
+	sels, out := make([]Selector, n), make([]*Selector, n)
+	i := 0
+	for part := range topLevelParts(src, ',') {
+		if err := sels[i].parse(part); err != nil {
 			return nil, err
 		}
-		out = append(out, sel)
-	}
-	if len(out) == 0 {
-		return nil, ErrEmptySelector
+		out[i] = &sels[i]
+		i++
 	}
 	return out, nil
 }
 
 // ParseSelector parses a single complex selector.
 func ParseSelector(src string) (*Selector, error) {
-	p := &selParser{src: strings.TrimSpace(src)}
-	sel, err := p.parse()
-	if err != nil {
-		return nil, fmt.Errorf("css: parsing selector %q: %w", src, err)
+	sel := new(Selector)
+	if err := sel.parse(src); err != nil {
+		return nil, err
 	}
-	sel.raw = strings.TrimSpace(src)
 	return sel, nil
+}
+
+// parse parses the complex selector src into s.
+func (s *Selector) parse(src string) error {
+	p := selParser{src: strings.TrimSpace(src)}
+	if err := p.parse(s); err != nil {
+		return fmt.Errorf("css: parsing selector %q: %w", src, err)
+	}
+	s.raw = p.src
+	return nil
 }
 
 // MustSelector is ParseSelector for known-good selectors in tests and
@@ -110,14 +129,11 @@ type selParser struct {
 	pos int
 }
 
-func (p *selParser) parse() (*Selector, error) {
-	var (
-		parts []compound
-		combs []Combinator
-	)
+func (p *selParser) parse(sel *Selector) error {
+	parts, combs := sel.inline[:0], sel.inlineCombs[:0]
 	comp, err := p.parseCompound()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	parts = append(parts, comp)
 	for {
@@ -127,13 +143,13 @@ func (p *selParser) parse() (*Selector, error) {
 		}
 		next, err := p.parseCompound()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		parts = append(parts, next)
 		combs = append(combs, comb)
 	}
 	if p.pos < len(p.src) {
-		return nil, fmt.Errorf("unexpected %q at offset %d", p.src[p.pos], p.pos)
+		return fmt.Errorf("unexpected %q at offset %d", p.src[p.pos], p.pos)
 	}
 	// Reverse to right-to-left order for matching.
 	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
@@ -142,7 +158,7 @@ func (p *selParser) parse() (*Selector, error) {
 	for i, j := 0, len(combs)-1; i < j; i, j = i+1, j-1 {
 		combs[i], combs[j] = combs[j], combs[i]
 	}
-	sel := &Selector{parts: parts, combs: combs}
+	sel.parts, sel.combs = parts, combs
 	sel.spec = computeSpecificity(parts)
 	for _, comp := range parts {
 		for _, ps := range comp.pseudos {
@@ -154,7 +170,7 @@ func (p *selParser) parse() (*Selector, error) {
 			}
 		}
 	}
-	return sel, nil
+	return nil
 }
 
 func (p *selParser) parseCombinator() (Combinator, bool) {
@@ -653,44 +669,4 @@ func (s *Selector) Query(root *dom.Node) *dom.Node {
 		return true
 	})
 	return found
-}
-
-// splitTopLevel splits src on sep, ignoring separators nested inside
-// parentheses, brackets, or quotes.
-func splitTopLevel(src string, sep byte) []string {
-	var (
-		out   []string
-		depth int
-		quote byte
-		start int
-	)
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if quote != 0 {
-			if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
-		case '"', '\'':
-			quote = c
-		case '(', '[':
-			depth++
-		case ')', ']':
-			depth--
-		case sep:
-			if depth == 0 {
-				part := strings.TrimSpace(src[start:i])
-				if part != "" {
-					out = append(out, part)
-				}
-				start = i + 1
-			}
-		}
-	}
-	if part := strings.TrimSpace(src[start:]); part != "" {
-		out = append(out, part)
-	}
-	return out
 }

@@ -37,6 +37,10 @@ const (
 	KindBreakerOpen ErrorKind = "breaker_open"
 	// KindTransport is any other transport-level failure.
 	KindTransport ErrorKind = "transport"
+	// KindTooLarge is a response body over the fetcher's limit: the
+	// origin answered, but a page cut short would be adapted as if it
+	// were whole.
+	KindTooLarge ErrorKind = "too_large"
 )
 
 // Error is the typed failure every fetch method returns for transport

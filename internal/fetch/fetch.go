@@ -384,15 +384,9 @@ func (f *Fetcher) attempt(ctx context.Context, rawURL string, cond Condition) (*
 			NotModified:  true,
 		}, nil
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, err := readBody(rawURL, req.URL.Host, resp.Body, br)
 	if err != nil {
-		if br != nil {
-			br.Record(false)
-		}
-		return nil, &Error{
-			URL: rawURL, Origin: req.URL.Host, Kind: KindReset, Attempts: 1,
-			Err: fmt.Errorf("fetch: reading %s: %w", rawURL, err),
-		}
+		return nil, err
 	}
 	page := &Page{
 		URL:          resp.Request.URL.String(),
@@ -455,15 +449,9 @@ func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) 
 		return nil, transportError(rawURL, 1, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	body, err := readBody(rawURL, req.URL.Host, resp.Body, br)
 	if err != nil {
-		if br != nil {
-			br.Record(false)
-		}
-		return nil, &Error{
-			URL: rawURL, Origin: req.URL.Host, Kind: KindReset, Attempts: 1,
-			Err: fmt.Errorf("fetch: reading %s: %w", rawURL, err),
-		}
+		return nil, err
 	}
 	page := &Page{
 		URL:         resp.Request.URL.String(),
@@ -481,6 +469,33 @@ func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) 
 		br.Record(true)
 	}
 	return page, nil
+}
+
+// readBody reads a response body of at most maxBodyBytes and records the
+// outcome with br, which may be nil. A failed read is a KindReset failure
+// of the origin; a longer body is a KindTooLarge error, never a page cut
+// short, and the breaker records a success, since the origin answered.
+func readBody(rawURL, host string, r io.Reader, br *Breaker) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
+	if err != nil {
+		if br != nil {
+			br.Record(false)
+		}
+		return nil, &Error{
+			URL: rawURL, Origin: host, Kind: KindReset, Attempts: 1,
+			Err: fmt.Errorf("fetch: reading %s: %w", rawURL, err),
+		}
+	}
+	if len(body) > maxBodyBytes {
+		if br != nil {
+			br.Record(true)
+		}
+		return nil, &Error{
+			URL: rawURL, Origin: host, Kind: KindTooLarge, Attempts: 1,
+			Err: fmt.Errorf("body exceeds %d bytes", maxBodyBytes),
+		}
+	}
+	return body, nil
 }
 
 func parseRealm(header string) string {

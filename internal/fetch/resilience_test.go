@@ -278,3 +278,46 @@ func TestBreakerShortCircuitsFetch(t *testing.T) {
 		t.Fatal("open breaker still contacted the origin")
 	}
 }
+
+// TestBodyOverLimitIsTooLarge: a body one byte over the limit fails, on
+// GET and POST alike, with a too_large error that is neither retried nor
+// held against the origin, where it used to come back cut to the limit
+// with no error; a body of exactly the limit is fetched whole.
+func TestBodyOverLimitIsTooLarge(t *testing.T) {
+	body := make([]byte, maxBodyBytes+1)
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		n := maxBodyBytes
+		if r.URL.Path == "/over" {
+			n++
+		}
+		_, _ = w.Write(body[:n])
+	}))
+	defer srv.Close()
+
+	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
+	f := New(nil, WithRetries(3), WithBackoff(time.Millisecond, time.Millisecond), WithBreaker(set))
+	fetches := map[string]func(url string) (*Page, error){
+		"GET":  f.Get,
+		"POST": func(url string) (*Page, error) { return f.PostForm(url, nil) },
+	}
+	for method, fetch := range fetches {
+		hits.Store(0)
+		page, err := fetch(srv.URL + "/over")
+		var fe *Error
+		if !errors.As(err, &fe) || fe.Kind != KindTooLarge || page != nil {
+			t.Fatalf("%s of %d bytes: page %v, err %v; want a too_large error", method, maxBodyBytes+1, page != nil, err)
+		}
+		if Retryable(err) || hits.Load() != 1 {
+			t.Fatalf("%s: too_large retried (%d origin hits)", method, hits.Load())
+		}
+		if st := set.State(fe.Origin); st != StateClosed {
+			t.Fatalf("%s: breaker %v after too_large, want closed", method, st)
+		}
+		page, err = fetch(srv.URL + "/limit")
+		if err != nil || len(page.Body) != maxBodyBytes {
+			t.Fatalf("%s of %d bytes: err %v", method, maxBodyBytes, err)
+		}
+	}
+}

@@ -324,7 +324,7 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 	for child := n.FirstChild; child != nil; child = child.NextSibling {
 		switch child.Type {
 		case dom.TextNode:
-			if floatMaxY > 0 && len(strings.Fields(child.Data)) > 0 {
+			if floatMaxY > 0 && strings.TrimSpace(child.Data) != "" {
 				flushLine()
 				clearFloats()
 			}
@@ -517,6 +517,7 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 	if v, err := strconv.ParseFloat(n.AttrOr("cellpadding", ""), 64); err == nil && v >= 0 {
 		padding = v
 	}
+	pad := strconv.FormatFloat(padding, 'f', -1, 64) + "px"
 
 	rows := tableRows(n)
 	if len(rows) == 0 {
@@ -557,7 +558,6 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 			cellStyle := c.styler.ComputedStyle(cell, rowStyle)
 			// Apply table cellpadding when the cell declares none.
 			if padding > 0 && cellStyle.Get("padding-top", "") == "" {
-				pad := strconv.FormatFloat(padding, 'f', -1, 64) + "px"
 				cellStyle["padding-top"] = pad
 				cellStyle["padding-right"] = pad
 				cellStyle["padding-bottom"] = pad
@@ -617,9 +617,13 @@ func rowCells(row *dom.Node) []*dom.Node {
 	return cells
 }
 
+// cellSpan returns how many columns a cell's colspan says it takes: 1
+// unless the attribute is an integer above 1.
 func cellSpan(cell *dom.Node) int {
-	if v, err := strconv.Atoi(cell.AttrOr("colspan", "")); err == nil && v > 1 {
-		return v
+	if colspan, ok := cell.Attr("colspan"); ok {
+		if v, err := strconv.Atoi(colspan); err == nil && v > 1 {
+			return v
+		}
 	}
 	return 1
 }
@@ -693,12 +697,8 @@ func (lc *lineCtx) addText(node *dom.Node, style css.Style) {
 	underline := underlineOf(style, node)
 	col := colorOf(style)
 
-	words := strings.Fields(node.Data)
-	if len(words) == 0 {
-		return
-	}
 	space := CharWidth(fs)
-	for _, w := range words {
+	for w := range strings.FieldsSeq(node.Data) {
 		ww := TextWidth(w, fs)
 		needed := ww
 		if lc.started {

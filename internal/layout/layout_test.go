@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"msite/internal/css"
+	"msite/internal/dom"
 	"msite/internal/html"
 )
 
@@ -367,3 +368,37 @@ func TestLinkUnderline(t *testing.T) {
 		t.Fatal("explicit underline ignored")
 	}
 }
+
+// TestCellSpan pins the columns a cell's colspan gives it, and that a
+// cell without the attribute — most cells — costs no allocation.
+func TestCellSpan(t *testing.T) {
+	cases := []struct {
+		name    string
+		colspan *string
+		want    int
+	}{
+		{"absent", nil, 1},
+		{`""`, ptr(""), 1},
+		{`"0"`, ptr("0"), 1},
+		{`"1"`, ptr("1"), 1},
+		{`"3"`, ptr("3"), 3},
+		{`" 2"`, ptr(" 2"), 1},
+		{`"x"`, ptr("x"), 1},
+	}
+	for _, c := range cases {
+		cell := dom.NewElement("td")
+		if c.colspan != nil {
+			cell.SetAttr("colspan", *c.colspan)
+		}
+		if got := cellSpan(cell); got != c.want {
+			t.Errorf("colspan %s: span %d, want %d", c.name, got, c.want)
+		}
+		if c.colspan == nil {
+			if allocs := testing.AllocsPerRun(100, func() { cellSpan(cell) }); allocs != 0 {
+				t.Errorf("colspan absent: %.0f allocations, want 0", allocs)
+			}
+		}
+	}
+}
+
+func ptr(s string) *string { return &s }

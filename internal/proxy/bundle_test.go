@@ -641,7 +641,12 @@ func TestStylesheetsParsedOncePerBuild(t *testing.T) {
 			rig.p.shared, rig.p.sharedSrc = nil, nil
 			rig.p.sharedMu.Unlock()
 		}
+		// The durable tier writes and deletes asynchronously, on several
+		// writers: drain it on both sides of the delete, or the last
+		// render's write-through can land after it and serve the view.
+		rig.tc.Flush(5 * time.Second)
 		rig.p.cfg.Cache.Delete("snapshot:" + rig.p.cfg.Spec.Name)
+		rig.tc.Flush(5 * time.Second)
 		var again string
 		if n := parsed(func() { again = view() }); n != len(texts) {
 			t.Fatalf("a later render of the %s Bundle parsed %d stylesheets, want %d", from, n, len(texts))
