@@ -2,16 +2,17 @@
 // go test -bench=. -benchmem). One benchmark per table/figure plus the
 // ablations DESIGN.md calls out:
 //
-//	BenchmarkTable1*      — Table 1 rows (simulated wall-clock + the
-//	                        measured snapshot-generation pipeline)
-//	BenchmarkFigure7*     — the two Figure 7 cost paths and the sweep
+//	BenchmarkTable1       — Table 1 rows (simulated wall-clock + the
+//	                        proxy's measured cold view)
+//	BenchmarkFigure7Sweep — the Figure 7 sweep against the real proxy
 //	BenchmarkFidelity*    — §3.3 image-fidelity ladder
 //	BenchmarkPreRenderSpeedup, BenchmarkPageWeight — in-text results
 //	BenchmarkFigure5*, BenchmarkFigure6* — the qualitative adaptations
-//	BenchmarkAblation*    — render cache, filter-only fast path,
-//	                        browser pooling
+//	BenchmarkAblation*    — DOM parse, serial vs parallel fetch and paint
 //	BenchmarkScaleFactor, BenchmarkRenderScaled — the device-scale
 //	                        render and its scale step, with allocations
+//	BenchmarkProxyEntryWarm, BenchmarkProxyNewUser — a returning and a
+//	                        new device's entry view through the proxy
 package msite_test
 
 import (
@@ -23,12 +24,10 @@ import (
 	"time"
 
 	"msite/internal/attr"
-	"msite/internal/browser"
 	"msite/internal/cache"
 	"msite/internal/css"
 	"msite/internal/experiments"
 	"msite/internal/fetch"
-	"msite/internal/filter"
 	"msite/internal/html"
 	"msite/internal/imaging"
 	"msite/internal/jq"
@@ -38,8 +37,6 @@ import (
 	"msite/internal/proxy"
 	"msite/internal/raster"
 	"msite/internal/session"
-	"msite/internal/spec"
-	"msite/internal/workload"
 )
 
 func forumOrigin(b *testing.B) (*origin.Forum, string) {
@@ -94,66 +91,10 @@ func metricName(label string) string {
 	return string(out) + "_s"
 }
 
-// BenchmarkTable1SnapshotGeneration measures the table's one directly
-// measured row: the server-side snapshot pipeline (parse → cascade →
-// layout → raster → scale → encode) on the fetched entry page.
-func BenchmarkTable1SnapshotGeneration(b *testing.B) {
-	_, url := forumOrigin(b)
-	src := entrySource(b, url)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doc := html.Tidy(src)
-		styler := css.StylerForDocument(doc)
-		res := layout.Layout(doc, styler, layout.Viewport{Width: 1024})
-		img := raster.Paint(res, raster.Options{})
-		if _, err := imaging.Encode(imaging.ScaleFactor(img, 0.45), imaging.FidelityLow); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure7BrowserPath is the expensive Figure 7 path: one full
-// browser-instance request (launch, full render, encode, close) — the
-// per-request cost of the Highlight-style architecture the paper
-// improves on.
-func BenchmarkFigure7BrowserPath(b *testing.B) {
-	_, url := forumOrigin(b)
-	src := entrySource(b, url)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst, err := browser.Launch(1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := inst.LoadAndEncode(src, imaging.FidelityLow); err != nil {
-			b.Fatal(err)
-		}
-		inst.Close()
-	}
-}
-
-// BenchmarkFigure7LightweightPath is the cheap path: the source-level
-// filter phase only, "avoiding a DOM parse altogether" (§3.2).
-func BenchmarkFigure7LightweightPath(b *testing.B) {
-	_, url := forumOrigin(b)
-	src := entrySource(b, url)
-	filters := []spec.Filter{
-		{Type: "doctype", Params: map[string]string{"value": "html"}},
-		{Type: "title", Params: map[string]string{"value": "m.Site"}},
-		{Type: "strip-scripts"},
-		{Type: "rewrite-images", Params: map[string]string{"prefix": "/lowfi"}},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := filter.Apply(src, filters); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure7Sweep runs a scaled-down sweep (250 ms windows vs the
-// paper's 1-minute) and reports throughput at the endpoints plus the
-// ratio — the paper's 224 → 29,038 req/min, two orders of magnitude.
+// BenchmarkFigure7Sweep runs a scaled-down sweep against the proxy (250 ms
+// windows vs the paper's 1-minute) and reports throughput at the endpoints
+// plus the ratio — the paper's 224 → 29,038 req/min, two orders of
+// magnitude.
 func BenchmarkFigure7Sweep(b *testing.B) {
 	_, url := forumOrigin(b)
 	var points []experiments.Fig7Point
@@ -286,51 +227,8 @@ func BenchmarkFigure6FragmentExtraction(b *testing.B) {
 
 // --- ablations ---
 
-// BenchmarkAblationCacheMiss is one full snapshot render (the cache-miss
-// cost each 60-minute window pays once).
-func BenchmarkAblationCacheMiss(b *testing.B) {
-	_, url := forumOrigin(b)
-	src := entrySource(b, url)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		doc := html.Tidy(src)
-		styler := css.StylerForDocument(doc)
-		res := layout.Layout(doc, styler, layout.Viewport{Width: 1024})
-		img := raster.Paint(res, raster.Options{})
-		if _, err := imaging.Encode(imaging.ScaleFactor(img, 0.45), imaging.FidelityLow); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCacheHit is the amortized cost every other client in
-// the window pays.
-func BenchmarkAblationCacheHit(b *testing.B) {
-	_, url := forumOrigin(b)
-	src := entrySource(b, url)
-	c := cache.New()
-	fill := func() (cache.Entry, error) {
-		doc := html.Tidy(src)
-		styler := css.StylerForDocument(doc)
-		res := layout.Layout(doc, styler, layout.Viewport{Width: 1024})
-		img := raster.Paint(res, raster.Options{})
-		data, err := imaging.Encode(imaging.ScaleFactor(img, 0.45), imaging.FidelityLow)
-		return cache.Entry{Data: data}, err
-	}
-	if _, err := c.GetOrFill("snap", time.Hour, fill); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.GetOrFill("snap", time.Hour, fill); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationTidyDOMPath is the filter-phase-plus-DOM-parse cost,
-// quantifying what "avoiding a DOM parse altogether" saves relative to
-// BenchmarkFigure7LightweightPath.
+// BenchmarkAblationTidyDOMPath is the DOM parse of the entry page, what
+// the filter phase's "avoiding a DOM parse altogether" (§3.2) saves.
 func BenchmarkAblationTidyDOMPath(b *testing.B) {
 	_, url := forumOrigin(b)
 	src := entrySource(b, url)
@@ -340,27 +238,6 @@ func BenchmarkAblationTidyDOMPath(b *testing.B) {
 		if doc.Body() == nil {
 			b.Fatal("no body")
 		}
-	}
-}
-
-// BenchmarkAblationBrowserPool quantifies what instance pooling would
-// buy (the paper declines it for isolation reasons, §4.6): render via a
-// reused instance instead of launching per request.
-func BenchmarkAblationBrowserPool(b *testing.B) {
-	_, url := forumOrigin(b)
-	src := entrySource(b, url)
-	pool := browser.NewPool(1024, 1)
-	defer pool.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inst, err := pool.Acquire()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := inst.LoadAndEncode(src, imaging.FidelityLow); err != nil {
-			b.Fatal(err)
-		}
-		pool.Release(inst)
 	}
 }
 
@@ -448,30 +325,6 @@ func BenchmarkRenderScaled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkWorkloadMixed10 is the Figure 7 mid-curve point: 10% browser
-// renders, matching the knee region of the paper's plot.
-func BenchmarkWorkloadMixed10(b *testing.B) {
-	_, url := forumOrigin(b)
-	var res workload.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = workload.Run(workload.Config{
-			OriginURL:      url + "/",
-			BrowserPercent: 10,
-			Window:         200 * time.Millisecond,
-			Concurrency:    2,
-			ViewportWidth:  1024,
-			Seed:           int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(res.Throughput(), "req_per_min")
 }
 
 // BenchmarkProxyEntryWarm measures the full proxy path for a returning

@@ -70,17 +70,21 @@ func run() error {
 		case "ablation":
 			row, err := experiments.CacheAblation(url)
 			return show(err, func() string {
-				return fmt.Sprintf("Ablation: %s\nrender: %v, cache hit: %v (%.0fx)\n",
-					row.Name, row.Baseline, row.Variant, float64(row.Baseline)/float64(row.Variant))
+				cold, second := row.Baseline, row.Variant
+				return fmt.Sprintf("Ablation: %s\ncold view: %v (%d adaptation, %d snapshot render)\n"+
+					"second device: %v (%d B over %d requests, %d snapshot hit) (%.0fx)\n",
+					row.Name, cold.Elapsed, cold.Stats.Adaptations, cold.Stats.SnapshotRenders,
+					second.Elapsed, second.Complexity.Bytes, second.Complexity.Requests,
+					second.Stats.SnapshotHits-cold.Stats.SnapshotHits, float64(cold.Elapsed)/float64(second.Elapsed))
 			})
 		case "fig7":
 			points, err := experiments.Figure7(experiments.Fig7Config{OriginURL: url, Window: *window, Reps: *reps})
 			if err != nil || !*csv {
 				return show(err, func() string { return experiments.FormatFig7(points) })
 			}
-			fmt.Println("browser_percent,req_per_min,runs")
+			fmt.Println("browser_percent,req_per_min,runs,marked,builds,coalesced")
 			for _, p := range points {
-				fmt.Printf("%.1f,%.0f,%d\n", p.BrowserPercent, p.ReqPerMin, p.Runs)
+				fmt.Printf("%.1f,%.0f,%d,%d,%d,%d\n", p.BrowserPercent, p.ReqPerMin, p.Runs, p.Marked, p.Builds, p.Coalesced)
 			}
 			return nil
 		}

@@ -14,10 +14,8 @@ import (
 	"os"
 	"time"
 
-	"msite/internal/attr"
 	"msite/internal/device"
 	"msite/internal/experiments"
-	"msite/internal/fetch"
 	"msite/internal/netsim"
 	"msite/internal/origin"
 )
@@ -34,23 +32,25 @@ func run() error {
 	srv := httptest.NewServer(forum.Handler())
 	defer srv.Close()
 
-	load, err := fetch.New(nil).GetWithResources(srv.URL + "/")
+	url := srv.URL + "/"
+
+	profile, err := experiments.ProfilePage(url)
 	if err != nil {
 		return err
 	}
-	c := attr.ComplexityOf(load.Page.Doc(), load.TotalBytes, load.Requests)
-	direct := device.PageComplexity{
-		Bytes: c.Bytes, Requests: c.Requests, Elements: c.Elements,
-		Scripts: c.Scripts, Images: c.Images, StyleRules: c.StyleRules,
+	direct := profile.Complexity
+	// The cached snapshot entry page as the proxy serves a second device:
+	// the overlay document and the snapshot it references.
+	_, served, err := experiments.ServedEntry(url)
+	if err != nil {
+		return err
 	}
-	// The cached snapshot entry page: one scaled low-fidelity image plus
-	// a small overlay document.
-	snapshot := device.PageComplexity{
-		Bytes: 32_000, Requests: 2, Elements: 12, Images: 1,
-	}
+	snapshot := served.Complexity
 
-	fmt.Printf("origin entry page: %d bytes over %d requests, %d elements, %d scripts\n\n",
+	fmt.Printf("origin entry page: %d bytes over %d requests, %d elements, %d scripts\n",
 		direct.Bytes, direct.Requests, direct.Elements, direct.Scripts)
+	fmt.Printf("served snapshot page: %d bytes over %d requests, %d elements\n\n",
+		snapshot.Bytes, snapshot.Requests, snapshot.Elements)
 
 	links := []netsim.Link{netsim.ThreeG, netsim.WiFi, netsim.Broadband}
 
@@ -72,7 +72,7 @@ func run() error {
 	}
 
 	// Paper-faithful Table 1 for reference.
-	rows, err := experiments.Table1(srv.URL + "/")
+	rows, err := experiments.Table1(url)
 	if err != nil {
 		return err
 	}

@@ -8,9 +8,12 @@ import (
 )
 
 // fuzzSheets seed FuzzParseStylesheet, and TestParseMatchesOracle runs
-// them too. The last two hold a stray closing bracket: it takes the
-// nesting depth below zero, so no later separator of its block or
-// selector list cuts, which is how the parser has always read it.
+// them too. Two hold a stray closing bracket: it takes the nesting depth
+// below zero, so no later separator of its block or selector list cuts,
+// which is how the parser has always read it. The last five are comment
+// edge cases: empty and adjacent, `/*/` (which does not close), an
+// unterminated one after a rule, one inside a string (stripped like any
+// other) and a stray `*/`.
 var fuzzSheets = []string{
 	"",
 	"p { color: red }",
@@ -24,6 +27,11 @@ var fuzzSheets = []string{
 	"@media screen { @media (min-width: 1px) { p { a: b",
 	"p { a: b); c: d } q, r) , s { e: f }",
 	"p { a: b]; c: d; MARGIN: 1PX 2PX !IMPORTANT } s ) t { border: thin solid red }",
+	"/**//**/",
+	"/*/ x */",
+	"a{} /* b{}",
+	`a{content:"/*"}b{}`,
+	"a { b: c } */ d { e: f }",
 }
 
 // FuzzParseStylesheet: the stylesheet parser is error-tolerant by

@@ -15,12 +15,13 @@ import (
 )
 
 // This file keeps the parser as it was before it cut its input in place —
-// splitTopLevel, the expand* shorthand functions and a selector that grew
-// its own parts — as an oracle: the parser now allocates a fraction of
-// what this one did and must read every input exactly as it does.
+// splitTopLevel, the expand* shorthand functions, a selector that grew
+// its own parts and a comment stripper that copied the sheet once per
+// comment — as an oracle: the parser now allocates a fraction of what
+// this one did and must read every input exactly as it does.
 
 func oracleParseStylesheet(src string) *Stylesheet {
-	sheet := &Stylesheet{src: stripComments(src)}
+	sheet := &Stylesheet{src: oracleStripComments(src)}
 	sheet.pieces = oracleParseRules(sheet.src, "", sheet)
 	return sheet
 }
@@ -100,7 +101,7 @@ func oracleParseAtRule(src string, pos int, media string, sheet *Stylesheet) (pi
 
 func oracleParseDeclarations(src string) []Declaration {
 	var out []Declaration
-	for _, part := range oracleSplitTopLevel(stripComments(src), ';') {
+	for _, part := range oracleSplitTopLevel(oracleStripComments(src), ';') {
 		colon := indexTopLevel(part, ':')
 		if colon <= 0 {
 			continue
@@ -118,6 +119,22 @@ func oracleParseDeclarations(src string) []Declaration {
 		out = append(out, oracleExpandShorthand(d)...)
 	}
 	return out
+}
+
+// oracleStripComments is the comment stripper that rebuilt the rest of
+// the sheet once per comment.
+func oracleStripComments(src string) string {
+	for {
+		start := strings.Index(src, "/*")
+		if start < 0 {
+			return src
+		}
+		end := strings.Index(src[start+2:], "*/")
+		if end < 0 {
+			return src[:start]
+		}
+		src = src[:start] + " " + src[start+2+end+2:]
+	}
 }
 
 func oracleExpandShorthand(d Declaration) []Declaration {

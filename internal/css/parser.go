@@ -359,18 +359,28 @@ func appendBorder(dst []Declaration, sides [][3]string, d Declaration) []Declara
 	return dst
 }
 
+// stripComments replaces each /* … */ with one space and drops an
+// unterminated comment with the rest of src, in one pass into one buffer;
+// src without a comment comes back as it is.
 func stripComments(src string) string {
-	for {
-		start := strings.Index(src, "/*")
-		if start < 0 {
-			return src
-		}
+	start := strings.Index(src, "/*")
+	if start < 0 {
+		return src
+	}
+	var b strings.Builder
+	b.Grow(len(src))
+	for start >= 0 {
+		b.WriteString(src[:start])
 		end := strings.Index(src[start+2:], "*/")
 		if end < 0 {
-			return src[:start]
+			return b.String()
 		}
-		src = src[:start] + " " + src[start+2+end+2:]
+		b.WriteByte(' ')
+		src = src[start+2+end+2:]
+		start = strings.Index(src, "/*")
 	}
+	b.WriteString(src)
+	return b.String()
 }
 
 // topLevelParts yields the parts of src between the separators sep that

@@ -4,25 +4,36 @@
 // results. Each experiment returns structured rows that cmd/msite-bench
 // prints and this package's tests assert on, with the paper's numbers
 // carried alongside for the paper-vs-measured record in EXPERIMENTS.md.
+// Every m.Site number is read off views a real core.Framework serves.
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
+	"net/http/cookiejar"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"msite/internal/attr"
+	"msite/internal/core"
 	"msite/internal/css"
 	"msite/internal/device"
+	"msite/internal/dom"
 	"msite/internal/fetch"
 	"msite/internal/html"
 	"msite/internal/imaging"
 	"msite/internal/layout"
 	"msite/internal/netsim"
+	"msite/internal/proxy"
 	"msite/internal/raster"
 	"msite/internal/spec"
-	"msite/internal/workload"
 )
 
 // PageProfile captures the §4.2 cost drivers of the origin entry page,
@@ -44,7 +55,7 @@ func ProfilePage(originURL string) (*PageProfile, error) {
 		return nil, fmt.Errorf("experiments: profiling %s: %w", originURL, err)
 	}
 	doc := load.Page.Doc()
-	c := attr.ComplexityOf(doc, load.TotalBytes, load.Requests)
+	c := complexityOf(doc, load.TotalBytes, load.Requests)
 	// The render source carries the site's linked stylesheets inlined,
 	// exactly as the proxy's adaptation pipeline prepares pages, so
 	// snapshot renders reflect the real styling and cost.
@@ -54,15 +65,148 @@ func ProfilePage(originURL string) (*PageProfile, error) {
 	return &PageProfile{
 		TotalBytes: load.TotalBytes,
 		Requests:   load.Requests,
-		Complexity: device.PageComplexity{
-			Bytes:      c.Bytes,
-			Requests:   c.Requests,
-			Elements:   c.Elements,
-			Scripts:    c.Scripts,
-			Images:     c.Images,
-			StyleRules: c.StyleRules,
-		},
+		Complexity: c,
 		HTMLSource: html.Render(doc),
+	}, nil
+}
+
+// complexityOf is attr.ComplexityOf in the device model's terms.
+func complexityOf(doc *dom.Node, bytes, requests int) device.PageComplexity {
+	c := attr.ComplexityOf(doc, bytes, requests)
+	return device.PageComplexity{
+		Bytes:      c.Bytes,
+		Requests:   c.Requests,
+		Elements:   c.Elements,
+		Scripts:    c.Scripts,
+		Images:     c.Images,
+		StyleRules: c.StyleRules,
+	}
+}
+
+// servedProxy is one core.Framework for SpecForForum behind a loopback
+// server, configured as the repository benchmark configures its system
+// under test: sessions and a durable store in a temporary directory,
+// every other knob at its default.
+type servedProxy struct {
+	fw  *core.Framework
+	srv *httptest.Server
+	dir string
+}
+
+func serveForum(originURL string) (*servedProxy, error) {
+	dir, err := os.MkdirTemp("", "msite-experiments-")
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	fw, err := core.New(SpecForForum(strings.TrimSuffix(originURL, "/")), core.Config{
+		SessionRoot: filepath.Join(dir, "sessions"),
+		StoreDir:    filepath.Join(dir, "store"),
+	})
+	if err != nil {
+		_ = os.RemoveAll(dir)
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return &servedProxy{fw: fw, srv: httptest.NewServer(fw.Handler()), dir: dir}, nil
+}
+
+func (s *servedProxy) close() {
+	s.srv.Close()
+	s.fw.Close()
+	_ = os.RemoveAll(s.dir)
+}
+
+// newPhone is a new device: its own cookie jar, so its own session.
+func newPhone() *http.Client {
+	jar, _ := cookiejar.New(nil) // nil options never fail
+	return &http.Client{Jar: jar, Timeout: time.Minute}
+}
+
+// overlayImg opens the snapshot <img> of an overlay entry page.
+var overlayImg = []byte(`<img src="/asset/snapshot`)
+
+// entry requests path, the entry page with or without a query, as device
+// c; anything but a 200 snapshot overlay is an error.
+func (s *servedProxy) entry(c *http.Client, path string) ([]byte, error) {
+	body, err := get(c, s.srv.URL+path)
+	if err == nil && !bytes.Contains(body, overlayImg) {
+		err = fmt.Errorf("experiments: GET %s is not a snapshot overlay", path)
+	}
+	return body, err
+}
+
+// get fetches url as device c; anything but a 200 is an error.
+func get(c *http.Client, url string) ([]byte, error) {
+	resp, err := c.Get(url)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: reading %s: %w", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("experiments: GET %s: status %d", url, resp.StatusCode)
+	}
+	return body, nil
+}
+
+// EntryView is one device's view of the entry page as the proxy served
+// it.
+type EntryView struct {
+	// Elapsed is the view's wall-clock time over loopback.
+	Elapsed time.Duration
+	// Complexity is the served entry page's; its Bytes and Requests count
+	// every response of the view.
+	Complexity device.PageComplexity
+	// Stats are the proxy's work counters after the view.
+	Stats proxy.Stats
+}
+
+// ServedEntry stands up a fresh proxy and makes two views of its entry
+// page: cold is a first device's GET / (origin fetch, build, snapshot
+// render), second another device's GET / and every asset that entry
+// references.
+func ServedEntry(originURL string) (cold, second *EntryView, err error) {
+	s, err := serveForum(originURL)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.close()
+	if cold, err = s.view(false); err != nil {
+		return nil, nil, err
+	}
+	if second, err = s.view(true); err != nil {
+		return nil, nil, err
+	}
+	return cold, second, nil
+}
+
+// view is a new device's GET / and, withAssets, every asset the entry
+// references.
+func (s *servedProxy) view(withAssets bool) (*EntryView, error) {
+	c := newPhone()
+	start := time.Now()
+	body, err := s.entry(c, "/")
+	if err != nil {
+		return nil, err
+	}
+	doc := html.Parse(string(body))
+	n, requests := len(body), 1
+	if withAssets {
+		for _, ref := range fetch.Subresources(doc, s.srv.URL+"/") {
+			asset, err := get(c, ref)
+			if err != nil {
+				return nil, err
+			}
+			n += len(asset)
+			requests++
+		}
+	}
+	return &EntryView{
+		Elapsed:    time.Since(start),
+		Complexity: complexityOf(doc, n, requests),
+		Stats:      s.fw.ProxyStats(),
 	}, nil
 }
 
@@ -80,85 +224,60 @@ type Table1Row struct {
 }
 
 // Table1 reproduces "Comparison of wall-clock time from initial request
-// to browsable page". originURL must serve the forum entry page.
+// to browsable page". originURL must serve the forum entry page. The
+// direct rows load the origin page; the m.Site rows are the proxy's
+// served views (ServedEntry): snapshot generation is the cold view, the
+// cached snapshot page the second device's.
 func Table1(originURL string) ([]Table1Row, error) {
 	profile, err := ProfilePage(originURL)
 	if err != nil {
 		return nil, err
 	}
-
-	// Server-side snapshot generation: measured for real — fetch is
-	// already done; parse, style, lay out, paint, scale, and encode.
-	start := time.Now()
-	doc := html.Tidy(profile.HTMLSource)
-	styler := css.StylerForDocument(doc)
-	res := layout.Layout(doc, styler, layout.Viewport{Width: 1024})
-	img := raster.Paint(res, raster.Options{})
-	scaled := imaging.ScaleFactor(img, 0.45)
-	snapData, err := imaging.Encode(scaled, imaging.FidelityLow)
+	cold, second, err := ServedEntry(originURL)
 	if err != nil {
 		return nil, err
 	}
-	snapshotGen := time.Since(start)
-
-	// Cached-snapshot entry page: overlay HTML + snapshot image over the
-	// device link; trivial client-side complexity (one image, no
-	// scripts).
-	snapComplexity := device.PageComplexity{
-		Bytes:    len(snapData) + 2_000, // image + overlay HTML
-		Requests: 2,
-		Elements: 12,
-		Images:   1,
+	direct := profile.Complexity
+	wall := func(p device.Profile, link netsim.Link, c device.PageComplexity) time.Duration {
+		return link.TransferTime(c.Bytes, c.Requests) + p.ClientCPUTime(c)
 	}
-
-	wall := func(p device.Profile, link netsim.Link, c device.PageComplexity, bytes, reqs int) time.Duration {
-		return link.TransferTime(bytes, reqs) + p.ClientCPUTime(c)
-	}
-
-	rows := []Table1Row{
+	return []Table1Row{
 		{
-			Label: "BlackBerry Tour browser page load",
-			Measured: wall(device.BlackBerryTour, netsim.ThreeG,
-				profile.Complexity, profile.TotalBytes, profile.Requests),
+			Label:     "BlackBerry Tour browser page load",
+			Measured:  wall(device.BlackBerryTour, netsim.ThreeG, direct),
 			Paper:     20 * time.Second,
 			Simulated: true,
 		},
 		{
-			Label:     "Snapshot page generation",
-			Measured:  snapshotGen,
-			Paper:     2 * time.Second,
-			Simulated: false,
+			Label:    "Snapshot page generation",
+			Measured: cold.Elapsed,
+			Paper:    2 * time.Second,
 		},
 		{
-			Label: "Cached snapshot page to BlackBerry",
-			Measured: wall(device.BlackBerryTour, netsim.ThreeG,
-				snapComplexity, snapComplexity.Bytes, snapComplexity.Requests),
+			Label:     "Cached snapshot page to BlackBerry",
+			Measured:  wall(device.BlackBerryTour, netsim.ThreeG, second.Complexity),
 			Paper:     5 * time.Second,
 			Simulated: true,
 		},
 		{
-			Label: "iPhone 4 via 3G",
-			Measured: wall(device.IPhone4, netsim.ThreeG,
-				profile.Complexity, profile.TotalBytes, profile.Requests),
+			Label:     "iPhone 4 via 3G",
+			Measured:  wall(device.IPhone4, netsim.ThreeG, direct),
 			Paper:     20 * time.Second,
 			Simulated: true,
 		},
 		{
-			Label: "iPhone 4 via WiFi",
-			Measured: wall(device.IPhone4, netsim.WiFi,
-				profile.Complexity, profile.TotalBytes, profile.Requests),
+			Label:     "iPhone 4 via WiFi",
+			Measured:  wall(device.IPhone4, netsim.WiFi, direct),
 			Paper:     4500 * time.Millisecond,
 			Simulated: true,
 		},
 		{
-			Label: "Desktop browser page load",
-			Measured: wall(device.Desktop, netsim.Broadband,
-				profile.Complexity, profile.TotalBytes, profile.Requests),
+			Label:     "Desktop browser page load",
+			Measured:  wall(device.Desktop, netsim.Broadband, direct),
 			Paper:     1500 * time.Millisecond,
 			Simulated: true,
 		},
-	}
-	return rows, nil
+	}, nil
 }
 
 // FormatTable1 renders the rows like the paper's table.
@@ -187,6 +306,11 @@ type Fig7Point struct {
 	// ReqPerMin is the mean satisfied requests per one-minute window.
 	ReqPerMin float64
 	Runs      int
+	// Marked counts, over all runs, the requests the U[0,1] draw marked
+	// as needing a render, Builds the adaptations the proxy ran and
+	// Coalesced the marked requests that joined one already running:
+	// Builds + Coalesced == Marked.
+	Marked, Builds, Coalesced int
 }
 
 // Fig7Config tunes the sweep; the zero value uses paper-faithful
@@ -196,17 +320,33 @@ type Fig7Config struct {
 	Window      time.Duration
 	Percentages []float64
 	Reps        int
-	Concurrency int
 }
 
 // DefaultFig7Percentages are the sweep points (the paper varies the
 // browser fraction from 0 to 100%).
 var DefaultFig7Percentages = []float64{0, 1, 2, 5, 10, 25, 50, 75, 100}
 
-// Figure7 runs the throughput sweep: satisfied requests per window as
-// the fraction of requests requiring a full browser instance varies,
-// three repetitions per point, interarrival marking via seeded U[0,1].
+// fig7Clients is the number of closed-loop clients, each its own device.
+const fig7Clients = 2
+
+// Figure7 runs the throughput sweep against a real proxy: satisfied
+// requests per window as the fraction of requests needing a render
+// varies, three repetitions per point. Each request gets a seeded U[0,1]
+// mark, the paper's rule: it needs a render unless the draw exceeds the
+// percentage being tested. A marked request is GET /?refresh=1, a full
+// rebuild (fetch, filter, tidy, attributes with the pre-rendered
+// subpage's raster and encode, serialisation, persist); an unmarked one is
+// GET /, a warm view of the Bundle under the shared snapshot.
 func Figure7(cfg Fig7Config) ([]Fig7Point, error) {
+	s, err := serveForum(cfg.OriginURL)
+	if err != nil {
+		return nil, err
+	}
+	defer s.close()
+	return s.figure7(cfg)
+}
+
+func (s *servedProxy) figure7(cfg Fig7Config) ([]Fig7Point, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
 	}
@@ -216,39 +356,106 @@ func Figure7(cfg Fig7Config) ([]Fig7Point, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 3
 	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 2
-	}
-	points, err := workload.Sweep(workload.Config{
-		OriginURL:     cfg.OriginURL,
-		Window:        cfg.Window,
-		Concurrency:   cfg.Concurrency,
-		ViewportWidth: 1024,
-		Seed:          42,
-	}, cfg.Percentages, cfg.Reps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig7Point, len(points))
-	for i, p := range points {
-		out[i] = Fig7Point{
-			BrowserPercent: p.BrowserPercent,
-			ReqPerMin:      p.MeanThroughput(),
-			Runs:           len(p.Runs),
+	// Each client's first view builds or attaches its session; no window
+	// counts it.
+	clients := make([]*http.Client, fig7Clients)
+	for i := range clients {
+		clients[i] = newPhone()
+		if _, err := s.entry(clients[i], "/"); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	points := make([]Fig7Point, len(cfg.Percentages))
+	for i, pct := range cfg.Percentages {
+		p := &points[i]
+		p.BrowserPercent, p.Runs = pct, cfg.Reps
+		for rep := 0; rep < cfg.Reps; rep++ {
+			if err := s.fig7Window(clients, p, cfg.Window, int64(42+i*1000+rep)); err != nil {
+				return nil, err
+			}
+		}
+		p.ReqPerMin /= float64(cfg.Reps)
+	}
+	return points, nil
+}
+
+// fig7Window runs the clients for one window at p's percentage and adds
+// what it counted to p.
+func (s *servedProxy) fig7Window(clients []*http.Client, p *Fig7Point, window time.Duration, seed int64) error {
+	builds, coalesced := s.fw.ProxyStats().Adaptations, s.coalesced()
+	var (
+		mu                sync.Mutex // guards everything below
+		rng               = rand.New(rand.NewSource(seed))
+		satisfied, marked int
+		firstErr          error
+	)
+	// mark draws the next request's mark from the one stream the clients
+	// share, so a sweep is reproducible whatever the scheduling.
+	mark := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if rng.Float64()*100 < p.BrowserPercent {
+			marked++
+			return true
+		}
+		return false
+	}
+	deadline := time.Now().Add(window)
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := 0
+			for time.Now().Before(deadline) {
+				path := "/"
+				if mark() {
+					path = "/?refresh=1"
+				}
+				if _, err := s.entry(c, path); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+				n++
+			}
+			mu.Lock()
+			satisfied += n
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	p.ReqPerMin += float64(satisfied) * float64(time.Minute) / float64(window)
+	p.Marked += marked
+	p.Builds += int(s.fw.ProxyStats().Adaptations - builds)
+	p.Coalesced += int(s.coalesced() - coalesced)
+	return nil
+}
+
+// coalesced is the site's msite_admission_coalesced_total: client
+// requests that joined a build already running.
+func (s *servedProxy) coalesced() uint64 {
+	return s.fw.Obs().Counter("msite_admission_coalesced_total", "site", s.fw.Spec().Name).Value()
 }
 
 // FormatFig7 renders the sweep like the paper's figure data.
 func FormatFig7(points []Fig7Point) string {
 	var b strings.Builder
-	b.WriteString("Figure 7: satisfied requests per minute vs % requiring a browser instance\n")
-	b.WriteString("(paper endpoints: 100% → 224 req/min, 0% → 29,038 req/min)\n")
-	fmt.Fprintf(&b, "%-20s %15s %6s\n", "% browser renders", "req/min (mean)", "runs")
+	b.WriteString("Figure 7: satisfied requests per minute vs % requiring a render\n")
+	b.WriteString("(paper endpoints: 100% → 224 req/min, 0% → 29,038 req/min;\n")
+	b.WriteString(" a marked request is GET /?refresh=1, a full rebuild; the rest are warm views)\n")
+	fmt.Fprintf(&b, "%-20s %15s %6s %8s %8s %10s\n",
+		"% browser renders", "req/min (mean)", "runs", "marked", "builds", "coalesced")
 	for i := len(points) - 1; i >= 0; i-- {
 		p := points[i]
-		fmt.Fprintf(&b, "%-20.1f %15.0f %6d\n", p.BrowserPercent, p.ReqPerMin, p.Runs)
+		fmt.Fprintf(&b, "%-20.1f %15.0f %6d %8d %8d %10d\n",
+			p.BrowserPercent, p.ReqPerMin, p.Runs, p.Marked, p.Builds, p.Coalesced)
 	}
 	if len(points) >= 2 {
 		lo := points[len(points)-1].ReqPerMin // highest browser %
@@ -378,40 +585,21 @@ elements:    %d
 `, w.TotalBytes, w.Requests, w.Scripts, w.Images, w.Elements)
 }
 
-// AblationRow compares a design choice on/off.
+// AblationRow compares a design choice on and off, one served view each.
 type AblationRow struct {
-	Name     string
-	Baseline time.Duration
-	Variant  time.Duration
+	Name              string
+	Baseline, Variant *EntryView
 }
 
-// CacheAblation measures one snapshot render vs one cache hit — the
-// amortization argument of §3.3 in microcosm: build the snapshot once,
-// then time serving it from memory.
+// CacheAblation is the amortization argument of §3.3 on the real proxy:
+// a cold device's view pays the build and the snapshot render, a second
+// device's view of the entry and its snapshot reuses both.
 func CacheAblation(originURL string) (*AblationRow, error) {
-	profile, err := ProfilePage(originURL)
+	cold, second, err := ServedEntry(originURL)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	doc := html.Tidy(profile.HTMLSource)
-	styler := css.StylerForDocument(doc)
-	res := layout.Layout(doc, styler, layout.Viewport{Width: 1024})
-	img := raster.Paint(res, raster.Options{})
-	data, err := imaging.Encode(imaging.ScaleFactor(img, 0.45), imaging.FidelityLow)
-	if err != nil {
-		return nil, err
-	}
-	render := time.Since(start)
-
-	start = time.Now()
-	copied := make([]byte, len(data))
-	copy(copied, data)
-	hit := time.Since(start)
-	if hit <= 0 {
-		hit = time.Nanosecond
-	}
-	return &AblationRow{Name: "snapshot render vs cache hit", Baseline: render, Variant: hit}, nil
+	return &AblationRow{Name: "cold view vs a second device's view", Baseline: cold, Variant: second}, nil
 }
 
 // SpecForForum builds the evaluation spec (§4.3) against an origin URL —
@@ -460,22 +648,6 @@ func SpecForForum(originURL string) *spec.Spec {
 			{ID: 1, Match: `do=showpic&id=(\d+)`,
 				Target: originURL + "/site.php?do=showpic&id=$1", Extract: "#pic",
 				CacheTTLSeconds: 300},
-		},
-	}
-}
-
-// SpecForClassifieds builds a small adaptation spec for the synthetic
-// classifieds origin — the second clean corpus the strict parity gate
-// is held to.
-func SpecForClassifieds(originURL string) *spec.Spec {
-	return &spec.Spec{
-		Name:          "postings",
-		Origin:        originURL + "/",
-		ViewportWidth: 1024,
-		Objects: []spec.Object{
-			{Name: "categories", Selector: "#sidebar", Attributes: []spec.Attribute{
-				{Type: spec.AttrSubpage, Params: map[string]string{"title": "Categories"}},
-			}},
 		},
 	}
 }

@@ -161,7 +161,6 @@ type Proxy struct {
 	cfg        Config
 	dispatcher *ajax.Dispatcher
 	applier    *attr.Applier
-	engines    *render.EngineSet
 	width      int
 	prefix     string
 	obs        *obs.Registry
@@ -296,7 +295,6 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		cfg:        cfg,
 		dispatcher: dispatcher,
-		engines:    render.NewEngineSet(),
 		width:      width,
 		prefix:     prefix,
 		obs:        reg,
@@ -1287,7 +1285,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 	// produce HTML, static images, PDF, plain text ... at any point in
 	// the rendering process"): ?format selects an alternate engine.
 	if format := queryParam(r, "format"); format != "" && format != "html" {
-		engine, err := p.engines.Get(format)
+		engine, err := render.Lookup(format)
 		if err != nil {
 			http.Error(w, "unknown format: "+format, http.StatusBadRequest)
 			return

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"msite/internal/cache"
-	"msite/internal/experiments"
 	"msite/internal/origin"
 	"msite/internal/session"
 	"msite/internal/spec"
@@ -100,12 +99,36 @@ func TestQualityCleanForumPassesStrictParity(t *testing.T) {
 	}
 }
 
+// specForClassifieds builds a small adaptation spec for the synthetic
+// classifieds origin — the second clean corpus the strict parity gate
+// is held to.
+func specForClassifieds(originURL string) *spec.Spec {
+	return &spec.Spec{
+		Name:          "postings",
+		Origin:        originURL + "/",
+		ViewportWidth: 1024,
+		Objects: []spec.Object{
+			{Name: "categories", Selector: "#sidebar", Attributes: []spec.Attribute{
+				{Type: spec.AttrSubpage, Params: map[string]string{"title": "Categories"}},
+			}},
+		},
+	}
+}
+
+// TestSpecForClassifiedsValid keeps the classifieds spec loadable by the
+// same validator real spec files go through.
+func TestSpecForClassifiedsValid(t *testing.T) {
+	if err := specForClassifieds("http://origin.example").Validate(); err != nil {
+		t.Fatalf("classifieds spec invalid: %v", err)
+	}
+}
+
 // TestQualityCleanClassifiedsPassesStrictParity: the second clean
 // corpus, a classifieds site under its evaluation spec, builds under the
 // strict gate too — no false failure on a page shaped unlike the forum.
 func TestQualityCleanClassifiedsPassesStrictParity(t *testing.T) {
 	classifieds := origin.NewClassifieds(origin.DefaultClassifiedsConfig())
-	rig := qualityRigOver(t, classifieds.Handler(), experiments.SpecForClassifieds, strictQuality)
+	rig := qualityRigOver(t, classifieds.Handler(), specForClassifieds, strictQuality)
 	_, resp := rig.get(t, "/")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("entry status %d with strict parity on the clean classifieds spec", resp.StatusCode)

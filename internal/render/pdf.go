@@ -15,9 +15,6 @@ type PDFEngine struct{}
 
 var _ Engine = PDFEngine{}
 
-// Name implements Engine.
-func (PDFEngine) Name() string { return "pdf" }
-
 // MIME implements Engine.
 func (PDFEngine) MIME() string { return "application/pdf" }
 

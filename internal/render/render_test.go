@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"msite/internal/html"
+	"msite/internal/imaging"
 	"msite/internal/layout"
 )
 
@@ -21,62 +22,29 @@ const samplePage = `
   <script>var hidden = "nope";</script>
 </body></html>`
 
-func TestRenderHTMLProducesSnapshot(t *testing.T) {
-	r := New(800)
-	snap, err := r.RenderHTML(samplePage)
-	if err != nil {
-		t.Fatal(err)
+// TestEngineLookup: ?format= accepts exactly the built-in engines, each
+// with its content type, and nothing else.
+func TestEngineLookup(t *testing.T) {
+	for _, tc := range []struct{ name, mime string }{
+		{"text", "text/plain; charset=utf-8"},
+		{"pdf", "application/pdf"},
+		{"image/high", "image/png"},
+		{"image/medium", "image/jpeg"},
+		{"image/low", "image/jpeg"},
+		{"image/thumb", "image/jpeg"},
+	} {
+		e, err := Lookup(tc.name)
+		if err != nil {
+			t.Fatalf("Lookup(%q): %v", tc.name, err)
+		}
+		if e.MIME() != tc.mime {
+			t.Errorf("Lookup(%q).MIME() = %q, want %q", tc.name, e.MIME(), tc.mime)
+		}
 	}
-	if snap.Image == nil || snap.Image.Bounds().Dx() != 800 {
-		t.Fatalf("image bounds: %v", snap.Image.Bounds())
-	}
-	if snap.Layout == nil || snap.Layout.Height <= 0 {
-		t.Fatal("layout missing")
-	}
-	menu := snap.Doc.ElementByID("menu")
-	x, y, w, h, ok := snap.Region(menu)
-	if !ok || w <= 0 || h <= 0 {
-		t.Fatalf("region = %d,%d %dx%d ok=%v", x, y, w, h, ok)
-	}
-}
-
-func TestRenderNilDoc(t *testing.T) {
-	if _, err := New(800).RenderDoc(nil); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestEngineSetBuiltins(t *testing.T) {
-	es := NewEngineSet()
-	names := es.Names()
-	want := []string{"html", "image/high", "image/low", "image/medium", "image/thumb", "pdf", "text"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Fatalf("names = %v", names)
-	}
-	if _, err := es.Get("nope"); err == nil {
-		t.Fatal("missing engine should error")
-	}
-}
-
-func TestEngineSetRegisterReplaces(t *testing.T) {
-	es := NewEngineSet()
-	es.Register(HTMLEngine{})
-	if len(es.Names()) != 7 {
-		t.Fatalf("names = %v", es.Names())
-	}
-}
-
-func TestHTMLEngine(t *testing.T) {
-	doc := html.Tidy(`<p>x<br>`)
-	out, err := (HTMLEngine{}).Render(doc, layout.Viewport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), "<br />") {
-		t.Fatalf("not XHTML: %s", out)
-	}
-	if (HTMLEngine{}).MIME() != "text/html; charset=utf-8" {
-		t.Fatal("mime wrong")
+	for _, name := range []string{"html", "flash", "image/", ""} {
+		if _, err := Lookup(name); err == nil {
+			t.Errorf("Lookup(%q) found an engine", name)
+		}
 	}
 }
 
@@ -109,20 +77,14 @@ func TestExtractTextBr(t *testing.T) {
 
 func TestImageEngines(t *testing.T) {
 	doc := html.Parse(samplePage)
-	es := NewEngineSet()
-	high, err := es.Get("image/high")
-	if err != nil {
-		t.Fatal(err)
-	}
-	png, err := high.Render(doc, layout.Viewport{Width: 600})
+	png, err := (ImageEngine{Fidelity: imaging.FidelityHigh}).Render(doc, layout.Viewport{Width: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(png, []byte("\x89PNG")) {
 		t.Fatal("not a PNG")
 	}
-	low, _ := es.Get("image/low")
-	jpg, err := low.Render(doc, layout.Viewport{Width: 600})
+	jpg, err := (ImageEngine{Fidelity: imaging.FidelityLow}).Render(doc, layout.Viewport{Width: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
