@@ -101,8 +101,7 @@ var subsystemDocs = []struct {
 		metrics: []string{
 			"msite_fetch_retries_total", "msite_breaker_state",
 			"msite_breaker_transitions_total", "msite_proxy_stale_served_total",
-			"msite_proxy_degraded_total", "msite_cache_stale_serves_total",
-			"msite_cache_refresh_errors_total",
+			"msite_proxy_degraded_total",
 		},
 		tests: []string{"TestResilienceChaos"},
 	},

@@ -63,21 +63,16 @@ type Cache struct {
 
 	// Counters are atomic so Stats() snapshots (and metric scrapes)
 	// never contend with the serving hot path.
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	fills       atomic.Uint64
-	evictions   atomic.Uint64
-	staleServes atomic.Uint64
-	bytes       atomic.Int64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	fills     atomic.Uint64
+	evictions atomic.Uint64
+	bytes     atomic.Int64
 
 	// obsHook is set once by SetObs before serving begins.
 	obsHook atomic.Pointer[cacheObs]
 
 	shards [numShards]shard
-
-	// refreshWG tracks in-flight stale-while-revalidate background
-	// refreshes so Close can drain them.
-	refreshWG sync.WaitGroup
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -103,28 +98,12 @@ type slot struct {
 	key     string
 	entry   Entry
 	expires time.Time
-	// staleUntil extends residency past expires for
-	// stale-while-revalidate serving; at or before expires for entries
-	// stored without a stale window.
-	staleUntil time.Time
-	size       int64
+	size    int64
 
 	pending chan struct{}
 	fillErr error
-	// refreshing marks a single-flight background revalidation in
-	// progress while the (stale) entry keeps being served.
-	refreshing bool
 
 	prev, next *slot // LRU links, only while resident
-}
-
-// residencyLimit is when the slot stops being servable at all (the
-// later of expires and staleUntil).
-func (s *slot) residencyLimit() time.Time {
-	if s.staleUntil.After(s.expires) {
-		return s.staleUntil
-	}
-	return s.expires
 }
 
 // cacheObs bundles the registry metrics the cache reports into.
@@ -134,8 +113,6 @@ type cacheObs struct {
 	fills       *obs.Counter
 	evictLRU    *obs.Counter
 	evictExpire *obs.Counter
-	staleServes *obs.Counter
-	refreshErrs *obs.Counter
 	fillSeconds *obs.Histogram
 }
 
@@ -169,16 +146,14 @@ func NewWithOptions(o Options) *Cache {
 	return c
 }
 
-// Close stops the background sweeper, if one was started, and drains
-// any in-flight stale-while-revalidate refreshes. Idempotent; the cache
-// remains usable afterwards (just unswept).
+// Close stops the background sweeper, if one was started. Idempotent;
+// the cache remains usable afterwards (just unswept).
 func (c *Cache) Close() {
 	c.closeOnce.Do(func() {
 		if c.sweepStop != nil {
 			close(c.sweepStop)
 			<-c.sweepDone
 		}
-		c.refreshWG.Wait()
 	})
 }
 
@@ -209,8 +184,6 @@ func (c *Cache) SetObs(reg *obs.Registry) {
 		fills:       reg.Counter("msite_cache_fills_total"),
 		evictLRU:    reg.Counter("msite_cache_evictions_total", "reason", "lru"),
 		evictExpire: reg.Counter("msite_cache_evictions_total", "reason", "expired"),
-		staleServes: reg.Counter("msite_cache_stale_serves_total"),
-		refreshErrs: reg.Counter("msite_cache_refresh_errors_total"),
 		fillSeconds: reg.Histogram("msite_cache_fill_seconds"),
 	})
 	reg.GaugeFunc("msite_cache_entries", func() float64 { return float64(c.Len()) })
@@ -236,19 +209,6 @@ func (c *Cache) markFill(d time.Duration) {
 	if o := c.obsHook.Load(); o != nil {
 		o.fills.Inc()
 		o.fillSeconds.ObserveDuration(d)
-	}
-}
-
-func (c *Cache) markStale() {
-	c.staleServes.Add(1)
-	if o := c.obsHook.Load(); o != nil {
-		o.staleServes.Inc()
-	}
-}
-
-func (c *Cache) markRefreshErr() {
-	if o := c.obsHook.Load(); o != nil {
-		o.refreshErrs.Inc()
 	}
 }
 
@@ -411,80 +371,6 @@ func (c *Cache) Touch(key string, ttl time.Duration) bool {
 // fill leaves nothing behind. With ttl <= 0 the fill result is returned
 // but not stored.
 func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() (Entry, error)) (Entry, error) {
-	return c.getOrFill(key, ttl, 0, fill)
-}
-
-// GetOrFillStale is GetOrFill with stale-while-revalidate: an entry
-// expired for no more than staleFor is returned immediately (stale =
-// true) while a single-flight background refresh revalidates it, so one
-// slow or failing fill never blocks the serving path. A failed refresh
-// keeps the stale entry servable until the window closes; only entries
-// expired beyond staleFor (or absent) block on a foreground fill.
-func (c *Cache) GetOrFillStale(key string, ttl, staleFor time.Duration, fill func() (Entry, error)) (Entry, bool, error) {
-	if staleFor > 0 {
-		sh := c.shardFor(key)
-		sh.mu.Lock()
-		if s, ok := sh.entries[key]; ok && s.pending == nil {
-			now := c.clock()
-			if now.After(s.expires) && !now.After(s.staleUntil) {
-				entry := s.entry
-				launch := !s.refreshing
-				s.refreshing = true
-				sh.lruTouch(s)
-				c.markStale()
-				sh.mu.Unlock()
-				if launch {
-					c.refreshWG.Add(1)
-					go c.refresh(key, ttl, staleFor, fill)
-				}
-				return entry, true, nil
-			}
-		}
-		sh.mu.Unlock()
-	}
-	entry, err := c.getOrFill(key, ttl, staleFor, fill)
-	return entry, false, err
-}
-
-// refresh is the background revalidation of one stale key: it runs
-// fill off the serving path and swaps the result in, leaving the stale
-// entry in place if the fill fails.
-func (c *Cache) refresh(key string, ttl, staleFor time.Duration, fill func() (Entry, error)) {
-	defer c.refreshWG.Done()
-	start := time.Now()
-	entry, err := fill()
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if s, ok := sh.entries[key]; ok && s.pending == nil {
-		s.refreshing = false
-	}
-	if err != nil {
-		sh.mu.Unlock()
-		c.markRefreshErr()
-		return
-	}
-	c.markFill(time.Since(start))
-	if s, ok := sh.entries[key]; ok && s.pending != nil {
-		// A foreground single-flight fill is racing (the stale window
-		// closed); its result wins, drop ours.
-		sh.mu.Unlock()
-		return
-	}
-	now := c.clock()
-	ns := &slot{
-		key:        key,
-		entry:      entry,
-		expires:    now.Add(ttl),
-		staleUntil: now.Add(ttl + staleFor),
-		size:       entry.size(),
-	}
-	c.insertResident(sh, ns)
-	sh.mu.Unlock()
-}
-
-// getOrFill is the single-flight fill shared by GetOrFill and the
-// stale-miss path; staleFor widens the stored entry's residency window.
-func (c *Cache) getOrFill(key string, ttl, staleFor time.Duration, fill func() (Entry, error)) (Entry, error) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if s, ok := sh.entries[key]; ok {
@@ -544,7 +430,6 @@ func (c *Cache) getOrFill(key string, ttl, staleFor time.Duration, fill func() (
 		// the key mid-fill, in which case the result is returned but
 		// not cached).
 		pend.expires = c.clock().Add(ttl)
-		pend.staleUntil = pend.expires.Add(staleFor)
 		pend.pending = nil
 		delete(sh.entries, key)
 		c.insertResident(sh, pend)
@@ -589,10 +474,8 @@ func (c *Cache) Purge() {
 	}
 }
 
-// Sweep removes expired entries and returns how many were evicted.
-// Entries inside a stale-while-revalidate window survive until the
-// window closes. The background sweeper (Options.SweepInterval) calls
-// this on its tick.
+// Sweep removes expired entries and returns how many were evicted. The
+// background sweeper (Options.SweepInterval) calls this on its tick.
 func (c *Cache) Sweep() int {
 	n := 0
 	for i := range c.shards {
@@ -600,7 +483,7 @@ func (c *Cache) Sweep() int {
 		sh.mu.Lock()
 		now := c.clock()
 		for _, s := range sh.entries {
-			if s.pending == nil && now.After(s.residencyLimit()) {
+			if s.pending == nil && now.After(s.expires) {
 				sh.removeResident(c, s)
 				c.markEvict(true)
 				n++
@@ -634,21 +517,17 @@ type Stats struct {
 	Misses    uint64
 	Fills     uint64
 	Evictions uint64
-	// StaleServes counts entries served past expiry while a background
-	// revalidation ran (stale-while-revalidate).
-	StaleServes uint64
-	Bytes       int64
+	Bytes     int64
 }
 
 // Stats returns a snapshot of the counters without taking any shard
 // lock (the counters are atomic).
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Fills:       c.fills.Load(),
-		Evictions:   c.evictions.Load(),
-		StaleServes: c.staleServes.Load(),
-		Bytes:       c.bytes.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Fills:     c.fills.Load(),
+		Evictions: c.evictions.Load(),
+		Bytes:     c.bytes.Load(),
 	}
 }

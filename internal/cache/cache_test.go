@@ -113,6 +113,27 @@ func TestGetOrFillError(t *testing.T) {
 	}
 }
 
+// TestGetOrFillRefillsExpiredEntry: an expired entry is not served; the
+// caller that finds it runs the fill in the foreground and gets fresh bytes.
+func TestGetOrFillRefillsExpiredEntry(t *testing.T) {
+	c, clk := newTestCache()
+	calls := 0
+	fill := func(v string) func() (Entry, error) {
+		return func() (Entry, error) {
+			calls++
+			return Entry{Data: []byte(v)}, nil
+		}
+	}
+	if _, err := c.GetOrFill("k", time.Minute, fill("v1")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Minute)
+	e, err := c.GetOrFill("k", time.Minute, fill("v2"))
+	if err != nil || string(e.Data) != "v2" || calls != 2 {
+		t.Fatalf("expired entry = %q, %v after %d fills; want v2 after 2", e.Data, err, calls)
+	}
+}
+
 func TestGetOrFillSingleFlight(t *testing.T) {
 	c, _ := newTestCache()
 	var calls int32

@@ -19,7 +19,6 @@ type Layer interface {
 	Delete(key string)
 	Purge()
 	GetOrFill(key string, ttl time.Duration, fill func() (Entry, error)) (Entry, error)
-	GetOrFillStale(key string, ttl, staleFor time.Duration, fill func() (Entry, error)) (Entry, bool, error)
 	Stats() Stats
 	Len() int
 	Bytes() int64
@@ -234,18 +233,7 @@ func (t *Tiered) Delete(key string) {
 // the fill runs: inside the single-flight slot a tier hit short-circuits
 // the (expensive) fill, and a real fill's result is written through.
 func (t *Tiered) GetOrFill(key string, ttl time.Duration, fill func() (Entry, error)) (Entry, error) {
-	return t.Cache.GetOrFill(key, ttl, t.wrapFill(key, ttl, fill))
-}
-
-// GetOrFillStale is Cache.GetOrFillStale with the same tier fallthrough
-// on both the foreground-miss and background-refresh paths.
-func (t *Tiered) GetOrFillStale(key string, ttl, staleFor time.Duration, fill func() (Entry, error)) (Entry, bool, error) {
-	return t.Cache.GetOrFillStale(key, ttl, staleFor, t.wrapFill(key, ttl, fill))
-}
-
-// wrapFill interposes the durable tier between an L1 miss and the fill.
-func (t *Tiered) wrapFill(key string, ttl time.Duration, fill func() (Entry, error)) func() (Entry, error) {
-	return func() (Entry, error) {
+	return t.Cache.GetOrFill(key, ttl, func() (Entry, error) {
 		if data, mime, _, ok := t.tier.Get(key); ok {
 			return Entry{Data: data, MIME: mime}, nil
 		}
@@ -254,7 +242,7 @@ func (t *Tiered) wrapFill(key string, ttl time.Duration, fill func() (Entry, err
 			t.enqueue(writeOp{key: key, data: e.Data, mime: e.MIME, ttl: ttl})
 		}
 		return e, err
-	}
+	})
 }
 
 // Rehydrate preloads L1 with the most recently used durable records —

@@ -228,19 +228,6 @@ func TestTieredFillErrorNotWrittenThrough(t *testing.T) {
 	}
 }
 
-func TestTieredStaleFillThrough(t *testing.T) {
-	tier := newFakeTier()
-	_ = tier.Put("k", []byte("durable"), "m", time.Minute)
-	tc := newTieredTest(t, tier, TieredOptions{})
-	e, stale, err := tc.GetOrFillStale("k", time.Minute, time.Minute, func() (Entry, error) {
-		t.Error("fill ran despite durable record")
-		return Entry{}, errors.New("unreachable")
-	})
-	if err != nil || stale || string(e.Data) != "durable" {
-		t.Fatalf("GetOrFillStale through tier = %q, stale=%v, %v", e.Data, stale, err)
-	}
-}
-
 func TestTieredRehydrate(t *testing.T) {
 	tier := newFakeTier()
 	for i := 0; i < 5; i++ {

@@ -60,10 +60,8 @@ type Config struct {
 	// before probing the origin again (the -breaker-cooldown knob).
 	// 0 uses fetch.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// ServeStale keeps serving previously adapted content (and shared
-	// snapshots up to proxy.DefaultStaleFor past expiry, revalidated in
-	// the background) when the origin is unreachable (the -serve-stale
-	// knob).
+	// ServeStale keeps serving a session's previously adapted content
+	// when the origin is unreachable (the -serve-stale knob).
 	ServeStale bool
 	// MaxConcurrentAdaptations bounds how many adaptation pipelines run
 	// at once (the -max-concurrent-adaptations knob); excess requests

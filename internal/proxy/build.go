@@ -1,0 +1,350 @@
+package proxy
+
+import (
+	"context"
+	"fmt"
+	"image"
+	"net/url"
+	"strings"
+	"time"
+
+	"msite/internal/attr"
+	"msite/internal/css"
+	"msite/internal/dom"
+	"msite/internal/fetch"
+	"msite/internal/filter"
+	"msite/internal/html"
+	"msite/internal/imaging"
+	"msite/internal/layout"
+	"msite/internal/obs"
+	"msite/internal/progressive"
+	"msite/internal/quality"
+	"msite/internal/raster"
+	"msite/internal/spec"
+)
+
+// This file is the build: the §3.2 pipeline (fetch → filter → tidy →
+// attribute phase → file generation) as a function from an origin, a spec
+// and fixed options to a Bundle, and the snapshot render of a Bundle. It
+// knows nothing of sessions, caches, metric registries or HTTP serving;
+// stage spans and trace notes travel on the context, and everything else
+// the build observed comes back in its report for the proxy to count.
+
+// buildOptions are a build's inputs besides the fetcher and the spec: what
+// the proxy that serves its product fixes once, in New.
+type buildOptions struct {
+	// applier is the attribute phase's template: the proxy's subpage,
+	// asset and AJAX URLs and its render width. A build fills in Images.
+	applier attr.Applier
+	// keepLocal are the URL prefixes re-anchoring leaves relative: the
+	// proxy's own subpages, assets and endpoints.
+	keepLocal []string
+	// repairs are the mobile-repair rules run after the attribute phase.
+	repairs []quality.Rule
+	// parity turns the content-parity check on; a score below minScore,
+	// when that is above 0, refuses the build.
+	parity   bool
+	minScore float64
+}
+
+// newBuildOptions resolves cfg's build inputs for a proxy mounted at
+// prefix.
+func newBuildOptions(cfg Config, prefix string) (buildOptions, error) {
+	if !(cfg.ParityMinScore >= 0 && cfg.ParityMinScore <= 1) {
+		return buildOptions{}, fmt.Errorf("proxy: parity minimum score %v outside [0, 1]", cfg.ParityMinScore)
+	}
+	o := buildOptions{
+		applier: attr.Applier{
+			ViewportWidth: viewportWidth(cfg.Spec, cfg.ViewportWidth),
+			SubpageURL:    func(name string) string { return prefix + "/subpage/" + url.PathEscape(name) },
+			AssetURL:      func(name string) string { return prefix + "/asset/" + url.PathEscape(name) },
+			AJAXEndpoint:  prefix + "/ajax",
+		},
+		keepLocal: []string{
+			prefix + "/subpage/", prefix + "/asset/", prefix + "/ajax",
+			prefix + "/login", prefix + "/logout", prefix + "/auth",
+		},
+		// A minimum score is a parity check with a gate.
+		parity:   cfg.ParityCheck || cfg.ParityMinScore > 0,
+		minScore: cfg.ParityMinScore,
+	}
+	if cfg.RepairRules != "" {
+		rules, err := quality.ParseRules(cfg.RepairRules)
+		if err != nil {
+			return buildOptions{}, fmt.Errorf("proxy: %w", err)
+		}
+		o.repairs = rules
+	}
+	return o, nil
+}
+
+// buildReport is what a build observed besides its product. It is filled
+// in as far as the build got, so a refused build reports too.
+type buildReport struct {
+	// degraded names the stages that failed and were dropped, in order.
+	degraded []string
+	// repairs counts the fixes of each repair rule over the main document
+	// and every subpage.
+	repairs map[string]int
+	// parity is the content-parity report; nil when the check is off or
+	// the build stopped before it.
+	parity *quality.Parity
+}
+
+// build runs the pipeline once: it fetches s.Origin and the images and
+// stylesheets a render needs through f, filters, tidies, runs the
+// attribute phase and the quality pass, and serializes the generated
+// files into a Bundle. Each stage is a span (inside an adapt_total
+// envelope) on ctx's trace. The origin fetch and every subresource
+// download abort when ctx ends, so a disconnected client stops costing
+// the origin anything.
+func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions) (*Bundle, buildReport, error) {
+	var rep buildReport
+	total := obs.StartSpan(ctx, "adapt_total")
+	defer total.End()
+
+	sp := obs.StartSpan(ctx, "fetch")
+	page, err := f.GetContext(ctx, s.Origin)
+	sp.End()
+	if err != nil {
+		return nil, rep, err
+	}
+
+	// Every stage past the fetch degrades instead of failing: a broken
+	// filter serves the unfiltered source, missing stylesheets render
+	// unstyled, a failed attribute phase serves the tidied document
+	// whole. The best page we can build beats a 502.
+	var degraded []string
+	degrade := func(stage string, err error) {
+		rep.degraded = append(rep.degraded, stage)
+		obs.TraceFrom(ctx).Annotate("degraded_"+stage, err.Error())
+		degraded = append(degraded, fmt.Sprintf("degraded %s: %v", stage, err))
+	}
+
+	// Filter phase: cheap source-level transforms first (§3.2).
+	sp = obs.StartSpan(ctx, "filter")
+	src, err := filter.Apply(string(page.Body), s.Filters)
+	sp.End()
+	if err != nil {
+		src = string(page.Body)
+		degrade("filter", err)
+	}
+
+	// Inline the origin's linked stylesheets so the attribute phase and
+	// every render below see the site's real styling, then download the
+	// images a render would need (§3.2: the page fetch "includes
+	// downloading any images to be rendered"), then run the attribute
+	// phase over the tidied DOM.
+	sp = obs.StartSpan(ctx, "subres")
+	doc := html.Tidy(src)
+	if _, err := f.InlineStylesheetsContext(ctx, doc, page.URL); err != nil {
+		degrade("stylesheets", err)
+	}
+	images := fetchImages(ctx, f, doc, page.URL)
+	sp.End()
+	applier := o.applier
+	applier.Images = images
+	sp = obs.StartSpan(ctx, "attr")
+	result, err := applier.Apply(s, doc)
+	if err != nil {
+		degrade("attributes", err)
+		result = &attr.Result{Doc: doc}
+	}
+	sp.End()
+
+	// Quality pass (post-attr hook): repair rules over the adapted
+	// closure, then content parity against the raw origin — before URL
+	// re-anchoring so origin and adapted hrefs still compare equal.
+	if err := qualityPass(ctx, page, s, o, result, &rep); err != nil {
+		return nil, rep, err
+	}
+
+	// Re-anchor origin-relative URLs: adapted pages are served from the
+	// proxy host, so links back into the origin must be absolute, while
+	// proxy-internal references (subpages, assets, rewritten AJAX calls)
+	// stay local.
+	sp = obs.StartSpan(ctx, "absolutize")
+	attr.AbsolutizeURLs(result.Doc, page.URL, o.keepLocal...)
+	for _, sub := range result.Subpages {
+		attr.AbsolutizeURLs(sub.Doc, page.URL, o.keepLocal...)
+	}
+	sp.End()
+
+	// Serialize the generated files, once per build. (§3.2 stores "all
+	// of the files generated during a user's session" under a per-user
+	// directory; here they are the Bundle's artifacts, in memory, and a
+	// session only references them.)
+	sp = obs.StartSpan(ctx, "subpage_split")
+	defer sp.End()
+	b := &Bundle{
+		pages:    make(map[string]*artifact),
+		assets:   make(map[string]*artifact),
+		subpages: make(map[string]*attr.Subpage),
+		notes:    append(result.Notes, degraded...),
+		images:   images,
+		validator: BundleValidator{
+			ETag:         page.ETag,
+			LastModified: page.LastModified,
+			FetchedAt:    time.Now(),
+		},
+	}
+	b.sheets.Store(result.Sheets)
+	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data) }
+	addAsset := func(name string, data []byte) { b.assets[name] = newArtifact(name, data) }
+	for _, sub := range result.Subpages {
+		if why := attr.StylesKeptWhole(sub); why != "" {
+			b.notes = append(b.notes, fmt.Sprintf("subpage %q ships its stylesheets whole: %s", sub.Name, why))
+		}
+		addPage(attr.SubpageFileName(sub.Name), attr.SerializeSubpage(sub))
+		if len(sub.ImageData) > 0 {
+			addAsset(attr.AssetFileName(sub), sub.ImageData)
+		}
+		// The page now stands for the document: the Bundle keeps the
+		// subpage's description without its DOM, as a decoded one does.
+		desc := *sub
+		desc.Doc, desc.Sheets = nil, nil
+		b.subpages[sub.Name] = &desc
+	}
+	b.orderAreas()
+	for _, thumb := range result.Assets {
+		addAsset(thumb.Name, thumb.Data)
+	}
+	// The adapted main document feeds the snapshot render (it excludes
+	// split-off objects, matching what the overlay's regions index).
+	addPage(mainPage, []byte(html.Render(result.Doc)))
+	// The MAML-style minimal page, for a spec that serves it. The spec
+	// is part of the bundle key, so a persisted bundle has it exactly
+	// when its spec asks for it.
+	if s.MinimalMarkup {
+		addPage(minimalPage, attr.MinimalMarkupHTML(s.Name, result.Doc))
+	}
+	return b, rep, nil
+}
+
+// qualityPass is the post-attr quality hook: it runs o's mobile-repair
+// rules over the adapted entry document and every subpage, then (when the
+// parity check is on) validates content parity of the raw origin against
+// the adapted closure. A parity score below o.minScore fails the build —
+// the one quality condition that is louder than degradation, because
+// silently serving a page with missing content is exactly the failure
+// mode this pass exists to catch.
+func qualityPass(ctx context.Context, page *fetch.Page, s *spec.Spec, o *buildOptions, result *attr.Result, rep *buildReport) error {
+	if len(o.repairs) == 0 && !o.parity {
+		return nil
+	}
+	sp := obs.StartSpan(ctx, "quality")
+	defer sp.End()
+
+	roots := make([]*dom.Node, 0, 1+len(result.Subpages))
+	roots = append(roots, result.Doc)
+	for _, sub := range result.Subpages {
+		roots = append(roots, sub.Doc)
+	}
+
+	for _, root := range roots {
+		for rule, n := range quality.RepairAll(o.repairs, root) {
+			if rep.repairs == nil {
+				rep.repairs = make(map[string]int)
+			}
+			rep.repairs[rule] += n
+			result.Notes = append(result.Notes,
+				fmt.Sprintf("quality: repair rule %s made %d fixes", rule, n))
+		}
+	}
+
+	if !o.parity {
+		return nil
+	}
+	// The origin inventory comes from the *raw* body — before the filter
+	// phase — so overzealous filters count as drops too. Subtracting the
+	// sanctioned inventory exempts what the spec deliberately removes.
+	originDoc := html.Tidy(string(page.Body))
+	originInv := quality.InventoryOf(originDoc)
+	originInv.Subtract(quality.SanctionedInventory(s, originDoc))
+	par := quality.Compare(originInv, quality.InventoryOf(roots...))
+	rep.parity = par
+	result.Notes = append(result.Notes, par.Notes()...)
+	if min := o.minScore; min > 0 && !par.Ok(min) {
+		obs.TraceFrom(ctx).Annotate("parity_failure",
+			fmt.Sprintf("score %.4f < %.4f", par.Score, min))
+		return fmt.Errorf(
+			"proxy: content parity %.4f below minimum %.4f (%d of %d items missing: %d text, %d links, %d forms)",
+			par.Score, min, par.MissingItems, par.TotalItems,
+			par.TextMissing, par.LinksMissing, par.FormsMissing)
+	}
+	return nil
+}
+
+// renderSnapshot renders b's main page, laid out at width, into the entry
+// snapshot: scaled by scale and encoded at fidelity. Layout, raster and
+// encode are each a span on ctx's trace.
+func renderSnapshot(ctx context.Context, b *Bundle, width int, fidelity imaging.Fidelity, scale float64) (progressive.Artifact, error) {
+	sp := obs.StartSpan(ctx, "layout")
+	res := layoutForDoc(html.Tidy(string(b.pages[mainPage].data)), width, b.sheets.Swap(nil))
+	sp.End()
+	return progressive.Render(res, progressive.Config{
+		Ctx:      ctx,
+		Raster:   raster.Options{Images: b.images},
+		Fidelity: fidelity,
+		Scale:    scale,
+	})
+}
+
+// layoutForDoc lays out a document at a render width, its stylesheets
+// parsed through sheets.
+func layoutForDoc(doc *dom.Node, width int, sheets *css.Sheets) *layout.Result {
+	styler := css.StylerForDocument(doc, sheets)
+	return layout.Layout(doc, styler, layout.Viewport{Width: width})
+}
+
+// maxRenderImages bounds per-page image downloads.
+const maxRenderImages = 48
+
+// fetchImages downloads and decodes the images a render of doc needs,
+// keyed by the src attribute value as written (the key the rasterizer
+// looks up). Discovery walks the DOM once, the downloads run through
+// the fetcher's bounded worker pool (aborting when ctx ends), and
+// decoding (plus the map build) stays serial. Undecodable or
+// unfetchable images are skipped — the renderer falls back to
+// placeholders.
+func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base string) map[string]image.Image {
+	baseURL, err := url.Parse(base)
+	if err != nil {
+		return nil
+	}
+	var srcs, absURLs []string
+	seen := make(map[string]bool)
+	doc.Walk(func(n *dom.Node) bool {
+		if n.Type != dom.ElementNode || n.Tag != "img" || len(srcs) >= maxRenderImages {
+			return true
+		}
+		src := n.AttrOr("src", "")
+		if src == "" || strings.HasPrefix(src, "data:") || seen[src] {
+			return true
+		}
+		abs, err := baseURL.Parse(src)
+		if err != nil {
+			return true
+		}
+		seen[src] = true
+		srcs = append(srcs, src)
+		absURLs = append(absURLs, abs.String())
+		return true
+	})
+	images := make(map[string]image.Image)
+	for i, res := range f.FetchAllContext(ctx, absURLs, 0) {
+		if res.Err != nil {
+			continue
+		}
+		decoded, err := imaging.Decode(res.Page.Body)
+		if err != nil {
+			continue
+		}
+		// Key by the attribute as written and by its absolute form: the
+		// URL-anchoring pass rewrites srcs to absolute before the
+		// snapshot render looks them up.
+		images[srcs[i]] = decoded
+		images[absURLs[i]] = decoded
+	}
+	return images
+}

@@ -21,6 +21,7 @@ import (
 	"msite/internal/cache"
 	"msite/internal/css"
 	"msite/internal/imaging"
+	"msite/internal/layout"
 	"msite/internal/obs"
 	"msite/internal/spec"
 )
@@ -30,6 +31,18 @@ import (
 // validator) still decode — the validator is simply absent and the
 // first revalidation falls back to an unconditional fetch.
 const bundleWireVersion = 2
+
+// viewportWidth resolves a proxy's render width: the override, else the
+// spec's, else layout.DefaultViewport's.
+func viewportWidth(s *spec.Spec, override int) int {
+	switch {
+	case override != 0:
+		return override
+	case s.ViewportWidth != 0:
+		return s.ViewportWidth
+	}
+	return layout.DefaultViewport.Width
+}
 
 // bundleKey derives the durable cache key of a build product:
 // (site, spec hash, device class, fidelity). The spec hash keys bundles
@@ -47,7 +60,7 @@ func bundleKey(s *spec.Spec, width int) (string, error) {
 }
 
 // Bundle is the product of one pipeline run: everything the handlers
-// serve, held in memory and never modified once buildAdaptation or
+// serve, held in memory and never modified once build or
 // decodeBundle has returned it (sheets, which is not served, is handed
 // on once; overlay only memoises a page built from it). Sessions
 // reference a Bundle, they do not copy it: anonymous sessions share the
@@ -107,7 +120,7 @@ func (p *Proxy) entryOverlay(b *Bundle, width, height, atf int) attr.OverlayStre
 	}
 	ov := p.overlay
 	ov.Width, ov.Height = width, height
-	o := &builtOverlay{width: width, height: height, atf: atf, page: p.applier.BuildOverlayStream(ov, b.areas, atf)}
+	o := &builtOverlay{width: width, height: height, atf: atf, page: p.build.applier.BuildOverlayStream(ov, b.areas, atf)}
 	b.overlay.Store(o)
 	return o.page
 }

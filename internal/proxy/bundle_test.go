@@ -25,6 +25,8 @@ import (
 	"msite/internal/attr"
 	"msite/internal/cache"
 	"msite/internal/css"
+	"msite/internal/fetch"
+	"msite/internal/html"
 	"msite/internal/origin"
 	"msite/internal/session"
 	"msite/internal/spec"
@@ -144,7 +146,8 @@ func regularFiles(t *testing.T, root string) []string {
 // Bundle after encode→decode, and one loaded from the store by a
 // restarted proxy serve byte-identical bodies and headers for the
 // entry, every subpage, every asset and the ETag/304 exchange, in every
-// entry mode. On the way it checks that serving touches no session
+// entry mode; and a bare build — the build function alone, with no
+// Proxy, session manager or cache — makes those very pages and assets. On the way it checks that serving touches no session
 // directory: none holds a file after a full view, and warm views still
 // succeed once the directories are gone. Across modes, the buffered entry
 // is pinned to a golden file captured before the overlay had one builder,
@@ -196,6 +199,7 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 
 			built := view(first)
 			entries[mode.name] = built["/"].Body
+			bareBuildServes(t, rig, built, subpages, assets)
 			if got := rig.p.Stats().Adaptations; got != 1 {
 				t.Fatalf("adaptations = %d, want 1", got)
 			}
@@ -241,6 +245,52 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 	}
 	if got, want := normalizeOverlay(entries["streaming"]), normalizeOverlay(entries["buffered"]); got != want {
 		t.Errorf("streamed entry is not the buffered one rearranged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// bareBuildServes builds the rig's spec with a fresh anonymous fetcher
+// and nothing else, renders its snapshot the same way, and checks every
+// page and asset against what a proxy served.
+func bareBuildServes(t *testing.T, rig *persistRig, served map[string]served, subpages, assets []string) {
+	t.Helper()
+	sp := forumSpec(rig.origin.URL)
+	if rig.mutate != nil {
+		rig.mutate(sp)
+	}
+	opts, err := newBuildOptions(Config{Spec: sp}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	bare, _, err := build(ctx, fetch.New(nil), sp, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(path string, want []byte) {
+		t.Helper()
+		if got := served[path]; got.Status != http.StatusOK || got.Body != string(want) {
+			t.Errorf("bare build: %s is %d bytes, served %d (status %d)", path, len(want), len(got.Body), got.Status)
+		}
+	}
+	if sp.MinimalMarkup {
+		check("/", bare.pages[minimalPage].data)
+	}
+	for _, name := range subpages {
+		check("/subpage/"+url.PathEscape(name), bare.pages[attr.SubpageFileName(name)].data)
+	}
+	for _, name := range assets {
+		if name != rig.p.snapName {
+			check("/asset/"+url.PathEscape(name), bare.assets[name].data)
+			continue
+		}
+		if sp.MinimalMarkup {
+			continue // no snapshot to compare: every origin 404s it
+		}
+		snap, err := renderSnapshot(ctx, bare, viewportWidth(sp, 0), snapshotFidelity(sp), snapshotScale(sp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("/asset/"+url.PathEscape(name), snap.Data)
 	}
 }
 
@@ -620,7 +670,7 @@ func TestStylesheetsParsedOncePerBuild(t *testing.T) {
 	cold := parsed(func() { built = view() })
 	bundle, _ := rig.p.sharedBundle()
 	texts := make(map[string]bool)
-	for _, style := range tidyDoc(string(bundle.pages[mainPage].data)).Elements("style") {
+	for _, style := range html.Tidy(string(bundle.pages[mainPage].data)).Elements("style") {
 		texts[css.StyleSource(style)] = true
 	}
 	if len(texts) < 2 || cold != len(texts) {

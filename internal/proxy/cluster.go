@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"msite/internal/cache"
-	"msite/internal/layout"
 	"msite/internal/obs"
 	"msite/internal/spec"
 )
@@ -27,15 +26,8 @@ type ClusterHook interface {
 // this spec and viewport override — the ring routing key. Exported so
 // core and the cluster experiments can predict a site's ring owner
 // without constructing a proxy.
-func BundleKeyForSpec(s *spec.Spec, viewportWidth int) (string, error) {
-	width := viewportWidth
-	if width == 0 {
-		width = s.ViewportWidth
-	}
-	if width == 0 {
-		width = layout.DefaultViewport.Width
-	}
-	return bundleKey(s, width)
+func BundleKeyForSpec(s *spec.Spec, override int) (string, error) {
+	return bundleKey(s, viewportWidth(s, override))
 }
 
 // BundleKey returns this proxy's durable bundle key ("" when bundle
@@ -69,7 +61,7 @@ func (p *Proxy) fetchFromOwner(ctx context.Context) (*Bundle, bool) {
 	// miss here (or a restart, via the durable tier) skips the hop too.
 	p.storeBundle(b, data)
 	if snap != nil {
-		if ttl := p.sharedSnapshotTTL(); ttl > 0 {
+		if ttl := sharedSnapshotTTL(p.cfg.Spec); ttl > 0 {
 			if _, warm := p.cfg.Cache.Get(p.snapKey); !warm {
 				p.cfg.Cache.Put(p.snapKey, *snap, ttl)
 			}

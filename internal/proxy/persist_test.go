@@ -204,7 +204,7 @@ func TestPersonalizedSessionsBypassBundle(t *testing.T) {
 	}
 }
 
-// testBundle assembles a Bundle from raw files the way buildAdaptation
+// testBundle assembles a Bundle from raw files the way build
 // does, for wire-format tests that need no pipeline run.
 func testBundle(pages, assets map[string]string, subs ...*attr.Subpage) *Bundle {
 	b := &Bundle{

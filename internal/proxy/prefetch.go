@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"msite/internal/cache"
 	"msite/internal/fetch"
 )
 
@@ -35,25 +34,6 @@ func (p *Proxy) PrefetchBuild(ctx context.Context, force bool) (bool, error) {
 		p.prerenderSnapshot(b)
 	}
 	return ran, err
-}
-
-// prerenderSnapshot renders the shared entry snapshot from a bundle the
-// prefetch path just built or loaded. Without this the crawler removes
-// the pipeline cost of a cold miss but leaves the layout/raster/encode
-// of the snapshot for the first live visitor; pre-filling the shared
-// cache entry means that visitor serves entirely warm. Sites with
-// per-session (non-shared) snapshots are skipped — there is no shared
-// entry to warm.
-func (p *Proxy) prerenderSnapshot(b *Bundle) {
-	ttl := p.sharedSnapshotTTL()
-	if ttl <= 0 {
-		return
-	}
-	// GetOrFill leaves an already-warm snapshot (live render or
-	// disk-tier rehydration) alone.
-	_, _ = p.cfg.Cache.GetOrFill(p.snapKey, ttl, func() (cache.Entry, error) {
-		return p.renderSnapshot(context.Background(), b)
-	})
 }
 
 // BundleValidator returns the persisted bundle's origin validator. Zero

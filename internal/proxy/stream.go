@@ -32,7 +32,8 @@ func flushNow(w http.ResponseWriter) {
 // challenges) instead of a broken status.
 func (p *Proxy) streamAbort(w http.ResponseWriter, r *http.Request, err error) {
 	obs.TraceFrom(r.Context()).Annotate("error", err.Error())
-	_ = p.degrade(r.Context(), "stream_entry", err)
+	obs.TraceFrom(r.Context()).Annotate("degraded_stream_entry", err.Error())
+	p.degrade("stream_entry")
 	msg := "origin unavailable; retry shortly"
 	var authErr *fetch.AuthRequiredError
 	if errors.As(err, &authErr) {
