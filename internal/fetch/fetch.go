@@ -384,7 +384,7 @@ func (f *Fetcher) attempt(ctx context.Context, rawURL string, cond Condition) (*
 			NotModified:  true,
 		}, nil
 	}
-	body, err := readBody(rawURL, req.URL.Host, resp.Body, br)
+	body, err := readBody(rawURL, req.URL.Host, resp.Body, resp.ContentLength, br)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +449,7 @@ func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) 
 		return nil, transportError(rawURL, 1, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	body, err := readBody(rawURL, req.URL.Host, resp.Body, br)
+	body, err := readBody(rawURL, req.URL.Host, resp.Body, resp.ContentLength, br)
 	if err != nil {
 		return nil, err
 	}
@@ -471,12 +471,13 @@ func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) 
 	return page, nil
 }
 
-// readBody reads a response body of at most maxBodyBytes and records the
-// outcome with br, which may be nil. A failed read is a KindReset failure
-// of the origin; a longer body is a KindTooLarge error, never a page cut
-// short, and the breaker records a success, since the origin answered.
-func readBody(rawURL, host string, r io.Reader, br *Breaker) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
+// readBody reads a response body of at most maxBodyBytes, whose length is
+// size when that is known (-1 when not), and records the outcome with br,
+// which may be nil. A failed read is a KindReset failure of the origin; a
+// longer body is a KindTooLarge error, never a page cut short, and the
+// breaker records a success, since the origin answered.
+func readBody(rawURL, host string, r io.Reader, size int64, br *Breaker) ([]byte, error) {
+	body, err := readAll(io.LimitReader(r, maxBodyBytes+1), size)
 	if err != nil {
 		if br != nil {
 			br.Record(false)
@@ -496,6 +497,51 @@ func readBody(rawURL, host string, r io.Reader, br *Breaker) ([]byte, error) {
 		}
 	}
 	return body, nil
+}
+
+// readAll reads r, which ends within maxBodyBytes+1 bytes, to EOF: into
+// one buffer of size bytes and a spare when size is known (≥ 0).
+// Otherwise — a chunked body — it reads into chunks, each as large as all
+// those before it, and joins them once at EOF: about twice the body in
+// all, where io.ReadAll copies it into a buffer a quarter larger at every
+// step. A full chunk is followed by a one-byte read, so a body that ends
+// with a chunk does not pay for an empty one.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	n := 512
+	if size >= 0 {
+		n = int(min(size, maxBodyBytes)) + 1
+	}
+	var chunks [][]byte
+	var next [1]byte
+	buf, total := make([]byte, 0, n), 0
+	for {
+		if len(buf) == cap(buf) {
+			if _, err := io.ReadFull(r, next[:]); err == io.EOF {
+				break
+			} else if err != nil {
+				return nil, err
+			}
+			chunks = append(chunks, buf)
+			buf = append(make([]byte, 0, min(total, maxBodyBytes+1-total)), next[0])
+			total++
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf, total = buf[:len(buf)+m], total+m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if chunks == nil {
+		return buf, nil
+	}
+	body := make([]byte, 0, total)
+	for _, c := range chunks {
+		body = append(body, c...)
+	}
+	return append(body, buf...), nil
 }
 
 func parseRealm(header string) string {

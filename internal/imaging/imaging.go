@@ -16,6 +16,7 @@ import (
 	_ "image/gif" // registered for Decode: origin sites serve GIFs
 	"image/jpeg"
 	"image/png"
+	"math/bits"
 	"sync"
 )
 
@@ -323,9 +324,9 @@ func ScaleInto(dst *image.RGBA, img image.Image) {
 		return
 	}
 	if rgba, ok := img.(*image.RGBA); ok {
-		NewBoxFilter(w, h, sw, sh, func(row *image.RGBA) {
-			copy(dst.Pix[dst.PixOffset(dst.Rect.Min.X, dst.Rect.Min.Y+row.Rect.Min.Y):], row.Pix)
-		}).Add(rgba)
+		rows := *dst // dst with its rows numbered from 0, as the filter's
+		rows.Rect = dst.Rect.Sub(image.Pt(0, dst.Rect.Min.Y))
+		NewBoxFilter(w, h, sw, sh).Fold(&rows, rgba)
 		return
 	}
 	boxScale(dst, img, w, h)
@@ -354,90 +355,130 @@ func ScaleFactor(img image.Image, factor float64) *image.RGBA {
 }
 
 // BoxFilter is the box filter over *image.RGBA — the only type the
-// painter produces — fed a source of known size a run of rows at a time:
-// a whole image at once (ScaleInto) or the bands of a page being painted,
-// none of which need outlive their Add. It reads pixel bytes in place and
-// hands each destination row to a sink as soon as its source rows are in,
-// so its few allocations do not grow with the pixel count. Its arithmetic
-// and partition are boxScale's: destination pixel (dx, dy) averages source
-// columns [dx*sw/w, (dx+1)*sw/w) of rows [dy*sh/h, (dy+1)*sh/h), each span
-// widened to one where it is empty.
+// painter produces. It folds whole destination rows at a time, each run
+// from its own starting row: a whole image (ScaleInto), or the short bands
+// a render's paint workers fold as they paint them, in any order. Its
+// arithmetic and partition are boxScale's: destination pixel (dx, dy)
+// averages source columns [dx*sw/w, (dx+1)*sw/w) of source rows
+// SourceRows(dy, dy+1), each span widened to one where it is empty. A
+// filter keeps one sum per source channel, so it belongs to one goroutine.
 type BoxFilter struct {
-	sink      func(row *image.RGBA)
-	sw, sh, h int
+	w, h, sw, sh int
 	// x0[dx], x1[dx] is the span of source columns of destination column dx.
 	x0, x1 []int
-	// sums holds the 8-bit channel sums of destination row dy, gathered
-	// from rows source rows so far; next is the source row Add continues at.
-	sums           []uint64
-	row            image.RGBA
-	rows, dy, next int
+	// sums holds the channel sums, per source column, of the source rows of
+	// the destination row being folded.
+	sums []uint32
+	// A box is minRows or minRows+1 rows of minCols or minCols+1 columns;
+	// div[rows-minRows][cols-minCols] divides its channel sums.
+	minRows, minCols int
+	div              [2][2]divisor
 }
 
 // NewBoxFilter returns a filter from a source sw×sh pixels large to a w×h
-// destination. It hands the destination's rows to sink in order, each an
-// image of that one row whose pixels are reused once sink returns; the
-// last goes once all sh source rows have been added.
-func NewBoxFilter(w, h, sw, sh int, sink func(row *image.RGBA)) *BoxFilter {
+// destination.
+func NewBoxFilter(w, h, sw, sh int) *BoxFilter {
 	spans := make([]int, 2*w)
-	f := &BoxFilter{sink: sink, sw: sw, sh: sh, h: h, x0: spans[:w], x1: spans[w:], sums: make([]uint64, 4*w)}
-	f.row = image.RGBA{Pix: make([]uint8, 4*w), Stride: 4 * w}
+	f := &BoxFilter{w: w, h: h, sw: sw, sh: sh, x0: spans[:w], x1: spans[w:], sums: make([]uint32, 4*sw),
+		minRows: max(sh/h, 1), minCols: max(sw/w, 1)}
 	for dx := range f.x0 {
 		f.x0[dx] = dx * sw / w
 		f.x1[dx] = max((dx+1)*sw/w, f.x0[dx]+1)
 	}
+	// A sum of 8-bit samples times 0x101 is the sum of the 16-bit values
+	// color.RGBA reports, so dividing it by 0x100 times the box's pixel
+	// count gives boxScale's 8-bit mean.
+	for r := range f.div {
+		for c := range f.div[r] {
+			f.div[r][c] = newDivisor(uint64((f.minRows+r)*(f.minCols+c)) << 8)
+		}
+	}
 	return f
 }
 
-// Add folds the rows of src, which continue the source where the previous
-// Add stopped, into the destination. src's width must be the source's.
-func (f *BoxFilter) Add(src *image.RGBA) {
-	b, h := src.Bounds(), f.h
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		off := src.PixOffset(b.Min.X, y)
-		row := src.Pix[off : off+4*f.sw]
-		// When the filter magnifies vertically several destination rows
-		// share this source row; otherwise the loop runs once.
-		for f.dy < h && f.next >= f.dy*f.sh/h {
-			f.gather(row)
-			if f.next+1 < (f.dy+1)*f.sh/h {
-				break
-			}
-			f.flush()
+// SourceRows is the span [sy0, sy1) of source rows that destination rows
+// [dy0, dy1) average. When the filter magnifies vertically, consecutive
+// runs of destination rows may share a source row.
+func (f *BoxFilter) SourceRows(dy0, dy1 int) (sy0, sy1 int) {
+	return dy0 * f.sh / f.h, max(dy1*f.sh/f.h, (dy1-1)*f.sh/f.h+1)
+}
+
+// Fold writes the destination rows dst's bounds span, w pixels from its
+// left edge, from src: an image sw pixels wide whose rows, top to bottom,
+// are the source rows SourceRows gives for them.
+func (f *BoxFilter) Fold(dst, src *image.RGBA) {
+	d := dst.Rect
+	base, _ := f.SourceRows(d.Min.Y, d.Max.Y)
+	for dy := d.Min.Y; dy < d.Max.Y; dy++ {
+		sy0, sy1 := f.SourceRows(dy, dy+1)
+		for sy := sy0; sy < sy1; sy++ {
+			off := src.PixOffset(src.Rect.Min.X, src.Rect.Min.Y+sy-base)
+			f.gather(src.Pix[off:off+4*f.sw], sy == sy0)
 		}
-		f.next++
+		off := dst.PixOffset(d.Min.X, dy)
+		f.flush(dst.Pix[off:off+4*f.w], sy1-sy0)
 	}
 }
 
-// gather adds one source row to the sums of the current destination row.
-func (f *BoxFilter) gather(row []uint8) {
-	f.rows++
-	for dx, x0 := range f.x0 {
-		s := f.sums[4*dx : 4*dx+4]
-		for p := row[4*x0 : 4*f.x1[dx]]; len(p) >= 4; p = p[4:] {
-			s[0] += uint64(p[0])
-			s[1] += uint64(p[1])
-			s[2] += uint64(p[2])
-			s[3] += uint64(p[3])
+// gather adds one source row to the column sums; the first row of a
+// destination row replaces them.
+func (f *BoxFilter) gather(row []uint8, first bool) {
+	sums := f.sums[:len(row)]
+	if first {
+		for i, v := range row {
+			sums[i] = uint32(v)
 		}
+		return
+	}
+	for i, v := range row {
+		sums[i] += uint32(v)
 	}
 }
 
-// flush hands the current destination row to the sink and starts the
-// next. A sum of 8-bit samples times 0x101 is the sum of the 16-bit values
-// color.RGBA reports, so the quotient is boxScale's.
-func (f *BoxFilter) flush() {
+// flush writes into out the destination row whose source rows, rows of
+// them, the column sums hold.
+func (f *BoxFilter) flush(out []uint8, rows int) {
+	div := &f.div[rows-f.minRows]
 	for dx, x0 := range f.x0 {
-		n := uint64(f.rows * (f.x1[dx] - x0))
-		for c := 4 * dx; c < 4*dx+4; c++ {
-			f.row.Pix[c] = uint8(f.sums[c] * 0x101 / n >> 8)
-			f.sums[c] = 0
+		x1 := f.x1[dx]
+		var r, g, b, a uint64
+		for p := f.sums[4*x0 : 4*x1]; len(p) >= 4; p = p[4:] {
+			r += uint64(p[0])
+			g += uint64(p[1])
+			b += uint64(p[2])
+			a += uint64(p[3])
 		}
+		d := div[x1-x0-f.minCols]
+		px := out[4*dx : 4*dx+4]
+		px[0] = uint8(d.div(r * 0x101))
+		px[1] = uint8(d.div(g * 0x101))
+		px[2] = uint8(d.div(b * 0x101))
+		px[3] = uint8(d.div(a * 0x101))
 	}
-	f.row.Rect = image.Rect(0, f.dy, len(f.x0), f.dy+1)
-	f.sink(&f.row)
-	f.rows = 0
-	f.dy++
+}
+
+// A divisor divides by d ≥ 2 with one multiplication: with 2^s < d ≤
+// 2^(s+1) and m = ⌈2^(64+s)/d⌉, which fits 64 bits, ⌊x·m/2^(64+s)⌋ is
+// ⌊x/d⌋ for every x < 2^63, since the error x·(m − 2^(64+s)/d)/2^(64+s)
+// is below x/2^(64+s) ≤ x/2^63 · 1/d < 1/d.
+type divisor struct {
+	m uint64
+	s uint
+}
+
+func newDivisor(d uint64) divisor {
+	s := uint(bits.Len64(d-1)) - 1
+	m, rem := bits.Div64(1<<s, 0, d)
+	if rem != 0 {
+		m++
+	}
+	return divisor{m, s}
+}
+
+// div is ⌊x/d⌋ for x < 2^63.
+func (d divisor) div(x uint64) uint64 {
+	hi, _ := bits.Mul64(x, d.m)
+	return hi >> d.s
 }
 
 // boxScale is the box filter for sources that are not *image.RGBA

@@ -201,10 +201,15 @@ type generic struct{ image.Image }
 // TestBoxFilterMatchesGenericBoxScale: the typed filter is the generic
 // box filter, byte for byte, for every shape that reaches it — both axes
 // minified, one minified and the other magnified or equal, 1×N and N×1 —
-// whether the source arrives whole or in bands of any height.
+// whether it folds the source whole or any partition of the destination
+// rows into runs, each folded from its own starting row out of just the
+// source rows SourceRows gives it, in any order and by either of two
+// filters. Where the filter magnifies vertically one source row feeds two
+// runs.
 func TestBoxFilterMatchesGenericBoxScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	sizes := [][4]int{{1, 40, 1, 7}, {40, 1, 9, 1}, {97, 53, 31, 17}, {64, 48, 64, 11}, {33, 9, 5, 20}, {9, 33, 20, 5}, {1024, 3, 460, 1}}
+	sizes := [][4]int{{1, 40, 1, 7}, {40, 1, 9, 1}, {97, 53, 31, 17}, {64, 48, 64, 11}, {33, 9, 5, 20}, {9, 33, 20, 5},
+		{1024, 3, 460, 1}, {50, 4, 7, 6}, {40, 7, 13, 23}, {12, 2, 5, 5}}
 	for i := 0; i < 60; i++ {
 		sw, sh := 1+rng.Intn(120), 1+rng.Intn(120)
 		sizes = append(sizes, [4]int{sw, sh, 1 + rng.Intn(sw+10), 1 + rng.Intn(sh+10)})
@@ -223,31 +228,108 @@ func TestBoxFilterMatchesGenericBoxScale(t *testing.T) {
 		if !bytes.Equal(whole.Pix, want.Pix) {
 			t.Fatalf("%dx%d -> %dx%d: typed filter differs from generic boxScale", sw, sh, w, h)
 		}
-		for _, band := range []int{1, 3, 64} {
-			banded := image.NewRGBA(image.Rect(0, 0, w, h))
-			rows := 0
-			f := NewBoxFilter(w, h, sw, sh, func(row *image.RGBA) {
-				if row.Rect != image.Rect(0, rows, w, rows+1) {
-					t.Fatalf("row %v after %d rows", row.Rect, rows)
-				}
-				copy(banded.Pix[rows*banded.Stride:], row.Pix)
-				rows++
-			})
-			for y := src.Rect.Min.Y; y < src.Rect.Max.Y; y += band {
-				r := image.Rect(src.Rect.Min.X, y, src.Rect.Max.X, min(y+band, src.Rect.Max.Y))
-				f.Add(src.SubImage(r).(*image.RGBA))
+		for _, cuts := range rowPartitions(rng, h) {
+			filters := []*BoxFilter{NewBoxFilter(w, h, sw, sh), NewBoxFilter(w, h, sw, sh)}
+			got := image.NewRGBA(image.Rect(0, 0, w, h))
+			for i, k := range rng.Perm(len(cuts) - 1) {
+				dy0, dy1 := cuts[k], cuts[k+1]
+				f := filters[i%2]
+				sy0, sy1 := f.SourceRows(dy0, dy1)
+				rows := src.SubImage(image.Rect(src.Rect.Min.X, src.Rect.Min.Y+sy0, src.Rect.Max.X, src.Rect.Min.Y+sy1)).(*image.RGBA)
+				f.Fold(got.SubImage(image.Rect(0, dy0, w, dy1)).(*image.RGBA), rows)
 			}
-			if !bytes.Equal(banded.Pix, want.Pix) {
-				t.Fatalf("%dx%d -> %dx%d in bands of %d: differs from generic boxScale", sw, sh, w, h, band)
+			if !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%dx%d -> %dx%d in runs cut at %v: differs from generic boxScale", sw, sh, w, h, cuts)
 			}
 		}
 	}
 }
 
+// TestDivisorIsDivision: a divisor's multiplication is integer division
+// for divisors from 2 to 2^62 and dividends up to 2^63-1, at and beside
+// every multiple of the divisor it is tried on.
+func TestDivisorIsDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		d := uint64(2 + rng.Intn(1<<12))
+		if i%2 == 1 {
+			d = 2 + rng.Uint64()>>uint(2+rng.Intn(60))
+		}
+		v := newDivisor(d)
+		for _, x := range []uint64{0, 1, d - 1, d, d + 1, rng.Uint64() >> 1, 1<<63 - 1, (1<<63 - 1) / d * d, (1<<63-1)/d*d - 1} {
+			if got := v.div(x); got != x/d {
+				t.Fatalf("%d / %d: got %d, want %d", x, d, got, x/d)
+			}
+		}
+	}
+}
+
+// rowPartitions returns partitions of h destination rows into runs, each
+// as its cut points from 0 to h: every partition when there are at most
+// 32, otherwise runs of 1, 2, 3, 7 and 64 rows and three random partitions.
+func rowPartitions(rng *rand.Rand, h int) [][]int {
+	var parts [][]int
+	if h <= 6 {
+		for mask := 0; mask < 1<<(h-1); mask++ {
+			cuts := []int{0}
+			for dy := 1; dy < h; dy++ {
+				if mask&(1<<(dy-1)) != 0 {
+					cuts = append(cuts, dy)
+				}
+			}
+			parts = append(parts, append(cuts, h))
+		}
+		return parts
+	}
+	for _, run := range []int{1, 2, 3, 7, 64} {
+		cuts := []int{0}
+		for dy := run; dy < h; dy += run {
+			cuts = append(cuts, dy)
+		}
+		parts = append(parts, append(cuts, h))
+	}
+	for range 3 {
+		cuts := []int{0}
+		for dy := 1; dy < h; dy++ {
+			if rng.Intn(3) == 0 {
+				cuts = append(cuts, dy)
+			}
+		}
+		parts = append(parts, append(cuts, h))
+	}
+	return parts
+}
+
+// BenchmarkBoxFilter folds a flat 1024×3200 page — a few colours in
+// blocks and stripes, as the painter's output — to 0.45 in one run.
+func BenchmarkBoxFilter(b *testing.B) {
+	const sw, sh = 1024, 3200
+	src := image.NewRGBA(image.Rect(0, 0, sw, sh))
+	for y := 0; y < sh; y++ {
+		for x := 0; x < sw; x++ {
+			c := color.RGBA{255, 255, 255, 255}
+			switch {
+			case y%40 < 24 && x%300 < 200:
+				c = color.RGBA{0xdd, 0xdd, 0xee, 255}
+			case y%13 == 0 && x%7 < 3:
+				c = color.RGBA{0x33, 0x33, 0x66, 255}
+			}
+			src.SetRGBA(x, y, c)
+		}
+	}
+	w, h := FactorSize(sw, sh, 0.45)
+	dst := image.NewRGBA(image.Rect(0, 0, w, h))
+	b.SetBytes(int64(len(src.Pix)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewBoxFilter(w, h, sw, sh).Fold(dst, src)
+	}
+}
+
 // TestScaleIntoRGBAAllocsIndependentOfSize: minifying the painter's own
-// type costs the filter's few bookkeeping allocations (column spans, sums,
-// one output row, the sink copying it into dst) however many pixels it
-// reads — a per-pixel interface call shows up here as thousands.
+// type costs the filter's few bookkeeping allocations (the filter, its
+// column spans and its column sums) however many pixels it reads — a
+// per-pixel interface call shows up here as thousands.
 func TestScaleIntoRGBAAllocsIndependentOfSize(t *testing.T) {
 	allocs := func(sw, sh int) float64 {
 		src := gradient(sw, sh)

@@ -2,14 +2,14 @@
 // page, or a rectangle of it, scales it and encodes it at a fidelity
 // level. Every server-side render — the entry snapshot, pre-rendered
 // subpages, thumbnails and the image engines — goes through RenderRegion.
-// The painted bands stream, through the box filter when the render scales
-// down, into an imaging.Frame, which holds the image as palette indices,
-// one byte a pixel, while it has at most 256 colours: no render holds an
-// RGBA frame of its source, and a flat one none of its output either. A
-// render of more colours — a photo on the page — pays for both: the
-// palette indices and the RGBA frame the Frame turns into, 5 bytes an
-// output pixel against an RGBA frame's 4. An image is magnified, if at
-// all, from the collected frame.
+// The painted bands, each folded by the worker that painted it when the
+// render scales down, stream into an imaging.Frame, which holds the image
+// as palette indices, one byte a pixel, while it has at most 256 colours:
+// no render holds an RGBA frame of its source, and a flat one none of its
+// output either. A render of more colours — a photo on the page — pays
+// for both: the palette indices and the RGBA frame the Frame turns into,
+// 5 bytes an output pixel against an RGBA frame's 4. An image is
+// magnified, if at all, from the collected frame.
 package progressive
 
 import (
@@ -88,14 +88,12 @@ func RenderRegion(res *layout.Result, cfg Config, r image.Rectangle) (Artifact, 
 
 	sp := obs.StartSpan(ctx, "raster")
 	fold := outW < sw || outH < sh
-	var frame *imaging.Frame
+	fw, fh = sw, sh
 	if fold {
-		frame = imaging.NewFrame(outW, outH)
-		raster.PaintBands(res, cfg.Raster, r, imaging.NewBoxFilter(outW, outH, sw, sh, frame.Add).Add)
-	} else {
-		frame = imaging.NewFrame(sw, sh)
-		raster.PaintBands(res, cfg.Raster, r, frame.Add)
+		fw, fh = outW, outH
 	}
+	frame := imaging.NewFrame(fw, fh)
+	raster.PaintBands(res, cfg.Raster, r, fw, fh, frame.Add)
 	sp.End()
 	sp = obs.StartSpan(ctx, "encode")
 	defer sp.End()

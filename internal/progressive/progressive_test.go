@@ -6,8 +6,11 @@ import (
 	"image"
 	"image/color"
 	"image/draw"
+	"math"
 	"math/rand"
+	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -15,6 +18,7 @@ import (
 	"msite/internal/html"
 	"msite/internal/imaging"
 	"msite/internal/layout"
+	"msite/internal/origin"
 	"msite/internal/raster"
 )
 
@@ -267,5 +271,74 @@ func TestScaleOnePaintsOnce(t *testing.T) {
 	asPainted, one := bytesFor(0), bytesFor(1)
 	if one > asPainted+perFrame/2 {
 		t.Fatalf("Scale 1 allocated %.0f bytes, as-painted %.0f: a second %0.f-byte frame", one, asPainted, perFrame)
+	}
+}
+
+// TestRenderAllocationBudget renders the synthetic forum's entry page at
+// 0.45 as the snapshot does, and the same page with its body twice over,
+// on 1, 2 and 4 workers. What a render allocates besides its frame (one
+// palette index an output pixel) and its encoded bytes is what its paint
+// workers own: each a band of about 16 source rows (70 KB on a 1024 px
+// page), its filter's column sums (16 KB) and a slot of output rows. So
+// the object count does not grow with the page's height, and those bytes
+// stay within a per-worker budget.
+func TestRenderAllocationBudget(t *testing.T) {
+	const fixed, perWorker = 48 << 10, 128 << 10
+	rec := httptest.NewRecorder()
+	origin.NewForum(origin.DefaultForumConfig()).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	page := rec.Body.String()
+	body, end := strings.Index(page, "<body"), strings.LastIndex(page, "</body>")
+	body += strings.Index(page[body:], ">") + 1
+	var layouts []*layout.Result
+	for _, src := range []string{page, page[:end] + page[body:end] + page[end:]} {
+		doc := html.Tidy(src)
+		layouts = append(layouts, layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 1024}))
+	}
+	if short, tall := layouts[0].Height, layouts[1].Height; tall < 2*short-64 {
+		t.Fatalf("the doubled page is %d px tall, the page %d", tall, short)
+	}
+	// measure is the least a render allocates, in objects and in bytes
+	// besides its frame and its data, over two renders after one that
+	// fills the encoder's buffer pool. That pool is per CPU, and the
+	// collector empties it, so the test runs on one CPU and the collector
+	// is off while a render runs.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(res *layout.Result, workers int) (objects, other uint64) {
+		cfg := Config{Raster: raster.Options{Workers: workers}, Fidelity: imaging.FidelityLow, Scale: 0.45}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		objects, other = math.MaxUint64, math.MaxUint64
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := Render(res, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				objects = min(objects, after.Mallocs-before.Mallocs)
+				other = min(other, after.TotalAlloc-before.TotalAlloc-uint64(out.Width*out.Height+len(out.Data)))
+			}
+			runtime.GC()
+		}
+		return objects, other
+	}
+	t.Logf("| render of the forum at 0.45 | workers | objects | KB besides the frame | budget KB |")
+	t.Logf("|---|---|---|---|---|")
+	for _, workers := range []int{1, 2, 4} {
+		budget := uint64(fixed + workers*perWorker)
+		var objects [2]uint64
+		for i, res := range layouts {
+			var other uint64
+			objects[i], other = measure(res, workers)
+			t.Logf("| %d px | %d | %d | %.0f | %d |", res.Height, workers, objects[i], float64(other)/1024, budget>>10)
+			if other > budget {
+				t.Errorf("%d workers: a %d px render allocated %d B besides its frame, budget %d", workers, res.Height, other, budget)
+			}
+		}
+		if d := int64(objects[1]) - int64(objects[0]); d < -2 || d > 2 {
+			t.Errorf("%d workers: a %d px render made %d objects, a %d px one %d",
+				workers, layouts[0].Height, objects[0], layouts[1].Height, objects[1])
+		}
 	}
 }

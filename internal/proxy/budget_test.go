@@ -37,14 +37,18 @@ func evaluationSpec(sp *spec.Spec) {
 // than into RGBA frames (the forums pre-render's alone was 2.1 MB) it is
 // ~27 k and ~6 MB. The parse of the site's 30 KB stylesheet was 10.8 k of
 // those 27 k until it cut its input in place (2.2 k), and layout stopped
-// allocating for the colspan a cell lacks: ~16 k and ~5.5 MB. The budget
-// sits above what a build costs now and below any of those coming back.
+// allocating for the colspan a cell lacks: ~16 k and ~5.5 MB. Since each
+// paint worker folds its own 16-row band, with a ring of slots rather than
+// a channel a band, and fetch reads a chunked body without regrowing it,
+// ~15.7 k and ~4.8 MB. The budget sits above what a build costs now and
+// below any of those coming back.
 //
-// A render paints with one band buffer per CPU and one more, 128 KB each
-// for a 1024 px page, so the test runs on two CPUs — the figures above —
-// whatever the machine has: on sixteen a build would allocate ~4 MB more.
+// Each of a build's three renders allocates about 100 KB per paint worker
+// (its band, its filter's column sums and a slot of output rows), so the
+// test runs on two CPUs, the figures above, whatever the machine has: on
+// sixteen a build would allocate ~4 MB more.
 func TestColdBuildAllocationBudget(t *testing.T) {
-	const maxMallocs, maxBytes = 20_000, 7 << 20
+	const maxMallocs, maxBytes = 20_000, 6 << 20
 	prev := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	build := func() (mallocs, bytes uint64) {

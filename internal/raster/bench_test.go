@@ -57,7 +57,7 @@ func BenchmarkPaintBands(b *testing.B) {
 	w, h := FrameSize(res, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PaintBands(res, Options{}, image.Rect(0, 0, w, h), func(*image.RGBA) {})
+		PaintBands(res, Options{}, image.Rect(0, 0, w, h), w, h, func(*image.RGBA) {})
 	}
 }
 

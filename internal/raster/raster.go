@@ -49,15 +49,14 @@ type Options struct {
 	Workers int
 }
 
-// BandFunc consumes one painted horizontal band: an image whose bounds are
-// the band's rows of the painted rectangle. Its pixels are reused as soon
-// as the call returns.
+// BandFunc consumes one horizontal band of rows: an image whose bounds are
+// the band's rows. Its pixels are reused as soon as the call returns.
 type BandFunc func(band *image.RGBA)
 
-// bandRows is the height of the bands PaintBands paints: a 1024 px wide
-// band is 128 KB, a fraction of a desktop-size frame, yet walking the box
-// tree once per band stays far below the cost of filling its pixels.
-const bandRows = 32
+// bandRows is the height, in source rows, of the bands PaintBands paints:
+// a 1024 px wide band is 64 KB, yet walking the box tree once per band
+// stays far below the cost of filling its pixels.
+const bandRows = 16
 
 // Paint rasterizes a layout result into a new RGBA image, one band per
 // worker. The frame's backing array may come from a recycled pool;
@@ -65,75 +64,112 @@ const bandRows = 32
 func Paint(res *layout.Result, opts Options) *image.RGBA {
 	w, h := FrameSize(res, opts)
 	img := imaging.GetRGBA(w, h)
-	paintBands(res, opts, img, img.Rect, 0, func(*image.RGBA) {})
+	paintBands(res, opts, img, img.Rect, w, h, 0, func(*image.RGBA) {})
 	return img
 }
 
 // PaintBands paints the part of res's frame inside r, and nothing else,
-// without ever holding it: bandRows-high bands of r clipped to the frame
-// are painted into a few buffers owned by this call — plain allocations
-// dropped at return — and handed to onBand in top-to-bottom order while
-// later bands are still being painted. Laid end to end the bands are that
-// rectangle of Paint's frame, byte for byte, for every worker count: each
-// band paints exactly the primitives that intersect it, clipped to it, and
-// the antialias jitter is seeded per row.
-func PaintBands(res *layout.Result, opts Options, r image.Rectangle, onBand BandFunc) {
-	w, h := FrameSize(res, opts)
-	paintBands(res, opts, nil, r.Intersect(image.Rect(0, 0, w, h)), bandRows, onBand)
+// without ever holding it. When w×h is not the size of r clipped to the
+// frame, that rectangle is box-filtered (imaging.BoxFilter) to w×h as it is
+// painted. onBand gets the w×h image in bands top to bottom, each in a
+// buffer owned by this call — a plain allocation dropped at return —
+// while later bands are still being painted; the bounds of an unscaled
+// band are its rows of the frame, those of a scaled one its rows of the
+// w×h image. Laid end to end the bands are that rectangle of Paint's
+// frame, scaled, byte for byte, for every worker count: each band paints
+// exactly the primitives that intersect it, clipped to it, the antialias
+// jitter is seeded per row, and a scaled band is folded from the source
+// rows of whole destination rows.
+func PaintBands(res *layout.Result, opts Options, r image.Rectangle, w, h int, onBand BandFunc) {
+	fw, fh := FrameSize(res, opts)
+	paintBands(res, opts, nil, r.Intersect(image.Rect(0, 0, fw, fh)), w, h, bandRows, onBand)
 }
 
-// paintBands is the one band loop over r: rows-high bands (0: one band per
-// worker), painted into their rows of frame or, without one, into recycled
-// buffers, so that a band is valid only until onBand returns. Bands are
-// delivered strictly in order: band i+1 may finish first, but the consumer
-// sees a top-to-bottom scanline stream.
-func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rectangle, rows int, onBand BandFunc) {
-	if r.Empty() {
+// paintBands is the one band loop over r, whose output is w×h: bands of
+// about rows source rows (0: one band per worker), each cut on a
+// destination-row boundary. A worker paints a band into its rows of frame,
+// or into a slot of a ring of workers+1; when the output is scaled it
+// paints the band's source rows into a buffer of its own and folds them
+// into the slot. A slot is valid only until onBand returns. Bands are
+// delivered strictly in order: band i+1 may finish first, but the
+// consumer sees a top-to-bottom scanline stream.
+func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rectangle, w, h, rows int, onBand BandFunc) {
+	if r.Empty() || w < 1 || h < 1 {
 		return
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if rows <= 0 {
-		rows = (r.Dy() + workers - 1) / workers
+	sw, sh := r.Dx(), r.Dy()
+	scaled := w != sw || h != sh
+	switch {
+	case rows <= 0:
+		rows = (h + workers - 1) / workers
+	case scaled:
+		rows = max(rows*h/sh, 1) // destination rows whose source rows are about rows
 	}
-	n := (r.Dy() + rows - 1) / rows
+	n := (h + rows - 1) / rows
 	workers = min(workers, n)
-	bufLen := 0
-	if frame == nil {
-		bufLen = 4 * r.Dx() * rows
-	}
 	paint, release := painter(res, opts, r)
 	defer release()
-	band := func(i int, buf []uint8) *image.RGBA {
-		br := image.Rect(r.Min.X, r.Min.Y+i*rows, r.Max.X, min(r.Min.Y+(i+1)*rows, r.Max.Y))
-		view := &image.RGBA{Pix: buf, Stride: 4 * r.Dx(), Rect: br}
-		if frame != nil {
-			view = frame.SubImage(br).(*image.RGBA)
+	// band is destination rows [i*rows, (i+1)*rows), in frame coordinates
+	// when the output is not scaled.
+	band := func(i int) image.Rectangle {
+		b := image.Rect(0, i*rows, w, min((i+1)*rows, h))
+		if !scaled {
+			b = b.Add(r.Min)
 		}
-		paint(view)
-		return view
+		return b
+	}
+	// newRender returns what renders band i into a slot for one worker,
+	// which alone uses the source band and filter state it allocates.
+	newRender := func() func(i int, slot *image.RGBA) {
+		if !scaled {
+			return func(i int, slot *image.RGBA) {
+				slot.Rect = band(i)
+				if frame != nil {
+					slot.Pix, slot.Stride = frame.Pix[frame.PixOffset(slot.Rect.Min.X, slot.Rect.Min.Y):], frame.Stride
+				}
+				paint(slot)
+			}
+		}
+		filter := imaging.NewBoxFilter(w, h, sw, sh)
+		src := &image.RGBA{Pix: make([]uint8, 4*sw*min(rows*sh/h+2, sh)), Stride: 4 * sw}
+		return func(i int, slot *image.RGBA) {
+			slot.Rect = band(i)
+			sy0, sy1 := filter.SourceRows(slot.Rect.Min.Y, slot.Rect.Max.Y)
+			src.Rect = image.Rect(r.Min.X, r.Min.Y+sy0, r.Max.X, r.Min.Y+sy1)
+			paint(src)
+			filter.Fold(slot, src)
+		}
+	}
+	slotLen := 4 * w * rows
+	if frame != nil {
+		slotLen = 0
 	}
 	if workers <= 1 {
-		buf := make([]uint8, bufLen)
-		for i := 0; i < n; i++ {
-			onBand(band(i, buf))
+		render := newRender()
+		slot := &image.RGBA{Pix: make([]uint8, slotLen), Stride: 4 * w}
+		for i := range n {
+			render(i, slot)
+			onBand(slot)
 		}
 		return
 	}
 
-	// One buffer per worker and one for the consumer. A worker takes a
-	// buffer before it takes the next band, so the bands holding buffers
-	// are always the lowest undelivered ones and the consumer never waits
-	// on a band that cannot start.
-	free := make(chan []uint8, workers+1)
-	for range cap(free) {
-		free <- make([]uint8, bufLen)
-	}
-	done := make([]chan *image.RGBA, n)
-	for i := range done {
-		done[i] = make(chan *image.RGBA, 1)
+	// A worker takes a free slot before it takes the next band, so the
+	// bands holding slots are always the lowest undelivered ones, at most
+	// one a slot: band i can go to ring position i mod len(slots), whose
+	// last band, i-len(slots), has been delivered, and the consumer never
+	// waits on a band that cannot start.
+	slots := make([]image.RGBA, workers+1)
+	free := make(chan *image.RGBA, len(slots))
+	ready := make([]chan *image.RGBA, len(slots))
+	for k := range slots {
+		slots[k] = image.RGBA{Pix: make([]uint8, slotLen), Stride: 4 * w}
+		free <- &slots[k]
+		ready[k] = make(chan *image.RGBA, 1)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -141,19 +177,21 @@ func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rec
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for buf := range free {
+			render := newRender()
+			for slot := range free {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				done[i] <- band(i, buf)
+				render(i, slot)
+				ready[i%len(ready)] <- slot
 			}
 		}()
 	}
-	for _, ch := range done {
-		view := <-ch
-		onBand(view)
-		free <- view.Pix
+	for i := range n {
+		slot := <-ready[i%len(ready)]
+		onBand(slot)
+		free <- slot
 	}
 	close(free)
 	wg.Wait()

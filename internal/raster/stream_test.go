@@ -44,7 +44,7 @@ func bandsOf(t *testing.T, res *layout.Result, opts Options, r image.Rectangle) 
 	r = r.Intersect(image.Rect(0, 0, w, h))
 	got := image.NewRGBA(r)
 	nextY := r.Min.Y
-	PaintBands(res, opts, r, func(band *image.RGBA) {
+	PaintBands(res, opts, r, r.Dx(), r.Dy(), func(band *image.RGBA) {
 		b := band.Rect
 		if b.Min.Y != nextY || b.Min.X != r.Min.X || b.Max.X != r.Max.X || b.Empty() || b.Dy() > bandRows {
 			t.Fatalf("band %v after row %d of %v", b, nextY, r)
@@ -100,7 +100,7 @@ func TestStreamPaintDeliversOrderedFullCoverage(t *testing.T) {
 			t.Fatalf("bands of %v cover %v", r, got.Rect)
 		}
 	}
-	PaintBands(res, Options{Workers: 5}, image.Rect(w, 0, w+200, 100), func(band *image.RGBA) {
+	PaintBands(res, Options{Workers: 5}, image.Rect(w, 0, w+200, 100), 200, 100, func(band *image.RGBA) {
 		t.Fatalf("band %v of a rectangle outside the %dx%d frame", band.Rect, w, h)
 	})
 }
@@ -122,7 +122,7 @@ func TestPaintBandsMatchesPaint(t *testing.T) {
 					opts.Workers = workers
 					got := image.NewRGBA(want.Rect)
 					nextY := 0
-					paintBands(res, opts, nil, want.Rect, rows, func(band *image.RGBA) {
+					paintBands(res, opts, nil, want.Rect, want.Rect.Dx(), want.Rect.Dy(), rows, func(band *image.RGBA) {
 						if band.Rect.Min.Y != nextY || band.Rect.Dx() != want.Rect.Dx() || band.Rect.Dy() > rows {
 							t.Fatalf("band %v after row %d with %d-row bands", band.Rect, nextY, rows)
 						}
