@@ -2,13 +2,17 @@ package css
 
 import (
 	"cmp"
+	"encoding/binary"
+	"reflect"
 	"slices"
 	"strings"
 
 	"msite/internal/dom"
 )
 
-// Style is a computed style: resolved property → value text.
+// Style is a computed style: resolved property → value text. A Style that
+// a Styler returns is shared by every element that cascades alike and
+// must not be modified.
 type Style map[string]string
 
 // Get returns the property value or def.
@@ -94,12 +98,25 @@ var boldTags = map[string]bool{
 // Styler computes styles for a document against a set of stylesheets.
 // The zero value is usable with no author styles; add sheets with
 // AddSheet, or use StylerForDocument to collect <style> elements.
+//
+// A Styler memoizes: elements that cascade alike share one computed
+// Style, which callers must treat as read-only. A Styler is not safe for
+// concurrent use.
 type Styler struct {
 	sheets []*Stylesheet
 	// mediaAccept, when non-empty, is the set of media condition
 	// substrings considered active (e.g. "screen"). Rules with other
 	// conditions are skipped.
 	mediaAccept []string
+
+	// styles holds every style computed so far by its key (see
+	// appendKey); ids numbers them by map identity, so that a key can
+	// name its parent style.
+	styles map[string]Style
+	ids    map[uintptr]uint32
+	// key and hits are scratch for one ComputedStyle call.
+	key  []byte
+	hits []ruleHit
 }
 
 // NewStyler returns a Styler over the given stylesheets.
@@ -176,11 +193,98 @@ type weightedDecl struct {
 	seq  int
 }
 
+// ruleHit is one rule that matched an element: its sheet and rule
+// ordinals and the best specificity among its selectors that matched.
+type ruleHit struct {
+	sheet, rule, spec int
+}
+
 // ComputedStyle resolves the style for one element: defaults, then
 // inherited values from parentStyle (may be nil), then matching author
 // rules by specificity and order, then the inline style attribute, with
 // !important on top — the standard cascade.
+//
+// The result is memoized by everything the cascade reads (see appendKey)
+// and shared with every element that cascades alike, so it must not be
+// modified. A parentStyle this Styler did not return is cascaded afresh.
 func (s *Styler) ComputedStyle(n *dom.Node, parentStyle Style) Style {
+	s.hits = s.appendHits(s.hits[:0], n)
+	var parentID uint32
+	if parentStyle != nil {
+		var ok bool
+		if parentID, ok = s.ids[styleIdentity(parentStyle)]; !ok {
+			return s.cascade(n, parentStyle, s.hits)
+		}
+	}
+	s.key = appendKey(s.key[:0], parentID, n, s.hits)
+	if st, ok := s.styles[string(s.key)]; ok {
+		return st
+	}
+	st := s.cascade(n, parentStyle, s.hits)
+	if s.styles == nil {
+		s.styles = make(map[string]Style)
+		s.ids = make(map[uintptr]uint32)
+	}
+	s.styles[string(s.key)] = st
+	s.ids[styleIdentity(st)] = uint32(len(s.ids) + 1)
+	return st
+}
+
+// styleIdentity is the address of a style's map, shared by every copy of
+// the Style value. The styles a Styler numbers stay reachable from its
+// styles map, so no other map can take one of their addresses.
+func styleIdentity(st Style) uintptr {
+	return reflect.ValueOf(st).Pointer()
+}
+
+// appendHits appends the rules of s's active media that match n, in
+// sheet and source order.
+func (s *Styler) appendHits(hits []ruleHit, n *dom.Node) []ruleHit {
+	for si, sheet := range s.sheets {
+		for ri := range sheet.Rules {
+			rule := &sheet.Rules[ri]
+			if !s.mediaActive(rule.Media) {
+				continue
+			}
+			best := -1
+			for _, sel := range rule.Selectors {
+				if sel.Match(n) && sel.Specificity() > best {
+					best = sel.Specificity()
+				}
+			}
+			if best >= 0 {
+				hits = append(hits, ruleHit{sheet: si, rule: ri, spec: best})
+			}
+		}
+	}
+	return hits
+}
+
+// appendKey appends everything the cascade of n reads: the parent
+// style's number (0 for none), the tag, the inline style, if any, and
+// the rules that matched. Sheets are only ever appended to a Styler, so
+// an ordinal names one rule for the Styler's life, and a key names only
+// rules that applied, so it stays exact across AddSheet and SetMedia.
+func appendKey(key []byte, parentID uint32, n *dom.Node, hits []ruleHit) []byte {
+	key = binary.AppendUvarint(key, uint64(parentID))
+	key = binary.AppendUvarint(key, uint64(len(n.Tag)))
+	key = append(key, n.Tag...)
+	if inline, ok := n.Attr("style"); ok {
+		key = binary.AppendUvarint(key, uint64(len(inline))+1)
+		key = append(key, inline...)
+	} else {
+		key = append(key, 0)
+	}
+	for _, h := range hits {
+		key = binary.AppendUvarint(key, uint64(h.sheet))
+		key = binary.AppendUvarint(key, uint64(h.rule))
+		key = binary.AppendUvarint(key, uint64(h.spec))
+	}
+	return key
+}
+
+// cascade computes n's style from scratch, given the rules it matched.
+func (s *Styler) cascade(n *dom.Node, parentStyle Style, hits []ruleHit) Style {
 	out := Style{}
 
 	// 1. Tag defaults.
@@ -212,28 +316,14 @@ func (s *Styler) ComputedStyle(n *dom.Node, parentStyle Style) Style {
 	// 3. Author rules.
 	var matched, important []weightedDecl
 	seq := 0
-	for _, sheet := range s.sheets {
-		for _, rule := range sheet.Rules {
-			if !s.mediaActive(rule.Media) {
-				continue
-			}
-			best := -1
-			for _, sel := range rule.Selectors {
-				if sel.Match(n) && sel.Specificity() > best {
-					best = sel.Specificity()
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			for _, d := range rule.Decls {
-				wd := weightedDecl{decl: d, spec: best, seq: seq}
-				seq++
-				if d.Important {
-					important = append(important, wd)
-				} else {
-					matched = append(matched, wd)
-				}
+	for _, h := range hits {
+		for _, d := range s.sheets[h.sheet].Rules[h.rule].Decls {
+			wd := weightedDecl{decl: d, spec: h.spec, seq: seq}
+			seq++
+			if d.Important {
+				important = append(important, wd)
+			} else {
+				matched = append(matched, wd)
 			}
 		}
 	}

@@ -19,7 +19,9 @@ var DefaultViewport = Viewport{Width: 1024}
 
 // Box is one laid-out box with absolute border-box coordinates.
 type Box struct {
-	Node  *dom.Node // nil for anonymous boxes
+	Node *dom.Node // nil for anonymous boxes
+	// Style is the element's computed style, shared with every box whose
+	// element cascades alike: read it, never write it.
 	Style css.Style
 
 	X, Y, W, H float64
@@ -127,7 +129,7 @@ func Layout(doc *dom.Node, styler *css.Styler, vp Viewport) *Result {
 	} else {
 		rootStyle = css.Style{"display": "block"}
 	}
-	box := ctx.layoutBlock(root, rootStyle, 0, 0, float64(vp.Width))
+	box := ctx.layoutBlock(root, rootStyle, 0, 0, float64(vp.Width), 0)
 	res := &Result{
 		Root:   box,
 		Width:  vp.Width,
@@ -140,6 +142,25 @@ func Layout(doc *dom.Node, styler *css.Styler, vp Viewport) *Result {
 type lctx struct {
 	styler *css.Styler
 	byNode map[*dom.Node]*Box
+	// slab is the chunk boxes are cut from; the Result's boxes keep
+	// every chunk alive, and nothing else does.
+	slab []Box
+	// words is the pending-word buffer every line context of the layout
+	// shares: a line's words are flushed before a nested block opens a
+	// line of its own.
+	words []pendingWord
+}
+
+// boxChunk is how many boxes a slab chunk holds.
+const boxChunk = 128
+
+// newBox returns a zero box cut from the layout's slab.
+func (c *lctx) newBox() *Box {
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]Box, 0, boxChunk)
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	return &c.slab[len(c.slab)-1]
 }
 
 // edges resolves margin, border, and padding for a style.
@@ -149,13 +170,17 @@ type edges struct {
 	pt, pr, pb, pl float64
 }
 
-func resolveEdges(style css.Style, availW, fontSize float64) edges {
-	get := func(prop string) float64 {
-		v, ok := css.ParseLength(style.Get(prop, ""), availW)
-		if !ok {
-			return 0
+// resolveEdges resolves a style's edges within availW. pad is the padding
+// of each side the style leaves unset: a table's cellpadding for its
+// cells, 0 for any other box.
+func resolveEdges(style css.Style, availW, pad float64) edges {
+	get := func(prop string, unset float64) float64 {
+		s := style.Get(prop, "")
+		if s == "" {
+			return unset
 		}
-		if v < 0 {
+		v, ok := css.ParseLength(s, availW)
+		if !ok || v < 0 {
 			return 0
 		}
 		return v
@@ -174,14 +199,13 @@ func resolveEdges(style css.Style, availW, fontSize float64) edges {
 		}
 		return w
 	}
-	_ = fontSize
 	return edges{
-		mt: get("margin-top"), mr: get("margin-right"),
-		mb: get("margin-bottom"), ml: get("margin-left"),
+		mt: get("margin-top", 0), mr: get("margin-right", 0),
+		mb: get("margin-bottom", 0), ml: get("margin-left", 0),
 		bt: borderW("top"), br: borderW("right"),
 		bb: borderW("bottom"), bl: borderW("left"),
-		pt: get("padding-top"), pr: get("padding-right"),
-		pb: get("padding-bottom"), pl: get("padding-left"),
+		pt: get("padding-top", pad), pr: get("padding-right", pad),
+		pb: get("padding-bottom", pad), pl: get("padding-left", pad),
 	}
 }
 
@@ -222,9 +246,10 @@ func colorOf(style css.Style) color.RGBA {
 
 // layoutBlock lays out n as a block at (x, y) with available outer width
 // availW. The returned box has final geometry; (x, y) is the margin-box
-// origin, and the box's X/Y are the border-box origin.
-func (c *lctx) layoutBlock(n *dom.Node, style css.Style, x, y, availW float64) *Box {
-	e := resolveEdges(style, availW, fontSizeOf(style))
+// origin, and the box's X/Y are the border-box origin. pad is the padding
+// of a side the style leaves unset (see resolveEdges).
+func (c *lctx) layoutBlock(n *dom.Node, style css.Style, x, y, availW, pad float64) *Box {
+	e := resolveEdges(style, availW, pad)
 
 	// Default list indentation, as browsers apply via UA stylesheet.
 	if (n.Tag == "ul" || n.Tag == "ol") && style.Get("padding-left", "") == "" {
@@ -241,7 +266,8 @@ func (c *lctx) layoutBlock(n *dom.Node, style css.Style, x, y, availW float64) *
 		contentW = w
 	}
 
-	box := &Box{
+	box := c.newBox()
+	*box = Box{
 		Node:  n,
 		Style: style,
 		X:     x + e.ml,
@@ -306,7 +332,7 @@ func heightAttr(n *dom.Node) string {
 // the first subsequent in-flow content clears below the tallest float.
 func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, contentY, contentW float64) float64 {
 	cur := contentY
-	line := newLineCtx(box, style, contentX, cur, contentW)
+	line := c.newLineCtx(box, style, contentX, cur, contentW)
 
 	var floatLeftW, floatRightW, floatMaxY float64
 
@@ -316,7 +342,7 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 	clearFloats := func() {
 		if floatMaxY > cur {
 			cur = floatMaxY
-			line = newLineCtx(box, style, contentX, cur, contentW)
+			line = c.newLineCtx(box, style, contentX, cur, contentW)
 		}
 		floatLeftW, floatRightW, floatMaxY = 0, 0, 0
 	}
@@ -340,8 +366,8 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 			if (side == "left" || side == "right") && hasW && floatW > 0 &&
 				(disp == "block" || disp == "table" || disp == "inline-block") {
 				flushLine()
-				cb := c.layoutBlock(child, childStyle, contentX, cur, contentW)
-				ce := resolveEdges(childStyle, contentW, fontSizeOf(childStyle))
+				cb := c.layoutBlock(child, childStyle, contentX, cur, contentW, 0)
+				ce := resolveEdges(childStyle, contentW, 0)
 				outerW := cb.W + ce.ml + ce.mr
 				var dx float64
 				if side == "left" {
@@ -363,13 +389,13 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 				// table-row/cell outside a table degrade to blocks.
 				flushLine()
 				clearFloats()
-				cb := c.layoutBlock(child, childStyle, contentX, cur, contentW)
+				cb := c.layoutBlock(child, childStyle, contentX, cur, contentW, 0)
 				box.Children = append(box.Children, cb)
-				ce := resolveEdges(childStyle, contentW, fontSizeOf(childStyle))
+				ce := resolveEdges(childStyle, contentW, 0)
 				cur = cb.Y + cb.H + ce.mb
-				line = newLineCtx(box, style, contentX, cur, contentW)
+				line = c.newLineCtx(box, style, contentX, cur, contentW)
 			default: // inline, inline-block
-				c.inlineElement(child, childStyle, line)
+				c.inlineElement(child, childStyle, &line)
 			}
 		}
 	}
@@ -415,7 +441,7 @@ func (c *lctx) inlineElement(n *dom.Node, style css.Style, line *lineCtx) {
 		bounds.merge(r)
 	} else {
 		start := len(line.box.Runs)
-		pendStart := len(line.pending)
+		pendStart := len(*line.pending)
 		for child := n.FirstChild; child != nil; child = child.NextSibling {
 			switch child.Type {
 			case dom.TextNode:
@@ -435,15 +461,16 @@ func (c *lctx) inlineElement(n *dom.Node, style css.Style, line *lineCtx) {
 		// Include pending (unflushed) words added by this element on the
 		// open line. A wrap inside the element may have flushed earlier
 		// pending entries into Runs, which the loop above already covers.
-		if pendStart > len(line.pending) {
+		if pendStart > len(*line.pending) {
 			pendStart = 0
 		}
-		for _, w := range line.pending[pendStart:] {
+		for _, w := range (*line.pending)[pendStart:] {
 			bounds.merge(rect{w.x, line.y, w.x + w.width, line.y + GlyphHeight(w.fontSize)})
 		}
 	}
 	if bounds.valid() {
-		eb := &Box{
+		eb := c.newBox()
+		*eb = Box{
 			Node:  n,
 			Style: style,
 			X:     bounds.x0,
@@ -517,23 +544,18 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 	if v, err := strconv.ParseFloat(n.AttrOr("cellpadding", ""), 64); err == nil && v >= 0 {
 		padding = v
 	}
-	pad := strconv.FormatFloat(padding, 'f', -1, 64) + "px"
 
-	rows := tableRows(n)
-	if len(rows) == 0 {
-		return 0
-	}
 	// Column count = max cells in any row (colspan counts extra).
 	cols := 0
-	for _, row := range rows {
+	eachRow(n, func(row *dom.Node) {
 		span := 0
-		for _, cell := range rowCells(row) {
-			span += cellSpan(cell)
+		for cell := row.FirstChild; cell != nil; cell = cell.NextSibling {
+			if isCell(cell) {
+				span += cellSpan(cell)
+			}
 		}
-		if span > cols {
-			cols = span
-		}
-	}
+		cols = max(cols, span)
+	})
 	if cols == 0 {
 		return 0
 	}
@@ -543,33 +565,30 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 	}
 
 	cur := contentY + spacing
-	for _, row := range rows {
+	eachRow(n, func(row *dom.Node) {
 		rowStyle := c.styler.ComputedStyle(row, style)
-		rowBox := &Box{Node: row, Style: rowStyle, X: contentX, Y: cur, W: contentW}
+		rowBox := c.newBox()
+		*rowBox = Box{Node: row, Style: rowStyle, X: contentX, Y: cur, W: contentW}
 		c.byNode[row] = rowBox
 		box.Children = append(box.Children, rowBox)
 
-		cells := rowCells(row)
 		maxH := 0.0
 		cx := contentX + spacing
-		for _, cell := range cells {
+		for cell := row.FirstChild; cell != nil; cell = cell.NextSibling {
+			if !isCell(cell) {
+				continue
+			}
 			span := cellSpan(cell)
 			cw := colW*float64(span) + spacing*float64(span-1)
 			cellStyle := c.styler.ComputedStyle(cell, rowStyle)
-			// Apply table cellpadding when the cell declares none.
-			if padding > 0 && cellStyle.Get("padding-top", "") == "" {
-				cellStyle["padding-top"] = pad
-				cellStyle["padding-right"] = pad
-				cellStyle["padding-bottom"] = pad
-				cellStyle["padding-left"] = pad
-			}
 			// Honor explicit width attributes within the row budget.
 			if wAttr := cell.AttrOr("width", ""); wAttr != "" {
 				if v, ok := css.ParseLength(wAttr, contentW); ok && v > 0 && v <= contentW {
 					cw = v
 				}
 			}
-			cb := c.layoutBlock(cell, cellStyle, cx, cur, cw)
+			// The table's cellpadding pads each side the cell leaves unset.
+			cb := c.layoutBlock(cell, cellStyle, cx, cur, cw, padding)
 			cb.W = cw // cells fill their column regardless of content
 			rowBox.Children = append(rowBox.Children, cb)
 			if cb.H > maxH {
@@ -583,38 +602,33 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 		}
 		rowBox.H = maxH
 		cur += maxH + spacing
-	}
+	})
 	return cur - contentY
 }
 
-func tableRows(table *dom.Node) []*dom.Node {
-	var rows []*dom.Node
-	for _, group := range table.ChildNodes() {
+// eachRow calls f with each row of table in document order: its tr
+// children and those of its row groups.
+func eachRow(table *dom.Node, f func(row *dom.Node)) {
+	for group := table.FirstChild; group != nil; group = group.NextSibling {
 		if group.Type != dom.ElementNode {
 			continue
 		}
 		switch group.Tag {
 		case "tr":
-			rows = append(rows, group)
+			f(group)
 		case "thead", "tbody", "tfoot":
-			for _, r := range group.Children() {
-				if r.Tag == "tr" {
-					rows = append(rows, r)
+			for r := group.FirstChild; r != nil; r = r.NextSibling {
+				if r.Type == dom.ElementNode && r.Tag == "tr" {
+					f(r)
 				}
 			}
 		}
 	}
-	return rows
 }
 
-func rowCells(row *dom.Node) []*dom.Node {
-	var cells []*dom.Node
-	for _, c := range row.Children() {
-		if c.Tag == "td" || c.Tag == "th" {
-			cells = append(cells, c)
-		}
-	}
-	return cells
+// isCell reports whether a row's child is a cell.
+func isCell(n *dom.Node) bool {
+	return n.Type == dom.ElementNode && (n.Tag == "td" || n.Tag == "th")
 }
 
 // cellSpan returns how many columns a cell's colspan says it takes: 1
@@ -667,25 +681,28 @@ type pendingWord struct {
 // lineCtx accumulates inline content into line boxes within a containing
 // block, flushing TextRuns into the block's box.
 type lineCtx struct {
-	box     *Box
-	x0      float64 // line start X
-	availW  float64
-	x       float64 // next placement X
-	y       float64 // current line top
-	lineH   float64 // current line height
-	pending []pendingWord
+	box    *Box
+	x0     float64 // line start X
+	availW float64
+	x      float64 // next placement X
+	y      float64 // current line top
+	lineH  float64 // current line height
+	// pending is the words placed on the current line and not yet
+	// flushed: the layout's one buffer (lctx.words).
+	pending *[]pendingWord
 	align   string
 	started bool // any content placed on current line
 }
 
-func newLineCtx(box *Box, style css.Style, x0, y, availW float64) *lineCtx {
-	return &lineCtx{
-		box:    box,
-		x0:     x0,
-		availW: availW,
-		x:      x0,
-		y:      y,
-		align:  style.Get("text-align", "left"),
+func (c *lctx) newLineCtx(box *Box, style css.Style, x0, y, availW float64) lineCtx {
+	return lineCtx{
+		box:     box,
+		x0:      x0,
+		availW:  availW,
+		x:       x0,
+		y:       y,
+		pending: &c.words,
+		align:   style.Get("text-align", "left"),
 	}
 }
 
@@ -710,7 +727,7 @@ func (lc *lineCtx) addText(node *dom.Node, style css.Style) {
 		if lc.started {
 			lc.x += space
 		}
-		lc.pending = append(lc.pending, pendingWord{
+		*lc.pending = append(*lc.pending, pendingWord{
 			text: w, node: node, x: lc.x, width: ww,
 			fontSize: fs, bold: bold, italic: italic, underline: underline,
 			color: col,
@@ -763,7 +780,7 @@ func (lc *lineCtx) wrap() {
 // flushPending emits pending words as TextRuns, applying text-align
 // offset for the completed line.
 func (lc *lineCtx) flushPending() {
-	if len(lc.pending) == 0 {
+	if len(*lc.pending) == 0 {
 		return
 	}
 	offset := 0.0
@@ -777,7 +794,7 @@ func (lc *lineCtx) flushPending() {
 	if offset < 0 {
 		offset = 0
 	}
-	for _, w := range lc.pending {
+	for _, w := range *lc.pending {
 		// Baseline-align runs of mixed sizes to the line bottom.
 		runY := lc.y + lc.lineH - GlyphHeight(w.fontSize) - (lc.lineH-GlyphHeight(w.fontSize))/2
 		if lc.lineH == 0 {
@@ -791,13 +808,13 @@ func (lc *lineCtx) flushPending() {
 			Color:     w.color,
 		})
 	}
-	lc.pending = lc.pending[:0]
+	*lc.pending = (*lc.pending)[:0]
 }
 
 // finish flushes any open line and returns the Y coordinate following the
 // inline content.
 func (lc *lineCtx) finish() float64 {
-	if !lc.started && len(lc.pending) == 0 {
+	if !lc.started && len(*lc.pending) == 0 {
 		return lc.y
 	}
 	lc.flushPending()

@@ -238,6 +238,36 @@ func TestTableColspan(t *testing.T) {
 	}
 }
 
+// TestCellpaddingFillsUnsetSides: a table's cellpadding pads exactly the
+// sides its cell's style leaves unset — a cell that sets one side keeps
+// it and takes cellpadding on the other three.
+func TestCellpaddingFillsUnsetSides(t *testing.T) {
+	for _, c := range []struct {
+		name, style              string
+		top, right, bottom, left int
+	}{
+		{"no padding", "", 6, 6, 6, 6},
+		{"padding-left only", "padding-left: 9px", 6, 6, 6, 9},
+		{"padding-top only", "padding-top: 2px", 2, 6, 6, 6},
+		{"all four", "padding: 1px 2px 3px 4px", 1, 2, 3, 4},
+	} {
+		res := doLayout(t, `<html><body><table cellspacing="0" cellpadding="6" width="200"><tr>
+			<td id="cell" style="`+c.style+`"><div id="in" style="height: 10px"></div></td>
+		</tr></table></body></html>`, 800)
+		cx, cy, cw, ch, ok1 := regionByID(t, res, "cell")
+		ix, iy, iw, ih, ok2 := regionByID(t, res, "in")
+		if !ok1 || !ok2 {
+			t.Fatalf("%s: no box for the cell or its content", c.name)
+		}
+		top, left := iy-cy, ix-cx
+		right, bottom := cw-iw-left, ch-ih-top
+		if top != c.top || right != c.right || bottom != c.bottom || left != c.left {
+			t.Errorf("%s: padding %d %d %d %d, want %d %d %d %d", c.name,
+				top, right, bottom, left, c.top, c.right, c.bottom, c.left)
+		}
+	}
+}
+
 func TestTableRowGroups(t *testing.T) {
 	res := doLayout(t, `<html><body>
 	<table><thead><tr><th id="h">H</th></tr></thead>
