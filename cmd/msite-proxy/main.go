@@ -61,10 +61,6 @@ func run() error {
 	storeDir := flag.String("store-dir", "", "durable render store directory; restarts rehydrate adapted content from it (empty = no persistence)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "durable store byte budget, least-recently-accessed records evicted past it (0 = unbounded)")
 	storeFsync := flag.String("store-fsync", "", "store durability policy: interval (default), always, or never")
-	sloTargetP99 := flag.Duration("slo-target-p99", 0, "latency SLO: 99% of requests must complete within this duration; enables /slo and msite_slo_* metrics (0 = off)")
-	sloAvailability := flag.Float64("slo-availability", 0, "availability SLO: required non-5xx request fraction, e.g. 0.999 (0 = off)")
-	incidentDir := flag.String("incident-dir", "", "flight-recorder directory; the watchdog captures incident bundles there, browsable at /debug/incidents (empty = off)")
-	incidentMax := flag.Int("incident-max", 0, "incident bundles retained on disk, oldest deleted first (0 = default 16)")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
 	prefetchOn := flag.Bool("prefetch", false, "speculative pre-adaptation: a background crawler pre-builds demanded bundles and keeps them fresh with conditional revalidation")
 	prefetchTopN := flag.Int("prefetch-top-n", 0, "sites the crawler builds or revalidates per cycle (0 = default 4)")
@@ -105,11 +101,6 @@ func run() error {
 		StoreDir:      *storeDir,
 		StoreMaxBytes: *storeMaxBytes,
 		StoreFsync:    *storeFsync,
-
-		SLOTargetP99:    *sloTargetP99,
-		SLOAvailability: *sloAvailability,
-		IncidentDir:     *incidentDir,
-		IncidentMax:     *incidentMax,
 
 		Stream: *stream,
 

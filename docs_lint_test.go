@@ -1,7 +1,9 @@
 // Docs lint: the operator-facing documentation must keep up with the
 // code. Every flag msite-proxy registers has to appear in the README's
 // operator-runbook flag table, every row of that table and of the
-// core.Config reference has to name a knob that still exists, and the
+// core.Config reference has to name a knob that still exists, every
+// metric the code registers has a row in docs/OBSERVABILITY.md and every
+// row there a metric, the knob count stays under its ceiling, and the
 // docs the README links to have to exist. CI runs this with the rest of
 // the suite.
 package msite_test
@@ -213,28 +215,20 @@ var subsystemDocs = []struct {
 		},
 	},
 	{
-		doc: "OBSERVABILITY.md",
-		flags: []string{
-			"-slo-target-p99", "-slo-availability",
-			"-incident-dir", "-incident-max",
-		},
+		// The surface every node serves with the default flags: metrics,
+		// traces, pprof, the trace header and the request log.
+		doc:      "OBSERVABILITY.md",
+		flags:    []string{"-metrics", "-log-level"},
+		inReadme: true,
 		metrics: []string{
-			"msite_slo_burn_rate", "msite_slo_compliance",
-			"msite_slo_budget_remaining", "msite_slo_alerting",
-			"msite_slo_alerts_total",
-			"msite_runtime_goroutines", "msite_runtime_heap_alloc_bytes",
-			"msite_runtime_gc_pause_total_seconds",
-			"msite_runtime_sched_latency_p99_seconds",
-			"msite_incidents_total", "msite_incidents_suppressed_total",
-			"msite_incident_capture_errors_total",
+			"msite_proxy_requests_total", "msite_proxy_errors_total",
+			"msite_http_request_seconds", "msite_stage_seconds",
 		},
 		topics: []string{
-			"/slo", "/debug/incidents", "/debug/pprof",
-			"X-MSite-Trace",
-			"meta.json", "goroutines.txt", "heap.pprof", "cpu.pprof",
-			"traces.json", "metrics_delta.json",
+			"/metrics", "?format=json", "/debug/traces", "/debug/pprof/",
+			"X-MSite-Trace", "trace=",
 		},
-		tests: []string{"TestSLOBurnCapturesIncident", "TestRecorderCapturesCompleteBundle"},
+		tests: []string{"TestMetricsEndpointMounted", "TestTracesEndpoint"},
 	},
 }
 
@@ -327,7 +321,7 @@ func coreConfigFields(t *testing.T) []string {
 	if body == "" {
 		t.Fatal("could not locate the core.Config struct — lint regexp out of date?")
 	}
-	// One name per line, or several: "SLOFastWindow, SLOSlowWindow time.Duration".
+	// One name per line, or several: "A, B time.Duration".
 	field := regexp.MustCompile(`(?m)^\t([A-Z][A-Za-z0-9]*(?:, [A-Z][A-Za-z0-9]*)*) `)
 	var names []string
 	for _, m := range field.FindAllStringSubmatch(body, -1) {
@@ -407,6 +401,72 @@ func TestDocsNameOnlyLiveKnobs(t *testing.T) {
 			if !table.live[m[1]] {
 				t.Errorf("%s has a row for %s %s, which does not exist", table.path, table.what, m[1])
 			}
+		}
+	}
+}
+
+// knobCeiling caps the operator surface: core.Config fields and
+// msite-proxy flags. A knob deleted for want of a consumer cannot come
+// back without raising the ceiling here.
+var knobCeiling = struct{ configFields, proxyFlags int }{29, 32}
+
+func TestKnobCeiling(t *testing.T) {
+	if n := len(coreConfigFields(t)); n > knobCeiling.configFields {
+		t.Errorf("core.Config has %d fields, ceiling %d", n, knobCeiling.configFields)
+	}
+	if n := len(proxyFlagNames(t)); n > knobCeiling.proxyFlags {
+		t.Errorf("msite-proxy registers %d flags, ceiling %d", n, knobCeiling.proxyFlags)
+	}
+}
+
+// notMetrics are msite_-prefixed string literals in the code that name
+// something other than a metric.
+var notMetrics = map[string]bool{"msite_session": true} // the session cookie
+
+// TestMetricInventory holds docs/OBSERVABILITY.md's metric tables to the
+// code both ways: every msite_* metric name the non-test Go under
+// internal/ and cmd/ registers has a row there, and every row names a
+// metric the code still registers.
+func TestMetricInventory(t *testing.T) {
+	literal := regexp.MustCompile(`"(msite_[a-z0-9_]+)"`)
+	code := map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			for _, m := range literal.FindAllStringSubmatch(string(src), -1) {
+				if !notMetrics[m[1]] {
+					code[m[1]] = true
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("scan %s: %v", root, err)
+		}
+	}
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatalf("read docs/OBSERVABILITY.md: %v", err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `(msite_[a-z0-9_]+)` \\|")
+	rows := map[string]bool{}
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = true
+	}
+	if len(code) < 30 || len(rows) < 30 {
+		t.Fatalf("found %d metric names in code and %d rows — regexp out of date?", len(code), len(rows))
+	}
+	for name := range code {
+		if !rows[name] {
+			t.Errorf("metric %s is registered in code but has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range rows {
+		if !code[name] {
+			t.Errorf("docs/OBSERVABILITY.md has a row for %s, which no code registers", name)
 		}
 	}
 }

@@ -142,7 +142,6 @@ type Limiter struct {
 	avgRun time.Duration
 
 	depth *obs.Gauge // msite_admission_queue_depth
-	shed  func(reason string)
 }
 
 // NewLimiter builds a limiter from cfg.
@@ -165,20 +164,15 @@ func NewLimiter(cfg LimiterConfig) (*Limiter, error) {
 		maxConcurrent: cfg.MaxConcurrent,
 		queueLen:      queueLen,
 		avgRun:        expected,
-		shed:          func(string) {},
 	}, nil
 }
 
-// SetObs registers the limiter's queue-depth gauge and shed counter on
-// reg.
+// SetObs registers the limiter's queue-depth gauge on reg. Sheds are
+// counted where they are answered (the proxy's shedError), not here.
 func (l *Limiter) SetObs(reg *obs.Registry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.depth = reg.Gauge("msite_admission_queue_depth")
-	l.shed = func(reason string) {
-		reg.Counter("msite_admission_shed_total", "reason", reason).Inc()
-		reg.Emit(obs.EventShed, reason)
-	}
 }
 
 // Acquire admits one pipeline run, waiting in the bounded queue when all
@@ -196,13 +190,11 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 	if pos >= l.queueLen {
 		retry := estimateWait(pos, l.maxConcurrent, l.avgRun)
 		l.mu.Unlock()
-		l.shed(ReasonQueueFull)
 		return nil, &ShedError{Reason: ReasonQueueFull, RetryAfter: retry}
 	}
 	wait := estimateWait(pos, l.maxConcurrent, l.avgRun)
 	if dl, ok := ctx.Deadline(); ok && time.Now().Add(wait).After(dl) {
 		l.mu.Unlock()
-		l.shed(ReasonDeadline)
 		return nil, &ShedError{Reason: ReasonDeadline, RetryAfter: wait}
 	}
 	w := &waiter{ready: make(chan struct{})}
@@ -225,7 +217,6 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 		l.removeLocked(w)
 		retry := estimateWait(0, l.maxConcurrent, l.avgRun)
 		l.mu.Unlock()
-		l.shed(ReasonDeadline)
 		return nil, &ShedError{Reason: ReasonDeadline, RetryAfter: retry}
 	}
 }

@@ -425,6 +425,67 @@ func TestCoalescerAllCallersGoneCancelsBuild(t *testing.T) {
 	<-done
 }
 
+// TestCoalescerAbandonedCallNotJoined: a call canceled because every
+// participant left keeps draining until fn returns; a caller arriving in
+// that window gets a fresh run, not the dying call's cancellation, and
+// the draining call's exit leaves the fresh one registered.
+func TestCoalescerAbandonedCallNotJoined(t *testing.T) {
+	c := NewCoalescer[int]()
+	started, drain := make(chan struct{}), make(chan struct{})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "key", func(bctx context.Context) (int, error) {
+			close(started)
+			<-bctx.Done()
+			<-drain // still in the map, already canceled
+			return 0, bctx.Err()
+		})
+		leaderDone <- err
+	}()
+	<-started
+	cancel()
+	for c.Waiters("key") > 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	freshStarted, release := make(chan struct{}), make(chan struct{})
+	freshDone := make(chan error, 1)
+	var got int
+	var coalesced bool
+	go func() {
+		var err error
+		got, coalesced, err = c.Do(context.Background(), "key", func(bctx context.Context) (int, error) {
+			close(freshStarted)
+			<-release
+			return 9, bctx.Err()
+		})
+		freshDone <- err
+	}()
+	select {
+	case <-freshStarted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("new caller joined the abandoned call instead of starting its own")
+	}
+
+	close(drain)
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned leader err = %v, want context.Canceled", err)
+	}
+	if c.InFlight() != 1 || c.Waiters("key") != 1 {
+		t.Fatalf("after the abandoned call drained: in-flight %d, waiters %d; want the fresh call still registered",
+			c.InFlight(), c.Waiters("key"))
+	}
+	close(release)
+	if err := <-freshDone; err != nil || got != 9 || coalesced {
+		t.Fatalf("fresh call = (%d, coalesced=%v, %v), want (9, false, nil)", got, coalesced, err)
+	}
+	if c.InFlight() != 0 {
+		t.Errorf("in-flight after drain = %d, want 0", c.InFlight())
+	}
+}
+
 func TestControllerNilSafe(t *testing.T) {
 	var c *Controller
 	release, err := c.Acquire(context.Background())

@@ -42,9 +42,12 @@ func NewCoalescer[V any]() *Coalescer[V] {
 // reused another's execution. A caller whose ctx ends before the shared
 // call finishes returns ctx.Err() (the call keeps running for the
 // remaining participants; when none remain, fn's context is canceled).
+// A call every participant has abandoned is already canceled and only
+// draining: a new caller starts a fresh call in its place rather than
+// joining one that can only fail.
 func (c *Coalescer[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (v V, coalesced bool, err error) {
 	c.mu.Lock()
-	if cl, ok := c.calls[key]; ok {
+	if cl, ok := c.calls[key]; ok && cl.waiters > 0 {
 		cl.waiters++
 		c.mu.Unlock()
 		c.watch(ctx, cl)
@@ -69,7 +72,9 @@ func (c *Coalescer[V]) Do(ctx context.Context, key string, fn func(context.Conte
 	v, err = fn(buildCtx)
 
 	c.mu.Lock()
-	delete(c.calls, key)
+	if c.calls[key] == cl {
+		delete(c.calls, key)
+	}
 	c.mu.Unlock()
 	cl.val, cl.err = v, err
 	close(cl.done)

@@ -24,8 +24,7 @@ type RateLimiter struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	rejects *obs.Counter  // msite_ratelimit_rejects_total
-	reg     *obs.Registry // shed-event sink for the flight recorder
+	rejects *obs.Counter // msite_ratelimit_rejects_total
 }
 
 // bucket is one client's token state.
@@ -57,7 +56,6 @@ func (r *RateLimiter) SetObs(reg *obs.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.rejects = reg.Counter("msite_ratelimit_rejects_total")
-	r.reg = reg
 }
 
 // setClock swaps the time source for tests.
@@ -94,9 +92,6 @@ func (r *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
 	}
 	if r.rejects != nil {
 		r.rejects.Inc()
-	}
-	if r.reg != nil {
-		r.reg.Emit(obs.EventShed, ReasonRateLimit)
 	}
 	deficit := 1 - b.tokens
 	return false, time.Duration(deficit / r.rate * float64(time.Second))

@@ -164,7 +164,8 @@ func TestTransportRejectsBadToken(t *testing.T) {
 
 func TestTransportShedMapsTo503(t *testing.T) {
 	fb := &fakeBuilder{err: &admission.ShedError{Reason: "saturated"}}
-	_, srv := ownerServer(t, Config{}, map[string]Builder{"forum": fb})
+	reg := obs.NewRegistry()
+	_, srv := ownerServer(t, Config{Obs: reg}, map[string]Builder{"forum": fb})
 	resp, err := http.Get(srv.URL + PathPrefix + "bundle/forum")
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +176,11 @@ func TestTransportShedMapsTo503(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
+	}
+	// The owner's shed never reaches a proxy's shedError; the transport
+	// counts it, once.
+	if c, ok := reg.Snapshot().Counter("msite_admission_shed_total", "reason", "saturated"); !ok || c.Value != 1 {
+		t.Fatalf("msite_admission_shed_total{reason=saturated} = %+v ok=%v, want 1", c, ok)
 	}
 }
 

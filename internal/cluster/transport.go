@@ -102,6 +102,9 @@ func (n *Node) handleBundle(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		tr.Annotate("error", err.Error())
 		if shed, isShed := admission.IsShed(err); isShed {
+			// A peer's build never reaches the proxy's shedError, so its
+			// shed is counted here.
+			n.count("msite_admission_shed_total", "reason", shed.Reason)
 			w.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(shed.RetryAfter)))
 			http.Error(w, "cluster: owner shedding", http.StatusServiceUnavailable)
 			return

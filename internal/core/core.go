@@ -95,37 +95,6 @@ type Config struct {
 	// knob): "interval" (default; fsync on a short timer), "always"
 	// (fsync every append), or "never" (leave it to the OS).
 	StoreFsync string
-	// SLOTargetP99 enables the latency objective (the -slo-target-p99
-	// knob): at least 99% of proxied requests must complete within it.
-	// 0 disables the objective.
-	SLOTargetP99 time.Duration
-	// SLOAvailability enables the availability objective (the
-	// -slo-availability knob): the required non-5xx request fraction,
-	// e.g. 0.999. 0 disables the objective.
-	SLOAvailability float64
-	// SLOInterval is the SLO evaluation tick (default
-	// obs.DefaultSLOInterval).
-	SLOInterval time.Duration
-	// SLOFastWindow / SLOSlowWindow are the burn-rate windows (defaults
-	// obs.DefaultSLOFastWindow / obs.DefaultSLOSlowWindow).
-	SLOFastWindow, SLOSlowWindow time.Duration
-	// SLOMinEvents gates burn-rate alerts on the fast window's event
-	// count (default obs.DefaultSLOMinEvents).
-	SLOMinEvents float64
-	// IncidentDir enables the flight recorder (the -incident-dir knob):
-	// incident bundles are captured there when the watchdog trips.
-	// Empty disables it.
-	IncidentDir string
-	// IncidentMax bounds the on-disk incident ring (the -incident-max
-	// knob; default obs.DefaultIncidentMax).
-	IncidentMax int
-	// IncidentCPUProfile is the capture's CPU-profile length (default
-	// obs.DefaultCPUProfile).
-	IncidentCPUProfile time.Duration
-	// HealthInterval is the runtime health sampling tick (default
-	// obs.DefaultHealthInterval). The sampler runs whenever the SLO
-	// engine or the flight recorder is enabled.
-	HealthInterval time.Duration
 	// Stream enables flush-early entry serving (the -stream knob): the
 	// overlay head is flushed before the origin fetch begins and the
 	// snapshot renders in the background.
@@ -228,91 +197,6 @@ func (cfg Config) admissionController() (*admission.Controller, error) {
 	})
 }
 
-// obsTier is the second observability tier: SLO engine, runtime health
-// sampler, and flight recorder, started together and stopped by Close.
-type obsTier struct {
-	slo      *obs.SLOEngine
-	health   *obs.HealthSampler
-	recorder *obs.Recorder
-}
-
-// sloObjectives maps the SLO knobs onto engine objectives.
-func (cfg Config) sloObjectives() []obs.Objective {
-	var objectives []obs.Objective
-	if cfg.SLOTargetP99 > 0 {
-		objectives = append(objectives, obs.AdaptationLatencyObjective(cfg.SLOTargetP99))
-	}
-	if cfg.SLOAvailability > 0 {
-		objectives = append(objectives, obs.AvailabilityObjective(cfg.SLOAvailability))
-	}
-	return objectives
-}
-
-// buildObsTier wires the SLO engine, health sampler, and flight
-// recorder from the Config knobs and starts them. Returns nil when no
-// knob enables the tier (no objective, no incident dir) — the base
-// tier (/metrics, /debug/traces) alone then serves, as before.
-func (cfg Config) buildObsTier(reg *obs.Registry) (*obsTier, error) {
-	objectives := cfg.sloObjectives()
-	if len(objectives) == 0 && cfg.IncidentDir == "" {
-		return nil, nil
-	}
-	tier := &obsTier{health: obs.NewHealthSampler(reg, cfg.HealthInterval)}
-	if cfg.IncidentDir != "" {
-		rec, err := obs.NewRecorder(reg, obs.RecorderConfig{
-			Dir:          cfg.IncidentDir,
-			MaxIncidents: cfg.IncidentMax,
-			CPUProfile:   cfg.IncidentCPUProfile,
-			Health:       tier.health,
-		})
-		if err != nil {
-			return nil, err
-		}
-		tier.recorder = rec
-	}
-	if len(objectives) > 0 {
-		sloCfg := obs.SLOConfig{
-			Interval:   cfg.SLOInterval,
-			FastWindow: cfg.SLOFastWindow,
-			SlowWindow: cfg.SLOSlowWindow,
-			MinEvents:  cfg.SLOMinEvents,
-		}
-		if tier.recorder != nil {
-			rec := tier.recorder
-			sloCfg.OnAlert = func(a obs.Alert) {
-				rec.Trip("slo_burn_"+a.Objective,
-					fmt.Sprintf("burn rates fast=%.1f slow=%.1f (bad %.0f of %.0f in fast window)",
-						a.FastBurn, a.SlowBurn, a.FastBad, a.FastTotal))
-			}
-		}
-		tier.slo = obs.NewSLOEngine(reg, sloCfg, objectives...)
-	}
-	tier.health.Start()
-	if tier.recorder != nil {
-		tier.recorder.Start()
-	}
-	if tier.slo != nil {
-		tier.slo.Start()
-	}
-	return tier, nil
-}
-
-// stop shuts the tier down; nil-safe.
-func (t *obsTier) stop() {
-	if t == nil {
-		return
-	}
-	if t.slo != nil {
-		t.slo.Stop()
-	}
-	if t.recorder != nil {
-		t.recorder.Stop()
-	}
-	if t.health != nil {
-		t.health.Stop()
-	}
-}
-
 // cacheOptions maps the Config knobs onto the cache; its expiry
 // sweeper runs every minute and stops with Close.
 func (cfg Config) cacheOptions() cache.Options {
@@ -399,7 +283,7 @@ func clusterHook(node *cluster.Node) proxy.ClusterHook {
 // instance is what a Framework and a MultiFramework both are: the
 // proxies of one or several specs behind one handler, around one session
 // manager, render cache (and store), registry, and the optional
-// admission, observability, prefetch and cluster tiers.
+// admission, prefetch and cluster tiers.
 type instance struct {
 	handler  http.Handler
 	sites    []*proxy.Proxy // in name order
@@ -407,7 +291,6 @@ type instance struct {
 	cache    cache.Layer
 	store    *store.Store // nil without StoreDir
 	obs      *obs.Registry
-	tier     *obsTier          // nil without SLO/incident knobs
 	crawler  *prefetch.Crawler // nil without Prefetch
 	cluster  *cluster.Node     // nil without ClusterListen
 }
@@ -516,9 +399,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 	if err != nil {
 		return fail(err)
 	}
-	if inst.tier, err = cfg.buildObsTier(reg); err != nil {
-		return fail(err)
-	}
 	if inst.crawler != nil {
 		sites := make([]prefetch.Site, len(inst.sites))
 		for i, p := range inst.sites {
@@ -583,31 +463,6 @@ func (in *instance) CacheStats() cache.Stats { return in.cache.Stats() }
 // Store exposes the durable render store; nil without StoreDir.
 func (in *instance) Store() *store.Store { return in.store }
 
-// SLO exposes the SLO engine; nil unless an SLO knob is set.
-func (in *instance) SLO() *obs.SLOEngine {
-	if in.tier == nil {
-		return nil
-	}
-	return in.tier.slo
-}
-
-// Recorder exposes the flight recorder; nil without IncidentDir.
-func (in *instance) Recorder() *obs.Recorder {
-	if in.tier == nil {
-		return nil
-	}
-	return in.tier.recorder
-}
-
-// Health exposes the runtime health sampler; nil unless the second
-// observability tier is enabled.
-func (in *instance) Health() *obs.HealthSampler {
-	if in.tier == nil {
-		return nil
-	}
-	return in.tier.health
-}
-
 // Prefetcher exposes the speculative pre-adaptation crawler; nil unless
 // Prefetch is enabled.
 func (in *instance) Prefetcher() *prefetch.Crawler { return in.crawler }
@@ -643,8 +498,8 @@ func (in *instance) TracesHandler() http.Handler { return obs.TracesHandler(in.o
 // one handler; the longer mux patterns win over the proxy's catch-all.
 // /metrics, /debug/traces, /debug/parity (the latest content-parity
 // report per site, omitting sites that have none yet) and the pprof
-// handlers are always there; the peer transport, /slo and
-// /debug/incidents appear when their tier is enabled.
+// handlers are always there; the peer transport appears when the
+// cluster tier is enabled.
 func (in *instance) HandlerWithMetrics() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Handler(in.obs))
@@ -667,24 +522,15 @@ func (in *instance) HandlerWithMetrics() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if in.tier != nil {
-		if in.tier.slo != nil {
-			mux.Handle("/slo", obs.SLOHandler(in.tier.slo))
-		}
-		if in.tier.recorder != nil {
-			mux.Handle("/debug/incidents", obs.IncidentsHandler(in.tier.recorder))
-			mux.Handle("/debug/incidents/", obs.IncidentsHandler(in.tier.recorder))
-		}
-	}
 	mux.Handle("/", in.handler)
 	return mux
 }
 
 // Close releases background resources: the cluster node and the prefetch
-// crawler (stopped first, so no cycle races the teardown), the
-// observability tier, the cache's expiry sweeper, and — when a durable
-// store is configured — the write-through pool (drained first, so queued
-// persists land) and the store itself. Safe to call more than once.
+// crawler (stopped first, so no cycle races the teardown), the cache's
+// expiry sweeper, and — when a durable store is configured — the
+// write-through pool (drained first, so queued persists land) and the
+// store itself. Safe to call more than once.
 func (in *instance) Close() {
 	if in.cluster != nil {
 		in.cluster.Close()
@@ -692,7 +538,6 @@ func (in *instance) Close() {
 	if in.crawler != nil {
 		in.crawler.Close()
 	}
-	in.tier.stop()
 	in.cache.Close()
 	if in.store != nil {
 		_ = in.store.Close()

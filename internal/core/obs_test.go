@@ -8,16 +8,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"msite/internal/obs"
-	"msite/internal/origin"
 	"msite/internal/spec"
 )
 
 // TestMetricsEndpointMounted drives the adaptation pipeline through the
-// metrics-mounted handler and scrapes /metrics (both formats) and
-// /debug/traces — the mounted observability surface end to end.
+// metrics-mounted handler and checks the mounted observability surface
+// end to end: the X-MSite-Trace response header, /metrics (both
+// formats), /debug/traces and /debug/pprof.
 func TestMetricsEndpointMounted(t *testing.T) {
 	fw, _ := newFramework(t)
 	srv := httptest.NewServer(fw.HandlerWithMetrics())
@@ -38,6 +37,10 @@ func TestMetricsEndpointMounted(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("entry page status = %d", resp.StatusCode)
+	}
+	traceID := resp.Header.Get("X-MSite-Trace")
+	if len(traceID) != 16 {
+		t.Fatalf("X-MSite-Trace = %q, want a 16-char trace ID", traceID)
 	}
 
 	// Prometheus text exposition.
@@ -105,6 +108,20 @@ func TestMetricsEndpointMounted(t *testing.T) {
 	if len(entry.Spans) == 0 || entry.Attrs["session"] == "" {
 		t.Fatalf("entry trace = %+v", entry)
 	}
+	if entry.ID != traceID {
+		t.Fatalf("entry trace ID = %q, want the response header's %q", entry.ID, traceID)
+	}
+
+	// pprof is mounted on the same mux.
+	resp, err = client.Get(srv.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/cmdline = %d", resp.StatusCode)
+	}
 }
 
 // TestMultiMetricsShared asserts multi-site hosting funnels every site's
@@ -144,206 +161,5 @@ func TestMultiMetricsShared(t *testing.T) {
 		if c, ok := snap.Counter("msite_proxy_requests_total", "handler", "entry", "site", site); !ok || c.Value != 1 {
 			t.Fatalf("site %s entry counter = %+v ok=%v", site, c, ok)
 		}
-	}
-}
-
-// TestObsTierMounted builds a framework with the SLO/incident knobs set
-// and exercises the second observability tier end to end: the trace
-// response header, /slo, /debug/incidents, and /debug/pprof.
-func TestObsTierMounted(t *testing.T) {
-	forum := origin.NewForum(origin.DefaultForumConfig())
-	originSrv := httptest.NewServer(forum.Handler())
-	defer originSrv.Close()
-	fw, err := New(testSpec(originSrv.URL), Config{
-		SessionRoot:     t.TempDir(),
-		SLOTargetP99:    250 * time.Millisecond,
-		SLOAvailability: 0.999,
-		SLOInterval:     50 * time.Millisecond,
-		IncidentDir:     t.TempDir(),
-		HealthInterval:  50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fw.Close()
-	if fw.SLO() == nil || fw.Recorder() == nil || fw.Health() == nil {
-		t.Fatal("observability tier not built")
-	}
-
-	srv := httptest.NewServer(fw.HandlerWithMetrics())
-	defer srv.Close()
-	jar, err := cookiejar.New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := &http.Client{Jar: jar}
-
-	resp, err := client.Get(srv.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	traceID := resp.Header.Get("X-MSite-Trace")
-	if len(traceID) != 16 {
-		t.Fatalf("X-MSite-Trace = %q, want a 16-char trace ID", traceID)
-	}
-
-	// /slo serves both formats and knows both objectives.
-	resp, err = client.Get(srv.URL + "/slo?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slo struct {
-		Objectives []obs.ObjectiveStatus `json:"objectives"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&slo); err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	names := map[string]bool{}
-	for _, o := range slo.Objectives {
-		names[o.Name] = true
-	}
-	if !names["latency_p99"] || !names["availability"] {
-		t.Fatalf("objectives = %v", names)
-	}
-
-	// /debug/incidents serves the (empty) bundle index.
-	resp, err = client.Get(srv.URL + "/debug/incidents")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var incidents struct {
-		Dir string `json:"dir"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&incidents); err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if incidents.Dir == "" {
-		t.Fatal("incident dir not reported")
-	}
-
-	// pprof is mounted on the same mux.
-	resp, err = client.Get(srv.URL + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/pprof/cmdline = %d", resp.StatusCode)
-	}
-}
-
-// TestObsTierAbsentByDefault keeps the tier free when no SLO or
-// incident knob is set.
-func TestObsTierAbsentByDefault(t *testing.T) {
-	fw, _ := newFramework(t)
-	if fw.SLO() != nil || fw.Recorder() != nil || fw.Health() != nil {
-		t.Fatal("observability tier built without any knob set")
-	}
-	srv := httptest.NewServer(fw.HandlerWithMetrics())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("/slo mounted without an objective configured")
-	}
-}
-
-// TestSLOBurnCapturesIncident wires the second observability tier end to
-// end: an origin outage burns the availability objective, the SLO alert
-// trips the flight recorder, and the bundle it captures — profiles,
-// goroutine dump, metric deltas and the failing requests' traces — is
-// served over /debug/incidents.
-func TestSLOBurnCapturesIncident(t *testing.T) {
-	forum := origin.NewForum(origin.DefaultForumConfig())
-	originSrv := httptest.NewServer(forum.Handler())
-	fw, err := New(testSpec(originSrv.URL), Config{
-		SessionRoot:        t.TempDir(),
-		BreakerThreshold:   -1,
-		SLOAvailability:    0.999,
-		SLOInterval:        50 * time.Millisecond,
-		SLOFastWindow:      time.Second,
-		SLOSlowWindow:      2 * time.Second,
-		SLOMinEvents:       1,
-		IncidentDir:        t.TempDir(),
-		IncidentCPUProfile: 100 * time.Millisecond,
-		HealthInterval:     50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fw.Close()
-	srv := httptest.NewServer(fw.HandlerWithMetrics())
-	defer srv.Close()
-
-	getBody := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return body
-	}
-
-	// Every adaptation now fails. The SLO engine samples on its own
-	// ticker, so the 502s keep coming until the recorder has captured.
-	originSrv.Close()
-	var index struct {
-		Incidents []obs.IncidentMeta `json:"incidents"`
-	}
-	for deadline := time.Now().Add(15 * time.Second); len(index.Incidents) == 0; time.Sleep(20 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no incident captured after the availability burn")
-		}
-		resp, err := http.Get(srv.URL + "/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusBadGateway {
-			t.Fatalf("request against a dead origin: status %d, want 502", resp.StatusCode)
-		}
-		if err := json.Unmarshal(getBody("/debug/incidents"), &index); err != nil {
-			t.Fatal(err)
-		}
-	}
-	incident := index.Incidents[0]
-	if incident.Reason != "slo_burn_availability" {
-		t.Fatalf("incident reason = %q, want slo_burn_availability", incident.Reason)
-	}
-	for _, file := range []string{"goroutines.txt", "heap.pprof", "cpu.pprof", "metrics_delta.json"} {
-		if len(getBody("/debug/incidents/"+incident.Name+"/"+file)) == 0 {
-			t.Errorf("%s is empty", file)
-		}
-	}
-	var traces struct {
-		Tail []obs.TraceRecord `json:"tail"`
-	}
-	if err := json.Unmarshal(getBody("/debug/incidents/"+incident.Name+"/traces.json"), &traces); err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, tr := range traces.Tail {
-		if tr.ID == "" {
-			t.Errorf("tail trace %q has no ID", tr.Name)
-		}
-		if tr.Attrs["error"] != "" {
-			failed++
-		}
-	}
-	if failed == 0 {
-		t.Fatalf("traces.json holds none of the failing requests: %+v", traces.Tail)
 	}
 }

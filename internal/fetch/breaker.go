@@ -250,9 +250,6 @@ func (b *Breaker) transition(next BreakerState) {
 	if reg := b.set.registry(); reg != nil {
 		reg.Counter("msite_breaker_transitions_total",
 			"origin", b.origin, "to", next.String()).Inc()
-		if next == StateOpen {
-			reg.Emit(obs.EventBreakerOpen, b.origin)
-		}
 	}
 }
 

@@ -50,30 +50,7 @@ const DefaultLabelCardinality = 64
 // cardinality cap.
 const OverflowLabelValue = "other"
 
-// Event is one notable runtime occurrence emitted by an instrumented
-// subsystem — the push-side complement to the pull-side metrics. The
-// flight recorder subscribes to these to trip incident captures.
-type Event struct {
-	// Kind is one of the Event* constants.
-	Kind string
-	// Detail carries the specifics (origin host, shed reason, store key).
-	Detail string
-	// Time is when the event happened.
-	Time time.Time
-}
-
-// Event kinds emitted by the instrumented subsystems.
-const (
-	// EventBreakerOpen: a per-origin circuit breaker tripped open.
-	EventBreakerOpen = "breaker_open"
-	// EventShed: admission control refused a request (detail = reason).
-	EventShed = "shed"
-	// EventStoreCorrupt: the durable store dropped a corrupt record.
-	EventStoreCorrupt = "store_corrupt"
-)
-
-// Registry holds named metrics, the ring buffer of recent traces, the
-// tail-biased slow/error trace reservoir, and the event subscribers.
+// Registry holds named metrics and the ring buffer of recent traces.
 // All methods are safe for concurrent use; metric handles returned by
 // Counter/Gauge/Histogram may be cached and used lock-free.
 type Registry struct {
@@ -84,12 +61,6 @@ type Registry struct {
 	// the cardinality cap.
 	labelSeen map[labelFamily]map[string]struct{}
 	traces    *traceRing
-	tail      *tailReservoir
-
-	// subs is the event-subscriber list. It is copy-on-write behind an
-	// atomic pointer so Emit on a hot path is one load and (with no
-	// subscribers, the common case) nothing else.
-	subs atomic.Pointer[[]func(Event)]
 }
 
 // NewRegistry returns an empty registry.
@@ -99,37 +70,6 @@ func NewRegistry() *Registry {
 		cardLimit: DefaultLabelCardinality,
 		labelSeen: make(map[labelFamily]map[string]struct{}),
 		traces:    newTraceRing(DefaultTraceCapacity),
-		tail:      newTailReservoir(DefaultTailCapacity, DefaultTailSlow),
-	}
-}
-
-// Subscribe registers fn to receive every subsequent Emit. fn must be
-// fast and must not call back into metric registration while handling
-// an event from a registration path.
-func (r *Registry) Subscribe(fn func(Event)) {
-	for {
-		old := r.subs.Load()
-		var next []func(Event)
-		if old != nil {
-			next = append(next, *old...)
-		}
-		next = append(next, fn)
-		if r.subs.CompareAndSwap(old, &next) {
-			return
-		}
-	}
-}
-
-// Emit publishes an event to every subscriber, synchronously. With no
-// subscribers it is a single atomic load.
-func (r *Registry) Emit(kind, detail string) {
-	subs := r.subs.Load()
-	if subs == nil || len(*subs) == 0 {
-		return
-	}
-	ev := Event{Kind: kind, Detail: detail, Time: time.Now()}
-	for _, fn := range *subs {
-		fn(ev)
 	}
 }
 

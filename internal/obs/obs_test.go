@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -298,59 +297,6 @@ func TestLabelCardinalityConcurrent(t *testing.T) {
 	}
 	if len(distinct) > 9 {
 		t.Fatalf("distinct values = %d, want <= cap+overflow", len(distinct))
-	}
-}
-
-func TestEventBus(t *testing.T) {
-	r := NewRegistry()
-	r.Emit(EventShed, "nobody listening") // must not panic or allocate subscribers
-
-	var mu sync.Mutex
-	var got []Event
-	r.Subscribe(func(ev Event) {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
-	})
-	r.Emit(EventBreakerOpen, "origin-1")
-	r.Emit(EventStoreCorrupt, "seg-3")
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("events = %d, want 2", len(got))
-	}
-	if got[0].Kind != EventBreakerOpen || got[0].Detail != "origin-1" {
-		t.Fatalf("event = %+v", got[0])
-	}
-	if got[1].Time.IsZero() {
-		t.Fatal("event time not stamped")
-	}
-}
-
-func TestEventBusConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var count atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.Subscribe(func(Event) { count.Add(1) })
-		}()
-	}
-	wg.Wait()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Emit(EventShed, "x")
-			}
-		}()
-	}
-	wg.Wait()
-	if got := count.Load(); got != 4*4*100 {
-		t.Fatalf("deliveries = %d, want %d", got, 4*4*100)
 	}
 }
 

@@ -5,23 +5,12 @@ import (
 	"context"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 )
 
 // DefaultTraceCapacity bounds the ring buffer of recent traces.
 const DefaultTraceCapacity = 128
-
-// DefaultTailCapacity bounds the tail-biased reservoir of slow/error
-// traces kept for incident bundles.
-const DefaultTailCapacity = 64
-
-// DefaultTailSlow is the duration past which a trace counts as slow and
-// enters the tail reservoir (errors always enter). Warm hits are
-// single-digit milliseconds and cold adaptations ~100 ms, so anything
-// past 250 ms is evidence worth keeping.
-const DefaultTailSlow = 250 * time.Millisecond
 
 // StageHistogram is the histogram family every span duration is recorded
 // under, labeled by stage name.
@@ -182,7 +171,6 @@ func (t *Trace) End() time.Duration {
 		Spans:      spans,
 	}
 	t.reg.traces.push(rec)
-	t.reg.tail.offer(rec, d)
 	return d
 }
 
@@ -265,107 +253,4 @@ func (r *traceRing) recent() []TraceRecord {
 // RecentTraces returns the ring buffer's traces, most recent first.
 func (r *Registry) RecentTraces() []TraceRecord {
 	return r.traces.recent()
-}
-
-// tailReservoir is the tail-biased companion to the plain ring: it
-// keeps only the traces worth paging someone over — errored requests
-// and requests slower than the threshold — so the evidence for a p99
-// spike is still there after thousands of fast requests have cycled the
-// main ring. Internally it is a second ring; "tail-biased sampling"
-// here means admission is biased to the latency tail, not that
-// retention is probabilistic.
-type tailReservoir struct {
-	mu   sync.Mutex
-	slow time.Duration
-	buf  []TraceRecord
-	next int
-	full bool
-	seen uint64 // traces offered
-	kept uint64 // traces admitted
-}
-
-func newTailReservoir(capacity int, slow time.Duration) *tailReservoir {
-	if capacity <= 0 {
-		capacity = DefaultTailCapacity
-	}
-	if slow <= 0 {
-		slow = DefaultTailSlow
-	}
-	return &tailReservoir{buf: make([]TraceRecord, capacity), slow: slow}
-}
-
-// interesting reports whether rec belongs in the tail: it errored, a
-// pipeline stage degraded, it was shed, or it was slow.
-func (t *tailReservoir) interesting(rec TraceRecord, d time.Duration) bool {
-	if d >= t.slow {
-		return true
-	}
-	for k := range rec.Attrs {
-		if k == "error" || k == "shed" || strings.HasPrefix(k, "degraded") {
-			return true
-		}
-	}
-	return false
-}
-
-// offer admits rec if it is interesting, evicting the oldest kept trace
-// past capacity.
-func (t *tailReservoir) offer(rec TraceRecord, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seen++
-	if !t.interesting(rec, d) {
-		return
-	}
-	t.kept++
-	t.buf[t.next] = rec
-	t.next = (t.next + 1) % len(t.buf)
-	if t.next == 0 {
-		t.full = true
-	}
-}
-
-// recent returns the kept traces, most recent first.
-func (t *tailReservoir) recent() []TraceRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.next
-	if t.full {
-		n = len(t.buf)
-	}
-	out := make([]TraceRecord, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, t.buf[(t.next-i+len(t.buf))%len(t.buf)])
-	}
-	return out
-}
-
-// SetTailSampling tunes the tail reservoir: slow is the duration past
-// which a trace is kept (0 keeps DefaultTailSlow), capacity resizes the
-// reservoir (0 keeps the current size), dropping kept traces.
-func (r *Registry) SetTailSampling(slow time.Duration, capacity int) {
-	r.tail.mu.Lock()
-	defer r.tail.mu.Unlock()
-	if slow > 0 {
-		r.tail.slow = slow
-	}
-	if capacity > 0 && capacity != len(r.tail.buf) {
-		r.tail.buf = make([]TraceRecord, capacity)
-		r.tail.next = 0
-		r.tail.full = false
-	}
-}
-
-// TailTraces returns the slow/error traces kept by the tail reservoir,
-// most recent first.
-func (r *Registry) TailTraces() []TraceRecord {
-	return r.tail.recent()
-}
-
-// TailStats reports how many traces the tail reservoir has been offered
-// and how many it admitted.
-func (r *Registry) TailStats() (seen, kept uint64) {
-	r.tail.mu.Lock()
-	defer r.tail.mu.Unlock()
-	return r.tail.seen, r.tail.kept
 }

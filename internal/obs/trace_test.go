@@ -111,94 +111,6 @@ func TestTraceIDsAssignedAndUnique(t *testing.T) {
 	}
 }
 
-func TestTailReservoirAdmission(t *testing.T) {
-	r := NewRegistry()
-	r.SetTailSampling(10*time.Millisecond, 0)
-
-	// Fast and clean: not tail-worthy.
-	_, fast := r.StartTrace(context.Background(), "fast")
-	fast.End()
-	// Fast but errored: tail-worthy.
-	_, failed := r.StartTrace(context.Background(), "failed")
-	failed.Annotate("error", "boom")
-	failed.End()
-	// Fast but shed: tail-worthy.
-	_, shed := r.StartTrace(context.Background(), "shed")
-	shed.Annotate("shed", "queue_full")
-	shed.End()
-	// Slow: tail-worthy.
-	_, slow := r.StartTrace(context.Background(), "slow")
-	time.Sleep(15 * time.Millisecond)
-	slow.End()
-
-	tail := r.TailTraces()
-	if len(tail) != 3 {
-		t.Fatalf("tail holds %d, want 3: %+v", len(tail), tail)
-	}
-	for _, rec := range tail {
-		if rec.Name == "fast" {
-			t.Fatal("fast clean trace admitted to the tail")
-		}
-	}
-	seen, kept := r.TailStats()
-	if seen != 4 || kept != 3 {
-		t.Fatalf("stats seen=%d kept=%d, want 4/3", seen, kept)
-	}
-}
-
-func TestTailReservoirEviction(t *testing.T) {
-	r := NewRegistry()
-	r.SetTailSampling(time.Hour, 4) // nothing is slow; admit by error attr only
-	total := 10
-	for i := 0; i < total; i++ {
-		_, tr := r.StartTrace(context.Background(), fmt.Sprintf("e%d", i))
-		tr.Annotate("error", "x")
-		tr.End()
-	}
-	tail := r.TailTraces()
-	if len(tail) != 4 {
-		t.Fatalf("tail holds %d, want capacity 4", len(tail))
-	}
-	if tail[0].Name != "e9" || tail[3].Name != "e6" {
-		t.Fatalf("eviction kept %s..%s, want e9..e6", tail[0].Name, tail[3].Name)
-	}
-}
-
-func TestTailReservoirConcurrent(t *testing.T) {
-	r := NewRegistry()
-	r.SetTailSampling(time.Hour, 8)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				_, tr := r.StartTrace(context.Background(), "entry")
-				if i%2 == 0 {
-					tr.Annotate("error", "x") // half are tail-worthy
-				}
-				tr.End()
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			_ = r.TailTraces()
-			_, _ = r.TailStats()
-		}
-	}()
-	wg.Wait()
-	seen, kept := r.TailStats()
-	if seen != 800 || kept != 400 {
-		t.Fatalf("stats seen=%d kept=%d, want 800/400", seen, kept)
-	}
-	if got := len(r.TailTraces()); got != 8 {
-		t.Fatalf("tail holds %d, want capacity 8", got)
-	}
-}
-
 func TestConcurrentTraces(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -296,8 +296,86 @@ func TestQueueFullSheds503(t *testing.T) {
 	g.open()
 	<-first
 	snap := g.p.Obs().Snapshot()
-	if got := metricSum(snap, "msite_admission_shed_total"); got < 1 {
-		t.Errorf("msite_admission_shed_total = %v, want >= 1", got)
+	// One shed, counted once: by the proxy that answered it, not again
+	// by the limiter that refused it.
+	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonQueueFull); got != 1 {
+		t.Errorf(`msite_admission_shed_total{reason="queue_full"} = %v, want 1`, got)
+	}
+}
+
+// TestStreamedQueueFullShedCountedOnce: with -stream the entry's 200
+// and head are on the wire before admission runs, so a queue-full shed
+// closes the document in-band instead of answering 503. It is still one
+// shed, counted once.
+func TestStreamedQueueFullShedCountedOnce(t *testing.T) {
+	adm, err := admission.NewController(admission.Config{MaxConcurrent: 1, QueueLen: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	open := func() { gateOnce.Do(func() { close(gate) }) }
+	defer open()
+	rig := newStreamRig(t, Config{Stream: true, Admission: adm}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/" {
+				select {
+				case <-gate:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+
+	// The first cold client takes the only slot and blocks on the origin.
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		resp, err := rig.client.Get(rig.proxy.URL + "/")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for adm.Limiter().Active() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first build never acquired the slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// A personalized second client cannot coalesce and cannot queue.
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	authed := &http.Client{Jar: jar, Timeout: 30 * time.Second}
+	resp, err := authed.PostForm(rig.proxy.URL+"/auth?back=/stats", map[string][]string{
+		"username": {"u"}, "password": {"p"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	resp, err = authed.Get(rig.proxy.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "retry shortly</p></body></html>") {
+		t.Fatalf("status %d, body %q: want a 200 closed in-band", resp.StatusCode, body)
+	}
+
+	open()
+	<-first
+	snap := rig.p.Obs().Snapshot()
+	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonQueueFull); got != 1 {
+		t.Errorf(`msite_admission_shed_total{reason="queue_full"} = %v, want 1`, got)
 	}
 }
 
@@ -336,6 +414,12 @@ func TestRateLimit429(t *testing.T) {
 	snap := g.p.Obs().Snapshot()
 	if got := metricSum(snap, "msite_ratelimit_rejects_total"); got != 1 {
 		t.Errorf("msite_ratelimit_rejects_total = %v, want 1", got)
+	}
+	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonRateLimit); got != 1 {
+		t.Errorf(`msite_admission_shed_total{reason="rate_limit"} = %v, want 1`, got)
+	}
+	if !strings.Contains(string(body), "rate limit exceeded") {
+		t.Errorf("429 body = %q", body)
 	}
 }
 

@@ -419,9 +419,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec.Header()[traceHeaderKey] = []string{tr.ID()}
 
 	if ok, retry := allowClient(p.cfg.Admission, r); !ok {
-		obs.TraceFrom(ctx).Annotate("shed", admission.ReasonRateLimit)
-		rec.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(retry)))
-		http.Error(rec, "rate limit exceeded, retry later", http.StatusTooManyRequests)
+		p.shedError(rec, r, &admission.ShedError{Reason: admission.ReasonRateLimit, RetryAfter: retry}, nil)
 		d := tr.End()
 		km.latency.ObserveDuration(d)
 		p.logRequest(r, tr, kind, rec.status, d)
@@ -498,23 +496,24 @@ func serverError(w http.ResponseWriter, r *http.Request, status int, public stri
 	http.Error(w, public, status)
 }
 
+// noteShed counts one shed request under msite_admission_shed_total by
+// reason and marks its trace. Both answers to a shed call it once: the
+// status shedError writes, and a streamed entry's in-band abort.
+func (p *Proxy) noteShed(r *http.Request, reason string) {
+	p.obs.Counter("msite_admission_shed_total", "reason", reason).Inc()
+	obs.TraceFrom(r.Context()).Annotate("shed", reason)
+}
+
 // shedError answers an admission-shed request: 503 (or 429 for rate
-// limiting) with a Retry-After hint and a generic body, counted under
-// msite_admission_shed_total by reason.
+// limiting) with a Retry-After hint and a generic body.
 func (p *Proxy) shedError(w http.ResponseWriter, r *http.Request, shed *admission.ShedError, err error) {
-	p.obs.Counter("msite_admission_shed_total", "reason", shed.Reason).Inc()
-	if shed.Reason == admission.ReasonSessionCap {
-		// Limiter and rate-limiter sheds already emit from their own
-		// SetObs hooks; the session cap is shed here in the proxy.
-		p.obs.Emit(obs.EventShed, shed.Reason)
-	}
-	obs.TraceFrom(r.Context()).Annotate("shed", shed.Reason)
+	p.noteShed(r, shed.Reason)
 	w.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(shed.RetryAfter)))
-	status := http.StatusServiceUnavailable
+	status, body := http.StatusServiceUnavailable, "server busy, retry later"
 	if shed.Reason == admission.ReasonRateLimit {
-		status = http.StatusTooManyRequests
+		status, body = http.StatusTooManyRequests, "rate limit exceeded, retry later"
 	}
-	serverError(w, r, status, "server busy, retry later", err)
+	serverError(w, r, status, body, err)
 }
 
 // logRequest emits the per-request structured log line.

@@ -182,7 +182,6 @@ type storeObs struct {
 	misses    *obs.Counter
 	evictions *obs.Counter
 	corrupt   *obs.Counter
-	reg       *obs.Registry // corruption-event sink for the flight recorder
 }
 
 // Store is a crash-safe durable blob store, safe for concurrent use.
@@ -291,7 +290,6 @@ func (s *Store) SetObs(reg *obs.Registry) {
 		misses:    reg.Counter("msite_store_misses_total"),
 		evictions: reg.Counter("msite_store_evictions_total"),
 		corrupt:   reg.Counter("msite_store_corrupt_records_total"),
-		reg:       reg,
 	}
 	s.obsHook.Store(h)
 	// The recovery scan ran before any hook existed; publish its result.
@@ -335,7 +333,6 @@ func (s *Store) markCorrupt() {
 	s.corrupt.Add(1)
 	if o := s.obsHook.Load(); o != nil {
 		o.corrupt.Inc()
-		o.reg.Emit(obs.EventStoreCorrupt, s.dir)
 	}
 }
 
