@@ -15,7 +15,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"msite/internal/core"
@@ -69,10 +68,6 @@ func run() error {
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
 	parityCheck := flag.Bool("parity-check", false, "validate content parity of origin vs adapted closure on every build (score via /metrics and /debug/parity)")
 	parityMinScore := flag.Float64("parity-min-score", 0, "fail builds whose parity score drops below this, in [0, 1]; above 0 it implies -parity-check (0 = report only)")
-	clusterListen := flag.String("cluster-listen", "", "cluster mode: this node's advertised base URL, e.g. http://10.0.0.1:8900 (empty = clustering off)")
-	clusterPeers := flag.String("cluster-peers", "", "comma-separated advertised base URLs of the full fleet, including this node")
-	clusterReplicas := flag.Int("cluster-replicas", 0, "consistent-hash virtual nodes per peer (0 = default 64)")
-	clusterToken := flag.String("cluster-token", "", "shared bearer token authenticating peer transport requests (empty = unauthenticated)")
 	flag.Parse()
 
 	if len(specPaths) == 0 {
@@ -111,17 +106,6 @@ func run() error {
 		RepairRules:      *repairRules,
 		ParityCheck:      *parityCheck,
 		ParityMinScore:   *parityMinScore,
-
-		ClusterListen:   *clusterListen,
-		ClusterReplicas: *clusterReplicas,
-		ClusterToken:    *clusterToken,
-	}
-	if *clusterPeers != "" {
-		for _, p := range strings.Split(*clusterPeers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.ClusterPeers = append(cfg.ClusterPeers, p)
-			}
-		}
 	}
 
 	if len(specPaths) > 1 {

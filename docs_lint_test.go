@@ -192,29 +192,6 @@ var subsystemDocs = []struct {
 		elsewhere: map[string][]string{"ATTRIBUTES.md": {"`repair`"}},
 	},
 	{
-		// Flags, metrics, the peer protocol endpoints, and the failure
-		// matrix.
-		doc:      "CLUSTER.md",
-		flags:    []string{"-cluster-listen", "-cluster-peers", "-cluster-replicas", "-cluster-token"},
-		inReadme: true,
-		metrics: []string{
-			"msite_cluster_ring_nodes", "msite_cluster_peer_state",
-			"msite_cluster_forwarded_total", "msite_cluster_owner_builds_total",
-			"msite_cluster_fallback_local_total", "msite_cluster_peer_errors_total",
-		},
-		inObs: true,
-		topics: []string{
-			"consistent-hash", "owner", "/internal/cluster/health",
-			"/internal/cluster/bundle/", "/internal/cluster/snapshot/",
-			"X-MSite-Trace", "Sticky personalized", "Split config",
-			"Bounded movement", "ClusterProbeInterval",
-		},
-		tests: []string{
-			"TestClusterFlashCrowdKillRejoin", "TestClusterColdRequestForwardsToOwner",
-			"TestFetchBundleDeadOwnerFallsBackAndDemotes",
-		},
-	},
-	{
 		// The surface every node serves with the default flags: metrics,
 		// traces, pprof, the trace header and the request log.
 		doc:      "OBSERVABILITY.md",
@@ -408,7 +385,7 @@ func TestDocsNameOnlyLiveKnobs(t *testing.T) {
 // knobCeiling caps the operator surface: core.Config fields and
 // msite-proxy flags. A knob deleted for want of a consumer cannot come
 // back without raising the ceiling here.
-var knobCeiling = struct{ configFields, proxyFlags int }{29, 32}
+var knobCeiling = struct{ configFields, proxyFlags int }{24, 28}
 
 func TestKnobCeiling(t *testing.T) {
 	if n := len(coreConfigFields(t)); n > knobCeiling.configFields {

@@ -18,7 +18,6 @@ import (
 
 	"msite/internal/admission"
 	"msite/internal/cache"
-	"msite/internal/cluster"
 	"msite/internal/fetch"
 	"msite/internal/gen"
 	"msite/internal/obs"
@@ -132,26 +131,6 @@ type Config struct {
 	// only, 1 demands every non-sanctioned item survive). Above 0 it
 	// turns the parity check on; it must lie in [0, 1].
 	ParityMinScore float64
-	// ClusterListen enables cluster mode (the -cluster-listen knob): this
-	// node's advertised base URL — its identity on the consistent-hash
-	// ring, and the address peers reach its /internal/cluster/ endpoints
-	// at. Empty disables clustering. Enabling it also enables bundle
-	// persistence (the ring routes by bundle key).
-	ClusterListen string
-	// ClusterPeers is the full static fleet of advertised base URLs,
-	// including this node (the -cluster-peers knob, comma-separated on
-	// the command line). Self is added if absent.
-	ClusterPeers []string
-	// ClusterReplicas is the ring's virtual-node count per peer (the
-	// -cluster-replicas knob; 0 uses cluster.DefaultReplicas).
-	ClusterReplicas int
-	// ClusterToken is the shared bearer token authenticating peer
-	// transport requests (the -cluster-token knob). Empty serves
-	// unauthenticated — acceptable only on a trusted internal network.
-	ClusterToken string
-	// ClusterProbeInterval is the peer liveness probe period (0 uses
-	// cluster.DefaultProbeInterval).
-	ClusterProbeInterval time.Duration
 }
 
 // buildCache wires the render cache: a plain in-memory cache, or — when
@@ -251,39 +230,10 @@ func (cfg Config) buildPrefetch(reg *obs.Registry) *prefetch.Crawler {
 	})
 }
 
-// buildCluster maps the Cluster knobs onto a membership node; nil when
-// cluster mode is off. The node is created before the proxies (its
-// FetchBundle hook goes into their config), pointed at the sites after
-// they exist, and only then started.
-func (cfg Config) buildCluster(reg *obs.Registry) (*cluster.Node, error) {
-	if cfg.ClusterListen == "" {
-		return nil, nil
-	}
-	return cluster.NewNode(cluster.Config{
-		Self:          cfg.ClusterListen,
-		Peers:         cfg.ClusterPeers,
-		Replicas:      cfg.ClusterReplicas,
-		Token:         cfg.ClusterToken,
-		ProbeInterval: cfg.ClusterProbeInterval,
-		Retries:       cfg.FetchRetries,
-		Obs:           reg,
-		Logger:        cfg.Logger,
-	})
-}
-
-// clusterHook adapts a possibly-nil *cluster.Node to the proxy's hook
-// field without smuggling a typed nil into the interface.
-func clusterHook(node *cluster.Node) proxy.ClusterHook {
-	if node == nil {
-		return nil
-	}
-	return node
-}
-
 // instance is what a Framework and a MultiFramework both are: the
 // proxies of one or several specs behind one handler, around one session
 // manager, render cache (and store), registry, and the optional
-// admission, prefetch and cluster tiers.
+// admission and prefetch tiers.
 type instance struct {
 	handler  http.Handler
 	sites    []*proxy.Proxy // in name order
@@ -292,7 +242,6 @@ type instance struct {
 	store    *store.Store // nil without StoreDir
 	obs      *obs.Registry
 	crawler  *prefetch.Crawler // nil without Prefetch
-	cluster  *cluster.Node     // nil without ClusterListen
 }
 
 // Framework is a running m.Site instance for one adaptation spec, mounted
@@ -344,8 +293,8 @@ func NewMulti(specs []*spec.Spec, cfg Config) (*MultiFramework, error) {
 
 // wire builds an instance: everything the Config describes, around the
 // proxies mount makes from the one proxy.Config the knobs map onto. The
-// crawler and the cluster node exist before the proxies (their hooks go
-// into that config), learn the sites after, and only then start.
+// crawler exists before the proxies (its demand hook goes into that
+// config), learns the sites after, and only then starts.
 func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, error)) (*instance, error) {
 	if cfg.SessionRoot == "" {
 		return nil, errors.New("core: SessionRoot required")
@@ -376,9 +325,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 	if inst.crawler != nil {
 		demand = inst.crawler.RecordHit
 	}
-	if inst.cluster, err = cfg.buildCluster(reg); err != nil {
-		return fail(err)
-	}
 	inst.handler, inst.sites, err = mount(proxy.Config{
 		Sessions:       sessions,
 		Cache:          sharedCache,
@@ -388,13 +334,12 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		Logger:         cfg.Logger,
 		ServeStale:     cfg.ServeStale,
 		Admission:      adm,
-		PersistBundles: st != nil || cfg.Prefetch || inst.cluster != nil,
+		PersistBundles: st != nil || cfg.Prefetch,
 		Stream:         cfg.Stream,
 		Demand:         demand,
 		RepairRules:    cfg.RepairRules,
 		ParityCheck:    cfg.ParityCheck,
 		ParityMinScore: cfg.ParityMinScore,
-		Cluster:        clusterHook(inst.cluster),
 	})
 	if err != nil {
 		return fail(err)
@@ -406,14 +351,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		}
 		inst.crawler.SetSites(sites)
 		inst.crawler.Start()
-	}
-	if inst.cluster != nil {
-		builders := make(map[string]cluster.Builder, len(inst.sites))
-		for _, p := range inst.sites {
-			builders[p.SiteName()] = p
-		}
-		inst.cluster.SetSites(builders)
-		inst.cluster.Start()
 	}
 	return inst, nil
 }
@@ -467,10 +404,6 @@ func (in *instance) Store() *store.Store { return in.store }
 // Prefetch is enabled.
 func (in *instance) Prefetcher() *prefetch.Crawler { return in.crawler }
 
-// Cluster exposes the consistent-hash membership node; nil unless
-// ClusterListen is set.
-func (in *instance) Cluster() *cluster.Node { return in.cluster }
-
 // ProxyStats sums the per-site proxy work counters.
 func (in *instance) ProxyStats() proxy.Stats {
 	var total proxy.Stats
@@ -496,10 +429,9 @@ func (in *instance) TracesHandler() http.Handler { return obs.TracesHandler(in.o
 
 // HandlerWithMetrics mounts the proxy plus the observability surface on
 // one handler; the longer mux patterns win over the proxy's catch-all.
-// /metrics, /debug/traces, /debug/parity (the latest content-parity
-// report per site, omitting sites that have none yet) and the pprof
-// handlers are always there; the peer transport appears when the
-// cluster tier is enabled.
+// It serves /metrics, /debug/traces, /debug/parity (the latest
+// content-parity report per site, omitting sites that have none yet)
+// and the pprof handlers.
 func (in *instance) HandlerWithMetrics() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Handler(in.obs))
@@ -514,9 +446,6 @@ func (in *instance) HandlerWithMetrics() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(out)
 	})
-	if in.cluster != nil {
-		mux.Handle(cluster.PathPrefix, in.cluster.Handler())
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -526,15 +455,12 @@ func (in *instance) HandlerWithMetrics() http.Handler {
 	return mux
 }
 
-// Close releases background resources: the cluster node and the prefetch
-// crawler (stopped first, so no cycle races the teardown), the cache's
-// expiry sweeper, and — when a durable store is configured — the
-// write-through pool (drained first, so queued persists land) and the
-// store itself. Safe to call more than once.
+// Close releases background resources: the prefetch crawler (stopped
+// first, so no cycle races the teardown), the cache's expiry sweeper,
+// and — when a durable store is configured — the write-through pool
+// (drained first, so queued persists land) and the store itself. Safe to
+// call more than once.
 func (in *instance) Close() {
-	if in.cluster != nil {
-		in.cluster.Close()
-	}
 	if in.crawler != nil {
 		in.crawler.Close()
 	}

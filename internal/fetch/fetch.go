@@ -100,11 +100,6 @@ type Fetcher struct {
 	backoffBase time.Duration
 	backoffMax  time.Duration
 	breakers    *BreakerSet
-
-	// headers are extra request headers applied to every attempt (the
-	// cluster peer transport uses this for its bearer token and trace
-	// propagation).
-	headers http.Header
 }
 
 // sessionJar presents the session's *current* cookie jar to the HTTP
@@ -128,17 +123,6 @@ type Option func(*Fetcher)
 // WithUserAgent sets the User-Agent presented to the origin.
 func WithUserAgent(ua string) Option {
 	return func(f *Fetcher) { f.userAgent = ua }
-}
-
-// WithHeader adds a header sent on every request this Fetcher makes
-// (bearer tokens, trace propagation). Repeated keys accumulate values.
-func WithHeader(key, value string) Option {
-	return func(f *Fetcher) {
-		if f.headers == nil {
-			f.headers = make(http.Header)
-		}
-		f.headers.Add(key, value)
-	}
 }
 
 // WithTimeout bounds each request.
@@ -333,9 +317,6 @@ func (f *Fetcher) attempt(ctx context.Context, rawURL string, cond Condition) (*
 		return nil, fmt.Errorf("fetch: building request for %s: %w", rawURL, err)
 	}
 	req.Header.Set("User-Agent", f.userAgent)
-	for k, vs := range f.headers {
-		req.Header[k] = append(req.Header[k], vs...)
-	}
 	if cond.ETag != "" {
 		req.Header.Set("If-None-Match", cond.ETag)
 	}
@@ -431,9 +412,6 @@ func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) 
 	}
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	req.Header.Set("User-Agent", f.userAgent)
-	for k, vs := range f.headers {
-		req.Header[k] = append(req.Header[k], vs...)
-	}
 	var br *Breaker
 	if f.breakers != nil {
 		br = f.breakers.For(req.URL.Host)

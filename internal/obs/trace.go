@@ -81,18 +81,7 @@ func formatTraceID(v uint64) string {
 // stores it in the returned context, from which StartSpan and TraceFrom
 // recover it.
 func (r *Registry) StartTrace(ctx context.Context, name string) (context.Context, *Trace) {
-	return r.StartTraceWithID(ctx, name, "")
-}
-
-// StartTraceWithID is StartTrace adopting a caller-supplied trace ID —
-// the cluster peer transport uses it so a build forwarded to the ring
-// owner shows up in both nodes' trace registries under the originating
-// request's ID. An empty id gets a fresh one.
-func (r *Registry) StartTraceWithID(ctx context.Context, name, id string) (context.Context, *Trace) {
-	if id == "" {
-		id = newTraceID()
-	}
-	t := &Trace{reg: r, id: id, name: name, start: time.Now()}
+	t := &Trace{reg: r, id: newTraceID(), name: name, start: time.Now()}
 	return context.WithValue(ctx, traceCtxKey{}, t), t
 }
 

@@ -350,8 +350,8 @@ func TestExtractLinksFiltersAndResolves(t *testing.T) {
 }
 
 // The demand ranking must survive a restart: hits recorded by one
-// crawler process outrank cold sites in the next process (satellite of
-// the cluster PR; ROADMAP item 2 leftover).
+// crawler process outrank cold sites in the next process (ROADMAP item 2
+// leftover).
 func TestDemandPersistsAcrossRestart(t *testing.T) {
 	pg := &originPage{}
 	pg.set(`"v1"`, `<html><body>origin</body></html>`)

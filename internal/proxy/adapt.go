@@ -11,8 +11,8 @@ import (
 )
 
 // This file is how a session comes to hold a Bundle: its own view, the
-// durable bundle, the cluster ring owner, or one admitted run of build,
-// whose report becomes this proxy's metrics here.
+// durable bundle, or one admitted run of build, whose report becomes
+// this proxy's metrics here.
 
 // ensureAdaptation gives a session its view of a Bundle, running the
 // full pipeline (fetch, filter phase, Tidy parse, attribute phase, file
@@ -84,14 +84,8 @@ func isAuthError(err error) bool {
 // content may differ per user — so each gets a Bundle built for it
 // alone, which is neither loaded from nor saved to the durable bundle.
 func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, private, force bool) (*Bundle, error) {
-	plan := buildPlan{sess: sess, persist: p.bundleKey != "" && !private, force: force, askOwner: true}
+	plan := buildPlan{sess: sess, persist: p.bundleKey != "" && !private, force: force}
 	if private {
-		// Sticky routing: a session-bearing build never leaves this node
-		// (its origin content may be user-specific, and its session state
-		// lives here).
-		if p.cfg.Cluster != nil {
-			obs.TraceFrom(ctx).Annotate("cluster", "sticky_local")
-		}
 		b, _, err := p.loadOrBuild(ctx, plan)
 		return b, err
 	}
@@ -109,10 +103,6 @@ type buildPlan struct {
 	// build; force skips the load, so the build overwrites it (the
 	// ?refresh=1 and changed-origin paths).
 	persist, force bool
-	// askOwner consults the cluster ring owner before building: it may
-	// already have (or be building) this bundle, and its admission
-	// controller then holds the build's one slot.
-	askOwner bool
 	// background takes the admission slot from the background lane, which
 	// fails with admission.ErrBackgroundBusy under live load instead of
 	// queueing.
@@ -120,18 +110,13 @@ type buildPlan struct {
 }
 
 // loadOrBuild satisfies a plan from the durable bundle (with a tiered
-// cache this is where a restarted proxy skips the whole pipeline) or the
-// ring owner, else admits and runs one pipeline build. ran reports
-// whether the pipeline ran.
+// cache this is where a restarted proxy skips the whole pipeline), else
+// admits and runs one pipeline build. ran reports whether the pipeline
+// ran.
 func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran bool, err error) {
 	if plan.persist && !plan.force {
 		if b, ok := p.loadBundle(ctx); ok {
 			return b, false, nil
-		}
-		if plan.askOwner {
-			if b, ok := p.fetchFromOwner(ctx); ok {
-				return b, false, nil
-			}
 		}
 	}
 	acquire := p.cfg.Admission.Acquire
@@ -172,10 +157,10 @@ func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran
 }
 
 // coalescedBuild runs loadOrBuild under the site's coalesce key, which
-// live cold adaptations, forwarded cluster builds and prefetch builds
-// share: whichever arrives while another runs joins it instead of
-// fetching the origin twice. ran is false for a caller that joined; a
-// joining client request (not the crawler) counts as coalesced.
+// live cold adaptations and prefetch builds share: whichever arrives
+// while another runs joins it instead of fetching the origin twice.
+// ran is false for a caller that joined; a joining client request (not
+// the crawler) counts as coalesced.
 func (p *Proxy) coalescedBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran bool, err error) {
 	b, coalesced, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, func(bctx context.Context) (*Bundle, error) {
 		built, r, err := p.loadOrBuild(bctx, plan)

@@ -59,6 +59,13 @@ func bundleKey(s *spec.Spec, width int) (string, error) {
 		s.Name, h.Sum64(), width, snapshotFidelity(s)), nil
 }
 
+// BundleKeyForSpec computes the durable bundle key New would derive for
+// this spec and viewport override, so a caller holding only the spec
+// can find the site's bundle in the shared cache.
+func BundleKeyForSpec(s *spec.Spec, override int) (string, error) {
+	return bundleKey(s, viewportWidth(s, override))
+}
+
 // Bundle is the product of one pipeline run: everything the handlers
 // serve, held in memory and never modified once build or
 // decodeBundle has returned it (sheets, which is not served, is handed
@@ -77,7 +84,7 @@ type Bundle struct {
 	subpages map[string]*attr.Subpage
 	// areas is the subpage set in name order: the entry overlay's <area>
 	// order, fixed so that a Bundle serves the same entry bytes however
-	// it came to be (built, decoded, fetched from a peer).
+	// it came to be (built or decoded).
 	areas []*attr.Subpage
 	notes []string
 	// images are the decoded subresources downloaded on the client's

@@ -811,3 +811,28 @@ func TestEntryOverlayFollowsSnapshotGeometry(t *testing.T) {
 		t.Fatalf("stats %+v; want two adaptations and two snapshot renders", got)
 	}
 }
+
+// BundleKeyForSpec must agree with the key New derives, or a caller
+// holding only the spec looks for the site's bundle under the wrong key.
+func TestBundleKeyForSpecMatchesProxy(t *testing.T) {
+	forum := origin.NewForum(origin.DefaultForumConfig())
+	originSrv := httptest.NewServer(forum.Handler())
+	t.Cleanup(originSrv.Close)
+	sp := forumSpec(originSrv.URL)
+
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{Spec: sp, Sessions: sessions, Cache: cache.New(), PersistBundles: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := BundleKeyForSpec(sp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != p.bundleKey {
+		t.Fatalf("BundleKeyForSpec = %q, proxy key = %q", key, p.bundleKey)
+	}
+}

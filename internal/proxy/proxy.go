@@ -104,12 +104,6 @@ type Config struct {
 	// the hard gate; 1 demands every non-sanctioned content item survive
 	// adaptation). It must lie in [0, 1].
 	ParityMinScore float64
-	// Cluster, when non-nil, routes cold non-personalized builds to the
-	// bundle key's consistent-hash ring owner (internal/cluster) before
-	// spending a local pipeline run. Personalized sessions always build
-	// locally (sticky routing). Requires PersistBundles — without a
-	// bundle key there is nothing to route by.
-	Cluster ClusterHook
 }
 
 // DefaultATFHeight is the above-the-fold boundary (in scaled snapshot

@@ -95,7 +95,7 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 }
 
 // snapshotEntry renders b's entry snapshot at width as s configures it,
-// in the form the shared cache, the durable tier and a peer hop carry:
+// in the form the shared cache and the durable tier carry:
 // the geometry rides in the MIME suffix.
 func snapshotEntry(ctx context.Context, b *Bundle, width int, s *spec.Spec) (cache.Entry, error) {
 	a, err := renderSnapshot(ctx, b, width, snapshotFidelity(s), snapshotScale(s))
