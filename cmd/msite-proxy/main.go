@@ -61,10 +61,6 @@ func run() error {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "durable store byte budget, least-recently-accessed records evicted past it (0 = unbounded)")
 	storeFsync := flag.String("store-fsync", "", "store durability policy: interval (default), always, or never")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
-	prefetchOn := flag.Bool("prefetch", false, "speculative pre-adaptation: a background crawler pre-builds demanded bundles and keeps them fresh with conditional revalidation")
-	prefetchTopN := flag.Int("prefetch-top-n", 0, "sites the crawler builds or revalidates per cycle (0 = default 4)")
-	prefetchInterval := flag.Duration("prefetch-interval", 0, "nominal gap between crawler cycles, jittered ±20% (0 = default 30s)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "links deep the crawler walks from each entry page when ranking by proximity (0 = default 1)")
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
 	parityCheck := flag.Bool("parity-check", false, "validate content parity of origin vs adapted closure on every build (score via /metrics and /debug/parity)")
 	parityMinScore := flag.Float64("parity-min-score", 0, "fail builds whose parity score drops below this, in [0, 1]; above 0 it implies -parity-check (0 = report only)")
@@ -99,13 +95,9 @@ func run() error {
 
 		Stream: *stream,
 
-		Prefetch:         *prefetchOn,
-		PrefetchTopN:     *prefetchTopN,
-		PrefetchInterval: *prefetchInterval,
-		PrefetchDepth:    *prefetchDepth,
-		RepairRules:      *repairRules,
-		ParityCheck:      *parityCheck,
-		ParityMinScore:   *parityMinScore,
+		RepairRules:    *repairRules,
+		ParityCheck:    *parityCheck,
+		ParityMinScore: *parityMinScore,
 	}
 
 	if len(specPaths) > 1 {

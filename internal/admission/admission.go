@@ -36,13 +36,6 @@ const (
 	ReasonSessionCap = "session_cap"
 )
 
-// ErrBackgroundBusy reports that the background lane could not be
-// admitted right now: live traffic holds the slots or is waiting for
-// them. Background work (the prefetch crawler) treats this as "skip and
-// retry next tick", never as a failure — the whole point of the lane is
-// that it yields instantly to the foreground.
-var ErrBackgroundBusy = errors.New("admission: background lane busy")
-
 // ShedError reports a request refused by admission control. The proxy
 // maps it to 503 (capacity) or 429 (rate limit) with a Retry-After
 // header derived from RetryAfter.
@@ -130,13 +123,7 @@ type Limiter struct {
 
 	mu     sync.Mutex
 	active int
-	// bgActive counts the admitted runs that came through the background
-	// lane; they are included in active. The lane may occupy at most
-	// maxConcurrent-1 slots (all of them when maxConcurrent is 1), so a
-	// cold foreground arrival normally finds a free slot instantly and
-	// never waits more than one slot handoff behind background work.
-	bgActive int
-	queue    []*waiter
+	queue  []*waiter
 	// avgRun is the EWMA of completed run durations, the basis of
 	// estimateWait.
 	avgRun time.Duration
@@ -218,63 +205,6 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 		retry := estimateWait(0, l.maxConcurrent, l.avgRun)
 		l.mu.Unlock()
 		return nil, &ShedError{Reason: ReasonDeadline, RetryAfter: retry}
-	}
-}
-
-// backgroundSlots is the lane's slot budget: every slot but one is
-// available to background work, so live traffic always has a slot it
-// can take without waiting (with a single slot, background may use it —
-// it still hands the slot over after at most one run).
-func (l *Limiter) backgroundSlots() int {
-	if l.maxConcurrent <= 1 {
-		return 1
-	}
-	return l.maxConcurrent - 1
-}
-
-// AcquireBackground admits one run on the low-priority background lane.
-// Unlike Acquire it never queues: a slot is granted only when one is
-// free right now, no foreground request is waiting, and background
-// occupancy stays under the lane's slot budget. Otherwise it returns
-// ErrBackgroundBusy immediately — background work yields to live
-// traffic rather than competing with it. The returned release func must
-// be called exactly once.
-func (l *Limiter) AcquireBackground(ctx context.Context) (release func(), err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	if l.active < l.maxConcurrent && len(l.queue) == 0 && l.bgActive < l.backgroundSlots() {
-		l.active++
-		l.bgActive++
-		l.mu.Unlock()
-		return l.backgroundReleaser(time.Now()), nil
-	}
-	l.mu.Unlock()
-	return nil, ErrBackgroundBusy
-}
-
-// BackgroundActive returns the number of background-lane runs in flight.
-func (l *Limiter) BackgroundActive() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bgActive
-}
-
-// backgroundReleaser returns the once-only release func for a
-// background-lane run.
-func (l *Limiter) backgroundReleaser(start time.Time) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			l.mu.Lock()
-			l.bgActive--
-			// Background runs do not feed the EWMA: crawler builds are
-			// origin-bound refreshes whose duration should not distort the
-			// deadline arithmetic for live requests.
-			l.releaseLocked(0)
-			l.mu.Unlock()
-		})
 	}
 }
 
@@ -408,20 +338,6 @@ func (c *Controller) Acquire(ctx context.Context) (func(), error) {
 		return func() {}, nil
 	}
 	return c.limiter.Acquire(ctx)
-}
-
-// AcquireBackground admits one run on the low-priority background lane
-// (see Limiter.AcquireBackground). A nil Controller or one without a
-// limiter admits immediately — with no concurrency bound there is no
-// capacity to protect.
-func (c *Controller) AcquireBackground(ctx context.Context) (func(), error) {
-	if c == nil || c.limiter == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return func() {}, nil
-	}
-	return c.limiter.AcquireBackground(ctx)
 }
 
 // RateLimited reports whether the controller has a per-client rate

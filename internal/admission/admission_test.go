@@ -528,157 +528,3 @@ func TestControllerConfig(t *testing.T) {
 		t.Error("zero config rejected a client")
 	}
 }
-
-func TestBackgroundLaneLeavesHeadroom(t *testing.T) {
-	l, err := NewLimiter(LimiterConfig{MaxConcurrent: 3, QueueLen: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The lane's budget is maxConcurrent-1: two grants, then busy.
-	r1, err := l.AcquireBackground(context.Background())
-	if err != nil {
-		t.Fatalf("first background Acquire: %v", err)
-	}
-	r2, err := l.AcquireBackground(context.Background())
-	if err != nil {
-		t.Fatalf("second background Acquire: %v", err)
-	}
-	if _, err := l.AcquireBackground(context.Background()); !errors.Is(err, ErrBackgroundBusy) {
-		t.Fatalf("third background Acquire: err=%v, want ErrBackgroundBusy", err)
-	}
-	// The reserved slot admits a foreground request instantly.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	rf, err := l.Acquire(ctx)
-	if err != nil {
-		t.Fatalf("foreground Acquire with background headroom: %v", err)
-	}
-	if got := l.BackgroundActive(); got != 2 {
-		t.Errorf("BackgroundActive = %d, want 2", got)
-	}
-	rf()
-	r2()
-	r1()
-	if got, want := l.Active(), 0; got != want {
-		t.Errorf("active after drain = %d, want %d", got, want)
-	}
-	if got := l.BackgroundActive(); got != 0 {
-		t.Errorf("BackgroundActive after drain = %d, want 0", got)
-	}
-}
-
-func TestBackgroundLaneYieldsToWaitingForeground(t *testing.T) {
-	l, err := NewLimiter(LimiterConfig{MaxConcurrent: 2, QueueLen: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill both slots with foreground work and park one waiter.
-	rel1, err := l.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2, err := l.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted := make(chan func(), 1)
-	go func() {
-		r, err := l.Acquire(context.Background())
-		if err != nil {
-			t.Errorf("queued foreground Acquire: %v", err)
-			return
-		}
-		admitted <- r
-	}()
-	for l.QueueDepth() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// A slot frees up, but the foreground waiter owns it: background
-	// must stay busy even though active < maxConcurrent momentarily.
-	rel1()
-	if _, err := l.AcquireBackground(context.Background()); !errors.Is(err, ErrBackgroundBusy) {
-		t.Fatalf("background admitted while foreground waited: err=%v", err)
-	}
-	rel2()
-	r := <-admitted
-	r()
-}
-
-func TestBackgroundLaneSingleSlot(t *testing.T) {
-	l, err := NewLimiter(LimiterConfig{MaxConcurrent: 1, QueueLen: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With one slot the lane may use it — otherwise prefetch could never
-	// run on a minimal deployment.
-	r, err := l.AcquireBackground(context.Background())
-	if err != nil {
-		t.Fatalf("background Acquire on 1-slot limiter: %v", err)
-	}
-	if _, err := l.AcquireBackground(context.Background()); !errors.Is(err, ErrBackgroundBusy) {
-		t.Fatalf("second background Acquire: err=%v, want ErrBackgroundBusy", err)
-	}
-	r()
-}
-
-// TestBackgroundLaneNoForegroundStarvation saturates the background lane
-// from many goroutines and proves a foreground arrival is never delayed
-// beyond one slot handoff: every foreground Acquire must complete within
-// the duration of a single background run, and the lane must never admit
-// while a foreground waiter is queued. Run with -race.
-func TestBackgroundLaneNoForegroundStarvation(t *testing.T) {
-	const maxConcurrent = 4
-	l, err := NewLimiter(LimiterConfig{MaxConcurrent: maxConcurrent, QueueLen: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Background pressure: 8 goroutines hammering the lane, holding any
-	// granted slot for 2ms.
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				release, err := l.AcquireBackground(context.Background())
-				if err != nil {
-					if !errors.Is(err, ErrBackgroundBusy) {
-						t.Errorf("background Acquire: %v", err)
-						return
-					}
-					continue
-				}
-				time.Sleep(2 * time.Millisecond)
-				release()
-			}
-		}()
-	}
-	// Foreground probes: each must get a slot within one background run
-	// (2ms) plus generous scheduling slack.
-	const slack = 500 * time.Millisecond
-	for i := 0; i < 50; i++ {
-		start := time.Now()
-		ctx, cancel := context.WithTimeout(context.Background(), slack)
-		release, err := l.Acquire(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("foreground Acquire %d starved: %v (waited %v)", i, err, time.Since(start))
-		}
-		time.Sleep(time.Millisecond)
-		release()
-	}
-	close(stop)
-	wg.Wait()
-	if got := l.BackgroundActive(); got != 0 {
-		t.Errorf("BackgroundActive after drain = %d, want 0", got)
-	}
-	if got := l.Active(); got != 0 {
-		t.Errorf("active after drain = %d, want 0", got)
-	}
-}

@@ -345,26 +345,6 @@ func (c *Cache) Put(key string, e Entry, ttl time.Duration) {
 	c.insertResident(sh, s)
 }
 
-// Touch extends the residency of key's live entry to ttl from now
-// without replacing its bytes — the cheap path for "still fresh"
-// revalidations. Returns false when the key is absent, expired, or
-// mid-fill, or when ttl is non-positive.
-func (c *Cache) Touch(key string, ttl time.Duration) bool {
-	if ttl <= 0 {
-		return false
-	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.entries[key]
-	if !ok || s.pending != nil || c.clock().After(s.expires) {
-		return false
-	}
-	s.expires = c.clock().Add(ttl)
-	sh.lruTouch(s)
-	return true
-}
-
 // GetOrFill returns the cached entry, or runs fill exactly once across
 // concurrent callers and caches its result for ttl. A fill error is
 // returned to every waiter and the slot is released eagerly — a failed

@@ -15,7 +15,6 @@ import (
 type Layer interface {
 	Get(key string) (Entry, bool)
 	Put(key string, e Entry, ttl time.Duration)
-	Touch(key string, ttl time.Duration) bool
 	Delete(key string)
 	Purge()
 	GetOrFill(key string, ttl time.Duration, fill func() (Entry, error)) (Entry, error)
@@ -39,13 +38,6 @@ type SecondTier interface {
 	Get(key string) (data []byte, mime string, expires time.Time, ok bool)
 	Put(key string, data []byte, mime string, ttl time.Duration) error
 	Delete(key string) error
-}
-
-// Toucher is the optional expiry-extension surface of a SecondTier;
-// when present, Tiered.Touch propagates TTL bumps to the durable layer
-// instead of leaving its records to expire on the original schedule.
-type Toucher interface {
-	Touch(key string, ttl time.Duration) bool
 }
 
 // KeyLister is the optional iteration surface of a SecondTier; when
@@ -85,12 +77,11 @@ type TieredOptions struct {
 
 // writeOp is one queued asynchronous store mutation.
 type writeOp struct {
-	del   bool
-	touch bool
-	key   string
-	data  []byte
-	mime  string
-	ttl   time.Duration
+	del  bool
+	key  string
+	data []byte
+	mime string
+	ttl  time.Duration
 }
 
 // Tiered layers a durable SecondTier under an in-memory Cache. Reads
@@ -145,14 +136,9 @@ func NewTiered(l1 *Cache, tier SecondTier, o TieredOptions) *Tiered {
 func (t *Tiered) writer() {
 	defer t.wg.Done()
 	for op := range t.queue {
-		switch {
-		case op.del:
+		if op.del {
 			_ = t.tier.Delete(op.key)
-		case op.touch:
-			if toucher, ok := t.tier.(Toucher); ok {
-				toucher.Touch(op.key, op.ttl)
-			}
-		default:
+		} else {
 			_ = t.tier.Put(op.key, op.data, op.mime, op.ttl)
 		}
 		t.pending.Add(-1)
@@ -208,19 +194,6 @@ func (t *Tiered) Put(key string, e Entry, ttl time.Duration) {
 	if ttl > 0 {
 		t.enqueue(writeOp{key: key, data: e.Data, mime: e.MIME, ttl: ttl})
 	}
-}
-
-// Touch extends the key's residency in both tiers (the tier touch is
-// async, and skipped when the tier cannot touch). Returns whether the
-// L1 entry was live.
-func (t *Tiered) Touch(key string, ttl time.Duration) bool {
-	ok := t.Cache.Touch(key, ttl)
-	if ttl > 0 {
-		if _, can := t.tier.(Toucher); can {
-			t.enqueue(writeOp{touch: true, key: key, ttl: ttl})
-		}
-	}
-	return ok
 }
 
 // Delete removes the key from both tiers (the tier delete is async).

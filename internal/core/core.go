@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"path/filepath"
 	"time"
 
 	"msite/internal/admission"
@@ -21,7 +20,6 @@ import (
 	"msite/internal/fetch"
 	"msite/internal/gen"
 	"msite/internal/obs"
-	"msite/internal/prefetch"
 	"msite/internal/proxy"
 	"msite/internal/quality"
 	"msite/internal/session"
@@ -98,24 +96,6 @@ type Config struct {
 	// overlay head is flushed before the origin fetch begins and the
 	// snapshot renders in the background.
 	Stream bool
-	// Prefetch enables the speculative pre-adaptation crawler (the
-	// -prefetch knob): a background loop that walks the origin link
-	// graph, ranks sites by live demand plus link proximity, pre-builds
-	// their bundles through the admission controller's background lane,
-	// and keeps them fresh with conditional (ETag/Last-Modified)
-	// revalidation. Enabling it also enables bundle persistence even
-	// without a StoreDir (bundles then live in the in-memory tier only).
-	Prefetch bool
-	// PrefetchTopN caps how many sites the crawler builds or revalidates
-	// per cycle (the -prefetch-top-n knob; default 4).
-	PrefetchTopN int
-	// PrefetchInterval is the nominal gap between crawler cycles,
-	// jittered ±20% (the -prefetch-interval knob; default 30s).
-	PrefetchInterval time.Duration
-	// PrefetchDepth is how many links deep the crawler walks from each
-	// entry page when ranking by proximity (the -prefetch-depth knob;
-	// default 1).
-	PrefetchDepth int
 	// RepairRules selects the mobile-repair rules run over every adapted
 	// document and subpage after the attribute phase (the -repair-rules
 	// knob): a comma-separated list of internal/quality rule names, or
@@ -207,33 +187,10 @@ func (cfg Config) fetchOptions(reg *obs.Registry) []fetch.Option {
 	return append(opts, fetch.WithObs(reg))
 }
 
-// buildPrefetch maps the Prefetch knobs onto a crawler; nil when the
-// feature is off. The crawler is created before the proxies so its
-// RecordHit can be wired as their demand feed, pointed at the sites
-// after they exist, and only then started. With a StoreDir, the demand
-// ranking persists there across restarts.
-func (cfg Config) buildPrefetch(reg *obs.Registry) *prefetch.Crawler {
-	if !cfg.Prefetch {
-		return nil
-	}
-	var stateFile string
-	if cfg.StoreDir != "" {
-		stateFile = filepath.Join(cfg.StoreDir, "prefetch-demand.json")
-	}
-	return prefetch.New(prefetch.Config{
-		TopN:      cfg.PrefetchTopN,
-		Interval:  cfg.PrefetchInterval,
-		Depth:     cfg.PrefetchDepth,
-		Obs:       reg,
-		Logger:    cfg.Logger,
-		StateFile: stateFile,
-	})
-}
-
 // instance is what a Framework and a MultiFramework both are: the
 // proxies of one or several specs behind one handler, around one session
 // manager, render cache (and store), registry, and the optional
-// admission and prefetch tiers.
+// admission tier.
 type instance struct {
 	handler  http.Handler
 	sites    []*proxy.Proxy // in name order
@@ -241,7 +198,6 @@ type instance struct {
 	cache    cache.Layer
 	store    *store.Store // nil without StoreDir
 	obs      *obs.Registry
-	crawler  *prefetch.Crawler // nil without Prefetch
 }
 
 // Framework is a running m.Site instance for one adaptation spec, mounted
@@ -292,9 +248,7 @@ func NewMulti(specs []*spec.Spec, cfg Config) (*MultiFramework, error) {
 }
 
 // wire builds an instance: everything the Config describes, around the
-// proxies mount makes from the one proxy.Config the knobs map onto. The
-// crawler exists before the proxies (its demand hook goes into that
-// config), learns the sites after, and only then starts.
+// proxies mount makes from the one proxy.Config the knobs map onto.
 func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, error)) (*instance, error) {
 	if cfg.SessionRoot == "" {
 		return nil, errors.New("core: SessionRoot required")
@@ -320,11 +274,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 	}
 	sessions.InstrumentObs(reg)
 	sessions.SetLogger(cfg.Logger)
-	inst.crawler = cfg.buildPrefetch(reg)
-	var demand func(string)
-	if inst.crawler != nil {
-		demand = inst.crawler.RecordHit
-	}
 	inst.handler, inst.sites, err = mount(proxy.Config{
 		Sessions:       sessions,
 		Cache:          sharedCache,
@@ -334,23 +283,14 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		Logger:         cfg.Logger,
 		ServeStale:     cfg.ServeStale,
 		Admission:      adm,
-		PersistBundles: st != nil || cfg.Prefetch,
+		PersistBundles: st != nil,
 		Stream:         cfg.Stream,
-		Demand:         demand,
 		RepairRules:    cfg.RepairRules,
 		ParityCheck:    cfg.ParityCheck,
 		ParityMinScore: cfg.ParityMinScore,
 	})
 	if err != nil {
 		return fail(err)
-	}
-	if inst.crawler != nil {
-		sites := make([]prefetch.Site, len(inst.sites))
-		for i, p := range inst.sites {
-			sites[i] = p
-		}
-		inst.crawler.SetSites(sites)
-		inst.crawler.Start()
 	}
 	return inst, nil
 }
@@ -399,10 +339,6 @@ func (in *instance) CacheStats() cache.Stats { return in.cache.Stats() }
 
 // Store exposes the durable render store; nil without StoreDir.
 func (in *instance) Store() *store.Store { return in.store }
-
-// Prefetcher exposes the speculative pre-adaptation crawler; nil unless
-// Prefetch is enabled.
-func (in *instance) Prefetcher() *prefetch.Crawler { return in.crawler }
 
 // ProxyStats sums the per-site proxy work counters.
 func (in *instance) ProxyStats() proxy.Stats {
@@ -455,15 +391,11 @@ func (in *instance) HandlerWithMetrics() http.Handler {
 	return mux
 }
 
-// Close releases background resources: the prefetch crawler (stopped
-// first, so no cycle races the teardown), the cache's expiry sweeper,
-// and — when a durable store is configured — the write-through pool
-// (drained first, so queued persists land) and the store itself. Safe to
-// call more than once.
+// Close releases background resources: the cache's expiry sweeper and —
+// when a durable store is configured — the write-through pool (drained
+// first, so queued persists land) and the store itself. Safe to call
+// more than once.
 func (in *instance) Close() {
-	if in.crawler != nil {
-		in.crawler.Close()
-	}
 	in.cache.Close()
 	if in.store != nil {
 		_ = in.store.Close()

@@ -290,8 +290,24 @@ func PutRGBA(img *image.RGBA) {
 	pixPool.Put(img.Pix[:0:cap(img.Pix)]) //nolint:staticcheck // slice header reuse is the point
 }
 
-// Decode decodes PNG, JPEG, or GIF bytes.
+// maxDecodePixels caps the pixel count Decode accepts: 4096×4096, 64 MiB
+// as RGBA. A header may declare any size, and the standard decoders
+// allocate the whole image from it before reading a pixel, so a 65-byte
+// PNG claiming 60000×60000 would ask for ~14 GB. That is a fatal
+// out-of-memory, which no recover catches, not an error.
+const maxDecodePixels = 1 << 24
+
+// Decode decodes PNG, JPEG, or GIF bytes. An image whose header declares
+// more than maxDecodePixels pixels is refused before any pixel memory is
+// allocated.
 func Decode(data []byte) (image.Image, error) {
+	cfg, _, err := image.DecodeConfig(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("imaging: decoding image: %w", err)
+	}
+	if int64(cfg.Width)*int64(cfg.Height) > maxDecodePixels {
+		return nil, fmt.Errorf("imaging: image is %d×%d, over the %d-pixel cap", cfg.Width, cfg.Height, maxDecodePixels)
+	}
 	img, _, err := image.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("imaging: decoding image: %w", err)

@@ -2,9 +2,12 @@ package imaging
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +105,65 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeInvalid(t *testing.T) {
 	if _, err := Decode([]byte("not an image")); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// oversizedPNG is a 65-byte PNG whose IHDR declares a w×h RGBA image,
+// followed by the start of a zlib stream and IEND: enough for a decoder
+// to size the image and begin reading pixels.
+func oversizedPNG(w, h uint32) []byte {
+	chunk := func(out []byte, typ string, data []byte) []byte {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
+		body := append([]byte(typ), data...)
+		out = append(out, body...)
+		return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	ihdr := binary.BigEndian.AppendUint32(nil, w)
+	ihdr = binary.BigEndian.AppendUint32(ihdr, h)
+	ihdr = append(ihdr, 8, 6, 0, 0, 0) // 8-bit RGBA, not interlaced
+	out := []byte("\x89PNG\r\n\x1a\n")
+	out = chunk(out, "IHDR", ihdr)
+	out = chunk(out, "IDAT", []byte{0x78, 0x9c, 0, 0, 0, 0, 0, 0})
+	return chunk(out, "IEND", nil)
+}
+
+// oversizedGIF is a GIF whose logical screen and one frame declare w×h,
+// with no colour table and no pixel data.
+func oversizedGIF(w, h uint16) []byte {
+	out := []byte("GIF89a")
+	out = binary.LittleEndian.AppendUint16(out, w)
+	out = binary.LittleEndian.AppendUint16(out, h)
+	out = append(out, 0, 0, 0, 0x2c, 0, 0, 0, 0) // no global table; frame at 0,0
+	out = binary.LittleEndian.AppendUint16(out, w)
+	out = binary.LittleEndian.AppendUint16(out, h)
+	return append(out, 0, 2, 0, 0x3b)
+}
+
+// TestDecodeRefusesOversizedImage: an origin image whose header declares
+// more than maxDecodePixels is an error, decided from the header alone,
+// so a few bytes cannot make the decoder allocate gigabytes.
+func TestDecodeRefusesOversizedImage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"png 60000x60000", oversizedPNG(60000, 60000)},
+		{"png one row over the cap", oversizedPNG(4096, 4097)},
+		{"gif 65535x65535", oversizedGIF(65535, 65535)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(tc.data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s (%d bytes): decoded, want an error", tc.name, len(tc.data))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes, want under 1 MB", tc.name, got)
+		}
+	}
+	if n := len(oversizedPNG(60000, 60000)); n != 65 {
+		t.Errorf("oversized PNG is %d bytes, want 65", n)
 	}
 }
 

@@ -157,7 +157,7 @@ func (f *Forum) BytesServed() int64 { return f.bytesServed.Load() }
 
 // Bump advances the entry page to a new revision: the content and its
 // ETag change, so conditional revalidation sees a modified origin. This
-// is the churn lever for the prefetch experiments.
+// is the churn lever for a rebuild-after-change workload.
 func (f *Forum) Bump() {
 	f.mu.Lock()
 	f.generation++
@@ -193,8 +193,8 @@ func (f *Forum) cached(key string, build func() []byte) []byte {
 }
 
 // serveIndex serves the entry page with an ETag derived from the
-// current revision; a matching If-None-Match answers 304 with no body —
-// the response the prefetch refresher's conditional GETs rely on.
+// current revision; a matching If-None-Match answers 304 with no body,
+// as a real origin answers a conditional GET.
 func (f *Forum) serveIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" && r.URL.Path != "/index.php" {
 		http.NotFound(w, r)

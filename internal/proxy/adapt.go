@@ -86,11 +86,9 @@ func isAuthError(err error) bool {
 func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, private, force bool) (*Bundle, error) {
 	plan := buildPlan{sess: sess, persist: p.bundleKey != "" && !private, force: force}
 	if private {
-		b, _, err := p.loadOrBuild(ctx, plan)
-		return b, err
+		return p.loadOrBuild(ctx, plan)
 	}
-	b, _, err := p.coalescedBuild(ctx, plan)
-	return b, err
+	return p.coalescedBuild(ctx, plan)
 }
 
 // buildPlan is what distinguishes one caller's "load, else admit, build,
@@ -101,31 +99,22 @@ type buildPlan struct {
 	sess *session.Session
 	// persist loads the durable bundle when there is one and saves the
 	// build; force skips the load, so the build overwrites it (the
-	// ?refresh=1 and changed-origin paths).
+	// ?refresh=1 path).
 	persist, force bool
-	// background takes the admission slot from the background lane, which
-	// fails with admission.ErrBackgroundBusy under live load instead of
-	// queueing.
-	background bool
 }
 
 // loadOrBuild satisfies a plan from the durable bundle (with a tiered
 // cache this is where a restarted proxy skips the whole pipeline), else
-// admits and runs one pipeline build. ran reports whether the pipeline
-// ran.
-func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran bool, err error) {
+// admits and runs one pipeline build.
+func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (*Bundle, error) {
 	if plan.persist && !plan.force {
 		if b, ok := p.loadBundle(ctx); ok {
-			return b, false, nil
+			return b, nil
 		}
 	}
-	acquire := p.cfg.Admission.Acquire
-	if plan.background {
-		acquire = p.cfg.Admission.AcquireBackground
-	}
-	release, err := acquire(ctx)
+	release, err := p.cfg.Admission.Acquire(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer release()
 	b, rep, err := build(ctx, fetch.New(plan.sess, p.cfg.FetchOptions...), p.cfg.Spec, &p.build)
@@ -147,31 +136,27 @@ func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran
 		}
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	p.metrics.adaptations.Inc()
 	if plan.persist {
 		p.saveBundle(b)
 	}
-	return b, true, nil
+	return b, nil
 }
 
-// coalescedBuild runs loadOrBuild under the site's coalesce key, which
-// live cold adaptations and prefetch builds share: whichever arrives
-// while another runs joins it instead of fetching the origin twice.
-// ran is false for a caller that joined; a joining client request (not
-// the crawler) counts as coalesced.
-func (p *Proxy) coalescedBuild(ctx context.Context, plan buildPlan) (b *Bundle, ran bool, err error) {
+// coalescedBuild runs loadOrBuild under the site's coalesce key: a cold
+// adaptation that arrives while another runs joins it instead of
+// fetching the origin twice, and counts as coalesced.
+func (p *Proxy) coalescedBuild(ctx context.Context, plan buildPlan) (*Bundle, error) {
 	b, coalesced, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, func(bctx context.Context) (*Bundle, error) {
-		built, r, err := p.loadOrBuild(bctx, plan)
-		ran = r
-		return built, err
+		return p.loadOrBuild(bctx, plan)
 	})
-	if err == nil && coalesced && !plan.background {
+	if err == nil && coalesced {
 		p.metrics.coalesced.Inc()
 		obs.TraceFrom(ctx).Annotate("coalesced", "adaptation")
 	}
-	return b, ran, err
+	return b, err
 }
 
 // ParityReport returns the most recent content-parity report, or nil

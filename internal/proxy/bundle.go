@@ -28,8 +28,7 @@ import (
 
 // bundleWireVersion guards the gob layout; a decoder seeing a newer
 // version discards the bundle and rebuilds. Version 1 records (no
-// validator) still decode — the validator is simply absent and the
-// first revalidation falls back to an unconditional fetch.
+// validator) still decode, with the validator simply absent.
 const bundleWireVersion = 2
 
 // viewportWidth resolves a proxy's render width: the override, else the
@@ -99,8 +98,8 @@ type Bundle struct {
 	// a decoded Bundle does, parses for itself.
 	sheets atomic.Pointer[css.Sheets]
 	// validator is the origin's freshness evidence from this build's
-	// entry fetch, so the prefetch refresher can revalidate instead of
-	// re-downloading.
+	// entry fetch. It is written and decoded with the bundle; nothing in
+	// the proxy reads it yet.
 	validator BundleValidator
 	// overlay is the entry overlay last built over areas (see
 	// Proxy.entryOverlay). Like sheets, it is not on the wire.
@@ -198,8 +197,7 @@ type bundleWire struct {
 	Files    []fileWire
 	Images   []imageWire
 	// Validator (version 2+) carries the origin's cache validators from
-	// the build's entry fetch; the prefetch refresher revalidates with
-	// them instead of re-downloading. gob leaves it zero when decoding a
+	// the build's entry fetch. gob leaves it zero when decoding a
 	// version-1 record.
 	Validator BundleValidator
 }
@@ -388,7 +386,7 @@ func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
 		}
 		p.sharedMu.Lock()
 		if p.sharedSrc == nil {
-			p.shared, p.sharedSrc, p.bundleVal = b, e.Data, b.validator
+			p.shared, p.sharedSrc = b, e.Data
 		} // else a newer record was stored or loaded during the decode
 		p.sharedMu.Unlock()
 	}
@@ -410,11 +408,10 @@ func (p *Proxy) saveBundle(b *Bundle) {
 }
 
 // storeBundle puts an encoded bundle into the cache and remembers b as
-// its decoded form, and b's validator as the one the prefetch refresher
-// reads — in one step with respect to loadBundle.
+// its decoded form, in one step with respect to loadBundle.
 func (p *Proxy) storeBundle(b *Bundle, data []byte) {
 	p.sharedMu.Lock()
 	p.cfg.Cache.Put(p.bundleKey, cache.Entry{Data: data, MIME: "application/x-msite-bundle"}, DefaultBundleTTL)
-	p.shared, p.sharedSrc, p.bundleVal = b, data, b.validator
+	p.shared, p.sharedSrc = b, data
 	p.sharedMu.Unlock()
 }

@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"io"
@@ -10,6 +12,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -501,5 +504,72 @@ func TestSnapshotPaintsRealImages(t *testing.T) {
 	r, g, b, _ := snap.At(100, 50).RGBA()
 	if uint8(r>>8) != 220 || uint8(g>>8) != 0 || uint8(b>>8) != 220 {
 		t.Fatalf("snapshot pixel = %d,%d,%d, want magenta logo", r>>8, g>>8, b>>8)
+	}
+}
+
+// TestOversizedOriginImageIsSkipped: an origin <img> whose 65-byte PNG
+// declares 60000×60000 RGBA (~14 GB decoded) is refused from its header
+// like any undecodable image, so the cold entry is a 200 and the
+// snapshot draws a placeholder instead of the process running out of
+// memory.
+func TestOversizedOriginImageIsSkipped(t *testing.T) {
+	chunk := func(out []byte, typ string, data []byte) []byte {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
+		body := append([]byte(typ), data...)
+		out = append(out, body...)
+		return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	}
+	ihdr := binary.BigEndian.AppendUint32(nil, 60000)
+	ihdr = binary.BigEndian.AppendUint32(ihdr, 60000)
+	ihdr = append(ihdr, 8, 6, 0, 0, 0) // 8-bit RGBA, not interlaced
+	huge := chunk([]byte("\x89PNG\r\n\x1a\n"), "IHDR", ihdr)
+	huge = chunk(huge, "IDAT", []byte{0x78, 0x9c, 0, 0, 0, 0, 0, 0})
+	huge = chunk(huge, "IEND", nil)
+
+	var served atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte(`<html><body>
+<img src="/huge.png" width="200" height="100">
+<p>text below the image</p></body></html>`))
+	})
+	mux.HandleFunc("/huge.png", func(w http.ResponseWriter, _ *http.Request) {
+		served.Add(1)
+		w.Header().Set("Content-Type", "image/png")
+		_, _ = w.Write(huge)
+	})
+	originSrv := httptest.NewServer(mux)
+	defer originSrv.Close()
+
+	sp := &spec.Spec{
+		Name: "huge", Origin: originSrv.URL + "/",
+		Snapshot: spec.SnapshotSpec{Enabled: true, Fidelity: "high", Scale: 1},
+	}
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{Spec: sp, Sessions: sessions, Cache: cache.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxySrv := httptest.NewServer(p)
+	defer proxySrv.Close()
+
+	jar, _ := cookiejar.New(nil)
+	client := &http.Client{Jar: jar}
+	for _, path := range []string{"/", "/asset/snapshot.png"} {
+		resp, err := client.Get(proxySrv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+	}
+	if served.Load() == 0 {
+		t.Fatal("the build never fetched the origin image")
 	}
 }

@@ -85,11 +85,6 @@ type Config struct {
 	// and the snapshot renders on a background goroutine the asset
 	// handler waits on. Off, the entry buffers as before.
 	Stream bool
-	// Demand, when non-nil, is called with the site name on every entry
-	// and subpage request — the live-traffic signal the prefetch
-	// crawler's demand ranking decays over. Must be cheap and
-	// non-blocking; it runs on the serve path.
-	Demand func(site string)
 	// RepairRules selects mobile-repair rules (internal/quality) to run
 	// over every adapted document and subpage after the attribute
 	// phase: a comma-separated rule list, or "all". Empty disables the
@@ -169,11 +164,9 @@ type Proxy struct {
 	// this proxy last put into or read from the cache. It is a memo, not
 	// an authority: loadBundle uses it only while the cache still returns
 	// those very bytes, so TTL expiry, Delete and Purge force a rebuild.
-	// bundleVal is that record's validator, which TouchBundle refreshes.
 	sharedMu  sync.Mutex
 	shared    *Bundle
 	sharedSrc []byte
-	bundleVal BundleValidator
 
 	// coalesce collapses concurrent cold adaptations of the same page
 	// across sessions into one pipeline run (admission control tier 2);
@@ -301,6 +294,9 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
+// SiteName returns the spec name identifying this proxy's site.
+func (p *Proxy) SiteName() string { return p.cfg.Spec.Name }
+
 // Stats returns a snapshot of the proxy counters. It reads the metric
 // handles New resolved — never the proxy mutex — so it is safe to poll at
 // any rate.
@@ -402,9 +398,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	kind := kindOf(path)
 	km := &p.metrics.kinds[kind]
 	km.requests.Inc()
-	if p.cfg.Demand != nil && (kind == kindEntry || kind == kindSubpage) {
-		p.cfg.Demand(p.cfg.Spec.Name)
-	}
 	ctx, tr := p.obs.StartTrace(r.Context(), kind.String())
 	r = r.WithContext(ctx)
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}

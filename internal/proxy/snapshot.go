@@ -120,23 +120,3 @@ func parseGeometry(mime string) (w, h int) {
 	h, _ = strconv.Atoi(hs)
 	return w, h
 }
-
-// prerenderSnapshot renders the shared entry snapshot from a bundle the
-// prefetch path just built or loaded. Without this the crawler removes
-// the pipeline cost of a cold miss but leaves the layout/raster/encode
-// of the snapshot for the first live visitor; pre-filling the shared
-// cache entry means that visitor serves entirely warm. Sites with
-// per-session (non-shared) snapshots are skipped — there is no shared
-// entry to warm.
-func (p *Proxy) prerenderSnapshot(b *Bundle) {
-	ttl := sharedSnapshotTTL(p.cfg.Spec)
-	if ttl <= 0 {
-		return
-	}
-	// GetOrFill leaves an already-warm snapshot (live render or
-	// disk-tier rehydration) alone.
-	_, _ = p.cfg.Cache.GetOrFill(p.snapKey, ttl, func() (cache.Entry, error) {
-		p.metrics.snapshotRenders.Inc()
-		return snapshotEntry(context.Background(), b, p.width, p.cfg.Spec)
-	})
-}
