@@ -200,10 +200,22 @@ func (f *Fetcher) record(start time.Time, err error) {
 	f.obs.Histogram("msite_fetch_seconds").ObserveDuration(time.Since(start))
 }
 
+// transport carries every Fetcher's requests: http.DefaultTransport with
+// room for a whole FetchAll batch of idle connections to one host, where
+// the default keeps two, so a build's batch reuses the connections the
+// last one opened instead of dialing most of them anew. Cookie jars stay
+// with each Fetcher's client; sessions share connections only, as they
+// did on the default transport.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = DefaultWorkers
+	return t
+}()
+
 // New returns a Fetcher bound to a session's cookie jar. sess may be nil
 // for anonymous (shared-cache) fetches.
 func New(sess *session.Session, opts ...Option) *Fetcher {
-	client := &http.Client{Timeout: 30 * time.Second}
+	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
 	if sess != nil {
 		client.Jar = sessionJar{sess}
 	}
@@ -642,11 +654,15 @@ func (f *Fetcher) InlineStylesheetsContext(ctx context.Context, doc *dom.Node, b
 	if err != nil {
 		return 0, fmt.Errorf("fetch: bad base URL %q: %w", base, err)
 	}
-	// Discover every sheet first, download them concurrently, then
-	// mutate the DOM serially (dom.Node is not safe for concurrent
-	// modification).
-	var links []*dom.Node
-	var sheetURLs []string
+	links, sheetURLs := StylesheetLinks(doc, baseURL)
+	return InlineStylesheetResults(links, f.FetchAllContext(ctx, sheetURLs, 0)), nil
+}
+
+// StylesheetLinks finds doc's <link rel="stylesheet"> elements and the
+// absolute URLs of their sheets against base, in document order: the
+// discovery half of InlineStylesheets, for a caller that downloads the
+// sheets in a batch of its own.
+func StylesheetLinks(doc *dom.Node, base *url.URL) (links []*dom.Node, sheetURLs []string) {
 	for _, link := range doc.Elements("link") {
 		rel := strings.ToLower(link.AttrOr("rel", ""))
 		if !strings.Contains(rel, "stylesheet") {
@@ -656,31 +672,38 @@ func (f *Fetcher) InlineStylesheetsContext(ctx context.Context, doc *dom.Node, b
 		if href == "" {
 			continue
 		}
-		abs, err := baseURL.Parse(href)
+		abs, err := base.Parse(href)
 		if err != nil {
 			continue
 		}
 		links = append(links, link)
 		sheetURLs = append(sheetURLs, abs.String())
 	}
+	return links, sheetURLs
+}
+
+// InlineStylesheetResults replaces each links[i] with a <style> element
+// holding the sheet in results[i], serially (dom.Node is not safe for
+// concurrent modification). A link whose sheet failed to fetch is kept.
+// It returns how many sheets were inlined.
+func InlineStylesheetResults(links []*dom.Node, results []Result) int {
 	inlined := 0
-	for i, res := range f.FetchAllContext(ctx, sheetURLs, 0) {
-		link := links[i]
+	for i, res := range results {
 		if res.Err != nil {
 			continue // degrade: keep the link
 		}
-		page := res.Page
+		link := links[i]
 		style := dom.NewElement("style")
 		style.SetAttr("type", "text/css")
 		style.SetAttr("data-msite", "inlined-css")
 		if media := link.AttrOr("media", ""); media != "" {
 			style.SetAttr("media", media)
 		}
-		style.AppendChild(dom.NewText(string(page.Body)))
+		style.AppendChild(dom.NewText(string(res.Page.Body)))
 		link.ReplaceWith(style)
 		inlined++
 	}
-	return inlined, nil
+	return inlined
 }
 
 // ErrNoSession is returned by helpers that need a session-bound fetcher.

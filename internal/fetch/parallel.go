@@ -43,9 +43,6 @@ func (f *Fetcher) FetchAllContext(ctx context.Context, urls []string, workers in
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
 	if workers > len(urls) {
 		workers = len(urls)
 	}

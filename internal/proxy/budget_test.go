@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -8,8 +9,13 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"msite/internal/html"
+	"msite/internal/origin"
 	"msite/internal/session"
 	"msite/internal/spec"
 )
@@ -75,6 +81,143 @@ func TestColdBuildAllocationBudget(t *testing.T) {
 	if mallocs > maxMallocs || bytes > maxBytes {
 		t.Fatalf("cold build allocated %d objects, %.1f MB; budget %d, %d MB",
 			mallocs, float64(bytes)/(1<<20), maxMallocs, maxBytes>>20)
+	}
+}
+
+// waveGate holds an origin's subresource requests — every one but the
+// entry — until all those a build will make have arrived, or until 5 s
+// after the first of them: each release ends one wave of requests the
+// build waited through. It counts; nothing depends on how long a request
+// took.
+type waveGate struct {
+	mu      sync.Mutex
+	want    int // the build's subresource requests not yet released
+	held    int
+	waves   int
+	release chan struct{}
+	timer   *time.Timer
+}
+
+// expect starts a build that will make want subresource requests.
+func (g *waveGate) expect(want int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.want, g.held, g.waves = want, 0, 0
+}
+
+// hold blocks one subresource request until its wave is released.
+func (g *waveGate) hold() {
+	g.mu.Lock()
+	if g.release == nil {
+		g.waves++
+		g.release = make(chan struct{})
+		g.timer = time.AfterFunc(5*time.Second, g.open)
+	}
+	release := g.release
+	if g.held++; g.held >= g.want {
+		g.openLocked()
+	}
+	g.mu.Unlock()
+	<-release
+}
+
+func (g *waveGate) open() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.openLocked()
+}
+
+func (g *waveGate) openLocked() {
+	if g.release == nil {
+		return
+	}
+	g.timer.Stop()
+	close(g.release)
+	g.want, g.held, g.release = g.want-g.held, 0, nil
+}
+
+// subresourceCount counts the requests a cold build of the forum makes
+// besides its entry: each distinct linked stylesheet and each distinct
+// <img> src, up to maxRenderImages.
+func subresourceCount(t *testing.T, forum http.Handler) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	forum.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	doc := html.Tidy(rec.Body.String())
+	sheets, images := make(map[string]bool), make(map[string]bool)
+	for _, link := range doc.Elements("link") {
+		if strings.Contains(strings.ToLower(link.AttrOr("rel", "")), "stylesheet") {
+			sheets[link.AttrOr("href", "")] = true
+		}
+	}
+	for _, img := range doc.Elements("img") {
+		if len(images) < maxRenderImages {
+			images[img.AttrOr("src", "")] = true
+		}
+	}
+	return len(sheets) + len(images)
+}
+
+// TestColdBuildOriginWaveBudget holds a cold build to two waits on the
+// origin — the entry, then one batch of every stylesheet and image — and
+// a second cold build against the same origin to the connections the
+// first left idle. The origin holds each stylesheet and image request
+// until all of the build's have arrived, so a build that asked for the
+// images only after its stylesheets had come back would wait the gate's
+// 5 s out and count a third wave. Both budgets are counts, not times.
+func TestColdBuildOriginWaveBudget(t *testing.T) {
+	const maxWaves, maxNewConns = 2, 0
+	forum := origin.NewForum(origin.DefaultForumConfig()).Handler()
+	want := subresourceCount(t, forum)
+	gate := &waveGate{}
+	var requests, newConns atomic.Int32
+	originSrv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			requests.Add(1)
+			gate.hold()
+		}
+		forum.ServeHTTP(w, r)
+	}))
+	originSrv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			newConns.Add(1)
+		}
+	}
+	originSrv.Start()
+	t.Cleanup(originSrv.Close)
+
+	coldBuild := func() (waves int) {
+		t.Helper()
+		gate.expect(want)
+		requests.Store(0)
+		rig := newRigAt(t, originSrv, evaluationSpec)
+		if _, resp := rig.get(t, "/"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cold entry = %d", resp.StatusCode)
+		}
+		if st := rig.p.Stats(); st.Adaptations != 1 {
+			t.Fatalf("a cold entry ran %d adaptations, want 1", st.Adaptations)
+		}
+		if got := int(requests.Load()); got != want {
+			t.Fatalf("the build made %d subresource requests, want %d", got, want)
+		}
+		gate.mu.Lock()
+		defer gate.mu.Unlock()
+		return 1 + gate.waves
+	}
+	waves := coldBuild()
+	newConns.Store(0)
+	secondWaves := coldBuild()
+	dialed := int(newConns.Load())
+
+	t.Logf("| cold build against the origin | measured | budget |")
+	t.Logf("|---|---|---|")
+	t.Logf("| origin waves (entry + %d subresources) | %d | %d |", want, waves, maxWaves)
+	t.Logf("| new origin connections, second cold build | %d | %d |", dialed, maxNewConns)
+	if waves > maxWaves || secondWaves > maxWaves {
+		t.Errorf("cold builds waited through %d and %d origin waves; budget %d", waves, secondWaves, maxWaves)
+	}
+	if dialed > maxNewConns {
+		t.Errorf("a second cold build opened %d new origin connections; budget %d", dialed, maxNewConns)
 	}
 }
 

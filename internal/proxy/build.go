@@ -131,16 +131,16 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 	}
 
 	// Inline the origin's linked stylesheets so the attribute phase and
-	// every render below see the site's real styling, then download the
+	// every render below see the site's real styling, and download the
 	// images a render would need (§3.2: the page fetch "includes
-	// downloading any images to be rendered"), then run the attribute
-	// phase over the tidied DOM.
+	// downloading any images to be rendered"), in one batch; then run
+	// the attribute phase over the tidied DOM.
 	sp = obs.StartSpan(ctx, "subres")
 	doc := html.Tidy(src)
-	if _, err := f.InlineStylesheetsContext(ctx, doc, page.URL); err != nil {
+	images, err := fetchSubresources(ctx, f, doc, page.URL)
+	if err != nil {
 		degrade("stylesheets", err)
 	}
-	images := fetchImages(ctx, f, doc, page.URL)
 	sp.End()
 	applier := o.applier
 	applier.Images = images
@@ -300,19 +300,29 @@ func layoutForDoc(doc *dom.Node, width int, sheets *css.Sheets) *layout.Result {
 // maxRenderImages bounds per-page image downloads.
 const maxRenderImages = 48
 
-// fetchImages downloads and decodes the images a render of doc needs,
-// keyed by the src attribute value as written (the key the rasterizer
-// looks up). Discovery walks the DOM once, the downloads run through
-// the fetcher's bounded worker pool (aborting when ctx ends), and
-// decoding (plus the map build) stays serial. Undecodable or
-// unfetchable images are skipped — the renderer falls back to
-// placeholders.
-func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base string) map[string]image.Image {
+// fetchSubresources inlines doc's linked stylesheets and downloads and
+// decodes the images a render of doc needs, in one batch through the
+// fetcher's bounded worker pool (aborting when ctx ends): both sets are
+// known once the entry is tidied, and neither waits on the other. The
+// sheets are inlined and the images decoded serially, each in document
+// order, so a build's artifacts do not depend on which download finished
+// first. Only a base URL that does not parse fails it.
+func fetchSubresources(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base string) (map[string]image.Image, error) {
 	baseURL, err := url.Parse(base)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("fetch: bad base URL %q: %w", base, err)
 	}
-	var srcs, absURLs []string
+	links, sheetURLs := fetch.StylesheetLinks(doc, baseURL)
+	srcs, imageURLs := renderImages(doc, baseURL)
+	results := f.FetchAllContext(ctx, append(sheetURLs, imageURLs...), 0)
+	fetch.InlineStylesheetResults(links, results[:len(links)])
+	return decodeImages(srcs, imageURLs, results[len(links):]), nil
+}
+
+// renderImages lists the images a render of doc needs: the src of each
+// <img> as written, first occurrence only and at most maxRenderImages,
+// with its absolute URL against base.
+func renderImages(doc *dom.Node, base *url.URL) (srcs, absURLs []string) {
 	seen := make(map[string]bool)
 	doc.Walk(func(n *dom.Node) bool {
 		if n.Type != dom.ElementNode || n.Tag != "img" || len(srcs) >= maxRenderImages {
@@ -322,7 +332,7 @@ func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base stri
 		if src == "" || strings.HasPrefix(src, "data:") || seen[src] {
 			return true
 		}
-		abs, err := baseURL.Parse(src)
+		abs, err := base.Parse(src)
 		if err != nil {
 			return true
 		}
@@ -331,8 +341,17 @@ func fetchImages(ctx context.Context, f *fetch.Fetcher, doc *dom.Node, base stri
 		absURLs = append(absURLs, abs.String())
 		return true
 	})
+	return srcs, absURLs
+}
+
+// decodeImages decodes the downloaded images, results[i] being the
+// download of absURLs[i], keyed by the src attribute value as written
+// (the key the rasterizer looks up) and by its absolute form.
+// Undecodable or unfetchable images are skipped — the renderer falls
+// back to placeholders.
+func decodeImages(srcs, absURLs []string, results []fetch.Result) map[string]image.Image {
 	images := make(map[string]image.Image)
-	for i, res := range f.FetchAllContext(ctx, absURLs, 0) {
+	for i, res := range results {
 		if res.Err != nil {
 			continue
 		}

@@ -293,9 +293,10 @@ func encodeBundle(site string, b *Bundle) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBundle re-materializes a build product; images decode from PNG.
-// A record without a main page cannot serve an entry and is rejected
-// here, so the handlers never meet one.
+// decodeBundle re-materializes a build product; images decode from PNG,
+// under imaging.Decode's pixel cap. A record without a main page cannot
+// serve an entry and is rejected here, so the handlers never meet one;
+// nor can a record whose image is too large to decode.
 func decodeBundle(data []byte) (*Bundle, error) {
 	var w bundleWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -342,7 +343,7 @@ func decodeBundle(data []byte) (*Bundle, error) {
 	if len(w.Images) > 0 {
 		b.images = make(map[string]image.Image, len(w.Images))
 		for _, iw := range w.Images {
-			img, err := png.Decode(bytes.NewReader(iw.PNG))
+			img, err := imaging.Decode(iw.PNG)
 			if err != nil {
 				return nil, fmt.Errorf("proxy: decoding bundle image: %w", err)
 			}

@@ -507,12 +507,10 @@ func TestSnapshotPaintsRealImages(t *testing.T) {
 	}
 }
 
-// TestOversizedOriginImageIsSkipped: an origin <img> whose 65-byte PNG
-// declares 60000×60000 RGBA (~14 GB decoded) is refused from its header
-// like any undecodable image, so the cold entry is a 200 and the
-// snapshot draws a placeholder instead of the process running out of
-// memory.
-func TestOversizedOriginImageIsSkipped(t *testing.T) {
+// hugePNG is a 65-byte PNG whose IHDR declares 60000×60000 RGBA (~14 GB
+// decoded), followed by the start of a zlib stream and IEND: enough for a
+// decoder to size the image and begin reading pixels.
+func hugePNG() []byte {
 	chunk := func(out []byte, typ string, data []byte) []byte {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
 		body := append([]byte(typ), data...)
@@ -524,8 +522,15 @@ func TestOversizedOriginImageIsSkipped(t *testing.T) {
 	ihdr = append(ihdr, 8, 6, 0, 0, 0) // 8-bit RGBA, not interlaced
 	huge := chunk([]byte("\x89PNG\r\n\x1a\n"), "IHDR", ihdr)
 	huge = chunk(huge, "IDAT", []byte{0x78, 0x9c, 0, 0, 0, 0, 0, 0})
-	huge = chunk(huge, "IEND", nil)
+	return chunk(huge, "IEND", nil)
+}
 
+// TestOversizedOriginImageIsSkipped: an origin <img> whose PNG declares
+// 60000×60000 is refused from its header like any undecodable image, so
+// the cold entry is a 200 and the snapshot draws a placeholder instead of
+// the process running out of memory.
+func TestOversizedOriginImageIsSkipped(t *testing.T) {
+	huge := hugePNG()
 	var served atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {

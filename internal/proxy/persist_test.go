@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -422,5 +423,56 @@ func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
 	}
 	if _, err := decodeBundle(buf.Bytes()); err == nil {
 		t.Fatal("future-version bundle decoded")
+	}
+}
+
+// TestOversizedBundleImageIsRebuilt: a stored record whose image declares
+// 60000×60000 fails to decode from its header, instead of the decoder
+// asking for ~14 GB; a restarted proxy that finds it deletes it and
+// rebuilds, as it does any record it cannot decode.
+func TestOversizedBundleImageIsRebuilt(t *testing.T) {
+	rig := newPersistRig(t)
+	if _, resp := rig.get("/"); resp.StatusCode != 200 {
+		t.Fatal("cold entry failed")
+	}
+	_, record := rig.p.sharedBundle()
+	var w bundleWire
+	if err := gob.NewDecoder(bytes.NewReader(record)).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	w.Images = append(w.Images, imageWire{Keys: []string{"/huge.png"}, PNG: hugePNG()})
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	hostile := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeBundle(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a record with a 60000×60000 image decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("decoding the record allocated %d MB before refusing it", got>>20)
+	}
+
+	rig.tc.Put(rig.p.bundleKey, cache.Entry{Data: hostile, MIME: "application/x-msite-bundle"}, DefaultBundleTTL)
+	if !rig.tc.Flush(10 * time.Second) {
+		t.Fatal("store write did not drain")
+	}
+	rig.restart()
+	if _, resp := rig.get("/"); resp.StatusCode != 200 {
+		t.Fatalf("entry over the hostile record = %d, want 200", resp.StatusCode)
+	}
+	if got := rig.p.Stats().Adaptations; got != 1 {
+		t.Fatalf("adaptations = %d, want 1 (the hostile record was served or kept)", got)
+	}
+	e, ok := rig.tc.Get(rig.p.bundleKey)
+	if !ok || bytes.Equal(e.Data, hostile) {
+		t.Fatal("the hostile record was not replaced by the rebuild")
+	}
+	if _, err := decodeBundle(e.Data); err != nil {
+		t.Fatalf("the rebuilt record does not decode: %v", err)
 	}
 }

@@ -103,7 +103,12 @@ func newRig(t *testing.T, mutate func(*spec.Spec)) *testRig {
 	forum := origin.NewForum(origin.DefaultForumConfig())
 	originSrv := httptest.NewServer(forum.Handler())
 	t.Cleanup(originSrv.Close)
+	return newRigAt(t, originSrv, mutate)
+}
 
+// newRigAt wires a fresh proxy, with an empty cache, to a running origin.
+func newRigAt(t *testing.T, originSrv *httptest.Server, mutate func(*spec.Spec)) *testRig {
+	t.Helper()
 	sp := forumSpec(originSrv.URL)
 	if mutate != nil {
 		mutate(sp)
