@@ -278,8 +278,8 @@ func benchAblationFetch(b *testing.B, workers int) {
 func BenchmarkAblationFetchSerial(b *testing.B)   { benchAblationFetch(b, 1) }
 func BenchmarkAblationFetchParallel(b *testing.B) { benchAblationFetch(b, fetch.DefaultWorkers) }
 
-// benchAblationPaint times one full-page raster at the given band count
-// (1 = serial baseline, 0 = GOMAXPROCS bands).
+// benchAblationPaint times one full-page raster on the given number of
+// workers (1 = serial baseline, 0 = GOMAXPROCS workers).
 func benchAblationPaint(b *testing.B, workers int) {
 	_, url := forumOrigin(b)
 	src := entrySource(b, url)
@@ -313,7 +313,8 @@ func BenchmarkScaleFactor(b *testing.B) {
 
 // BenchmarkRenderScaled is the whole device-scale render — paint in bands,
 // fold, encode — as the snapshot and the pre-rendered subpages run it; B/op
-// holds the scaled frame and the band buffers, never the desktop-size one.
+// holds the scaled frame and the workers' buffers, never the desktop-size
+// one.
 func BenchmarkRenderScaled(b *testing.B) {
 	_, url := forumOrigin(b)
 	doc := html.Tidy(entrySource(b, url))

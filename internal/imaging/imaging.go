@@ -299,7 +299,8 @@ const maxDecodePixels = 1 << 24
 
 // Decode decodes PNG, JPEG, or GIF bytes. An image whose header declares
 // more than maxDecodePixels pixels is refused before any pixel memory is
-// allocated.
+// allocated, and one with no pixels is refused too: it has nothing to
+// paint, and a 0×0 GIF is 34 bytes.
 func Decode(data []byte) (image.Image, error) {
 	cfg, _, err := image.DecodeConfig(bytes.NewReader(data))
 	if err != nil {
@@ -311,6 +312,9 @@ func Decode(data []byte) (image.Image, error) {
 	img, _, err := image.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("imaging: decoding image: %w", err)
+	}
+	if img.Bounds().Empty() {
+		return nil, fmt.Errorf("imaging: image is %v, with no pixels", img.Bounds().Size())
 	}
 	return img, nil
 }
@@ -325,14 +329,17 @@ func Scale(img image.Image, w, h int) *image.RGBA {
 
 // ScaleInto resizes img to fill dst, box sampling for minification and
 // bilinear for magnification. It writes every destination pixel, so dst
-// may come from GetRGBA without clearing. An empty source leaves dst
-// zero-filled only if the caller cleared it; sources are non-empty on
-// every pipeline path.
+// may come from GetRGBA without clearing: from an empty source, every
+// pixel is transparent black.
 func ScaleInto(dst *image.RGBA, img image.Image) {
 	w, h := dst.Rect.Dx(), dst.Rect.Dy()
 	src := img.Bounds()
 	sw, sh := src.Dx(), src.Dy()
 	if sw == 0 || sh == 0 {
+		for y := dst.Rect.Min.Y; y < dst.Rect.Max.Y; y++ {
+			off := dst.PixOffset(dst.Rect.Min.X, y)
+			clear(dst.Pix[off : off+4*w])
+		}
 		return
 	}
 	if w >= sw && h >= sh {
@@ -370,21 +377,23 @@ func ScaleFactor(img image.Image, factor float64) *image.RGBA {
 	return Scale(img, w, h)
 }
 
-// BoxFilter is the box filter over *image.RGBA — the only type the
-// painter produces. It folds whole destination rows at a time, each run
-// from its own starting row: a whole image (ScaleInto), or the short bands
-// a render's paint workers fold as they paint them, in any order. Its
-// arithmetic and partition are boxScale's: destination pixel (dx, dy)
-// averages source columns [dx*sw/w, (dx+1)*sw/w) of source rows
-// SourceRows(dy, dy+1), each span widened to one where it is empty. A
-// filter keeps one sum per source channel, so it belongs to one goroutine.
+// BoxFilter is the box filter over rows of pixels or of spans. It folds
+// whole destination rows at a time, each run from its own starting row: a
+// whole *image.RGBA (ScaleInto, through Fold), or the short bands a
+// render's paint workers fold as spans as they paint them (AddSpans and
+// FlushSpans), in any order. Its arithmetic and partition are boxScale's:
+// destination pixel (dx, dy) averages source columns [dx*sw/w,
+// (dx+1)*sw/w) of source rows SourceRows(dy, dy+1), each span widened to
+// one where it is empty. A filter keeps the sums of the destination row it
+// is folding, so it belongs to one goroutine.
 type BoxFilter struct {
 	w, h, sw, sh int
 	// x0[dx], x1[dx] is the span of source columns of destination column dx.
-	x0, x1 []int
-	// sums holds the channel sums, per source column, of the source rows of
-	// the destination row being folded.
+	x0, x1 []int32
+	// sums holds the channel sums, per source column, of the source rows
+	// Fold has gathered for the destination row being folded.
 	sums []uint32
+	spanFold
 	// A box is minRows or minRows+1 rows of minCols or minCols+1 columns;
 	// div[rows-minRows][cols-minCols] divides its channel sums.
 	minRows, minCols int
@@ -394,12 +403,15 @@ type BoxFilter struct {
 // NewBoxFilter returns a filter from a source sw×sh pixels large to a w×h
 // destination.
 func NewBoxFilter(w, h, sw, sh int) *BoxFilter {
-	spans := make([]int, 2*w)
-	f := &BoxFilter{w: w, h: h, sw: sw, sh: sh, x0: spans[:w], x1: spans[w:], sums: make([]uint32, 4*sw),
+	spans := make([]int32, 2*w)
+	f := &BoxFilter{w: w, h: h, sw: sw, sh: sh, x0: spans[:w], x1: spans[w:],
 		minRows: max(sh/h, 1), minCols: max(sw/w, 1)}
+	// One allocation for the span fold's partial sums and its marks.
+	buf := make([]uint64, 4*w+(w+64)/64)
+	f.part, f.marks, f.diff = buf[:4*w], buf[4*w:], make([]uint32, 4*w)
 	for dx := range f.x0 {
-		f.x0[dx] = dx * sw / w
-		f.x1[dx] = max((dx+1)*sw/w, f.x0[dx]+1)
+		f.x0[dx] = int32(dx * sw / w)
+		f.x1[dx] = int32(max((dx+1)*sw/w, dx*sw/w+1))
 	}
 	// A sum of 8-bit samples times 0x101 is the sum of the 16-bit values
 	// color.RGBA reports, so dividing it by 0x100 times the box's pixel
@@ -423,6 +435,9 @@ func (f *BoxFilter) SourceRows(dy0, dy1 int) (sy0, sy1 int) {
 // left edge, from src: an image sw pixels wide whose rows, top to bottom,
 // are the source rows SourceRows gives for them.
 func (f *BoxFilter) Fold(dst, src *image.RGBA) {
+	if f.sums == nil {
+		f.sums = make([]uint32, 4*f.sw)
+	}
 	d := dst.Rect
 	base, _ := f.SourceRows(d.Min.Y, d.Max.Y)
 	for dy := d.Min.Y; dy < d.Max.Y; dy++ {
@@ -456,7 +471,7 @@ func (f *BoxFilter) gather(row []uint8, first bool) {
 func (f *BoxFilter) flush(out []uint8, rows int) {
 	div := &f.div[rows-f.minRows]
 	for dx, x0 := range f.x0 {
-		x1 := f.x1[dx]
+		x0, x1 := int(x0), int(f.x1[dx])
 		var r, g, b, a uint64
 		for p := f.sums[4*x0 : 4*x1]; len(p) >= 4; p = p[4:] {
 			r += uint64(p[0])

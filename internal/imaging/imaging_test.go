@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"image"
 	"image/color"
+	"image/gif"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -164,6 +165,32 @@ func TestDecodeRefusesOversizedImage(t *testing.T) {
 	}
 	if n := len(oversizedPNG(60000, 60000)); n != 65 {
 		t.Errorf("oversized PNG is %d bytes, want 65", n)
+	}
+}
+
+// TestDecodeRefusesEmptyImage: a 0×0 GIF, 34 bytes that image/gif decodes,
+// is an error, so a renderer paints its placeholder instead; and ScaleInto
+// from an empty source still writes every destination pixel.
+func TestDecodeRefusesEmptyImage(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gif.Encode(&buf, image.NewPaletted(image.Rect(0, 0, 0, 0), color.Palette{color.Black, color.White}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 34 {
+		t.Fatalf("empty GIF is %d bytes, want 34", buf.Len())
+	}
+	if img, err := Decode(buf.Bytes()); err == nil {
+		t.Fatalf("decoded a %v image, want an error", img.Bounds())
+	}
+	dst := image.NewRGBA(image.Rect(0, 0, 5, 3))
+	for _, src := range []image.Image{image.NewRGBA(image.Rect(0, 0, 0, 4)), image.NewPaletted(image.Rect(2, 2, 9, 2), nil)} {
+		for i := range dst.Pix {
+			dst.Pix[i] = 0xaa
+		}
+		ScaleInto(dst, src)
+		if !bytes.Equal(dst.Pix, make([]uint8, len(dst.Pix))) {
+			t.Fatalf("ScaleInto from a %v source left %v", src.Bounds(), dst.Pix)
+		}
 	}
 }
 
@@ -362,9 +389,9 @@ func rowPartitions(rng *rand.Rand, h int) [][]int {
 	return parts
 }
 
-// BenchmarkBoxFilter folds a flat 1024×3200 page — a few colours in
-// blocks and stripes, as the painter's output — to 0.45 in one run.
-func BenchmarkBoxFilter(b *testing.B) {
+// flatPage is a flat 1024×3200 page — a few colours in blocks and stripes,
+// as the painter's output.
+func flatPage() *image.RGBA {
 	const sw, sh = 1024, 3200
 	src := image.NewRGBA(image.Rect(0, 0, sw, sh))
 	for y := 0; y < sh; y++ {
@@ -379,12 +406,51 @@ func BenchmarkBoxFilter(b *testing.B) {
 			src.SetRGBA(x, y, c)
 		}
 	}
+	return src
+}
+
+// BenchmarkBoxFilter folds flatPage to 0.45 in one run.
+func BenchmarkBoxFilter(b *testing.B) {
+	src := flatPage()
+	sw, sh := src.Rect.Dx(), src.Rect.Dy()
 	w, h := FactorSize(sw, sh, 0.45)
 	dst := image.NewRGBA(image.Rect(0, 0, w, h))
 	b.SetBytes(int64(len(src.Pix)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewBoxFilter(w, h, sw, sh).Fold(dst, src)
+	}
+}
+
+// BenchmarkFoldSpans folds flatPage, held as rows of spans, to 0.45 in
+// one run: BenchmarkBoxFilter's work for a painter that paints spans.
+func BenchmarkFoldSpans(b *testing.B) {
+	src := flatPage()
+	sw, sh := src.Rect.Dx(), src.Rect.Dy()
+	rows := make([][]Span, sh)
+	for y := range rows {
+		for x := 0; x < sw; x++ {
+			c := src.RGBAAt(x, y)
+			if n := len(rows[y]); n > 0 && rows[y][n-1].C == c {
+				rows[y][n-1].End++
+			} else {
+				rows[y] = append(rows[y], Span{End: int32(x + 1), C: c})
+			}
+		}
+	}
+	w, h := FactorSize(sw, sh, 0.45)
+	dst := image.NewRGBA(image.Rect(0, 0, w, h))
+	b.SetBytes(int64(len(src.Pix)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewBoxFilter(w, h, sw, sh)
+		for dy := 0; dy < h; dy++ {
+			sy0, sy1 := f.SourceRows(dy, dy+1)
+			for _, row := range rows[sy0:sy1] {
+				f.AddSpans(row)
+			}
+			f.FlushSpans(dst.Pix[dy*dst.Stride:], sy1-sy0)
+		}
 	}
 }
 
@@ -428,4 +494,84 @@ func TestThumbQuarterScale(t *testing.T) {
 	if back.Bounds().Dx() != 100 || back.Bounds().Dy() != 50 {
 		t.Fatalf("thumb bounds = %v", back.Bounds())
 	}
+}
+
+// randomSpanRow is a row of sw columns as spans: one span, 1 px spans, or
+// spans of random lengths; their colours come from a few, so neighbours may
+// share one, and carry any alpha.
+func randomSpanRow(rng *rand.Rand, sw int) []Span {
+	colours := make([]color.RGBA, 1+rng.Intn(4))
+	for i := range colours {
+		colours[i] = color.RGBA{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+	}
+	var row []Span
+	for x := 0; x < sw; {
+		n := sw - x
+		switch rng.Intn(3) {
+		case 0:
+			n = 1
+		case 1:
+			n = 1 + rng.Intn(n)
+		}
+		x += n
+		row = append(row, Span{End: int32(x), C: colours[rng.Intn(len(colours))]})
+	}
+	return row
+}
+
+// TestFoldSpansMatchesFold: folding rows of spans is Fold of the same rows
+// expanded to pixels, byte for byte, for every shape the filter takes —
+// w == sw, h == sh, sw not a multiple of w, one axis magnified, 1 px wide
+// or tall — for single-span rows and 1 px spans, and whether the rows are
+// folded whole or in any partition of the destination rows into runs, in
+// any order and by either of two filters.
+func TestFoldSpansMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sizes := [][4]int{{7, 5, 7, 2}, {20, 4, 6, 4}, {23, 9, 5, 3}, {1024, 6, 460, 2}, {10, 3, 25, 2}, {12, 30, 5, 40},
+		{1, 12, 1, 5}, {9, 1, 4, 1}, {7, 7, 7, 7}, {97, 13, 31, 6}, {64, 33, 64, 11}}
+	for i := 0; i < 40; i++ {
+		sw, sh := 1+rng.Intn(150), 1+rng.Intn(40)
+		sizes = append(sizes, [4]int{sw, sh, 1 + rng.Intn(sw+5), 1 + rng.Intn(min(sh, 6))})
+	}
+	for _, sz := range sizes {
+		sw, sh, w, h := sz[0], sz[1], sz[2], sz[3]
+		rows := make([][]Span, sh)
+		src := image.NewRGBA(image.Rect(0, 0, sw, sh))
+		for y := range rows {
+			rows[y] = randomSpanRow(rng, sw)
+			ExpandSpans(src.Pix[y*src.Stride:], rows[y])
+		}
+		want := image.NewRGBA(image.Rect(0, 0, w, h))
+		NewBoxFilter(w, h, sw, sh).Fold(want, src)
+		for _, cuts := range rowPartitions(rng, h) {
+			filters := []*BoxFilter{NewBoxFilter(w, h, sw, sh), NewBoxFilter(w, h, sw, sh)}
+			got := image.NewRGBA(image.Rect(0, 0, w, h))
+			for i, k := range rng.Perm(len(cuts) - 1) {
+				f := filters[i%2]
+				for dy := cuts[k]; dy < cuts[k+1]; dy++ {
+					sy0, sy1 := f.SourceRows(dy, dy+1)
+					for sy := sy0; sy < sy1; sy++ {
+						f.AddSpans(rows[sy])
+					}
+					f.FlushSpans(got.Pix[dy*got.Stride:], sy1-sy0)
+				}
+			}
+			if !bytes.Equal(got.Pix, want.Pix) {
+				t.Fatalf("%dx%d -> %dx%d in runs cut at %v: span fold differs from Fold at %v",
+					sw, sh, w, h, cuts, firstDiff(got, want))
+			}
+		}
+	}
+}
+
+// firstDiff is the first pixel, in raster order, where a and b differ.
+func firstDiff(a, b *image.RGBA) image.Point {
+	for y := a.Rect.Min.Y; y < a.Rect.Max.Y; y++ {
+		for x := a.Rect.Min.X; x < a.Rect.Max.X; x++ {
+			if a.RGBAAt(x, y) != b.RGBAAt(x, y) {
+				return image.Pt(x, y)
+			}
+		}
+	}
+	return image.Pt(-1, -1)
 }

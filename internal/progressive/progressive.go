@@ -67,10 +67,10 @@ var ErrOutsideFrame = errors.New("progressive: region covers no pixel of the fra
 // encodes it: Encode(ScaleFactor(crop, scale), fidelity) of that rectangle
 // of Paint(res) byte for byte (with Exact, a palette PNG of that image when
 // it has at most 256 colours), whatever raster.Options.Workers is. Frames
-// and band buffers are plain allocations: a pool keeps megabytes alive
-// across two collections that the next, differently sized, frame cannot
-// use (peak RSS +15–42% on the benchmark's cold builds for at most 6%
-// fewer bytes allocated).
+// and the workers' buffers are plain allocations: a pool keeps megabytes
+// alive across two collections that the next, differently sized, frame
+// cannot use (peak RSS +15–42% on the benchmark's cold builds for at most
+// 6% fewer bytes allocated).
 func RenderRegion(res *layout.Result, cfg Config, r image.Rectangle) (Artifact, error) {
 	fw, fh := raster.FrameSize(res, cfg.Raster)
 	if r = r.Intersect(image.Rect(0, 0, fw, fh)); r.Empty() {

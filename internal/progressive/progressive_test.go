@@ -8,7 +8,6 @@ import (
 	"image/draw"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -18,7 +17,6 @@ import (
 	"msite/internal/html"
 	"msite/internal/imaging"
 	"msite/internal/layout"
-	"msite/internal/origin"
 	"msite/internal/raster"
 )
 
@@ -278,15 +276,15 @@ func TestScaleOnePaintsOnce(t *testing.T) {
 // 0.45 as the snapshot does, and the same page with its body twice over,
 // on 1, 2 and 4 workers. What a render allocates besides its frame (one
 // palette index an output pixel) and its encoded bytes is what its paint
-// workers own: each a band of about 16 source rows (70 KB on a 1024 px
-// page), its filter's column sums (16 KB) and a slot of output rows. So
-// the object count does not grow with the page's height, and those bytes
-// stay within a per-worker budget.
+// workers own, each sized once from a band of about 16 source rows: its
+// recorder (the band's fills, 17 KB on a 1024 px page, their row index
+// and a row of spans, 15 KB), its filter's spans and sums per destination
+// column (26 KB at 460 px) and a slot of output rows (13 KB). No worker
+// holds the band's pixels. So the object count does not grow with the
+// page's height, and those bytes stay within a per-worker budget.
 func TestRenderAllocationBudget(t *testing.T) {
-	const fixed, perWorker = 48 << 10, 128 << 10
-	rec := httptest.NewRecorder()
-	origin.NewForum(origin.DefaultForumConfig()).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	page := rec.Body.String()
+	const fixed, perWorker = 48 << 10, 80 << 10
+	page := forumEntry()
 	body, end := strings.Index(page, "<body"), strings.LastIndex(page, "</body>")
 	body += strings.Index(page[body:], ">") + 1
 	var layouts []*layout.Result

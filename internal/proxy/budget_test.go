@@ -50,15 +50,18 @@ func evaluationSpec(sp *spec.Spec) {
 // elements that cascade alike shared one computed style (a build styles
 // ~1 000 elements into ~70 distinct styles) and a layout cut its boxes
 // from a slab, walked table rows in place and kept one word buffer:
-// ~10.8 k and ~4.3 MB. The budget sits above what a build costs now and
-// below any of those coming back.
+// ~10.8 k and ~4.3 MB. Since a band is painted as fills resolved into
+// spans of one colour and folded a span at a time, no paint worker holds
+// a band of pixels: ~4.2 MB. The budget sits above what a build costs now
+// and below any of those coming back.
 //
-// Each of a build's three renders allocates about 100 KB per paint worker
-// (its band, its filter's column sums and a slot of output rows), so the
-// test runs on two CPUs, the figures above, whatever the machine has: on
-// sixteen a build would allocate ~4 MB more.
+// Each of a build's three renders allocates about 70 KB per paint worker
+// (its recorder of the band's fills, its filter's sums per destination
+// column and a slot of output rows), so the test runs on two CPUs, the
+// figures above, whatever the machine has: on sixteen a build would
+// allocate ~3 MB more.
 func TestColdBuildAllocationBudget(t *testing.T) {
-	const maxMallocs, maxBytes = 13_000, 6 << 20
+	const maxMallocs, maxBytes = 13_000, 5 << 20
 	prev := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	build := func() (mallocs, bytes uint64) {

@@ -1,13 +1,21 @@
 // Package raster paints a laid-out box tree into an image.RGBA. Together
 // with layout it forms the server-side rendering engine that replaces the
 // paper's embedded WebKit: backgrounds, borders, replaced-element
-// placeholders, and real bitmap text, all in pure Go.
+// placeholders and images, and real bitmap text, all in pure Go.
+//
+// Everything it paints is a rectangle of one colour, or an image's row of
+// pixels, laid over what was painted before. So it paints in bands of
+// rows, and a band is only the list of fills that touch it, in paint
+// order, clipped to it. Each row of a band is resolved from its fills into
+// spans of one colour (imaging.Span): a row of the forum's entry page is
+// 32 of them on average. A band that is scaled down is folded a span at a
+// time (imaging.BoxFilter.AddSpans), and only an unscaled one, as Paint's
+// frame is, is expanded into pixels.
 package raster
 
 import (
 	"image"
 	"image/color"
-	"image/draw"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -53,18 +61,19 @@ type Options struct {
 // the band's rows. Its pixels are reused as soon as the call returns.
 type BandFunc func(band *image.RGBA)
 
-// bandRows is the height, in source rows, of the bands PaintBands paints:
-// a 1024 px wide band is 64 KB, yet walking the box tree once per band
-// stays far below the cost of filling its pixels.
+// bandRows is the height, in source rows, of the bands a paint is cut
+// into: each band walks the box tree once, which stays far below the cost
+// of resolving and folding its rows.
 const bandRows = 16
 
-// Paint rasterizes a layout result into a new RGBA image, one band per
-// worker. The frame's backing array may come from a recycled pool;
-// callers that are done with the image can hand it back with Release.
+// Paint rasterizes a layout result into a new RGBA image, in bands spread
+// over the workers. The frame's backing array may come from a recycled
+// pool; callers that are done with the image can hand it back with
+// Release.
 func Paint(res *layout.Result, opts Options) *image.RGBA {
 	w, h := FrameSize(res, opts)
 	img := imaging.GetRGBA(w, h)
-	paintBands(res, opts, img, img.Rect, w, h, 0, func(*image.RGBA) {})
+	paintBands(res, opts, img, img.Rect, w, h, bandRows, func(*image.RGBA) {})
 	return img
 }
 
@@ -75,24 +84,26 @@ func Paint(res *layout.Result, opts Options) *image.RGBA {
 // buffer owned by this call — a plain allocation dropped at return —
 // while later bands are still being painted; the bounds of an unscaled
 // band are its rows of the frame, those of a scaled one its rows of the
-// w×h image. Laid end to end the bands are that rectangle of Paint's
-// frame, scaled, byte for byte, for every worker count: each band paints
-// exactly the primitives that intersect it, clipped to it, the antialias
-// jitter is seeded per row, and a scaled band is folded from the source
-// rows of whole destination rows.
+// w×h image. A band is painted as the list of fills of the primitives
+// that touch it, clipped to it; each of its source rows is resolved from
+// them into spans of one colour, which a scaled band folds as spans and
+// an unscaled one expands into pixels. Laid end to end the bands are that
+// rectangle of Paint's frame, scaled, byte for byte, for every worker
+// count: each band paints exactly the primitives that intersect it, the
+// antialias jitter is seeded per row, and a scaled band is folded from the
+// source rows of whole destination rows.
 func PaintBands(res *layout.Result, opts Options, r image.Rectangle, w, h int, onBand BandFunc) {
 	fw, fh := FrameSize(res, opts)
 	paintBands(res, opts, nil, r.Intersect(image.Rect(0, 0, fw, fh)), w, h, bandRows, onBand)
 }
 
 // paintBands is the one band loop over r, whose output is w×h: bands of
-// about rows source rows (0: one band per worker), each cut on a
-// destination-row boundary. A worker paints a band into its rows of frame,
-// or into a slot of a ring of workers+1; when the output is scaled it
-// paints the band's source rows into a buffer of its own and folds them
-// into the slot. A slot is valid only until onBand returns. Bands are
-// delivered strictly in order: band i+1 may finish first, but the
-// consumer sees a top-to-bottom scanline stream.
+// about rows source rows, each cut on a destination-row boundary. A worker
+// records a band's fills and resolves its rows into its rows of frame, or
+// into a slot of a ring of workers+1, folding them into the slot when the
+// output is scaled. A slot is valid only until onBand returns. Bands are
+// delivered strictly in order: band i+1 may finish first, but the consumer
+// sees a top-to-bottom scanline stream.
 func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rectangle, w, h, rows int, onBand BandFunc) {
 	if r.Empty() || w < 1 || h < 1 {
 		return
@@ -103,16 +114,15 @@ func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rec
 	}
 	sw, sh := r.Dx(), r.Dy()
 	scaled := w != sw || h != sh
-	switch {
-	case rows <= 0:
-		rows = (h + workers - 1) / workers
-	case scaled:
+	srcRows := rows // the most source rows a band covers
+	if scaled {
 		rows = max(rows*h/sh, 1) // destination rows whose source rows are about rows
+		srcRows = min(rows*sh/h+2, sh)
 	}
 	n := (h + rows - 1) / rows
 	workers = min(workers, n)
-	paint, release := painter(res, opts, r)
-	defer release()
+	sc := newScene(res, opts, r)
+	defer sc.release()
 	// band is destination rows [i*rows, (i+1)*rows), in frame coordinates
 	// when the output is not scaled.
 	band := func(i int) image.Rectangle {
@@ -123,25 +133,33 @@ func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rec
 		return b
 	}
 	// newRender returns what renders band i into a slot for one worker,
-	// which alone uses the source band and filter state it allocates.
+	// which alone uses the recorder and filter state it allocates.
 	newRender := func() func(i int, slot *image.RGBA) {
+		rec := newRecorder(sc, sw, srcRows)
 		if !scaled {
 			return func(i int, slot *image.RGBA) {
 				slot.Rect = band(i)
 				if frame != nil {
 					slot.Pix, slot.Stride = frame.Pix[frame.PixOffset(slot.Rect.Min.X, slot.Rect.Min.Y):], frame.Stride
 				}
-				paint(slot)
+				rec.begin(slot.Rect)
+				for y := slot.Rect.Min.Y; y < slot.Rect.Max.Y; y++ {
+					imaging.ExpandSpans(slot.Pix[slot.PixOffset(slot.Rect.Min.X, y):], rec.resolve(y))
+				}
 			}
 		}
 		filter := imaging.NewBoxFilter(w, h, sw, sh)
-		src := &image.RGBA{Pix: make([]uint8, 4*sw*min(rows*sh/h+2, sh)), Stride: 4 * sw}
 		return func(i int, slot *image.RGBA) {
 			slot.Rect = band(i)
 			sy0, sy1 := filter.SourceRows(slot.Rect.Min.Y, slot.Rect.Max.Y)
-			src.Rect = image.Rect(r.Min.X, r.Min.Y+sy0, r.Max.X, r.Min.Y+sy1)
-			paint(src)
-			filter.Fold(slot, src)
+			rec.begin(image.Rect(r.Min.X, r.Min.Y+sy0, r.Max.X, r.Min.Y+sy1))
+			for dy := slot.Rect.Min.Y; dy < slot.Rect.Max.Y; dy++ {
+				y0, y1 := filter.SourceRows(dy, dy+1)
+				for sy := y0; sy < y1; sy++ {
+					filter.AddSpans(rec.resolve(r.Min.Y + sy))
+				}
+				filter.FlushSpans(slot.Pix[slot.PixOffset(0, dy):], y1-y0)
+			}
 		}
 	}
 	slotLen := 4 * w * rows
@@ -197,33 +215,38 @@ func paintBands(res *layout.Result, opts Options, frame *image.RGBA, r image.Rec
 	wg.Wait()
 }
 
-// painter returns the function every band of one paint of res inside clip
-// shares, which paints the part of the frame a view covers, and the
-// function that recycles what the first holds. Replaced-element
-// images are scaled once up front: a box spanning several bands must not
-// re-run the (expensive) scale per band, and the shared read-only map
-// keeps bands independent.
-func painter(res *layout.Result, opts Options, clip image.Rectangle) (paint func(*image.RGBA), release func()) {
-	bg := &image.Uniform{C: background(res, opts)}
-	var scaled map[*layout.Box]*image.RGBA
-	if res.Root != nil {
-		scaled = prescaleImages(res.Root, opts, clip, nil)
+// A scene is what every band of one paint of res inside clip shares, read
+// only: the background and the replaced-element images, each scaled once
+// up front to its box, since a box spanning several bands must not re-run
+// the (expensive) scale per band.
+type scene struct {
+	res   *layout.Result
+	opts  Options
+	bg    color.RGBA
+	blits []blit
+	// images maps a replaced element's box to the index of its blit.
+	images map[*layout.Box]uint32
+}
+
+// A blit is an image scaled to its box, whose top-left pixel is at x, y
+// of the frame.
+type blit struct {
+	img  *image.RGBA
+	x, y int
+}
+
+func newScene(res *layout.Result, opts Options, clip image.Rectangle) *scene {
+	s := &scene{res: res, opts: opts, bg: background(res, opts)}
+	if res.Root != nil && len(opts.Images) > 0 {
+		s.prescaleImages(res.Root, clip)
 	}
-	paint = func(view *image.RGBA) {
-		// Fill edge to edge with the page background first, so recycled
-		// memory's stale contents never show through.
-		draw.Draw(view, view.Rect, bg, image.Point{}, draw.Src)
-		if res.Root != nil {
-			paintBox(view, res.Root, opts, scaled)
-		}
-		if opts.Antialias {
-			applyAntialiasJitter(view)
-		}
-	}
-	return paint, func() {
-		for _, s := range scaled {
-			imaging.PutRGBA(s)
-		}
+	return s
+}
+
+// release recycles the scene's scaled images.
+func (s *scene) release() {
+	for _, b := range s.blits {
+		imaging.PutRGBA(b.img)
 	}
 }
 
@@ -252,64 +275,30 @@ func background(res *layout.Result, opts Options) color.RGBA {
 // or copied it. Nil-safe; the frame must not be used afterwards.
 func Release(img *image.RGBA) { imaging.PutRGBA(img) }
 
-// applyAntialiasJitter perturbs a deterministic ~13% subset of pixels by
-// a couple of counts per channel — invisible to the eye, but it restores
-// the entropy an antialiased rendering carries so the PNG/JPEG fidelity
-// ladder matches real screenshot behaviour. The generator is seeded per
-// row and stepped from the frame's column 0, so any band or region of the
-// frame gets the bytes the whole frame would.
-func applyAntialiasJitter(img *image.RGBA) {
-	b := img.Bounds()
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		state := uint32(0x9e3779b9) ^ (uint32(y)*2654435761 + 1)
-		row := img.Pix[img.PixOffset(b.Min.X, y):img.PixOffset(b.Max.X, y)]
-		for x := 0; x < b.Max.X; x++ {
-			state = state*1664525 + 1013904223
-			if state>>24 > 33 { // ~13% of pixels
-				continue
-			}
-			for ch := 0; ch < 3; ch++ {
-				state = state*1664525 + 1013904223
-				if x < b.Min.X {
-					continue
-				}
-				delta := int(state>>30) - 1 // -1, 0, 1, 2
-				i := 4*(x-b.Min.X) + ch
-				row[i] = uint8(min(max(int(row[i])+delta, 0), 255))
-			}
-		}
-	}
-}
-
 // prescaleImages walks the box tree scaling the decoded image of every
-// replaced element that shows inside clip to its box size, keyed by box.
-// The returned map is read-only during painting, shared by every band
-// worker.
-func prescaleImages(b *layout.Box, opts Options, clip image.Rectangle, out map[*layout.Box]*image.RGBA) map[*layout.Box]*image.RGBA {
-	if len(opts.Images) == 0 {
-		return nil
-	}
+// replaced element that shows inside clip to its box size.
+func (s *scene) prescaleImages(b *layout.Box, clip image.Rectangle) {
 	if b.Node != nil && b.Node.Type == dom.ElementNode && isReplaced(b.Node.Tag) && boxIntersects(b, clip) {
 		if src, ok := b.Node.Attr("src"); ok && src != "" {
-			if decoded, ok := opts.Images[src]; ok {
+			if decoded, ok := s.opts.Images[src]; ok {
 				w, h := int(b.W), int(b.H)
 				if w > 0 && h > 0 {
-					if out == nil {
-						out = make(map[*layout.Box]*image.RGBA)
+					if s.images == nil {
+						s.images = make(map[*layout.Box]uint32)
 					}
 					// Pooled scratch: ScaleInto writes every pixel, and
-					// the painter recycles the buffer after painting.
+					// the scene recycles the buffer after painting.
 					dst := imaging.GetRGBA(w, h)
 					imaging.ScaleInto(dst, decoded)
-					out[b] = dst
+					s.images[b] = uint32(len(s.blits))
+					s.blits = append(s.blits, blit{img: dst, x: int(b.X), y: int(b.Y)})
 				}
 			}
 		}
 	}
 	for _, c := range b.Children {
-		out = prescaleImages(c, opts, clip, out)
+		s.prescaleImages(c, clip)
 	}
-	return out
 }
 
 // boxIntersects reports whether the box's own painted rectangle (the
@@ -334,58 +323,31 @@ func runIntersects(run layout.TextRun, clip image.Rectangle) bool {
 	return x0 < clip.Max.X && x1 > clip.Min.X && y0 < clip.Max.Y && y1 > clip.Min.Y
 }
 
-func paintBox(img *image.RGBA, b *layout.Box, opts Options, scaled map[*layout.Box]*image.RGBA) {
-	clip := img.Bounds()
+// paintBox records the fills of b and its descendants that touch the
+// band, in paint order.
+func (rec *recorder) paintBox(b *layout.Box) {
+	clip := rec.clip
 	if boxIntersects(b, clip) {
-		paintBackground(img, b)
-		paintBorders(img, b)
+		rec.paintBackground(b)
+		rec.paintBorders(b)
 		if b.Node != nil && b.Node.Type == dom.ElementNode && isReplaced(b.Node.Tag) {
-			if !paintRealImage(img, b, scaled) {
-				paintPlaceholder(img, b)
+			if k, ok := rec.scene.images[b]; ok {
+				rec.add(int(b.X), int(b.Y), int(b.W), int(b.H), k, true)
+			} else {
+				rec.paintPlaceholder(b)
 			}
 		}
 	}
-	if !opts.SkipText {
+	if !rec.scene.opts.SkipText {
 		for _, run := range b.Runs {
 			if runIntersects(run, clip) {
-				paintRun(img, run)
+				rec.paintRun(run)
 			}
 		}
 	}
 	for _, c := range b.Children {
-		paintBox(img, c, opts, scaled)
+		rec.paintBox(c)
 	}
-}
-
-// paintRealImage blits the pre-scaled source image into the box,
-// returning false when no decoded image is available.
-func paintRealImage(dst *image.RGBA, b *layout.Box, scaled map[*layout.Box]*image.RGBA) bool {
-	src, ok := scaled[b]
-	if !ok {
-		return false
-	}
-	w, h := int(b.W), int(b.H)
-	x0, y0 := int(b.X), int(b.Y)
-	bounds := dst.Bounds()
-	// Only walk the rows this view can accept — under banding that is
-	// the strip, so total blit work stays ~constant across workers.
-	yStart, yEnd := 0, h
-	if y0 < bounds.Min.Y {
-		yStart = bounds.Min.Y - y0
-	}
-	if y0+yEnd > bounds.Max.Y {
-		yEnd = bounds.Max.Y - y0
-	}
-	for y := yStart; y < yEnd; y++ {
-		for x := 0; x < w; x++ {
-			px, py := x0+x, y0+y
-			if px < bounds.Min.X || px >= bounds.Max.X || py < bounds.Min.Y || py >= bounds.Max.Y {
-				continue
-			}
-			dst.SetRGBA(px, py, src.RGBAAt(x, y))
-		}
-	}
-	return true
 }
 
 func isReplaced(tag string) bool {
@@ -396,15 +358,15 @@ func isReplaced(tag string) bool {
 	return false
 }
 
-func paintBackground(img *image.RGBA, b *layout.Box) {
+func (rec *recorder) paintBackground(b *layout.Box) {
 	c, ok := css.ParseColor(b.Style.Get("background-color", ""))
 	if !ok || c.A == 0 {
 		return
 	}
-	fillRect(img, int(b.X), int(b.Y), int(b.W), int(b.H), c)
+	rec.fillRect(int(b.X), int(b.Y), int(b.W), int(b.H), c)
 }
 
-func paintBorders(img *image.RGBA, b *layout.Box) {
+func (rec *recorder) paintBorders(b *layout.Box) {
 	side := func(name string) (int, color.RGBA, bool) {
 		style := b.Style.Get("border-"+name+"-style", "")
 		if style == "" || style == "none" || style == "hidden" {
@@ -422,48 +384,45 @@ func paintBorders(img *image.RGBA, b *layout.Box) {
 	}
 	x, y, w, h := int(b.X), int(b.Y), int(b.W), int(b.H)
 	if bw, c, ok := side("top"); ok {
-		fillRect(img, x, y, w, bw, c)
+		rec.fillRect(x, y, w, bw, c)
 	}
 	if bw, c, ok := side("bottom"); ok {
-		fillRect(img, x, y+h-bw, w, bw, c)
+		rec.fillRect(x, y+h-bw, w, bw, c)
 	}
 	if bw, c, ok := side("left"); ok {
-		fillRect(img, x, y, bw, h, c)
+		rec.fillRect(x, y, bw, h, c)
 	}
 	if bw, c, ok := side("right"); ok {
-		fillRect(img, x+w-bw, y, bw, h, c)
+		rec.fillRect(x+w-bw, y, bw, h, c)
 	}
 }
 
 // paintPlaceholder draws the conventional replaced-element placeholder:
 // a light box with a border and a diagonal cross, standing in for image
 // bytes the renderer does not decode.
-func paintPlaceholder(img *image.RGBA, b *layout.Box) {
+func (rec *recorder) paintPlaceholder(b *layout.Box) {
 	x, y, w, h := int(b.X), int(b.Y), int(b.W), int(b.H)
 	if w <= 0 || h <= 0 {
 		return
 	}
 	fill := color.RGBA{203, 213, 225, 255}
 	border := color.RGBA{100, 116, 139, 255}
-	fillRect(img, x, y, w, h, fill)
-	fillRect(img, x, y, w, 1, border)
-	fillRect(img, x, y+h-1, w, 1, border)
-	fillRect(img, x, y, 1, h, border)
-	fillRect(img, x+w-1, y, 1, h, border)
+	rec.fillRect(x, y, w, h, fill)
+	rec.fillRect(x, y, w, 1, border)
+	rec.fillRect(x, y+h-1, w, 1, border)
+	rec.fillRect(x, y, 1, h, border)
+	rec.fillRect(x+w-1, y, 1, h, border)
 	// Diagonals.
-	steps := w
-	if h > steps {
-		steps = h
-	}
+	steps := max(w, h)
 	for i := 0; i < steps; i++ {
 		px := x + i*w/steps
 		py := y + i*h/steps
-		setPx(img, px, py, border)
-		setPx(img, x+w-1-(px-x), py, border)
+		rec.fillRect(px, py, 1, 1, border)
+		rec.fillRect(x+w-1-(px-x), py, 1, 1, border)
 	}
 }
 
-func paintRun(img *image.RGBA, run layout.TextRun) {
+func (rec *recorder) paintRun(run layout.TextRun) {
 	scale := layout.GlyphScale(run.FontSize)
 	x := run.X
 	col := run.Color
@@ -471,8 +430,7 @@ func paintRun(img *image.RGBA, run layout.TextRun) {
 		col = color.RGBA{A: 255}
 	}
 	for _, r := range run.Text {
-		glyph := glyphFor(r)
-		drawGlyph(img, glyph, x, run.Y, scale, col, run.Bold, run.Italic)
+		rec.drawGlyph(glyphFor(r), x, run.Y, scale, col, run.Bold, run.Italic)
 		x += layout.CharWidth(run.FontSize)
 	}
 	if run.Underline {
@@ -480,55 +438,41 @@ func paintRun(img *image.RGBA, run layout.TextRun) {
 		if thickness < 1 {
 			thickness = 1
 		}
-		fillRect(img, int(run.X), int(run.Y+run.Height())+1,
+		rec.fillRect(int(run.X), int(run.Y+run.Height())+1,
 			int(run.Width()+0.5), thickness, col)
 	}
 }
 
 // drawGlyph paints one 5x7 glyph scaled to the font size. Bold widens
 // each column by one device pixel; italic shears columns rightward with
-// height.
-func drawGlyph(img *image.RGBA, glyph [5]byte, x, y, scale float64, c color.RGBA, bold, italic bool) {
-	for colIdx := 0; colIdx < layout.GlyphCols; colIdx++ {
-		bits := glyph[colIdx]
-		for rowIdx := 0; rowIdx < layout.GlyphRows; rowIdx++ {
-			if bits&(1<<uint(rowIdx)) == 0 {
+// height. A cell covers whole pixels, from the floor of its scaled corner;
+// the set cells of a glyph row whose pixels touch or overlap are one fill
+// of exactly the pixels they cover.
+func (rec *recorder) drawGlyph(glyph [5]byte, x, y, scale float64, c color.RGBA, bold, italic bool) {
+	for rowIdx := 0; rowIdx < layout.GlyphRows; rowIdx++ {
+		py0 := y + float64(rowIdx)*scale
+		hpx := max(int(py0+scale)-int(py0), 1)
+		shear := 0.0
+		if italic {
+			shear = (float64(layout.GlyphRows-rowIdx) * scale) * 0.2
+		}
+		x0, x1 := 0, 0 // the pixels of the fill being merged; empty at first
+		for colIdx := 0; colIdx < layout.GlyphCols; colIdx++ {
+			if glyph[colIdx]&(1<<uint(rowIdx)) == 0 {
 				continue
 			}
-			px0 := x + float64(colIdx)*scale
-			py0 := y + float64(rowIdx)*scale
-			if italic {
-				px0 += (float64(layout.GlyphRows-rowIdx) * scale) * 0.2
-			}
-			wpx := int(px0+scale) - int(px0)
-			hpx := int(py0+scale) - int(py0)
-			if wpx < 1 {
-				wpx = 1
-			}
-			if hpx < 1 {
-				hpx = 1
-			}
+			px0 := x + float64(colIdx)*scale + shear
+			wpx := max(int(px0+scale)-int(px0), 1)
 			if bold {
 				wpx++
 			}
-			fillRect(img, int(px0), int(py0), wpx, hpx, c)
+			if x0 < x1 && int(px0) <= x1 {
+				x1 = max(x1, int(px0)+wpx)
+				continue
+			}
+			rec.fillRect(x0, int(py0), x1-x0, hpx, c)
+			x0, x1 = int(px0), int(px0)+wpx
 		}
-	}
-}
-
-func fillRect(img *image.RGBA, x, y, w, h int, c color.RGBA) {
-	bounds := img.Bounds()
-	x0, y0 := max(x, bounds.Min.X), max(y, bounds.Min.Y)
-	x1, y1 := min(x+w, bounds.Max.X), min(y+h, bounds.Max.Y)
-	for py := y0; py < y1; py++ {
-		for px := x0; px < x1; px++ {
-			img.SetRGBA(px, py, c)
-		}
-	}
-}
-
-func setPx(img *image.RGBA, x, y int, c color.RGBA) {
-	if image.Pt(x, y).In(img.Bounds()) {
-		img.SetRGBA(x, y, c)
+		rec.fillRect(x0, int(py0), x1-x0, hpx, c)
 	}
 }

@@ -1,12 +1,16 @@
 package raster
 
 import (
+	"bytes"
 	"image"
 	"image/color"
+	"image/gif"
+	"runtime"
 	"testing"
 
 	"msite/internal/css"
 	"msite/internal/html"
+	"msite/internal/imaging"
 	"msite/internal/layout"
 )
 
@@ -205,5 +209,56 @@ func TestPaintRealImage(t *testing.T) {
 	img2 := Paint(res, Options{})
 	if got := img2.RGBAAt(20, 10); got == green {
 		t.Fatal("placeholder expected without decoded image")
+	}
+}
+
+// emptyGIF is a 34-byte GIF of 0×0 pixels, which image/gif decodes.
+func emptyGIF(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gif.Encode(&buf, image.NewPaletted(image.Rect(0, 0, 0, 0), color.Palette{color.Black, color.White}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 34 {
+		t.Fatalf("empty GIF is %d bytes, want 34", buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// TestEmptyImagePaintsNoStalePixels: a box whose origin image has no
+// pixels never shows what an earlier render scaled into the pooled buffer
+// it gets — another site's image, or another user's. Decode refuses the
+// image, so the placeholder paints, and an empty image handed in anyway
+// paints transparent black. The renders run on one CPU, so the pool hands
+// the second render the first one's buffer.
+func TestEmptyImagePaintsNoStalePixels(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	doc := html.Parse(`<html><body><img src="/a.gif" width="60" height="40"></body></html>`)
+	res := layout.Layout(doc, css.StylerForDocument(doc), layout.Viewport{Width: 100})
+	centre := func(images map[string]image.Image) color.RGBA {
+		w, h := FrameSize(res, Options{})
+		return bandsOf(t, res, Options{Images: images, Workers: 1}, image.Rect(0, 0, w, h)).RGBAAt(38, 11)
+	}
+	red := image.NewRGBA(image.Rect(0, 0, 60, 40))
+	for i := 0; i < len(red.Pix); i += 4 {
+		copy(red.Pix[i:], []uint8{255, 0, 0, 255})
+	}
+	if got := centre(map[string]image.Image{"/a.gif": red}); got != (color.RGBA{255, 0, 0, 255}) {
+		t.Fatalf("the red image paints %v", got)
+	}
+	data := emptyGIF(t)
+	if img, err := imaging.Decode(data); err == nil {
+		t.Fatalf("Decode of a 0×0 GIF returned a %v image, want an error", img.Bounds())
+	}
+	if got := centre(nil); got != (color.RGBA{203, 213, 225, 255}) {
+		t.Fatalf("without its image the box paints %v, want the placeholder", got)
+	}
+	centre(map[string]image.Image{"/a.gif": red})
+	empty, err := gif.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := centre(map[string]image.Image{"/a.gif": empty}); got != (color.RGBA{}) {
+		t.Fatalf("an empty image paints %v, want transparent black", got)
 	}
 }
