@@ -6,9 +6,7 @@
 // sit below the fold. The adaptation relocates the conditions box to the
 // top, strips the promotional content, splits the 7-day forecast table
 // into its own subpage, and — because this spec disables the snapshot —
-// serves the adapted HTML directly. The subpage is also fetched through
-// the plain-text and PDF engines, the pluggable output path for
-// ultra-constrained clients.
+// serves the adapted HTML directly.
 //
 // Run: go run ./examples/weather-glance
 package main
@@ -122,22 +120,6 @@ func run() error {
 	}
 	fmt.Println("\n== forecast subpage ==")
 	fmt.Printf("rows present: %v (%d bytes)\n", strings.Contains(forecast, "Thursday"), len(forecast))
-
-	text, err := get(client, proxySrv.URL+"/subpage/forecast?format=text")
-	if err != nil {
-		return err
-	}
-	fmt.Println("\n== same subpage through the text engine ==")
-	for _, line := range strings.SplitN(text, "\n", 5)[:4] {
-		fmt.Println("  " + line)
-	}
-
-	pdf, err := get(client, proxySrv.URL+"/subpage/forecast?format=pdf")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n== same subpage through the pdf engine ==\nvalid PDF: %v (%d bytes)\n",
-		strings.HasPrefix(pdf, "%PDF-1.4"), len(pdf))
 	return nil
 }
 

@@ -1,7 +1,7 @@
 // Package progressive is the one snapshot renderer: it paints a laid-out
 // page, or a rectangle of it, scales it and encodes it at a fidelity
-// level. Every server-side render — the entry snapshot, pre-rendered
-// subpages, thumbnails and the image engines — goes through RenderRegion.
+// level. Every server-side render — the entry snapshot, pre-rendered and
+// partial-CSS subpages and thumbnails — goes through RenderRegion.
 // The painted bands, each folded by the worker that painted it when the
 // render scales down, stream into an imaging.Frame, which holds the image
 // as palette indices, one byte a pixel, while it has at most 256 colours:

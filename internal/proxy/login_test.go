@@ -6,10 +6,14 @@ import (
 	"image"
 	"image/color"
 	"io"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,47 +209,63 @@ func TestAssetCacheControl(t *testing.T) {
 	}
 }
 
-func TestSubpageAlternateFormats(t *testing.T) {
+// TestSubpageServesOnlyTheBuild holds that a subpage request serves the
+// page the build made and starts no work of its own: a ?format= parameter
+// is ignored like any other query, so it neither adapts, renders nor
+// allocates more than the plain GET.
+func TestSubpageServesOnlyTheBuild(t *testing.T) {
 	rig := newRig(t, nil)
 	rig.get(t, "/")
-
-	// Plain text engine.
-	body, resp := rig.get(t, "/subpage/login?format=text")
-	if resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
-		t.Fatalf("text format: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	var names []string
+	for _, b := range rig.p.sessionBundles() {
+		names = slices.Sorted(maps.Keys(b.subpages))
 	}
-	if !strings.Contains(body, "Log in") && !strings.Contains(body, "User Name") {
-		t.Fatalf("text body = %q", body)
+	if want := []string{"forums", "login", "nav"}; !slices.Equal(names, want) {
+		t.Fatalf("subpages = %v, want %v", names, want)
 	}
-
-	// PDF engine.
-	body, resp = rig.get(t, "/subpage/login?format=pdf")
-	if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/pdf" {
-		t.Fatalf("pdf format: %d", resp.StatusCode)
+	// get fetches path three times and returns its body, its response
+	// and the fewest bytes one fetch allocated.
+	get := func(path string) (string, *http.Response, uint64) {
+		var body string
+		var resp *http.Response
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			body, resp = rig.get(t, path)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return body, resp, least
 	}
-	if !strings.HasPrefix(body, "%PDF-1.4") {
-		t.Fatal("not a PDF")
-	}
-
-	// Image engine at low fidelity.
-	body, resp = rig.get(t, "/subpage/login?format=image/low")
-	if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "image/jpeg" {
-		t.Fatalf("image format: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	if !strings.HasPrefix(body, "\xff\xd8") {
-		t.Fatal("not a JPEG")
-	}
-
-	// Unknown engine is a client error.
-	_, resp = rig.get(t, "/subpage/login?format=flash")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown format = %d", resp.StatusCode)
-	}
-
-	// Explicit html matches the default path.
-	_, resp = rig.get(t, "/subpage/login?format=html")
-	if resp.StatusCode != 200 {
-		t.Fatalf("html format = %d", resp.StatusCode)
+	formats := []string{"html", "text", "pdf", "image/high", "image/low", "image/thumb", "flash"}
+	for _, name := range names {
+		plain, plainResp, plainBytes := get("/subpage/" + name)
+		if plainResp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, plainResp.StatusCode)
+		}
+		for _, format := range formats {
+			t.Run(name+"/"+format, func(t *testing.T) {
+				stats := rig.p.Stats()
+				body, resp, bytes := get("/subpage/" + name + "?format=" + url.QueryEscape(format))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d", resp.StatusCode)
+				}
+				if got, want := resp.Header.Get("Content-Type"), plainResp.Header.Get("Content-Type"); got != want {
+					t.Errorf("Content-Type %q, plain GET %q", got, want)
+				}
+				if body != plain {
+					t.Errorf("body differs from the plain GET: %d bytes, want %d", len(body), len(plain))
+				}
+				if now := rig.p.Stats(); now.Adaptations != stats.Adaptations || now.SnapshotRenders != stats.SnapshotRenders {
+					t.Errorf("adaptations %d -> %d, snapshot renders %d -> %d",
+						stats.Adaptations, now.Adaptations, stats.SnapshotRenders, now.SnapshotRenders)
+				}
+				if bytes > 2*plainBytes {
+					t.Errorf("allocated %d bytes a request, plain GET %d", bytes, plainBytes)
+				}
+			})
+		}
 	}
 }
 

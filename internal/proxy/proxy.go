@@ -29,11 +29,8 @@ import (
 	"msite/internal/attr"
 	"msite/internal/cache"
 	"msite/internal/fetch"
-	"msite/internal/html"
-	"msite/internal/layout"
 	"msite/internal/obs"
 	"msite/internal/quality"
-	"msite/internal/render"
 	"msite/internal/session"
 	"msite/internal/spec"
 )
@@ -696,24 +693,6 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 	page := v.bundle.pages[attr.SubpageFileName(name)]
 	if _, ok := v.bundle.subpages[name]; !ok || page == nil {
 		http.NotFound(w, r)
-		return
-	}
-	// The pluggable engine hook (§1: "multiple rendering engines to
-	// produce HTML, static images, PDF, plain text ... at any point in
-	// the rendering process"): ?format selects an alternate engine.
-	if format := queryParam(r, "format"); format != "" && format != "html" {
-		engine, err := render.Lookup(format)
-		if err != nil {
-			http.Error(w, "unknown format: "+format, http.StatusBadRequest)
-			return
-		}
-		out, err := engine.Render(html.Tidy(string(page.data)), layout.Viewport{Width: p.width})
-		if err != nil {
-			serverError(w, r, http.StatusInternalServerError, "render failed", err)
-			return
-		}
-		w.Header().Set("Content-Type", engine.MIME())
-		_, _ = w.Write(out)
 		return
 	}
 	servePage(w, page)
