@@ -14,26 +14,29 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 
 	"msite/internal/admin"
 	"msite/internal/experiments"
+	"msite/internal/fetch"
 	"msite/internal/html"
 	"msite/internal/spec"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "msite-admin:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	width := flag.Int("width", 1024, "render width for coordinates")
-	flag.Parse()
-	args := flag.Args()
+// run executes one subcommand with the command-line arguments args,
+// writing its report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("msite-admin", flag.ExitOnError)
+	width := fs.Int("width", 1024, "render width for coordinates")
+	_ = fs.Parse(args) // a bad flag exits, as flag.Parse does
+	args = fs.Args()
 	if len(args) < 1 {
 		return fmt.Errorf("usage: msite-admin [-width N] inspect|deps|validate|example ...")
 	}
@@ -42,50 +45,44 @@ func run() error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: msite-admin inspect <url>")
 		}
-		return inspect(args[1], *width)
+		return inspect(out, args[1], *width)
 	case "deps":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: msite-admin deps <url> <selector>")
 		}
-		return deps(args[1], args[2])
+		return deps(out, args[1], args[2])
 	case "validate":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: msite-admin validate <spec.json>")
 		}
-		return validate(args[1])
+		return validate(out, args[1])
 	case "example":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: msite-admin example <origin-url>")
 		}
-		return example(args[1])
+		return example(out, args[1])
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
 }
 
+// fetchPage downloads a page with the proxy's fetcher, so its timeout,
+// body cap and status errors hold here too.
 func fetchPage(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", fmt.Errorf("fetching %s: %w", url, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(resp.Body)
+	page, err := fetch.New(nil).Get(url)
 	if err != nil {
 		return "", err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s returned %d", url, resp.StatusCode)
-	}
-	return string(body), nil
+	return string(page.Body), nil
 }
 
-func inspect(url string, width int) error {
+func inspect(out io.Writer, url string, width int) error {
 	src, err := fetchPage(url)
 	if err != nil {
 		return err
 	}
 	objects := admin.Inspect(src, width)
-	fmt.Printf("%-28s %-24s %-10s %s\n", "SELECTOR", "REGION", "KIND", "PREVIEW")
+	fmt.Fprintf(out, "%-28s %-24s %-10s %s\n", "SELECTOR", "REGION", "KIND", "PREVIEW")
 	for _, o := range objects {
 		sel := o.Selector
 		if sel == "" {
@@ -101,12 +98,12 @@ func inspect(url string, width int) error {
 		if len(preview) > 40 {
 			preview = preview[:40]
 		}
-		fmt.Printf("%-28s %-24s %-10s %s\n", sel, region, kind, preview)
+		fmt.Fprintf(out, "%-28s %-24s %-10s %s\n", sel, region, kind, preview)
 	}
 	return nil
 }
 
-func deps(url, selector string) error {
+func deps(out io.Writer, url, selector string) error {
 	src, err := fetchPage(url)
 	if err != nil {
 		return err
@@ -117,17 +114,17 @@ func deps(url, selector string) error {
 		return err
 	}
 	if len(paths) == 0 {
-		fmt.Println("no intra-page dependencies detected")
+		fmt.Fprintln(out, "no intra-page dependencies detected")
 		return nil
 	}
-	fmt.Printf("dependencies of %s:\n", selector)
+	fmt.Fprintf(out, "dependencies of %s:\n", selector)
 	for _, p := range paths {
-		fmt.Println(" ", p)
+		fmt.Fprintln(out, " ", p)
 	}
 	return nil
 }
 
-func validate(path string) error {
+func validate(out io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -136,17 +133,17 @@ func validate(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("spec %q valid: %d objects, %d filters, %d actions\n",
+	fmt.Fprintf(out, "spec %q valid: %d objects, %d filters, %d actions\n",
 		sp.Name, len(sp.Objects), len(sp.Filters), len(sp.Actions))
 	return nil
 }
 
-func example(originURL string) error {
+func example(out io.Writer, originURL string) error {
 	sp := experiments.SpecForForum(originURL)
 	data, err := sp.JSON()
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.Write(append(data, '\n'))
+	_, err = out.Write(append(data, '\n'))
 	return err
 }

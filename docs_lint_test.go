@@ -164,7 +164,7 @@ var subsystemDocs = []struct {
 		inObs: true,
 		topics: []string{
 			"viewport", "fixed-width", "touch-target", "font-floor",
-			"/debug/parity", "sanctioned", "RegisterExtension",
+			"/debug/parity", "sanctioned", "per-device variants are parked",
 		},
 		tests: []string{
 			"TestQualityCleanForumPassesStrictParity", "TestQualityCleanClassifiedsPassesStrictParity",

@@ -18,8 +18,8 @@ import (
 	"strings"
 	"time"
 
-	"msite/internal/admin"
 	"msite/internal/gen"
+	"msite/internal/spec"
 )
 
 func main() {
@@ -33,17 +33,29 @@ func run() error {
 	build := flag.Bool("build", false, "also compile the generated proxy")
 	flag.Parse()
 
-	sp, err := admin.NewBuilder("sawdust", "http://localhost:8800/").
-		Viewport(1024).
-		Snapshot("low", 0.45, 3600).
-		Object("login", "#loginform").Subpage("Log in").
-		Object("banner", "#banner").Remove().
-		Object("forums", "#forums").PreRenderedSubpage("Forums", "low").Cacheable(3600).
-		Done().
-		Action(1, `do=showpic&id=(\d+)`, "http://localhost:8800/site.php?do=showpic&id=$1", "#pic", 300).
-		Spec()
-	if err != nil {
-		return err
+	sp := &spec.Spec{
+		Name: "sawdust", Origin: "http://localhost:8800/", ViewportWidth: 1024,
+		Snapshot: spec.SnapshotSpec{
+			Enabled: true, Fidelity: "low", Scale: 0.45, CacheTTLSeconds: 3600, Shared: true,
+		},
+		Objects: []spec.Object{
+			{Name: "login", Selector: "#loginform", Attributes: []spec.Attribute{
+				{Type: spec.AttrSubpage, Params: map[string]string{"title": "Log in"}},
+			}},
+			{Name: "banner", Selector: "#banner", Attributes: []spec.Attribute{
+				{Type: spec.AttrRemove},
+			}},
+			{Name: "forums", Selector: "#forums", Attributes: []spec.Attribute{
+				{Type: spec.AttrSubpage, Params: map[string]string{
+					"title": "Forums", "prerender": "true", "fidelity": "low",
+				}},
+				{Type: spec.AttrCacheable, Params: map[string]string{"ttl_seconds": "3600"}},
+			}},
+		},
+		Actions: []spec.Action{{
+			ID: 1, Match: `do=showpic&id=(\d+)`, Target: "http://localhost:8800/site.php?do=showpic&id=$1",
+			Extract: "#pic", CacheTTLSeconds: 300,
+		}},
 	}
 
 	code, err := gen.GenerateProxyMain(sp, gen.Options{Timestamp: time.Now()})

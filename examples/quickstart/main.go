@@ -1,9 +1,8 @@
 // Quickstart: the minimal end-to-end m.Site flow.
 //
-// It starts the synthetic forum origin, builds a two-object adaptation
-// spec with the fluent admin builder (the headless visual tool), serves
-// the adaptation proxy, and fetches the mobile entry page and a
-// generated subpage through it.
+// It starts the synthetic forum origin, writes a two-object adaptation
+// spec, serves the adaptation proxy, and fetches the mobile entry page
+// and a generated subpage through it.
 //
 // Run: go run ./examples/quickstart
 package main
@@ -17,9 +16,9 @@ import (
 	"os"
 	"strings"
 
-	"msite/internal/admin"
 	"msite/internal/core"
 	"msite/internal/origin"
+	"msite/internal/spec"
 )
 
 func main() {
@@ -40,14 +39,21 @@ func run() error {
 	//    here: a cached snapshot entry page, the login form split into
 	//    its own subpage, and the 728px leaderboard replaced with a
 	//    mobile banner.
-	sp, err := admin.NewBuilder("quickstart", originSrv.URL+"/").
-		Viewport(1024).
-		Snapshot("low", 0.45, 3600).
-		Object("login", "#loginform").Subpage("Log in").
-		Object("banner", "#banner").ReplaceWith(`<img src="/ads/mobile.gif" width="300" height="50" alt="ad">`).
-		Done().Spec()
-	if err != nil {
-		return err
+	sp := &spec.Spec{
+		Name: "quickstart", Origin: originSrv.URL + "/", ViewportWidth: 1024,
+		Snapshot: spec.SnapshotSpec{
+			Enabled: true, Fidelity: "low", Scale: 0.45, CacheTTLSeconds: 3600, Shared: true,
+		},
+		Objects: []spec.Object{
+			{Name: "login", Selector: "#loginform", Attributes: []spec.Attribute{
+				{Type: spec.AttrSubpage, Params: map[string]string{"title": "Log in"}},
+			}},
+			{Name: "banner", Selector: "#banner", Attributes: []spec.Attribute{
+				{Type: spec.AttrReplace, Params: map[string]string{
+					"html": `<img src="/ads/mobile.gif" width="300" height="50" alt="ad">`,
+				}},
+			}},
+		},
 	}
 
 	// 3. Wire the framework and serve the proxy.

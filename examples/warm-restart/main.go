@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"msite/internal/admin"
 	"msite/internal/core"
 	"msite/internal/origin"
 	"msite/internal/proxy"
@@ -39,13 +38,16 @@ func run() error {
 	originSrv := httptest.NewServer(forum.Handler())
 	defer originSrv.Close()
 
-	sp, err := admin.NewBuilder("warm-restart", originSrv.URL+"/").
-		Viewport(1024).
-		Snapshot("low", 0.45, 3600).
-		Object("login", "#loginform").Subpage("Log in").
-		Done().Spec()
-	if err != nil {
-		return err
+	sp := &spec.Spec{
+		Name: "warm-restart", Origin: originSrv.URL + "/", ViewportWidth: 1024,
+		Snapshot: spec.SnapshotSpec{
+			Enabled: true, Fidelity: "low", Scale: 0.45, CacheTTLSeconds: 3600, Shared: true,
+		},
+		Objects: []spec.Object{
+			{Name: "login", Selector: "#loginform", Attributes: []spec.Attribute{
+				{Type: spec.AttrSubpage, Params: map[string]string{"title": "Log in"}},
+			}},
+		},
 	}
 
 	root, err := os.MkdirTemp("", "msite-warm-restart-*")

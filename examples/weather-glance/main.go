@@ -20,8 +20,8 @@ import (
 	"os"
 	"strings"
 
-	"msite/internal/admin"
 	"msite/internal/core"
+	"msite/internal/spec"
 )
 
 const weatherPage = `<!DOCTYPE html>
@@ -64,20 +64,28 @@ func run() error {
 	}))
 	defer originSrv.Close()
 
-	sp, err := admin.NewBuilder("stormcenter", originSrv.URL+"/").
-		Viewport(1024).
-		Object("promos", "div.promo").Remove().
-		Object("hero", "#hero").ReplaceWith(`<div id="brand"><b>StormCenter 5000</b></div>`).
-		Object("forecast", "#forecast").Subpage("7-day forecast").
-		Object("conditions", "#conditions").
-		With("relocate", map[string]string{"target": "#brand", "position": "after"}).
-		With("insert-html", map[string]string{
-			"position": "after",
-			"html":     `<p><a href="/subpage/forecast">7-day forecast &raquo;</a></p>`,
-		}).
-		Done().Spec()
-	if err != nil {
-		return err
+	sp := &spec.Spec{
+		Name: "stormcenter", Origin: originSrv.URL + "/", ViewportWidth: 1024,
+		Objects: []spec.Object{
+			{Name: "promos", Selector: "div.promo", Attributes: []spec.Attribute{
+				{Type: spec.AttrRemove},
+			}},
+			{Name: "hero", Selector: "#hero", Attributes: []spec.Attribute{
+				{Type: spec.AttrReplace, Params: map[string]string{
+					"html": `<div id="brand"><b>StormCenter 5000</b></div>`,
+				}},
+			}},
+			{Name: "forecast", Selector: "#forecast", Attributes: []spec.Attribute{
+				{Type: spec.AttrSubpage, Params: map[string]string{"title": "7-day forecast"}},
+			}},
+			{Name: "conditions", Selector: "#conditions", Attributes: []spec.Attribute{
+				{Type: spec.AttrRelocate, Params: map[string]string{"target": "#brand", "position": "after"}},
+				{Type: spec.AttrInsertHTML, Params: map[string]string{
+					"position": "after",
+					"html":     `<p><a href="/subpage/forecast">7-day forecast &raquo;</a></p>`,
+				}},
+			}},
+		},
 	}
 
 	sessionRoot, err := os.MkdirTemp("", "msite-weather-*")

@@ -2,8 +2,9 @@
 // tool (§3.1): it loads a live page, enumerates the selectable objects
 // with their rendered coordinates (the "point and click" inventory, plus
 // the separate dock of non-visual objects — CSS, scripts, head content),
-// detects intra-page dependencies for subpage extraction, and builds the
-// adaptation spec the generator and proxy consume.
+// detects intra-page dependencies for subpage extraction, and turns them
+// into the dependency objects of an adaptation spec. The spec itself is
+// a spec.Spec value or its JSON, which the generator and proxy consume.
 package admin
 
 import (
@@ -182,13 +183,7 @@ func DetectDependencies(doc *dom.Node, selector string) ([]string, error) {
 }
 
 func styleMatches(styleEl *dom.Node, idents map[string]bool) bool {
-	var src strings.Builder
-	for c := styleEl.FirstChild; c != nil; c = c.NextSibling {
-		if c.Type == dom.TextNode {
-			src.WriteString(c.Data)
-		}
-	}
-	text := src.String()
+	text := css.StyleSource(styleEl)
 	for ident := range idents {
 		if strings.HasPrefix(ident, "#") || strings.HasPrefix(ident, ".") {
 			if strings.Contains(text, ident) {
@@ -203,14 +198,7 @@ func scriptMatches(scriptEl *dom.Node, idents map[string]bool) bool {
 	if scriptEl.HasAttr("src") {
 		return false // external scripts resolve by URL, not content
 	}
-	text := scriptEl.Text()
-	var src strings.Builder
-	for c := scriptEl.FirstChild; c != nil; c = c.NextSibling {
-		if c.Type == dom.TextNode {
-			src.WriteString(c.Data)
-		}
-	}
-	text = src.String()
+	text := css.StyleSource(scriptEl)
 	for ident := range idents {
 		switch {
 		case strings.HasPrefix(ident, "fn:"):
@@ -227,6 +215,35 @@ func scriptMatches(scriptEl *dom.Node, idents map[string]bool) bool {
 		}
 	}
 	return false
+}
+
+// AutoDependencies returns one dependency object for each style and
+// script DetectDependencies finds on doc for a subpage object of sp
+// selected by CSS selector — the visual tool's one-click "satisfy
+// intra-page dependencies" action (§3.1). Append them to sp.Objects.
+// Subpage objects that match nothing on this page are skipped, not
+// fatal: the spec may cover content that appears later.
+func AutoDependencies(sp *spec.Spec, doc *dom.Node) []spec.Object {
+	var deps []spec.Object
+	for _, obj := range sp.Objects {
+		if !obj.HasAttr(spec.AttrSubpage) || obj.Selector == "" {
+			continue
+		}
+		paths, err := DetectDependencies(doc, obj.Selector)
+		if err != nil {
+			continue
+		}
+		for _, p := range paths {
+			deps = append(deps, spec.Object{
+				Name:  fmt.Sprintf("dep_%s_%d", obj.Name, len(deps)),
+				XPath: p,
+				Attributes: []spec.Attribute{{
+					Type: spec.AttrDependency, Params: map[string]string{"subpage": obj.Name},
+				}},
+			})
+		}
+	}
+	return deps
 }
 
 // jsCalls extracts called identifiers from an inline handler body.
@@ -260,168 +277,3 @@ func isIdentStart(c byte) bool {
 func isIdentChar(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9')
 }
-
-// Builder assembles an adaptation spec fluently — the scripting analog
-// of clicking objects and assigning attributes from the menu.
-type Builder struct {
-	sp spec.Spec
-}
-
-// NewBuilder starts a spec for one origin page.
-func NewBuilder(name, originURL string) *Builder {
-	return &Builder{sp: spec.Spec{Name: name, Origin: originURL}}
-}
-
-// Viewport sets the server-side render width.
-func (b *Builder) Viewport(width int) *Builder {
-	b.sp.ViewportWidth = width
-	return b
-}
-
-// Snapshot enables the cached snapshot entry page.
-func (b *Builder) Snapshot(fidelity string, scale float64, ttlSeconds int) *Builder {
-	b.sp.Snapshot = spec.SnapshotSpec{
-		Enabled: true, Fidelity: fidelity, Scale: scale,
-		CacheTTLSeconds: ttlSeconds, Shared: true,
-	}
-	return b
-}
-
-// Filter appends a source-level filter.
-func (b *Builder) Filter(filterType string, params map[string]string) *Builder {
-	b.sp.Filters = append(b.sp.Filters, spec.Filter{Type: filterType, Params: params})
-	return b
-}
-
-// Action registers an AJAX rewrite rule.
-func (b *Builder) Action(id int, match, target, extract string, cacheTTLSeconds int) *Builder {
-	b.sp.Actions = append(b.sp.Actions, spec.Action{
-		ID: id, Match: match, Target: target, Extract: extract,
-		CacheTTLSeconds: cacheTTLSeconds,
-	})
-	return b
-}
-
-// Object selects a page object by CSS selector and returns its
-// attribute menu.
-func (b *Builder) Object(name, selector string) *ObjectBuilder {
-	b.sp.Objects = append(b.sp.Objects, spec.Object{Name: name, Selector: selector})
-	return &ObjectBuilder{b: b, idx: len(b.sp.Objects) - 1}
-}
-
-// ObjectXPath selects a page object by XPath.
-func (b *Builder) ObjectXPath(name, path string) *ObjectBuilder {
-	b.sp.Objects = append(b.sp.Objects, spec.Object{Name: name, XPath: path})
-	return &ObjectBuilder{b: b, idx: len(b.sp.Objects) - 1}
-}
-
-// Spec validates and returns the built spec.
-func (b *Builder) Spec() (*spec.Spec, error) {
-	sp := b.sp // copy
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return &sp, nil
-}
-
-// AutoDependencies inspects the page and, for every subpage object
-// already selected, attaches dependency objects for the styles and
-// scripts DetectDependencies finds — the visual tool's one-click
-// "satisfy intra-page dependencies" action (§3.1).
-func (b *Builder) AutoDependencies(doc *dom.Node) (*Builder, error) {
-	type pending struct{ subpage, path string }
-	var found []pending
-	for _, obj := range b.sp.Objects {
-		isSubpage := false
-		for _, at := range obj.Attributes {
-			if at.Type == spec.AttrSubpage {
-				isSubpage = true
-			}
-		}
-		if !isSubpage || obj.Selector == "" {
-			continue
-		}
-		paths, err := DetectDependencies(doc, obj.Selector)
-		if err != nil {
-			// Objects that match nothing on this page are skipped, not
-			// fatal: the spec may cover content that appears later.
-			continue
-		}
-		for _, p := range paths {
-			found = append(found, pending{subpage: obj.Name, path: p})
-		}
-	}
-	for i, f := range found {
-		name := fmt.Sprintf("dep_%s_%d", f.subpage, i)
-		b.ObjectXPath(name, f.path).DependencyOf(f.subpage)
-	}
-	return b, nil
-}
-
-// ObjectBuilder assigns attributes to one selected object.
-type ObjectBuilder struct {
-	b   *Builder
-	idx int
-}
-
-// With assigns an arbitrary attribute.
-func (ob *ObjectBuilder) With(attrType spec.AttrType, params map[string]string) *ObjectBuilder {
-	obj := &ob.b.sp.Objects[ob.idx]
-	obj.Attributes = append(obj.Attributes, spec.Attribute{Type: attrType, Params: params})
-	return ob
-}
-
-// Subpage applies the page-splitting attribute.
-func (ob *ObjectBuilder) Subpage(title string) *ObjectBuilder {
-	return ob.With(spec.AttrSubpage, map[string]string{"title": title})
-}
-
-// PreRenderedSubpage splits and pre-renders in one step.
-func (ob *ObjectBuilder) PreRenderedSubpage(title, fidelity string) *ObjectBuilder {
-	return ob.With(spec.AttrSubpage, map[string]string{
-		"title": title, "prerender": "true", "fidelity": fidelity,
-	})
-}
-
-// AJAXSubpage splits into an asynchronously loaded subpage.
-func (ob *ObjectBuilder) AJAXSubpage(title string) *ObjectBuilder {
-	return ob.With(spec.AttrSubpage, map[string]string{"title": title, "ajax": "true"})
-}
-
-// Remove strips the object.
-func (ob *ObjectBuilder) Remove() *ObjectBuilder {
-	return ob.With(spec.AttrRemove, nil)
-}
-
-// Hide hides the object via CSS.
-func (ob *ObjectBuilder) Hide() *ObjectBuilder {
-	return ob.With(spec.AttrHide, nil)
-}
-
-// ReplaceWith substitutes markup for the object.
-func (ob *ObjectBuilder) ReplaceWith(markup string) *ObjectBuilder {
-	return ob.With(spec.AttrReplace, map[string]string{"html": markup})
-}
-
-// DependencyOf pulls the (non-visual) object into a subpage's head.
-func (ob *ObjectBuilder) DependencyOf(subpage string) *ObjectBuilder {
-	return ob.With(spec.AttrDependency, map[string]string{"subpage": subpage})
-}
-
-// CopyTo duplicates the object into a subpage.
-func (ob *ObjectBuilder) CopyTo(subpage, position string) *ObjectBuilder {
-	return ob.With(spec.AttrCopyTo, map[string]string{"subpage": subpage, "position": position})
-}
-
-// Cacheable shares the object's render across sessions.
-func (ob *ObjectBuilder) Cacheable(ttlSeconds int) *ObjectBuilder {
-	return ob.With(spec.AttrCacheable, map[string]string{"ttl_seconds": fmt.Sprint(ttlSeconds)})
-}
-
-// Object starts a new object selection, ending this one.
-func (ob *ObjectBuilder) Object(name, selector string) *ObjectBuilder {
-	return ob.b.Object(name, selector)
-}
-
-// Done returns the parent builder.
-func (ob *ObjectBuilder) Done() *Builder { return ob.b }

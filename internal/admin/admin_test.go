@@ -130,67 +130,6 @@ func TestDetectDependenciesErrors(t *testing.T) {
 	}
 }
 
-func TestBuilderFluent(t *testing.T) {
-	sp, err := NewBuilder("forum", "http://origin.test/").
-		Viewport(1024).
-		Snapshot("low", 0.45, 3600).
-		Filter("title", map[string]string{"value": "m.Forum"}).
-		Action(1, `do=showpic&id=(\d+)`, "http://origin.test/site.php?id=$1", "#pic", 60).
-		Object("login", "#loginform").Subpage("Log in").
-		Object("logo", "#logo").CopyTo("login", "top").
-		Object("forums", "table.listing").PreRenderedSubpage("Forums", "low").Cacheable(3600).
-		Object("nav", "div.navbar").AJAXSubpage("Navigation").
-		Object("ad", "#banner").Remove().
-		Done().
-		ObjectXPath("styles", "//style[1]").DependencyOf("login").
-		Done().
-		Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sp.Objects) != 6 || len(sp.Actions) != 1 || len(sp.Filters) != 1 {
-		t.Fatalf("spec = %+v", sp)
-	}
-	if !sp.Snapshot.Enabled || sp.Snapshot.Scale != 0.45 {
-		t.Fatal("snapshot config lost")
-	}
-	obj, _ := sp.FindObject("forums")
-	if !obj.HasAttr(spec.AttrCacheable) {
-		t.Fatal("chained attributes lost")
-	}
-	sub, _ := obj.Attr(spec.AttrSubpage)
-	if sub.Param("prerender", "") != "true" {
-		t.Fatal("prerender param lost")
-	}
-}
-
-func TestBuilderValidates(t *testing.T) {
-	_, err := NewBuilder("x", "http://o/").
-		Object("a", "#a").DependencyOf("ghost").
-		Done().Spec()
-	if err == nil {
-		t.Fatal("invalid spec accepted")
-	}
-}
-
-func TestBuilderMoreAttrs(t *testing.T) {
-	sp, err := NewBuilder("x", "http://o/").
-		Object("a", "#a").Hide().
-		Object("b", "#b").ReplaceWith("<p>m</p>").
-		Done().Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := sp.FindObject("a")
-	if !a.HasAttr(spec.AttrHide) {
-		t.Fatal("hide lost")
-	}
-	b, _ := sp.FindObject("b")
-	if at, _ := b.Attr(spec.AttrReplace); at.Param("html", "") != "<p>m</p>" {
-		t.Fatal("replace lost")
-	}
-}
-
 func TestJSCalls(t *testing.T) {
 	calls := jsCalls("return validateLogin() && $j.ajax(x); notACall;")
 	joined := strings.Join(calls, ",")
@@ -204,13 +143,13 @@ func TestJSCalls(t *testing.T) {
 
 func TestAutoDependencies(t *testing.T) {
 	doc := html.Tidy(page)
-	b := NewBuilder("auto", "http://o/")
-	b.Object("login", "#loginform").Subpage("Log in")
-	if _, err := b.AutoDependencies(doc); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := b.Spec()
-	if err != nil {
+	sp := &spec.Spec{Name: "auto", Origin: "http://o/", Objects: []spec.Object{
+		{Name: "login", Selector: "#loginform", Attributes: []spec.Attribute{
+			{Type: spec.AttrSubpage, Params: map[string]string{"title": "Log in"}},
+		}},
+	}}
+	sp.Objects = append(sp.Objects, AutoDependencies(sp, doc)...)
+	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Two dependencies detected for the login form (its style rule and
@@ -232,16 +171,12 @@ func TestAutoDependencies(t *testing.T) {
 
 func TestAutoDependenciesSkipsUnmatched(t *testing.T) {
 	doc := html.Tidy(page)
-	b := NewBuilder("auto", "http://o/")
-	b.Object("ghost", "#ghost").Subpage("G")
-	if _, err := b.AutoDependencies(doc); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := b.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sp.Objects) != 1 {
-		t.Fatalf("unexpected dependency objects: %+v", sp.Objects)
+	sp := &spec.Spec{Name: "auto", Origin: "http://o/", Objects: []spec.Object{
+		{Name: "ghost", Selector: "#ghost", Attributes: []spec.Attribute{
+			{Type: spec.AttrSubpage, Params: map[string]string{"title": "G"}},
+		}},
+	}}
+	if deps := AutoDependencies(sp, doc); len(deps) != 0 {
+		t.Fatalf("unexpected dependency objects: %+v", deps)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"image"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"msite/internal/ajax"
@@ -23,6 +22,7 @@ import (
 	"msite/internal/jq"
 	"msite/internal/layout"
 	"msite/internal/progressive"
+	"msite/internal/quality"
 	"msite/internal/raster"
 	"msite/internal/spec"
 	"msite/internal/xpath"
@@ -146,48 +146,6 @@ type Applier struct {
 	// in place of placeholders — the subresources the proxy downloaded
 	// on the client's behalf (§3.2).
 	Images map[string]image.Image
-	// DeviceClass names the device class this build targets (a
-	// device.Profile name). Extension attributes gated on a "device"
-	// param match against it; empty means "any device".
-	DeviceClass string
-}
-
-// ExtensionContext is what a registered attribute extension sees: the
-// applier configuration, the in-progress result (for notes/assets), and
-// the located object nodes the attribute applies to.
-type ExtensionContext struct {
-	Applier *Applier
-	Result  *Result
-	Object  spec.Object
-	Attr    spec.Attribute
-	Nodes   []*dom.Node
-}
-
-// ExtensionFunc applies one spec attribute the core switch does not
-// know about.
-type ExtensionFunc func(ctx ExtensionContext) error
-
-var (
-	extMu  sync.RWMutex
-	extFns = make(map[spec.AttrType]ExtensionFunc)
-)
-
-// RegisterExtension installs a handler for an attribute type, turning
-// the attribute system into an open policy engine: packages add new
-// adaptation passes (e.g. quality's "repair" rules) without editing the
-// core switch. Registering a type the switch already handles has no
-// effect — built-ins win. Typically called from init.
-func RegisterExtension(t spec.AttrType, fn ExtensionFunc) {
-	extMu.Lock()
-	defer extMu.Unlock()
-	extFns[t] = fn
-}
-
-func extensionFor(t spec.AttrType) (ExtensionFunc, bool) {
-	extMu.RLock()
-	defer extMu.RUnlock()
-	fn, ok := extFns[t]
-	return fn, ok
 }
 
 func (a *Applier) subpageURL(name string) string {
@@ -626,10 +584,19 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 	case spec.AttrThumbnail:
 		return a.applyThumbnail(env, obj, at, nodes)
 
-	default:
-		if fn, ok := extensionFor(at.Type); ok {
-			return fn(ExtensionContext{Applier: a, Result: res, Object: obj, Attr: at, Nodes: nodes})
+	case spec.AttrRepair:
+		rules, err := quality.ParseRules(at.Param("rules", "all"))
+		if err != nil {
+			return fmt.Errorf("attr: object %q: %w", obj.Name, err)
 		}
+		for _, n := range nodes {
+			for rule, count := range quality.RepairAll(rules, n) {
+				res.Notes = append(res.Notes, fmt.Sprintf(
+					"object %q: repair rule %s made %d fixes", obj.Name, rule, count))
+			}
+		}
+
+	default:
 		return fmt.Errorf("attr: object %q: unhandled attribute %q", obj.Name, at.Type)
 	}
 	return nil

@@ -240,3 +240,33 @@ func TestQualityParityMinScoreOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// TestQualityRepairAttrServed: a spec's repair attribute runs in the
+// served build and notes its fixes in /stats; a device param, which no
+// build could match, is refused when the proxy loads the spec.
+func TestQualityRepairAttrServed(t *testing.T) {
+	repair := func(params map[string]string) func(*spec.Spec) {
+		return func(s *spec.Spec) {
+			s.Objects = append(s.Objects, spec.Object{Name: "page", Selector: "body",
+				Attributes: []spec.Attribute{{Type: spec.AttrRepair, Params: params}}})
+		}
+	}
+	rig := newRig(t, repair(map[string]string{"rules": "viewport"}))
+	if _, resp := rig.get(t, "/"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if stats, _ := rig.get(t, "/stats"); !strings.Contains(stats, "repair rule viewport made 1 fixes") {
+		t.Fatalf("repair not noted in /stats: %s", stats)
+	}
+
+	sessions, err := session.NewManager(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := forumSpec("http://origin.invalid/")
+	repair(map[string]string{"rules": "viewport", "device": "iPhone 4"})(sp)
+	if _, err := New(Config{Spec: sp, Sessions: sessions, Cache: cache.New()}); err == nil ||
+		!strings.Contains(err.Error(), "device") {
+		t.Fatalf("device-gated repair accepted: %v", err)
+	}
+}

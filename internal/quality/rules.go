@@ -4,8 +4,9 @@
 //   - a declarative mobile-repair rule pass (rules.go) encoding the
 //     classic mobile-adapt checklist — viewport meta injection,
 //     fixed-width overflow rewrites, touch-target minimum sizing, and a
-//     font-size floor — pluggable per device class through the spec's
-//     "repair" attribute and the attr extension registry;
+//     font-size floor — run over the whole page by internal/proxy or
+//     over one object's subtree by the spec's "repair" attribute, which
+//     internal/attr applies;
 //   - a content-parity validator (parity.go) that inventories text
 //     blocks, links, and form controls in the origin DOM versus the
 //     adapted entry+subpage closure and scores how much content the

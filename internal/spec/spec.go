@@ -92,9 +92,8 @@ const (
 	// AttrRepair runs the mobile-repair rule pass (internal/quality) over
 	// the object's subtree: viewport meta injection, fixed-width
 	// rewrites, touch-target sizing, font floor. Params: "rules"
-	// (comma-separated rule names, default "all"), "device"
-	// (comma-separated device-class names the pass is limited to;
-	// empty means every device).
+	// (comma-separated rule names, default "all"). A "device" param is
+	// refused: per-device variants are parked.
 	AttrRepair AttrType = "repair"
 )
 
@@ -317,6 +316,10 @@ func (s *Spec) Validate() error {
 			case AttrRelocate:
 				if a.Param("target", "") == "" {
 					return fmt.Errorf("spec: object %q: relocate requires a target", o.Name)
+				}
+			case AttrRepair:
+				if _, ok := a.Params["device"]; ok {
+					return fmt.Errorf("spec: object %q: repair takes no device param (per-device variants are parked)", o.Name)
 				}
 			}
 		}

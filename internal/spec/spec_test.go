@@ -101,6 +101,10 @@ func TestValidateErrors(t *testing.T) {
 		{func(s *Spec) { s.Actions = append(s.Actions, Action{ID: 1, Match: "x", Target: "y"}) }, "duplicate action"},
 		{func(s *Spec) { s.Snapshot.Fidelity = "ultra" }, "fidelity"},
 		{func(s *Spec) { s.Snapshot.Scale = -1 }, "scale"},
+		{func(s *Spec) {
+			s.Objects[0].Attributes = append(s.Objects[0].Attributes,
+				Attribute{Type: AttrRepair, Params: map[string]string{"rules": "viewport", "device": "iPhone 4"}})
+		}, "no device param"},
 	}
 	for i, c := range cases {
 		s := validSpec()
