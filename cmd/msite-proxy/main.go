@@ -58,8 +58,6 @@ func run() error {
 	rateLimit := flag.Float64("rate-limit", 0, "per-client requests/second budget, 429 + Retry-After past the burst (0 = unlimited)")
 	maxSessions := flag.Int("max-sessions", 0, "live session cap; first contacts past it are shed with 503 (0 = uncapped)")
 	storeDir := flag.String("store-dir", "", "durable render store directory; restarts rehydrate adapted content from it (empty = no persistence)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "durable store byte budget, least-recently-accessed records evicted past it (0 = unbounded)")
-	storeFsync := flag.String("store-fsync", "", "store durability policy: interval (default), always, or never")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
 	parityCheck := flag.Bool("parity-check", false, "validate content parity of origin vs adapted closure on every build (score via /metrics and /debug/parity)")
@@ -89,9 +87,7 @@ func run() error {
 		RateLimit:                *rateLimit,
 		MaxSessions:              *maxSessions,
 
-		StoreDir:      *storeDir,
-		StoreMaxBytes: *storeMaxBytes,
-		StoreFsync:    *storeFsync,
+		StoreDir: *storeDir,
 
 		Stream: *stream,
 

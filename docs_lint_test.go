@@ -109,18 +109,19 @@ var subsystemDocs = []struct {
 	},
 	{
 		doc:   "STORE.md",
-		flags: []string{"-store-dir", "-store-max-bytes", "-store-fsync"},
+		flags: []string{"-store-dir"},
 		metrics: []string{
 			"msite_store_hits_total", "msite_store_misses_total",
-			"msite_store_bytes", "msite_store_segments",
+			"msite_store_bytes", "msite_store_records",
 			"msite_store_write_drops_total",
 			"msite_store_recovered_records_total",
 			"msite_store_corrupt_records_total",
 		},
 		inObs: true,
 		tests: []string{
-			"TestFrameworkWarmRestart", "TestFsyncAlwaysSurvivesUncleanAbandon",
-			"TestRecoveryTornTailProperty", "TestTieredNeverBlocksOnStalledWriter",
+			"TestFrameworkWarmRestart", "TestPutSurvivesUncleanAbandon",
+			"TestRecoveryTornTailProperty", "TestRecoveryDamagedRecordFiles",
+			"TestTieredNeverBlocksOnStalledWriter",
 		},
 		elsewhere: map[string][]string{"OBSERVABILITY.md": {
 			"msite_proxy_bundle_reuses_total", "msite_session_cleanup_errors_total",
@@ -381,8 +382,8 @@ func TestKnobCeiling(t *testing.T) {
 		knob           string
 		count, ceiling int
 	}{
-		{"`core.Config` fields", len(coreConfigFields(t)), 20},
-		{"`msite-proxy` flags", len(proxyFlagNames(t)), 24},
+		{"`core.Config` fields", len(coreConfigFields(t)), 18},
+		{"`msite-proxy` flags", len(proxyFlagNames(t)), 22},
 		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 15},
 	} {
 		t.Logf("| %s | %d | %d |", k.knob, k.count, k.ceiling)

@@ -590,9 +590,9 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 			return fmt.Errorf("attr: object %q: %w", obj.Name, err)
 		}
 		for _, n := range nodes {
-			for rule, count := range quality.RepairAll(rules, n) {
+			for _, r := range quality.RepairAll(rules, n) {
 				res.Notes = append(res.Notes, fmt.Sprintf(
-					"object %q: repair rule %s made %d fixes", obj.Name, rule, count))
+					"object %q: repair rule %s made %d fixes", obj.Name, r.Rule, r.N))
 			}
 		}
 

@@ -62,6 +62,33 @@ func TestRepairAttrThroughApplier(t *testing.T) {
 	}
 }
 
+// TestRepairAttrNotesInRuleOrder: the same page repaired 20 times with
+// every rule notes its repairs in one order, the rules' own.
+func TestRepairAttrNotesInRuleOrder(t *testing.T) {
+	sp := &spec.Spec{Name: "q", Origin: "http://o/", Objects: []spec.Object{
+		{Name: "page", Selector: "body", Attributes: []spec.Attribute{
+			{Type: spec.AttrRepair, Params: map[string]string{"rules": "all"}},
+		}},
+	}}
+	orders := map[string]bool{}
+	for i := 0; i < 20; i++ {
+		a := &attr.Applier{ViewportWidth: 800}
+		res, err := a.Apply(sp, html.Tidy(repairPage))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders[strings.Join(res.Notes, "\n")] = true
+	}
+	if len(orders) != 1 {
+		t.Fatalf("20 repairs of one page gave %d note orders", len(orders))
+	}
+	for notes := range orders {
+		if strings.Count(notes, "repair rule") < 2 {
+			t.Fatalf("want several rules' notes to order, got %q", notes)
+		}
+	}
+}
+
 func TestRepairAttrUnknownRuleFails(t *testing.T) {
 	sp := &spec.Spec{Name: "q", Origin: "http://o/", Objects: []spec.Object{
 		{Name: "page", Selector: "body", Attributes: []spec.Attribute{

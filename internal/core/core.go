@@ -84,14 +84,6 @@ type Config struct {
 	// restarted framework serves them without re-running the pipeline.
 	// Empty disables persistence.
 	StoreDir string
-	// StoreMaxBytes bounds the store's live bytes on disk; least
-	// recently accessed records are evicted past it (the
-	// -store-max-bytes knob). 0 means unbounded.
-	StoreMaxBytes int64
-	// StoreFsync selects the store's durability policy (the -store-fsync
-	// knob): "interval" (default; fsync on a short timer), "always"
-	// (fsync every append), or "never" (leave it to the OS).
-	StoreFsync string
 	// Stream enables flush-early entry serving (the -stream knob): the
 	// overlay head is flushed before the origin fetch begins and the
 	// snapshot renders in the background.
@@ -122,16 +114,7 @@ func (cfg Config) buildCache(reg *obs.Registry) (cache.Layer, *store.Store, erro
 		l1.SetObs(reg)
 		return l1, nil, nil
 	}
-	fsync, err := store.ParseFsync(cfg.StoreFsync)
-	if err != nil {
-		l1.Close()
-		return nil, nil, err
-	}
-	st, err := store.Open(store.Options{
-		Dir:      cfg.StoreDir,
-		MaxBytes: cfg.StoreMaxBytes,
-		Fsync:    fsync,
-	})
+	st, err := store.Open(store.Options{Dir: cfg.StoreDir})
 	if err != nil {
 		l1.Close()
 		return nil, nil, err

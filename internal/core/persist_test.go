@@ -20,7 +20,6 @@ func newPersistentFramework(t *testing.T, originURL, storeDir string) *Framework
 		SessionRoot:  t.TempDir(),
 		FetchTimeout: 10 * time.Second,
 		StoreDir:     storeDir,
-		StoreFsync:   "always",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,21 +97,5 @@ func TestFrameworkWarmRestart(t *testing.T) {
 	// Subpages come from the rehydrated bundle too.
 	if sub, code := getPage(t, srv2.URL, "/subpage/login"); code != 200 || !strings.Contains(sub, "loginform") {
 		t.Fatalf("warm subpage: %d: %s", code, sub)
-	}
-}
-
-// TestFrameworkStoreFsyncValidation: a bad -store-fsync value fails
-// construction instead of silently defaulting.
-func TestFrameworkStoreFsyncValidation(t *testing.T) {
-	forum := origin.NewForum(origin.DefaultForumConfig())
-	originSrv := httptest.NewServer(forum.Handler())
-	defer originSrv.Close()
-	_, err := New(testSpec(originSrv.URL), Config{
-		SessionRoot: t.TempDir(),
-		StoreDir:    t.TempDir(),
-		StoreFsync:  "sometimes",
-	})
-	if err == nil {
-		t.Fatal("invalid StoreFsync accepted")
 	}
 }

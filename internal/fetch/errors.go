@@ -72,7 +72,9 @@ func (e *Error) Error() string {
 	if e.Attempts > 1 {
 		suffix = fmt.Sprintf(" after %d attempts", e.Attempts)
 	}
-	if e.Err != nil {
+	// A status failure's cause is the *StatusError built from the same
+	// URL and code, so its text would only repeat them.
+	if e.Err != nil && e.Kind != KindStatus {
 		return fmt.Sprintf("fetch: %s: %s%s%s: %v", e.URL, e.Kind, detail, suffix, e.Err)
 	}
 	return fmt.Sprintf("fetch: %s: %s%s%s", e.URL, e.Kind, detail, suffix)

@@ -161,6 +161,24 @@ func TestStatusError(t *testing.T) {
 	}
 }
 
+// TestStatusErrorSaysItOnce: a status failure's message names the URL
+// and the status once each, and errors.As still finds both error types.
+func TestStatusErrorSaysItOnce(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	url := srv.URL + "/nosuch"
+	_, err := New(nil).Get(url)
+	var fe *Error
+	var se *StatusError
+	if !errors.As(err, &fe) || !errors.As(err, &se) {
+		t.Fatalf("err = %v; want both *Error and *StatusError", err)
+	}
+	msg := err.Error()
+	if strings.Count(msg, url) != 1 || strings.Count(msg, "404") != 1 {
+		t.Fatalf("message %q; want the URL and the status once each", msg)
+	}
+}
+
 func TestPostForm(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if err := r.ParseForm(); err != nil {

@@ -242,13 +242,13 @@ func qualityPass(ctx context.Context, page *fetch.Page, s *spec.Spec, o *buildOp
 	}
 
 	for _, root := range roots {
-		for rule, n := range quality.RepairAll(o.repairs, root) {
+		for _, r := range quality.RepairAll(o.repairs, root) {
 			if rep.repairs == nil {
 				rep.repairs = make(map[string]int)
 			}
-			rep.repairs[rule] += n
+			rep.repairs[r.Rule] += r.N
 			result.Notes = append(result.Notes,
-				fmt.Sprintf("quality: repair rule %s made %d fixes", rule, n))
+				fmt.Sprintf("quality: repair rule %s made %d fixes", r.Rule, r.N))
 		}
 	}
 

@@ -57,7 +57,7 @@ func newPersistRigSpec(t *testing.T, cfg Config, mutate func(*spec.Spec)) *persi
 func (rig *persistRig) start() {
 	t := rig.t
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: rig.storeDir, Fsync: store.FsyncAlways})
+	st, err := store.Open(store.Options{Dir: rig.storeDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,24 +375,31 @@ type subpageWireV1 struct {
 	AJAX        bool
 }
 
-func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
-	const navHTML = "<html><body><p>hi</p></body></html>"
-	old := bundleWireV1{
+// v1NavHTML is the nav subpage of v1Bundle.
+const v1NavHTML = "<html><body><p>hi</p></body></html>"
+
+// v1Bundle is a version-1 record with one AJAX subpage.
+func v1Bundle() bundleWireV1 {
+	return bundleWireV1{
 		Version: 1,
 		Site:    "sawdust",
 		Subpages: []subpageWireV1{{
 			Name:    "nav",
 			Title:   "Navigation",
-			DocHTML: []byte(navHTML),
+			DocHTML: []byte(v1NavHTML),
 			Region:  attr.Region{X: 1, Y: 2, W: 30, H: 40},
 			AJAX:    true,
 		}},
 		Notes: []string{"from v1"},
 		Files: []fileWireV1{
 			{Dir: "pages", Name: "main.html", Data: []byte("<html></html>"), Kind: "main"},
-			{Dir: "pages", Name: attr.SubpageFileName("nav"), Data: []byte(navHTML), Kind: "subpage"},
+			{Dir: "pages", Name: attr.SubpageFileName("nav"), Data: []byte(v1NavHTML), Kind: "subpage"},
 		},
 	}
+}
+
+func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
+	old := v1Bundle()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
 		t.Fatalf("encoding v1 record: %v", err)
@@ -406,7 +413,7 @@ func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
 		nav.Region != (attr.Region{X: 1, Y: 2, W: 30, H: 40}) {
 		t.Fatalf("v1 subpages mangled: %+v", got.subpages)
 	}
-	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != navHTML {
+	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != v1NavHTML {
 		t.Fatalf("v1 subpage page mangled: %+v", page)
 	}
 	if len(got.notes) != 1 || got.notes[0] != "from v1" {

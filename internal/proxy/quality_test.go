@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"net/http/cookiejar"
@@ -9,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"msite/internal/attr"
 	"msite/internal/cache"
+	"msite/internal/html"
 	"msite/internal/origin"
+	"msite/internal/quality"
 	"msite/internal/session"
 	"msite/internal/spec"
 )
@@ -268,5 +272,31 @@ func TestQualityRepairAttrServed(t *testing.T) {
 	if _, err := New(Config{Spec: sp, Sessions: sessions, Cache: cache.New()}); err == nil ||
 		!strings.Contains(err.Error(), "device") {
 		t.Fatalf("device-gated repair accepted: %v", err)
+	}
+}
+
+// TestQualityRepairNotesInRuleOrder: the build's repair pass over the
+// same page, 20 times with every rule, notes its repairs in one order,
+// the rules' own.
+func TestQualityRepairNotesInRuleOrder(t *testing.T) {
+	const page = `<html><head><title>t</title></head><body>
+<table width="1200"><tr><td><span style="font-size: 9px">tiny</span>
+<a href="/a">a</a> <a href="/b">b</a></td></tr></table></body></html>`
+	o := &buildOptions{repairs: quality.AllRules()}
+	orders := map[string]bool{}
+	for i := 0; i < 20; i++ {
+		result := &attr.Result{Doc: html.Tidy(page)}
+		if err := qualityPass(context.Background(), nil, nil, o, result, &buildReport{}); err != nil {
+			t.Fatal(err)
+		}
+		orders[strings.Join(result.Notes, "\n")] = true
+	}
+	if len(orders) != 1 {
+		t.Fatalf("20 repairs of one page gave %d note orders", len(orders))
+	}
+	for notes := range orders {
+		if strings.Count(notes, "repair rule") < 2 {
+			t.Fatalf("want several rules' notes to order, got %q", notes)
+		}
 	}
 }

@@ -122,16 +122,23 @@ func CheckAll(rules []Rule, root *dom.Node) []string {
 	return out
 }
 
-// RepairAll applies every rule to root and returns the per-rule repair
-// counts (rules that made no repairs are omitted).
-func RepairAll(rules []Rule, root *dom.Node) map[string]int {
-	counts := make(map[string]int)
+// Repair is one rule's fix count.
+type Repair struct {
+	Rule string
+	N    int
+}
+
+// RepairAll applies every rule to root and returns the repairs made, in
+// the rules' order (rules that made no repairs are omitted), so notes
+// built from them read the same from build to build.
+func RepairAll(rules []Rule, root *dom.Node) []Repair {
+	var out []Repair
 	for _, r := range rules {
 		if n := r.Apply(root); n > 0 {
-			counts[r.Name()] += n
+			out = append(out, Repair{r.Name(), n})
 		}
 	}
-	return counts
+	return out
 }
 
 // ---------------------------------------------------------------- viewport

@@ -32,10 +32,13 @@ func TestEveryRuleFiresAndRelintsClean(t *testing.T) {
 	if len(before) == 0 {
 		t.Fatal("broken page lints clean before repair")
 	}
-	counts := RepairAll(rules, doc)
-	for _, r := range rules {
-		if counts[r.Name()] == 0 {
-			t.Errorf("rule %s made no repairs on the broken page", r.Name())
+	repairs := RepairAll(rules, doc)
+	if len(repairs) != len(rules) {
+		t.Errorf("repairs = %v; want one from each of the %d rules", repairs, len(rules))
+	}
+	for i, r := range repairs {
+		if r.Rule != rules[i].Name() || r.N == 0 {
+			t.Errorf("repair %d = %+v; want rule %s with fixes, in the rules' order", i, r, rules[i].Name())
 		}
 	}
 	if after := CheckAll(rules, doc); len(after) != 0 {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 
 func openTest(t *testing.T, dir string, mut ...func(*Options)) *Store {
 	t.Helper()
-	o := Options{Dir: dir, Fsync: FsyncNever}
+	o := Options{Dir: dir}
 	for _, m := range mut {
 		m(&o)
 	}
@@ -44,7 +45,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestOverwriteAndDelete(t *testing.T) {
-	s := openTest(t, t.TempDir())
+	dir := t.TempDir()
+	s := openTest(t, dir)
 	if err := s.Put("k", []byte("v1"), "m1", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +57,17 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if !ok || string(data) != "v2" || mime != "m2" {
 		t.Fatalf("after overwrite Get = %q, %q, %v", data, mime, ok)
 	}
+	if files, _ := os.ReadDir(dir); len(files) != 1 {
+		t.Fatalf("an overwritten key left %d files; want 1", len(files))
+	}
 	if err := s.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, ok := s.Get("k"); ok {
 		t.Fatal("Get after Delete reported a hit")
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("Delete left %d files behind", len(files))
 	}
 	if err := s.Delete("k"); err != nil {
 		t.Fatalf("Delete of absent key: %v", err)
@@ -80,6 +88,9 @@ func TestTTLExpiry(t *testing.T) {
 	if _, _, _, ok := s.Get("k"); ok {
 		t.Fatal("expired record still served")
 	}
+	if s.Len() != 0 {
+		t.Fatalf("expired record still indexed: Len = %d", s.Len())
+	}
 }
 
 func TestReopenRecoversRecords(t *testing.T) {
@@ -99,11 +110,12 @@ func TestReopenRecoversRecords(t *testing.T) {
 
 	s2 := openTest(t, dir)
 	st := s2.Stats()
-	if st.RecoveredRecords != 20 {
-		t.Fatalf("recovered %d records; want 20", st.RecoveredRecords)
+	// The deleted record's file is gone, so 19 files are recovered.
+	if st.RecoveredRecords != 19 {
+		t.Fatalf("recovered %d records; want 19", st.RecoveredRecords)
 	}
 	if st.CorruptRecords != 0 {
-		t.Fatalf("corrupt %d records on a clean log", st.CorruptRecords)
+		t.Fatalf("corrupt %d records in a clean directory", st.CorruptRecords)
 	}
 	if s2.Len() != 19 {
 		t.Fatalf("Len = %d; want 19 (one deleted)", s2.Len())
@@ -146,124 +158,8 @@ func TestReopenDropsExpired(t *testing.T) {
 	if _, _, _, ok := s2.Get("long"); !ok {
 		t.Fatal("unexpired record lost on reopen")
 	}
-}
-
-func TestSegmentRoll(t *testing.T) {
-	s := openTest(t, t.TempDir(), func(o *Options) { o.SegmentMaxBytes = 256 })
-	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), make([]byte, 100), "m", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Segments < 2 {
-		t.Fatalf("segments = %d; want roll-over past 1", st.Segments)
-	}
-	for i := 0; i < 10; i++ {
-		if _, _, _, ok := s.Get(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("k%d unreadable after segment roll", i)
-		}
-	}
-}
-
-func TestByteBudgetEvictsLRU(t *testing.T) {
-	s := openTest(t, t.TempDir(), func(o *Options) { o.MaxBytes = 600 })
-	// ~150 bytes per record (frame + key/mime overhead); budget fits ~4.
-	for i := 0; i < 8; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), make([]byte, 100), "m", 0); err != nil {
-			t.Fatal(err)
-		}
-		// Keep k0 hot so eviction takes the cold middle keys instead.
-		if i >= 1 {
-			if _, _, _, ok := s.Get("k0"); !ok && i < 4 {
-				t.Fatalf("k0 evicted while budget still had room (i=%d)", i)
-			}
-		}
-	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no evictions despite exceeding the byte budget")
-	}
-	if st.LiveBytes > 600 {
-		t.Fatalf("live bytes %d exceed budget 600", st.LiveBytes)
-	}
-	if _, _, _, ok := s.Get("k0"); !ok {
-		t.Fatal("recently-accessed k0 was evicted before colder keys")
-	}
-	if _, _, _, ok := s.Get("k1"); ok {
-		t.Fatal("cold k1 survived while budget forced evictions")
-	}
-}
-
-func TestBudgetEnforcedOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir)
-	for i := 0; i < 8; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), make([]byte, 100), "m", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = s.Close()
-	s2 := openTest(t, dir, func(o *Options) { o.MaxBytes = 400 })
-	if s2.Bytes() > 400 {
-		t.Fatalf("open-time budget not enforced: %d live bytes", s2.Bytes())
-	}
-	// Scan order seeds the access clock, so the oldest-written keys go first.
-	if _, _, _, ok := s2.Get("k7"); !ok {
-		t.Fatal("newest record evicted at open before older ones")
-	}
-	if _, _, _, ok := s2.Get("k0"); ok {
-		t.Fatal("oldest record survived open-time budget enforcement")
-	}
-}
-
-func TestCompactionReclaimsDeadBytes(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, func(o *Options) {
-		o.SegmentMaxBytes = 512
-		o.CompactFraction = -1 // manual compaction only
-	})
-	// Write then overwrite everything so earlier segments are mostly dead.
-	val := func(round, i int) []byte {
-		return []byte(fmt.Sprintf("round-%d-%d-%s", round, i, string(make([]byte, 100))))
-	}
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 6; i++ {
-			if err := s.Put(fmt.Sprintf("k%d", i), val(round, i), "m", 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before := s.Stats()
-	if before.Segments < 3 {
-		t.Fatalf("expected several segments before compaction, got %d", before.Segments)
-	}
-	moved, err := s.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	after := s.Stats()
-	if after.Segments >= before.Segments {
-		t.Fatalf("compaction did not remove segments: %d -> %d (moved %d)", before.Segments, after.Segments, moved)
-	}
-	for i := 0; i < 6; i++ {
-		data, _, _, ok := s.Get(fmt.Sprintf("k%d", i))
-		if !ok || string(data) != string(val(3, i)) {
-			t.Fatalf("k%d lost or stale after compaction: %q, %v", i, data, ok)
-		}
-	}
-	// On-disk files must match the in-memory segment list.
-	files, _ := filepath.Glob(filepath.Join(dir, "seg-*.log"))
-	if len(files) != after.Segments {
-		t.Fatalf("disk has %d segment files, store reports %d", len(files), after.Segments)
-	}
-	// And a reopen must see the compacted state.
-	_ = s.Close()
-	s2 := openTest(t, dir)
-	for i := 0; i < 6; i++ {
-		data, _, _, ok := s2.Get(fmt.Sprintf("k%d", i))
-		if !ok || string(data) != string(val(3, i)) {
-			t.Fatalf("k%d wrong after compact+reopen: %q, %v", i, data, ok)
-		}
+	if _, err := os.Stat(filepath.Join(dir, fileName("short"))); !os.IsNotExist(err) {
+		t.Fatalf("expired record file not deleted at open: %v", err)
 	}
 }
 
@@ -278,13 +174,35 @@ func TestKeysRecentFirst(t *testing.T) {
 		t.Fatal("Get(a)")
 	}
 	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "a" {
-		t.Fatalf("Keys = %v; want a first", keys)
+	if len(keys) != 3 || keys[0] != "a" || keys[1] != "c" || keys[2] != "b" {
+		t.Fatalf("Keys = %v; want [a c b]", keys)
+	}
+}
+
+// TestKeysOrderSurvivesReopen: Open seeds the access order from the
+// record files' mtimes, newest first.
+func TestKeysOrderSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	base := time.Now().Add(-time.Hour)
+	for i, k := range []string{"old", "mid", "new"} {
+		if err := s.Put(k, []byte(k), "m", 0); err != nil {
+			t.Fatal(err)
+		}
+		mtime := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(filepath.Join(dir, fileName(k)), mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = s.Close()
+	keys := openTest(t, dir).Keys()
+	if len(keys) != 3 || keys[0] != "new" || keys[2] != "old" {
+		t.Fatalf("Keys after reopen = %v; want [new mid old]", keys)
 	}
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	s := openTest(t, t.TempDir(), func(o *Options) { o.Fsync = FsyncInterval })
+	s := openTest(t, t.TempDir())
 	if err := s.Put("k", []byte("v"), "m", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -302,43 +220,22 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestFsyncAlwaysSurvivesUncleanAbandon(t *testing.T) {
+// TestPutSurvivesUncleanAbandon: a Put that returned is on disk, so a
+// store abandoned without Close (the in-process stand-in for SIGKILL)
+// loses nothing.
+func TestPutSurvivesUncleanAbandon(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, func(o *Options) { o.Fsync = FsyncAlways })
+	s := openTest(t, dir)
 	for i := 0; i < 5; i++ {
 		if err := s.Put(fmt.Sprintf("k%d", i), []byte("committed"), "m", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// SIGKILL-equivalent: no Close, just reopen the directory.
+	// No Close: just reopen the directory.
 	s2 := openTest(t, dir)
 	for i := 0; i < 5; i++ {
 		if _, _, _, ok := s2.Get(fmt.Sprintf("k%d", i)); !ok {
 			t.Fatalf("committed record k%d lost without clean shutdown", i)
-		}
-	}
-}
-
-func TestParseFsync(t *testing.T) {
-	cases := map[string]FsyncPolicy{
-		"":         FsyncInterval,
-		"interval": FsyncInterval,
-		"always":   FsyncAlways,
-		"ALWAYS":   FsyncAlways,
-		"never":    FsyncNever,
-	}
-	for in, want := range cases {
-		got, err := ParseFsync(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFsync(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseFsync("sometimes"); err == nil {
-		t.Error("ParseFsync accepted an unknown policy")
-	}
-	for _, p := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
-		if rt, err := ParseFsync(p.String()); err != nil || rt != p {
-			t.Errorf("round-trip of %v failed: %v, %v", p, rt, err)
 		}
 	}
 }
@@ -384,8 +281,46 @@ func TestOpenEmptyDirAndMissingDir(t *testing.T) {
 	}
 }
 
+// TestHostileKeyStaysInDir: a key is hashed into its file name, so a
+// key shaped like a path writes nothing outside the store's directory.
+func TestHostileKeyStaysInDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	s := openTest(t, dir)
+	key := "ajax:../../escape?p=/etc/passwd"
+	if err := s.Put(key, []byte("v"), "m", 0); err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := os.ReadDir(root); len(files) != 1 {
+		t.Fatalf("a path-shaped key wrote outside the store: %v", files)
+	}
+	if data, _, _, ok := s.Get(key); !ok || string(data) != "v" {
+		t.Fatalf("Get(%q) = %q, %v", key, data, ok)
+	}
+}
+
+// TestOldSegmentsIgnored: segment logs written by older binaries are
+// neither read nor deleted; the store starts empty beside them.
+func TestOldSegmentsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg-0000000000000000.log")
+	if err := os.WriteFile(seg, []byte("MSITESG1 old log bytes"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := openTest(t, dir)
+	if st := s.Stats(); st.Records != 0 || st.CorruptRecords != 0 {
+		t.Fatalf("old segment counted: %+v", st)
+	}
+	if err := s.Put("k", []byte("v"), "m", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(seg); err != nil {
+		t.Fatalf("old segment touched: %v", err)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
-	s := openTest(t, t.TempDir(), func(o *Options) { o.SegmentMaxBytes = 4096 })
+	s := openTest(t, t.TempDir())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -413,94 +348,52 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestTouchExtendsExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s := openTest(t, t.TempDir(), func(o *Options) { o.Clock = clock })
-	if err := s.Put("k", []byte("v"), "m", time.Minute); err != nil {
-		t.Fatal(err)
+// TestConcurrentPutsOfOneKeyNeverMix races Puts of one key, each record
+// self-describing (every data byte and the MIME name the writer),
+// against Gets and Deletes. A Get serves one whole record or misses,
+// and a Get that loses to a Delete is a miss, not corruption.
+func TestConcurrentPutsOfOneKeyNeverMix(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	const writers, rounds = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			data := bytes.Repeat([]byte{byte('a' + w)}, 4096+w*1000)
+			for i := 0; i < rounds; i++ {
+				if err := s.Put("k", data, string(rune('a'+w)), 0); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+			}
+		}(w)
 	}
-	if !s.Touch("k", time.Hour) {
-		t.Fatal("Touch of live record returned false")
-	}
-	// Past the original TTL but inside the touched one.
-	now = now.Add(30 * time.Minute)
-	if _, _, _, ok := s.Get("k"); !ok {
-		t.Fatal("record expired despite touch")
-	}
-	if s.Touch("missing", time.Hour) {
-		t.Fatal("Touch of absent key returned true")
-	}
-	// Past the touched TTL the record is gone, and a touch then fails.
-	now = now.Add(2 * time.Hour)
-	if s.Touch("k", time.Hour) {
-		t.Fatal("Touch of expired record returned true")
-	}
-	if _, _, _, ok := s.Get("k"); ok {
-		t.Fatal("expired record still served")
-	}
-}
-
-func TestTouchSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s := openTest(t, dir, func(o *Options) { o.Clock = clock })
-	if err := s.Put("k", []byte("v"), "m", time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Touch("k", time.Hour) {
-		t.Fatal("Touch failed")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The recovery scan must replay the touch over the put.
-	now = now.Add(30 * time.Minute)
-	s2 := openTest(t, dir, func(o *Options) { o.Clock = clock })
-	if _, _, _, ok := s2.Get("k"); !ok {
-		t.Fatal("touched expiry lost across reopen")
-	}
-}
-
-func TestTouchSurvivesCompaction(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	// Tiny segments so the put's segment seals and compacts.
-	s := openTest(t, dir, func(o *Options) {
-		o.Clock = clock
-		o.SegmentMaxBytes = 256
-		o.CompactFraction = -1 // compact only on demand
-	})
-	if err := s.Put("k", []byte("keep"), "m", time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Filler rolls the segment and leaves dead weight behind.
-	for i := 0; i < 8; i++ {
-		key := fmt.Sprintf("fill%d", i)
-		if err := s.Put(key, make([]byte, 64), "m", 0); err != nil {
-			t.Fatal(err)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writers*rounds; i++ {
+			data, mime, _, ok := s.Get("k")
+			if !ok {
+				continue
+			}
+			if len(mime) != 1 || !bytes.Equal(data, bytes.Repeat([]byte(mime), 4096+int(mime[0]-'a')*1000)) {
+				t.Errorf("Get served a mix: mime %q, %d bytes", mime, len(data))
+				return
+			}
 		}
-		if err := s.Delete(key); err != nil {
-			t.Fatal(err)
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := s.Delete("k"); err != nil {
+				t.Errorf("Delete: %v", err)
+				return
+			}
 		}
-	}
-	if !s.Touch("k", time.Hour) {
-		t.Fatal("Touch failed")
-	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Compaction moved the put after the touch in log order; the moved
-	// copy must carry the touched expiry or recovery resurrects the old
-	// one.
-	now = now.Add(30 * time.Minute)
-	s2 := openTest(t, dir, func(o *Options) { o.Clock = clock })
-	if _, _, _, ok := s2.Get("k"); !ok {
-		t.Fatal("touched expiry lost across compaction + reopen")
+	}()
+	wg.Wait()
+	if st := s.Stats(); st.CorruptRecords != 0 {
+		t.Fatalf("races counted %d corrupt records", st.CorruptRecords)
 	}
 }
