@@ -30,7 +30,6 @@ import (
 	"msite/internal/fetch"
 	"msite/internal/html"
 	"msite/internal/imaging"
-	"msite/internal/jq"
 	"msite/internal/layout"
 	"msite/internal/origin"
 	"msite/internal/progressive"
@@ -203,8 +202,8 @@ func BenchmarkFigure5LoginAdaptation(b *testing.B) {
 }
 
 // BenchmarkFigure6FragmentExtraction measures the §4.5 proxy action:
-// fetch the classified ad page and extract #postingbody with server-side
-// jQuery.
+// fetch the classified ad page and extract #postingbody with
+// css.Select.
 func BenchmarkFigure6FragmentExtraction(b *testing.B) {
 	classifieds := origin.NewClassifieds(origin.DefaultClassifiedsConfig())
 	srv := httptest.NewServer(classifieds.Handler())
@@ -218,8 +217,8 @@ func BenchmarkFigure6FragmentExtraction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		doc := html.Tidy(src)
-		sel := jq.Select(doc, "#postingbody")
-		if sel.Len() != 1 || sel.OuterHtml() == "" {
+		sel, _ := css.Select(doc, "#postingbody")
+		if len(sel) != 1 || html.Render(sel[0]) == "" {
 			b.Fatal("no fragment")
 		}
 	}

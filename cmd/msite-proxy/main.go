@@ -52,7 +52,6 @@ func run() error {
 	fetchRetries := flag.Int("fetch-retries", 2, "retries per idempotent origin GET after transient failures (0 = none)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive origin failures that trip a circuit breaker (0 = default 5, negative = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker rejects before re-probing (0 = default 5s)")
-	serveStale := flag.Bool("serve-stale", true, "serve a session's previous adaptation when the origin is unreachable")
 	maxAdapt := flag.Int("max-concurrent-adaptations", 0, "adaptation pipelines allowed to run at once; excess waits in a bounded queue or is shed with 503 (0 = unlimited)")
 	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length behind -max-concurrent-adaptations (0 = 4x concurrency, negative = no queue)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client requests/second budget, 429 + Retry-After past the burst (0 = unlimited)")
@@ -80,7 +79,6 @@ func run() error {
 		FetchRetries:     *fetchRetries,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		ServeStale:       *serveStale,
 
 		MaxConcurrentAdaptations: *maxAdapt,
 		AdmissionQueue:           *admissionQueue,

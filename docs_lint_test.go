@@ -98,7 +98,7 @@ var subsystemDocs = []struct {
 		doc: "RESILIENCE.md",
 		flags: []string{
 			"-fetch-timeout", "-fetch-retries", "-breaker-threshold",
-			"-breaker-cooldown", "-serve-stale",
+			"-breaker-cooldown",
 		},
 		metrics: []string{
 			"msite_fetch_retries_total", "msite_breaker_state",
@@ -382,9 +382,9 @@ func TestKnobCeiling(t *testing.T) {
 		knob           string
 		count, ceiling int
 	}{
-		{"`core.Config` fields", len(coreConfigFields(t)), 18},
-		{"`msite-proxy` flags", len(proxyFlagNames(t)), 22},
-		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 15},
+		{"`core.Config` fields", len(coreConfigFields(t)), 17},
+		{"`msite-proxy` flags", len(proxyFlagNames(t)), 21},
+		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 14},
 	} {
 		t.Logf("| %s | %d | %d |", k.knob, k.count, k.ceiling)
 		if k.count > k.ceiling {

@@ -5,8 +5,8 @@
 // two panes — the listing on the left, the selected ad on the right —
 // by rewriting each ad link into a proxy action; clicking dispatches an
 // asynchronous call the proxy satisfies by fetching the ad page,
-// extracting #postingbody with server-side jQuery, and returning the
-// fragment.
+// extracting #postingbody (the action's extract selector, found with
+// css.Select), and returning the fragment.
 //
 // Run: go run ./examples/craigslist-ajax
 package main

@@ -2,8 +2,8 @@
 // keeping a remote browser per client, the proxy rewrites the
 // asynchronous calls embedded in origin markup into static calls of the
 // form proxy?action=N&p=M, and registers a server-side handler per
-// action that fetches the origin resource, massages the response with
-// server-side jQuery, and returns the fragment as the AJAX response.
+// action that fetches the origin resource, extracts the fragment its
+// selector names, and returns the fragment as the AJAX response.
 package ajax
 
 import (
@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"msite/internal/cache"
+	"msite/internal/css"
 	"msite/internal/dom"
 	"msite/internal/fetch"
 	"msite/internal/html"
-	"msite/internal/jq"
 	"msite/internal/spec"
 )
 
@@ -199,8 +199,9 @@ func (d *Dispatcher) DispatchContext(ctx context.Context, f *fetch.Fetcher, id i
 	return e.Data, nil
 }
 
-// extractFragment applies the Extract selector through server-side
-// jQuery. An empty selector returns the page body's inner HTML.
+// extractFragment returns the outer HTML of the first element the
+// Extract selector list matches. An empty selector returns the page
+// body's inner HTML.
 func extractFragment(pageHTML, selector string) (string, error) {
 	doc := html.Tidy(pageHTML)
 	if selector == "" {
@@ -214,14 +215,14 @@ func extractFragment(pageHTML, selector string) (string, error) {
 		}
 		return b.String(), nil
 	}
-	sel := jq.Select(doc, selector)
-	if err := sel.Err(); err != nil {
+	nodes, err := css.Select(doc, selector)
+	if err != nil {
 		return "", err
 	}
-	if sel.Len() == 0 {
+	if len(nodes) == 0 {
 		return "", fmt.Errorf("extract selector %q matched nothing", selector)
 	}
-	return sel.OuterHtml(), nil
+	return html.Render(nodes[0]), nil
 }
 
 // substituteParam replaces $1 (and $2..$9, all with the same single

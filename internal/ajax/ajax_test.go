@@ -185,6 +185,28 @@ func TestDispatchExtractNoMatch(t *testing.T) {
 	}
 }
 
+// TestExtractFragment: extract serves the outer HTML of the first node
+// its selector list matches, in document order; a selector that matches
+// nothing or does not parse is an error.
+func TestExtractFragment(t *testing.T) {
+	const page = `<html><body><div class="post" id="a"><p>first <b>post</b></p></div><p id="b">second</p></body></html>`
+	cases := []struct {
+		selector, want string
+		wantErr        bool
+	}{
+		{selector: ".post", want: `<div class="post" id="a"><p>first <b>post</b></p></div>`},
+		{selector: "#b, .post p", want: `<p>first <b>post</b></p>`},
+		{selector: "#missing", wantErr: true},
+		{selector: "p[", wantErr: true},
+	}
+	for _, c := range cases {
+		got, err := extractFragment(page, c.selector)
+		if (err != nil) != c.wantErr || got != c.want {
+			t.Errorf("extractFragment(%q) = %q, %v; want %q (error %v)", c.selector, got, err, c.want, c.wantErr)
+		}
+	}
+}
+
 func TestSubstituteParam(t *testing.T) {
 	if got := substituteParam("http://o/p?id=$1&x=$1", "a/b"); got != "http://o/p?id=a%2Fb&x=a%2Fb" {
 		t.Fatalf("got %q", got)

@@ -18,14 +18,13 @@ import (
 	"msite/internal/ajax"
 	"msite/internal/css"
 	"msite/internal/dom"
+	"msite/internal/html"
 	"msite/internal/imaging"
-	"msite/internal/jq"
 	"msite/internal/layout"
 	"msite/internal/progressive"
 	"msite/internal/quality"
 	"msite/internal/raster"
 	"msite/internal/spec"
-	"msite/internal/xpath"
 )
 
 // Region is a pixel rectangle in the original page layout.
@@ -181,9 +180,9 @@ func (a *Applier) Apply(sp *spec.Spec, doc *dom.Node) (*Result, error) {
 	// Pass A: locate every object.
 	located := make(map[string][]*dom.Node, len(sp.Objects))
 	for _, obj := range sp.Objects {
-		nodes, err := locate(doc, obj)
+		nodes, err := obj.Locate(doc)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("attr: object %q: %w", obj.Name, err)
 		}
 		if len(nodes) == 0 {
 			res.Notes = append(res.Notes, fmt.Sprintf("object %q matched nothing", obj.Name))
@@ -399,22 +398,6 @@ func (a *Applier) attachChildMap(parent *Subpage, children []*Subpage, scale flo
 	img.InsertAfter(imageMap)
 }
 
-// locate resolves an object's nodes by CSS selector or XPath.
-func locate(doc *dom.Node, obj spec.Object) ([]*dom.Node, error) {
-	if obj.Selector != "" {
-		sel := jq.Select(doc, obj.Selector)
-		if err := sel.Err(); err != nil {
-			return nil, fmt.Errorf("attr: object %q: %w", obj.Name, err)
-		}
-		return sel.Nodes(), nil
-	}
-	expr, err := xpath.Compile(obj.XPath)
-	if err != nil {
-		return nil, fmt.Errorf("attr: object %q: %w", obj.Name, err)
-	}
-	return expr.Select(doc), nil
-}
-
 // applyEnv carries the shared state of the attribute pass.
 type applyEnv struct {
 	res      *Result
@@ -457,17 +440,24 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 		}
 
 	case spec.AttrHide:
+		// Hidden "via CSS style properties" (§3.2).
 		for _, n := range nodes {
-			jq.Wrap(n.Root(), n).Hide()
+			style := n.AttrOr("style", "")
+			if style != "" && !strings.HasSuffix(strings.TrimSpace(style), ";") {
+				style += "; "
+			}
+			n.SetAttr("style", style+"display: none")
 		}
 
 	case spec.AttrReplace:
 		if markup := at.Param("html", ""); markup != "" {
 			for _, n := range nodes {
-				if n.Parent == nil {
+				parent, next := n.Parent, n.NextSibling
+				if parent == nil {
 					continue
 				}
-				jq.Wrap(n.Root(), n).ReplaceWith(markup)
+				n.Detach()
+				insertMarkup(parent, next, markup)
 			}
 			return nil
 		}
@@ -483,12 +473,14 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 		target := at.Param("target", "")
 		position := at.Param("position", "append")
 		for _, n := range nodes {
-			dest := jq.Select(n.Root(), target).First()
-			if dest == nil {
+			// A target that does not parse matches nothing.
+			found, _ := css.Select(n.Root(), target)
+			if len(found) == 0 {
 				res.Notes = append(res.Notes,
 					fmt.Sprintf("object %q: relocate target %q not found", obj.Name, target))
 				continue
 			}
+			dest := found[0]
 			// before/after need a parent to splice into; a target resolving
 			// to the document (or a detached) root has none.
 			if dest.Parent == nil && (position == "before" || position == "after") {
@@ -514,17 +506,19 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 		markup := at.Param("html", "")
 		position := at.Param("position", "append")
 		for _, n := range nodes {
-			sel := jq.Wrap(n.Root(), n)
+			parent, ref := n, (*dom.Node)(nil)
 			switch position {
 			case "before":
-				sel.Before(markup)
+				parent, ref = n.Parent, n
 			case "after":
-				sel.After(markup)
+				parent, ref = n.Parent, n.NextSibling
 			case "prepend":
-				sel.Prepend(markup)
-			default:
-				sel.Append(markup)
+				ref = n.FirstChild
 			}
+			if parent == nil {
+				continue
+			}
+			insertMarkup(parent, ref, markup)
 		}
 
 	case spec.AttrInsertJS:
@@ -686,6 +680,14 @@ func setAttrDeep(n *dom.Node, key, val string) {
 	}
 }
 
+// insertMarkup parses markup and inserts its fragments, in order, as
+// children of parent before ref (at the end when ref is nil).
+func insertMarkup(parent, ref *dom.Node, markup string) {
+	for _, frag := range html.ParseFragment(markup) {
+		parent.InsertBefore(frag, ref)
+	}
+}
+
 // applyCopyOverrides applies copy-to's set-attr/set-value/within params
 // to a cloned subtree.
 func applyCopyOverrides(clone *dom.Node, at spec.Attribute) {
@@ -695,7 +697,9 @@ func applyCopyOverrides(clone *dom.Node, at spec.Attribute) {
 	}
 	val := at.Param("set-value", "")
 	if within := at.Param("within", ""); within != "" {
-		for _, n := range jq.Select(clone, within).Nodes() {
+		// A within selector that does not parse matches nothing.
+		found, _ := css.Select(clone, within)
+		for _, n := range found {
 			n.SetAttr(key, val)
 		}
 		return

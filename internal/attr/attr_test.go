@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"msite/internal/css"
 	"msite/internal/html"
 	"msite/internal/imaging"
-	"msite/internal/jq"
 	"msite/internal/spec"
 )
 
@@ -612,10 +612,10 @@ func TestCustomURLFuncs(t *testing.T) {
 	}
 }
 
-func TestJQIntegrationAfterApply(t *testing.T) {
-	// The adapted doc must remain a consistent DOM usable by jq.
+func TestAdaptedDocSelectable(t *testing.T) {
+	// The adapted doc must remain a consistent DOM for further selection.
 	res := apply(t, loginSpec(), forumPage)
-	if jq.Select(res.Doc, "#forums tr").Len() != 2 {
+	if rows, _ := css.Select(res.Doc, "#forums tr"); len(rows) != 2 {
 		t.Fatal("adapted doc broken for further selection")
 	}
 }

@@ -4,10 +4,10 @@
 // single-flight filling so concurrent requests for a cold key trigger
 // exactly one render.
 //
-// The cache is sharded: keys hash (FNV-1a) onto 32 independent shards,
-// each with its own lock, entry map, single-flight table, and LRU list,
-// so concurrent sessions on a multi-core proxy never funnel through one
-// mutex. An optional byte budget (MaxBytes) evicts least-recently-used
+// One mutex guards one entry map and one LRU list: every hot key is a
+// single key (a site's snapshot, a bundle), so splitting the key space
+// across locks would spread no contention. An optional byte budget
+// (MaxBytes) bounds the whole cache and evicts least-recently-used
 // entries, and an optional background sweeper collects expired entries
 // between requests; Close stops it.
 package cache
@@ -19,11 +19,6 @@ import (
 
 	"msite/internal/obs"
 )
-
-// numShards is the shard count. A power of two keeps the index a mask;
-// 32 is far above any realistic core count, so two hot keys rarely
-// share a lock.
-const numShards = 32
 
 // slotOverhead approximates the per-entry bookkeeping bytes charged
 // against MaxBytes on top of the payload itself.
@@ -54,12 +49,12 @@ type Options struct {
 	SweepInterval time.Duration
 }
 
-// Cache is a sharded TTL+LRU key-value cache, safe for concurrent use.
+// Cache is a TTL+LRU key-value cache, safe for concurrent use.
 // The zero value is not usable; call New, NewWithClock, or
 // NewWithOptions.
 type Cache struct {
 	clock    func() time.Time
-	maxBytes int64 // per-shard budget is maxBytes/numShards
+	maxBytes int64
 
 	// Counters are atomic so Stats() snapshots (and metric scrapes)
 	// never contend with the serving hot path.
@@ -72,28 +67,22 @@ type Cache struct {
 	// obsHook is set once by SetObs before serving begins.
 	obsHook atomic.Pointer[cacheObs]
 
-	shards [numShards]shard
-
-	sweepStop chan struct{}
-	sweepDone chan struct{}
-	closeOnce sync.Once
-}
-
-// shard is one independently locked slice of the key space.
-type shard struct {
 	mu      sync.Mutex
 	entries map[string]*slot
 	// lruHead/lruTail form the intrusive recency list of resident
 	// (filled, unexpired-or-not-yet-swept) slots; head is most recent.
 	lruHead *slot
 	lruTail *slot
-	bytes   int64
+
+	sweepStop chan struct{}
+	sweepDone chan struct{}
+	closeOnce sync.Once
 }
 
 // slot is one cache slot: either resident (entry valid, on the LRU
 // list) or pending (a single-flight fill in progress; waiters block on
 // the channel). After the pending channel closes, entry/fillErr are
-// immutable and readable without the shard lock.
+// immutable and readable without the cache lock.
 type slot struct {
 	key     string
 	entry   Entry
@@ -134,10 +123,7 @@ func NewWithOptions(o Options) *Cache {
 	if clock == nil {
 		clock = time.Now
 	}
-	c := &Cache{clock: clock, maxBytes: o.MaxBytes}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*slot)
-	}
+	c := &Cache{clock: clock, maxBytes: o.MaxBytes, entries: make(map[string]*slot)}
 	if o.SweepInterval > 0 {
 		c.sweepStop = make(chan struct{})
 		c.sweepDone = make(chan struct{})
@@ -223,106 +209,84 @@ func (c *Cache) markEvict(expired bool) {
 	}
 }
 
-// shardFor hashes key (FNV-1a, 32-bit) onto its shard.
-func (c *Cache) shardFor(key string) *shard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &c.shards[h&(numShards-1)]
-}
+// --- intrusive LRU list (caller holds c.mu) ---
 
-// --- intrusive LRU list (caller holds sh.mu) ---
-
-func (sh *shard) lruPushFront(s *slot) {
+func (c *Cache) lruPushFront(s *slot) {
 	s.prev = nil
-	s.next = sh.lruHead
-	if sh.lruHead != nil {
-		sh.lruHead.prev = s
+	s.next = c.lruHead
+	if c.lruHead != nil {
+		c.lruHead.prev = s
 	}
-	sh.lruHead = s
-	if sh.lruTail == nil {
-		sh.lruTail = s
+	c.lruHead = s
+	if c.lruTail == nil {
+		c.lruTail = s
 	}
 }
 
-func (sh *shard) lruRemove(s *slot) {
+func (c *Cache) lruRemove(s *slot) {
 	if s.prev != nil {
 		s.prev.next = s.next
-	} else if sh.lruHead == s {
-		sh.lruHead = s.next
+	} else if c.lruHead == s {
+		c.lruHead = s.next
 	}
 	if s.next != nil {
 		s.next.prev = s.prev
-	} else if sh.lruTail == s {
-		sh.lruTail = s.prev
+	} else if c.lruTail == s {
+		c.lruTail = s.prev
 	}
 	s.prev, s.next = nil, nil
 }
 
-func (sh *shard) lruTouch(s *slot) {
-	if sh.lruHead == s {
+func (c *Cache) lruTouch(s *slot) {
+	if c.lruHead == s {
 		return
 	}
-	sh.lruRemove(s)
-	sh.lruPushFront(s)
+	c.lruRemove(s)
+	c.lruPushFront(s)
 }
 
 // insertResident makes s the resident slot for its key, accounting
-// bytes and evicting over-budget LRU entries. Caller holds sh.mu.
-func (c *Cache) insertResident(sh *shard, s *slot) {
-	if old, ok := sh.entries[s.key]; ok && old.pending == nil {
-		sh.removeResident(c, old)
+// bytes and evicting over-budget LRU entries. Caller holds c.mu.
+func (c *Cache) insertResident(s *slot) {
+	if old, ok := c.entries[s.key]; ok && old.pending == nil {
+		c.removeResident(old)
 	}
-	sh.entries[s.key] = s
-	sh.lruPushFront(s)
-	sh.bytes += s.size
+	c.entries[s.key] = s
+	c.lruPushFront(s)
 	c.bytes.Add(s.size)
-	c.evictOverBudget(sh)
+	c.evictOverBudget()
 }
 
 // removeResident drops a resident slot from the map, the LRU list, and
-// the byte accounting. Caller holds sh.mu.
-func (sh *shard) removeResident(c *Cache, s *slot) {
-	delete(sh.entries, s.key)
-	sh.lruRemove(s)
-	sh.bytes -= s.size
+// the byte accounting. Caller holds c.mu.
+func (c *Cache) removeResident(s *slot) {
+	delete(c.entries, s.key)
+	c.lruRemove(s)
 	c.bytes.Add(-s.size)
 }
 
 // evictOverBudget evicts least-recently-used resident entries until the
-// shard is within its slice of MaxBytes. Caller holds sh.mu.
-func (c *Cache) evictOverBudget(sh *shard) {
+// cache is within MaxBytes. Caller holds c.mu.
+func (c *Cache) evictOverBudget() {
 	if c.maxBytes <= 0 {
 		return
 	}
-	budget := c.maxBytes / numShards
-	if budget < 1 {
-		budget = 1
-	}
-	for sh.bytes > budget && sh.lruTail != nil {
-		victim := sh.lruTail
-		sh.removeResident(c, victim)
+	for c.bytes.Load() > c.maxBytes && c.lruTail != nil {
+		c.removeResident(c.lruTail)
 		c.markEvict(false)
 	}
 }
 
 // Get returns the entry for key if present and unexpired.
 func (c *Cache) Get(key string) (Entry, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.entries[key]
 	if !ok || s.pending != nil || c.clock().After(s.expires) {
 		c.markMiss()
 		return Entry{}, false
 	}
-	sh.lruTouch(s)
+	c.lruTouch(s)
 	c.markHit()
 	return s.entry, true
 }
@@ -333,16 +297,15 @@ func (c *Cache) Put(key string, e Entry, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
-	sh := c.shardFor(key)
 	s := &slot{key: key, entry: e, expires: c.clock().Add(ttl), size: e.size()}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.entries[key]; ok && old.pending != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.entries[key]; ok && old.pending != nil {
 		// A fill is in flight for this key; let it finish (its waiters
 		// hold its slot pointer) and overwrite the map entry directly.
-		delete(sh.entries, key)
+		delete(c.entries, key)
 	}
-	c.insertResident(sh, s)
+	c.insertResident(s)
 }
 
 // GetOrFill returns the cached entry, or runs fill exactly once across
@@ -351,14 +314,13 @@ func (c *Cache) Put(key string, e Entry, ttl time.Duration) {
 // fill leaves nothing behind. With ttl <= 0 the fill result is returned
 // but not stored.
 func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() (Entry, error)) (Entry, error) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if s, ok := sh.entries[key]; ok {
+	c.mu.Lock()
+	if s, ok := c.entries[key]; ok {
 		if s.pending == nil && !c.clock().After(s.expires) {
-			sh.lruTouch(s)
+			c.lruTouch(s)
 			c.markHit()
 			entry := s.entry
-			sh.mu.Unlock()
+			c.mu.Unlock()
 			return entry, nil
 		}
 		if s.pending != nil {
@@ -366,7 +328,7 @@ func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() (Entry, err
 			// filler publishes entry/fillErr before closing the
 			// channel, so no re-lookup (and no re-fill loop) is needed.
 			wait := s.pending
-			sh.mu.Unlock()
+			c.mu.Unlock()
 			<-wait
 			if s.fillErr != nil {
 				return Entry{}, s.fillErr
@@ -375,101 +337,93 @@ func (c *Cache) GetOrFill(key string, ttl time.Duration, fill func() (Entry, err
 			return s.entry, nil
 		}
 		// Expired resident entry: drop it and refill below.
-		sh.removeResident(c, s)
+		c.removeResident(s)
 		c.markEvict(true)
 	}
 	// We are the filler.
 	c.markMiss()
 	pend := &slot{key: key, pending: make(chan struct{})}
-	sh.entries[key] = pend
-	sh.mu.Unlock()
+	c.entries[key] = pend
+	c.mu.Unlock()
 
 	fillStart := time.Now()
 	entry, err := fill()
 	c.markFill(time.Since(fillStart))
 
 	done := pend.pending
-	sh.mu.Lock()
+	c.mu.Lock()
 	if err != nil {
 		pend.fillErr = err
 		// Eagerly release the errored slot: waiters carry the slot
 		// pointer, so nothing dead lingers in the map (previously a
 		// failed fill with no waiters leaked its slot until the next
 		// touch of the key).
-		if sh.entries[key] == pend {
-			delete(sh.entries, key)
+		if c.entries[key] == pend {
+			delete(c.entries, key)
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		close(done)
 		return Entry{}, err
 	}
 	pend.entry = entry
 	pend.size = entry.size()
-	if ttl > 0 && sh.entries[key] == pend {
+	if ttl > 0 && c.entries[key] == pend {
 		// Transition pending -> resident (unless Delete/Purge removed
 		// the key mid-fill, in which case the result is returned but
 		// not cached).
 		pend.expires = c.clock().Add(ttl)
 		pend.pending = nil
-		delete(sh.entries, key)
-		c.insertResident(sh, pend)
-	} else if sh.entries[key] == pend {
-		delete(sh.entries, key)
+		delete(c.entries, key)
+		c.insertResident(pend)
+	} else if c.entries[key] == pend {
+		delete(c.entries, key)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(done)
 	return entry, nil
 }
 
 // Delete removes a key.
 func (c *Cache) Delete(key string) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.entries[key]
 	if !ok {
 		return
 	}
 	if s.pending != nil {
-		delete(sh.entries, key)
+		delete(c.entries, key)
 		return
 	}
-	sh.removeResident(c, s)
+	c.removeResident(s)
 }
 
 // Purge removes every entry.
 func (c *Cache) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.entries {
-			if s.pending == nil {
-				c.bytes.Add(-s.size)
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.entries {
+		if s.pending == nil {
+			c.bytes.Add(-s.size)
 		}
-		sh.entries = make(map[string]*slot)
-		sh.lruHead, sh.lruTail = nil, nil
-		sh.bytes = 0
-		sh.mu.Unlock()
 	}
+	c.entries = make(map[string]*slot)
+	c.lruHead, c.lruTail = nil, nil
 }
 
 // Sweep removes expired entries and returns how many were evicted. The
 // background sweeper (Options.SweepInterval) calls this on its tick.
 func (c *Cache) Sweep() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		now := c.clock()
-		for _, s := range sh.entries {
-			if s.pending == nil && now.After(s.expires) {
-				sh.removeResident(c, s)
-				c.markEvict(true)
-				n++
-			}
+	now := c.clock()
+	for _, s := range c.entries {
+		if s.pending == nil && now.After(s.expires) {
+			c.removeResident(s)
+			c.markEvict(true)
+			n++
 		}
-		sh.mu.Unlock()
 	}
 	return n
 }
@@ -477,14 +431,9 @@ func (c *Cache) Sweep() int {
 // Len returns the number of stored entries (including expired ones not
 // yet swept).
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // Bytes returns the resident payload bytes currently accounted against
@@ -500,7 +449,7 @@ type Stats struct {
 	Bytes     int64
 }
 
-// Stats returns a snapshot of the counters without taking any shard
+// Stats returns a snapshot of the counters without taking the cache
 // lock (the counters are atomic).
 func (c *Cache) Stats() Stats {
 	return Stats{

@@ -2,36 +2,15 @@ package cache
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
 
-// sameShardKeys returns n distinct keys that all hash onto one shard,
-// so LRU ordering is deterministic under the per-shard budget.
-func sameShardKeys(t *testing.T, n int) []string {
-	t.Helper()
-	c := New()
-	want := c.shardFor("seed")
-	keys := make([]string, 0, n)
-	for i := 0; len(keys) < n; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if c.shardFor(k) == want {
-			keys = append(keys, k)
-		}
-		if i > 1_000_000 {
-			t.Fatal("could not find enough same-shard keys")
-		}
-	}
-	return keys
-}
-
 func TestLRUEvictsOverByteBudget(t *testing.T) {
 	entry := Entry{Data: make([]byte, 1000)}
-	// Budget admits ~3 same-shard entries (per-shard budget is
-	// MaxBytes/numShards).
-	c := NewWithOptions(Options{MaxBytes: int64(numShards) * 3500})
-	keys := sameShardKeys(t, 4)
+	// The budget admits 3 entries of 1 000 bytes plus slotOverhead.
+	c := NewWithOptions(Options{MaxBytes: 3500})
+	keys := []string{"a", "b", "c", "d"}
 	for _, k := range keys[:3] {
 		c.Put(k, entry, time.Hour)
 	}
@@ -100,8 +79,8 @@ func TestErroredFillLeavesNoSlot(t *testing.T) {
 }
 
 func TestGetOrFillRespectsBudget(t *testing.T) {
-	c := NewWithOptions(Options{MaxBytes: int64(numShards) * 2500})
-	keys := sameShardKeys(t, 3)
+	c := NewWithOptions(Options{MaxBytes: 2500})
+	keys := []string{"a", "b", "c"}
 	for _, k := range keys {
 		if _, err := c.GetOrFill(k, time.Hour, func() (Entry, error) {
 			return Entry{Data: make([]byte, 1000)}, nil
@@ -139,18 +118,14 @@ func TestBackgroundSweeperAndClose(t *testing.T) {
 	c.Close() // idempotent
 }
 
-func TestShardDistribution(t *testing.T) {
-	c := New()
-	seen := make(map[*shard]int)
-	for i := 0; i < 10_000; i++ {
-		seen[c.shardFor(fmt.Sprintf("key-%d", i))]++
-	}
-	if len(seen) != numShards {
-		t.Fatalf("keys landed on %d shards, want %d", len(seen), numShards)
-	}
-	for sh, n := range seen {
-		if n < 100 {
-			t.Errorf("shard %p badly underloaded: %d keys", sh, n)
-		}
+// TestLargeEntryStaysResident: MaxBytes bounds the whole cache, so an
+// entry well under it is resident after Put. (The budget used to be
+// split across 32 key shards, and any entry over MaxBytes/32 was
+// evicted as soon as it was inserted.)
+func TestLargeEntryStaysResident(t *testing.T) {
+	c := NewWithOptions(Options{MaxBytes: 4 << 20})
+	c.Put("bundle", Entry{Data: make([]byte, 200<<10)}, time.Hour)
+	if _, ok := c.Get("bundle"); !ok {
+		t.Fatalf("200 KB entry not resident under a 4 MB budget (evictions=%d)", c.Stats().Evictions)
 	}
 }

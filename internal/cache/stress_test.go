@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// TestStressShardedCache hammers the sharded cache from many goroutines
-// with overlapping keys and every mutating operation at once — the
-// -race guard for the shard locks, the single-flight tables, the LRU
-// lists, and the byte accounting.
+// TestStressShardedCache hammers the cache from many goroutines with
+// overlapping keys and every mutating operation at once — the -race
+// guard for the cache lock, the single-flight slots, the LRU list, and
+// the byte accounting.
 func TestStressShardedCache(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1_000_000, 0)}
 	c := NewWithOptions(Options{

@@ -57,9 +57,6 @@ type Config struct {
 	// before probing the origin again (the -breaker-cooldown knob).
 	// 0 uses fetch.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// ServeStale keeps serving a session's previously adapted content
-	// when the origin is unreachable (the -serve-stale knob).
-	ServeStale bool
 	// MaxConcurrentAdaptations bounds how many adaptation pipelines run
 	// at once (the -max-concurrent-adaptations knob); excess requests
 	// wait in a bounded, deadline-aware queue and are shed with 503 +
@@ -264,7 +261,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		FetchOptions:   cfg.fetchOptions(reg),
 		Obs:            reg,
 		Logger:         cfg.Logger,
-		ServeStale:     cfg.ServeStale,
 		Admission:      adm,
 		PersistBundles: st != nil,
 		Stream:         cfg.Stream,

@@ -38,7 +38,6 @@ func TestResilienceChaos(t *testing.T) {
 		FetchTimeout:    100 * time.Millisecond, // a 250 ms spike is a certain timeout
 		FetchRetries:    1,
 		BreakerCooldown: 300 * time.Millisecond,
-		ServeStale:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

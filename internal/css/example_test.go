@@ -25,6 +25,26 @@ func ExampleParseSelector() {
 	// specificity: 2002
 }
 
+// Select finds a page object by a selector list, the way a spec names
+// it: each matching element once, in document order.
+func ExampleSelect() {
+	doc := html.Parse(`<ul class="nav">
+		<li><a href="/home">Home</a></li>
+		<li class="on"><a href="/forum">Forum</a></li>
+	</ul>`)
+	links, err := css.Select(doc, "li.on a, ul.nav a")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, a := range links {
+		fmt.Println(a.AttrOr("href", ""))
+	}
+	// Output:
+	// /home
+	// /forum
+}
+
 func ExampleStylerForDocument() {
 	doc := html.Parse(`<html><head><style>
 		p { color: navy; font-size: 14px }

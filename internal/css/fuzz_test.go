@@ -2,9 +2,13 @@ package css
 
 import (
 	"fmt"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"msite/internal/dom"
 	"msite/internal/html"
+	"msite/internal/origin"
 )
 
 // fuzzSheets seed FuzzParseStylesheet, and TestParseMatchesOracle runs
@@ -81,6 +85,50 @@ func FuzzParseSelector(f *testing.F) {
 		}
 		if sel.Specificity() < 0 {
 			t.Fatalf("negative specificity for %q", src)
+		}
+	})
+}
+
+// FuzzSelect holds Select to its contract over the forum entry page:
+// for any selector list it never panics, it errors exactly when
+// ParseSelectorList does, and otherwise it selects each node of the
+// document that some selector of the list matches, once, in document
+// order. The seeds are the evaluation spec's selectors.
+func FuzzSelect(f *testing.F) {
+	for _, s := range []string{
+		"#loginform", "#logo", "head style", "#navlinks", "#banner",
+		"#shoptour object", "#forums", "#pic", "#forums tr, table a, #forums",
+		"", ",", "a,", "td:nth-child(2n+1) a", ":not(",
+	} {
+		f.Add(s)
+	}
+	rec := httptest.NewRecorder()
+	origin.NewForum(origin.DefaultForumConfig()).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	doc := html.Tidy(rec.Body.String())
+	f.Fuzz(func(t *testing.T, selector string) {
+		nodes, err := Select(doc, selector)
+		sels, parseErr := ParseSelectorList(selector)
+		if (err != nil) != (parseErr != nil) {
+			t.Fatalf("Select(%q) error %v, ParseSelectorList's %v", selector, err, parseErr)
+		}
+		if err != nil {
+			if len(nodes) != 0 {
+				t.Fatalf("Select(%q) errored and selected %d nodes", selector, len(nodes))
+			}
+			return
+		}
+		var want []*dom.Node
+		doc.Walk(func(n *dom.Node) bool {
+			for _, sel := range sels {
+				if sel.Match(n) {
+					want = append(want, n)
+					break
+				}
+			}
+			return true
+		})
+		if !slices.Equal(nodes, want) {
+			t.Fatalf("Select(%q) selected %d nodes; %d match in document order", selector, len(nodes), len(want))
 		}
 	})
 }

@@ -654,6 +654,21 @@ func (s *Selector) QueryAll(root *dom.Node) []*dom.Node {
 	return out
 }
 
+// Select parses a selector list and returns the elements in root's
+// subtree (including root) matching any selector of it, each once, in
+// document order.
+func Select(root *dom.Node, selector string) ([]*dom.Node, error) {
+	sels, err := ParseSelectorList(selector)
+	if err != nil {
+		return nil, err
+	}
+	var nodes []*dom.Node
+	for _, sel := range sels {
+		nodes = append(nodes, sel.QueryAll(root)...)
+	}
+	return dom.SortNodes(root, nodes), nil
+}
+
 // Query returns the first element in root's subtree matching the selector,
 // or nil.
 func (s *Selector) Query(root *dom.Node) *dom.Node {

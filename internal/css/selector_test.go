@@ -1,6 +1,7 @@
 package css
 
 import (
+	"strings"
 	"testing"
 
 	"msite/internal/dom"
@@ -135,6 +136,52 @@ func TestSelectorList(t *testing.T) {
 	}
 	if len(sels) != 3 {
 		t.Fatalf("got %d selectors", len(sels))
+	}
+}
+
+// TestSelect: a selector list selects the union of its selectors'
+// matches, each node once, in document order; a list that does not parse
+// selects nothing and errors.
+func TestSelect(t *testing.T) {
+	cases := []struct {
+		name, selector string
+		root           string // id of the element to select under; "" is the document
+		want           string // tag#id.class of each node selected
+		wantErr        bool
+	}{
+		{name: "basics", selector: "li.first a", want: "a"},
+		{name: "list", selector: ".sidebar, ul, h1", want: "h1 ul.nav div.sidebar"},
+		{name: "deduplicates", selector: "ul, .nav, li.last, li", want: "ul.nav li.first li li li.last"},
+		{name: "root included", selector: "#main, #main > h1", root: "main", want: "div#main.content h1"},
+		{name: "no match", selector: "video", want: ""},
+		{name: "bad selector", selector: "li, :nosuch(", wantErr: true},
+	}
+	doc := selDoc(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			root := doc
+			if c.root != "" {
+				root = doc.ElementByID(c.root)
+			}
+			nodes, err := Select(root, c.selector)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("Select(%q) error = %v", c.selector, err)
+			}
+			var got []string
+			for _, n := range nodes {
+				label := n.Tag
+				if id := n.ID(); id != "" {
+					label += "#" + id
+				}
+				if class, ok := n.Attr("class"); ok {
+					label += "." + strings.Fields(class)[0]
+				}
+				got = append(got, label)
+			}
+			if strings.Join(got, " ") != c.want {
+				t.Fatalf("Select(%q) = %v, want %s", c.selector, got, c.want)
+			}
+		})
 	}
 }
 

@@ -2,10 +2,10 @@
 //
 // The tree is deliberately small: five node kinds, doubly linked siblings,
 // and parent/child pointers. Every higher layer — the HTML parser, the CSS
-// cascade, the jQuery-style manipulation API, the XPath evaluator, the
-// layout engine, and the attribute system — operates on this one
-// representation, which is what lets the proxy adapt a page without ever
-// instantiating a heavyweight browser.
+// cascade and selectors, the XPath evaluator, the layout engine, and the
+// attribute system — operates on this one representation, which is what
+// lets the proxy adapt a page without ever instantiating a heavyweight
+// browser.
 package dom
 
 import (

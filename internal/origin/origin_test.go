@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"msite/internal/css"
 	"msite/internal/fetch"
 	"msite/internal/html"
-	"msite/internal/jq"
 )
 
 func forumServer(t *testing.T) (*Forum, *httptest.Server) {
@@ -51,11 +51,11 @@ func TestForumIndexStructure(t *testing.T) {
 			t.Errorf("entry page missing #%s", id)
 		}
 	}
-	if n := jq.Select(doc, "#forums tr").Len(); n != 31 { // header + 30 forums
-		t.Errorf("forum rows = %d", n)
+	if rows, _ := css.Select(doc, "#forums tr"); len(rows) != 31 { // header + 30 forums
+		t.Errorf("forum rows = %d", len(rows))
 	}
-	if n := jq.Select(doc, `script[src]`).Len(); n != 12 {
-		t.Errorf("external scripts = %d", n)
+	if scripts, _ := css.Select(doc, `script[src]`); len(scripts) != 12 {
+		t.Errorf("external scripts = %d", len(scripts))
 	}
 	if !strings.Contains(body, "728") {
 		t.Error("leaderboard banner missing")
@@ -216,11 +216,11 @@ func TestClassifiedsCategory(t *testing.T) {
 		t.Fatalf("status = %d", status)
 	}
 	doc := html.Tidy(body)
-	rows := jq.Select(doc, "#listings .row a")
-	if rows.Len() != 100 {
-		t.Fatalf("listings = %d", rows.Len())
+	rows, _ := css.Select(doc, "#listings .row a")
+	if len(rows) != 100 {
+		t.Fatalf("listings = %d", len(rows))
 	}
-	href := rows.AttrOr("href", "")
+	href := rows[0].AttrOr("href", "")
 	if !strings.HasPrefix(href, "/post/") {
 		t.Fatalf("href = %q", href)
 	}
@@ -243,7 +243,7 @@ func TestClassifiedsPost(t *testing.T) {
 		t.Fatalf("status = %d", status)
 	}
 	doc := html.Tidy(body)
-	if jq.Select(doc, "#postingbody").Len() != 1 {
+	if post, _ := css.Select(doc, "#postingbody"); len(post) != 1 {
 		t.Fatal("no #postingbody")
 	}
 	body2, _ := get(t, srv.URL+"/post/t0007.html")

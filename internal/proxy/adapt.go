@@ -55,11 +55,12 @@ func (p *Proxy) ensureAdaptation(ctx context.Context, sess *session.Session, for
 			p.attach(sess.ID, v)
 		}
 		close(done)
-		if err != nil && p.cfg.ServeStale && prev != nil && !isAuthError(err) {
-			// The origin is unreachable but this session was adapted
-			// before: serve the previous adaptation rather than fail the
-			// request (§3.2's "any error handling should the page be
-			// unavailable", resolved in favor of availability).
+		if err != nil && prev != nil && !isAuthError(err) {
+			// A session re-adapts only on ?refresh=1, so a failed
+			// refresh keeps the view the session already has rather
+			// than fail the request (§3.2's "any error handling should
+			// the page be unavailable", resolved in favor of
+			// availability).
 			p.metrics.staleServed.Inc()
 			obs.TraceFrom(ctx).Annotate("degraded", "stale_adaptation")
 			return prev, nil

@@ -11,6 +11,8 @@ import (
 	"hash/fnv"
 	"image"
 	"image/png"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -244,10 +246,13 @@ type imageWire struct {
 	PNG  []byte
 }
 
-// encodeBundle serializes a build product for the durable tier.
+// encodeBundle serializes a build product for the durable tier. Every
+// map is written in sorted key order, so one Bundle always encodes to
+// the same bytes.
 func encodeBundle(site string, b *Bundle) ([]byte, error) {
 	w := bundleWire{Version: bundleWireVersion, Site: site, Notes: b.notes, Validator: b.validator}
-	for _, sub := range b.subpages {
+	for _, name := range slices.Sorted(maps.Keys(b.subpages)) {
+		sub := b.subpages[name]
 		w.Subpages = append(w.Subpages, subpageWire{
 			Name:       sub.Name,
 			Title:      sub.Title,
@@ -264,17 +269,18 @@ func encodeBundle(site string, b *Bundle) ([]byte, error) {
 			Shared:     sub.Shared,
 		})
 	}
-	for name, a := range b.pages {
-		w.Files = append(w.Files, fileWire{Dir: pagesDir, Name: name, Data: a.data})
+	for _, name := range slices.Sorted(maps.Keys(b.pages)) {
+		w.Files = append(w.Files, fileWire{Dir: pagesDir, Name: name, Data: b.pages[name].data})
 	}
-	for name, a := range b.assets {
-		w.Files = append(w.Files, fileWire{Dir: assetsDir, Name: name, Data: a.data})
+	for _, name := range slices.Sorted(maps.Keys(b.assets)) {
+		w.Files = append(w.Files, fileWire{Dir: assetsDir, Name: name, Data: b.assets[name].data})
 	}
 	// Images are stored once per distinct decoded image, carrying every
-	// alias key, so the src/absolute-URL double keying doesn't double the
-	// bytes.
+	// alias key (in sorted order, as they are met), so the src/absolute-URL
+	// double keying doesn't double the bytes.
 	index := make(map[image.Image]int, len(b.images))
-	for key, img := range b.images {
+	for _, key := range slices.Sorted(maps.Keys(b.images)) {
+		img := b.images[key]
 		if i, ok := index[img]; ok {
 			w.Images[i].Keys = append(w.Images[i].Keys, key)
 			continue

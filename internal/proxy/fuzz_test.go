@@ -15,18 +15,8 @@ import (
 // record: it never panics, and a Bundle it accepts has a main page.
 // The seeds are a cold forum build's record and a version-1 record.
 func FuzzDecodeBundle(f *testing.F) {
-	originSrv := httptest.NewServer(origin.NewForum(origin.DefaultForumConfig()).Handler())
-	defer originSrv.Close()
-	sp := forumSpec(originSrv.URL)
-	opts, err := newBuildOptions(Config{Spec: sp}, "")
-	if err != nil {
-		f.Fatal(err)
-	}
-	b, _, err := build(context.Background(), fetch.New(nil), sp, &opts)
-	if err != nil {
-		f.Fatal(err)
-	}
-	record, err := encodeBundle(sp.Name, b)
+	site, b := coldForumBundle(f)
+	record, err := encodeBundle(site, b)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,4 +33,22 @@ func FuzzDecodeBundle(f *testing.F) {
 			t.Fatal("accepted a bundle without a main page")
 		}
 	})
+}
+
+// coldForumBundle runs one cold build of the forum spec against a
+// fresh forum origin and returns the site name and the Bundle.
+func coldForumBundle(tb testing.TB) (string, *Bundle) {
+	tb.Helper()
+	originSrv := httptest.NewServer(origin.NewForum(origin.DefaultForumConfig()).Handler())
+	defer originSrv.Close()
+	sp := forumSpec(originSrv.URL)
+	opts, err := newBuildOptions(Config{Spec: sp}, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, _, err := build(context.Background(), fetch.New(nil), sp, &opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sp.Name, b
 }

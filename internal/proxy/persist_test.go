@@ -250,6 +250,26 @@ func TestDecodedJPEGRecordKeepsItsAssetName(t *testing.T) {
 	}
 }
 
+// TestEncodeBundleDeterministic: one Bundle encodes to the same bytes
+// every time, though its pages, assets, subpages and images live in
+// maps.
+func TestEncodeBundleDeterministic(t *testing.T) {
+	site, b := coldForumBundle(t)
+	first, err := encodeBundle(site, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		again, err := encodeBundle(site, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("encoding %d of the same Bundle differs from the first", i)
+		}
+	}
+}
+
 // TestBundleRoundTrip pins the wire format: a build product survives
 // encode/decode with subpages, files, notes, and images intact.
 func TestBundleRoundTrip(t *testing.T) {

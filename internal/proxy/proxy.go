@@ -60,10 +60,6 @@ type Config struct {
 	// session id, handler kind, cache outcome, status, and duration.
 	// Nil disables request logging (the default, and what tests use).
 	Logger *slog.Logger
-	// ServeStale keeps serving a session's previous adaptation when
-	// re-adaptation fails because the origin is unreachable, instead of
-	// returning 502.
-	ServeStale bool
 	// Admission is the overload-protection tier: the adaptation
 	// concurrency limiter and per-client rate limiter. Nil admits
 	// everything (the default, and what most tests use). One controller

@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"msite/internal/cache"
+	"msite/internal/css"
 	"msite/internal/html"
-	"msite/internal/jq"
 	"msite/internal/origin"
 	"msite/internal/session"
 	"msite/internal/spec"
@@ -186,17 +186,16 @@ func TestEntryPageOverlay(t *testing.T) {
 		t.Fatal("no session cookie issued")
 	}
 	// Snapshot image map with regions for subpages.
-	img := jq.Select(doc, "img[usemap]")
-	if img.Len() != 1 {
-		t.Fatalf("snapshot img = %d", img.Len())
+	img, _ := css.Select(doc, "img[usemap]")
+	if len(img) != 1 {
+		t.Fatalf("snapshot img = %d", len(img))
 	}
-	src := img.AttrOr("src", "")
+	src := img[0].AttrOr("src", "")
 	if !strings.HasPrefix(src, "/asset/snapshot") {
 		t.Fatalf("snapshot src = %q", src)
 	}
-	areas := jq.Select(doc, "map area")
-	if areas.Len() < 2 {
-		t.Fatalf("areas = %d", areas.Len())
+	if areas, _ := css.Select(doc, "map area"); len(areas) < 2 {
+		t.Fatalf("areas = %d", len(areas))
 	}
 	// The nav subpage loads via AJAX into the pane.
 	if !strings.Contains(body, "msiteLoad('/subpage/nav')") {
@@ -211,7 +210,11 @@ func TestSnapshotAssetServed(t *testing.T) {
 	rig := newRig(t, nil)
 	body, _ := rig.get(t, "/")
 	doc := html.Tidy(body)
-	src := jq.Select(doc, "img[usemap]").AttrOr("src", "")
+	img, _ := css.Select(doc, "img[usemap]")
+	if len(img) != 1 {
+		t.Fatalf("snapshot img = %d", len(img))
+	}
+	src := img[0].AttrOr("src", "")
 	data, resp := rig.get(t, src)
 	if resp.StatusCode != 200 {
 		t.Fatalf("asset status = %d", resp.StatusCode)
@@ -603,8 +606,8 @@ func TestRefreshReAdapts(t *testing.T) {
 }
 
 func TestServeStaleOnOriginFailure(t *testing.T) {
-	// With ServeStale on, a session that was adapted once keeps being
-	// served (from its previous adaptation) after the origin goes down.
+	// A session that was adapted once keeps being served (from its
+	// previous adaptation) after the origin goes down.
 	forum := origin.NewForum(origin.DefaultForumConfig())
 	originSrv := httptest.NewServer(forum.Handler())
 	sp := forumSpec(originSrv.URL)
@@ -617,7 +620,6 @@ func TestServeStaleOnOriginFailure(t *testing.T) {
 	defer c.Close()
 	p, err := New(Config{
 		Spec: sp, Sessions: sessions, Cache: c,
-		ServeStale: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"msite/internal/dom"
-	"msite/internal/jq"
 	"msite/internal/spec"
-	"msite/internal/xpath"
 )
 
 // MinTextLen is the shortest normalized text block the inventory counts.
@@ -137,29 +135,14 @@ func SanctionedInventory(sp *spec.Spec, origin *dom.Node) *Inventory {
 		if !sanctioned {
 			continue
 		}
-		for _, n := range locateNodes(origin, obj) {
+		// A resolution error yields no nodes; the attr pass itself
+		// surfaces it.
+		nodes, _ := obj.Locate(origin)
+		for _, n := range nodes {
 			inv.Add(n)
 		}
 	}
 	return inv
-}
-
-// locateNodes mirrors attr's object resolution (CSS selector first,
-// XPath otherwise); resolution errors yield no nodes — the attr pass
-// itself will surface them.
-func locateNodes(doc *dom.Node, obj spec.Object) []*dom.Node {
-	if obj.Selector != "" {
-		sel := jq.Select(doc, obj.Selector)
-		if sel.Err() != nil {
-			return nil
-		}
-		return sel.Nodes()
-	}
-	expr, err := xpath.Compile(obj.XPath)
-	if err != nil {
-		return nil
-	}
-	return expr.Select(doc)
 }
 
 // Parity is the result of comparing an origin inventory against the

@@ -12,6 +12,7 @@ import (
 	"regexp"
 
 	"msite/internal/css"
+	"msite/internal/dom"
 	"msite/internal/xpath"
 )
 
@@ -146,6 +147,19 @@ func (o Object) Attr(t AttrType) (Attribute, bool) {
 		}
 	}
 	return Attribute{}, false
+}
+
+// Locate resolves the object's nodes under doc: by its CSS selector
+// list, or by its XPath when it has no selector.
+func (o Object) Locate(doc *dom.Node) ([]*dom.Node, error) {
+	if o.Selector != "" {
+		return css.Select(doc, o.Selector)
+	}
+	expr, err := xpath.Compile(o.XPath)
+	if err != nil {
+		return nil, err
+	}
+	return expr.Select(doc), nil
 }
 
 // Filter is one source-level filter (§3.2 "filter phase"), applied to raw
