@@ -13,7 +13,6 @@ import (
 	"image"
 	"strconv"
 	"strings"
-	"time"
 
 	"msite/internal/ajax"
 	"msite/internal/css"
@@ -76,10 +75,6 @@ type Subpage struct {
 	PartialCSS bool
 	// SearchJS is the searchable-snapshot payload, when requested.
 	SearchJS string
-	// CacheTTL and Shared configure cross-session caching of the
-	// rendered output.
-	CacheTTL time.Duration
-	Shared   bool
 	// Sheets is the build's stylesheet memo (Result.Sheets), which
 	// SerializeSubpage prunes through. It belongs to the build, not to the
 	// subpage's description.
@@ -217,14 +212,6 @@ func (a *Applier) Apply(sp *spec.Spec, doc *dom.Node) (*Result, error) {
 		}
 		if obj.HasAttr(spec.AttrPartialCSS) {
 			sub.PartialCSS = true
-		}
-		if cacheAttr, ok := obj.Attr(spec.AttrCacheable); ok {
-			ttl, err := strconv.Atoi(cacheAttr.Param("ttl_seconds", "3600"))
-			if err != nil || ttl < 0 {
-				ttl = 3600
-			}
-			sub.CacheTTL = time.Duration(ttl) * time.Second
-			sub.Shared = true
 		}
 		if x, y, w, h, ok := res.Layout.Region(node); ok {
 			sub.Region = Region{X: x, Y: y, W: w, H: h}
@@ -431,7 +418,9 @@ func (a *Applier) applyOne(env *applyEnv, obj spec.Object, at spec.Attribute,
 	case spec.AttrSubpage, spec.AttrPreRender, spec.AttrDependency,
 		spec.AttrCopyTo, spec.AttrCacheable, spec.AttrPartialCSS,
 		spec.AttrImageFidelity, spec.AttrHTTPAuth:
-		// Handled in earlier passes or by the proxy (http-auth).
+		// Handled in earlier passes or by the proxy (http-auth). A
+		// cacheable object needs nothing more: every object of an
+		// anonymous build is shared across sessions through its Bundle.
 		return nil
 
 	case spec.AttrRemove:

@@ -387,20 +387,45 @@ func TestPartialCSSSubpage(t *testing.T) {
 	}
 }
 
+// TestCacheableSubpage: cacheable is accepted and changes nothing a build
+// makes, since every object of an anonymous build is already shared
+// across sessions through its Bundle.
 func TestCacheableSubpage(t *testing.T) {
-	sp := &spec.Spec{
-		Name: "t", Origin: "http://o/",
-		Objects: []spec.Object{
-			{Name: "forums", Selector: "#forums", Attributes: []spec.Attribute{
-				{Type: spec.AttrSubpage},
-				{Type: spec.AttrCacheable, Params: map[string]string{"ttl_seconds": "3600"}},
-			}},
-		},
+	build := func(cacheable bool) *Result {
+		sp := &spec.Spec{
+			Name: "t", Origin: "http://o/",
+			Objects: []spec.Object{
+				{Name: "forums", Selector: "#forums", Attributes: []spec.Attribute{{Type: spec.AttrSubpage}}},
+				{Name: "login", Selector: "#loginform", Attributes: []spec.Attribute{{Type: spec.AttrSubpage}, {Type: spec.AttrPreRender}}},
+			},
+		}
+		if cacheable {
+			for i := range sp.Objects {
+				sp.Objects[i].Attributes = append(sp.Objects[i].Attributes,
+					spec.Attribute{Type: spec.AttrCacheable, Params: map[string]string{"ttl_seconds": "3600"}})
+			}
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return apply(t, sp, forumPage)
 	}
-	res := apply(t, sp, forumPage)
-	sub, _ := res.FindSubpage("forums")
-	if !sub.Shared || sub.CacheTTL.Seconds() != 3600 {
-		t.Fatalf("cache config = %v %v", sub.Shared, sub.CacheTTL)
+	plain, cached := build(false), build(true)
+	if login, _ := plain.FindSubpage("login"); login == nil || len(login.ImageData) == 0 {
+		t.Fatal("the login subpage was not pre-rendered")
+	}
+	if len(plain.Subpages) != 2 || len(cached.Subpages) != len(plain.Subpages) {
+		t.Fatalf("subpages: %d without cacheable, %d with", len(plain.Subpages), len(cached.Subpages))
+	}
+	for i, want := range plain.Subpages {
+		got := cached.Subpages[i]
+		if got.Name != want.Name || !bytes.Equal(SerializeSubpage(got), SerializeSubpage(want)) ||
+			!bytes.Equal(got.ImageData, want.ImageData) {
+			t.Fatalf("subpage %q differs with cacheable", want.Name)
+		}
+	}
+	if html.Render(cached.Doc) != html.Render(plain.Doc) {
+		t.Fatal("the entry document differs with cacheable")
 	}
 }
 

@@ -161,8 +161,7 @@ func SubpageFileName(name string) string {
 
 // AssetFileName returns the file name of a subpage's rendered image: the
 // one name its page references and its Bundle stores it under. The
-// extension follows the MIME type the image was encoded as, so a Bundle
-// decoded from a record that stored a JPEG still names it .jpg.
+// extension follows the MIME type the image was encoded as.
 func AssetFileName(sub *Subpage) string {
 	if sub.ImageMIME == "image/png" {
 		return sanitize(sub.Name) + ".png"

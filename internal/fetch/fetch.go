@@ -55,26 +55,8 @@ type Page struct {
 	URL string
 	// Body is the raw response body.
 	Body []byte
-	// ContentType is the response content type.
-	ContentType string
 	// Status is the HTTP status code.
 	Status int
-	// ETag and LastModified are the response's cache validators, kept so
-	// a later refresh can revalidate with a conditional GET instead of
-	// re-downloading. Empty when the origin sent none.
-	ETag         string
-	LastModified string
-	// NotModified reports a 304 answer to a conditional GET: Body is
-	// empty and the caller's cached copy is still current.
-	NotModified bool
-}
-
-// Condition carries the validators for a conditional GET: ETag becomes
-// If-None-Match, LastModified becomes If-Modified-Since. A zero
-// Condition sends an unconditional request.
-type Condition struct {
-	ETag         string
-	LastModified string
 }
 
 // Doc tidies and parses the page body into a document.
@@ -243,18 +225,7 @@ func (f *Fetcher) Get(rawURL string) (*Page, error) {
 // and backoff sleeps abort when ctx does.
 func (f *Fetcher) GetContext(ctx context.Context, rawURL string) (*Page, error) {
 	start := time.Now()
-	page, err := f.getRetry(ctx, rawURL, Condition{})
-	f.record(start, err)
-	return page, err
-}
-
-// GetConditionalContext fetches rawURL with the given validators
-// attached. When the origin answers 304 Not Modified the returned page
-// has NotModified set and an empty body — the caller keeps its cached
-// copy. Retry and breaker behavior match GetContext.
-func (f *Fetcher) GetConditionalContext(ctx context.Context, rawURL string, cond Condition) (*Page, error) {
-	start := time.Now()
-	page, err := f.getRetry(ctx, rawURL, cond)
+	page, err := f.getRetry(ctx, rawURL)
 	f.record(start, err)
 	return page, err
 }
@@ -263,13 +234,13 @@ func (f *Fetcher) GetConditionalContext(ctx context.Context, rawURL string, cond
 // failures classified retryable (Error.Temporary) consume the budget;
 // auth challenges, 4xx statuses, and breaker rejections return
 // immediately.
-func (f *Fetcher) getRetry(ctx context.Context, rawURL string, cond Condition) (*Page, error) {
+func (f *Fetcher) getRetry(ctx context.Context, rawURL string) (*Page, error) {
 	var page *Page
 	var err error
 	attempts := 0
 	for {
 		attempts++
-		page, err = f.attempt(ctx, rawURL, cond)
+		page, err = f.attempt(ctx, rawURL)
 		if err == nil || attempts > f.retries || !Retryable(err) {
 			break
 		}
@@ -323,18 +294,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // attempt runs one GET through the origin's circuit breaker. Outcomes
 // feed the breaker: any origin response (even 4xx) proves liveness;
 // transport failures and 5xx count against it.
-func (f *Fetcher) attempt(ctx context.Context, rawURL string, cond Condition) (*Page, error) {
+func (f *Fetcher) attempt(ctx context.Context, rawURL string) (*Page, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fetch: building request for %s: %w", rawURL, err)
 	}
 	req.Header.Set("User-Agent", f.userAgent)
-	if cond.ETag != "" {
-		req.Header.Set("If-None-Match", cond.ETag)
-	}
-	if cond.LastModified != "" {
-		req.Header.Set("If-Modified-Since", cond.LastModified)
-	}
 	if f.sess != nil {
 		if creds, ok := f.sess.Auth(req.URL.Host); ok {
 			req.SetBasicAuth(creds.User, creds.Pass)
@@ -363,31 +328,14 @@ func (f *Fetcher) attempt(ctx context.Context, rawURL string, cond Condition) (*
 		realm := parseRealm(resp.Header.Get("WWW-Authenticate"))
 		return nil, &AuthRequiredError{URL: rawURL, Realm: realm}
 	}
-	if resp.StatusCode == http.StatusNotModified && (cond.ETag != "" || cond.LastModified != "") {
-		// The validators still hold: the origin proved liveness without
-		// shipping the body.
-		if br != nil {
-			br.Record(true)
-		}
-		return &Page{
-			URL:          resp.Request.URL.String(),
-			Status:       resp.StatusCode,
-			ETag:         resp.Header.Get("ETag"),
-			LastModified: resp.Header.Get("Last-Modified"),
-			NotModified:  true,
-		}, nil
-	}
 	body, err := readBody(rawURL, req.URL.Host, resp.Body, resp.ContentLength, br)
 	if err != nil {
 		return nil, err
 	}
 	page := &Page{
-		URL:          resp.Request.URL.String(),
-		Body:         body,
-		ContentType:  resp.Header.Get("Content-Type"),
-		Status:       resp.StatusCode,
-		ETag:         resp.Header.Get("ETag"),
-		LastModified: resp.Header.Get("Last-Modified"),
+		URL:    resp.Request.URL.String(),
+		Body:   body,
+		Status: resp.StatusCode,
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		if br != nil {
@@ -444,10 +392,9 @@ func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) 
 		return nil, err
 	}
 	page := &Page{
-		URL:         resp.Request.URL.String(),
-		Body:        body,
-		ContentType: resp.Header.Get("Content-Type"),
-		Status:      resp.StatusCode,
+		URL:    resp.Request.URL.String(),
+		Body:   body,
+		Status: resp.StatusCode,
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		if br != nil {

@@ -399,3 +399,46 @@ func TestWarmViewAllocationBudget(t *testing.T) {
 		t.Fatalf("a warm view allocated %.0f objects; budget %d", total, maxAllocs)
 	}
 }
+
+// TestBundleRecordBudget holds the evaluation build's Bundle record, and
+// what encoding and decoding it allocate, to a budget. As a gob record it
+// was 120 564 B, 38 940 B of them second copies of the forums pre-render
+// and of the search script inside the forums page; encoding it allocated
+// ~527 KB, as gob regrew one message buffer, and decoding ~260 KB. Its
+// pages and assets are 80 640 B, each now stored once: the record is
+// those, their names and a few hundred bytes of notes and areas, encoding
+// allocates the record once, and decoding lets pages and assets alias it:
+// 80 917 B, ~82 KB and ~2 KB.
+func TestBundleRecordBudget(t *testing.T) {
+	const maxRecord, maxDecode = 85_000, 16 << 10
+	b := coldForumBundle(t)
+	record, err := encodeBundle(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxEncode := len(record) * 11 / 10
+	// allocated is what one call of f allocates, averaged over a few.
+	allocated := func(f func() error) int {
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	encode := allocated(func() error { _, err := encodeBundle(b); return err })
+	decode := allocated(func() error { _, err := decodeBundle(record); return err })
+	t.Logf("| bundle record | measured | budget |")
+	t.Logf("|---|---|---|")
+	t.Logf("| record B | %d | %d |", len(record), maxRecord)
+	t.Logf("| encode allocated B | %d | %d |", encode, maxEncode)
+	t.Logf("| decode allocated B | %d | %d |", decode, maxDecode)
+	if len(record) > maxRecord || encode > maxEncode || decode > maxDecode {
+		t.Fatalf("record %d B, encode %d B, decode %d B allocated; budget %d, %d, %d",
+			len(record), encode, decode, maxRecord, maxEncode, maxDecode)
+	}
+}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"image"
 	"net/url"
+	"slices"
 	"strings"
-	"time"
 
 	"msite/internal/attr"
 	"msite/internal/css"
@@ -177,16 +177,10 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 	sp = obs.StartSpan(ctx, "subpage_split")
 	defer sp.End()
 	b := &Bundle{
-		pages:    make(map[string]*artifact),
-		assets:   make(map[string]*artifact),
-		subpages: make(map[string]*attr.Subpage),
-		notes:    append(result.Notes, degraded...),
-		images:   images,
-		validator: BundleValidator{
-			ETag:         page.ETag,
-			LastModified: page.LastModified,
-			FetchedAt:    time.Now(),
-		},
+		pages:  make(map[string]*artifact),
+		assets: make(map[string]*artifact),
+		notes:  append(result.Notes, degraded...),
+		images: images,
 	}
 	b.sheets.Store(result.Sheets)
 	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data) }
@@ -199,13 +193,13 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 		if len(sub.ImageData) > 0 {
 			addAsset(attr.AssetFileName(sub), sub.ImageData)
 		}
-		// The page now stands for the document: the Bundle keeps the
-		// subpage's description without its DOM, as a decoded one does.
-		desc := *sub
-		desc.Doc, desc.Sheets = nil, nil
-		b.subpages[sub.Name] = &desc
+		// The page now stands for the document: the Bundle keeps what a
+		// decoded one holds, the overlay's view of the subpage.
+		b.areas = append(b.areas, &attr.Subpage{
+			Name: sub.Name, Title: sub.Title, Parent: sub.Parent, Region: sub.Region, AJAX: sub.AJAX,
+		})
 	}
-	b.orderAreas()
+	slices.SortFunc(b.areas, func(x, y *attr.Subpage) int { return strings.Compare(x.Name, y.Name) })
 	for _, thumb := range result.Assets {
 		addAsset(thumb.Name, thumb.Data)
 	}

@@ -3,7 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,11 +13,9 @@ import (
 	"image/png"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"msite/internal/attr"
 	"msite/internal/cache"
@@ -27,11 +25,6 @@ import (
 	"msite/internal/obs"
 	"msite/internal/spec"
 )
-
-// bundleWireVersion guards the gob layout; a decoder seeing a newer
-// version discards the bundle and rebuilds. Version 1 records (no
-// validator) still decode, with the validator simply absent.
-const bundleWireVersion = 2
 
 // viewportWidth resolves a proxy's render width: the override, else the
 // spec's, else layout.DefaultViewport's.
@@ -80,12 +73,11 @@ type Bundle struct {
 	// pages and assets are the generated HTML documents (main.html,
 	// minimal.html, one per subpage) and images, by file name.
 	pages, assets map[string]*artifact
-	// subpages describe the split-off objects; a subpage's document is
-	// its page, so Doc is nil.
-	subpages map[string]*attr.Subpage
-	// areas is the subpage set in name order: the entry overlay's <area>
-	// order, fixed so that a Bundle serves the same entry bytes however
-	// it came to be (built or decoded).
+	// areas describe the split-off objects in name order, the entry
+	// overlay's <area> order, so that a Bundle serves the same entry bytes
+	// however it came to be (built or decoded). Each holds only what the
+	// overlay and the subpage handler read: Name, Title, Parent, Region
+	// and AJAX. A subpage's document is its page.
 	areas []*attr.Subpage
 	notes []string
 	// images are the decoded subresources downloaded on the client's
@@ -99,10 +91,6 @@ type Bundle struct {
 	// It is not on the wire; a render that finds none, as every render of
 	// a decoded Bundle does, parses for itself.
 	sheets atomic.Pointer[css.Sheets]
-	// validator is the origin's freshness evidence from this build's
-	// entry fetch. It is written and decoded with the bundle; nothing in
-	// the proxy reads it yet.
-	validator BundleValidator
 	// overlay is the entry overlay last built over areas (see
 	// Proxy.entryOverlay). Like sheets, it is not on the wire.
 	overlay atomic.Pointer[builtOverlay]
@@ -162,201 +150,279 @@ func newArtifact(name string, data []byte) *artifact {
 	}
 }
 
-// orderAreas fixes the overlay order of a Bundle's subpages.
-func (b *Bundle) orderAreas() {
-	b.areas = make([]*attr.Subpage, 0, len(b.subpages))
-	for _, sub := range b.subpages {
-		b.areas = append(b.areas, sub)
-	}
-	sort.Slice(b.areas, func(i, j int) bool { return b.areas[i].Name < b.areas[j].Name })
-}
-
 // sameBytes reports whether a and b are the same backing bytes, not
 // merely equal ones.
 func sameBytes(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// Wire directory names — the two artifact sets of a Bundle as fileWire
-// spells them — and the two pages every build generates besides the
-// subpages.
+// The two pages every build generates besides the subpages.
 const (
-	pagesDir  = "pages"
-	assetsDir = "images"
-
 	mainPage    = "main.html"
 	minimalPage = "minimal.html"
 )
 
-// bundleWire is the only serialized form of a Bundle. Decoded images
-// gob out as PNG and re-materialize on load; a subpage's document
-// travels as its page file.
-type bundleWire struct {
-	Version  int
-	Site     string
-	Subpages []subpageWire
-	Notes    []string
-	Files    []fileWire
-	Images   []imageWire
-	// Validator (version 2+) carries the origin's cache validators from
-	// the build's entry fetch. gob leaves it zero when decoding a
-	// version-1 record.
-	Validator BundleValidator
+// bundleMagic opens every Bundle record and names its layout. A record
+// that opens otherwise, such as the gob record of an older binary, is
+// discarded and rebuilt like a torn one.
+//
+// After the magic come five lists, each a big-endian uint32 count and
+// its entries; a string or byte field is a uint32 length and its bytes:
+//
+//	notes   the note
+//	areas   name, title, parent, region as 4 × int32, AJAX as one byte
+//	pages   name, bytes
+//	assets  name, bytes
+//	images  key count, the keys, PNG
+//
+// Areas, pages and assets come in strictly increasing name order. An
+// image is one distinct decoded image under every key it is stored by
+// (an <img> src as written and its absolute form), its keys and then the
+// images by their first keys in strictly increasing order. A decoder
+// accepts nothing else, so an accepted record encodes back to itself, up
+// to the bytes the PNG encoder writes.
+const bundleMagic = "MSITEBN3"
+
+// recordWriter lays out a Bundle record. With no buffer it only
+// measures, so that a second pass can append into a buffer allocated
+// once at the record's size.
+type recordWriter struct {
+	buf []byte
+	n   int
 }
 
-// BundleValidator is the origin-freshness evidence stored with a
-// bundle: the entry page's ETag and Last-Modified as fetched, plus when
-// the fetch happened.
-type BundleValidator struct {
-	ETag         string
-	LastModified string
-	FetchedAt    time.Time
-}
-
-// Zero reports whether no validator was captured (pre-v2 bundle, or an
-// origin that sends none).
-func (v BundleValidator) Zero() bool {
-	return v.ETag == "" && v.LastModified == "" && v.FetchedAt.IsZero()
-}
-
-type fileWire struct {
-	Dir, Name string
-	Data      []byte
-}
-
-type subpageWire struct {
-	Name, Title string
-	Parent      string
-	Region      attr.Region
-	PreRender   bool
-	AJAX        bool
-	Fidelity    int
-	ImageData   []byte
-	ImageMIME   string
-	PartialCSS  bool
-	SearchJS    string
-	CacheTTL    time.Duration
-	Shared      bool
-}
-
-type imageWire struct {
-	// Keys are every map key sharing this image (an <img> src is stored
-	// under both its written and absolute forms).
-	Keys []string
-	PNG  []byte
-}
-
-// encodeBundle serializes a build product for the durable tier. Every
-// map is written in sorted key order, so one Bundle always encodes to
-// the same bytes.
-func encodeBundle(site string, b *Bundle) ([]byte, error) {
-	w := bundleWire{Version: bundleWireVersion, Site: site, Notes: b.notes, Validator: b.validator}
-	for _, name := range slices.Sorted(maps.Keys(b.subpages)) {
-		sub := b.subpages[name]
-		w.Subpages = append(w.Subpages, subpageWire{
-			Name:       sub.Name,
-			Title:      sub.Title,
-			Parent:     sub.Parent,
-			Region:     sub.Region,
-			PreRender:  sub.PreRender,
-			AJAX:       sub.AJAX,
-			Fidelity:   int(sub.Fidelity),
-			ImageData:  sub.ImageData,
-			ImageMIME:  sub.ImageMIME,
-			PartialCSS: sub.PartialCSS,
-			SearchJS:   sub.SearchJS,
-			CacheTTL:   sub.CacheTTL,
-			Shared:     sub.Shared,
-		})
+func (w *recordWriter) uint32(v int) {
+	w.n += 4
+	if w.buf != nil {
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(v))
 	}
-	for _, name := range slices.Sorted(maps.Keys(b.pages)) {
-		w.Files = append(w.Files, fileWire{Dir: pagesDir, Name: name, Data: b.pages[name].data})
+}
+
+// put writes p as it is; field writes it after its length.
+func put[T string | []byte](w *recordWriter, p T) {
+	w.n += len(p)
+	if w.buf != nil {
+		w.buf = append(w.buf, p...)
 	}
-	for _, name := range slices.Sorted(maps.Keys(b.assets)) {
-		w.Files = append(w.Files, fileWire{Dir: assetsDir, Name: name, Data: b.assets[name].data})
-	}
-	// Images are stored once per distinct decoded image, carrying every
-	// alias key (in sorted order, as they are met), so the src/absolute-URL
-	// double keying doesn't double the bytes.
+}
+
+func field[T string | []byte](w *recordWriter, p T) {
+	w.uint32(len(p))
+	put(w, p)
+}
+
+// encodeBundle serializes a build product for the durable tier, as the
+// bundleMagic layout. One Bundle always encodes to the same bytes.
+func encodeBundle(b *Bundle) ([]byte, error) {
+	// Each distinct decoded image is written once, as pngs[i], under the
+	// keys keys[i].
+	var keys [][]string
+	var pngs [][]byte
 	index := make(map[image.Image]int, len(b.images))
 	for _, key := range slices.Sorted(maps.Keys(b.images)) {
 		img := b.images[key]
 		if i, ok := index[img]; ok {
-			w.Images[i].Keys = append(w.Images[i].Keys, key)
+			keys[i] = append(keys[i], key)
 			continue
 		}
 		var buf bytes.Buffer
 		if err := png.Encode(&buf, img); err != nil {
 			return nil, fmt.Errorf("proxy: encoding bundle image %q: %w", key, err)
 		}
-		index[img] = len(w.Images)
-		w.Images = append(w.Images, imageWire{Keys: []string{key}, PNG: buf.Bytes()})
+		index[img] = len(pngs)
+		keys, pngs = append(keys, []string{key}), append(pngs, buf.Bytes())
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("proxy: encoding bundle: %w", err)
+	files := func(w *recordWriter, set map[string]*artifact) {
+		w.uint32(len(set))
+		for _, name := range slices.Sorted(maps.Keys(set)) {
+			field(w, name)
+			field(w, set[name].data)
+		}
 	}
-	return buf.Bytes(), nil
+	write := func(w *recordWriter) {
+		put(w, bundleMagic)
+		w.uint32(len(b.notes))
+		for _, note := range b.notes {
+			field(w, note)
+		}
+		w.uint32(len(b.areas))
+		for _, sub := range b.areas {
+			field(w, sub.Name)
+			field(w, sub.Title)
+			field(w, sub.Parent)
+			for _, v := range [4]int{sub.Region.X, sub.Region.Y, sub.Region.W, sub.Region.H} {
+				w.uint32(v)
+			}
+			ajax := "\x00"
+			if sub.AJAX {
+				ajax = "\x01"
+			}
+			put(w, ajax)
+		}
+		files(w, b.pages)
+		files(w, b.assets)
+		w.uint32(len(pngs))
+		for i, encoded := range pngs {
+			w.uint32(len(keys[i]))
+			for _, key := range keys[i] {
+				field(w, key)
+			}
+			field(w, encoded)
+		}
+	}
+	var size recordWriter
+	write(&size)
+	w := recordWriter{buf: make([]byte, 0, size.n)}
+	write(&w)
+	return w.buf, nil
 }
 
-// decodeBundle re-materializes a build product; images decode from PNG,
-// under imaging.Decode's pixel cap. A record without a main page cannot
-// serve an entry and is rejected here, so the handlers never meet one;
-// nor can a record whose image is too large to decode.
+// recordReader takes a Bundle record apart. Its first fault sticks:
+// every later read returns zero values.
+type recordReader struct {
+	rest []byte
+	err  error
+}
+
+func (r *recordReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("proxy: bundle record: "+format, args...)
+	}
+}
+
+// take returns the next n bytes of the record, aliasing it.
+func (r *recordReader) take(n uint64) []byte {
+	if n > uint64(len(r.rest)) {
+		r.fail("%d bytes wanted, %d left", n, len(r.rest))
+	}
+	if r.err != nil {
+		return nil
+	}
+	p := r.rest[:n:n]
+	r.rest = r.rest[n:]
+	return p
+}
+
+func (r *recordReader) uint32() uint32 {
+	if p := r.take(4); p != nil {
+		return binary.BigEndian.Uint32(p)
+	}
+	return 0
+}
+
+// field returns the next length-prefixed field, aliasing the record.
+func (r *recordReader) field() []byte { return r.take(uint64(r.uint32())) }
+
+// count reads the length of a list whose entries are each at least size
+// bytes, refusing one that what is left of the record could not hold.
+func (r *recordReader) count(size int) int {
+	n := uint64(r.uint32())
+	if n*uint64(size) > uint64(len(r.rest)) {
+		r.fail("%d entries of at least %d bytes, %d bytes left", n, size, len(r.rest))
+		return 0
+	}
+	return int(n)
+}
+
+// name reads a name, which must sort after prev unless it is the first
+// of its list.
+func (r *recordReader) name(first bool, prev string) string {
+	name := string(r.field())
+	if !first && name <= prev {
+		r.fail("name %q does not sort after %q", name, prev)
+	}
+	return name
+}
+
+// artifacts reads the pages or the assets.
+func (r *recordReader) artifacts() map[string]*artifact {
+	n := r.count(8)
+	set := make(map[string]*artifact, n)
+	name := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		name = r.name(i == 0, name)
+		set[name] = newArtifact(name, r.field())
+	}
+	return set
+}
+
+// decodeBundle re-materializes a build product from the bundleMagic
+// layout. Pages and assets alias data, which the caller must not modify;
+// images decode from PNG under imaging.Decode's pixel cap. A record
+// without a main page cannot serve an entry and is rejected here, so the
+// handlers never meet one; nor can a record whose image is too large to
+// decode.
 func decodeBundle(data []byte) (*Bundle, error) {
-	var w bundleWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("proxy: decoding bundle: %w", err)
+	r := recordReader{rest: data}
+	if string(r.take(uint64(len(bundleMagic)))) != bundleMagic {
+		return nil, errors.New("proxy: not a bundle record")
 	}
-	if w.Version < 1 || w.Version > bundleWireVersion {
-		return nil, fmt.Errorf("proxy: bundle version %d (want 1..%d)", w.Version, bundleWireVersion)
-	}
-	b := &Bundle{
-		pages:     make(map[string]*artifact),
-		assets:    make(map[string]*artifact),
-		subpages:  make(map[string]*attr.Subpage, len(w.Subpages)),
-		notes:     w.Notes,
-		validator: w.Validator,
-	}
-	for _, sw := range w.Subpages {
-		b.subpages[sw.Name] = &attr.Subpage{
-			Name:       sw.Name,
-			Title:      sw.Title,
-			Parent:     sw.Parent,
-			Region:     sw.Region,
-			PreRender:  sw.PreRender,
-			AJAX:       sw.AJAX,
-			Fidelity:   imaging.Fidelity(sw.Fidelity),
-			ImageData:  sw.ImageData,
-			ImageMIME:  sw.ImageMIME,
-			PartialCSS: sw.PartialCSS,
-			SearchJS:   sw.SearchJS,
-			CacheTTL:   sw.CacheTTL,
-			Shared:     sw.Shared,
+	b := &Bundle{}
+	if n := r.count(4); n > 0 {
+		b.notes = make([]string, n)
+		for i := range b.notes {
+			b.notes[i] = string(r.field())
 		}
 	}
-	b.orderAreas()
-	for _, fw := range w.Files {
-		set := b.pages
-		if fw.Dir == assetsDir {
-			set = b.assets
+	if n := r.count(3*4 + 4*4 + 1); n > 0 {
+		subs := make([]attr.Subpage, n)
+		b.areas = make([]*attr.Subpage, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			sub := &subs[i]
+			sub.Name = r.name(i == 0, subs[max(i-1, 0)].Name)
+			sub.Title, sub.Parent = string(r.field()), string(r.field())
+			for _, v := range []*int{&sub.Region.X, &sub.Region.Y, &sub.Region.W, &sub.Region.H} {
+				*v = int(int32(r.uint32()))
+			}
+			if ajax := r.take(1); ajax != nil && ajax[0] > 1 {
+				r.fail("AJAX byte %d", ajax[0])
+			} else {
+				sub.AJAX = ajax != nil && ajax[0] == 1
+			}
+			b.areas[i] = sub
 		}
-		set[fw.Name] = newArtifact(fw.Name, fw.Data)
 	}
-	if b.pages[mainPage] == nil {
-		return nil, errors.New("proxy: bundle has no main page")
-	}
-	if len(w.Images) > 0 {
-		b.images = make(map[string]image.Image, len(w.Images))
-		for _, iw := range w.Images {
-			img, err := imaging.Decode(iw.PNG)
+	b.pages = r.artifacts()
+	b.assets = r.artifacts()
+	if n := r.count(3 * 4); n > 0 {
+		b.images = make(map[string]image.Image)
+		key := ""
+		for i := 0; i < n && r.err == nil; i++ {
+			// An image's first key sorts after the previous image's.
+			keys := make([]string, r.count(4))
+			for j := range keys {
+				keys[j] = r.name(i+j == 0, key)
+				key = keys[j]
+			}
+			if len(keys) > 0 {
+				key = keys[0]
+			} else {
+				r.fail("image %d has no key", i)
+			}
+			encoded := r.field()
+			if r.err != nil {
+				break
+			}
+			img, err := imaging.Decode(encoded)
 			if err != nil {
 				return nil, fmt.Errorf("proxy: decoding bundle image: %w", err)
 			}
-			for _, key := range iw.Keys {
-				b.images[key] = img
+			for _, k := range keys {
+				if _, ok := b.images[k]; ok {
+					r.fail("image key %q stored twice", k)
+				}
+				b.images[k] = img
 			}
 		}
+	}
+	if len(r.rest) > 0 {
+		r.fail("%d trailing bytes", len(r.rest))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if b.pages[mainPage] == nil {
+		return nil, errors.New("proxy: bundle has no main page")
 	}
 	return b, nil
 }
@@ -366,8 +432,8 @@ func decodeBundle(data []byte) (*Bundle, error) {
 // exists; the proxy only remembers the decoded form of the record it
 // last saw, so the record is decoded once, not once per session. With a
 // tiered cache this is where a restarted proxy skips the whole pipeline.
-// A bundle that fails to decode (version drift, torn record) is deleted
-// and rebuilt.
+// A record that fails to decode (another format, a torn write) is
+// deleted and rebuilt.
 func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
 	// The Get sits under sharedMu, as storeBundle's Put does, so the memo
 	// is always compared with the record the cache holds now.
@@ -406,7 +472,7 @@ func (p *Proxy) loadBundle(ctx context.Context) (*Bundle, bool) {
 // and store-asynchronous (via the tiered write-through), so the build
 // path never waits on disk; encode failures only cost the persistence.
 func (p *Proxy) saveBundle(b *Bundle) {
-	data, err := encodeBundle(p.cfg.Spec.Name, b)
+	data, err := encodeBundle(b)
 	if err != nil {
 		p.obs.Counter("msite_proxy_bundle_encode_errors_total", "site", p.cfg.Spec.Name).Inc()
 		return

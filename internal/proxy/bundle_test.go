@@ -179,8 +179,8 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 			_ = resp.Body.Close()
 			var subpages, assets []string
 			bundle, _ := rig.p.sharedBundle()
-			for name := range bundle.subpages {
-				subpages = append(subpages, name)
+			for _, sub := range bundle.areas {
+				subpages = append(subpages, sub.Name)
 			}
 			for name := range bundle.assets {
 				assets = append(assets, name)
@@ -225,7 +225,7 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 			rig.p.sharedMu.Unlock()
 			diffViews(t, "after encode→decode", built, view(newDevice(t)))
 			if decoded, _ := rig.p.sharedBundle(); decoded == bundle ||
-				!reflect.DeepEqual(decoded.subpages, bundle.subpages) {
+				!reflect.DeepEqual(decoded.areas, bundle.areas) {
 				t.Fatal("the decoded Bundle's subpage set differs from the built one's (a kept DOM?)")
 			}
 
@@ -426,8 +426,8 @@ func TestLoadBundleKeepsNewerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newer.validator.ETag = `"newer"`
-	data, err := encodeBundle(rig.p.cfg.Spec.Name, newer)
+	newer.notes = append(newer.notes, "newer")
+	data, err := encodeBundle(newer)
 	if err != nil {
 		t.Fatal(err)
 	}

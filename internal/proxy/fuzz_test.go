@@ -3,7 +3,6 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"net/http/httptest"
 	"testing"
 
@@ -11,37 +10,56 @@ import (
 	"msite/internal/origin"
 )
 
-// FuzzDecodeBundle holds decodeBundle to two rules over any stored
-// record: it never panics, and a Bundle it accepts has a main page.
-// The seeds are a cold forum build's record and a version-1 record.
+// FuzzDecodeBundle holds decodeBundle to its rules over any stored
+// record: it never panics, a Bundle it accepts has a main page, and an
+// accepted record is canonical. One with no images encodes back to
+// itself; one with images may differ in the bytes the PNG encoder writes,
+// so its re-encoding must encode back to itself. The seeds are the
+// evaluation build's record and roundTripBundle's.
 func FuzzDecodeBundle(f *testing.F) {
-	site, b := coldForumBundle(f)
-	record, err := encodeBundle(site, b)
-	if err != nil {
-		f.Fatal(err)
+	for _, b := range []*Bundle{coldForumBundle(f), roundTripBundle()} {
+		record, err := encodeBundle(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(record)
 	}
-	f.Add(record)
-	var v1 bytes.Buffer
-	old := v1Bundle()
-	if err := gob.NewEncoder(&v1).Encode(&old); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeBundle(data)
-		if err == nil && b.pages[mainPage] == nil {
+		if err != nil {
+			return
+		}
+		if b.pages[mainPage] == nil {
 			t.Fatal("accepted a bundle without a main page")
+		}
+		again, err := encodeBundle(b)
+		if err != nil {
+			t.Fatalf("an accepted record does not encode: %v", err)
+		}
+		if len(b.images) == 0 {
+			if !bytes.Equal(again, data) {
+				t.Fatal("an accepted record without images does not encode back to itself")
+			}
+			return
+		}
+		b, err = decodeBundle(again)
+		if err != nil {
+			t.Fatalf("the re-encoded record does not decode: %v", err)
+		}
+		if third, err := encodeBundle(b); err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("re-encoding is not a fixed point (err %v)", err)
 		}
 	})
 }
 
-// coldForumBundle runs one cold build of the forum spec against a
-// fresh forum origin and returns the site name and the Bundle.
-func coldForumBundle(tb testing.TB) (string, *Bundle) {
+// coldForumBundle runs one cold build of the evaluation spec against a
+// fresh forum origin and returns the Bundle.
+func coldForumBundle(tb testing.TB) *Bundle {
 	tb.Helper()
 	originSrv := httptest.NewServer(origin.NewForum(origin.DefaultForumConfig()).Handler())
 	defer originSrv.Close()
 	sp := forumSpec(originSrv.URL)
+	evaluationSpec(sp)
 	opts, err := newBuildOptions(Config{Spec: sp}, "")
 	if err != nil {
 		tb.Fatal(err)
@@ -50,5 +68,5 @@ func coldForumBundle(tb testing.TB) (string, *Bundle) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sp.Name, b
+	return b
 }

@@ -19,6 +19,13 @@ import (
 // artifacts, so the hashes do not depend on the port it listens on.
 const goldenOrigin = "http://origin.invalid"
 
+// The directories the golden listing files a Bundle's pages and assets
+// under.
+const (
+	pagesDir  = "pages"
+	assetsDir = "images"
+)
+
 // TestBuildArtifactsMatchGolden pins every artifact a cold build of the
 // evaluation spec makes — each page and asset of its Bundle and the entry
 // snapshot rendered from it — to the SHA-256 in testdata/artifacts.sha256,

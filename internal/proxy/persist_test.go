@@ -2,20 +2,23 @@ package proxy
 
 import (
 	"bytes"
-	"encoding/gob"
+	"context"
+	"encoding/binary"
 	"image"
 	"image/color"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"msite/internal/attr"
 	"msite/internal/cache"
-	"msite/internal/imaging"
 	"msite/internal/origin"
 	"msite/internal/session"
 	"msite/internal/spec"
@@ -209,9 +212,9 @@ func TestPersonalizedSessionsBypassBundle(t *testing.T) {
 // does, for wire-format tests that need no pipeline run.
 func testBundle(pages, assets map[string]string, subs ...*attr.Subpage) *Bundle {
 	b := &Bundle{
-		pages:    make(map[string]*artifact),
-		assets:   make(map[string]*artifact),
-		subpages: make(map[string]*attr.Subpage),
+		pages:  make(map[string]*artifact),
+		assets: make(map[string]*artifact),
+		areas:  subs,
 	}
 	for name, data := range pages {
 		b.pages[name] = newArtifact(name, []byte(data))
@@ -219,48 +222,21 @@ func testBundle(pages, assets map[string]string, subs ...*attr.Subpage) *Bundle 
 	for name, data := range assets {
 		b.assets[name] = newArtifact(name, []byte(data))
 	}
-	for _, sub := range subs {
-		b.subpages[sub.Name] = sub
-	}
+	slices.SortFunc(b.areas, func(x, y *attr.Subpage) int { return strings.Compare(x.Name, y.Name) })
 	return b
-}
-
-// TestDecodedJPEGRecordKeepsItsAssetName: a record stored before flat
-// pre-renders shipped as PNGs holds its forums image as forums.jpg, and
-// a page that references that name. Decoded, the subpage still names the
-// asset .jpg, from its stored ImageMIME.
-func TestDecodedJPEGRecordKeepsItsAssetName(t *testing.T) {
-	src := testBundle(
-		map[string]string{"main.html": "<html></html>", attr.SubpageFileName("forums"): `<img src="/asset/forums.jpg">`},
-		map[string]string{"forums.jpg": "\xff\xd8\xff"},
-		&attr.Subpage{Name: "forums", PreRender: true, Fidelity: imaging.FidelityLow,
-			ImageData: []byte("\xff\xd8\xff"), ImageMIME: "image/jpeg"},
-	)
-	blob, err := encodeBundle("sawdust", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeBundle(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := attr.AssetFileName(got.subpages["forums"])
-	if a := got.assets[name]; name != "forums.jpg" || a == nil || a.ctype != "image/jpeg" {
-		t.Fatalf("decoded subpage names its asset %q; stored assets %v", name, got.assets)
-	}
 }
 
 // TestEncodeBundleDeterministic: one Bundle encodes to the same bytes
 // every time, though its pages, assets, subpages and images live in
 // maps.
 func TestEncodeBundleDeterministic(t *testing.T) {
-	site, b := coldForumBundle(t)
-	first, err := encodeBundle(site, b)
+	b := coldForumBundle(t)
+	first, err := encodeBundle(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 20; i++ {
-		again, err := encodeBundle(site, b)
+		again, err := encodeBundle(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,43 +246,40 @@ func TestEncodeBundleDeterministic(t *testing.T) {
 	}
 }
 
-// TestBundleRoundTrip pins the wire format: a build product survives
-// encode/decode with subpages, files, notes, and images intact.
-func TestBundleRoundTrip(t *testing.T) {
+// roundTripNavHTML is the nav page of roundTripBundle.
+const roundTripNavHTML = "<html><head><title>Navigation</title></head><body><ul><li>a</li></ul></body></html>"
+
+// roundTripBundle is a small Bundle with every part a record holds: a
+// note, an AJAX subpage and a plain one, pages, an asset, and a decoded
+// image stored under two keys beside one stored under one.
+func roundTripBundle() *Bundle {
 	img := image.NewRGBA(image.Rect(0, 0, 3, 2))
 	img.Set(1, 1, color.RGBA{R: 200, G: 10, B: 30, A: 255})
-	const navHTML = "<html><head><title>Navigation</title></head><body><ul><li>a</li></ul></body></html>"
-	src := testBundle(
-		map[string]string{"main.html": "<html></html>", attr.SubpageFileName("nav"): navHTML},
+	b := testBundle(
+		map[string]string{"main.html": "<html></html>", attr.SubpageFileName("nav"): roundTripNavHTML},
 		map[string]string{"t.png": "\x09"},
 		&attr.Subpage{
 			Name:   "nav",
 			Title:  "Navigation",
 			Region: attr.Region{X: 1, Y: 2, W: 30, H: 40},
 			AJAX:   true,
-			Shared: true,
 		},
-		&attr.Subpage{
-			Name:      "pics",
-			PreRender: true,
-			Fidelity:  imaging.FidelityLow,
-			ImageData: []byte{1, 2, 3},
-			ImageMIME: "image/png",
-			CacheTTL:  time.Minute,
-		},
+		&attr.Subpage{Name: "pics", Title: "pics", Parent: "nav", Region: attr.Region{X: -3, W: 5, H: 6}},
 	)
-	src.notes = []string{"degraded filter: x"}
-	src.images = map[string]image.Image{
+	b.notes = []string{"degraded filter: x"}
+	b.images = map[string]image.Image{
 		"/logo.gif":               img,
 		"http://origin/logo.gif":  img, // alias of the same decoded image
 		"http://origin/other.gif": image.NewRGBA(image.Rect(0, 0, 1, 1)),
 	}
-	src.validator = BundleValidator{
-		ETag:         `"abc"`,
-		LastModified: "Mon, 02 Jan 2006 15:04:05 GMT",
-		FetchedAt:    time.Unix(1700000000, 0).UTC(),
-	}
-	blob, err := encodeBundle("sawdust", src)
+	return b
+}
+
+// TestBundleRoundTrip pins the wire format: a build product survives
+// encode/decode with its areas, files, notes and images intact.
+func TestBundleRoundTrip(t *testing.T) {
+	src := roundTripBundle()
+	blob, err := encodeBundle(src)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -314,21 +287,11 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(got.subpages) != 2 {
-		t.Fatalf("subpages = %d", len(got.subpages))
+	if !reflect.DeepEqual(got.areas, src.areas) {
+		t.Fatalf("areas mangled: %+v", got.areas)
 	}
-	nav := got.subpages["nav"]
-	if nav == nil || nav.Title != "Navigation" || !nav.AJAX || !nav.Shared ||
-		nav.Region != (attr.Region{X: 1, Y: 2, W: 30, H: 40}) {
-		t.Fatalf("nav subpage mangled: %+v", nav)
-	}
-	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != navHTML {
+	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != roundTripNavHTML {
 		t.Fatalf("nav page mangled: %+v", page)
-	}
-	pics := got.subpages["pics"]
-	if pics == nil || !pics.PreRender || pics.Fidelity != imaging.FidelityLow ||
-		string(pics.ImageData) != "\x01\x02\x03" || pics.CacheTTL != time.Minute {
-		t.Fatalf("pics subpage mangled: %+v", pics)
 	}
 	if len(got.pages) != 2 || string(got.pages["main.html"].data) != "<html></html>" ||
 		got.pages["main.html"].ctype != "text/html; charset=utf-8" {
@@ -337,9 +300,6 @@ func TestBundleRoundTrip(t *testing.T) {
 	if a := got.assets["t.png"]; len(got.assets) != 1 || a == nil || string(a.data) != "\x09" ||
 		a.ctype != "image/png" || a.etag != src.assets["t.png"].etag {
 		t.Fatalf("assets mangled: %+v", got.assets)
-	}
-	if got.validator != src.validator {
-		t.Fatalf("validator mangled: got %+v want %+v", got.validator, src.validator)
 	}
 	if len(got.notes) != 1 || got.notes[0] != "degraded filter: x" {
 		t.Fatalf("notes mangled: %v", got.notes)
@@ -354,12 +314,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if r>>8 != 200 || g>>8 != 10 || bb>>8 != 30 || a>>8 != 255 {
 		t.Fatalf("image pixel mangled: %d %d %d %d", r>>8, g>>8, bb>>8, a>>8)
 	}
-	// A corrupt blob is rejected, not served; so is a record that could
-	// not serve an entry page.
-	if _, err := decodeBundle(blob[:len(blob)/2]); err == nil {
-		t.Fatal("truncated bundle decoded")
-	}
-	headless, err := encodeBundle("sawdust", testBundle(nil, nil))
+	// A record that could not serve an entry page is rejected.
+	headless, err := encodeBundle(testBundle(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,88 +324,87 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// bundleWireV1 is the exact wire shape of version-1 records (pre
-// validator capture, with the per-file Kind label and the per-subpage
-// DocHTML copy of its page that writers up to PR 13 emitted), kept here
-// so the regression test below encodes a genuinely old record rather
-// than a new struct with the fields zeroed.
-type bundleWireV1 struct {
-	Version  int
-	Site     string
-	Subpages []subpageWireV1
-	Notes    []string
-	Files    []fileWireV1
-	Images   []imageWire
-}
-
-type fileWireV1 struct {
-	Dir, Name, Kind string
-	Data            []byte
-}
-
-type subpageWireV1 struct {
-	Name, Title string
-	DocHTML     []byte
-	Parent      string
-	Region      attr.Region
-	AJAX        bool
-}
-
-// v1NavHTML is the nav subpage of v1Bundle.
-const v1NavHTML = "<html><body><p>hi</p></body></html>"
-
-// v1Bundle is a version-1 record with one AJAX subpage.
-func v1Bundle() bundleWireV1 {
-	return bundleWireV1{
-		Version: 1,
-		Site:    "sawdust",
-		Subpages: []subpageWireV1{{
-			Name:    "nav",
-			Title:   "Navigation",
-			DocHTML: []byte(v1NavHTML),
-			Region:  attr.Region{X: 1, Y: 2, W: 30, H: 40},
-			AJAX:    true,
-		}},
-		Notes: []string{"from v1"},
-		Files: []fileWireV1{
-			{Dir: "pages", Name: "main.html", Data: []byte("<html></html>"), Kind: "main"},
-			{Dir: "pages", Name: attr.SubpageFileName("nav"), Data: []byte(v1NavHTML), Kind: "subpage"},
-		},
-	}
-}
-
-func TestDecodeV1BundleBackwardCompatible(t *testing.T) {
-	old := v1Bundle()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatalf("encoding v1 record: %v", err)
-	}
-	got, err := decodeBundle(buf.Bytes())
+// TestRejectedRecordsAreRebuilt: a record the decoder does not accept
+// byte for byte, whether written by an older binary or damaged, is
+// refused; a proxy that finds one deletes it and rebuilds.
+func TestRejectedRecordsAreRebuilt(t *testing.T) {
+	good, err := encodeBundle(roundTripBundle())
 	if err != nil {
-		t.Fatalf("decoding v1 record: %v", err)
-	}
-	nav := got.subpages["nav"]
-	if len(got.subpages) != 1 || nav == nil || nav.Title != "Navigation" || !nav.AJAX ||
-		nav.Region != (attr.Region{X: 1, Y: 2, W: 30, H: 40}) {
-		t.Fatalf("v1 subpages mangled: %+v", got.subpages)
-	}
-	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != v1NavHTML {
-		t.Fatalf("v1 subpage page mangled: %+v", page)
-	}
-	if len(got.notes) != 1 || got.notes[0] != "from v1" {
-		t.Fatalf("v1 notes mangled: %v", got.notes)
-	}
-	if !got.validator.Zero() {
-		t.Fatalf("v1 record decoded with a non-zero validator: %+v", got.validator)
-	}
-	// A future version is rejected so the loader rebuilds.
-	future := bundleWireV1{Version: bundleWireVersion + 1}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&future); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBundle(buf.Bytes()); err == nil {
-		t.Fatal("future-version bundle decoded")
+	// edit returns a copy of good with f applied.
+	edit := func(f func([]byte) []byte) []byte { return f(bytes.Clone(good)) }
+	gobV2, err := os.ReadFile("testdata/bundle_gob_v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := roundTripBundle()
+	unsorted.areas[0], unsorted.areas[1] = unsorted.areas[1], unsorted.areas[0]
+	unsortedRecord, err := encodeBundle(unsorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first note's length and the nav area's AJAX byte, by the layout.
+	firstNote := len(bundleMagic) + 4
+	navAJAX := firstNote + 4 + len("degraded filter: x") + 4 + 4 + len("nav") + 4 + len("Navigation") + 4 + 4*4
+	if good[navAJAX] != 1 {
+		t.Fatalf("byte %d of the record is %d, not the nav area's AJAX flag", navAJAX, good[navAJAX])
+	}
+	cases := []struct {
+		name   string
+		record []byte
+	}{
+		// Captured from the gob encoder this layout replaced: a v2 record
+		// with a validator, an AJAX subpage, notes and an aliased image.
+		{"gob v2", gobV2},
+		{"foreign magic", edit(func(r []byte) []byte { r[len(bundleMagic)-1]++; return r })},
+		{"truncated", good[:len(good)-1]},
+		{"trailing byte", append(bytes.Clone(good), 0)},
+		{"unsorted names", unsortedRecord},
+		{"length out of range", edit(func(r []byte) []byte {
+			binary.BigEndian.PutUint32(r[firstNote:], uint32(len(r)))
+			return r
+		})},
+		{"AJAX byte 2", edit(func(r []byte) []byte { r[navAJAX] = 2; return r })},
+	}
+	rig := newPersistRig(t)
+	if _, resp := rig.get("/"); resp.StatusCode != 200 {
+		t.Fatal("cold entry failed")
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := decodeBundle(tc.record); err == nil {
+				t.Fatal("decoded")
+			}
+			rig.tc.Put(rig.p.bundleKey, cache.Entry{Data: tc.record, MIME: "application/x-msite-bundle"}, DefaultBundleTTL)
+			if !rig.tc.Flush(10 * time.Second) {
+				t.Fatal("store write did not drain")
+			}
+			rig.p.sharedMu.Lock()
+			rig.p.shared, rig.p.sharedSrc = nil, nil
+			rig.p.sharedMu.Unlock()
+			if _, ok := rig.p.loadBundle(context.Background()); ok {
+				t.Fatal("loadBundle served the record")
+			}
+			if !rig.tc.Flush(10 * time.Second) {
+				t.Fatal("store delete did not drain")
+			}
+			if _, ok := rig.tc.Get(rig.p.bundleKey); ok {
+				t.Fatal("loadBundle kept the record")
+			}
+			before := rig.p.Stats().Adaptations
+			if _, resp := rig.get("/"); resp.StatusCode != 200 {
+				t.Fatalf("entry after the record = %d, want 200", resp.StatusCode)
+			}
+			if got := rig.p.Stats().Adaptations - before; got != 1 {
+				t.Fatalf("adaptations = %d, want 1 rebuild", got)
+			}
+			if e, ok := rig.tc.Get(rig.p.bundleKey); !ok {
+				t.Fatal("the rebuild stored no record")
+			} else if _, err := decodeBundle(e.Data); err != nil {
+				t.Fatalf("the rebuilt record does not decode: %v", err)
+			}
+		})
 	}
 }
 
@@ -463,22 +418,28 @@ func TestOversizedBundleImageIsRebuilt(t *testing.T) {
 		t.Fatal("cold entry failed")
 	}
 	_, record := rig.p.sharedBundle()
-	var w bundleWire
-	if err := gob.NewDecoder(bytes.NewReader(record)).Decode(&w); err != nil {
+	// The record with its image list, the last, replaced by one image.
+	b, err := decodeBundle(record)
+	if err != nil {
 		t.Fatal(err)
 	}
-	w.Images = append(w.Images, imageWire{Keys: []string{"/huge.png"}, PNG: hugePNG()})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
+	b.images = nil
+	imageless, err := encodeBundle(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hostile := buf.Bytes()
+	w := recordWriter{buf: bytes.Clone(imageless[:len(imageless)-4])}
+	w.uint32(1)
+	w.uint32(1)
+	field(&w, "/huge.png")
+	field(&w, hugePNG())
+	hostile := w.buf
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeBundle(hostile)
+	_, err = decodeBundle(hostile)
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a record with a 60000×60000 image decoded")
+	if err == nil || !strings.Contains(err.Error(), "image") {
+		t.Fatalf("a record with a 60000×60000 image: err = %v", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
 		t.Fatalf("decoding the record allocated %d MB before refusing it", got>>20)

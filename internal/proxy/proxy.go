@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -687,7 +688,8 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 		return
 	}
 	page := v.bundle.pages[attr.SubpageFileName(name)]
-	if _, ok := v.bundle.subpages[name]; !ok || page == nil {
+	// The name must be a subpage's: SubpageFileName maps "a b" to "a_b"'s page.
+	if !slices.ContainsFunc(v.bundle.areas, func(sub *attr.Subpage) bool { return sub.Name == name }) || page == nil {
 		http.NotFound(w, r)
 		return
 	}

@@ -66,8 +66,9 @@ const (
 	// ships a binary-search overlay (§3.3 "Search"). Params: "trigger"
 	// (id of the element that invokes search).
 	AttrSearchable AttrType = "searchable"
-	// AttrCacheable shares the object's render across sessions (§3.3
-	// "Object caching"). Params: "ttl_seconds".
+	// AttrCacheable is §3.3 "Object caching". It is accepted and changes
+	// nothing: every object of an anonymous build is already shared across
+	// sessions through its Bundle. Its "ttl_seconds" is not read.
 	AttrCacheable AttrType = "cacheable"
 	// AttrAJAXify rewrites the object's asynchronous calls to proxy
 	// actions (§4.4). Params: "actions" (comma-separated action IDs, or
