@@ -54,8 +54,6 @@ func run() error {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker rejects before re-probing (0 = default 5s)")
 	maxAdapt := flag.Int("max-concurrent-adaptations", 0, "adaptation pipelines allowed to run at once; excess waits in a bounded queue or is shed with 503 (0 = unlimited)")
 	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length behind -max-concurrent-adaptations (0 = 4x concurrency, negative = no queue)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client requests/second budget, 429 + Retry-After past the burst (0 = unlimited)")
-	maxSessions := flag.Int("max-sessions", 0, "live session cap; first contacts past it are shed with 503 (0 = uncapped)")
 	storeDir := flag.String("store-dir", "", "durable render store directory; restarts rehydrate adapted content from it (empty = no persistence)")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
@@ -82,8 +80,6 @@ func run() error {
 
 		MaxConcurrentAdaptations: *maxAdapt,
 		AdmissionQueue:           *admissionQueue,
-		RateLimit:                *rateLimit,
-		MaxSessions:              *maxSessions,
 
 		StoreDir: *storeDir,
 

@@ -128,19 +128,16 @@ var subsystemDocs = []struct {
 		}},
 	},
 	{
-		doc: "ADMISSION.md",
-		flags: []string{
-			"-max-concurrent-adaptations", "-admission-queue",
-			"-rate-limit", "-max-sessions",
-		},
+		doc:   "ADMISSION.md",
+		flags: []string{"-max-concurrent-adaptations", "-admission-queue"},
 		metrics: []string{
 			"msite_admission_queue_depth", "msite_admission_shed_total",
-			"msite_admission_coalesced_total", "msite_ratelimit_rejects_total",
+			"msite_admission_coalesced_total",
 		},
 		inObs: true,
 		tests: []string{
 			"TestColdCrowdCoalescesToOneBuild", "TestQueueFullSheds503",
-			"TestRateLimit429", "TestSessionCapSheds503", "TestLimiterBoundsConcurrency",
+			"TestLimiterBoundsConcurrency",
 		},
 	},
 	{
@@ -382,8 +379,8 @@ func TestKnobCeiling(t *testing.T) {
 		knob           string
 		count, ceiling int
 	}{
-		{"`core.Config` fields", len(coreConfigFields(t)), 17},
-		{"`msite-proxy` flags", len(proxyFlagNames(t)), 21},
+		{"`core.Config` fields", len(coreConfigFields(t)), 15},
+		{"`msite-proxy` flags", len(proxyFlagNames(t)), 19},
 		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 14},
 	} {
 		t.Logf("| %s | %d | %d |", k.knob, k.count, k.ceiling)

@@ -3,12 +3,12 @@
 // fetch+layout+raster pipeline off the hot path (§4); this package makes
 // sure a traffic spike cannot put it back on: a bounded concurrency
 // limiter with a deadline-aware wait queue sheds work it could never
-// finish in time (503 + Retry-After), an in-flight coalescer folds N
-// identical cold adaptations into one pipeline run, and per-client token
-// buckets stop any single session or address from monopolizing the
-// proxy (429 + Retry-After). The design follows staged admission control
-// (SEDA): say no early, cheaply, and with a useful hint, instead of
-// queueing unboundedly and timing everyone out.
+// finish in time (503 + Retry-After), and an in-flight coalescer folds N
+// identical cold adaptations into one pipeline run. The design follows
+// staged admission control (SEDA): say no early, cheaply, and with a
+// useful hint, instead of queueing unboundedly and timing everyone out.
+// Per-client limits are a front proxy's job: it sees the client address
+// before any cookie, so forged cookies cannot buy fresh budgets there.
 package admission
 
 import (
@@ -30,15 +30,10 @@ const (
 	// ReasonDeadline: the request's deadline would expire before a slot
 	// could free up (shed on arrival), or expired while queued.
 	ReasonDeadline = "deadline"
-	// ReasonRateLimit: the client's token bucket was empty.
-	ReasonRateLimit = "rate_limit"
-	// ReasonSessionCap: session creation would exceed -max-sessions.
-	ReasonSessionCap = "session_cap"
 )
 
 // ShedError reports a request refused by admission control. The proxy
-// maps it to 503 (capacity) or 429 (rate limit) with a Retry-After
-// header derived from RetryAfter.
+// maps it to 503 with a Retry-After header derived from RetryAfter.
 type ShedError struct {
 	// Reason is one of the Reason* constants.
 	Reason string
@@ -116,7 +111,9 @@ type waiter struct {
 }
 
 // Limiter is a bounded adaptation-concurrency limiter with a
-// deadline-aware FIFO wait queue. Safe for concurrent use.
+// deadline-aware FIFO wait queue. Safe for concurrent use. A nil
+// Limiter admits everything. One Limiter is shared by every site of a
+// MultiProxy: capacity is a property of the process, not a page.
 type Limiter struct {
 	maxConcurrent int
 	queueLen      int
@@ -157,6 +154,9 @@ func NewLimiter(cfg LimiterConfig) (*Limiter, error) {
 // SetObs registers the limiter's queue-depth gauge on reg. Sheds are
 // counted where they are answered (the proxy's shedError), not here.
 func (l *Limiter) SetObs(reg *obs.Registry) {
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.depth = reg.Gauge("msite_admission_queue_depth")
@@ -166,7 +166,11 @@ func (l *Limiter) SetObs(reg *obs.Registry) {
 // slots are busy. The returned release func must be called exactly once
 // when the run finishes. A request that cannot start before ctx's
 // deadline — on arrival or while queued — is shed with a *ShedError.
+// A nil Limiter admits at once.
 func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
+	if l == nil {
+		return func() {}, nil
+	}
 	l.mu.Lock()
 	if l.active < l.maxConcurrent && len(l.queue) == 0 {
 		l.active++
@@ -268,95 +272,4 @@ func (l *Limiter) Active() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.active
-}
-
-// Controller bundles the proxy's admission machinery: the pipeline
-// concurrency limiter and the per-client rate limiter. Either may be
-// absent (nil Controller, or a Controller with only one of them, means
-// that dimension is unlimited). One Controller is shared by every site
-// of a MultiProxy — capacity is a property of the process, not a page.
-type Controller struct {
-	limiter *Limiter
-	rate    *RateLimiter
-}
-
-// Config wires a Controller.
-type Config struct {
-	// MaxConcurrent bounds concurrent adaptation pipelines. 0 disables
-	// the concurrency limiter.
-	MaxConcurrent int
-	// QueueLen bounds the admission wait queue (see LimiterConfig).
-	QueueLen int
-	// ExpectedRun seeds the run-time estimate (see LimiterConfig).
-	ExpectedRun time.Duration
-	// RatePerSec is the per-client steady-state request rate. 0 disables
-	// rate limiting.
-	RatePerSec float64
-	// Burst is the per-client token bucket depth. 0 derives a burst of
-	// max(5, 2×RatePerSec).
-	Burst float64
-}
-
-// NewController builds a Controller; a zero Config returns one that
-// admits everything.
-func NewController(cfg Config) (*Controller, error) {
-	c := &Controller{}
-	if cfg.MaxConcurrent > 0 {
-		l, err := NewLimiter(LimiterConfig{
-			MaxConcurrent: cfg.MaxConcurrent,
-			QueueLen:      cfg.QueueLen,
-			ExpectedRun:   cfg.ExpectedRun,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.limiter = l
-	}
-	if cfg.RatePerSec > 0 {
-		c.rate = NewRateLimiter(cfg.RatePerSec, cfg.Burst)
-	}
-	return c, nil
-}
-
-// SetObs registers the controller's metrics on reg.
-func (c *Controller) SetObs(reg *obs.Registry) {
-	if c == nil {
-		return
-	}
-	if c.limiter != nil {
-		c.limiter.SetObs(reg)
-	}
-	if c.rate != nil {
-		c.rate.SetObs(reg)
-	}
-}
-
-// Acquire admits one pipeline run (see Limiter.Acquire). A nil
-// Controller or one without a limiter admits immediately.
-func (c *Controller) Acquire(ctx context.Context) (func(), error) {
-	if c == nil || c.limiter == nil {
-		return func() {}, nil
-	}
-	return c.limiter.Acquire(ctx)
-}
-
-// RateLimited reports whether the controller has a per-client rate
-// limiter, so a caller can skip deriving a client key it would not use.
-func (c *Controller) RateLimited() bool { return c != nil && c.rate != nil }
-
-// AllowClient spends one token from the client's bucket. A nil
-// Controller or one without a rate limiter always allows.
-func (c *Controller) AllowClient(key string) (ok bool, retryAfter time.Duration) {
-	if c == nil || c.rate == nil {
-		return true, 0
-	}
-	return c.rate.Allow(key)
-}
-
-// Limiter exposes the concurrency limiter (nil when disabled).
-func (c *Controller) Limiter() *Limiter {
-	if c == nil {
-		return nil
-	}
-	return c.limiter
 }

@@ -204,81 +204,6 @@ func TestEstimateWait(t *testing.T) {
 	}
 }
 
-func TestRateLimiter(t *testing.T) {
-	now := time.Unix(1000, 0)
-	rl := NewRateLimiter(2, 3) // 2 tokens/s, bucket of 3
-	rl.setClock(func() time.Time { return now })
-
-	// The burst admits exactly 3 back-to-back requests.
-	for i := 0; i < 3; i++ {
-		if ok, _ := rl.Allow("client"); !ok {
-			t.Fatalf("request %d rejected inside burst", i)
-		}
-	}
-	ok, retry := rl.Allow("client")
-	if ok {
-		t.Fatal("request 4 allowed, want rejected")
-	}
-	// Empty bucket at 2 tokens/s: one token is 500ms away.
-	if retry != 500*time.Millisecond {
-		t.Errorf("retryAfter = %v, want 500ms", retry)
-	}
-
-	// Other clients are unaffected.
-	if ok, _ := rl.Allow("other"); !ok {
-		t.Error("other client rejected by this client's exhaustion")
-	}
-
-	// After the hinted wait, exactly one request fits again.
-	now = now.Add(retry)
-	if ok, _ := rl.Allow("client"); !ok {
-		t.Error("request after refill rejected")
-	}
-	if ok, _ := rl.Allow("client"); ok {
-		t.Error("second request after single-token refill allowed")
-	}
-
-	// A long idle period caps the bucket at burst, not beyond.
-	now = now.Add(time.Hour)
-	allowed := 0
-	for i := 0; i < 10; i++ {
-		if ok, _ := rl.Allow("client"); ok {
-			allowed++
-		}
-	}
-	if allowed != 3 {
-		t.Errorf("after idle, burst admitted %d, want 3", allowed)
-	}
-}
-
-func TestRateLimiterDefaultBurst(t *testing.T) {
-	if rl := NewRateLimiter(1, 0); rl.burst != 5 {
-		t.Errorf("burst for rate 1 = %v, want 5 (floor)", rl.burst)
-	}
-	if rl := NewRateLimiter(10, 0); rl.burst != 20 {
-		t.Errorf("burst for rate 10 = %v, want 20 (2x rate)", rl.burst)
-	}
-}
-
-func TestRateLimiterPrunesIdleBuckets(t *testing.T) {
-	now := time.Unix(1000, 0)
-	rl := NewRateLimiter(1, 1)
-	rl.setClock(func() time.Time { return now })
-	for i := 0; i < maxBuckets; i++ {
-		rl.Allow(string(rune('a')) + time.Duration(i).String())
-	}
-	if got := rl.Len(); got != maxBuckets {
-		t.Fatalf("buckets = %d, want %d", got, maxBuckets)
-	}
-	// Everyone refills over the next hour; the next new client triggers
-	// the prune and the map collapses.
-	now = now.Add(time.Hour)
-	rl.Allow("fresh")
-	if got := rl.Len(); got != 1 {
-		t.Errorf("buckets after prune = %d, want 1", got)
-	}
-}
-
 func TestCoalescerSingleExecution(t *testing.T) {
 	c := NewCoalescer[int]()
 	const callers = 32
@@ -486,45 +411,14 @@ func TestCoalescerAbandonedCallNotJoined(t *testing.T) {
 	}
 }
 
-func TestControllerNilSafe(t *testing.T) {
-	var c *Controller
-	release, err := c.Acquire(context.Background())
+// TestLimiterNilSafe: a nil Limiter is the "no admission control"
+// setting, so every method the proxy calls on it must admit or no-op.
+func TestLimiterNilSafe(t *testing.T) {
+	var l *Limiter
+	release, err := l.Acquire(context.Background())
 	if err != nil {
-		t.Fatalf("nil controller Acquire: %v", err)
+		t.Fatalf("nil limiter Acquire: %v", err)
 	}
 	release()
-	if ok, _ := c.AllowClient("anyone"); !ok {
-		t.Error("nil controller rejected a client")
-	}
-	if c.Limiter() != nil {
-		t.Error("nil controller returned a limiter")
-	}
-	c.SetObs(nil)
-}
-
-func TestControllerConfig(t *testing.T) {
-	c, err := NewController(Config{MaxConcurrent: 2, RatePerSec: 1, Burst: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Limiter() == nil {
-		t.Fatal("limiter not built")
-	}
-	if ok, _ := c.AllowClient("k"); !ok {
-		t.Fatal("first request rejected")
-	}
-	if ok, retry := c.AllowClient("k"); ok || retry <= 0 {
-		t.Fatalf("second request: ok=%v retry=%v, want rejection with hint", ok, retry)
-	}
-
-	open, err := NewController(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if open.Limiter() != nil {
-		t.Error("zero config built a limiter")
-	}
-	if ok, _ := open.AllowClient("k"); !ok {
-		t.Error("zero config rejected a client")
-	}
+	l.SetObs(nil)
 }

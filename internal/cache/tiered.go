@@ -48,32 +48,14 @@ type KeyLister interface {
 	Keys() []string
 }
 
-// DefaultTieredWriters is the default size of the async write-through
-// pool.
-const DefaultTieredWriters = 2
+// tieredQueueLen bounds the queued write-throughs: past it writes are
+// dropped and counted in msite_store_write_drops_total, never blocked
+// on, so the serving path never waits on the store.
+const tieredQueueLen = 256
 
-// DefaultTieredQueueLen is the default bound on queued write-throughs;
-// past it writes are dropped (and counted), never blocked on.
-const DefaultTieredQueueLen = 256
-
-// DefaultPromoteTTL is the L1 residency granted to a durable record that
+// promoteTTL is the L1 residency granted to a durable record that
 // carries no expiry of its own.
-const DefaultPromoteTTL = 5 * time.Minute
-
-// TieredOptions configures the write-through machinery.
-type TieredOptions struct {
-	// Writers is the async write-through pool size (default
-	// DefaultTieredWriters).
-	Writers int
-	// QueueLen bounds the queued write-throughs (default
-	// DefaultTieredQueueLen). A full queue drops the write and counts it
-	// in msite_store_write_drops_total — the serving path never blocks
-	// on the store.
-	QueueLen int
-	// PromoteTTL is the L1 ttl granted to durable records without an
-	// expiry (default DefaultPromoteTTL).
-	PromoteTTL time.Duration
-}
+const promoteTTL = 5 * time.Minute
 
 // writeOp is one queued asynchronous store mutation.
 type writeOp struct {
@@ -85,18 +67,19 @@ type writeOp struct {
 }
 
 // Tiered layers a durable SecondTier under an in-memory Cache. Reads
-// miss through to the store (promoting hits into L1); fills and puts
-// write through asynchronously via a bounded writer pool so the serving
-// path never waits on disk.
+// miss through to the store (promoting hits into L1); fills, puts and
+// deletes write through asynchronously via a bounded queue so the
+// serving path never waits on disk. One writer drains the queue, so the
+// tier sees a key's writes in the order they were made: a Delete queued
+// behind a Put of the same key lands after it.
 type Tiered struct {
 	*Cache
-	tier       SecondTier
-	promoteTTL time.Duration
+	tier SecondTier
 
 	queue   chan writeOp
 	sendMu  sync.RWMutex // guards queue sends against Close
 	closed  bool
-	wg      sync.WaitGroup
+	done    chan struct{} // closed when the writer exits
 	pending atomic.Int64
 
 	writeDrops atomic.Uint64
@@ -106,35 +89,20 @@ type Tiered struct {
 }
 
 // NewTiered wraps l1 with the durable tier. The caller retains ownership
-// of both: Close stops the writers and closes l1, but not the tier.
-func NewTiered(l1 *Cache, tier SecondTier, o TieredOptions) *Tiered {
-	writers := o.Writers
-	if writers <= 0 {
-		writers = DefaultTieredWriters
-	}
-	queueLen := o.QueueLen
-	if queueLen <= 0 {
-		queueLen = DefaultTieredQueueLen
-	}
-	promote := o.PromoteTTL
-	if promote <= 0 {
-		promote = DefaultPromoteTTL
-	}
+// of both: Close stops the writer and closes l1, but not the tier.
+func NewTiered(l1 *Cache, tier SecondTier) *Tiered {
 	t := &Tiered{
-		Cache:      l1,
-		tier:       tier,
-		promoteTTL: promote,
-		queue:      make(chan writeOp, queueLen),
+		Cache: l1,
+		tier:  tier,
+		queue: make(chan writeOp, tieredQueueLen),
+		done:  make(chan struct{}),
 	}
-	t.wg.Add(writers)
-	for i := 0; i < writers; i++ {
-		go t.writer()
-	}
+	go t.writer()
 	return t
 }
 
 func (t *Tiered) writer() {
-	defer t.wg.Done()
+	defer close(t.done)
 	for op := range t.queue {
 		if op.del {
 			_ = t.tier.Delete(op.key)
@@ -145,7 +113,7 @@ func (t *Tiered) writer() {
 	}
 }
 
-// enqueue hands op to the writer pool without ever blocking: a full
+// enqueue hands op to the writer without ever blocking: a full
 // queue (stalled or slow disk) drops the write and counts it.
 func (t *Tiered) enqueue(op writeOp) {
 	t.sendMu.RLock()
@@ -182,7 +150,7 @@ func (t *Tiered) Get(key string) (Entry, bool) {
 // remainingTTL converts a tier record's expiry into an L1 ttl.
 func (t *Tiered) remainingTTL(expires time.Time) time.Duration {
 	if expires.IsZero() {
-		return t.promoteTTL
+		return promoteTTL
 	}
 	return expires.Sub(t.clock())
 }
@@ -256,9 +224,6 @@ func (t *Tiered) Rehydrate(maxBytes int64) int {
 // backpressure.
 func (t *Tiered) WriteDrops() uint64 { return t.writeDrops.Load() }
 
-// PendingWrites returns the write-throughs queued or in flight.
-func (t *Tiered) PendingWrites() int64 { return t.pending.Load() }
-
 // Flush waits until the write-through queue drains or the timeout
 // elapses, returning whether it drained. Test and benchmark helper; the
 // serving path never calls it.
@@ -283,7 +248,7 @@ func (t *Tiered) SetObs(reg *obs.Registry) {
 	reg.GaugeFunc("msite_store_write_queue", func() float64 { return float64(t.pending.Load()) })
 }
 
-// Close drains queued write-throughs, stops the writer pool, and closes
+// Close drains queued write-throughs, stops the writer, and closes
 // the L1 cache. Idempotent. The durable tier itself stays open — its
 // owner closes it after the last write lands.
 func (t *Tiered) Close() {
@@ -292,7 +257,7 @@ func (t *Tiered) Close() {
 		t.closed = true
 		close(t.queue)
 		t.sendMu.Unlock()
-		t.wg.Wait()
+		<-t.done
 		t.Cache.Close()
 	})
 }

@@ -85,16 +85,16 @@ func (f *fakeTier) Keys() []string {
 	return keys
 }
 
-func newTieredTest(t *testing.T, tier SecondTier, o TieredOptions) *Tiered {
+func newTieredTest(t *testing.T, tier SecondTier) *Tiered {
 	t.Helper()
-	tc := NewTiered(New(), tier, o)
+	tc := NewTiered(New(), tier)
 	t.Cleanup(tc.Close)
 	return tc
 }
 
 func TestTieredWriteThroughAndFallthrough(t *testing.T) {
 	tier := newFakeTier()
-	tc := newTieredTest(t, tier, TieredOptions{})
+	tc := newTieredTest(t, tier)
 
 	fills := 0
 	fill := func() (Entry, error) {
@@ -114,7 +114,7 @@ func TestTieredWriteThroughAndFallthrough(t *testing.T) {
 
 	// Simulate a restart: fresh L1 over the same tier. The fill must NOT
 	// run again — the durable record satisfies the miss.
-	tc2 := newTieredTest(t, tier, TieredOptions{})
+	tc2 := newTieredTest(t, tier)
 	e2, err := tc2.GetOrFill("k", time.Minute, func() (Entry, error) {
 		t.Error("fill ran despite durable record")
 		return Entry{}, errors.New("unreachable")
@@ -131,7 +131,7 @@ func TestTieredWriteThroughAndFallthrough(t *testing.T) {
 func TestTieredGetPromotes(t *testing.T) {
 	tier := newFakeTier()
 	_ = tier.Put("k", []byte("v"), "m", time.Minute)
-	tc := newTieredTest(t, tier, TieredOptions{})
+	tc := newTieredTest(t, tier)
 	e, ok := tc.Get("k")
 	if !ok || string(e.Data) != "v" {
 		t.Fatalf("Get through tier = %q, %v", e.Data, ok)
@@ -146,7 +146,7 @@ func TestTieredGetPromotes(t *testing.T) {
 
 func TestTieredPutAndDeleteWriteThrough(t *testing.T) {
 	tier := newFakeTier()
-	tc := newTieredTest(t, tier, TieredOptions{})
+	tc := newTieredTest(t, tier)
 	tc.Put("k", Entry{Data: []byte("v"), MIME: "m"}, time.Minute)
 	if !tc.Flush(time.Second) {
 		t.Fatal("queue did not drain")
@@ -169,14 +169,35 @@ func TestTieredPutAndDeleteWriteThrough(t *testing.T) {
 	}
 }
 
+// TestTieredDeleteAfterPutWins: a Delete queued behind a stalled Put of
+// the same key reaches the tier after it, so the key ends up gone.
+func TestTieredDeleteAfterPutWins(t *testing.T) {
+	tier := newFakeTier()
+	tier.block = make(chan struct{})
+	tc := newTieredTest(t, tier)
+	tc.Put("k", Entry{Data: []byte("v")}, time.Minute)
+	tc.Delete("k")
+	time.Sleep(20 * time.Millisecond) // room for a second writer to run the Delete first
+	close(tier.block)
+	if !tc.Flush(time.Second) {
+		t.Fatal("queue did not drain")
+	}
+	if _, _, _, ok := tier.Get("k"); ok {
+		t.Fatal("the tier holds k after Put then Delete")
+	}
+}
+
 func TestTieredNeverBlocksOnStalledWriter(t *testing.T) {
 	tier := newFakeTier()
 	tier.block = make(chan struct{})
 	defer close(tier.block)
-	tc := newTieredTest(t, tier, TieredOptions{Writers: 1, QueueLen: 2})
+	tc := newTieredTest(t, tier)
 
+	// One write stalls in the tier and tieredQueueLen wait behind it; the
+	// rest overflow the queue.
+	fills := tieredQueueLen + 50
 	start := time.Now()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < fills; i++ {
 		key := fmt.Sprintf("k%d", i)
 		_, err := tc.GetOrFill(key, time.Minute, func() (Entry, error) {
 			return Entry{Data: []byte("v"), MIME: "m"}, nil
@@ -186,7 +207,7 @@ func TestTieredNeverBlocksOnStalledWriter(t *testing.T) {
 		}
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("serving path blocked on stalled writer: %v for 50 fills", elapsed)
+		t.Fatalf("serving path blocked on stalled writer: %v for %d fills", elapsed, fills)
 	}
 	if tc.WriteDrops() == 0 {
 		t.Fatal("no write drops counted despite a stalled writer and full queue")
@@ -197,10 +218,10 @@ func TestTieredWriteDropMetric(t *testing.T) {
 	tier := newFakeTier()
 	tier.block = make(chan struct{})
 	defer close(tier.block)
-	tc := newTieredTest(t, tier, TieredOptions{Writers: 1, QueueLen: 1})
+	tc := newTieredTest(t, tier)
 	reg := obs.NewRegistry()
 	tc.SetObs(reg)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < tieredQueueLen+10; i++ {
 		tc.Put(fmt.Sprintf("k%d", i), Entry{Data: []byte("v")}, time.Minute)
 	}
 	snap := reg.Snapshot()
@@ -215,7 +236,7 @@ func TestTieredWriteDropMetric(t *testing.T) {
 
 func TestTieredFillErrorNotWrittenThrough(t *testing.T) {
 	tier := newFakeTier()
-	tc := newTieredTest(t, tier, TieredOptions{})
+	tc := newTieredTest(t, tier)
 	wantErr := errors.New("render failed")
 	if _, err := tc.GetOrFill("k", time.Minute, func() (Entry, error) {
 		return Entry{}, wantErr
@@ -234,7 +255,7 @@ func TestTieredRehydrate(t *testing.T) {
 		_ = tier.Put(fmt.Sprintf("k%d", i), []byte("warm"), "m", time.Minute)
 	}
 	_ = tier.Put("expired", []byte("old"), "m", -1) // zero expiry → promoteTTL path
-	tc := newTieredTest(t, tier, TieredOptions{})
+	tc := newTieredTest(t, tier)
 	n := tc.Rehydrate(0)
 	if n != 6 {
 		t.Fatalf("Rehydrate loaded %d records; want 6", n)
@@ -245,7 +266,7 @@ func TestTieredRehydrate(t *testing.T) {
 		}
 	}
 	// Byte cap honored.
-	tc2 := newTieredTest(t, newFakeTierFrom(tier), TieredOptions{})
+	tc2 := newTieredTest(t, newFakeTierFrom(tier))
 	if n := tc2.Rehydrate(5); n < 1 || n >= 6 {
 		t.Fatalf("byte-capped Rehydrate loaded %d records", n)
 	}
@@ -264,7 +285,7 @@ func newFakeTierFrom(src *fakeTier) *fakeTier {
 
 func TestTieredCloseIdempotentAndDrains(t *testing.T) {
 	tier := newFakeTier()
-	tc := NewTiered(New(), tier, TieredOptions{})
+	tc := NewTiered(New(), tier)
 	for i := 0; i < 20; i++ {
 		tc.Put(fmt.Sprintf("k%d", i), Entry{Data: []byte("v")}, time.Minute)
 	}
@@ -297,7 +318,7 @@ func TestCacheCloseIdempotent(t *testing.T) {
 
 func TestTieredConcurrent(t *testing.T) {
 	tier := newFakeTier()
-	tc := newTieredTest(t, tier, TieredOptions{Writers: 4, QueueLen: 64})
+	tc := newTieredTest(t, tier)
 	var fills atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -67,14 +67,6 @@ type Config struct {
 	// concurrency; negative means no queue (shed immediately when all
 	// slots are busy).
 	AdmissionQueue int
-	// RateLimit is the per-client request budget in requests/second (the
-	// -rate-limit knob); clients past their token bucket, max(5,
-	// 2×RateLimit) deep, get 429 + Retry-After. 0 disables rate limiting.
-	RateLimit float64
-	// MaxSessions caps live sessions (the -max-sessions knob); past it,
-	// first contacts are shed with 503 + Retry-After instead of
-	// allocating session state. 0 means uncapped.
-	MaxSessions int
 	// StoreDir enables the durable render store (the -store-dir knob): a
 	// crash-safe disk tier under the render cache. Adapted bundles,
 	// shared snapshots, and subpage artifacts persist there, so a
@@ -117,22 +109,21 @@ func (cfg Config) buildCache(reg *obs.Registry) (cache.Layer, *store.Store, erro
 		return nil, nil, err
 	}
 	st.SetObs(reg)
-	tiered := cache.NewTiered(l1, st, cache.TieredOptions{})
+	tiered := cache.NewTiered(l1, st)
 	tiered.SetObs(reg)
 	tiered.Rehydrate(0)
 	return tiered, st, nil
 }
 
-// admissionController maps the Config knobs onto an admission
-// controller; nil (admit everything) when no knob is set.
-func (cfg Config) admissionController() (*admission.Controller, error) {
-	if cfg.MaxConcurrentAdaptations <= 0 && cfg.RateLimit <= 0 {
+// admissionLimiter maps the Config knobs onto the adaptation
+// concurrency limiter; nil (admit everything) when it is not set.
+func (cfg Config) admissionLimiter() (*admission.Limiter, error) {
+	if cfg.MaxConcurrentAdaptations <= 0 {
 		return nil, nil
 	}
-	return admission.NewController(admission.Config{
+	return admission.NewLimiter(admission.LimiterConfig{
 		MaxConcurrent: cfg.MaxConcurrentAdaptations,
 		QueueLen:      cfg.AdmissionQueue,
-		RatePerSec:    cfg.RateLimit,
 	})
 }
 
@@ -237,9 +228,8 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 	if err != nil {
 		return nil, err
 	}
-	sessions.SetLimit(cfg.MaxSessions)
 	reg := obs.NewRegistry()
-	adm, err := cfg.admissionController()
+	adm, err := cfg.admissionLimiter()
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ type gatedRig struct {
 	once     sync.Once
 }
 
-func newGatedRig(t *testing.T, adm *admission.Controller) *gatedRig {
+func newGatedRig(t *testing.T, adm *admission.Limiter) *gatedRig {
 	t.Helper()
 	g := &gatedRig{release: make(chan struct{})}
 	forum := origin.NewForum(origin.DefaultForumConfig()).Handler()
@@ -240,7 +240,7 @@ func TestPersonalizedSessionsBypassCoalescing(t *testing.T) {
 // held, a second build sheds immediately with 503 + Retry-After instead
 // of hanging.
 func TestQueueFullSheds503(t *testing.T) {
-	adm, err := admission.NewController(admission.Config{MaxConcurrent: 1, QueueLen: -1})
+	adm, err := admission.NewLimiter(admission.LimiterConfig{MaxConcurrent: 1, QueueLen: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestQueueFullSheds503(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for adm.Limiter().Active() < 1 {
+	for adm.Active() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("first build never acquired the slot")
 		}
@@ -308,7 +308,7 @@ func TestQueueFullSheds503(t *testing.T) {
 // closes the document in-band instead of answering 503. It is still one
 // shed, counted once.
 func TestStreamedQueueFullShedCountedOnce(t *testing.T) {
-	adm, err := admission.NewController(admission.Config{MaxConcurrent: 1, QueueLen: -1})
+	adm, err := admission.NewLimiter(admission.LimiterConfig{MaxConcurrent: 1, QueueLen: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestStreamedQueueFullShedCountedOnce(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for adm.Limiter().Active() < 1 {
+	for adm.Active() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("first build never acquired the slot")
 		}
@@ -376,88 +376,6 @@ func TestStreamedQueueFullShedCountedOnce(t *testing.T) {
 	snap := rig.p.Obs().Snapshot()
 	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonQueueFull); got != 1 {
 		t.Errorf(`msite_admission_shed_total{reason="queue_full"} = %v, want 1`, got)
-	}
-}
-
-// TestRateLimit429 covers the per-client token bucket: past the burst,
-// requests get 429 + Retry-After and the reject counter moves.
-func TestRateLimit429(t *testing.T) {
-	adm, err := admission.NewController(admission.Config{RatePerSec: 0.01, Burst: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newGatedRig(t, adm)
-	g.open()
-
-	// /stats is cheap and sessionless; every request comes from the same
-	// remote address, i.e. the same bucket.
-	for i := 0; i < 2; i++ {
-		resp, err := http.Get(g.proxy.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d inside burst: status %d", i, resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(g.proxy.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status past burst = %d, want 429; body %.80s", resp.StatusCode, body)
-	}
-	assertRetryAfter(t, resp)
-	snap := g.p.Obs().Snapshot()
-	if got := metricSum(snap, "msite_ratelimit_rejects_total"); got != 1 {
-		t.Errorf("msite_ratelimit_rejects_total = %v, want 1", got)
-	}
-	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonRateLimit); got != 1 {
-		t.Errorf(`msite_admission_shed_total{reason="rate_limit"} = %v, want 1`, got)
-	}
-	if !strings.Contains(string(body), "rate limit exceeded") {
-		t.Errorf("429 body = %q", body)
-	}
-}
-
-// TestSessionCapSheds503: past -max-sessions, first contacts are shed
-// with 503 + Retry-After instead of allocating session state.
-func TestSessionCapSheds503(t *testing.T) {
-	g := newGatedRig(t, nil)
-	g.open()
-	g.p.cfg.Sessions.SetLimit(1)
-
-	resp, err := http.Get(g.proxy.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first session: status %d, want 200", resp.StatusCode)
-	}
-
-	resp, err = http.Get(g.proxy.URL + "/") // cookieless: wants a second session
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status over cap = %d, want 503; body %.80s", resp.StatusCode, body)
-	}
-	assertRetryAfter(t, resp)
-	if strings.Contains(string(body), "too many live sessions") {
-		t.Errorf("cap body leaks internal detail: %q", body)
-	}
-	if got := g.p.cfg.Sessions.Len(); got != 1 {
-		t.Errorf("sessions = %d, want 1 (no allocation past the cap)", got)
-	}
-	snap := g.p.Obs().Snapshot()
-	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonSessionCap); got != 1 {
-		t.Errorf("shed_total{reason=session_cap} = %v, want 1", got)
 	}
 }
 

@@ -27,8 +27,8 @@ type MultiProxy struct {
 // configured by cfg with its own Spec and a /p/<name> PathPrefix (cfg's
 // own are ignored). Spec names must be unique and URL-safe. Sessions,
 // Cache, Obs and Admission are thereby shared across every site: one
-// cookie, one render cache, one concurrency budget and one per-client
-// rate limit cover the whole server, not each page separately.
+// cookie, one render cache and one concurrency budget cover the whole
+// server, not each page separately.
 func NewMulti(specs []*spec.Spec, cfg Config) (*MultiProxy, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("proxy: no specs")

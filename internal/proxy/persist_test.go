@@ -64,7 +64,7 @@ func (rig *persistRig) start() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := cache.NewTiered(cache.New(), st, cache.TieredOptions{})
+	tc := cache.NewTiered(cache.New(), st)
 	rig.sessionRoot = t.TempDir()
 	sessions, err := session.NewManager(rig.sessionRoot)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/url"
 	"slices"
@@ -61,11 +60,11 @@ type Config struct {
 	// session id, handler kind, cache outcome, status, and duration.
 	// Nil disables request logging (the default, and what tests use).
 	Logger *slog.Logger
-	// Admission is the overload-protection tier: the adaptation
-	// concurrency limiter and per-client rate limiter. Nil admits
-	// everything (the default, and what most tests use). One controller
-	// is shared across every site of a MultiProxy.
-	Admission *admission.Controller
+	// Admission is the adaptation concurrency limiter and its
+	// deadline-aware queue. Nil admits everything (the default, and what
+	// most tests use). One limiter is shared across every site of a
+	// MultiProxy.
+	Admission *admission.Limiter
 	// PersistBundles stores each non-personalized build product (subpage
 	// set, generated files, decoded images) in the cache keyed by
 	// (site, spec hash, device class, fidelity), so a restarted proxy —
@@ -109,11 +108,6 @@ const DefaultBundleTTL = time.Hour
 // the same ID keys the request's /debug/traces entry and its "trace"
 // slog attribute, so client reports, traces, and logs correlate.
 const TraceHeader = "X-MSite-Trace"
-
-// SessionCapRetryAfter is the Retry-After hint sent with 503s caused by
-// the -max-sessions cap: sessions free up on the idle-GC timescale, not
-// the pipeline one.
-const SessionCapRetryAfter = 30 * time.Second
 
 // Stats counts proxy work for the scalability experiments.
 type Stats struct {
@@ -245,9 +239,7 @@ func New(cfg Config) (*Proxy, error) {
 		reg = obs.NewRegistry()
 	}
 	cfg.Sessions.InstrumentObs(reg)
-	if cfg.Admission != nil {
-		cfg.Admission.SetObs(reg)
-	}
+	cfg.Admission.SetObs(reg)
 	p := &Proxy{
 		cfg:        cfg,
 		dispatcher: dispatcher,
@@ -399,14 +391,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// can be matched to its /debug/traces entry and log lines.
 	rec.Header()[traceHeaderKey] = []string{tr.ID()}
 
-	if ok, retry := allowClient(p.cfg.Admission, r); !ok {
-		p.shedError(rec, r, &admission.ShedError{Reason: admission.ReasonRateLimit, RetryAfter: retry}, nil)
-		d := tr.End()
-		km.latency.ObserveDuration(d)
-		p.logRequest(r, tr, kind, rec.status, d)
-		return
-	}
-
 	switch kind {
 	case kindEntry:
 		p.handleEntry(rec, r)
@@ -443,30 +427,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // it does not canonicalize it again on every response.
 var traceHeaderKey = http.CanonicalHeaderKey(TraceHeader)
 
-// allowClient applies the per-client token bucket (admission control
-// tier 3). Requests from clients with a session cookie are keyed by the
-// cookie value (NATed users stay independent); cookieless first contacts
-// fall back to the remote address. Without a rate limiter there is no
-// bucket, and no key is derived.
-func allowClient(c *admission.Controller, r *http.Request) (bool, time.Duration) {
-	if !c.RateLimited() {
-		return true, 0
-	}
-	return c.AllowClient(clientKey(r))
-}
-
-// clientKey derives the rate-limit bucket key for a request.
-func clientKey(r *http.Request) string {
-	if c, err := r.Cookie(session.CookieName); err == nil && c.Value != "" {
-		return "s:" + c.Value
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return "a:" + r.RemoteAddr
-	}
-	return "a:" + host
-}
-
 // serverError answers a failed request with a generic body: the error
 // detail goes onto the request trace (and, through it, into the
 // structured error log line), never into client-visible bytes.
@@ -485,16 +445,12 @@ func (p *Proxy) noteShed(r *http.Request, reason string) {
 	obs.TraceFrom(r.Context()).Annotate("shed", reason)
 }
 
-// shedError answers an admission-shed request: 503 (or 429 for rate
-// limiting) with a Retry-After hint and a generic body.
+// shedError answers an admission-shed request: 503 with a Retry-After
+// hint and a generic body.
 func (p *Proxy) shedError(w http.ResponseWriter, r *http.Request, shed *admission.ShedError, err error) {
 	p.noteShed(r, shed.Reason)
 	w.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(shed.RetryAfter)))
-	status, body := http.StatusServiceUnavailable, "server busy, retry later"
-	if shed.Reason == admission.ReasonRateLimit {
-		status, body = http.StatusTooManyRequests, "rate limit exceeded, retry later"
-	}
-	serverError(w, r, status, body, err)
+	serverError(w, r, http.StatusServiceUnavailable, "server busy, retry later", err)
 }
 
 // logRequest emits the per-request structured log line.
@@ -560,19 +516,11 @@ func (p *Proxy) handleStats(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(payload)
 }
 
-// ensureSession wraps session issuance with error reporting. The
-// -max-sessions cap surfaces as a 503 shed with a Retry-After on the
-// session-GC timescale; other failures are generic 500s.
+// ensureSession wraps session issuance with error reporting: a failure
+// is a generic 500.
 func (p *Proxy) ensureSession(w http.ResponseWriter, r *http.Request) (*session.Session, bool) {
 	sess, err := p.cfg.Sessions.Ensure(w, r)
 	if err != nil {
-		if errors.Is(err, session.ErrTooManySessions) {
-			p.shedError(w, r, &admission.ShedError{
-				Reason:     admission.ReasonSessionCap,
-				RetryAfter: SessionCapRetryAfter,
-			}, err)
-			return nil, false
-		}
 		serverError(w, r, http.StatusInternalServerError, "session unavailable", err)
 		return nil, false
 	}
@@ -599,9 +547,8 @@ func writeBody(w http.ResponseWriter, a *artifact) {
 // the snapshot overlay — adapt, write. With Stream, the overlay's head,
 // which needs nothing from the origin, is on the wire before the
 // adaptation starts, so perceived latency tracks the first flush and not
-// the pipeline (DRIVESHAFT's argument). The rate limiter and the session
-// cap have answered with real statuses by then; a failure after the head
-// closes the committed document in-band.
+// the pipeline (DRIVESHAFT's argument). A failure after the head closes
+// the committed document in-band.
 func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sess, ok := p.ensureSession(w, r)

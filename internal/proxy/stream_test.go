@@ -415,69 +415,43 @@ func TestStatusRecorderPreservesFlusher(t *testing.T) {
 }
 
 // TestEntryFailuresAroundTheHeadFlush pins where the head flush sits in
-// the one entry handler. The rate limiter and the session cap decide
-// before it, so they answer with real statuses however the entry is
-// served; a pipeline shed or an origin failure comes after it, so a
-// buffered entry still gets the status while a streamed one — its 200
-// already on the wire — has its document closed in-band.
+// the one entry handler. A pipeline shed and an origin failure both come
+// after it, so a buffered entry still gets the status while a streamed
+// one — its 200 already on the wire — has its document closed in-band.
 func TestEntryFailuresAroundTheHeadFlush(t *testing.T) {
 	cases := []struct {
 		name string
-		adm  admission.Config
+		// limited gives the rig a one-slot, queueless Limiter.
+		limited bool
 		// arrange breaks the rig; the entry is requested after it.
-		arrange    func(t *testing.T, rig *streamRig, adm *admission.Controller)
+		arrange    func(t *testing.T, rig *streamRig, adm *admission.Limiter)
 		status     int
 		retryAfter bool
-		afterHead  bool
 	}{
 		{
-			name: "rate-limited", adm: admission.Config{RatePerSec: 0.01, Burst: 1},
-			arrange: func(t *testing.T, rig *streamRig, _ *admission.Controller) {
-				resp, err := http.Get(rig.proxy.URL + "/stats") // spends the burst
-				if err != nil {
-					t.Fatal(err)
-				}
-				_ = resp.Body.Close()
-			},
-			status: http.StatusTooManyRequests, retryAfter: true,
-		},
-		{
-			name: "session-capped",
-			arrange: func(t *testing.T, rig *streamRig, _ *admission.Controller) {
-				resp, err := rig.client.Get(rig.proxy.URL + "/") // the one allowed session
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, _ = io.ReadAll(resp.Body)
-				_ = resp.Body.Close()
-				rig.p.cfg.Sessions.SetLimit(1)
-			},
-			status: http.StatusServiceUnavailable, retryAfter: true,
-		},
-		{
-			name: "queue-full", adm: admission.Config{MaxConcurrent: 1, QueueLen: -1},
-			arrange: func(t *testing.T, _ *streamRig, adm *admission.Controller) {
+			name: "queue-full", limited: true,
+			arrange: func(t *testing.T, _ *streamRig, adm *admission.Limiter) {
 				release, err := adm.Acquire(context.Background()) // the only slot
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(release)
 			},
-			status: http.StatusServiceUnavailable, retryAfter: true, afterHead: true,
+			status: http.StatusServiceUnavailable, retryAfter: true,
 		},
 		{
 			name:    "origin-down",
-			arrange: func(_ *testing.T, rig *streamRig, _ *admission.Controller) { rig.origin.Close() },
-			status:  http.StatusBadGateway, afterHead: true,
+			arrange: func(_ *testing.T, rig *streamRig, _ *admission.Limiter) { rig.origin.Close() },
+			status:  http.StatusBadGateway,
 		},
 	}
 	for _, tc := range cases {
 		for _, stream := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/stream=%v", tc.name, stream), func(t *testing.T) {
-				var adm *admission.Controller
-				if tc.adm != (admission.Config{}) {
+				var adm *admission.Limiter
+				if tc.limited {
 					var err error
-					if adm, err = admission.NewController(tc.adm); err != nil {
+					if adm, err = admission.NewLimiter(admission.LimiterConfig{MaxConcurrent: 1, QueueLen: -1}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -494,7 +468,7 @@ func TestEntryFailuresAroundTheHeadFlush(t *testing.T) {
 					t.Fatal(err)
 				}
 				page := string(body)
-				if stream && tc.afterHead {
+				if stream {
 					if resp.StatusCode != http.StatusOK || !strings.HasPrefix(page, "<!DOCTYPE html>") ||
 						!strings.HasSuffix(page, "</map><p>origin unavailable; retry shortly</p></body></html>") {
 						t.Fatalf("streamed entry not closed in-band: %d %s", resp.StatusCode, page)

@@ -38,11 +38,6 @@ const DefaultTTL = 2 * time.Hour
 // ErrNotFound is returned for unknown or expired session IDs.
 var ErrNotFound = errors.New("session: not found")
 
-// ErrTooManySessions is returned by Create/Ensure when the manager's
-// session cap (-max-sessions) is reached: session state is real memory
-// and disk, so creation itself must be sheddable under overload.
-var ErrTooManySessions = errors.New("session: too many live sessions")
-
 // Credentials is one stored HTTP authentication credential.
 type Credentials struct {
 	User string
@@ -146,7 +141,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-	limit    int // 0 = uncapped
 
 	// onExpire callbacks run (outside the manager lock) whenever a
 	// session leaves the manager — idle expiry in Get, explicit Delete,
@@ -246,26 +240,8 @@ func (m *Manager) InstrumentObs(reg *obs.Registry) {
 	m.obsCleanupErrs.Store(reg.Counter("msite_session_cleanup_errors_total"))
 }
 
-// SetLimit caps the number of live sessions (the -max-sessions knob);
-// Create and Ensure return ErrTooManySessions past it. n <= 0 removes
-// the cap.
-func (m *Manager) SetLimit(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	m.limit = n
-}
-
 // Create makes a fresh session with its own directory and cookie jar.
 func (m *Manager) Create() (*Session, error) {
-	m.mu.Lock()
-	if m.limit > 0 && len(m.sessions) >= m.limit {
-		m.mu.Unlock()
-		return nil, ErrTooManySessions
-	}
-	m.mu.Unlock()
 	id, err := newID()
 	if err != nil {
 		return nil, err
@@ -287,13 +263,6 @@ func (m *Manager) Create() (*Session, error) {
 		lastSeen: m.clock(),
 	}
 	m.mu.Lock()
-	if m.limit > 0 && len(m.sessions) >= m.limit {
-		// Re-check under the insert lock: concurrent Creates may have
-		// filled the remaining room while the directory was being made.
-		m.mu.Unlock()
-		m.cleanup(id, dir)
-		return nil, ErrTooManySessions
-	}
 	m.sessions[id] = s
 	m.mu.Unlock()
 	return s, nil
