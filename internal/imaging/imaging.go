@@ -9,7 +9,6 @@ package imaging
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -86,12 +85,12 @@ func Encode(img image.Image, f Fidelity) ([]byte, error) {
 	}
 }
 
-// encBufPool recycles the scratch buffers the encoders grow into. A
-// full-page PNG repeatedly doubles its buffer to hundreds of kilobytes;
-// reusing that capacity across snapshot renders removes the dominant
-// encode-side allocation from the cold-adaptation tail (BENCH_PR2's
-// serialized-tail ceiling). The encoded bytes are copied out before the
-// buffer returns to the pool, so callers own their slices as before.
+// encBufPool recycles the scratch buffers Encode's encoders grow into. An
+// encoder writing into a fresh buffer doubles it on its way to the
+// image's size; reusing that capacity across renders leaves an encode
+// one allocation of its own, the copy of its bytes. The encoded bytes are
+// copied out before the buffer returns to the pool, so callers own their
+// slices.
 var encBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
@@ -116,124 +115,6 @@ func EncodePNG(img image.Image) ([]byte, error) {
 		return png.Encode(buf, img)
 	}, "png")
 }
-
-// Frame is an image collected a row at a time, top to bottom. While its
-// rows hold at most 256 colours, each of which survives PNG's
-// non-premultiplied palette, it keeps them as palette indices, one byte a
-// pixel, numbered in order of first appearance. The row that brings the
-// 257th colour, or one the palette cannot give back exactly, turns it into
-// an RGBA image, the rows before it copied through the palette.
-type Frame struct {
-	pal  *image.Paletted // nil once the frame is RGBA
-	rgba *image.RGBA
-	y    int // rows added so far
-	// keys and index are an open-addressed table of the palette; index
-	// holds a slot's palette index plus one, 0 marking an empty slot.
-	keys  [1 << tableBits]uint32
-	index [1 << tableBits]uint16
-}
-
-// tableBits sizes a Frame's colour table: 512 slots keep its load at most
-// one half with 256 colours.
-const tableBits = 9
-
-// NewFrame returns an empty w×h frame.
-func NewFrame(w, h int) *Frame {
-	return &Frame{pal: image.NewPaletted(image.Rect(0, 0, w, h), make(color.Palette, 0, 256))}
-}
-
-// Add appends the rows of band, which is as wide as the frame.
-func (f *Frame) Add(band *image.RGBA) {
-	b := band.Rect
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		off := band.PixOffset(b.Min.X, y)
-		row := band.Pix[off : off+4*b.Dx()]
-		if f.rgba == nil && !f.indexRow(row) {
-			f.promote()
-		}
-		if f.rgba != nil {
-			copy(f.rgba.Pix[f.y*f.rgba.Stride:], row)
-		}
-		f.y++
-	}
-}
-
-// indexRow writes the palette indices of row, adding its new colours to
-// the palette, and reports false at the first colour that does not fit.
-func (f *Frame) indexRow(row []uint8) bool {
-	const mask = 1<<tableBits - 1
-	out := f.pal.Pix[f.y*f.pal.Stride:][:f.pal.Stride]
-	var last uint32
-	var i uint8
-	for x := range out {
-		p := row[4*x : 4*x+4]
-		// Runs of one colour are most of a page.
-		if key := binary.LittleEndian.Uint32(p); x == 0 || key != last {
-			s := int(key * 0x9e3779b1 >> (32 - tableBits))
-			for f.index[s] != 0 && f.keys[s] != key {
-				s = (s + 1) & mask
-			}
-			if f.index[s] == 0 {
-				c := color.RGBA{R: p[0], G: p[1], B: p[2], A: p[3]}
-				if len(f.pal.Palette) == 256 || c.A != 0xff && color.RGBAModel.Convert(color.NRGBAModel.Convert(c)) != c {
-					return false
-				}
-				f.keys[s], f.index[s] = key, uint16(len(f.pal.Palette)+1)
-				f.pal.Palette = append(f.pal.Palette, c)
-			}
-			last, i = key, uint8(f.index[s]-1)
-		}
-		out[x] = i
-	}
-	return true
-}
-
-// promote turns the frame into RGBA, copying the rows added so far
-// through the palette.
-func (f *Frame) promote() {
-	f.rgba = image.NewRGBA(f.pal.Rect)
-	for i, ci := range f.pal.Pix[:f.y*f.pal.Stride] {
-		c := f.pal.Palette[ci].(color.RGBA)
-		copy(f.rgba.Pix[4*i:], []uint8{c.R, c.G, c.B, c.A})
-	}
-	f.pal = nil
-}
-
-// Image is the frame as an *image.Paletted, or an *image.RGBA once it has
-// more colours than a palette holds.
-func (f *Frame) Image() image.Image {
-	if f.rgba != nil {
-		return f.rgba
-	}
-	return f.pal
-}
-
-// Encode encodes the frame. With exact, a frame that kept its palette is
-// written as a palette PNG, which decodes to exactly its pixels; any other
-// frame is encoded at fid, byte for byte as Encode encodes it as an RGBA
-// image. mime is the content type of data.
-func (f *Frame) Encode(fid Fidelity, exact bool) (data []byte, mime string, err error) {
-	if f.rgba == nil && len(f.pal.Palette) == 0 {
-		f.promote() // an empty frame has no palette to write or read from
-	}
-	switch {
-	case f.rgba != nil:
-		data, err = Encode(f.rgba, fid)
-	case exact:
-		data, err = EncodePNG(f.pal)
-		return data, "image/png", err
-	default:
-		data, err = Encode(truecolour{f.pal}, fid)
-	}
-	return data, fid.MIME(), err
-}
-
-// truecolour is a palette frame seen as an RGBA image. image/png writes it
-// as a truecolour PNG and image/jpeg reads it through At, whose 8-bit
-// channels are the bytes both read from an *image.RGBA of the same pixels.
-type truecolour struct{ *image.Paletted }
-
-func (truecolour) ColorModel() color.Model { return color.RGBAModel }
 
 // EncodeJPEG encodes img as JPEG at the given quality (1-100).
 func EncodeJPEG(img image.Image, quality int) ([]byte, error) {

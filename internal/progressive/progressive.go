@@ -3,13 +3,16 @@
 // level. Every server-side render — the entry snapshot, pre-rendered and
 // partial-CSS subpages and thumbnails — goes through RenderRegion.
 // The painted bands, each folded by the worker that painted it when the
-// render scales down, stream into an imaging.Frame, which holds the image
-// as palette indices, one byte a pixel, while it has at most 256 colours:
-// no render holds an RGBA frame of its source, and a flat one none of its
-// output either. A render of more colours — a photo on the page — pays
-// for both: the palette indices and the RGBA frame the Frame turns into,
-// 5 bytes an output pixel against an RGBA frame's 4. An image is
-// magnified, if at all, from the collected frame.
+// render scales down, stream into an imaging.Frame. An Exact render that
+// is not magnified gets an exact frame, which deflates the rows as they
+// arrive and keeps only their compressed bytes; any other frame holds the
+// image as palette indices, one byte a pixel, while it has at most 256
+// colours. No render holds an RGBA frame of its source, and a flat one
+// none of its output either. A render of more colours — a photo on the
+// page — ends in an RGBA frame of its output, 4 bytes a pixel: an exact
+// frame inflates its rows into it, any other copies its palette indices
+// in, 5 bytes an output pixel in all. An image is magnified, if at all,
+// from the collected frame.
 package progressive
 
 import (
@@ -66,11 +69,11 @@ var ErrOutsideFrame = errors.New("progressive: region covers no pixel of the fra
 // RenderRegion paints the part of res's frame inside r, scales and
 // encodes it: Encode(ScaleFactor(crop, scale), fidelity) of that rectangle
 // of Paint(res) byte for byte (with Exact, a palette PNG of that image when
-// it has at most 256 colours), whatever raster.Options.Workers is. Frames
-// and the workers' buffers are plain allocations: a pool keeps megabytes
-// alive across two collections that the next, differently sized, frame
-// cannot use (peak RSS +15–42% on the benchmark's cold builds for at most
-// 6% fewer bytes allocated).
+// it has at most 256 colours), whatever raster.Options.Workers is. Frames,
+// an exact frame's deflate state and the workers' buffers are plain
+// allocations: a pool keeps megabytes alive across two collections that
+// the next, differently sized, frame cannot use (peak RSS +15–42% on the
+// benchmark's cold builds for at most 6% fewer bytes allocated).
 func RenderRegion(res *layout.Result, cfg Config, r image.Rectangle) (Artifact, error) {
 	fw, fh := raster.FrameSize(res, cfg.Raster)
 	if r = r.Intersect(image.Rect(0, 0, fw, fh)); r.Empty() {
@@ -88,11 +91,12 @@ func RenderRegion(res *layout.Result, cfg Config, r image.Rectangle) (Artifact, 
 
 	sp := obs.StartSpan(ctx, "raster")
 	fold := outW < sw || outH < sh
+	magnify := !fold && (outW > sw || outH > sh)
 	fw, fh = sw, sh
 	if fold {
 		fw, fh = outW, outH
 	}
-	frame := imaging.NewFrame(fw, fh)
+	frame := imaging.NewFrame(fw, fh, cfg.Exact && !magnify)
 	raster.PaintBands(res, cfg.Raster, r, fw, fh, frame.Add)
 	sp.End()
 	sp = obs.StartSpan(ctx, "encode")
@@ -101,16 +105,16 @@ func RenderRegion(res *layout.Result, cfg Config, r image.Rectangle) (Artifact, 
 	var data []byte
 	var err error
 	switch {
-	case fold || outW <= sw && outH <= sh:
-		data, mime, err = frame.Encode(cfg.Fidelity, cfg.Exact)
+	case !magnify:
+		data, mime, err = frame.Encode(cfg.Fidelity)
 	case !cfg.Exact:
 		// Bilinear magnification blends neighbouring colours, so only an
 		// exact render collects the magnified image to look for a palette.
 		data, err = imaging.Encode(imaging.Scale(frame.Image(), outW, outH), cfg.Fidelity)
 	default:
-		magnified := imaging.NewFrame(outW, outH)
+		magnified := imaging.NewFrame(outW, outH, true)
 		magnified.Add(imaging.Scale(frame.Image(), outW, outH))
-		data, mime, err = magnified.Encode(cfg.Fidelity, true)
+		data, mime, err = magnified.Encode(cfg.Fidelity)
 	}
 	if err != nil {
 		return Artifact{}, fmt.Errorf("progressive: encode: %w", err)

@@ -86,9 +86,9 @@ func TestFullRungMatchesOneShotEncode(t *testing.T) {
 // colours, a JPEG at FidelityLow when it has more.
 func exactOf(t *testing.T, frame *image.RGBA) ([]byte, string) {
 	t.Helper()
-	f := imaging.NewFrame(frame.Rect.Dx(), frame.Rect.Dy())
+	f := imaging.NewFrame(frame.Rect.Dx(), frame.Rect.Dy(), true)
 	f.Add(frame)
-	data, mime, err := f.Encode(imaging.FidelityLow, true)
+	data, mime, err := f.Encode(imaging.FidelityLow)
 	if err != nil {
 		t.Fatal(err)
 	}
