@@ -8,6 +8,7 @@
 package attr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"image"
@@ -140,6 +141,10 @@ type Applier struct {
 	// in place of placeholders — the subresources the proxy downloaded
 	// on the client's behalf (§3.2).
 	Images map[string]image.Image
+	// Ctx, when it carries an obs trace, receives the "raster" and
+	// "encode" spans of the subpage pre-renders and thumbnails. Nil
+	// records nothing.
+	Ctx context.Context
 }
 
 func (a *Applier) subpageURL(name string) string {
@@ -600,7 +605,7 @@ func (a *Applier) applyThumbnail(env *applyEnv, obj spec.Object, at spec.Attribu
 	if fid == imaging.FidelityThumb {
 		fid = imaging.FidelityLow // explicit scale already applied below
 	}
-	cfg := progressive.Config{Raster: raster.Options{Images: a.Images}, Fidelity: fid, Scale: scale}
+	cfg := progressive.Config{Ctx: a.Ctx, Raster: raster.Options{Images: a.Images}, Fidelity: fid, Scale: scale}
 	for i, n := range nodes {
 		// A node without a box has the empty region; Rectangle, unlike
 		// image.Rect, keeps a negative size empty.

@@ -706,7 +706,7 @@ func TestInsertJSServerStage(t *testing.T) {
 	// Server-stage scripts are present in the DOM the renderer consumes
 	// but the renderer never executes or paints them.
 	found := false
-	for _, r := range res.Layout.Runs() {
+	for r := range res.Layout.Runs() {
 		if strings.Contains(r.Text, "reorderForServer") {
 			found = true
 		}

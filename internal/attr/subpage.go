@@ -48,6 +48,7 @@ func (a *Applier) finishSubpage(sp *spec.Spec, sub *Subpage, width int) error {
 	// A page painted from text and boxes is flat, and ships as an exact
 	// PNG smaller than the spec's fidelity rung would be.
 	out, err := progressive.Render(res, progressive.Config{
+		Ctx:      a.Ctx,
 		Raster:   raster.Options{SkipText: sub.PartialCSS, Images: a.Images},
 		Fidelity: sub.Fidelity,
 		Exact:    true,
@@ -115,7 +116,7 @@ func (a *Applier) finishPartialCSS(sub *Subpage, res *layout.Result, searchable 
 	container.SetAttr("style", fmt.Sprintf(
 		"position: relative; width: %dpx; height: %dpx; background-image: url(%s)",
 		res.Width, res.Height, a.assetURL(AssetFileName(sub))))
-	for _, run := range res.Runs() {
+	for run := range res.Runs() {
 		span := dom.NewElement("span")
 		style := fmt.Sprintf(
 			"position: absolute; left: %dpx; top: %dpx; font-size: %dpx",

@@ -2,10 +2,11 @@ package css
 
 import (
 	"iter"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"msite/internal/dom"
 )
 
 // Declaration is a single property: value pair.
@@ -83,11 +84,18 @@ func ParseStylesheet(src string) *Stylesheet {
 	// Every rule and every block has a '{': counted, they size the rules
 	// and, but for statements and stray text, the top-level pieces.
 	var pieces []piece
-	if blocks := strings.Count(sheet.src, "{"); blocks > 0 {
+	blocks := strings.Count(sheet.src, "{")
+	if blocks > 0 {
 		sheet.Rules = make([]Rule, 0, blocks)
 		pieces = make([]piece, 0, blocks+1)
 	}
-	p := sheetParser{sheet: sheet}
+	p := sheetParser{sheet: sheet, blocks: blocks}
+	// A rule has a selector, as most have just one, and a class name
+	// takes a '.': the blocks size the selectors and the dots the class
+	// names. How many longhands the rules expand to is not known before
+	// they are parsed (see paceDecls).
+	p.selectors.Chunk, p.lists.Chunk = blocks, blocks
+	p.classes = classSlab(sheet.src)
 	sheet.pieces = p.parseRules(sheet.src, "", pieces)
 	if len(sheet.Rules) == 0 {
 		sheet.Rules = nil
@@ -127,8 +135,53 @@ func (s *Sheets) Parse(src string) *Stylesheet {
 type sheetParser struct {
 	sheet *Stylesheet
 	// decls collects a rule's declarations, which are then copied out at
-	// their exact size: the rule keeps one allocation and no spare room.
+	// their exact size into declSlab.
 	decls []Declaration
+	// blocks is the sheet's '{' count: at most how many rules it holds.
+	blocks int
+	// The slabs the rules are cut from: each rule's selectors, its
+	// selector list, its compounds' class lists and its declarations.
+	// They live as long as the sheet does and no longer.
+	selectors dom.Slab[Selector]
+	lists     dom.Slab[*Selector]
+	classes   dom.Slab[string]
+	declSlab  dom.Slab[Declaration]
+	// usedDecls counts the declarations the rules so far took.
+	usedDecls int
+}
+
+// paceDecls sizes the declaration slab's next chunk for half the rules
+// still to come, at the rate the rules parsed so far took declarations:
+// a chunk then rarely holds more than the sheet needs, and the slab runs
+// to a few chunks. A shorthand expands to up to twelve longhands, so no
+// count of the source sizes the slab as closely: sized from the ':'
+// count, the forum's sheet took more bytes a parse than it did with each
+// rule's declarations an object of their own (docs/PERFORMANCE.md).
+func (p *sheetParser) paceDecls() {
+	if done := len(p.sheet.Rules); done > 0 {
+		left := max(p.blocks-done, 1)
+		p.declSlab.Chunk = max(p.usedDecls*left/(2*done), 1)
+	}
+}
+
+// selectorList is ParseSelectorList with the selectors, the list and the
+// class lists cut from the sheet's slabs.
+func (p *sheetParser) selectorList(src string) ([]*Selector, error) {
+	for part := range topLevelParts(src, ',') {
+		// A Selector is never moved once parsed (its parts may point
+		// into it), which New promises.
+		sel := p.selectors.New()
+		if err := sel.parse(part, &p.classes); err != nil {
+			p.lists.Cut()
+			return nil, err
+		}
+		p.lists.Add(sel)
+	}
+	sels := p.lists.Cut()
+	if sels == nil {
+		return nil, ErrEmptySelector
+	}
+	return sels, nil
 }
 
 // parseRules appends the style rules of src to the sheet's Rules and
@@ -168,7 +221,7 @@ func (p *sheetParser) parseRules(src, media string, pieces []piece) []piece {
 
 		// An unparseable selector list or an empty block is not a rule to
 		// style with, but only text the parser failed to read: it stays.
-		sels, err := ParseSelectorList(selText)
+		sels, err := p.selectorList(selText)
 		p.decls = p.decls[:0]
 		if err == nil {
 			p.decls = appendDeclarations(p.decls, body)
@@ -179,7 +232,9 @@ func (p *sheetParser) parseRules(src, media string, pieces []piece) []piece {
 		}
 		sheet := p.sheet
 		pieces = append(pieces, piece{kind: rulePiece, rule: len(sheet.Rules)})
-		sheet.Rules = append(sheet.Rules, Rule{Selectors: sels, Decls: slices.Clone(p.decls), Media: media, Source: source})
+		p.paceDecls()
+		p.usedDecls += len(p.decls)
+		sheet.Rules = append(sheet.Rules, Rule{Selectors: sels, Decls: p.declSlab.Clone(p.decls), Media: media, Source: source})
 	}
 	return pieces
 }

@@ -1,6 +1,7 @@
 package css
 
 import (
+	"reflect"
 	"testing"
 
 	"msite/internal/html"
@@ -324,5 +325,37 @@ func TestStyleMediaAttributeFiltered(t *testing.T) {
 	}
 	if st.Get("font-size", "") != "18px" {
 		t.Fatal("unscoped sheet should apply")
+	}
+}
+
+// TestRuleWindowsAreExact: a rule's selector list and declarations and a
+// compound's class list are windows of the sheet's slabs, cut with
+// len == cap, so that appending to one copies it out instead of writing
+// over the next, and each selector is what ParseSelector makes of its
+// text. The forum's sheet runs its slabs to several chunks; the small
+// sheet mixes selector lists, failed rules, @media and :not().
+func TestRuleWindowsAreExact(t *testing.T) {
+	small := `a.x.y, b .z { margin: 0 } .bad.x:nosuch, .y { color: red } .ok { color: blue }
+		@media screen { p.q:not(.r) { border: 1px solid red } }
+		div { } .s.t.u { padding: 1px 2px }`
+	for name, src := range map[string]string{"vbulletin.css": forumSheet(t, 42), "small": small} {
+		for i, r := range ParseStylesheet(src).Rules {
+			if len(r.Decls) != cap(r.Decls) || len(r.Selectors) != cap(r.Selectors) {
+				t.Errorf("%s rule %d %q: decls len %d cap %d, selectors len %d cap %d",
+					name, i, r.Source, len(r.Decls), cap(r.Decls), len(r.Selectors), cap(r.Selectors))
+			}
+			for _, sel := range r.Selectors {
+				if fresh := MustSelector(sel.String()); !reflect.DeepEqual(*sel, *fresh) {
+					t.Errorf("%s rule %d: selector %q parsed as %+v, ParseSelector makes %+v",
+						name, i, sel, sel.parts, fresh.parts)
+				}
+				for _, c := range sel.parts {
+					if len(c.classes) != cap(c.classes) {
+						t.Errorf("%s rule %d %q: class list %v has len %d cap %d",
+							name, i, r.Source, c.classes, len(c.classes), cap(c.classes))
+					}
+				}
+			}
+		}
 	}
 }

@@ -84,9 +84,10 @@ func ParseSelectorList(src string) ([]*Selector, error) {
 		return nil, ErrEmptySelector
 	}
 	sels, out := make([]Selector, n), make([]*Selector, n)
+	classes := classSlab(src)
 	i := 0
 	for part := range topLevelParts(src, ',') {
-		if err := sels[i].parse(part); err != nil {
+		if err := sels[i].parse(part, &classes); err != nil {
 			return nil, err
 		}
 		out[i] = &sels[i]
@@ -98,16 +99,29 @@ func ParseSelectorList(src string) ([]*Selector, error) {
 // ParseSelector parses a single complex selector.
 func ParseSelector(src string) (*Selector, error) {
 	sel := new(Selector)
-	if err := sel.parse(src); err != nil {
+	classes := classSlab(src)
+	if err := sel.parse(src, &classes); err != nil {
 		return nil, err
 	}
 	return sel, nil
 }
 
-// parse parses the complex selector src into s.
-func (s *Selector) parse(src string) error {
-	p := selParser{src: strings.TrimSpace(src)}
-	if err := p.parse(s); err != nil {
+// classSlab returns a slab for the class lists of the selectors in src,
+// a selector or a whole sheet, sized by its '.' count: every class name
+// takes one.
+func classSlab(src string) dom.Slab[string] {
+	return dom.Slab[string]{Chunk: strings.Count(src, ".")}
+}
+
+// parse parses the complex selector src into s, cutting its compounds'
+// class lists from classes.
+func (s *Selector) parse(src string, classes *dom.Slab[string]) error {
+	// The parser holds the slab itself, not a pointer to it: what it
+	// holds leaks to the heap with src, which would take the slab along.
+	p := selParser{src: strings.TrimSpace(src), classes: *classes}
+	err := p.parse(s)
+	*classes = p.classes
+	if err != nil {
 		return fmt.Errorf("css: parsing selector %q: %w", src, err)
 	}
 	s.raw = p.src
@@ -127,6 +141,8 @@ func MustSelector(src string) *Selector {
 type selParser struct {
 	src string
 	pos int
+	// classes is the slab class lists are cut from.
+	classes dom.Slab[string]
 }
 
 func (p *selParser) parse(sel *Selector) error {
@@ -208,10 +224,10 @@ func (p *selParser) skipSpace() {
 	}
 }
 
-func (p *selParser) parseCompound() (compound, error) {
-	var c compound
+func (p *selParser) parseCompound() (c compound, err error) {
 	start := p.pos
-	for p.pos < len(p.src) {
+scan:
+	for p.pos < len(p.src) && err == nil {
 		ch := p.src[p.pos]
 		switch {
 		case ch == '*':
@@ -224,28 +240,27 @@ func (p *selParser) parseCompound() (compound, error) {
 			c.id = p.parseIdent()
 		case ch == '.':
 			p.pos++
-			c.classes = append(c.classes, p.parseIdent())
+			p.classes.Add(p.parseIdent())
 		case ch == '[':
-			am, err := p.parseAttr()
-			if err != nil {
-				return c, err
+			var am attrMatcher
+			if am, err = p.parseAttr(); err == nil {
+				c.attrs = append(c.attrs, am)
 			}
-			c.attrs = append(c.attrs, am)
 		case ch == ':':
-			pm, err := p.parsePseudo()
-			if err != nil {
-				return c, err
+			var pm pseudoMatcher
+			if pm, err = p.parsePseudo(); err == nil {
+				c.pseudos = append(c.pseudos, pm)
 			}
-			c.pseudos = append(c.pseudos, pm)
 		default:
-			goto done
+			break scan
 		}
 	}
-done:
-	if p.pos == start {
-		return c, ErrEmptySelector
+	// Closed on every path, so the next compound's window starts empty.
+	c.classes = p.classes.Cut()
+	if err == nil && p.pos == start {
+		err = ErrEmptySelector
 	}
-	return c, nil
+	return c, err
 }
 
 func isIdentStart(c byte) bool {

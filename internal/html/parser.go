@@ -1,6 +1,10 @@
 package html
 
-import "msite/internal/dom"
+import (
+	"strings"
+
+	"msite/internal/dom"
+)
 
 // voidTags are elements that never have content or an end tag.
 var voidTags = map[string]bool{
@@ -46,13 +50,28 @@ var headOnlyTags = map[string]bool{
 	"title": true, "base": true, "meta": true,
 }
 
+// nodeChunk is how many nodes a chunk of Parse's node slab holds, at
+// most. A page makes at most two nodes a '<' (the element and the text
+// after it), so a small page's one chunk is no larger than it needs.
+const nodeChunk = 128
+
 // Parse parses HTML source into a document tree. It never returns an
 // error: arbitrarily malformed input produces a best-effort tree, matching
 // the error recovery a browser applies. Use Tidy to additionally normalize
 // document structure.
+//
+// The tree's nodes and attribute lists are cut from slabs (dom.Slab): a
+// node keeps its chunk alive, as its parent and sibling pointers already
+// keep the whole tree.
 func Parse(src string) *dom.Node {
 	doc := dom.NewDocument()
 	z := NewTokenizer(src)
+	nodes := dom.Slab[dom.Node]{Chunk: min(nodeChunk, 2*strings.Count(src, "<")+1)}
+	node := func(n dom.Node) *dom.Node {
+		p := nodes.New()
+		*p = n
+		return p
+	}
 
 	// stack of open elements; doc is the root insertion point.
 	stack := []*dom.Node{doc}
@@ -65,13 +84,13 @@ func Parse(src string) *dom.Node {
 			return doc
 
 		case TextToken:
-			top().AppendChild(dom.NewText(tok.Data))
+			top().AppendChild(node(dom.Node{Type: dom.TextNode, Data: tok.Data}))
 
 		case CommentToken:
-			top().AppendChild(dom.NewComment(tok.Data))
+			top().AppendChild(node(dom.Node{Type: dom.CommentNode, Data: tok.Data}))
 
 		case DoctypeToken:
-			doc.AppendChild(dom.NewDoctype(tok.Tag))
+			doc.AppendChild(node(dom.Node{Type: dom.DoctypeNode, Data: tok.Tag}))
 
 		case SelfClosingTagToken:
 			// Self-closing tags still trigger implied end tags (a
@@ -81,8 +100,7 @@ func Parse(src string) *dom.Node {
 					stack = stack[:len(stack)-1]
 				}
 			}
-			el := dom.NewElement(tok.Tag)
-			el.Attrs = tok.Attrs
+			el := node(dom.Node{Type: dom.ElementNode, Tag: tok.Tag, Attrs: tok.Attrs})
 			top().AppendChild(el)
 
 		case StartTagToken:
@@ -92,8 +110,7 @@ func Parse(src string) *dom.Node {
 					stack = stack[:len(stack)-1]
 				}
 			}
-			el := dom.NewElement(tok.Tag)
-			el.Attrs = tok.Attrs
+			el := node(dom.Node{Type: dom.ElementNode, Tag: tok.Tag, Attrs: tok.Attrs})
 			top().AppendChild(el)
 			if !voidTags[tok.Tag] {
 				stack = append(stack, el)

@@ -27,10 +27,12 @@ const (
 
 // Token is a single lexical HTML token.
 type Token struct {
-	Type  TokenType
-	Tag   string     // lowercase tag name for tag tokens, doctype text for DoctypeToken
-	Data  string     // text or comment content
-	Attrs []dom.Attr // attributes for start/self-closing tags
+	Type TokenType
+	Tag  string // lowercase tag name for tag tokens, doctype text for DoctypeToken
+	Data string // text or comment content
+	// Attrs are a start or self-closing tag's attributes, a window of the
+	// tokenizer's attribute slab: appending to it copies it out.
+	Attrs []dom.Attr
 }
 
 // rawTextTags are elements whose content is not markup: the tokenizer
@@ -51,11 +53,19 @@ type Tokenizer struct {
 	// rawUntil, when non-empty, means the tokenizer is inside a raw-text
 	// element and must scan for its end tag.
 	rawUntil string
+	// attrs is the slab every tag's attributes are cut from.
+	attrs dom.Slab[dom.Attr]
 }
+
+// attrChunk is how many attributes a chunk of a tokenizer's slab holds,
+// at most; a source with fewer '=' gets a chunk of that size.
+const attrChunk = 128
 
 // NewTokenizer returns a Tokenizer over src.
 func NewTokenizer(src string) *Tokenizer {
-	return &Tokenizer{src: src}
+	z := &Tokenizer{src: src}
+	z.attrs.Chunk = min(attrChunk, strings.Count(src, "=")+1)
+	return z
 }
 
 // Next returns the next token. After the input is exhausted it returns
@@ -215,9 +225,10 @@ func (z *Tokenizer) readStartTag() Token {
 		var attr dom.Attr
 		attr, i = readAttr(z.src, i)
 		if attr.Key != "" {
-			tok.Attrs = append(tok.Attrs, attr)
+			z.attrs.Add(attr)
 		}
 	}
+	tok.Attrs = z.attrs.Cut()
 	z.pos = i
 	if tok.Type == StartTagToken && rawTextTags[name] {
 		z.rawUntil = name

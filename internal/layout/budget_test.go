@@ -2,6 +2,8 @@ package layout
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"msite/internal/css"
@@ -14,10 +16,11 @@ import (
 // cascaded into a style of its own, every box was a new object and a
 // table's rows and cells were collected into throwaway slices, a table
 // cost 94 allocations; with styles shared, boxes cut from a slab and rows
-// walked in place it is ~23. The tables cascade alike, so the second 30
-// must add no style.
+// walked in place it was 23.2. Since each box's text runs are a window of
+// one run slab rather than a slice regrown a line at a time, it is 11.2.
+// The tables cascade alike, so the second 30 must add no style.
 func TestLayoutAllocationBudget(t *testing.T) {
-	const maxPerTable = 30
+	const maxPerTable = 15
 	type measure struct{ allocs, styles int }
 	measureAt := func(tables int) measure {
 		doc := html.Parse(forumish(tables))
@@ -42,11 +45,60 @@ func TestLayoutAllocationBudget(t *testing.T) {
 	t.Logf("|---|---|---|")
 	t.Logf("| 30 tables | %d | %d |", few.allocs, few.styles)
 	t.Logf("| 60 tables | %d | %d |", many.allocs, many.styles)
-	t.Logf("| a table | %.1f (was 94.1; budget %d) | |", perTable, maxPerTable)
+	t.Logf("| a table | %.1f (was 94.1, then 23.2; budget %d) | |", perTable, maxPerTable)
 	if many.styles > few.styles {
 		t.Errorf("60 identical tables laid out with %d distinct styles, 30 with %d", many.styles, few.styles)
 	}
 	if perTable > maxPerTable {
 		t.Errorf("a table allocated %.1f objects; budget %d", perTable, maxPerTable)
 	}
+}
+
+// TestLayoutBytesGrowLinearly lays out two pages that grow one box's text
+// runs a line at a time, at n and at 2n, and holds the bytes a layout
+// takes to twice (with room for noise, three times) as many: a block of
+// n words in one paragraph, and a block whose n lines of text alternate
+// with n nested blocks. A run window moved whole each time it outgrew its
+// chunk, or each time a nested block's runs were cut after it, copied
+// n²/2 runs: four times the bytes at 2n.
+func TestLayoutBytesGrowLinearly(t *testing.T) {
+	const n = 2000
+	pages := []struct {
+		name string
+		page func(n int) string
+	}{
+		{"words in one block", func(n int) string {
+			return "<html><body><div>" + strings.Repeat("word ", n) + "</div></body></html>"
+		}},
+		{"text alternating with blocks", func(n int) string {
+			return "<html><body><div>" + strings.Repeat("w <p>x</p>", n) + "</div></body></html>"
+		}},
+	}
+	t.Logf("| page | KB at %d | KB at %d | ratio |", n, 2*n)
+	t.Logf("|---|---|---|---|")
+	for _, pg := range pages {
+		kb := func(n int) float64 {
+			doc := html.Parse(pg.page(n))
+			return layoutBytes(func() { Layout(doc, nil, Viewport{Width: 320}) }) / 1024
+		}
+		one, two := kb(n), kb(2*n)
+		t.Logf("| %s | %.0f | %.0f | %.2f |", pg.name, one, two, two/one)
+		if two > 3*one {
+			t.Errorf("%s: laying out %d took %.0f KB, %d took %.0f KB; want about twice", pg.name, n, one, 2*n, two)
+		}
+	}
+}
+
+// layoutBytes returns the bytes one call of f allocates, over 5 calls.
+func layoutBytes(f func()) float64 {
+	const runs = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }

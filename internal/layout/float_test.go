@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -89,7 +90,7 @@ func TestFloatTextClears(t *testing.T) {
 		<div id="f" style="float: left; width: 100px; height: 40px"></div>
 		plain text after the float
 	</body></html>`, 600)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) == 0 {
 		t.Fatal("no text")
 	}
@@ -104,7 +105,7 @@ func TestFloatRunsShifted(t *testing.T) {
 		<div id="f2" style="float: left; width: 200px; height: 30px"><p>inside</p></div>
 	</body></html>`, 600)
 	// The second float's text must be shifted along with its box.
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 1 {
 		t.Fatalf("runs = %d", len(runs))
 	}

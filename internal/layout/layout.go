@@ -2,6 +2,7 @@ package layout
 
 import (
 	"image/color"
+	"iter"
 	"strconv"
 	"strings"
 
@@ -76,18 +77,26 @@ func (r *Result) Region(n *dom.Node) (x, y, w, h int, ok bool) {
 	return int(b.X), int(b.Y), int(b.W + 0.5), int(b.H + 0.5), true
 }
 
-// Runs returns every text run in the layout, in paint order.
-func (r *Result) Runs() []TextRun {
-	var out []TextRun
-	var walk func(b *Box)
-	walk = func(b *Box) {
-		out = append(out, b.Runs...)
-		for _, c := range b.Children {
-			walk(c)
+// Runs yields every text run in the layout, in paint order: a box's own
+// runs, then its children's.
+func (r *Result) Runs() iter.Seq[TextRun] {
+	return func(yield func(TextRun) bool) {
+		var walk func(b *Box) bool
+		walk = func(b *Box) bool {
+			for _, run := range b.Runs {
+				if !yield(run) {
+					return false
+				}
+			}
+			for _, c := range b.Children {
+				if !walk(c) {
+					return false
+				}
+			}
+			return true
 		}
+		walk(r.Root)
 	}
-	walk(r.Root)
-	return out
 }
 
 // CountBoxes returns the number of boxes in the layout tree.
@@ -114,6 +123,7 @@ func Layout(doc *dom.Node, styler *css.Styler, vp Viewport) *Result {
 		styler = css.NewStyler()
 	}
 	ctx := &lctx{styler: styler, byNode: make(map[*dom.Node]*Box)}
+	ctx.boxes.Chunk, ctx.runs.Chunk = boxChunk, runChunk
 
 	body := doc.Body()
 	root := body
@@ -142,26 +152,20 @@ func Layout(doc *dom.Node, styler *css.Styler, vp Viewport) *Result {
 type lctx struct {
 	styler *css.Styler
 	byNode map[*dom.Node]*Box
-	// slab is the chunk boxes are cut from; the Result's boxes keep
-	// every chunk alive, and nothing else does.
-	slab []Box
+	// boxes and runs are the slabs the boxes and each box's Runs are cut
+	// from; the Result's boxes keep every chunk alive, and nothing else
+	// does.
+	boxes dom.Slab[Box]
+	runs  dom.Slab[TextRun]
 	// words is the pending-word buffer every line context of the layout
 	// shares: a line's words are flushed before a nested block opens a
 	// line of its own.
 	words []pendingWord
 }
 
-// boxChunk is how many boxes a slab chunk holds.
-const boxChunk = 128
-
-// newBox returns a zero box cut from the layout's slab.
-func (c *lctx) newBox() *Box {
-	if len(c.slab) == cap(c.slab) {
-		c.slab = make([]Box, 0, boxChunk)
-	}
-	c.slab = c.slab[:len(c.slab)+1]
-	return &c.slab[len(c.slab)-1]
-}
+// boxChunk and runChunk are how many boxes and text runs a slab chunk
+// holds.
+const boxChunk, runChunk = 128, 256
 
 // edges resolves margin, border, and padding for a style.
 type edges struct {
@@ -266,7 +270,7 @@ func (c *lctx) layoutBlock(n *dom.Node, style css.Style, x, y, availW, pad float
 		contentW = w
 	}
 
-	box := c.newBox()
+	box := c.boxes.New()
 	*box = Box{
 		Node:  n,
 		Style: style,
@@ -400,6 +404,9 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 		}
 	}
 	flushLine()
+	// The box's runs are done: clipped, appending to them copies them
+	// out, as it does a window still in the run slab.
+	box.Runs = box.Runs[:len(box.Runs):len(box.Runs)]
 	if floatMaxY > cur {
 		cur = floatMaxY
 	}
@@ -469,7 +476,7 @@ func (c *lctx) inlineElement(n *dom.Node, style css.Style, line *lineCtx) {
 		}
 	}
 	if bounds.valid() {
-		eb := c.newBox()
+		eb := c.boxes.New()
 		*eb = Box{
 			Node:  n,
 			Style: style,
@@ -567,7 +574,7 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 	cur := contentY + spacing
 	eachRow(n, func(row *dom.Node) {
 		rowStyle := c.styler.ComputedStyle(row, style)
-		rowBox := c.newBox()
+		rowBox := c.boxes.New()
 		*rowBox = Box{Node: row, Style: rowStyle, X: contentX, Y: cur, W: contentW}
 		c.byNode[row] = rowBox
 		box.Children = append(box.Children, rowBox)
@@ -690,6 +697,8 @@ type lineCtx struct {
 	// pending is the words placed on the current line and not yet
 	// flushed: the layout's one buffer (lctx.words).
 	pending *[]pendingWord
+	// runs is the layout's run slab (lctx.runs).
+	runs    *dom.Slab[TextRun]
 	align   string
 	started bool // any content placed on current line
 }
@@ -702,6 +711,7 @@ func (c *lctx) newLineCtx(box *Box, style css.Style, x0, y, availW float64) line
 		x:       x0,
 		y:       y,
 		pending: &c.words,
+		runs:    &c.runs,
 		align:   style.Get("text-align", "left"),
 	}
 }
@@ -794,20 +804,36 @@ func (lc *lineCtx) flushPending() {
 	if offset < 0 {
 		offset = 0
 	}
+	// The box's runs grow in place while they are the slab's last
+	// window. Once a nested block's runs are cut after them they leave
+	// the slab and grow as append grows them, doubling, so a block whose
+	// lines alternate with nested blocks copies each run O(1) times.
+	// Either way they keep their indices (inlineElement reads
+	// Runs[start:]), and layoutFlow clips them when the box is done.
+	runs, inSlab := lc.box.Runs, lc.runs.Reopen(lc.box.Runs)
 	for _, w := range *lc.pending {
 		// Baseline-align runs of mixed sizes to the line bottom.
 		runY := lc.y + lc.lineH - GlyphHeight(w.fontSize) - (lc.lineH-GlyphHeight(w.fontSize))/2
 		if lc.lineH == 0 {
 			runY = lc.y
 		}
-		lc.box.Runs = append(lc.box.Runs, TextRun{
+		run := TextRun{
 			Text: w.text, Node: w.node,
 			X: w.x + offset, Y: runY,
 			FontSize: w.fontSize, Bold: w.bold, Italic: w.italic,
 			Underline: w.underline,
 			Color:     w.color,
-		})
+		}
+		if inSlab {
+			lc.runs.Add(run)
+		} else {
+			runs = append(runs, run)
+		}
 	}
+	if inSlab {
+		runs = lc.runs.Cut()
+	}
+	lc.box.Runs = runs
 	*lc.pending = (*lc.pending)[:0]
 }
 

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"testing"
 
 	"msite/internal/css"
@@ -96,7 +97,7 @@ func TestTextWrapping(t *testing.T) {
 		"word word word word word word word word word word" +
 		`</p></body></html>`
 	res := doLayout(t, src, 200)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 20 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -124,7 +125,7 @@ func TestDisplayNoneSkipped(t *testing.T) {
 	if _, _, _, _, ok := regionByID(t, res, "gone"); ok {
 		t.Fatal("display:none produced a box")
 	}
-	for _, r := range res.Runs() {
+	for r := range res.Runs() {
 		if r.Text == "hidden" || r.Text == "script" {
 			t.Fatalf("hidden content rendered: %+v", r)
 		}
@@ -190,7 +191,7 @@ func TestFormControlAtoms(t *testing.T) {
 
 func TestBrForcesLine(t *testing.T) {
 	res := doLayout(t, `<html><body><p>one<br>two</p></body></html>`, 800)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 2 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -281,7 +282,7 @@ func TestTableRowGroups(t *testing.T) {
 
 func TestTextAlignCenter(t *testing.T) {
 	res := doLayout(t, `<html><body><p style="text-align: center">mid</p></body></html>`, 800)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 1 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -304,7 +305,7 @@ func TestStyledFontAffectsRuns(t *testing.T) {
 		.big { font-size: 32px; color: red }
 		b { }
 	</style></head><body><p><span class="big">L</span> <b>B</b> n</p></body></html>`, 800)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -324,7 +325,7 @@ func TestStyledFontAffectsRuns(t *testing.T) {
 
 func TestHeadingsLargerThanBody(t *testing.T) {
 	res := doLayout(t, `<html><body><h1>Big</h1><p>small</p></body></html>`, 800)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 2 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -353,8 +354,8 @@ func TestCountBoxesAndRuns(t *testing.T) {
 	if res.CountBoxes() < 4 {
 		t.Fatalf("boxes = %d", res.CountBoxes())
 	}
-	if len(res.Runs()) != 4 {
-		t.Fatalf("runs = %d", len(res.Runs()))
+	if runs := slices.Collect(res.Runs()); len(runs) != 4 {
+		t.Fatalf("runs = %d", len(runs))
 	}
 }
 
@@ -382,7 +383,7 @@ func TestLinkUnderline(t *testing.T) {
 		<span style="text-decoration: underline">deco</span></p>
 	</body></html>`, 800)
 	byText := map[string]TextRun{}
-	for _, r := range res.Runs() {
+	for r := range res.Runs() {
 		byText[r.Text] = r
 	}
 	if !byText["linked"].Underline {
@@ -432,3 +433,32 @@ func TestCellSpan(t *testing.T) {
 }
 
 func ptr(s string) *string { return &s }
+
+// TestRunWindowsAreExact: each box's Runs is a window of the layout's run
+// slab, cut with len == cap, so that appending to one copies it out
+// instead of writing over the next box's, or are clipped so when they
+// grew outside it. A block's lines interleave with nested blocks, so its
+// runs leave the slab and must keep their words and order: paint order
+// is a box's own runs, then its children's.
+func TestRunWindowsAreExact(t *testing.T) {
+	nested := doLayout(t, `<html><body><div>one two <p>three</p> four five <b>six</b><div>seven</div> eight</div></body></html>`, 300)
+	var words []string
+	for r := range nested.Runs() {
+		words = append(words, r.Text)
+	}
+	if want := []string{"one", "two", "four", "five", "six", "eight", "three", "seven"}; !slices.Equal(words, want) {
+		t.Errorf("runs in paint order %q, want %q", words, want)
+	}
+
+	var walk func(b *Box)
+	walk = func(b *Box) {
+		if len(b.Runs) != cap(b.Runs) {
+			t.Errorf("box at (%.0f, %.0f) runs len %d cap %d", b.X, b.Y, len(b.Runs), cap(b.Runs))
+		}
+		for _, c := range b.Children {
+			walk(c)
+		}
+	}
+	walk(nested.Root)
+	walk(doLayout(t, forumish(3), 300).Root)
+}

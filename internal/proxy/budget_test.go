@@ -55,8 +55,11 @@ func evaluationSpec(sp *spec.Spec) {
 // a band of pixels: ~4.2 MB. Since an exact pre-render deflates its rows
 // as they are painted, the forums pre-render keeps no 0.53 MB palette
 // frame, and its palette is no longer boxed a colour at a time: ~10.7 k
-// and ~3.7 MB. The budget sits above what a build costs now and below any
-// of those coming back.
+// and ~3.7 MB. Since the parsed DOM (nodes and attribute lists), each
+// parsed stylesheet (selectors, selector lists, class lists and
+// declarations) and a layout's text runs are cut from slabs (dom.Slab),
+// a chunk at a time, ~5.5 k and ~3.5 MB. The budget sits above what a
+// build costs now and below any of those coming back.
 //
 // Each of a build's three renders allocates about 70 KB per paint worker
 // (its recorder of the band's fills, its filter's sums per destination
@@ -64,7 +67,7 @@ func evaluationSpec(sp *spec.Spec) {
 // figures above, whatever the machine has: on sixteen a build would
 // allocate ~3 MB more.
 func TestColdBuildAllocationBudget(t *testing.T) {
-	const maxMallocs, maxBytes = 13_000, 4 << 20
+	const maxMallocs, maxBytes = 7_000, 4 << 20
 	prev := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	build := func() (mallocs, bytes uint64) {

@@ -34,7 +34,8 @@ import (
 // the proxy that serves its product fixes once, in New.
 type buildOptions struct {
 	// applier is the attribute phase's template: the proxy's subpage,
-	// asset and AJAX URLs and its render width. A build fills in Images.
+	// asset and AJAX URLs and its render width. A build fills in Images
+	// and Ctx.
 	applier attr.Applier
 	// keepLocal are the URL prefixes re-anchoring leaves relative: the
 	// proxy's own subpages, assets and endpoints.
@@ -143,7 +144,7 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 	}
 	sp.End()
 	applier := o.applier
-	applier.Images = images
+	applier.Images, applier.Ctx = images, ctx
 	sp = obs.StartSpan(ctx, "attr")
 	result, err := applier.Apply(s, doc)
 	if err != nil {

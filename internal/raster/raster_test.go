@@ -6,6 +6,7 @@ import (
 	"image/color"
 	"image/gif"
 	"runtime"
+	"slices"
 	"testing"
 
 	"msite/internal/css"
@@ -69,7 +70,7 @@ func TestPaintBorder(t *testing.T) {
 
 func TestPaintTextChangesPixels(t *testing.T) {
 	img, res := paint(t, `<html><body><p>Hello World</p></body></html>`, 200)
-	runs := res.Runs()
+	runs := slices.Collect(res.Runs())
 	if len(runs) != 2 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -97,7 +98,7 @@ func TestPaintTextChangesPixels(t *testing.T) {
 
 func TestPaintColoredText(t *testing.T) {
 	img, res := paint(t, `<html><body><p style="color: red">R</p></body></html>`, 100)
-	r := res.Runs()[0]
+	r := slices.Collect(res.Runs())[0]
 	found := false
 	for y := int(r.Y); y < int(r.Y+r.Height()); y++ {
 		for x := int(r.X); x < int(r.X+r.Width()); x++ {
@@ -155,7 +156,7 @@ func TestBoldWiderThanRegular(t *testing.T) {
 	imgB, resB := paint(t, `<html><body><p><b>H</b></p></body></html>`, 100)
 	countDark := func(img *image.RGBA, res *layout.Result) int {
 		n := 0
-		r := res.Runs()[0]
+		r := slices.Collect(res.Runs())[0]
 		for y := int(r.Y); y < int(r.Y+r.Height()+2); y++ {
 			for x := int(r.X); x < int(r.X+r.Width()+4); x++ {
 				if img.RGBAAt(x, y) == (color.RGBA{0, 0, 0, 255}) {
@@ -172,7 +173,7 @@ func TestBoldWiderThanRegular(t *testing.T) {
 
 func TestPaintUnderline(t *testing.T) {
 	img, res := paint(t, `<html><body><p><a href="/x">link</a></p></body></html>`, 200)
-	r := res.Runs()[0]
+	r := slices.Collect(res.Runs())[0]
 	if !r.Underline {
 		t.Fatal("run should be underlined")
 	}

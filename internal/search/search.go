@@ -33,7 +33,7 @@ type Index struct {
 // two characters are skipped.
 func Build(res *layout.Result) *Index {
 	var hits []Hit
-	for _, run := range res.Runs() {
+	for run := range res.Runs() {
 		word := normalizeWord(run.Text)
 		if len(word) >= 2 {
 			hits = append(hits, Hit{

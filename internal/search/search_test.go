@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -76,7 +77,7 @@ func TestHitCoordinatesMatchLayout(t *testing.T) {
 	if len(hits) != 1 {
 		t.Fatal("missing hit")
 	}
-	run := res.Runs()[0]
+	run := slices.Collect(res.Runs())[0]
 	if hits[0].X != int(run.X) || hits[0].Y != int(run.Y) {
 		t.Fatalf("hit at %d,%d; run at %v,%v", hits[0].X, hits[0].Y, run.X, run.Y)
 	}
