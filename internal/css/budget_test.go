@@ -16,7 +16,9 @@ import (
 // declarations: 5.0. Since those are cut from the parse's slabs
 // (dom.Slab), whose chunks are sized from the sheet's source and rules, a
 // rule costs 0.06, and a parse 333 KB where the objects one at a time
-// took 339 KB: a parse may not take more than that.
+// took 339 KB: a parse may not take more than that. The rule hash, built
+// with the rules (a map and a slice of rule ordinals), takes it to
+// 0.08 a rule and 336 KB.
 //
 // The same sheet with a comment after every rule may allocate at most
 // twice the bytes of the plain one. Bytes, not allocations: a stripper

@@ -114,9 +114,13 @@ type Styler struct {
 	// name its parent style.
 	styles map[string]Style
 	ids    map[uintptr]uint32
-	// key and hits are scratch for one ComputedStyle call.
-	key  []byte
-	hits []ruleHit
+	// key, hits, classes and cands are scratch for one ComputedStyle
+	// call: classes holds the element's class names and cands the
+	// rules one sheet's rule hash offers it (see appendHits).
+	key     []byte
+	hits    []ruleHit
+	classes []string
+	cands   []int32
 }
 
 // NewStyler returns a Styler over the given stylesheets.
@@ -237,29 +241,6 @@ func styleIdentity(st Style) uintptr {
 	return reflect.ValueOf(st).Pointer()
 }
 
-// appendHits appends the rules of s's active media that match n, in
-// sheet and source order.
-func (s *Styler) appendHits(hits []ruleHit, n *dom.Node) []ruleHit {
-	for si, sheet := range s.sheets {
-		for ri := range sheet.Rules {
-			rule := &sheet.Rules[ri]
-			if !s.mediaActive(rule.Media) {
-				continue
-			}
-			best := -1
-			for _, sel := range rule.Selectors {
-				if sel.Match(n) && sel.Specificity() > best {
-					best = sel.Specificity()
-				}
-			}
-			if best >= 0 {
-				hits = append(hits, ruleHit{sheet: si, rule: ri, spec: best})
-			}
-		}
-	}
-	return hits
-}
-
 // appendKey appends everything the cascade of n reads: the parent
 // style's number (0 for none), the tag, the inline style, if any, and
 // the rules that matched. Sheets are only ever appended to a Styler, so
@@ -269,7 +250,7 @@ func appendKey(key []byte, parentID uint32, n *dom.Node, hits []ruleHit) []byte 
 	key = binary.AppendUvarint(key, uint64(parentID))
 	key = binary.AppendUvarint(key, uint64(len(n.Tag)))
 	key = append(key, n.Tag...)
-	if inline, ok := n.Attr("style"); ok {
+	if inline, ok := attrOf(n, "style"); ok {
 		key = binary.AppendUvarint(key, uint64(len(inline))+1)
 		key = append(key, inline...)
 	} else {
@@ -338,7 +319,7 @@ func (s *Styler) cascade(n *dom.Node, parentStyle Style, hits []ruleHit) Style {
 	applyOrdered(matched)
 
 	// 4. Inline style (specificity above any selector, below !important).
-	if inline, ok := n.Attr("style"); ok {
+	if inline, ok := attrOf(n, "style"); ok {
 		var inlineImportant []weightedDecl
 		for _, d := range ParseDeclarations(inline) {
 			if d.Important {

@@ -39,6 +39,11 @@ type Stylesheet struct {
 	// does not cut into such a sheet.
 	src      string
 	unclosed bool
+	// index is the rules' rule hash, built with them, so that every
+	// Styler sharing the sheet shares it too. A Stylesheet that
+	// ParseStylesheet did not make has none, and a Styler finds no rule
+	// of it.
+	index ruleIndex
 }
 
 // piece is one top-level span of a stylesheet's source, or of an @media
@@ -100,6 +105,7 @@ func ParseStylesheet(src string) *Stylesheet {
 	if len(sheet.Rules) == 0 {
 		sheet.Rules = nil
 	}
+	sheet.index = newRuleIndex(sheet.Rules)
 	return sheet
 }
 

@@ -470,7 +470,7 @@ func (s *Selector) MayMatch(n *dom.Node) bool {
 // matchFrom matches parts[idx:] leftwards from n; user says what a
 // user-driven state is taken to be.
 func (s *Selector) matchFrom(idx int, n *dom.Node, user bool) bool {
-	if !matchCompound(s.parts[idx], n, user) {
+	if !matchCompound(&s.parts[idx], n, user) {
 		return false
 	}
 	if idx == len(s.parts)-1 {
@@ -504,36 +504,64 @@ func (s *Selector) matchFrom(idx int, n *dom.Node, user bool) bool {
 	return false
 }
 
-func matchCompound(c compound, n *dom.Node, user bool) bool {
+func matchCompound(c *compound, n *dom.Node, user bool) bool {
 	if n == nil || n.Type != dom.ElementNode {
 		return false
 	}
 	if c.tag != "" && c.tag != "*" && n.Tag != c.tag {
 		return false
 	}
-	if c.id != "" && n.ID() != c.id {
-		return false
-	}
-	for _, cls := range c.classes {
-		if !n.HasClass(cls) {
+	if c.id != "" {
+		if id, _ := attrOf(n, "id"); id != c.id {
 			return false
 		}
 	}
-	for _, am := range c.attrs {
-		if !matchAttr(am, n) {
+	if len(c.classes) > 0 {
+		class, _ := attrOf(n, "class")
+		for _, cls := range c.classes {
+			if !hasField(class, cls) {
+				return false
+			}
+		}
+	}
+	for i := range c.attrs {
+		if !matchAttr(&c.attrs[i], n) {
 			return false
 		}
 	}
-	for _, pm := range c.pseudos {
-		if !matchPseudo(pm, n, user) {
+	for i := range c.pseudos {
+		if !matchPseudo(&c.pseudos[i], n, user) {
 			return false
 		}
 	}
 	return true
 }
 
-func matchAttr(m attrMatcher, n *dom.Node) bool {
-	val, ok := n.Attr(m.key)
+// attrOf is Node.Attr for a key that is already lowercase, as every key
+// the matcher asks for is: the parser and SetAttr store keys lowercased,
+// so it need not lower the key again on every test.
+func attrOf(n *dom.Node, key string) (string, bool) {
+	for i := range n.Attrs {
+		if n.Attrs[i].Key == key {
+			return n.Attrs[i].Val, true
+		}
+	}
+	return "", false
+}
+
+// hasField reports whether the whitespace-separated list s holds f, as
+// Node.HasClass does of the class attribute.
+func hasField(s, f string) bool {
+	for have := range strings.FieldsSeq(s) {
+		if have == f {
+			return true
+		}
+	}
+	return false
+}
+
+func matchAttr(m *attrMatcher, n *dom.Node) bool {
+	val, ok := attrOf(n, m.key)
 	if !ok {
 		return false
 	}
@@ -543,12 +571,7 @@ func matchAttr(m attrMatcher, n *dom.Node) bool {
 	case "=":
 		return val == m.val
 	case "~=":
-		for _, w := range strings.Fields(val) {
-			if w == m.val {
-				return true
-			}
-		}
-		return false
+		return hasField(val, m.val)
 	case "^=":
 		return m.val != "" && strings.HasPrefix(val, m.val)
 	case "$=":
@@ -561,7 +584,7 @@ func matchAttr(m attrMatcher, n *dom.Node) bool {
 	return false
 }
 
-func matchPseudo(m pseudoMatcher, n *dom.Node, user bool) bool {
+func matchPseudo(m *pseudoMatcher, n *dom.Node, user bool) bool {
 	switch m.name {
 	case "first-child":
 		return n.PrevElement() == nil && n.Parent != nil

@@ -153,9 +153,8 @@ func (n *Node) Classes() []string {
 	return strings.Fields(n.AttrOr("class", ""))
 }
 
-// HasClass reports whether the element's class list contains c. Selector
-// matching asks this of every candidate element, so it scans the
-// attribute in place and builds no list.
+// HasClass reports whether the element's class list contains c. It scans
+// the attribute in place and builds no list.
 func (n *Node) HasClass(c string) bool {
 	for have := range strings.FieldsSeq(n.AttrOr("class", "")) {
 		if have == c {

@@ -27,6 +27,9 @@ type Box struct {
 
 	X, Y, W, H float64
 
+	// Children and Runs are windows of the layout's slabs, cut with
+	// len == cap: appending to either copies it out rather than writing
+	// over the window after it.
 	Children []*Box
 	Runs     []TextRun
 }
@@ -123,7 +126,7 @@ func Layout(doc *dom.Node, styler *css.Styler, vp Viewport) *Result {
 		styler = css.NewStyler()
 	}
 	ctx := &lctx{styler: styler, byNode: make(map[*dom.Node]*Box)}
-	ctx.boxes.Chunk, ctx.runs.Chunk = boxChunk, runChunk
+	ctx.boxes.Chunk, ctx.runs.Chunk, ctx.children.Chunk = boxChunk, runChunk, boxChunk
 
 	body := doc.Body()
 	root := body
@@ -152,11 +155,17 @@ func Layout(doc *dom.Node, styler *css.Styler, vp Viewport) *Result {
 type lctx struct {
 	styler *css.Styler
 	byNode map[*dom.Node]*Box
-	// boxes and runs are the slabs the boxes and each box's Runs are cut
-	// from; the Result's boxes keep every chunk alive, and nothing else
-	// does.
-	boxes dom.Slab[Box]
-	runs  dom.Slab[TextRun]
+	// boxes, runs and children are the slabs the boxes and each box's
+	// Runs and Children are cut from; the Result's boxes keep every
+	// chunk alive, and nothing else does.
+	boxes    dom.Slab[Box]
+	runs     dom.Slab[TextRun]
+	children dom.Slab[*Box]
+	// kids is the stack every box pushes its children onto while it is
+	// laid out (addChild). Layout is depth first, so a box's children
+	// are the top of the stack from its first push to its cutChildren,
+	// and a nested box has cut its own before its parent pushes again.
+	kids []*Box
 	// words is the pending-word buffer every line context of the layout
 	// shares: a line's words are flushed before a nested block opens a
 	// line of its own.
@@ -164,8 +173,20 @@ type lctx struct {
 }
 
 // boxChunk and runChunk are how many boxes and text runs a slab chunk
-// holds.
+// holds. Every box but the root is some box's child, so a chunk of the
+// children slab holds boxChunk of them too.
 const boxChunk, runChunk = 128, 256
+
+// addChild makes child the next child of the box on top of the stack.
+func (c *lctx) addChild(child *Box) { c.kids = append(c.kids, child) }
+
+// cutChildren returns the children pushed since the stack held base
+// boxes, as a window of the children slab, and pops them.
+func (c *lctx) cutChildren(base int) []*Box {
+	kids := c.children.Clone(c.kids[base:])
+	c.kids = c.kids[:base]
+	return kids
+}
 
 // edges resolves margin, border, and padding for a style.
 type edges struct {
@@ -285,15 +306,17 @@ func (c *lctx) layoutBlock(n *dom.Node, style css.Style, x, y, availW, pad float
 	contentX := box.X + e.bl + e.pl
 	contentY := box.Y + e.bt + e.pt
 
+	base := len(c.kids)
 	var contentH float64
 	switch {
 	case n.Tag == "table":
-		contentH = c.layoutTable(box, n, style, contentX, contentY, contentW)
+		contentH = c.layoutTable(n, style, contentX, contentY, contentW)
 	case n.Tag == "hr":
 		contentH = 2
 	default:
 		contentH = c.layoutFlow(box, n, style, contentX, contentY, contentW)
 	}
+	box.Children = c.cutChildren(base)
 
 	if h, ok := css.ParseLength(style.Get("height", heightAttr(n)), 0); ok && h > contentH {
 		contentH = h
@@ -382,7 +405,7 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 					floatRightW += outerW
 				}
 				shiftBox(cb, dx, 0)
-				box.Children = append(box.Children, cb)
+				c.addChild(cb)
 				if bottom := cb.Y + cb.H + ce.mb; bottom > floatMaxY {
 					floatMaxY = bottom
 				}
@@ -394,7 +417,7 @@ func (c *lctx) layoutFlow(box *Box, n *dom.Node, style css.Style, contentX, cont
 				flushLine()
 				clearFloats()
 				cb := c.layoutBlock(child, childStyle, contentX, cur, contentW, 0)
-				box.Children = append(box.Children, cb)
+				c.addChild(cb)
 				ce := resolveEdges(childStyle, contentW, 0)
 				cur = cb.Y + cb.H + ce.mb
 				line = c.newLineCtx(box, style, contentX, cur, contentW)
@@ -485,7 +508,7 @@ func (c *lctx) inlineElement(n *dom.Node, style css.Style, line *lineCtx) {
 			W:     bounds.x1 - bounds.x0,
 			H:     bounds.y1 - bounds.y0,
 		}
-		line.box.Children = append(line.box.Children, eb)
+		c.addChild(eb)
 		c.byNode[n] = eb
 	}
 }
@@ -542,7 +565,7 @@ func atomSize(n *dom.Node, style css.Style) (atom, bool) {
 // layoutTable lays out table rows and cells and returns the content
 // height. Presentational cellpadding/cellspacing attributes are honored,
 // since the template-driven sites m.Site targets rely on them.
-func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, contentY, contentW float64) float64 {
+func (c *lctx) layoutTable(n *dom.Node, style css.Style, contentX, contentY, contentW float64) float64 {
 	spacing := 2.0
 	if v, err := strconv.ParseFloat(n.AttrOr("cellspacing", ""), 64); err == nil && v >= 0 {
 		spacing = v
@@ -577,8 +600,8 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 		rowBox := c.boxes.New()
 		*rowBox = Box{Node: row, Style: rowStyle, X: contentX, Y: cur, W: contentW}
 		c.byNode[row] = rowBox
-		box.Children = append(box.Children, rowBox)
 
+		base := len(c.kids)
 		maxH := 0.0
 		cx := contentX + spacing
 		for cell := row.FirstChild; cell != nil; cell = cell.NextSibling {
@@ -597,12 +620,14 @@ func (c *lctx) layoutTable(box *Box, n *dom.Node, style css.Style, contentX, con
 			// The table's cellpadding pads each side the cell leaves unset.
 			cb := c.layoutBlock(cell, cellStyle, cx, cur, cw, padding)
 			cb.W = cw // cells fill their column regardless of content
-			rowBox.Children = append(rowBox.Children, cb)
+			c.addChild(cb)
 			if cb.H > maxH {
 				maxH = cb.H
 			}
 			cx += cw + spacing
 		}
+		rowBox.Children = c.cutChildren(base)
+		c.addChild(rowBox)
 		// Equalize cell heights across the row.
 		for _, cb := range rowBox.Children {
 			cb.H = maxH

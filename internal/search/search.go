@@ -7,6 +7,7 @@ package search
 
 import (
 	"encoding/json"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -145,20 +146,33 @@ func (idx *Index) Scale(factor float64) *Index {
 // U+2029, which older JavaScript does not allow in a string literal. A word
 // that is not valid UTF-8 ships with U+FFFD for its bad bytes.
 func (idx *Index) JS(triggerID string) string {
-	entries := []string{}
-	var deltas []byte
-	for i := 0; i < len(idx.hits); {
-		word := idx.hits[i].Word
-		var prev Hit
-		deltas = deltas[:0]
-		for ; i < len(idx.hits) && idx.hits[i].Word == word; i++ {
-			h := idx.hits[i]
-			for _, d := range [4]int{h.X - prev.X, h.Y - prev.Y, h.W - prev.W, h.H - prev.H} {
-				deltas = appendVLQ(deltas, d)
-			}
-			prev = h
+	// Every word's hits are written into one string, which the words'
+	// entries slice: a first pass sizes it, so writing it takes one
+	// allocation, and ends[k] is where the k-th word's hits end.
+	var vlq [13]byte // the most digits appendVLQ writes
+	size, words := 0, 0
+	for hits := range idx.words() {
+		for d := range deltas(hits) {
+			size += len(appendVLQ(vlq[:0], d))
 		}
-		entries = append(entries, word, string(deltas))
+		words++
+	}
+	var all strings.Builder
+	all.Grow(size)
+	ends := make([]int, 0, words)
+	for hits := range idx.words() {
+		for d := range deltas(hits) {
+			all.Write(appendVLQ(vlq[:0], d))
+		}
+		ends = append(ends, all.Len())
+	}
+	written := all.String()
+	entries := make([]string, 0, 2*words)
+	start := 0
+	for hits := range idx.words() {
+		end := ends[len(entries)/2]
+		entries = append(entries, hits[0].Word, written[start:end])
+		start = end
 	}
 	var b strings.Builder
 	b.WriteString("var msiteSearchIndex=")
@@ -171,6 +185,39 @@ func (idx *Index) JS(triggerID string) string {
 		b.WriteString(");\n")
 	}
 	return b.String()
+}
+
+// words yields the index's hits a word at a time.
+func (idx *Index) words() iter.Seq[[]Hit] {
+	return func(yield func([]Hit) bool) {
+		for i := 0; i < len(idx.hits); {
+			j := i + 1
+			for j < len(idx.hits) && idx.hits[j].Word == idx.hits[i].Word {
+				j++
+			}
+			if !yield(idx.hits[i:j]) {
+				return
+			}
+			i = j
+		}
+	}
+}
+
+// deltas yields the numbers one word's hits are written as, four a hit:
+// its x, y, w and h less those of the hit before, the first hit's less
+// zero.
+func deltas(hits []Hit) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		var prev Hit
+		for _, h := range hits {
+			for _, d := range [4]int{h.X - prev.X, h.Y - prev.Y, h.W - prev.W, h.H - prev.H} {
+				if !yield(d) {
+					return
+				}
+			}
+			prev = h
+		}
+	}
 }
 
 // htmlSafeJSON marshals a string or a []string, which cannot fail.
