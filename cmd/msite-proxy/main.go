@@ -49,9 +49,6 @@ func run() error {
 	logLevel := flag.String("log-level", "info", "request log level: debug|info|warn|error|off")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "render cache byte budget, LRU-evicted past it (0 = unbounded)")
 	fetchTimeout := flag.Duration("fetch-timeout", 30*time.Second, "per-request origin deadline")
-	fetchRetries := flag.Int("fetch-retries", 2, "retries per idempotent origin GET after transient failures (0 = none)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive origin failures that trip a circuit breaker (0 = default 5, negative = breakers off)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker rejects before re-probing (0 = default 5s)")
 	maxAdapt := flag.Int("max-concurrent-adaptations", 0, "adaptation pipelines allowed to run at once; excess waits in a bounded queue or is shed with 503 (0 = unlimited)")
 	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length behind -max-concurrent-adaptations (0 = 4x concurrency, negative = no queue)")
 	storeDir := flag.String("store-dir", "", "durable render store directory; restarts rehydrate adapted content from it (empty = no persistence)")
@@ -69,14 +66,11 @@ func run() error {
 		return err
 	}
 	cfg := core.Config{
-		SessionRoot:      *sessions,
-		ViewportWidth:    *width,
-		Logger:           logger,
-		CacheMaxBytes:    *cacheMaxBytes,
-		FetchTimeout:     *fetchTimeout,
-		FetchRetries:     *fetchRetries,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
+		SessionRoot:   *sessions,
+		ViewportWidth: *width,
+		Logger:        logger,
+		CacheMaxBytes: *cacheMaxBytes,
+		FetchTimeout:  *fetchTimeout,
 
 		MaxConcurrentAdaptations: *maxAdapt,
 		AdmissionQueue:           *admissionQueue,

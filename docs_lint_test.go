@@ -95,14 +95,10 @@ var subsystemDocs = []struct {
 	elsewhere map[string][]string
 }{
 	{
-		doc: "RESILIENCE.md",
-		flags: []string{
-			"-fetch-timeout", "-fetch-retries", "-breaker-threshold",
-			"-breaker-cooldown",
-		},
+		doc:   "RESILIENCE.md",
+		flags: []string{"-fetch-timeout"},
 		metrics: []string{
-			"msite_fetch_retries_total", "msite_breaker_state",
-			"msite_breaker_transitions_total", "msite_proxy_stale_served_total",
+			"msite_fetch_retries_total", "msite_proxy_stale_served_total",
 			"msite_proxy_degraded_total",
 		},
 		tests: []string{"TestResilienceChaos"},
@@ -379,8 +375,8 @@ func TestKnobCeiling(t *testing.T) {
 		knob           string
 		count, ceiling int
 	}{
-		{"`core.Config` fields", len(coreConfigFields(t)), 15},
-		{"`msite-proxy` flags", len(proxyFlagNames(t)), 19},
+		{"`core.Config` fields", len(coreConfigFields(t)), 12},
+		{"`msite-proxy` flags", len(proxyFlagNames(t)), 16},
 		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 14},
 	} {
 		t.Logf("| %s | %d | %d |", k.knob, k.count, k.ceiling)

@@ -45,18 +45,6 @@ type Config struct {
 	// entries are evicted past it (the -cache-max-bytes knob). 0 means
 	// unbounded (TTL-only). Expired entries are swept every minute.
 	CacheMaxBytes int64
-	// FetchRetries is how many times an idempotent origin GET is retried
-	// after a transient failure, with exponential backoff (the
-	// -fetch-retries knob). 0 disables retries.
-	FetchRetries int
-	// BreakerThreshold is the consecutive-failure count that trips an
-	// origin's circuit breaker (the -breaker-threshold knob). 0 uses
-	// fetch.DefaultBreakerThreshold; negative disables the breakers.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker rejects requests
-	// before probing the origin again (the -breaker-cooldown knob).
-	// 0 uses fetch.DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// MaxConcurrentAdaptations bounds how many adaptation pipelines run
 	// at once (the -max-concurrent-adaptations knob); excess requests
 	// wait in a bounded, deadline-aware queue and are shed with 503 +
@@ -136,26 +124,18 @@ func (cfg Config) cacheOptions() cache.Options {
 	}
 }
 
+// fetchRetries is how many times every origin fetcher retries an
+// idempotent GET after a transient failure, with exponential backoff.
+const fetchRetries = 2
+
 // fetchOptions maps the Config knobs onto origin fetchers: timeout,
-// retries, metrics, and one breaker set shared by every per-session
-// fetcher (origin health outlives any one session).
+// the fixed retry policy and metrics.
 func (cfg Config) fetchOptions(reg *obs.Registry) []fetch.Option {
-	var opts []fetch.Option
+	opts := []fetch.Option{fetch.WithRetries(fetchRetries), fetch.WithObs(reg)}
 	if cfg.FetchTimeout > 0 {
 		opts = append(opts, fetch.WithTimeout(cfg.FetchTimeout))
 	}
-	if cfg.FetchRetries > 0 {
-		opts = append(opts, fetch.WithRetries(cfg.FetchRetries))
-	}
-	if cfg.BreakerThreshold >= 0 {
-		breakers := fetch.NewBreakerSet(fetch.BreakerConfig{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-		})
-		breakers.SetObs(reg)
-		opts = append(opts, fetch.WithBreaker(breakers))
-	}
-	return append(opts, fetch.WithObs(reg))
+	return opts
 }
 
 // instance is what a Framework and a MultiFramework both are: the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/url"
 	"strconv"
 	"syscall"
 )
@@ -14,13 +13,13 @@ import (
 // ErrorKind classifies an origin fetch failure so the proxy (and tests)
 // can branch on failure class instead of string-matching net/http
 // errors: a timeout degrades differently from a refused connection, and
-// an open breaker should never be retried.
+// a 4xx should never be retried.
 type ErrorKind string
 
-// The failure classes. Timeout, Refused, Reset, DNS, and 5xx Status
-// errors are origin-health signals: they count against the origin's
-// circuit breaker and are retried for idempotent GETs. BreakerOpen is
-// the fetcher refusing to contact a tripped origin at all.
+// The failure classes. Timeout, Refused, Reset, DNS, Transport, and 5xx
+// and 429 Status errors are origin-health signals: they are retried for
+// idempotent GETs, and a GET that fails with one on every attempt marks
+// its host failing.
 const (
 	// KindTimeout is a request or connect deadline expiring.
 	KindTimeout ErrorKind = "timeout"
@@ -32,9 +31,6 @@ const (
 	KindDNS ErrorKind = "dns"
 	// KindStatus is a non-2xx origin response (Status carries the code).
 	KindStatus ErrorKind = "status"
-	// KindBreakerOpen is a request short-circuited by an open per-origin
-	// circuit breaker — the origin was never contacted.
-	KindBreakerOpen ErrorKind = "breaker_open"
 	// KindTransport is any other transport-level failure.
 	KindTransport ErrorKind = "transport"
 	// KindTooLarge is a response body over the fetcher's limit: the
@@ -50,7 +46,7 @@ const (
 type Error struct {
 	// URL is the request URL that failed.
 	URL string
-	// Origin is the origin host the breaker tracks.
+	// Origin is the host the request went to.
 	Origin string
 	// Kind is the failure class.
 	Kind ErrorKind
@@ -85,8 +81,8 @@ func (e *Error) Unwrap() error { return e.Err }
 
 // Temporary reports whether the failure class is worth retrying: the
 // origin may answer a later attempt (timeouts, refusals, resets, DNS
-// hiccups, 5xx and 429 responses). Breaker rejections and other 4xx
-// responses are not.
+// hiccups, 5xx and 429 responses). Other 4xx responses and oversized
+// bodies are not.
 func (e *Error) Temporary() bool {
 	switch e.Kind {
 	case KindTimeout, KindRefused, KindReset, KindDNS, KindTransport:
@@ -130,35 +126,26 @@ func isTimeout(err error) bool {
 	return errors.As(err, &netErr) && netErr.Timeout()
 }
 
-// originOf extracts the breaker key (host) from a raw URL.
-func originOf(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return ""
-	}
-	return u.Host
-}
-
 // transportError wraps a client.Do failure in a typed *Error.
-func transportError(rawURL string, attempts int, err error) *Error {
+func transportError(rawURL, host string, err error) *Error {
 	return &Error{
 		URL:      rawURL,
-		Origin:   originOf(rawURL),
+		Origin:   host,
 		Kind:     classifyTransport(err),
-		Attempts: attempts,
+		Attempts: 1,
 		Err:      err,
 	}
 }
 
 // statusError wraps a non-2xx response in a typed *Error that also
 // carries the legacy *StatusError, so errors.As finds either form.
-func statusError(rawURL string, status, attempts int) *Error {
+func statusError(rawURL, host string, status int) *Error {
 	return &Error{
 		URL:      rawURL,
-		Origin:   originOf(rawURL),
+		Origin:   host,
 		Kind:     KindStatus,
 		Status:   status,
-		Attempts: attempts,
+		Attempts: 1,
 		Err:      &StatusError{URL: rawURL, Status: status},
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"msite/internal/dom"
@@ -73,15 +75,13 @@ type Fetcher struct {
 	userAgent string
 	obs       *obs.Registry
 
-	// Resilience knobs: retries is the extra attempts allowed for
-	// idempotent GETs on retryable failures (see Error.Temporary),
-	// backoffBase/backoffMax bound the jittered exponential backoff
-	// between them, and breakers (shared across fetchers) short-circuits
-	// requests to origins that keep failing.
+	// retries is the extra attempts allowed for idempotent GETs on
+	// retryable failures (see Error.Temporary) to a host that is not
+	// failing, and backoffBase/backoffMax bound the jittered exponential
+	// backoff between them.
 	retries     int
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	breakers    *BreakerSet
 }
 
 // sessionJar presents the session's *current* cookie jar to the HTTP
@@ -121,9 +121,9 @@ func WithObs(reg *obs.Registry) Option {
 }
 
 // WithRetries allows n extra attempts for idempotent GETs whose failure
-// class is retryable (timeouts, refusals, resets, DNS, 5xx/429) — the
-// -fetch-retries knob. n <= 0 disables retries (the default). POSTs are
-// never retried.
+// class is retryable (timeouts, refusals, resets, DNS, 5xx/429), except
+// to a failing host (see failing). n <= 0 disables retries (the default).
+// POSTs are never retried.
 func WithRetries(n int) Option {
 	return func(f *Fetcher) {
 		if n > 0 {
@@ -145,13 +145,6 @@ func WithBackoff(base, max time.Duration) Option {
 			f.backoffMax = max
 		}
 	}
-}
-
-// WithBreaker routes every request through the per-origin circuit
-// breakers in set (the -breaker-threshold knob family). The set is
-// shared across fetchers — origin health outlives any one session.
-func WithBreaker(set *BreakerSet) Option {
-	return func(f *Fetcher) { f.breakers = set }
 }
 
 // record reports one origin request's outcome and latency.
@@ -194,6 +187,55 @@ var transport = func() *http.Transport {
 	return t
 }()
 
+// maxFailingHosts caps failing. Past it a failing host is not remembered
+// and keeps its retries.
+const maxFailingHosts = 256
+
+// failing holds the origin hosts whose last GET failed on every attempt.
+// Each gets one attempt and no retries until it answers, so retries do
+// not multiply the load an outage puts on the origin. Like transport, it
+// is shared by every Fetcher: a host's health outlives any one session.
+var failing hostSet
+
+// hostSet is a set of at most maxFailingHosts hosts, safe for concurrent
+// use. n mirrors len(hosts), so forget, which every answer calls, costs
+// one atomic load while no host is failing.
+type hostSet struct {
+	mu    sync.Mutex
+	hosts map[string]struct{}
+	n     atomic.Int32
+}
+
+func (s *hostSet) has(host string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.hosts[host]
+	return ok
+}
+
+func (s *hostSet) add(host string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.hosts) >= maxFailingHosts {
+		return
+	}
+	if s.hosts == nil {
+		s.hosts = make(map[string]struct{})
+	}
+	s.hosts[host] = struct{}{}
+	s.n.Store(int32(len(s.hosts)))
+}
+
+func (s *hostSet) forget(host string) {
+	if s.n.Load() == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.hosts, host)
+	s.n.Store(int32(len(s.hosts)))
+}
+
 // New returns a Fetcher bound to a session's cookie jar. sess may be nil
 // for anonymous (shared-cache) fetches.
 func New(sess *session.Session, opts ...Option) *Fetcher {
@@ -231,31 +273,34 @@ func (f *Fetcher) GetContext(ctx context.Context, rawURL string) (*Page, error) 
 }
 
 // getRetry runs the bounded retry loop around single attempts. Only
-// failures classified retryable (Error.Temporary) consume the budget;
-// auth challenges, 4xx statuses, and breaker rejections return
-// immediately.
+// failures classified retryable (Error.Temporary) consume the budget, and
+// a failing host gets none: the host of a GET that fails on every attempt
+// joins failing, so the next GET to it stops after one.
 func (f *Fetcher) getRetry(ctx context.Context, rawURL string) (*Page, error) {
-	var page *Page
-	var err error
-	attempts := 0
-	for {
-		attempts++
-		page, err = f.attempt(ctx, rawURL)
-		if err == nil || attempts > f.retries || !Retryable(err) {
-			break
+	for attempts := 1; ; attempts++ {
+		page, err := f.attempt(ctx, rawURL)
+		if err == nil {
+			return page, nil
+		}
+		var fe *Error // declared past the nil check: errors.As moves it to the heap
+		if !errors.As(err, &fe) {
+			return page, err
+		}
+		fe.Attempts = attempts
+		if !fe.Temporary() {
+			return page, err
+		}
+		if attempts > f.retries || failing.has(fe.Origin) {
+			failing.add(fe.Origin)
+			return page, err
 		}
 		if f.obs != nil {
 			f.obs.Counter("msite_fetch_retries_total").Inc()
 		}
-		if sleepErr := sleepCtx(ctx, f.backoff(attempts)); sleepErr != nil {
-			break
+		if sleepCtx(ctx, f.backoff(attempts)) != nil {
+			return page, err
 		}
 	}
-	var fe *Error
-	if errors.As(err, &fe) {
-		fe.Attempts = attempts
-	}
-	return page, err
 }
 
 // backoff returns the jittered delay before the retry following failed
@@ -291,62 +336,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// attempt runs one GET through the origin's circuit breaker. Outcomes
-// feed the breaker: any origin response (even 4xx) proves liveness;
-// transport failures and 5xx count against it.
+// attempt makes one GET, with the session's stored credentials for the
+// host.
 func (f *Fetcher) attempt(ctx context.Context, rawURL string) (*Page, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fetch: building request for %s: %w", rawURL, err)
 	}
-	req.Header.Set("User-Agent", f.userAgent)
 	if f.sess != nil {
 		if creds, ok := f.sess.Auth(req.URL.Host); ok {
 			req.SetBasicAuth(creds.User, creds.Pass)
 		}
 	}
-	var br *Breaker
-	if f.breakers != nil {
-		br = f.breakers.For(req.URL.Host)
-		if !br.Allow() {
-			return nil, &Error{URL: rawURL, Origin: req.URL.Host, Kind: KindBreakerOpen, Attempts: 1}
-		}
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		if br != nil {
-			br.Record(false)
-		}
-		return nil, transportError(rawURL, 1, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-
-	if resp.StatusCode == http.StatusUnauthorized {
-		if br != nil {
-			br.Record(true)
-		}
-		realm := parseRealm(resp.Header.Get("WWW-Authenticate"))
-		return nil, &AuthRequiredError{URL: rawURL, Realm: realm}
-	}
-	body, err := readBody(rawURL, req.URL.Host, resp.Body, resp.ContentLength, br)
-	if err != nil {
-		return nil, err
-	}
-	page := &Page{
-		URL:    resp.Request.URL.String(),
-		Body:   body,
-		Status: resp.StatusCode,
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		if br != nil {
-			br.Record(resp.StatusCode < 500)
-		}
-		return page, statusError(rawURL, resp.StatusCode, 1)
-	}
-	if br != nil {
-		br.Record(true)
-	}
-	return page, nil
+	return f.send(rawURL, req)
 }
 
 // PostForm submits a form to the origin (used to marshal login
@@ -356,78 +358,61 @@ func (f *Fetcher) PostForm(rawURL string, form url.Values) (*Page, error) {
 }
 
 // PostFormContext is PostForm bound to a caller deadline/cancellation.
+// Form submission is not idempotent, so it is never retried.
 func (f *Fetcher) PostFormContext(ctx context.Context, rawURL string, form url.Values) (*Page, error) {
 	start := time.Now()
-	page, err := f.postForm(ctx, rawURL, form)
-	f.record(start, err)
-	return page, err
-}
-
-// postForm never retries (form submission is not idempotent) but still
-// consults the origin's breaker and returns typed failures.
-func (f *Fetcher) postForm(ctx context.Context, rawURL string, form url.Values) (*Page, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rawURL, strings.NewReader(form.Encode()))
 	if err != nil {
 		return nil, fmt.Errorf("fetch: building POST for %s: %w", rawURL, err)
 	}
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	page, err := f.send(rawURL, req)
+	f.record(start, err)
+	return page, err
+}
+
+// send makes one request and reads the answer. A 401 to a GET is an
+// *AuthRequiredError; any other status outside 2xx is a KindStatus error
+// beside the page. Every outcome but a retryable failure means the host
+// answered, so it leaves failing.
+func (f *Fetcher) send(rawURL string, req *http.Request) (*Page, error) {
 	req.Header.Set("User-Agent", f.userAgent)
-	var br *Breaker
-	if f.breakers != nil {
-		br = f.breakers.For(req.URL.Host)
-		if !br.Allow() {
-			return nil, &Error{URL: rawURL, Origin: req.URL.Host, Kind: KindBreakerOpen, Attempts: 1}
-		}
-	}
+	host := req.URL.Host
 	resp, err := f.client.Do(req)
 	if err != nil {
-		if br != nil {
-			br.Record(false)
-		}
-		return nil, transportError(rawURL, 1, err)
+		return nil, transportError(rawURL, host, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	body, err := readBody(rawURL, req.URL.Host, resp.Body, resp.ContentLength, br)
-	if err != nil {
-		return nil, err
-	}
-	page := &Page{
-		URL:    resp.Request.URL.String(),
-		Body:   body,
-		Status: resp.StatusCode,
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		if br != nil {
-			br.Record(resp.StatusCode < 500)
+	var page *Page
+	if resp.StatusCode == http.StatusUnauthorized && req.Method == http.MethodGet {
+		err = &AuthRequiredError{URL: rawURL, Realm: parseRealm(resp.Header.Get("WWW-Authenticate"))}
+	} else if body, readErr := readBody(rawURL, host, resp.Body, resp.ContentLength); readErr != nil {
+		err = readErr
+	} else {
+		page = &Page{URL: resp.Request.URL.String(), Body: body, Status: resp.StatusCode}
+		if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+			err = statusError(rawURL, host, resp.StatusCode)
 		}
-		return page, statusError(rawURL, resp.StatusCode, 1)
 	}
-	if br != nil {
-		br.Record(true)
+	if err == nil || !Retryable(err) { // Retryable allocates: skip it on success
+		failing.forget(host)
 	}
-	return page, nil
+	return page, err
 }
 
 // readBody reads a response body of at most maxBodyBytes, whose length is
-// size when that is known (-1 when not), and records the outcome with br,
-// which may be nil. A failed read is a KindReset failure of the origin; a
-// longer body is a KindTooLarge error, never a page cut short, and the
-// breaker records a success, since the origin answered.
-func readBody(rawURL, host string, r io.Reader, size int64, br *Breaker) ([]byte, error) {
+// size when that is known (-1 when not). A failed read is a KindReset
+// failure of the origin; a longer body is a KindTooLarge error, never a
+// page cut short, and not retried, since the origin answered.
+func readBody(rawURL, host string, r io.Reader, size int64) ([]byte, error) {
 	body, err := readAll(io.LimitReader(r, maxBodyBytes+1), size)
 	if err != nil {
-		if br != nil {
-			br.Record(false)
-		}
 		return nil, &Error{
 			URL: rawURL, Origin: host, Kind: KindReset, Attempts: 1,
 			Err: fmt.Errorf("fetch: reading %s: %w", rawURL, err),
 		}
 	}
 	if len(body) > maxBodyBytes {
-		if br != nil {
-			br.Record(true)
-		}
 		return nil, &Error{
 			URL: rawURL, Origin: host, Kind: KindTooLarge, Attempts: 1,
 			Err: fmt.Errorf("body exceeds %d bytes", maxBodyBytes),

@@ -354,7 +354,7 @@ func TestReadBodyAllocation(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := readBody("http://origin.test/big", "origin.test", &chunkedBody{body}, tc.size, nil)
+		got, err := readBody("http://origin.test/big", "origin.test", &chunkedBody{body}, tc.size)
 		runtime.ReadMemStats(&after)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Fatalf("%s: read %d bytes, err %v; want the %d-byte body", tc.name, len(got), err, len(body))

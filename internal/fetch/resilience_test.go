@@ -4,171 +4,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"msite/internal/obs"
 )
-
-// fakeClock is a manually advanced time source for breaker tests.
-type fakeClock struct{ now atomic.Int64 }
-
-func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.now.Load()) }
-func (c *fakeClock) Advance(d time.Duration) { c.now.Add(int64(d)) }
-func newFakeClock() *fakeClock               { c := &fakeClock{}; c.now.Store(1); return c }
-
-// breakerEvent is one step of a table-driven state-machine scenario.
-type breakerEvent struct {
-	// op: "ok" / "fail" record an outcome (asserting Allow first),
-	// "reject" asserts Allow returns false, "advance" moves the clock.
-	op      string
-	advance time.Duration
-	want    BreakerState // state after the event
-}
-
-func TestBreakerStateTransitions(t *testing.T) {
-	const origin = "origin.example"
-	cases := []struct {
-		name   string
-		cfg    BreakerConfig
-		events []breakerEvent
-	}{
-		{
-			name: "closed stays closed under threshold",
-			cfg:  BreakerConfig{Threshold: 3, Cooldown: time.Second},
-			events: []breakerEvent{
-				{op: "fail", want: StateClosed},
-				{op: "fail", want: StateClosed},
-				{op: "ok", want: StateClosed}, // success resets the streak
-				{op: "fail", want: StateClosed},
-				{op: "fail", want: StateClosed},
-			},
-		},
-		{
-			name: "threshold consecutive failures trip open",
-			cfg:  BreakerConfig{Threshold: 3, Cooldown: time.Second},
-			events: []breakerEvent{
-				{op: "fail", want: StateClosed},
-				{op: "fail", want: StateClosed},
-				{op: "fail", want: StateOpen},
-				{op: "reject", want: StateOpen},
-			},
-		},
-		{
-			name: "open admits probe after cooldown; success closes",
-			cfg:  BreakerConfig{Threshold: 1, Cooldown: time.Second},
-			events: []breakerEvent{
-				{op: "fail", want: StateOpen},
-				{op: "reject", want: StateOpen},
-				{op: "advance", advance: time.Second, want: StateHalfOpen},
-				{op: "ok", want: StateClosed},
-				{op: "ok", want: StateClosed},
-			},
-		},
-		{
-			name: "failed probe reopens",
-			cfg:  BreakerConfig{Threshold: 1, Cooldown: time.Second},
-			events: []breakerEvent{
-				{op: "fail", want: StateOpen},
-				{op: "advance", advance: time.Second, want: StateHalfOpen},
-				{op: "fail", want: StateOpen},
-				{op: "reject", want: StateOpen},
-				{op: "advance", advance: time.Second, want: StateHalfOpen},
-				{op: "ok", want: StateClosed},
-			},
-		},
-		{
-			name: "half-open needs the configured probe count",
-			cfg:  BreakerConfig{Threshold: 1, Cooldown: time.Second, Probes: 2},
-			events: []breakerEvent{
-				{op: "fail", want: StateOpen},
-				{op: "advance", advance: time.Second, want: StateHalfOpen},
-				{op: "ok", want: StateHalfOpen},
-				{op: "ok", want: StateClosed},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := newFakeClock()
-			tc.cfg.Clock = clock.Now
-			set := NewBreakerSet(tc.cfg)
-			b := set.For(origin)
-			for i, ev := range tc.events {
-				switch ev.op {
-				case "ok", "fail":
-					if !b.Allow() {
-						t.Fatalf("event %d (%s): Allow refused", i, ev.op)
-					}
-					b.Record(ev.op == "ok")
-				case "reject":
-					if b.Allow() {
-						t.Fatalf("event %d: Allow admitted while open", i)
-					}
-				case "advance":
-					clock.Advance(ev.advance)
-				default:
-					t.Fatalf("bad op %q", ev.op)
-				}
-				if got := set.State(origin); got != ev.want {
-					t.Fatalf("event %d (%s): state = %v, want %v", i, ev.op, got, ev.want)
-				}
-			}
-		})
-	}
-}
-
-func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
-	clock := newFakeClock()
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clock.Now})
-	b := set.For("o")
-	b.Allow()
-	b.Record(false) // trip
-	clock.Advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("first probe refused")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent probe admitted")
-	}
-	b.Record(true)
-	if got := set.State("o"); got != StateClosed {
-		t.Fatalf("state = %v", got)
-	}
-}
-
-func TestBreakerMetrics(t *testing.T) {
-	clock := newFakeClock()
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clock.Now})
-	reg := obs.NewRegistry()
-	set.SetObs(reg)
-	b := set.For("metrics.example")
-	b.Allow()
-	b.Record(false)
-	snap := reg.Snapshot()
-	var state float64 = -1
-	for _, g := range snap.Gauges {
-		if g.Name == "msite_breaker_state" && labelValueOf(g.Labels, "origin") == "metrics.example" {
-			state = g.Value
-		}
-	}
-	if state != float64(StateOpen) {
-		t.Fatalf("msite_breaker_state = %v, want %v", state, float64(StateOpen))
-	}
-	if c, ok := snap.Counter("msite_breaker_transitions_total", "origin", "metrics.example", "to", "open"); !ok || c.Value != 1 {
-		t.Fatalf("transition counter = %+v ok=%v", c, ok)
-	}
-}
-
-func labelValueOf(labels []obs.Label, key string) string {
-	for _, l := range labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
 
 func TestGetRetriesTransientFailures(t *testing.T) {
 	var hits atomic.Int32
@@ -250,32 +93,111 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
-func TestBreakerShortCircuitsFetch(t *testing.T) {
-	var hits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		hits.Add(1)
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
+// TestFailingHostRetries runs GETs and POSTs in turn against one origin
+// whose answer each step sets, and counts the requests each step makes.
+// A GET that fails on every attempt leaves its host one attempt and no
+// retries until the host answers; any answer but a retryable failure
+// gives them back; a POST is never retried and marks no host failing.
+func TestFailingHostRetries(t *testing.T) {
+	type step struct {
+		method string
+		status int   // what the origin answers
+		hits   int32 // origin requests the step must make
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"a GET failed on every attempt leaves one", []step{
+			{"GET", 503, 3}, {"GET", 503, 1}, {"GET", 503, 1},
+		}},
+		{"a 4xx gives the retries back", []step{
+			{"GET", 503, 3}, {"GET", 404, 1}, {"GET", 503, 3},
+		}},
+		{"a 2xx gives the retries back", []step{
+			{"GET", 503, 3}, {"GET", 200, 1}, {"GET", 503, 3},
+		}},
+		{"a 429 is no answer", []step{
+			{"GET", 503, 3}, {"GET", 429, 1}, {"GET", 503, 1},
+		}},
+		{"a POST is never retried", []step{
+			{"POST", 503, 1}, {"GET", 503, 3}, {"POST", 503, 1}, {"POST", 200, 1}, {"GET", 503, 3},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var status, hits atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				hits.Add(1)
+				w.WriteHeader(int(status.Load()))
+			}))
+			defer srv.Close()
+			t.Cleanup(func() { failing.forget(srv.Listener.Addr().String()) })
+			f := New(nil, WithRetries(2), WithBackoff(time.Millisecond, time.Millisecond))
+			for i, st := range tc.steps {
+				status.Store(int32(st.status))
+				hits.Store(0)
+				var err error
+				if st.method == http.MethodPost {
+					_, err = f.PostForm(srv.URL, nil)
+				} else {
+					_, err = f.Get(srv.URL)
+				}
+				if (err == nil) != (st.status == 200) {
+					t.Fatalf("step %d: %s answered %d: err %v", i, st.method, st.status, err)
+				}
+				if got := hits.Load(); got != st.hits {
+					t.Fatalf("step %d: %s answered %d made %d origin requests, want %d", i, st.method, st.status, got, st.hits)
+				}
+			}
+		})
+	}
+}
 
-	set := NewBreakerSet(BreakerConfig{Threshold: 2, Cooldown: time.Hour})
-	f := New(nil, WithBreaker(set))
-	for i := 0; i < 2; i++ {
-		if _, err := f.Get(srv.URL); err == nil {
-			t.Fatal("expected failure")
+// TestFailingHostsCapped: several fetchers' worth of goroutines mark
+// more hosts failing than the table holds. It fills to maxFailingHosts and
+// no further, and forgetting the hosts empties it of them again.
+func TestFailingHostsCapped(t *testing.T) {
+	const workers = 4
+	size := func() int {
+		failing.mu.Lock()
+		defer failing.mu.Unlock()
+		if n := int(failing.n.Load()); n != len(failing.hosts) {
+			t.Fatalf("n = %d, table holds %d", n, len(failing.hosts))
 		}
+		return len(failing.hosts)
 	}
-	before := hits.Load()
-	_, err := f.Get(srv.URL)
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Kind != KindBreakerOpen {
-		t.Fatalf("err = %v, want breaker_open", err)
+	var hosts []string
+	for i := 0; i < maxFailingHosts+10*workers; i++ {
+		hosts = append(hosts, "failing-"+strconv.Itoa(i)+".example")
 	}
-	if Retryable(err) {
-		t.Fatal("breaker_open must not be retryable")
+	each := func(do func(host string)) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(hosts); i += workers {
+					do(hosts[i])
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
-	if hits.Load() != before {
-		t.Fatal("open breaker still contacted the origin")
+	before := size()
+	each(func(host string) {
+		failing.add(host)
+		failing.has(host)
+	})
+	if got := size(); got != maxFailingHosts {
+		t.Fatalf("table holds %d hosts, cap %d", got, maxFailingHosts)
+	}
+	if failing.add("one-more.example"); failing.has("one-more.example") {
+		t.Fatal("a host was remembered past the cap")
+	}
+	each(failing.forget)
+	if got := size(); got != before {
+		t.Fatalf("forgetting every host left %d, want the %d from before", got, before)
 	}
 }
 
@@ -296,8 +218,7 @@ func TestBodyOverLimitIsTooLarge(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	set := NewBreakerSet(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	f := New(nil, WithRetries(3), WithBackoff(time.Millisecond, time.Millisecond), WithBreaker(set))
+	f := New(nil, WithRetries(3), WithBackoff(time.Millisecond, time.Millisecond))
 	fetches := map[string]func(url string) (*Page, error){
 		"GET":  f.Get,
 		"POST": func(url string) (*Page, error) { return f.PostForm(url, nil) },
@@ -312,8 +233,8 @@ func TestBodyOverLimitIsTooLarge(t *testing.T) {
 		if Retryable(err) || hits.Load() != 1 {
 			t.Fatalf("%s: too_large retried (%d origin hits)", method, hits.Load())
 		}
-		if st := set.State(fe.Origin); st != StateClosed {
-			t.Fatalf("%s: breaker %v after too_large, want closed", method, st)
+		if failing.has(fe.Origin) {
+			t.Fatalf("%s: too_large marked %s failing", method, fe.Origin)
 		}
 		page, err = fetch(srv.URL + "/limit")
 		if err != nil || len(page.Body) != maxBodyBytes {

@@ -9,36 +9,20 @@ import (
 )
 
 // FaultConfig describes the failures an Injector feeds into an origin:
-// probabilistic 5xx answers, connection resets, stalls past the
-// client's deadline, added latency with occasional spikes, and periodic
-// flapping (whole windows where every request fails). Rates are
-// probabilities in [0, 1]; zero fields inject nothing of that kind.
+// probabilistic 5xx answers, connection resets and latency spikes. Rates
+// are probabilities in [0, 1]; zero fields inject nothing of that kind.
 type FaultConfig struct {
 	// ErrorRate is the probability a request is answered 503.
 	ErrorRate float64
 	// ResetRate is the probability the TCP connection is torn down
 	// without a response (the client sees a reset or unexpected EOF).
 	ResetRate float64
-	// StallRate is the probability the handler sleeps StallFor before
-	// answering — long enough to trip a fetch deadline.
-	StallRate float64
-	// StallFor is the stall duration (default 2s).
-	StallFor time.Duration
-	// Latency is added to every request; with SpikeRate probability
-	// LatencySpike is added on top.
-	Latency      time.Duration
+	// SpikeRate is the probability LatencySpike is added before the
+	// request is answered.
 	SpikeRate    float64
 	LatencySpike time.Duration
-	// FlapUp/FlapDown, when both positive, alternate the origin between
-	// healthy windows (FlapUp long) and windows where every request is
-	// answered 503 (FlapDown long).
-	FlapUp   time.Duration
-	FlapDown time.Duration
 	// Seed makes the fault sequence reproducible.
 	Seed int64
-	// Clock is the time source for flapping windows (tests inject a fake
-	// one). Nil uses time.Now.
-	Clock func() time.Time
 }
 
 // FaultStats counts what an Injector actually did.
@@ -46,15 +30,13 @@ type FaultStats struct {
 	// Requests is every request seen (including pass-throughs and
 	// requests arriving while the injector is disabled).
 	Requests uint64
-	// Errors, Resets, and Stalls count the injected faults by kind;
-	// stalled requests are answered normally after the stall.
+	// Errors and Resets count the injected faults by kind.
 	Errors uint64
 	Resets uint64
-	Stalls uint64
 	// Spikes counts latency spikes.
 	Spikes uint64
-	// FlapRejects counts requests answered 503 inside a down window
-	// (forced outages included).
+	// FlapRejects counts requests answered 503 by a forced outage
+	// (SetDown).
 	FlapRejects uint64
 }
 
@@ -67,7 +49,6 @@ type Injector struct {
 	cfg     FaultConfig
 	enabled atomic.Bool
 	down    atomic.Bool
-	epoch   time.Time
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -75,24 +56,13 @@ type Injector struct {
 	requests    atomic.Uint64
 	errors      atomic.Uint64
 	resets      atomic.Uint64
-	stalls      atomic.Uint64
 	spikes      atomic.Uint64
 	flapRejects atomic.Uint64
 }
 
 // NewInjector builds an enabled injector for cfg.
 func NewInjector(cfg FaultConfig) *Injector {
-	if cfg.StallFor <= 0 {
-		cfg.StallFor = 2 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	in := &Injector{
-		cfg:   cfg,
-		epoch: cfg.Clock(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
+	in := &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	in.enabled.Store(true)
 	return in
 }
@@ -114,7 +84,6 @@ func (in *Injector) Stats() FaultStats {
 		Requests:    in.requests.Load(),
 		Errors:      in.errors.Load(),
 		Resets:      in.resets.Load(),
-		Stalls:      in.stalls.Load(),
 		Spikes:      in.spikes.Load(),
 		FlapRejects: in.flapRejects.Load(),
 	}
@@ -127,16 +96,6 @@ func (in *Injector) roll() float64 {
 	return in.rng.Float64()
 }
 
-// inDownWindow reports whether the flap schedule has the origin dark.
-func (in *Injector) inDownWindow() bool {
-	if in.cfg.FlapUp <= 0 || in.cfg.FlapDown <= 0 {
-		return false
-	}
-	period := in.cfg.FlapUp + in.cfg.FlapDown
-	phase := in.cfg.Clock().Sub(in.epoch) % period
-	return phase >= in.cfg.FlapUp
-}
-
 // Wrap returns next with cfg's faults injected in front of it.
 func (in *Injector) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,18 +104,14 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		if in.down.Load() || in.inDownWindow() {
+		if in.down.Load() {
 			in.flapRejects.Add(1)
 			http.Error(w, "origin down (injected outage)", http.StatusServiceUnavailable)
 			return
 		}
-		delay := in.cfg.Latency
 		if in.cfg.SpikeRate > 0 && in.roll() < in.cfg.SpikeRate {
 			in.spikes.Add(1)
-			delay += in.cfg.LatencySpike
-		}
-		if delay > 0 {
-			time.Sleep(delay)
+			time.Sleep(in.cfg.LatencySpike)
 		}
 		if in.cfg.ResetRate > 0 && in.roll() < in.cfg.ResetRate {
 			if hj, ok := w.(http.Hijacker); ok {
@@ -170,14 +125,6 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 			in.errors.Add(1)
 			http.Error(w, "injected reset", http.StatusBadGateway)
 			return
-		}
-		if in.cfg.StallRate > 0 && in.roll() < in.cfg.StallRate {
-			in.stalls.Add(1)
-			select {
-			case <-time.After(in.cfg.StallFor):
-			case <-r.Context().Done():
-				return
-			}
 		}
 		if in.cfg.ErrorRate > 0 && in.roll() < in.cfg.ErrorRate {
 			in.errors.Add(1)
