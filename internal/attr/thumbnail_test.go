@@ -171,6 +171,8 @@ func TestAbsolutizeURLs(t *testing.T) {
 		<a href="http://other.test/x">abs</a>
 		<a href="#top">anchor</a>
 		<a href="javascript:void(0)">js</a>
+		<a href="JavaScript:void(0)">mixed-case js</a>
+		<a href="HTTPS://other.test/y">upper-case abs</a>
 		<a href="/subpage/login">internal</a>
 		<img src="/images/logo.gif">
 		<form action="/login.php"></form>
@@ -188,6 +190,8 @@ func TestAbsolutizeURLs(t *testing.T) {
 		`href="http://other.test/x"`,
 		`href="#top"`,
 		`href="javascript:void(0)"`,
+		`href="JavaScript:void(0)"`,
+		`href="HTTPS://other.test/y"`,
 		`href="/subpage/login"`,
 	} {
 		if !strings.Contains(out, want) {

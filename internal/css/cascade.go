@@ -114,13 +114,17 @@ type Styler struct {
 	// name its parent style.
 	styles map[string]Style
 	ids    map[uintptr]uint32
-	// key, hits, classes and cands are scratch for one ComputedStyle
-	// call: classes holds the element's class names and cands the
-	// rules one sheet's rule hash offers it (see appendHits).
-	key     []byte
-	hits    []ruleHit
-	classes []string
-	cands   []int32
+	// key, hits, classes, cands, matched and important are scratch for
+	// one ComputedStyle call: classes holds the element's class names and
+	// cands the rules one sheet's rule hash offers it (see appendHits);
+	// matched and important hold the declarations of the rules it
+	// matched (see cascade).
+	key       []byte
+	hits      []ruleHit
+	classes   []string
+	cands     []int32
+	matched   []weightedDecl
+	important []weightedDecl
 }
 
 // NewStyler returns a Styler over the given stylesheets.
@@ -295,7 +299,7 @@ func (s *Styler) cascade(n *dom.Node, parentStyle Style, hits []ruleHit) Style {
 	}
 
 	// 3. Author rules.
-	var matched, important []weightedDecl
+	matched, important := s.matched[:0], s.important[:0]
 	seq := 0
 	for _, h := range hits {
 		for _, d := range s.sheets[h.sheet].Rules[h.rule].Decls {
@@ -308,6 +312,7 @@ func (s *Styler) cascade(n *dom.Node, parentStyle Style, hits []ruleHit) Style {
 			}
 		}
 	}
+	s.matched, s.important = matched, important
 	applyOrdered := func(decls []weightedDecl) {
 		slices.SortStableFunc(decls, func(a, b weightedDecl) int {
 			return cmp.Or(cmp.Compare(a.spec, b.spec), cmp.Compare(a.seq, b.seq))

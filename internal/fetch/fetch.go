@@ -153,26 +153,32 @@ func (f *Fetcher) record(start time.Time, err error) {
 		return
 	}
 	outcome := "ok"
-	var fetchErr *Error
-	var authErr *AuthRequiredError
-	var statusErr *StatusError
-	switch {
-	case err == nil:
-	case errors.As(err, &authErr):
-		outcome = "auth"
-	case errors.As(err, &fetchErr):
-		if fetchErr.Kind == KindStatus {
-			outcome = "status_" + strconv.Itoa(fetchErr.Status)
-		} else {
-			outcome = string(fetchErr.Kind)
-		}
-	case errors.As(err, &statusErr):
-		outcome = "status_" + strconv.Itoa(statusErr.Status)
-	default:
-		outcome = "error"
+	if err != nil {
+		outcome = errorOutcome(err)
 	}
 	f.obs.Counter("msite_fetch_requests_total", "outcome", outcome).Inc()
 	f.obs.Histogram("msite_fetch_seconds").ObserveDuration(time.Since(start))
+}
+
+// errorOutcome is the outcome label of a failed origin request. Its
+// errors.As targets escape, so a successful request must not reach it.
+func errorOutcome(err error) string {
+	var authErr *AuthRequiredError
+	if errors.As(err, &authErr) {
+		return "auth"
+	}
+	var fetchErr *Error
+	if errors.As(err, &fetchErr) {
+		if fetchErr.Kind == KindStatus {
+			return "status_" + strconv.Itoa(fetchErr.Status)
+		}
+		return string(fetchErr.Kind)
+	}
+	var statusErr *StatusError
+	if errors.As(err, &statusErr) {
+		return "status_" + strconv.Itoa(statusErr.Status)
+	}
+	return "error"
 }
 
 // transport carries every Fetcher's requests: http.DefaultTransport with

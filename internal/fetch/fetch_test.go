@@ -3,6 +3,7 @@ package fetch
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -11,8 +12,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"msite/internal/html"
+	"msite/internal/obs"
 	"msite/internal/session"
 )
 
@@ -363,6 +366,39 @@ func TestReadBodyAllocation(t *testing.T) {
 		t.Logf("%s: %.2f times the body", tc.name, ratio)
 		if ratio > tc.ratio {
 			t.Errorf("%s: reading a %d-byte body allocated %.2f times its size, budget %.2f", tc.name, len(body), ratio, tc.ratio)
+		}
+	}
+}
+
+// TestRecordOutcomes: a successful origin request is recorded, metrics
+// on, without an allocation (the errors.As targets that label a failure
+// escape, and were made for every request), and each failure is still
+// counted under its outcome.
+func TestRecordOutcomes(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := New(nil, WithObs(reg))
+	start := time.Now()
+	f.record(start, nil) // registers the ok series
+	if n := testing.AllocsPerRun(100, func() { f.record(start, nil) }); n != 0 {
+		t.Errorf("recording a successful request made %v allocations, want 0", n)
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{nil, "ok"},
+		{&AuthRequiredError{URL: "http://origin.test/"}, "auth"},
+		{&Error{Kind: KindStatus, Status: 503}, "status_503"},
+		{&Error{Kind: KindRefused}, "refused"},
+		{&StatusError{Status: 404}, "status_404"},
+		{fmt.Errorf("get: %w", &Error{Kind: KindTimeout}), "timeout"},
+		{errors.New("boom"), "error"},
+	} {
+		c := reg.Counter("msite_fetch_requests_total", "outcome", tc.want)
+		before := c.Value()
+		f.record(start, tc.err)
+		if c.Value() != before+1 {
+			t.Errorf("record(%v) did not count outcome %q", tc.err, tc.want)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -558,6 +559,121 @@ func TestPersonalizedBundlesStayPrivate(t *testing.T) {
 				testPersonalizedSnapshotStaysPrivate(t, mode.cfg, loggedInFirst)
 			})
 		}
+	}
+}
+
+// TestUnsharedSnapshotRenderedOncePerBundle: a view whose snapshot does
+// not go through the shared cache, a logged-in device's or any under a
+// spec whose snapshot is not shared, renders it once per Bundle: four
+// entry views (a login's redirect among them, the others at once) make
+// one render, a ?refresh=1 that yields a new Bundle one more, and the
+// views after it none. The views of one Bundle are served one snapshot.
+func TestUnsharedSnapshotRenderedOncePerBundle(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		shared, loggedIn bool
+	}{
+		{"shared spec, logged in", true, true},
+		{"unshared spec, anonymous", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testSnapshotRenderedOncePerBundle(t, tc.shared, tc.loggedIn)
+		})
+	}
+}
+
+func testSnapshotRenderedOncePerBundle(t *testing.T, shared, loggedIn bool) {
+	rig := newRig(t, func(sp *spec.Spec) {
+		sp.Login.URL = sp.Origin + "login.php"
+		sp.Snapshot.Shared = shared
+	})
+	srv := rig.proxy.URL
+	get := func(c *http.Client, path string) []byte {
+		t.Helper()
+		resp, err := c.Get(srv + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	device := newDevice(t)
+	renders := rig.p.Stats().SnapshotRenders
+	views := 4
+	if loggedIn {
+		resp, err := device.PostForm(srv+"/login", url.Values{"username": {"alice"}, "password": {"sawdust"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		views-- // the login's redirect was an entry view
+	} else {
+		get(device, "/subpage/login") // a session, and a view without a snapshot
+	}
+	// The entry views arrive at once: they wait for one render.
+	snaps := make([][]byte, views)
+	errs := make([]error, views)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, path := range []string{"/", "/asset/" + rig.p.snapName} {
+				resp, err := device.Get(srv + path)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				snaps[i], err = io.ReadAll(resp.Body)
+				_ = resp.Body.Close()
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("GET %s = %d", path, resp.StatusCode)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range views {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(snaps[i], snaps[0]) {
+			t.Fatalf("entry view %d was served a %d-byte snapshot, another %d bytes", i, len(snaps[i]), len(snaps[0]))
+		}
+	}
+	if got := rig.p.Stats().SnapshotRenders - renders; got != 1 {
+		t.Fatalf("4 entry views made %d snapshot renders, want 1", got)
+	}
+	id := ""
+	u, _ := url.Parse(srv)
+	for _, ck := range device.Jar.Cookies(u) {
+		if ck.Name == session.CookieName {
+			id = ck.Value
+		}
+	}
+	before := rig.p.sessionBundles()[id]
+	get(device, "/?refresh=1")
+	if after := rig.p.sessionBundles()[id]; after == nil || after == before {
+		t.Fatal("the refresh did not give the device a new Bundle")
+	}
+	snap := get(device, "/asset/"+rig.p.snapName)
+	for range 3 {
+		get(device, "/")
+		if again := get(device, "/asset/"+rig.p.snapName); !bytes.Equal(again, snap) {
+			t.Fatalf("a view of the refreshed Bundle was served a %d-byte snapshot, at first %d bytes", len(again), len(snap))
+		}
+	}
+	if got := rig.p.Stats().SnapshotRenders - renders; got != 2 {
+		t.Fatalf("4 entry views, a refresh to a new Bundle and 3 views of it made %d snapshot renders, want 2", got)
 	}
 }
 

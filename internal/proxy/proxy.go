@@ -183,6 +183,13 @@ type sessionView struct {
 	private  bool
 	snapshot atomic.Pointer[artifact]
 
+	// own is the snapshot rendered from bundle, with its geometry, when
+	// it does not go through the shared cache (a private view, or a spec
+	// without a shared snapshot): rendered by the first entry view that
+	// needs it and kept for the view's life, which is its Bundle's.
+	ownMu sync.Mutex
+	own   *cache.Entry
+
 	// render is the background snapshot render of a streamed entry; the
 	// asset handler waits on it.
 	mu     sync.Mutex

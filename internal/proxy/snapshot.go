@@ -53,8 +53,8 @@ func sharedSnapshotTTL(s *spec.Spec) time.Duration {
 // shown, and returns its geometry. Whether the snapshot came from the
 // shared cache is annotated on the request trace. A private view's
 // Bundle may show what only its user may see, so it takes the route of a
-// spec without a shared snapshot: rendered from its own Bundle, kept on
-// the view, never read from or written to the cross-session entry.
+// spec without a shared snapshot: rendered from its own Bundle once, kept
+// on the view, never read from or written to the cross-session entry.
 func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err error) {
 	ttl := sharedSnapshotTTL(p.cfg.Spec)
 	if v.private {
@@ -79,7 +79,7 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 		}
 		obs.TraceFrom(ctx).Annotate("cache", outcome)
 	} else {
-		entry, err = fill()
+		entry, err = v.ownSnapshot(fill)
 		obs.TraceFrom(ctx).Annotate("cache", "bypass")
 	}
 	if err != nil {
@@ -92,6 +92,22 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 	}
 	w, h = parseGeometry(entry.MIME)
 	return w, h, nil
+}
+
+// ownSnapshot returns the view's own snapshot, rendered by fill on the
+// first call that finds none; a failed render is tried again by the next.
+// Concurrent callers wait for one render.
+func (v *sessionView) ownSnapshot(fill func() (cache.Entry, error)) (cache.Entry, error) {
+	v.ownMu.Lock()
+	defer v.ownMu.Unlock()
+	if v.own == nil {
+		entry, err := fill()
+		if err != nil {
+			return cache.Entry{}, err
+		}
+		v.own = &entry
+	}
+	return *v.own, nil
 }
 
 // snapshotEntry renders b's entry snapshot at width as s configures it,

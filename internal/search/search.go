@@ -34,20 +34,64 @@ type Index struct {
 // two characters are skipped.
 func Build(res *layout.Result) *Index {
 	var hits []Hit
+	lowered := 0 // the bytes of the ASCII words left to lower
 	for run := range res.Runs() {
-		word := normalizeWord(run.Text)
-		if len(word) >= 2 {
-			hits = append(hits, Hit{
-				Word: word,
-				X:    int(run.X),
-				Y:    int(run.Y),
-				W:    int(run.Width() + 0.5),
-				H:    int(run.Height() + 0.5),
-			})
+		// Every trimmed byte is ASCII punctuation, so an ASCII word can be
+		// trimmed before it is lowered, and lowering keeps its length.
+		word := strings.Trim(run.Text, wordTrim)
+		ascii, upper := scanASCII(word)
+		if !ascii {
+			word = normalizeWord(run.Text)
 		}
+		if len(word) < 2 {
+			continue
+		}
+		if ascii && upper {
+			lowered += len(word)
+		}
+		hits = append(hits, Hit{
+			Word: word,
+			X:    int(run.X),
+			Y:    int(run.Y),
+			W:    int(run.Width() + 0.5),
+			H:    int(run.Height() + 0.5),
+		})
+	}
+	// The lowered words are written into one string that their hits
+	// slice, sized above, so lowering them takes one allocation.
+	var arena strings.Builder
+	arena.Grow(lowered)
+	for i := range hits {
+		word := hits[i].Word
+		if ascii, upper := scanASCII(word); !ascii || !upper {
+			continue
+		}
+		start := arena.Len()
+		for j := 0; j < len(word); j++ {
+			c := word[j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			arena.WriteByte(c)
+		}
+		hits[i].Word = arena.String()[start:]
 	}
 	sortHits(hits)
 	return &Index{hits: hits, w: max(res.Width, 1), h: max(res.Height, 1)}
+}
+
+// scanASCII reports whether s is all ASCII and whether it has an
+// upper-case letter.
+func scanASCII(s string) (ascii, upper bool) {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80:
+			return false, upper
+		case 'A' <= c && c <= 'Z':
+			upper = true
+		}
+	}
+	return true, upper
 }
 
 // sortHits puts hits in index order: by Word, then Y, then X.

@@ -318,3 +318,69 @@ func TestEmptyIndex(t *testing.T) {
 		t.Fatal("empty payload malformed")
 	}
 }
+
+// buildByNormalizeWord is Build as it was written before it lowered
+// words into one string: normalizeWord of every run.
+func buildByNormalizeWord(res *layout.Result) []Hit {
+	var hits []Hit
+	for run := range res.Runs() {
+		if word := normalizeWord(run.Text); len(word) >= 2 {
+			hits = append(hits, Hit{Word: word, X: int(run.X), Y: int(run.Y),
+				W: int(run.Width() + 0.5), H: int(run.Height() + 0.5)})
+		}
+	}
+	sortHits(hits)
+	return hits
+}
+
+// TestBuildWordsAreNormalizeWord: Build's words are normalizeWord of each
+// run, whatever its case, punctuation and encoding, and words that trim
+// or lower to fewer than 2 bytes are left out alike.
+func TestBuildWordsAreNormalizeWord(t *testing.T) {
+	words := []string{
+		"forum", "Forum", "FORUM", "WoodWorking", "x9", "X9",
+		"(Forums),", `"Quoted!"`, "[ok]", "...", "(A)", "B.", "c",
+		"Ünïcödé", "ÄB", "éa", "İ", "K", "İX", "ŞİŞLİ",
+		"\xff", "A\xff", "\xc3(", "(\xe2\x82)", "Bad\xedvalue",
+	}
+	idx, res := buildIndex(t, "<html><body><p>"+strings.Join(words, " ")+"</p></body></html>")
+	invalid := false
+	for run := range res.Runs() {
+		invalid = invalid || !utf8.ValidString(run.Text)
+	}
+	if !invalid {
+		t.Fatal("no run carries invalid UTF-8; the case is not covered")
+	}
+	if want := buildByNormalizeWord(res); !reflect.DeepEqual(idx.hits, want) {
+		t.Fatalf("Build indexed\n%q\nnormalizeWord gives\n%q", hitWords(idx.hits), hitWords(want))
+	}
+}
+
+func hitWords(hits []Hit) []string {
+	out := make([]string, len(hits))
+	for i, h := range hits {
+		out[i] = h.Word
+	}
+	return out
+}
+
+// TestBuildAllocationBudget: the index's own allocations do not grow with
+// the number of capitalised words: every lowered word is written into one
+// string. Until then each took a string of its own.
+func TestBuildAllocationBudget(t *testing.T) {
+	const words = 2000
+	page := func(word string) *layout.Result {
+		_, res := buildIndex(t, "<html><body><p>"+strings.Repeat(word+" ", words)+"</p></body></html>")
+		return res
+	}
+	lower, capitalised := page("woodworking"), page("Woodworking")
+	lowerAllocs := testing.AllocsPerRun(10, func() { Build(lower) })
+	capitalisedAllocs := testing.AllocsPerRun(10, func() { Build(capitalised) })
+	t.Logf("| %d words | allocations |", words)
+	t.Logf("|---|---|")
+	t.Logf("| lower case | %.0f |", lowerAllocs)
+	t.Logf("| capitalised | %.0f |", capitalisedAllocs)
+	if capitalisedAllocs > lowerAllocs+1 {
+		t.Errorf("indexing %d capitalised words allocated %.0f objects, %.0f for lower-case ones; budget one more", words, capitalisedAllocs, lowerAllocs)
+	}
+}
