@@ -279,11 +279,22 @@ func (c *Cache) evictOverBudget() {
 
 // Get returns the entry for key if present and unexpired.
 func (c *Cache) Get(key string) (Entry, bool) {
+	e, ok := c.Lookup(key)
+	if !ok {
+		c.markMiss()
+	}
+	return e, ok
+}
+
+// Lookup is Get for a caller that goes on to GetOrFill when it misses: a
+// hit counts as Get's does, a miss counts nothing, since the GetOrFill
+// counts it. It reads the in-memory entries only, never a durable tier,
+// and it takes no fill function, so a hit costs the caller no closure.
+func (c *Cache) Lookup(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.entries[key]
 	if !ok || s.pending != nil || c.clock().After(s.expires) {
-		c.markMiss()
 		return Entry{}, false
 	}
 	c.lruTouch(s)

@@ -207,6 +207,27 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestLookupCountsOnlyHits: Lookup counts a hit as Get does and leaves a
+// miss to the GetOrFill that follows it, so a lookup, miss and fill count
+// one miss, not two.
+func TestLookupCountsOnlyHits(t *testing.T) {
+	c, clk := newTestCache()
+	if _, ok := c.Lookup("k"); ok {
+		t.Fatal("empty cache hit")
+	}
+	_, _ = c.GetOrFill("k", time.Hour, func() (Entry, error) { return Entry{Data: []byte("v")}, nil })
+	if e, ok := c.Lookup("k"); !ok || string(e.Data) != "v" {
+		t.Fatalf("lookup = %+v, %v", e, ok)
+	}
+	clk.Advance(2 * time.Hour)
+	if _, ok := c.Lookup("k"); ok {
+		t.Fatal("expired entry hit")
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Fills != 1 {
+		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 fill", s)
+	}
+}
+
 func TestConcurrentMixedOps(t *testing.T) {
 	c, _ := newTestCache()
 	var wg sync.WaitGroup

@@ -14,6 +14,7 @@ import (
 // wiring decision, not a code path.
 type Layer interface {
 	Get(key string) (Entry, bool)
+	Lookup(key string) (Entry, bool)
 	Put(key string, e Entry, ttl time.Duration)
 	Delete(key string)
 	Purge()

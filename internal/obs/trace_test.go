@@ -3,7 +3,10 @@ package obs
 import (
 	"context"
 	"fmt"
+	"maps"
+	"reflect"
 	"regexp"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -151,29 +154,177 @@ func TestTraceIDFormat(t *testing.T) {
 		0x0123456789abcdef: "0123456789abcdef",
 		^uint64(0):         "ffffffffffffffff",
 	} {
-		if got := formatTraceID(v); got != want {
-			t.Errorf("formatTraceID(%#x) = %q, want %q", v, got, want)
+		var b [16]byte
+		if putTraceID(&b, v); string(b[:]) != want {
+			t.Errorf("putTraceID(%#x) = %q, want %q", v, b[:], want)
 		}
 	}
+	r := NewRegistry()
 	for i := 0; i < 100; i++ {
-		if id := newTraceID(); !hex16.MatchString(id) {
-			t.Fatalf("trace ID %q does not match %s", id, hex16)
+		if _, tr := r.StartTrace(context.Background(), "entry"); !hex16.MatchString(tr.ID()) {
+			t.Fatalf("trace ID %q does not match %s", tr.ID(), hex16)
 		}
 	}
 }
 
-// TestTraceAllocations: a trace with no spans costs its Trace, its ID and
-// its context — 3 allocations, 5 when the ID went through fmt and End
-// sorted every span list through sort.Slice.
+// TestTraceAllocations: a trace with no spans costs its Trace, which is
+// also its context and holds its ID: 1 allocation, 3 while the ID was a
+// string and the context a context.WithValue of their own, and 5 when
+// the ID went through fmt and End sorted every span list through
+// sort.Slice. An annotation costs nothing more while the trace has room
+// for it inline.
 func TestTraceAllocations(t *testing.T) {
 	r := NewRegistry()
 	allocs := testing.AllocsPerRun(1000, func() {
 		_, tr := r.StartTrace(context.Background(), "entry")
+		tr.Annotate("session", "abc123")
+		tr.Annotate("cache", "hit")
 		tr.End()
 	})
-	t.Logf("StartTrace+End: %v allocations", allocs)
-	if allocs > 3 {
-		t.Fatalf("StartTrace+End allocates %v times, want ≤ 3", allocs)
+	t.Logf("StartTrace+Annotate×2+End: %v allocations", allocs)
+	if allocs > 1 {
+		t.Fatalf("StartTrace+Annotate×2+End allocates %v times, want ≤ 1", allocs)
+	}
+}
+
+// TestTraceIsContext: a trace answers its own key and hands every other
+// one to the context it was started under, also through contexts derived
+// from it, and cancellation still reaches through it.
+func TestTraceIsContext(t *testing.T) {
+	type key struct{}
+	parent, cancel := context.WithCancel(context.WithValue(context.Background(), key{}, "v"))
+	ctx, tr := NewRegistry().StartTrace(parent, "entry")
+	child, stop := context.WithCancel(ctx)
+	defer stop()
+	if TraceFrom(ctx) != tr || TraceFrom(child) != tr {
+		t.Fatal("TraceFrom lost the trace")
+	}
+	if ctx.Value(key{}) != "v" || child.Value(key{}) != "v" {
+		t.Fatal("the trace hid its parent's values")
+	}
+	if TraceFrom(context.Background()) != nil {
+		t.Fatal("TraceFrom found a trace in a bare context")
+	}
+	cancel()
+	<-child.Done()
+	if ctx.Err() != context.Canceled {
+		t.Fatalf("trace context err = %v after its parent was cancelled", ctx.Err())
+	}
+}
+
+// TestAnnotateLastWriteWins: a key annotated twice keeps the second
+// value and its place, whether it is held inline or spilled.
+func TestAnnotateLastWriteWins(t *testing.T) {
+	r := NewRegistry()
+	_, tr := r.StartTrace(context.Background(), "entry")
+	for i := 0; i < inlineNotes+3; i++ {
+		tr.Annotate(fmt.Sprint("k", i), "first")
+	}
+	tr.Annotate("k0", "second")
+	tr.Annotate(fmt.Sprint("k", inlineNotes+1), "second")
+	tr.End()
+	attrs := r.RecentTraces()[0].Attrs
+	if len(attrs) != inlineNotes+3 || attrs["k0"] != "second" || attrs[fmt.Sprint("k", inlineNotes+1)] != "second" || attrs["k1"] != "first" {
+		t.Fatalf("attrs = %v", attrs)
+	}
+}
+
+// TestAnnotateBeyondInlineRoom: more annotations than a trace holds
+// inline are all kept, in the record and in Attrs.
+func TestAnnotateBeyondInlineRoom(t *testing.T) {
+	r := NewRegistry()
+	_, tr := r.StartTrace(context.Background(), "entry")
+	want := make(map[string]string)
+	for i := 0; i < 3*inlineNotes; i++ {
+		k, v := fmt.Sprint("key", i), fmt.Sprint("value", i)
+		tr.Annotate(k, v)
+		want[k] = v
+	}
+	if got := tr.Attrs(); !maps.Equal(got, want) {
+		t.Fatalf("trace attrs = %v, want %v", got, want)
+	}
+	tr.End()
+	if got := r.RecentTraces()[0].Attrs; !maps.Equal(got, want) {
+		t.Fatalf("record attrs = %v, want %v", got, want)
+	}
+}
+
+// TestSpanAfterEndIsDropped: a span that ends after its trace leaves the
+// record as End fixed it.
+func TestSpanAfterEndIsDropped(t *testing.T) {
+	r := NewRegistry()
+	ctx, tr := r.StartTrace(context.Background(), "entry")
+	StartSpan(ctx, "fetch").End()
+	late := StartSpan(ctx, "raster")
+	tr.End()
+	late.End()
+	if spans := r.RecentTraces()[0].Spans; len(spans) != 1 || spans[0].Name != "fetch" {
+		t.Fatalf("record spans = %+v", spans)
+	}
+}
+
+// TestRecentTracesAreCopies: a reader that mutates a record it was given
+// changes neither the ring nor what the next reader sees.
+func TestRecentTracesAreCopies(t *testing.T) {
+	r := NewRegistry()
+	ctx, tr := r.StartTrace(context.Background(), "entry")
+	StartSpan(ctx, "fetch").End()
+	tr.Annotate("cache", "hit")
+	tr.End()
+	first := r.RecentTraces()[0]
+	want := r.RecentTraces()[0]
+	want.Attrs, want.Spans = maps.Clone(want.Attrs), slices.Clone(want.Spans)
+	first.Attrs["cache"] = "mutated"
+	first.Attrs["extra"] = "x"
+	first.Spans[0].Name = "mutated"
+	if got := r.RecentTraces()[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a reader's writes the ring serves %+v, want %+v", got, want)
+	}
+}
+
+// TestConcurrentTraceRecording races annotations, span ends, the trace's
+// End and ring reads that mutate what they read: the -race guard for a
+// trace shared by a request and a build it joined.
+func TestConcurrentTraceRecording(t *testing.T) {
+	r := NewRegistry()
+	for round := 0; round < 50; round++ {
+		ctx, tr := r.StartTrace(context.Background(), "entry")
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 2*inlineNotes; i++ {
+					tr.Annotate(fmt.Sprint("k", i), fmt.Sprint(w))
+					StartSpan(ctx, "stage").End()
+				}
+			}(w)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			tr.End()
+		}()
+		go func() {
+			defer wg.Done()
+			for _, rec := range r.RecentTraces() {
+				for k := range rec.Attrs {
+					rec.Attrs[k] = "reader"
+				}
+				for i := range rec.Spans {
+					rec.Spans[i].Name = "reader"
+				}
+			}
+		}()
+		wg.Wait()
+		_ = tr.Attrs()
+	}
+	for _, rec := range r.RecentTraces() {
+		for k, v := range rec.Attrs {
+			if v == "reader" {
+				t.Fatalf("a reader's write reached the ring: %s=%s", k, v)
+			}
+		}
 	}
 }
 

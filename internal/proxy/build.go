@@ -184,8 +184,8 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 		images: images,
 	}
 	b.sheets.Store(result.Sheets)
-	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data) }
-	addAsset := func(name string, data []byte) { b.assets[name] = newArtifact(name, data) }
+	addPage := func(name string, data []byte) { b.pages[name] = newArtifact(name, data, assetCacheControl) }
+	addAsset := func(name string, data []byte) { b.assets[name] = newArtifact(name, data, assetCacheControl) }
 	for _, sub := range result.Subpages {
 		if why := attr.StylesKeptWhole(sub); why != "" {
 			b.notes = append(b.notes, fmt.Sprintf("subpage %q ships its stylesheets whole: %s", sub.Name, why))
@@ -201,6 +201,7 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 		})
 	}
 	slices.SortFunc(b.areas, func(x, y *attr.Subpage) int { return strings.Compare(x.Name, y.Name) })
+	b.linkSubpages()
 	for _, thumb := range result.Assets {
 		addAsset(thumb.Name, thumb.Data)
 	}

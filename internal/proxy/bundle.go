@@ -79,7 +79,10 @@ type Bundle struct {
 	// overlay and the subpage handler read: Name, Title, Parent, Region
 	// and AJAX. A subpage's document is its page.
 	areas []*attr.Subpage
-	notes []string
+	// subpages are the areas' pages, in the same order; nil for an area
+	// without one.
+	subpages []*artifact
+	notes    []string
 	// images are the decoded subresources downloaded on the client's
 	// behalf, reused for the snapshot render.
 	images map[string]image.Image
@@ -121,18 +124,47 @@ func (p *Proxy) entryOverlay(b *Bundle, width, height, atf int) attr.OverlayStre
 	return o.page
 }
 
-// artifact is one servable body with the headers derived from it.
-type artifact struct {
-	data  []byte
-	ctype string
-	etag  string
-	// length is len(data) as a Content-Length header spells it.
-	length string
+// linkSubpages finds each area's page.
+func (b *Bundle) linkSubpages() {
+	b.subpages = make([]*artifact, len(b.areas))
+	for i, sub := range b.areas {
+		b.subpages[i] = b.pages[attr.SubpageFileName(sub.Name)]
+	}
 }
+
+// subpage returns the page of the subpage called name, or nil. Only an
+// area's own name finds its page: "a b" shares "a_b"'s file name, not
+// its page.
+func (b *Bundle) subpage(name string) *artifact {
+	for i, sub := range b.areas {
+		if sub.Name == name {
+			return b.subpages[i]
+		}
+	}
+	return nil
+}
+
+// artifact is one servable body with the header values derived from it.
+type artifact struct {
+	data []byte
+	// ctype, length, etag and cacheControl are the values of the
+	// Content-Type, Content-Length, ETag and Cache-Control headers it goes
+	// out with (an asset's; a page is served without Cache-Control), made
+	// once with it. A handler sets them as they are, so each has len ==
+	// cap: a handler further out that Adds to one copies it rather than
+	// write into what every response shares.
+	ctype, length, etag, cacheControl []string
+	// vals backs those four.
+	vals [4]string
+}
+
+// assetCacheControl lets a device keep a Bundle's images, and a snapshot
+// whose spec sets no TTL, for five minutes.
+const assetCacheControl = "private, max-age=300"
 
 // newArtifact derives an artifact's content type from its file name and
 // its validator from its bytes, once.
-func newArtifact(name string, data []byte) *artifact {
+func newArtifact(name string, data []byte, cacheControl string) *artifact {
 	ctype := "application/octet-stream"
 	switch {
 	case strings.HasSuffix(name, ".html"):
@@ -142,12 +174,10 @@ func newArtifact(name string, data []byte) *artifact {
 	case strings.HasSuffix(name, ".jpg"):
 		ctype = "image/jpeg"
 	}
-	return &artifact{
-		data:   data,
-		ctype:  ctype,
-		etag:   fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data)),
-		length: strconv.Itoa(len(data)),
-	}
+	a := &artifact{data: data}
+	a.vals = [4]string{ctype, strconv.Itoa(len(data)), fmt.Sprintf(`"%08x-%d"`, crc32.ChecksumIEEE(data), len(data)), cacheControl}
+	a.ctype, a.length, a.etag, a.cacheControl = a.vals[0:1:1], a.vals[1:2:2], a.vals[2:3:3], a.vals[3:4:4]
+	return a
 }
 
 // sameBytes reports whether a and b are the same backing bytes, not
@@ -341,7 +371,7 @@ func (r *recordReader) artifacts() map[string]*artifact {
 	name := ""
 	for i := 0; i < n && r.err == nil; i++ {
 		name = r.name(i == 0, name)
-		set[name] = newArtifact(name, r.field())
+		set[name] = newArtifact(name, r.field(), assetCacheControl)
 	}
 	return set
 }
@@ -424,6 +454,7 @@ func decodeBundle(data []byte) (*Bundle, error) {
 	if b.pages[mainPage] == nil {
 		return nil, errors.New("proxy: bundle has no main page")
 	}
+	b.linkSubpages()
 	return b, nil
 }
 

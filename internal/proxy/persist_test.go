@@ -217,12 +217,13 @@ func testBundle(pages, assets map[string]string, subs ...*attr.Subpage) *Bundle 
 		areas:  subs,
 	}
 	for name, data := range pages {
-		b.pages[name] = newArtifact(name, []byte(data))
+		b.pages[name] = newArtifact(name, []byte(data), assetCacheControl)
 	}
 	for name, data := range assets {
-		b.assets[name] = newArtifact(name, []byte(data))
+		b.assets[name] = newArtifact(name, []byte(data), assetCacheControl)
 	}
 	slices.SortFunc(b.areas, func(x, y *attr.Subpage) int { return strings.Compare(x.Name, y.Name) })
+	b.linkSubpages()
 	return b
 }
 
@@ -290,15 +291,15 @@ func TestBundleRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.areas, src.areas) {
 		t.Fatalf("areas mangled: %+v", got.areas)
 	}
-	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != roundTripNavHTML {
+	if page := got.pages[attr.SubpageFileName("nav")]; page == nil || string(page.data) != roundTripNavHTML || got.subpage("nav") != page {
 		t.Fatalf("nav page mangled: %+v", page)
 	}
 	if len(got.pages) != 2 || string(got.pages["main.html"].data) != "<html></html>" ||
-		got.pages["main.html"].ctype != "text/html; charset=utf-8" {
+		got.pages["main.html"].ctype[0] != "text/html; charset=utf-8" {
 		t.Fatalf("pages mangled: %+v", got.pages)
 	}
 	if a := got.assets["t.png"]; len(got.assets) != 1 || a == nil || string(a.data) != "\x09" ||
-		a.ctype != "image/png" || a.etag != src.assets["t.png"].etag {
+		a.ctype[0] != "image/png" || a.etag[0] != src.assets["t.png"].etag[0] {
 		t.Fatalf("assets mangled: %+v", got.assets)
 	}
 	if len(got.notes) != 1 || got.notes[0] != "degraded filter: x" {

@@ -16,7 +16,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,7 +273,7 @@ func New(cfg Config) (*Proxy, error) {
 	// deletes, or GCs the session — without this the adapted map grows
 	// for the life of the proxy.
 	cfg.Sessions.OnExpire(func(id string) { p.attach(id, nil) })
-	p.snapCacheControl = "private, max-age=300"
+	p.snapCacheControl = assetCacheControl
 	if ttl := cfg.Spec.Snapshot.CacheTTLSeconds; ttl > 0 {
 		p.snapCacheControl = "private, max-age=" + strconv.Itoa(ttl)
 	}
@@ -370,6 +369,15 @@ func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
 	return io.Copy(struct{ io.Writer }{r.ResponseWriter}, src)
 }
 
+// request is what ServeHTTP allocates for a request besides the copy of
+// it that carries the trace: the recorder its handler writes through, the
+// trace, which is also its context, and the trace ID header's value.
+type request struct {
+	rec      statusRecorder
+	trace    obs.Trace
+	traceHdr [1]string
+}
+
 // ServeHTTP implements http.Handler. Every request is counted, traced
 // (the trace lands in the obs ring buffer for /debug/traces), timed into
 // a per-handler latency histogram, and optionally logged.
@@ -379,7 +387,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
 	if p.prefix != "" {
 		if !strings.HasPrefix(path, p.prefix) {
-			http.NotFound(w, r)
+			notFound(w)
 			return
 		}
 		path = strings.TrimPrefix(path, p.prefix)
@@ -391,12 +399,14 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	kind := kindOf(path)
 	km := &p.metrics.kinds[kind]
 	km.requests.Inc()
-	ctx, tr := p.obs.StartTrace(r.Context(), kind.String())
-	r = r.WithContext(ctx)
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rq := &request{rec: statusRecorder{ResponseWriter: w, status: http.StatusOK}}
+	tr, rec := &rq.trace, &rq.rec
+	p.obs.InitTrace(tr, r.Context(), kind.String())
+	r = r.WithContext(tr)
 	// The trace ID goes back to the client so a slow or failed request
 	// can be matched to its /debug/traces entry and log lines.
-	rec.Header()[traceHeaderKey] = []string{tr.ID()}
+	rq.traceHdr[0] = tr.ID()
+	rec.Header()[traceHeaderKey] = rq.traceHdr[:]
 
 	switch kind {
 	case kindEntry:
@@ -416,7 +426,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case kindStats:
 		p.handleStats(rec, r)
 	default:
-		http.NotFound(rec, r)
+		notFound(rec)
 	}
 
 	d := tr.End()
@@ -433,6 +443,26 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // traceHeaderKey is TraceHeader as net/http canonicalizes it, so setting
 // it does not canonicalize it again on every response.
 var traceHeaderKey = http.CanonicalHeaderKey(TraceHeader)
+
+// Header values the proxy sets as they are, without the []string a
+// Header.Set makes; each has len == cap, so an Add further out copies it.
+var (
+	htmlType    = []string{"text/html; charset=utf-8"}
+	textType    = []string{"text/plain; charset=utf-8"}
+	nosniff     = []string{"nosniff"}
+	notFoundMsg = []byte("404 page not found\n")
+)
+
+// notFound answers as http.NotFound does, byte for byte, but sets its
+// headers from shared values and writes a body it does not convert.
+func notFound(w http.ResponseWriter) {
+	h := w.Header()
+	delete(h, "Content-Length")
+	h["Content-Type"] = textType
+	h["X-Content-Type-Options"] = nosniff
+	w.WriteHeader(http.StatusNotFound)
+	_, _ = w.Write(notFoundMsg)
+}
 
 // serverError answers a failed request with a generic body: the error
 // detail goes onto the request trace (and, through it, into the
@@ -537,14 +567,14 @@ func (p *Proxy) ensureSession(w http.ResponseWriter, r *http.Request) (*session.
 
 // servePage writes one of a Bundle's HTML pages.
 func servePage(w http.ResponseWriter, a *artifact) {
-	w.Header().Set("Content-Type", a.ctype)
+	w.Header()["Content-Type"] = a.ctype
 	writeBody(w, a)
 }
 
 // writeBody sends an artifact's bytes as a 200 of known length: left to
 // itself net/http chunks any body that outgrows its 2 KB buffer.
 func writeBody(w http.ResponseWriter, a *artifact) {
-	w.Header().Set("Content-Length", a.length)
+	w.Header()["Content-Length"] = a.length
 	_, _ = w.Write(a.data)
 }
 
@@ -566,7 +596,7 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 	overlay := p.cfg.Spec.Snapshot.Enabled && !minimal
 	stream := p.cfg.Stream && overlay
 	if stream {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Header()["Content-Type"] = htmlType
 		_, _ = w.Write(p.streamHead)
 		flushNow(w)
 		obs.TraceFrom(r.Context()).Annotate("stream", "head_flushed")
@@ -620,7 +650,7 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		}
 		// Buffered serving completes everything at once: the whole page
 		// is the above-the-fold content.
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		w.Header()["Content-Type"] = htmlType
 		_, _ = w.Write(p.entryOverlay(v.bundle, width, height, -1).Page())
 		p.metrics.atfBuffered.ObserveDuration(time.Since(start))
 	}
@@ -633,7 +663,7 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 	}
 	name, err := url.PathUnescape(rawName)
 	if err != nil || name == "" {
-		http.NotFound(w, r)
+		notFound(w)
 		return
 	}
 	v, err := p.ensureAdaptation(r.Context(), sess, false)
@@ -641,10 +671,9 @@ func (p *Proxy) handleSubpage(w http.ResponseWriter, r *http.Request, rawName st
 		p.fetchError(w, r, err)
 		return
 	}
-	page := v.bundle.pages[attr.SubpageFileName(name)]
-	// The name must be a subpage's: SubpageFileName maps "a b" to "a_b"'s page.
-	if !slices.ContainsFunc(v.bundle.areas, func(sub *attr.Subpage) bool { return sub.Name == name }) || page == nil {
-		http.NotFound(w, r)
+	page := v.bundle.subpage(name)
+	if page == nil {
+		notFound(w)
 		return
 	}
 	servePage(w, page)
@@ -657,7 +686,7 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 	}
 	name, err := url.PathUnescape(rawName)
 	if err != nil || name == "" || strings.Contains(name, "/") || strings.Contains(name, "..") {
-		http.NotFound(w, r)
+		notFound(w)
 		return
 	}
 	p.mu.Lock()
@@ -668,21 +697,16 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 		a = p.sessionAsset(r, v, name)
 	}
 	if a == nil {
-		http.NotFound(w, r)
+		notFound(w)
 		return
 	}
-	w.Header().Set("Content-Type", a.ctype)
 	// Let the device cache images too: the shared snapshot for its
-	// configured TTL, per-user renders briefly.
-	if name == p.snapName {
-		w.Header().Set("Cache-Control", p.snapCacheControl)
-	} else {
-		w.Header().Set("Cache-Control", "private, max-age=300")
-	}
-	// Conditional requests save the image bytes on revisits — the
-	// dominant cost on 3G links.
-	w.Header().Set("ETag", a.etag)
-	if etagMatches(r.Header.Get("If-None-Match"), a.etag) {
+	// configured TTL, per-user renders briefly. Conditional requests save
+	// the image bytes on revisits — the dominant cost on 3G links. The
+	// keys are as Header.Set canonicalizes them ("Etag").
+	h := w.Header()
+	h["Content-Type"], h["Cache-Control"], h["Etag"] = a.ctype, a.cacheControl, a.etag
+	if etagMatches(r.Header.Get("If-None-Match"), a.etag[0]) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -330,6 +331,37 @@ func TestUnknownSubpage404(t *testing.T) {
 	_, resp := rig.get(t, "/subpage/ghost")
 	if resp.StatusCode != 404 {
 		t.Fatalf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestSubpageFoundByItsOwnName: a subpage is served under its own name
+// only, not under another name its file name shares.
+func TestSubpageFoundByItsOwnName(t *testing.T) {
+	rig := newRig(t, func(sp *spec.Spec) { sp.Objects[len(sp.Objects)-1].Name = "all forums" })
+	if _, resp := rig.get(t, "/subpage/all%20forums"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /subpage/all%%20forums = %d", resp.StatusCode)
+	}
+	if _, resp := rig.get(t, "/subpage/all_forums"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /subpage/all_forums = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestNotFoundMatchesNetHTTP: the proxy's own 404 is http.NotFound's,
+// status, headers and body, also over headers a handler set before it.
+func TestNotFoundMatchesNetHTTP(t *testing.T) {
+	answer := func(notFound func(http.ResponseWriter)) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		rec.Header().Set("Content-Length", "12")
+		rec.Header().Set("Content-Type", "image/png")
+		rec.Header().Set(TraceHeader, "0123456789abcdef")
+		notFound(rec)
+		return rec
+	}
+	got := answer(notFound)
+	want := answer(func(w http.ResponseWriter) { http.NotFound(w, nil) })
+	if got.Code != want.Code || got.Body.String() != want.Body.String() || !reflect.DeepEqual(got.Result().Header, want.Result().Header) {
+		t.Fatalf("notFound = %d %v %q, http.NotFound = %d %v %q",
+			got.Code, got.Result().Header, got.Body, want.Code, want.Result().Header, want.Body)
 	}
 }
 

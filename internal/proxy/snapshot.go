@@ -60,26 +60,28 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 	if v.private {
 		ttl = 0
 	}
-	filled := false
-	fill := func() (cache.Entry, error) {
-		filled = true
-		p.metrics.snapshotRenders.Inc()
-		return snapshotEntry(ctx, v.bundle, p.width, p.cfg.Spec)
-	}
-
 	var entry cache.Entry
 	if ttl > 0 {
-		entry, err = p.cfg.Cache.GetOrFill(p.snapKey, ttl, fill)
 		// Served from the shared cache, directly or by another goroutine's
-		// single-flight fill — the amortization §3.3 is about.
+		// single-flight fill — the amortization §3.3 is about. Only a
+		// lookup that misses makes the fill.
+		hit := false
+		if entry, hit = p.cfg.Cache.Lookup(p.snapKey); !hit {
+			filled := false
+			entry, err = p.cfg.Cache.GetOrFill(p.snapKey, ttl, func() (cache.Entry, error) {
+				filled = true
+				return p.renderSnapshotEntry(ctx, v)
+			})
+			hit = err == nil && !filled
+		}
 		outcome := "miss"
-		if err == nil && !filled {
+		if hit {
 			outcome = "hit"
 			p.metrics.snapshotHits.Inc()
 		}
 		obs.TraceFrom(ctx).Annotate("cache", outcome)
 	} else {
-		entry, err = v.ownSnapshot(fill)
+		entry, err = p.ownSnapshot(ctx, v)
 		obs.TraceFrom(ctx).Annotate("cache", "bypass")
 	}
 	if err != nil {
@@ -88,20 +90,26 @@ func (p *Proxy) snapshot(ctx context.Context, v *sessionView) (w, h int, err err
 	if cur := v.snapshot.Load(); cur == nil || !sameBytes(cur.data, entry.Data) {
 		// Bytes the view already holds keep the artifact (and ETag)
 		// derived from them.
-		v.snapshot.Store(newArtifact(p.snapName, entry.Data))
+		v.snapshot.Store(newArtifact(p.snapName, entry.Data, p.snapCacheControl))
 	}
 	w, h = parseGeometry(entry.MIME)
 	return w, h, nil
 }
 
-// ownSnapshot returns the view's own snapshot, rendered by fill on the
-// first call that finds none; a failed render is tried again by the next.
-// Concurrent callers wait for one render.
-func (v *sessionView) ownSnapshot(fill func() (cache.Entry, error)) (cache.Entry, error) {
+// renderSnapshotEntry renders v's Bundle's snapshot, counting the render.
+func (p *Proxy) renderSnapshotEntry(ctx context.Context, v *sessionView) (cache.Entry, error) {
+	p.metrics.snapshotRenders.Inc()
+	return snapshotEntry(ctx, v.bundle, p.width, p.cfg.Spec)
+}
+
+// ownSnapshot returns v's own snapshot, rendered on the first call that
+// finds none; a failed render is tried again by the next. Concurrent
+// callers wait for one render.
+func (p *Proxy) ownSnapshot(ctx context.Context, v *sessionView) (cache.Entry, error) {
 	v.ownMu.Lock()
 	defer v.ownMu.Unlock()
 	if v.own == nil {
-		entry, err := fill()
+		entry, err := p.renderSnapshotEntry(ctx, v)
 		if err != nil {
 			return cache.Entry{}, err
 		}

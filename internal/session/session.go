@@ -17,8 +17,10 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/cookiejar"
+	"net/textproto"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,11 +342,48 @@ func (m *Manager) Len() int {
 
 // FromRequest returns the session identified by the request's cookie.
 func (m *Manager) FromRequest(r *http.Request) (*Session, error) {
-	c, err := r.Cookie(CookieName)
-	if err != nil {
+	id, ok := sessionCookie(r.Header)
+	if !ok {
 		return nil, ErrNotFound
 	}
-	return m.Get(c.Value)
+	return m.Get(id)
+}
+
+// sessionCookie returns the value of h's session cookie exactly as
+// (*http.Request).Cookie(CookieName) finds it — the first pair of any
+// Cookie line whose trimmed name is CookieName and whose value, its
+// double quotes stripped, is all cookie-value bytes — without making a
+// *http.Cookie of every pair the lines hold.
+func sessionCookie(h http.Header) (string, bool) {
+	for _, line := range h["Cookie"] {
+		for line != "" {
+			var part string
+			part, line, _ = strings.Cut(line, ";")
+			name, val, _ := strings.Cut(textproto.TrimString(part), "=")
+			if textproto.TrimString(name) != CookieName {
+				continue
+			}
+			if len(val) > 1 && val[0] == '"' && val[len(val)-1] == '"' {
+				val = val[1 : len(val)-1]
+			}
+			if validCookieValue(val) {
+				return val, true
+			}
+		}
+	}
+	return "", false
+}
+
+// validCookieValue reports whether every byte of v may stand in a cookie
+// value as net/http parses one: printable ASCII, but not a double quote,
+// a semicolon or a backslash.
+func validCookieValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if b := v[i]; b < 0x20 || b >= 0x7f || b == '"' || b == ';' || b == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // Ensure returns the request's session, creating one (and setting the
