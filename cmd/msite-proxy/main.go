@@ -49,8 +49,6 @@ func run() error {
 	logLevel := flag.String("log-level", "info", "request log level: debug|info|warn|error|off")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "render cache byte budget, LRU-evicted past it (0 = unbounded)")
 	fetchTimeout := flag.Duration("fetch-timeout", 30*time.Second, "per-request origin deadline")
-	maxAdapt := flag.Int("max-concurrent-adaptations", 0, "adaptation pipelines allowed to run at once; excess waits in a bounded queue or is shed with 503 (0 = unlimited)")
-	admissionQueue := flag.Int("admission-queue", 0, "admission wait-queue length behind -max-concurrent-adaptations (0 = 4x concurrency, negative = no queue)")
 	storeDir := flag.String("store-dir", "", "durable render store directory; restarts rehydrate adapted content from it (empty = no persistence)")
 	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
@@ -71,9 +69,6 @@ func run() error {
 		Logger:        logger,
 		CacheMaxBytes: *cacheMaxBytes,
 		FetchTimeout:  *fetchTimeout,
-
-		MaxConcurrentAdaptations: *maxAdapt,
-		AdmissionQueue:           *admissionQueue,
 
 		StoreDir: *storeDir,
 

@@ -124,17 +124,10 @@ var subsystemDocs = []struct {
 		}},
 	},
 	{
-		doc:   "ADMISSION.md",
-		flags: []string{"-max-concurrent-adaptations", "-admission-queue"},
-		metrics: []string{
-			"msite_admission_queue_depth", "msite_admission_shed_total",
-			"msite_admission_coalesced_total",
-		},
-		inObs: true,
-		tests: []string{
-			"TestColdCrowdCoalescesToOneBuild", "TestQueueFullSheds503",
-			"TestLimiterBoundsConcurrency",
-		},
+		doc:     "ADMISSION.md",
+		metrics: []string{"msite_admission_coalesced_total"},
+		inObs:   true,
+		tests:   []string{"TestColdCrowdCoalescesToOneBuild", "TestCrowdRow"},
 	},
 	{
 		doc:      "PERFORMANCE.md",
@@ -375,9 +368,9 @@ func TestKnobCeiling(t *testing.T) {
 		knob           string
 		count, ceiling int
 	}{
-		{"`core.Config` fields", len(coreConfigFields(t)), 12},
-		{"`msite-proxy` flags", len(proxyFlagNames(t)), 16},
-		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 14},
+		{"`core.Config` fields", len(coreConfigFields(t)), 10},
+		{"`msite-proxy` flags", len(proxyFlagNames(t)), 14},
+		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 13},
 	} {
 		t.Logf("| %s | %d | %d |", k.knob, k.count, k.ceiling)
 		if k.count > k.ceiling {

@@ -15,7 +15,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"msite/internal/admission"
 	"msite/internal/cache"
 	"msite/internal/fetch"
 	"msite/internal/gen"
@@ -45,16 +44,6 @@ type Config struct {
 	// entries are evicted past it (the -cache-max-bytes knob). 0 means
 	// unbounded (TTL-only). Expired entries are swept every minute.
 	CacheMaxBytes int64
-	// MaxConcurrentAdaptations bounds how many adaptation pipelines run
-	// at once (the -max-concurrent-adaptations knob); excess requests
-	// wait in a bounded, deadline-aware queue and are shed with 503 +
-	// Retry-After past it. 0 disables admission control.
-	MaxConcurrentAdaptations int
-	// AdmissionQueue is the wait-queue length behind the concurrency
-	// limit (the -admission-queue knob). 0 defaults to 4× the
-	// concurrency; negative means no queue (shed immediately when all
-	// slots are busy).
-	AdmissionQueue int
 	// StoreDir enables the durable render store (the -store-dir knob): a
 	// crash-safe disk tier under the render cache. Adapted bundles,
 	// shared snapshots, and subpage artifacts persist there, so a
@@ -103,18 +92,6 @@ func (cfg Config) buildCache(reg *obs.Registry) (cache.Layer, *store.Store, erro
 	return tiered, st, nil
 }
 
-// admissionLimiter maps the Config knobs onto the adaptation
-// concurrency limiter; nil (admit everything) when it is not set.
-func (cfg Config) admissionLimiter() (*admission.Limiter, error) {
-	if cfg.MaxConcurrentAdaptations <= 0 {
-		return nil, nil
-	}
-	return admission.NewLimiter(admission.LimiterConfig{
-		MaxConcurrent: cfg.MaxConcurrentAdaptations,
-		QueueLen:      cfg.AdmissionQueue,
-	})
-}
-
 // cacheOptions maps the Config knobs onto the cache; its expiry
 // sweeper runs every minute and stops with Close.
 func (cfg Config) cacheOptions() cache.Options {
@@ -140,8 +117,7 @@ func (cfg Config) fetchOptions(reg *obs.Registry) []fetch.Option {
 
 // instance is what a Framework and a MultiFramework both are: the
 // proxies of one or several specs behind one handler, around one session
-// manager, render cache (and store), registry, and the optional
-// admission tier.
+// manager, render cache (and store) and registry.
 type instance struct {
 	handler  http.Handler
 	sites    []*proxy.Proxy // in name order
@@ -209,10 +185,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	adm, err := cfg.admissionLimiter()
-	if err != nil {
-		return nil, err
-	}
 	sharedCache, st, err := cfg.buildCache(reg)
 	if err != nil {
 		return nil, err
@@ -231,7 +203,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		FetchOptions:   cfg.fetchOptions(reg),
 		Obs:            reg,
 		Logger:         cfg.Logger,
-		Admission:      adm,
 		PersistBundles: st != nil,
 		Stream:         cfg.Stream,
 		RepairRules:    cfg.RepairRules,

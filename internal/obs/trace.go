@@ -3,8 +3,10 @@ package obs
 import (
 	"cmp"
 	"context"
+	"log/slog"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -211,15 +213,24 @@ func (t *Trace) Annotate(key, value string) {
 	}
 }
 
-// Attrs returns a copy of the trace's annotations; nil when there are
-// none.
-func (t *Trace) Attrs() map[string]string {
+// AppendAttrs appends the trace's annotations to attrs as string
+// attributes, sorted by key, and returns the extended slice: a request
+// log line is the request's attributes followed by these.
+func (t *Trace) AppendAttrs(attrs []slog.Attr) []slog.Attr {
 	if t == nil {
-		return nil
+		return attrs
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.data.attrs()
+	base := len(attrs)
+	for _, nt := range t.data.notes[:t.data.n] {
+		attrs = append(attrs, slog.String(nt.key, nt.value))
+	}
+	for _, nt := range t.data.spill {
+		attrs = append(attrs, slog.String(nt.key, nt.value))
+	}
+	slices.SortFunc(attrs[base:], func(a, b slog.Attr) int { return strings.Compare(a.Key, b.Key) })
+	return attrs
 }
 
 // End finishes the trace, pushes a copy of its record into the

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"maps"
 	"reflect"
 	"regexp"
@@ -240,7 +241,7 @@ func TestAnnotateBeyondInlineRoom(t *testing.T) {
 		tr.Annotate(k, v)
 		want[k] = v
 	}
-	if got := tr.Attrs(); !maps.Equal(got, want) {
+	if got := attrsOf(t, tr); !maps.Equal(got, want) {
 		t.Fatalf("trace attrs = %v, want %v", got, want)
 	}
 	tr.End()
@@ -307,6 +308,7 @@ func TestConcurrentTraceRecording(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
+			_ = tr.AppendAttrs(nil)
 			for _, rec := range r.RecentTraces() {
 				for k := range rec.Attrs {
 					rec.Attrs[k] = "reader"
@@ -317,7 +319,6 @@ func TestConcurrentTraceRecording(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		_ = tr.Attrs()
 	}
 	for _, rec := range r.RecentTraces() {
 		for k, v := range rec.Attrs {
@@ -340,7 +341,27 @@ func TestAnnotateAfterEndIsDropped(t *testing.T) {
 	if rec := r.RecentTraces()[0]; len(rec.Attrs) != 1 || rec.Attrs["cache"] != "hit" {
 		t.Fatalf("record attrs = %v", rec.Attrs)
 	}
-	if attrs := tr.Attrs(); len(attrs) != 1 || attrs["cache"] != "hit" {
+	if attrs := attrsOf(t, tr); len(attrs) != 1 || attrs["cache"] != "hit" {
 		t.Fatalf("trace attrs = %v", attrs)
 	}
+}
+
+// attrsOf returns the attributes AppendAttrs appends for tr as a map,
+// after checking that they follow what was already there, one a key, in
+// key order.
+func attrsOf(t *testing.T, tr *Trace) map[string]string {
+	t.Helper()
+	head := slog.String("request", "x")
+	attrs := tr.AppendAttrs([]slog.Attr{head})
+	if !attrs[0].Equal(head) {
+		t.Fatalf("AppendAttrs changed what it appended to: %v", attrs[0])
+	}
+	out := make(map[string]string)
+	for i, a := range attrs[1:] {
+		if i > 0 && attrs[i].Key >= a.Key {
+			t.Fatalf("attributes not in strict key order: %v", attrs[1:])
+		}
+		out[a.Key] = a.Value.String()
+	}
+	return out
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is how a session comes to hold a Bundle: its own view, the
-// durable bundle, or one admitted run of build, whose report becomes
-// this proxy's metrics here.
+// durable bundle, or one run of build, whose report becomes this proxy's
+// metrics here.
 
 // ensureAdaptation gives a session its view of a Bundle, running the
 // full pipeline (fetch, filter phase, Tidy parse, attribute phase, file
@@ -79,7 +79,7 @@ func isAuthError(err error) bool {
 
 // runAdaptation gets a session its Bundle. Anonymous sessions coalesce:
 // a flash crowd of N cold clients on the same page shares one build (one
-// origin fetch, one filter+attr pass, one admission slot) and then
+// origin fetch, one filter+attr pass, one build slot) and then
 // references the one Bundle from every session. Personalized sessions
 // (stored HTTP auth, marshaled logins) never coalesce — their origin
 // content may differ per user — so each gets a Bundle built for it
@@ -92,8 +92,8 @@ func (p *Proxy) runAdaptation(ctx context.Context, sess *session.Session, privat
 	return p.coalescedBuild(ctx, plan)
 }
 
-// buildPlan is what distinguishes one caller's "load, else admit, build,
-// save" from another's.
+// buildPlan is what distinguishes one caller's "load, else build, save"
+// from another's.
 type buildPlan struct {
 	// sess is the session the origin is fetched as; nil fetches
 	// anonymously.
@@ -106,18 +106,13 @@ type buildPlan struct {
 
 // loadOrBuild satisfies a plan from the durable bundle (with a tiered
 // cache this is where a restarted proxy skips the whole pipeline), else
-// admits and runs one pipeline build.
+// runs one pipeline build.
 func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (*Bundle, error) {
 	if plan.persist && !plan.force {
 		if b, ok := p.loadBundle(ctx); ok {
 			return b, nil
 		}
 	}
-	release, err := p.cfg.Admission.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	b, rep, err := build(ctx, fetch.New(plan.sess, p.cfg.FetchOptions...), p.cfg.Spec, &p.build)
 	// What the build observed becomes this proxy's metrics here and only
 	// here, a refused build's included.
@@ -150,7 +145,7 @@ func (p *Proxy) loadOrBuild(ctx context.Context, plan buildPlan) (*Bundle, error
 // adaptation that arrives while another runs joins it instead of
 // fetching the origin twice, and counts as coalesced.
 func (p *Proxy) coalescedBuild(ctx context.Context, plan buildPlan) (*Bundle, error) {
-	b, coalesced, err := p.coalesce.Do(ctx, "adapt:"+p.cfg.Spec.Name, func(bctx context.Context) (*Bundle, error) {
+	b, coalesced, err := p.coalesce.do(ctx, "adapt:"+p.cfg.Spec.Name, func(bctx context.Context) (*Bundle, error) {
 		return p.loadOrBuild(bctx, plan)
 	})
 	if err == nil && coalesced {

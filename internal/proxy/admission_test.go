@@ -7,18 +7,18 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
-	"strconv"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"msite/internal/admission"
 	"msite/internal/cache"
 	"msite/internal/obs"
 	"msite/internal/origin"
 	"msite/internal/session"
+	"msite/internal/spec"
 )
 
 // gatedRig is a proxy over a forum origin whose page requests can be
@@ -32,7 +32,7 @@ type gatedRig struct {
 	once     sync.Once
 }
 
-func newGatedRig(t *testing.T, adm *admission.Limiter) *gatedRig {
+func newGatedRig(t *testing.T) *gatedRig {
 	t.Helper()
 	g := &gatedRig{release: make(chan struct{})}
 	forum := origin.NewForum(origin.DefaultForumConfig()).Handler()
@@ -54,10 +54,9 @@ func newGatedRig(t *testing.T, adm *admission.Limiter) *gatedRig {
 		t.Fatal(err)
 	}
 	p, err := New(Config{
-		Spec:      forumSpec(originSrv.URL),
-		Sessions:  sessions,
-		Cache:     cache.New(),
-		Admission: adm,
+		Spec:     forumSpec(originSrv.URL),
+		Sessions: sessions,
+		Cache:    cache.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,7 @@ func (g *gatedRig) open() { g.once.Do(func() { close(g.release) }) }
 // exactly once. Run under -race this also stresses the shared-build
 // bookkeeping.
 func TestColdCrowdCoalescesToOneBuild(t *testing.T) {
-	g := newGatedRig(t, nil)
+	g := newGatedRig(t)
 	const crowd = 8
 
 	var wg sync.WaitGroup
@@ -103,9 +102,9 @@ func TestColdCrowdCoalescesToOneBuild(t *testing.T) {
 	// answer. No sleeps, no timing assumptions.
 	key := "adapt:" + g.p.cfg.Spec.Name
 	deadline := time.Now().Add(10 * time.Second)
-	for g.p.coalesce.Waiters(key) < crowd {
+	for g.p.coalesce.waiters(key) < crowd {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d clients joined the build", g.p.coalesce.Waiters(key), crowd)
+			t.Fatalf("only %d/%d clients joined the build", g.p.coalesce.waiters(key), crowd)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -190,7 +189,7 @@ func TestClientDisconnectCancelsOriginFetch(t *testing.T) {
 // credentials must never share another session's build (its origin view
 // may differ), even when the requests are concurrent.
 func TestPersonalizedSessionsBypassCoalescing(t *testing.T) {
-	g := newGatedRig(t, nil)
+	g := newGatedRig(t)
 
 	// Client A stores HTTP credentials, marking its session personalized.
 	jar, err := cookiejar.New(nil)
@@ -236,146 +235,220 @@ func TestPersonalizedSessionsBypassCoalescing(t *testing.T) {
 	}
 }
 
-// TestQueueFullSheds503: with one pipeline slot, no queue, and the slot
-// held, a second build sheds immediately with 503 + Retry-After instead
-// of hanging.
-func TestQueueFullSheds503(t *testing.T) {
-	adm, err := admission.NewLimiter(admission.LimiterConfig{MaxConcurrent: 1, QueueLen: -1})
-	if err != nil {
-		t.Fatal(err)
+// holdBuildSlots takes every build slot of the process, so that no build
+// gets past its origin fetches until release is called; cleanup calls it
+// too.
+func holdBuildSlots(t *testing.T) (release func()) {
+	t.Helper()
+	for range cap(buildSlots) {
+		buildSlots <- struct{}{}
 	}
-	g := newGatedRig(t, adm)
-	defer g.open()
-
-	// The first cold client takes the only slot and blocks on the origin.
-	first := make(chan struct{})
-	go func() {
-		defer close(first)
-		resp, err := http.Get(g.proxy.URL + "/")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for adm.Active() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first build never acquired the slot")
-		}
-		time.Sleep(time.Millisecond)
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for range cap(buildSlots) {
+				<-buildSlots
+			}
+		})
 	}
-
-	// A personalized second client cannot coalesce and cannot queue.
-	jar, err := cookiejar.New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	authed := &http.Client{Jar: jar, Timeout: 30 * time.Second}
-	resp, err := authed.PostForm(g.proxy.URL+"/auth?back=/stats", map[string][]string{
-		"username": {"u"}, "password": {"p"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	resp, err = authed.Get(g.proxy.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503; body %.80s", resp.StatusCode, body)
-	}
-	assertRetryAfter(t, resp)
-	if strings.Contains(string(body), "admission") {
-		t.Errorf("shed body leaks internal detail: %q", body)
-	}
-
-	g.open()
-	<-first
-	snap := g.p.Obs().Snapshot()
-	// One shed, counted once: by the proxy that answered it, not again
-	// by the limiter that refused it.
-	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonQueueFull); got != 1 {
-		t.Errorf(`msite_admission_shed_total{reason="queue_full"} = %v, want 1`, got)
-	}
+	t.Cleanup(release)
+	return release
 }
 
-// TestStreamedQueueFullShedCountedOnce: with -stream the entry's 200
-// and head are on the wire before admission runs, so a queue-full shed
-// closes the document in-band instead of answering 503. It is still one
-// shed, counted once.
-func TestStreamedQueueFullShedCountedOnce(t *testing.T) {
-	adm, err := admission.NewLimiter(admission.LimiterConfig{MaxConcurrent: 1, QueueLen: -1})
+// TestCrowdRow is the count-based row of the build slots: a crowd of new
+// devices arrives at a MultiProxy of two sites, 8 anonymous devices a
+// site and 8 logged-in devices, 4 a site, all at once while the test
+// holds every slot. Nothing finishes until the test lets it, so every
+// figure is a count: the anonymous devices of a site share one build, a
+// logged-in device builds alone, every build fetches its origin and then
+// waits, and once the slots are free every device gets its page; no
+// device is refused. In a second row a logged-in device disconnects while
+// its build waits for a slot: it costs no adaptation and leaves every
+// slot free. The rows go to the CI summary.
+func TestCrowdRow(t *testing.T) {
+	const anonymous, loggedIn = 8, 4 // a site
+	var entryHits atomic.Int64
+	forum := origin.NewForum(origin.DefaultForumConfig()).Handler()
+	originSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/" {
+			entryHits.Add(1)
+		}
+		forum.ServeHTTP(w, r)
+	}))
+	t.Cleanup(originSrv.Close)
+	var specs []*spec.Spec
+	for _, name := range []string{"forum-a", "forum-b"} {
+		sp := forumSpec(originSrv.URL)
+		sp.Name = name
+		specs = append(specs, sp)
+	}
+	sessions, err := session.NewManager(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	open := func() { gateOnce.Do(func() { close(gate) }) }
-	defer open()
-	rig := newStreamRig(t, Config{Stream: true, Admission: adm}, func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/" {
-				select {
-				case <-gate:
-				case <-r.Context().Done():
-					return
-				}
+	reg := obs.NewRegistry()
+	m, err := NewMulti(specs, Config{Sessions: sessions, Cache: cache.New(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(m)
+	t.Cleanup(srv.Close)
+	sites := make([]*Proxy, len(specs))
+	for i, sp := range specs {
+		sites[i], _ = m.Site(sp.Name)
+	}
+	adaptations := func() (n uint64) {
+		for _, p := range sites {
+			n += p.Stats().Adaptations
+		}
+		return n
+	}
+	// A build's subres span ends just before it asks for a slot.
+	atSlot := reg.Histogram(obs.StageHistogram, "stage", "subres")
+	entries := sites[0].metrics.kinds[kindEntry].latency // every site's finished entries
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
 			}
-			h.ServeHTTP(w, r)
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// logIn gives a new device a session with stored origin credentials,
+	// which makes every build of it private.
+	logIn := func(site string) *http.Client {
+		jar, err := cookiejar.New(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &http.Client{Jar: jar, Timeout: 30 * time.Second}
+		resp, err := c.PostForm(srv.URL+"/p/"+site+"/auth?back=/p/"+site+"/stats", url.Values{
+			"username": {"u"}, "password": {"p"},
 		})
-	})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		return c
+	}
 
-	// The first cold client takes the only slot and blocks on the origin.
-	first := make(chan struct{})
+	t.Logf("| row | devices | builds | coalesced | 200s | 503s | slots free after |")
+	t.Logf("|---|---|---|---|---|---|---|")
+
+	type device struct {
+		client *http.Client
+		site   string
+	}
+	var crowd []device
+	for _, sp := range specs {
+		for range anonymous {
+			crowd = append(crowd, device{&http.Client{Timeout: 30 * time.Second}, sp.Name})
+		}
+		for range loggedIn {
+			crowd = append(crowd, device{logIn(sp.Name), sp.Name})
+		}
+	}
+	builds := len(specs) * (1 + loggedIn)
+	release := holdBuildSlots(t)
+	statuses := make([]int, len(crowd))
+	var wg sync.WaitGroup
+	for i, d := range crowd {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := d.client.Get(srv.URL + "/p/" + d.site + "/")
+			if err != nil {
+				t.Errorf("device %d: %v", i, err)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			_ = resp.Body.Close()
+			statuses[i] = resp.StatusCode
+		}()
+	}
+	waitFor("every build to reach the slots", func() bool { return atSlot.Count() == uint64(builds) })
+	if got := entryHits.Load(); got != int64(builds) {
+		t.Errorf("before release: the origin served %d entry fetches, want %d", got, builds)
+	}
+	for _, p := range sites {
+		key := "adapt:" + p.SiteName()
+		waitFor(key+" to gather its crowd", func() bool { return p.coalesce.waiters(key) == anonymous })
+	}
+	if got := adaptations(); got != 0 {
+		t.Errorf("before release: %d adaptations with every slot held, want 0", got)
+	}
+	release()
+	wg.Wait()
+	// A device has its page before its handler has recorded the request.
+	waitFor("every crowd request to finish", func() bool { return entries.Count() == uint64(len(crowd)) })
+	ok, busy := 0, 0
+	for _, code := range statuses {
+		switch code {
+		case http.StatusOK:
+			ok++
+		case http.StatusServiceUnavailable:
+			busy++
+		}
+	}
+	coalesced := metricSum(reg.Snapshot(), "msite_admission_coalesced_total")
+	t.Logf("| %d sites × (%d anonymous + %d logged-in), slots held | %d | %d | %.0f | %d | %d | %d of %d |",
+		len(specs), anonymous, loggedIn, len(crowd), adaptations(), coalesced, ok, busy,
+		cap(buildSlots)-len(buildSlots), cap(buildSlots))
+	if got := adaptations(); got != uint64(builds) {
+		t.Errorf("builds = %d, want %d: one a site and one a logged-in device", got, builds)
+	}
+	if want := float64(len(specs) * (anonymous - 1)); coalesced != want {
+		t.Errorf("coalesced requests = %.0f, want %.0f", coalesced, want)
+	}
+	if ok != len(crowd) || busy != 0 {
+		t.Errorf("%d of %d devices got 200 and %d got 503, want all 200", ok, len(crowd), busy)
+	}
+	waited := 0
+	for _, tr := range reg.RecentTraces() {
+		for _, sp := range tr.Spans {
+			if sp.Name == "build_wait" {
+				waited++
+			}
+		}
+	}
+	if waited != builds {
+		t.Errorf("%d traces show a build_wait span, want one a build (%d)", waited, builds)
+	}
+
+	// A logged-in device that gives up while its build waits for a slot.
+	gone := logIn(specs[0].Name)
+	release = holdBuildSlots(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/p/"+specs[0].Name+"/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan error, 1)
 	go func() {
-		defer close(first)
-		resp, err := rig.client.Get(rig.proxy.URL + "/")
+		resp, err := gone.Do(req)
 		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			_ = resp.Body.Close()
 		}
+		answered <- err
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for adm.Active() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first build never acquired the slot")
-		}
-		time.Sleep(time.Millisecond)
+	waitFor("the build to reach the slots", func() bool { return atSlot.Count() == uint64(builds+1) })
+	cancel()
+	if err := <-answered; err == nil {
+		t.Error("a device that disconnected got an answer")
 	}
-
-	// A personalized second client cannot coalesce and cannot queue.
-	jar, err := cookiejar.New(nil)
-	if err != nil {
-		t.Fatal(err)
+	waitFor("the proxy to finish the request", func() bool { return entries.Count() == uint64(len(crowd))+1 })
+	release()
+	free := cap(buildSlots) - len(buildSlots)
+	t.Logf("| 1 logged-in, gone while waiting | 1 | %d | 0 | 0 | 0 | %d of %d |",
+		adaptations()-uint64(builds), free, cap(buildSlots))
+	if got := adaptations(); got != uint64(builds) {
+		t.Errorf("a disconnected device cost %d adaptations, want 0", got-uint64(builds))
 	}
-	authed := &http.Client{Jar: jar, Timeout: 30 * time.Second}
-	resp, err := authed.PostForm(rig.proxy.URL+"/auth?back=/stats", map[string][]string{
-		"username": {"u"}, "password": {"p"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	resp, err = authed.Get(rig.proxy.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "retry shortly</p></body></html>") {
-		t.Fatalf("status %d, body %q: want a 200 closed in-band", resp.StatusCode, body)
-	}
-
-	open()
-	<-first
-	snap := rig.p.Obs().Snapshot()
-	if got := counterValue(snap, "msite_admission_shed_total", "reason", admission.ReasonQueueFull); got != 1 {
-		t.Errorf(`msite_admission_shed_total{reason="queue_full"} = %v, want 1`, got)
+	if free != cap(buildSlots) {
+		t.Errorf("%d of %d slots free once the test let go of them, want all", free, cap(buildSlots))
 	}
 }
 
@@ -485,21 +558,6 @@ func TestStatusRecorderForwardsReadFrom(t *testing.T) {
 	}
 	if got := plain.Body.String(); got != "fallback" {
 		t.Errorf("fallback body = %q, want %q", got, "fallback")
-	}
-}
-
-// assertRetryAfter checks the response carries a positive integral
-// Retry-After header — a shed without a hint invites a retry storm.
-func assertRetryAfter(t *testing.T, resp *http.Response) {
-	t.Helper()
-	ra := resp.Header.Get("Retry-After")
-	if ra == "" {
-		t.Error("missing Retry-After header")
-		return
-	}
-	secs, err := strconv.Atoi(ra)
-	if err != nil || secs < 1 {
-		t.Errorf("Retry-After = %q, want integer >= 1", ra)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image"
 	"net/url"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -92,13 +93,41 @@ type buildReport struct {
 	parity *quality.Parity
 }
 
-// build runs the pipeline once: it fetches s.Origin and the images and
-// stylesheets a render needs through f, filters, tidies, runs the
-// attribute phase and the quality pass, and serializes the generated
-// files into a Bundle. Each stage is a span (inside an adapt_total
-// envelope) on ctx's trace. The origin fetch and every subresource
-// download abort when ctx ends, so a disconnected client stops costing
-// the origin anything.
+// buildSlots bounds the builds of the process that are past their
+// origin fetches: one slot a CPU the scheduler runs Go on. What follows
+// the fetches is CPU and memory (styles, layouts, pre-renders and the
+// serialized pages) and nothing else, so more builds than CPUs at that
+// point only hold more heap at once and finish no sooner. A build
+// waiting on its origin holds no slot: a slow origin cannot starve the
+// builds whose bytes have arrived. Every proxy of the process shares
+// the slots.
+var buildSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// acquireBuildSlot takes a build slot, waiting until one is free or ctx
+// ends. Taking a free slot allocates nothing; a build that has to wait
+// records a build_wait span on ctx's trace.
+func acquireBuildSlot(ctx context.Context) error {
+	select {
+	case buildSlots <- struct{}{}:
+		return nil
+	default:
+	}
+	defer obs.StartSpan(ctx, "build_wait").End()
+	select {
+	case buildSlots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// build runs the pipeline once: it fetches s.Origin through f, filters
+// and tidies it, fetches the images and stylesheets a render needs,
+// takes a build slot, runs the attribute phase and the quality pass, and
+// serializes the generated files into a Bundle. Each stage is a span
+// (inside an adapt_total envelope) on ctx's trace. The origin fetch,
+// every subresource download and the wait for a slot end when ctx does,
+// so a disconnected client stops costing the origin or the CPU anything.
 func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions) (*Bundle, buildReport, error) {
 	var rep buildReport
 	total := obs.StartSpan(ctx, "adapt_total")
@@ -143,6 +172,10 @@ func build(ctx context.Context, f *fetch.Fetcher, s *spec.Spec, o *buildOptions)
 		degrade("stylesheets", err)
 	}
 	sp.End()
+	if err := acquireBuildSlot(ctx); err != nil {
+		return nil, rep, err
+	}
+	defer func() { <-buildSlots }()
 	applier := o.applier
 	applier.Images, applier.Ctx = images, ctx
 	sp = obs.StartSpan(ctx, "attr")

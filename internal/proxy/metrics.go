@@ -57,7 +57,7 @@ func kindOf(path string) handlerKind {
 // metrics are the proxy's instruments whose labels are known when it is
 // built, resolved once in New so that serving a request looks up no
 // series by name. Series whose labels are known only at call time — a
-// degraded stage, a repair rule, a shed reason — still go through the
+// degraded stage, a repair rule — still go through the
 // registry. Resolving registers: every series here exists, at zero, from
 // New on.
 type metrics struct {

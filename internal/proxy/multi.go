@@ -26,9 +26,9 @@ type MultiProxy struct {
 // NewMulti builds the composite proxy: one Proxy per spec, each
 // configured by cfg with its own Spec and a /p/<name> PathPrefix (cfg's
 // own are ignored). Spec names must be unique and URL-safe. Sessions,
-// Cache, Obs and Admission are thereby shared across every site: one
-// cookie, one render cache and one concurrency budget cover the whole
-// server, not each page separately.
+// Cache and Obs are thereby shared across every site: one cookie and one
+// render cache cover the whole server, not each page separately, as do
+// the process's build slots.
 func NewMulti(specs []*spec.Spec, cfg Config) (*MultiProxy, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("proxy: no specs")

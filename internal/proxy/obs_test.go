@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +72,11 @@ func TestPipelineStagesObserved(t *testing.T) {
 		if h.P99 < h.P50 {
 			t.Fatalf("stage %q quantiles inverted: p50=%v p99=%v", stage, h.P50, h.P99)
 		}
+	}
+
+	// The build found a slot free, so it did not wait for one.
+	if h, ok := snap.Histogram(obs.StageHistogram, "stage", "build_wait"); ok && h.Count != 0 {
+		t.Fatalf("an uncontended build recorded %d build_wait spans", h.Count)
 	}
 
 	// Per-handler request counters.
@@ -147,6 +155,28 @@ func TestRequestLogging(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log line missing %q:\n%s", want, out)
 		}
+	}
+
+	// The line's keys are the request's own, then the trace's
+	// annotations sorted by key.
+	var line string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, "msg=request") {
+			line = l
+		}
+	}
+	var keys []string
+	for _, m := range regexp.MustCompile(`(?:^| )([a-z_]+)=`).FindAllStringSubmatch(line, -1) {
+		keys = append(keys, m[1])
+	}
+	traces := reg.RecentTraces()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces, want 1", len(traces))
+	}
+	notes := slices.Sorted(maps.Keys(traces[0].Attrs))
+	want := append([]string{"time", "level", "msg", "trace", "site", "handler", "path", "status", "duration"}, notes...)
+	if !slices.Equal(keys, want) {
+		t.Fatalf("log line keys %v, want %v:\n%s", keys, want, line)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"msite/internal/admission"
 	"msite/internal/ajax"
 	"msite/internal/attr"
 	"msite/internal/cache"
@@ -59,11 +58,6 @@ type Config struct {
 	// session id, handler kind, cache outcome, status, and duration.
 	// Nil disables request logging (the default, and what tests use).
 	Logger *slog.Logger
-	// Admission is the adaptation concurrency limiter and its
-	// deadline-aware queue. Nil admits everything (the default, and what
-	// most tests use). One limiter is shared across every site of a
-	// MultiProxy.
-	Admission *admission.Limiter
 	// PersistBundles stores each non-personalized build product (subpage
 	// set, generated files, decoded images) in the cache keyed by
 	// (site, spec hash, device class, fidelity), so a restarted proxy —
@@ -156,9 +150,9 @@ type Proxy struct {
 	sharedSrc []byte
 
 	// coalesce collapses concurrent cold adaptations of the same page
-	// across sessions into one pipeline run (admission control tier 2);
-	// personalized sessions bypass it.
-	coalesce *admission.Coalescer[*Bundle]
+	// across sessions into one pipeline run; personalized sessions bypass
+	// it.
+	coalesce *coalescer[*Bundle]
 
 	mu      sync.Mutex
 	adapted map[string]*sessionView // by session ID
@@ -245,7 +239,6 @@ func New(cfg Config) (*Proxy, error) {
 		reg = obs.NewRegistry()
 	}
 	cfg.Sessions.InstrumentObs(reg)
-	cfg.Admission.SetObs(reg)
 	p := &Proxy{
 		cfg:        cfg,
 		dispatcher: dispatcher,
@@ -257,7 +250,7 @@ func New(cfg Config) (*Proxy, error) {
 		logger:     cfg.Logger,
 		snapName:   "snapshot" + snapshotFidelity(cfg.Spec).Ext(),
 		snapKey:    "snapshot:" + cfg.Spec.Name,
-		coalesce:   admission.NewCoalescer[*Bundle](),
+		coalesce:   newCoalescer[*Bundle](),
 		adapted:    make(map[string]*sessionView),
 		live:       make(map[*Bundle]int),
 		inflight:   make(map[string]chan struct{}),
@@ -474,22 +467,6 @@ func serverError(w http.ResponseWriter, r *http.Request, status int, public stri
 	http.Error(w, public, status)
 }
 
-// noteShed counts one shed request under msite_admission_shed_total by
-// reason and marks its trace. Both answers to a shed call it once: the
-// status shedError writes, and a streamed entry's in-band abort.
-func (p *Proxy) noteShed(r *http.Request, reason string) {
-	p.obs.Counter("msite_admission_shed_total", "reason", reason).Inc()
-	obs.TraceFrom(r.Context()).Annotate("shed", reason)
-}
-
-// shedError answers an admission-shed request: 503 with a Retry-After
-// hint and a generic body.
-func (p *Proxy) shedError(w http.ResponseWriter, r *http.Request, shed *admission.ShedError, err error) {
-	p.noteShed(r, shed.Reason)
-	w.Header().Set("Retry-After", strconv.Itoa(admission.RetryAfterSeconds(shed.RetryAfter)))
-	serverError(w, r, http.StatusServiceUnavailable, "server busy, retry later", err)
-}
-
 // logRequest emits the per-request structured log line.
 func (p *Proxy) logRequest(r *http.Request, tr *obs.Trace, kind handlerKind, status int, d time.Duration) {
 	if p.logger == nil {
@@ -499,24 +476,18 @@ func (p *Proxy) logRequest(r *http.Request, tr *obs.Trace, kind handlerKind, sta
 	if status >= 500 {
 		level = slog.LevelError
 	}
-	attrs := []slog.Attr{
+	// Room for the request's own attributes and a few annotations, so a
+	// line builds no slice of its own.
+	var buf [12]slog.Attr
+	attrs := append(buf[:0],
 		slog.String("trace", tr.ID()),
 		slog.String("site", p.cfg.Spec.Name),
 		slog.String("handler", kind.String()),
 		slog.String("path", r.URL.Path),
 		slog.Int("status", status),
 		slog.Duration("duration", d),
-	}
-	noted := tr.Attrs()
-	keys := make([]string, 0, len(noted))
-	for k := range noted {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		attrs = append(attrs, slog.String(k, noted[k]))
-	}
-	p.logger.LogAttrs(r.Context(), level, "request", attrs...)
+	)
+	p.logger.LogAttrs(r.Context(), level, "request", tr.AppendAttrs(attrs)...)
 }
 
 // handleStats reports the proxy's work counters for operations and the
@@ -758,10 +729,10 @@ func (p *Proxy) handleAJAX(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetchError maps adaptation failures: auth challenges redirect to the
-// lightweight auth page, admission sheds become 503 + Retry-After, and
-// everything else is a gateway error (§3.2 "any error handling should
-// the page be unavailable") with a generic body — the detail lands on
-// the trace and in the error log, never in the response.
+// lightweight auth page, and everything else is a gateway error (§3.2
+// "any error handling should the page be unavailable") with a generic
+// body — the detail lands on the trace and in the error log, never in
+// the response.
 func (p *Proxy) fetchError(w http.ResponseWriter, r *http.Request, err error) {
 	var authErr *fetch.AuthRequiredError
 	if errors.As(err, &authErr) {
@@ -773,10 +744,6 @@ func (p *Proxy) fetchError(w http.ResponseWriter, r *http.Request, err error) {
 		http.Redirect(w, r,
 			p.prefix+"/auth?back="+url.QueryEscape(r.URL.RequestURI())+"&host="+url.QueryEscape(host),
 			http.StatusSeeOther)
-		return
-	}
-	if shed, ok := admission.IsShed(err); ok {
-		p.shedError(w, r, shed, err)
 		return
 	}
 	serverError(w, r, http.StatusBadGateway, "origin unavailable", err)

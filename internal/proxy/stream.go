@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 
-	"msite/internal/admission"
 	"msite/internal/fetch"
 	"msite/internal/obs"
 )
@@ -30,12 +29,8 @@ func flushNow(w http.ResponseWriter) {
 // streamAbort degrades a streamed entry whose adaptation failed after
 // the 200 and head were already on the wire: the document is closed
 // in-band with a human-usable message (and an auth link for origin
-// challenges) instead of a broken status. An admission shed is still
-// counted as one.
+// challenges) instead of a broken status.
 func (p *Proxy) streamAbort(w http.ResponseWriter, r *http.Request, err error) {
-	if shed, ok := admission.IsShed(err); ok {
-		p.noteShed(r, shed.Reason)
-	}
 	obs.TraceFrom(r.Context()).Annotate("error", err.Error())
 	obs.TraceFrom(r.Context()).Annotate("degraded_stream_entry", err.Error())
 	p.degrade("stream_entry")

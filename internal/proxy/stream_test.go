@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"msite/internal/admission"
 	"msite/internal/attr"
 	"msite/internal/cache"
 	"msite/internal/origin"
@@ -415,83 +414,45 @@ func TestStatusRecorderPreservesFlusher(t *testing.T) {
 }
 
 // TestEntryFailuresAroundTheHeadFlush pins where the head flush sits in
-// the one entry handler. A pipeline shed and an origin failure both come
-// after it, so a buffered entry still gets the status while a streamed
-// one — its 200 already on the wire — has its document closed in-band.
+// the one entry handler. An origin failure comes after it, so a buffered
+// entry still gets the status while a streamed one — its 200 already on
+// the wire — has its document closed in-band.
 func TestEntryFailuresAroundTheHeadFlush(t *testing.T) {
-	cases := []struct {
-		name string
-		// limited gives the rig a one-slot, queueless Limiter.
-		limited bool
-		// arrange breaks the rig; the entry is requested after it.
-		arrange    func(t *testing.T, rig *streamRig, adm *admission.Limiter)
-		status     int
-		retryAfter bool
-	}{
-		{
-			name: "queue-full", limited: true,
-			arrange: func(t *testing.T, _ *streamRig, adm *admission.Limiter) {
-				release, err := adm.Acquire(context.Background()) // the only slot
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(release)
-			},
-			status: http.StatusServiceUnavailable, retryAfter: true,
-		},
-		{
-			name:    "origin-down",
-			arrange: func(_ *testing.T, rig *streamRig, _ *admission.Limiter) { rig.origin.Close() },
-			status:  http.StatusBadGateway,
-		},
-	}
-	for _, tc := range cases {
-		for _, stream := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/stream=%v", tc.name, stream), func(t *testing.T) {
-				var adm *admission.Limiter
-				if tc.limited {
-					var err error
-					if adm, err = admission.NewLimiter(admission.LimiterConfig{MaxConcurrent: 1, QueueLen: -1}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rig := newStreamRig(t, Config{Stream: stream, Admission: adm}, nil)
-				tc.arrange(t, rig, adm)
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("origin-down/stream=%v", stream), func(t *testing.T) {
+			rig := newStreamRig(t, Config{Stream: stream}, nil)
+			rig.origin.Close()
 
-				resp, err := http.Get(rig.proxy.URL + "/") // a new device
-				if err != nil {
-					t.Fatal(err)
+			resp, err := http.Get(rig.proxy.URL + "/") // a new device
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			page := string(body)
+			if stream {
+				if resp.StatusCode != http.StatusOK || !strings.HasPrefix(page, "<!DOCTYPE html>") ||
+					!strings.HasSuffix(page, "</map><p>origin unavailable; retry shortly</p></body></html>") {
+					t.Fatalf("streamed entry not closed in-band: %d %s", resp.StatusCode, page)
 				}
-				body, err := io.ReadAll(resp.Body)
-				_ = resp.Body.Close()
-				if err != nil {
-					t.Fatal(err)
+				if strings.Contains(page, "<area") || strings.Contains(page, attr.ATFMarker) {
+					t.Fatalf("aborted entry carries map content: %s", page)
 				}
-				page := string(body)
-				if stream {
-					if resp.StatusCode != http.StatusOK || !strings.HasPrefix(page, "<!DOCTYPE html>") ||
-						!strings.HasSuffix(page, "</map><p>origin unavailable; retry shortly</p></body></html>") {
-						t.Fatalf("streamed entry not closed in-band: %d %s", resp.StatusCode, page)
-					}
-					if strings.Contains(page, "<area") || strings.Contains(page, attr.ATFMarker) {
-						t.Fatalf("aborted entry carries map content: %s", page)
-					}
-					snap := rig.p.Obs().Snapshot()
-					if got := counterValue(snap, "msite_proxy_degraded_total", "stage", "stream_entry"); got != 1 {
-						t.Errorf("degraded_total{stage=stream_entry} = %v, want 1", got)
-					}
-					return
+				snap := rig.p.Obs().Snapshot()
+				if got := counterValue(snap, "msite_proxy_degraded_total", "stage", "stream_entry"); got != 1 {
+					t.Errorf("degraded_total{stage=stream_entry} = %v, want 1", got)
 				}
-				if resp.StatusCode != tc.status {
-					t.Fatalf("status = %d, want %d; body %.80s", resp.StatusCode, tc.status, page)
-				}
-				if tc.retryAfter {
-					assertRetryAfter(t, resp)
-				}
-				if strings.Contains(page, "<html") {
-					t.Fatalf("an error status carries a document: %.120s", page)
-				}
-			})
-		}
+				return
+			}
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("status = %d, want 502; body %.80s", resp.StatusCode, page)
+			}
+			if strings.Contains(page, "<html") {
+				t.Fatalf("an error status carries a document: %.120s", page)
+			}
+		})
 	}
 }
