@@ -50,7 +50,6 @@ func run() error {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "render cache byte budget, LRU-evicted past it (0 = unbounded)")
 	fetchTimeout := flag.Duration("fetch-timeout", 30*time.Second, "per-request origin deadline")
 	storeDir := flag.String("store-dir", "", "durable render store directory; restarts rehydrate adapted content from it (empty = no persistence)")
-	stream := flag.Bool("stream", false, "flush-early entry serving: send the overlay head before the origin fetch and render the snapshot in the background")
 	repairRules := flag.String("repair-rules", "", "mobile-repair rules run over every adapted page post-attr: comma-separated rule names or \"all\" (empty = off)")
 	parityCheck := flag.Bool("parity-check", false, "validate content parity of origin vs adapted closure on every build (score via /metrics and /debug/parity)")
 	parityMinScore := flag.Float64("parity-min-score", 0, "fail builds whose parity score drops below this, in [0, 1]; above 0 it implies -parity-check (0 = report only)")
@@ -71,8 +70,6 @@ func run() error {
 		FetchTimeout:  *fetchTimeout,
 
 		StoreDir: *storeDir,
-
-		Stream: *stream,
 
 		RepairRules:    *repairRules,
 		ParityCheck:    *parityCheck,

@@ -131,13 +131,11 @@ var subsystemDocs = []struct {
 	},
 	{
 		doc:      "PERFORMANCE.md",
-		flags:    []string{"-cache-max-bytes", "-stream"},
+		flags:    []string{"-cache-max-bytes"},
 		inReadme: true,
-		metrics:  []string{"msite_proxy_ttfb_seconds", "msite_proxy_atf_seconds"},
+		metrics:  []string{"msite_proxy_atf_seconds"},
 		topics:   []string{"byte-identical"},
-		tests: []string{
-			"TestStreamEntryHeadFlushedBeforeOrigin", "TestStreamSnapshotByteIdenticalToBuffered",
-		},
+		tests:    []string{"TestBufferedOverlayMatchesGolden"},
 	},
 	{
 		// Flags, metrics, the debug endpoint, and the rule catalog.
@@ -279,7 +277,7 @@ func configFields(t *testing.T, path string) []string {
 	for _, m := range field.FindAllStringSubmatch(body, -1) {
 		names = append(names, strings.Split(m[1], ", ")...)
 	}
-	if len(names) < 10 {
+	if len(names) < 5 {
 		t.Fatalf("%s: field extraction found only %d fields (%v) — regexp out of date?", path, len(names), names)
 	}
 	return names
@@ -346,7 +344,7 @@ func TestDocsNameOnlyLiveKnobs(t *testing.T) {
 			t.Fatalf("read %s: %v", table.path, err)
 		}
 		rows := table.row.FindAllStringSubmatch(string(data), -1)
-		if len(rows) < 10 {
+		if len(rows) < 5 {
 			t.Fatalf("%s: found only %d %s rows — regexp out of date?", table.path, len(rows), table.what)
 		}
 		for _, m := range rows {
@@ -368,9 +366,9 @@ func TestKnobCeiling(t *testing.T) {
 		knob           string
 		count, ceiling int
 	}{
-		{"`core.Config` fields", len(coreConfigFields(t)), 10},
-		{"`msite-proxy` flags", len(proxyFlagNames(t)), 14},
-		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 13},
+		{"`core.Config` fields", len(coreConfigFields(t)), 9},
+		{"`msite-proxy` flags", len(proxyFlagNames(t)), 13},
+		{"`proxy.Config` fields", len(configFields(t, "internal/proxy/proxy.go")), 12},
 	} {
 		t.Logf("| %s | %d | %d |", k.knob, k.count, k.ceiling)
 		if k.count > k.ceiling {

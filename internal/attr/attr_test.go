@@ -525,46 +525,10 @@ func TestApplyRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-// bufferedOverlay is the entry page as a buffered serve sends it: the
-// fragments in one piece, every area above the fold.
-func bufferedOverlay(a *Applier, ov Overlay, subpages []*Subpage) string {
-	return string(a.BuildOverlayStream(ov, subpages, -1).Page())
-}
-
-func TestBuildOverlayBuffered(t *testing.T) {
-	a := &Applier{}
-	subpages := []*Subpage{
-		{Name: "login", Title: "Log in", Region: Region{X: 100, Y: 200, W: 400, H: 80}},
-		{Name: "nav", Title: "Nav", Region: Region{X: 0, Y: 100, W: 1000, H: 40}, AJAX: true},
-		{Name: "nested", Title: "Nested", Region: Region{X: 1, Y: 1, W: 5, H: 5}, Parent: "login"},
-		{Name: "invisible", Title: "None"},
-	}
-	out := bufferedOverlay(a, Overlay{
-		SnapshotURL: "/asset/snapshot.jpg", Width: 460, Height: 1350,
-		Scale: 0.45, Title: "m.Forum",
-	}, subpages)
-	if !strings.Contains(out, `usemap="#msite-map"`) {
-		t.Fatal("no usemap")
-	}
-	// 100*0.45=45, 200*0.45=90, 500*0.45=225, 280*0.45=126
-	if !strings.Contains(out, `coords="45,90,225,126"`) {
-		t.Fatalf("scaled coords wrong: %s", out)
-	}
-	if strings.Count(out, "<area") != 2 {
-		t.Fatalf("area count: %s", out)
-	}
-	if !strings.Contains(out, "msiteLoad('/subpage/nav')") {
-		t.Fatal("ajax area not wired")
-	}
-	if !strings.Contains(out, "function msiteLoad") {
-		t.Fatal("runtime missing")
-	}
-}
-
 func TestOverlayNoAJAXOmitsRuntime(t *testing.T) {
 	a := &Applier{}
-	out := bufferedOverlay(a, Overlay{SnapshotURL: "/s.jpg", Width: 10, Height: 10, Scale: 1},
-		[]*Subpage{{Name: "x", Region: Region{X: 0, Y: 0, W: 5, H: 5}}})
+	out := string(a.BuildOverlay(Overlay{SnapshotURL: "/s.jpg", Width: 10, Height: 10, Scale: 1},
+		[]*Subpage{{Name: "x", Region: Region{X: 0, Y: 0, W: 5, H: 5}}}))
 	if strings.Contains(out, "msiteLoad") {
 		t.Fatal("runtime should be omitted without ajax areas")
 	}
@@ -630,8 +594,8 @@ func TestCustomURLFuncs(t *testing.T) {
 	if !strings.Contains(string(SerializeSubpage(sub)), "/u/abc/images/forums.png") {
 		t.Fatal("asset URL func ignored")
 	}
-	out := bufferedOverlay(a, Overlay{SnapshotURL: "/s", Width: 1, Height: 1, Scale: 1},
-		[]*Subpage{{Name: "forums", Region: Region{X: 0, Y: 0, W: 1, H: 1}}})
+	out := string(a.BuildOverlay(Overlay{SnapshotURL: "/s", Width: 1, Height: 1, Scale: 1},
+		[]*Subpage{{Name: "forums", Region: Region{X: 0, Y: 0, W: 1, H: 1}}}))
 	if !strings.Contains(out, "/u/abc/pages/forums") {
 		t.Fatal("subpage URL func ignored")
 	}

@@ -50,10 +50,6 @@ type Config struct {
 	// restarted framework serves them without re-running the pipeline.
 	// Empty disables persistence.
 	StoreDir string
-	// Stream enables flush-early entry serving (the -stream knob): the
-	// overlay head is flushed before the origin fetch begins and the
-	// snapshot renders in the background.
-	Stream bool
 	// RepairRules selects the mobile-repair rules run over every adapted
 	// document and subpage after the attribute phase (the -repair-rules
 	// knob): a comma-separated list of internal/quality rule names, or
@@ -204,7 +200,6 @@ func wire(cfg Config, mount func(proxy.Config) (http.Handler, []*proxy.Proxy, er
 		Obs:            reg,
 		Logger:         cfg.Logger,
 		PersistBundles: st != nil,
-		Stream:         cfg.Stream,
 		RepairRules:    cfg.RepairRules,
 		ParityCheck:    cfg.ParityCheck,
 		ParityMinScore: cfg.ParityMinScore,
@@ -275,13 +270,6 @@ func (in *instance) ProxyStats() proxy.Stats {
 
 // Obs exposes the shared metric/trace registry.
 func (in *instance) Obs() *obs.Registry { return in.obs }
-
-// MetricsHandler serves the registry at /metrics (Prometheus text or
-// JSON, content-negotiated).
-func (in *instance) MetricsHandler() http.Handler { return obs.Handler(in.obs) }
-
-// TracesHandler serves recent request traces at /debug/traces.
-func (in *instance) TracesHandler() http.Handler { return obs.TracesHandler(in.obs) }
 
 // HandlerWithMetrics mounts the proxy plus the observability surface on
 // one handler; the longer mux patterns win over the proxy's catch-all.

@@ -490,27 +490,6 @@ func TestErrorBodiesAreGeneric(t *testing.T) {
 	}
 }
 
-// TestStatusRecorderForwardsFlusher is the regression test for the
-// recorder hiding http.Flusher from streaming handlers.
-func TestStatusRecorderForwardsFlusher(t *testing.T) {
-	rr := httptest.NewRecorder()
-	rec := &statusRecorder{ResponseWriter: rr, status: http.StatusOK}
-
-	var w http.ResponseWriter = rec
-	f, ok := w.(http.Flusher)
-	if !ok {
-		t.Fatal("statusRecorder does not expose http.Flusher")
-	}
-	f.Flush()
-	if !rr.Flushed {
-		t.Error("Flush did not reach the underlying writer")
-	}
-
-	// A bare writer without Flush support must not panic.
-	bare := &statusRecorder{ResponseWriter: bareWriter{httptest.NewRecorder()}}
-	bare.Flush()
-}
-
 // bareWriter hides the optional interfaces of its embedded recorder.
 type bareWriter struct{ *httptest.ResponseRecorder }
 

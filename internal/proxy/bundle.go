@@ -99,27 +99,25 @@ type Bundle struct {
 	overlay atomic.Pointer[builtOverlay]
 }
 
-// builtOverlay is a Bundle's entry overlay for one snapshot geometry and
-// fold.
+// builtOverlay is a Bundle's entry overlay for one snapshot geometry.
 type builtOverlay struct {
-	width, height, atf int
-	page               attr.OverlayStream
+	width, height int
+	page          []byte
 }
 
 // entryOverlay returns b's entry overlay for a snapshot of the given
-// geometry, its areas split at atf (see attr.BuildOverlayStream). The
-// rest of the page is the proxy's own, so the Bundle keeps the last one
-// built and serves it while the geometry and the fold hold. The geometry
-// is part of the key, not implied by the Bundle: the shared snapshot may
-// have been rendered from another Bundle, and may be re-rendered at
-// another height while this one is still served.
-func (p *Proxy) entryOverlay(b *Bundle, width, height, atf int) attr.OverlayStream {
-	if o := b.overlay.Load(); o != nil && o.width == width && o.height == height && o.atf == atf {
+// geometry. The rest of the page is the proxy's own, so the Bundle keeps
+// the last one built and serves it while the geometry holds. The
+// geometry is part of the key, not implied by the Bundle: the shared
+// snapshot may have been rendered from another Bundle, and may be
+// re-rendered at another height while this one is still served.
+func (p *Proxy) entryOverlay(b *Bundle, width, height int) []byte {
+	if o := b.overlay.Load(); o != nil && o.width == width && o.height == height {
 		return o.page
 	}
 	ov := p.overlay
 	ov.Width, ov.Height = width, height
-	o := &builtOverlay{width: width, height: height, atf: atf, page: p.build.applier.BuildOverlayStream(ov, b.areas, atf)}
+	o := &builtOverlay{width: width, height: height, page: p.build.applier.BuildOverlay(ov, b.areas)}
 	b.overlay.Store(o)
 	return o.page
 }

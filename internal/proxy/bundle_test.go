@@ -150,11 +150,8 @@ func regularFiles(t *testing.T, root string) []string {
 // entry mode; and a bare build — the build function alone, with no
 // Proxy, session manager or cache — makes those very pages and assets. On the way it checks that serving touches no session
 // directory: none holds a file after a full view, and warm views still
-// succeed once the directories are gone. Across modes, the buffered entry
-// is pinned to a golden file captured before the overlay had one builder,
-// and the streamed entry is the buffered one but for what streaming
-// changes: no geometry in the head, the ATF marker, above-the-fold areas
-// first.
+// succeed once the directories are gone. The buffered entry is pinned to
+// a golden file captured before the overlay had one builder.
 func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -162,7 +159,6 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 		minimal bool // the spec's minimal_markup
 	}{
 		{"buffered", Config{}, false},
-		{"streaming", Config{Stream: true}, false},
 		{"minimal", Config{}, true},
 	}
 	entries := make(map[string]string)
@@ -170,8 +166,6 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			rig := newPersistRigSpec(t, mode.cfg, func(sp *spec.Spec) { sp.MinimalMarkup = mode.minimal })
 			first := newDevice(t)
-			// Read the first entry to its end: a streamed one answers
-			// before the build has run.
 			resp, err := first.Get(rig.proxy.URL + "/")
 			if err != nil {
 				t.Fatal(err)
@@ -244,9 +238,6 @@ func TestBundleServesIdenticallyFromEveryOrigin(t *testing.T) {
 	if entries["buffered"] != string(golden) {
 		t.Errorf("buffered entry moved from the golden file:\n got %s\nwant %s", entries["buffered"], golden)
 	}
-	if got, want := normalizeOverlay(entries["streaming"]), normalizeOverlay(entries["buffered"]); got != want {
-		t.Errorf("streamed entry is not the buffered one rearranged:\n got %s\nwant %s", got, want)
-	}
 }
 
 // bareBuildServes builds the rig's spec with a fresh anonymous fetcher
@@ -293,24 +284,6 @@ func bareBuildServes(t *testing.T, rig *persistRig, served map[string]served, su
 		}
 		check("/asset/"+url.PathEscape(name), snap.Data)
 	}
-}
-
-var (
-	snapGeometryRE = regexp.MustCompile(` width="\d+" height="\d+"`)
-	areaRE         = regexp.MustCompile(`<area [^>]*>`)
-)
-
-// normalizeOverlay removes from an overlay page what legitimately differs
-// between a buffered and a streamed serve of one Bundle: the snapshot's
-// geometry (unknown when a streamed head is flushed), the ATF marker, and
-// the order of the image map's areas.
-func normalizeOverlay(page string) string {
-	page = snapGeometryRE.ReplaceAllString(page, "")
-	page = strings.Replace(page, attr.ATFMarker, "", 1)
-	areas := areaRE.FindAllString(page, -1)
-	sort.Strings(areas)
-	i := 0
-	return areaRE.ReplaceAllStringFunc(page, func(string) string { i++; return areas[i-1] })
 }
 
 // sharedBundle returns the proxy's decoded-bundle memo and the encoded
@@ -546,19 +519,11 @@ func TestPersonalizedBundlesStayPrivate(t *testing.T) {
 	// The same holds for what is rendered from a Bundle: the cross-session
 	// snapshot is only ever a picture of the anonymous page, and a
 	// logged-in session is shown its own page, whichever of the two
-	// arrives first and however the entry is served.
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"buffered", Config{}},
-		{"streaming", Config{Stream: true}},
-	} {
-		for _, loggedInFirst := range []bool{true, false} {
-			t.Run(fmt.Sprintf("snapshot/%s/loggedInFirst=%v", mode.name, loggedInFirst), func(t *testing.T) {
-				testPersonalizedSnapshotStaysPrivate(t, mode.cfg, loggedInFirst)
-			})
-		}
+	// arrives first.
+	for _, loggedInFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("snapshot/buffered/loggedInFirst=%v", loggedInFirst), func(t *testing.T) {
+			testPersonalizedSnapshotStaysPrivate(t, loggedInFirst)
+		})
 	}
 }
 
@@ -677,9 +642,9 @@ func testSnapshotRenderedOncePerBundle(t *testing.T, shared, loggedIn bool) {
 	}
 }
 
-func testPersonalizedSnapshotStaysPrivate(t *testing.T, cfg Config, loggedInFirst bool) {
+func testPersonalizedSnapshotStaysPrivate(t *testing.T, loggedInFirst bool) {
 	// An origin whose entry page greets a logged-in member above the fold.
-	rig := newStreamRig(t, cfg, func(h http.Handler) http.Handler {
+	rig := newEntryRig(t, Config{}, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ck, err := r.Cookie("bbuserid")
 			if r.URL.Path != "/" || err != nil {

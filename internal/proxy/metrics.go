@@ -63,7 +63,7 @@ func kindOf(path string) handlerKind {
 type metrics struct {
 	kinds [numKinds]kindMetrics
 	// atf* time the entry's above-the-fold content by serving mode.
-	atfBuffered, atfStreaming, atfMinimal *obs.Histogram
+	atfBuffered, atfMinimal *obs.Histogram
 
 	adaptations, snapshotRenders, snapshotHits *obs.Counter
 	bundleReuses, staleServed, coalesced       *obs.Counter
@@ -72,13 +72,12 @@ type metrics struct {
 // kindMetrics are one handler kind's request instruments.
 type kindMetrics struct {
 	requests, errors *obs.Counter
-	latency, ttfb    *obs.Histogram
+	latency          *obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry, site string) *metrics {
 	m := &metrics{
 		atfBuffered:     reg.Histogram("msite_proxy_atf_seconds", "site", site, "mode", "buffered"),
-		atfStreaming:    reg.Histogram("msite_proxy_atf_seconds", "site", site, "mode", "streaming"),
 		atfMinimal:      reg.Histogram("msite_proxy_atf_seconds", "site", site, "mode", "minimal"),
 		adaptations:     reg.Counter("msite_proxy_adaptations_total", "site", site),
 		snapshotRenders: reg.Counter("msite_proxy_snapshot_renders_total", "site", site),
@@ -92,7 +91,6 @@ func newMetrics(reg *obs.Registry, site string) *metrics {
 			requests: reg.Counter("msite_proxy_requests_total", "handler", name, "site", site),
 			errors:   reg.Counter("msite_proxy_errors_total", "handler", name, "site", site),
 			latency:  reg.Histogram("msite_http_request_seconds", "handler", name),
-			ttfb:     reg.Histogram("msite_proxy_ttfb_seconds", "handler", name),
 		}
 	}
 	return m

@@ -65,12 +65,6 @@ type Config struct {
 	// of re-running the pipeline. Off by default; core enables it when a
 	// store is configured.
 	PersistBundles bool
-	// Stream enables flush-early entry serving: the overlay head is
-	// written and flushed before the origin fetch begins, above-the-fold
-	// image-map areas follow as soon as the attribute phase has regions,
-	// and the snapshot renders on a background goroutine the asset
-	// handler waits on. Off, the entry buffers as before.
-	Stream bool
 	// RepairRules selects mobile-repair rules (internal/quality) to run
 	// over every adapted document and subpage after the attribute
 	// phase: a comma-separated rule list, or "all". Empty disables the
@@ -86,11 +80,6 @@ type Config struct {
 	// adaptation). It must lie in [0, 1].
 	ParityMinScore float64
 }
-
-// DefaultATFHeight is the above-the-fold boundary (in scaled snapshot
-// pixels) of a streamed entry's fragment split — a typical small-screen
-// viewport height.
-const DefaultATFHeight = 480
 
 // DefaultBundleTTL is a persisted bundle's lifetime. A spec change
 // rotates the bundle key, so the TTL only has to cover origin-content
@@ -134,9 +123,6 @@ type Proxy struct {
 	// overlay is the entry overlay as this proxy builds every one: all of
 	// it but the snapshot's geometry, which a render decides.
 	overlay attr.Overlay
-	// streamHead is a streamed entry's head, flushed before the
-	// adaptation starts; it references only static URLs.
-	streamHead []byte
 	// bundleKey is the durable-bundle cache key for this proxy's
 	// (site, spec hash, device class, fidelity); empty when
 	// PersistBundles is off.
@@ -182,11 +168,6 @@ type sessionView struct {
 	// needs it and kept for the view's life, which is its Bundle's.
 	ownMu sync.Mutex
 	own   *cache.Entry
-
-	// render is the background snapshot render of a streamed entry; the
-	// asset handler waits on it.
-	mu     sync.Mutex
-	render *snapState
 }
 
 // attach points a session at a view of a Bundle, or detaches it when v
@@ -275,7 +256,6 @@ func New(cfg Config) (*Proxy, error) {
 		Scale:       snapshotScale(cfg.Spec),
 		Title:       cfg.Spec.Name,
 	}
-	p.streamHead = p.build.applier.BuildOverlayStream(p.overlay, nil, DefaultATFHeight).Head
 	return p, nil
 }
 
@@ -304,56 +284,22 @@ func (p *Proxy) Stats() Stats {
 func (p *Proxy) Obs() *obs.Registry { return p.obs }
 
 // statusRecorder captures the response status for metrics and logging.
-// It forwards the optional ResponseWriter interfaces the stdlib sniffs
-// for: Flush (streaming handlers stall behind a recorder that hides
-// http.Flusher) and ReadFrom (the sendfile fast path io.Copy probes
-// for).
+// It forwards ReadFrom, the sendfile fast path io.Copy probes for.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
-	// firstByte is when the response first became visible to the client
-	// (first body write, explicit header commit, or flush) — the
-	// server-side TTFB mark the streaming histograms observe.
-	firstByte time.Time
-}
-
-// markFirstByte stamps the first moment response bytes leave the
-// handler; later calls are no-ops.
-func (r *statusRecorder) markFirstByte() {
-	if r.firstByte.IsZero() {
-		r.firstByte = time.Now()
-	}
 }
 
 // WriteHeader implements http.ResponseWriter.
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
-	r.markFirstByte()
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// Write implements io.Writer, stamping TTFB on the first body write.
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	r.markFirstByte()
-	return r.ResponseWriter.Write(b)
-}
-
-// Flush implements http.Flusher when the underlying writer does;
-// otherwise it is a no-op rather than a panic. The streaming entry
-// path depends on this passthrough: a recorder that hid Flusher would
-// buffer the early-flushed head until the handler returned.
-func (r *statusRecorder) Flush() {
-	r.markFirstByte()
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // ReadFrom preserves the underlying writer's io.ReaderFrom fast path
 // (sendfile on *http.response); without it io.Copy falls back to the
 // buffered loop for every recorder-wrapped response.
 func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
-	r.markFirstByte()
 	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
 		return rf.ReadFrom(src)
 	}
@@ -375,8 +321,6 @@ type request struct {
 // (the trace lands in the obs ring buffer for /debug/traces), timed into
 // a per-handler latency histogram, and optionally logged.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	reqStart := time.Now()
-
 	path := r.URL.Path
 	if p.prefix != "" {
 		if !strings.HasPrefix(path, p.prefix) {
@@ -424,9 +368,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	d := tr.End()
 	km.latency.ObserveDuration(d)
-	if !rec.firstByte.IsZero() {
-		km.ttfb.ObserveDuration(rec.firstByte.Sub(reqStart))
-	}
 	if rec.status >= 500 {
 		km.errors.Inc()
 	}
@@ -550,41 +491,25 @@ func writeBody(w http.ResponseWriter, a *artifact) {
 }
 
 // handleEntry serves the entry page (§4.3) on its one path: resolve the
-// session, decide the page — the MAML-style minimal page, the adapted
-// main document when the spec has no snapshot or its render failed, else
-// the snapshot overlay — adapt, write. With Stream, the overlay's head,
-// which needs nothing from the origin, is on the wire before the
-// adaptation starts, so perceived latency tracks the first flush and not
-// the pipeline (DRIVESHAFT's argument). A failure after the head closes
-// the committed document in-band.
+// session, adapt, decide the page — the MAML-style minimal page, the
+// adapted main document when the spec has no snapshot or its render
+// failed, else the snapshot overlay — and write it in one piece. The
+// snapshot renders on this request's own context, so the page never
+// references an image its asset handler cannot serve yet.
 func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sess, ok := p.ensureSession(w, r)
 	if !ok {
 		return
 	}
-	minimal := p.cfg.Spec.MinimalMarkup
-	overlay := p.cfg.Spec.Snapshot.Enabled && !minimal
-	stream := p.cfg.Stream && overlay
-	if stream {
-		w.Header()["Content-Type"] = htmlType
-		_, _ = w.Write(p.streamHead)
-		flushNow(w)
-		obs.TraceFrom(r.Context()).Annotate("stream", "head_flushed")
-	}
-
 	v, err := p.ensureAdaptation(r.Context(), sess, queryParam(r, "refresh") == "1")
 	if err != nil {
-		if stream {
-			p.streamAbort(w, r, err)
-		} else {
-			p.fetchError(w, r, err)
-		}
+		p.fetchError(w, r, err)
 		return
 	}
 	main := v.bundle.pages[mainPage]
 	switch {
-	case minimal:
+	case p.cfg.Spec.MinimalMarkup:
 		// The compact layout-only page, no snapshot work at all. Older
 		// persisted bundles predate minimal.html; degrade to the adapted
 		// main page if it is missing.
@@ -594,21 +519,8 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		}
 		servePage(w, page)
 		p.metrics.atfMinimal.ObserveDuration(time.Since(start))
-	case !overlay:
+	case !p.cfg.Spec.Snapshot.Enabled:
 		servePage(w, main)
-	case stream:
-		// The render starts now, in the background, overlapping with the
-		// client receiving and parsing the map; the asset handler waits
-		// on it.
-		p.ensureSnapshotAsync(v)
-		// The head went out before the render: no geometry.
-		frags := p.entryOverlay(v.bundle, 0, 0, DefaultATFHeight)
-		_, _ = w.Write(frags.ATF)
-		_, _ = io.WriteString(w, attr.ATFMarker)
-		flushNow(w)
-		p.metrics.atfStreaming.ObserveDuration(time.Since(start))
-		_, _ = w.Write(frags.BTF)
-		_, _ = w.Write(frags.Tail)
 	default:
 		width, height, err := p.snapshot(r.Context(), v)
 		if err != nil {
@@ -619,10 +531,8 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 			servePage(w, main)
 			return
 		}
-		// Buffered serving completes everything at once: the whole page
-		// is the above-the-fold content.
 		w.Header()["Content-Type"] = htmlType
-		_, _ = w.Write(p.entryOverlay(v.bundle, width, height, -1).Page())
+		_, _ = w.Write(p.entryOverlay(v.bundle, width, height))
 		p.metrics.atfBuffered.ObserveDuration(time.Since(start))
 	}
 }
@@ -663,9 +573,15 @@ func (p *Proxy) handleAsset(w http.ResponseWriter, r *http.Request, rawName stri
 	p.mu.Lock()
 	v := p.adapted[sess.ID]
 	p.mu.Unlock()
+	// An asset is the snapshot the session was shown, else one of its
+	// Bundle's images.
 	var a *artifact
-	if v != nil {
-		a = p.sessionAsset(r, v, name)
+	switch {
+	case v == nil:
+	case name == p.snapName:
+		a = v.snapshot.Load()
+	default:
+		a = v.bundle.assets[name]
 	}
 	if a == nil {
 		notFound(w)
