@@ -101,7 +101,7 @@ func run() error {
 	}
 	fmt.Println("\n== pre-rendered forums subpage ==")
 	fmt.Printf("served as single graphic:    %v\n", strings.Contains(forums, "/asset/forums.png"))
-	fmt.Printf("search index shipped:        %v\n", strings.Contains(forums, "msiteSearchIndex"))
+	fmt.Printf("search index shipped:        %v\n", strings.Contains(forums, "msiteSearchWords"))
 	fmt.Printf("binary search function:      %v\n", strings.Contains(forums, "function msiteSearch"))
 
 	// --- AJAX nav loading (§4.3 asynchronous subpage) ---

@@ -350,7 +350,7 @@ func TestSearchableSubpage(t *testing.T) {
 	}
 	res := apply(t, sp, forumPage)
 	sub, _ := res.FindSubpage("forums")
-	if !strings.Contains(sub.SearchJS, "msiteSearchIndex") {
+	if !strings.Contains(sub.SearchJS, "msiteSearchWords") {
 		t.Fatal("no search payload")
 	}
 	if !strings.Contains(sub.SearchJS, `"woodworking"`) {

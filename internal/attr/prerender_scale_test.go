@@ -62,9 +62,10 @@ const (
 	// The palette PNG of Paint(res).
 	goldenForumsPNG = "38285:7368cf4c9fca1b3183c3c2dcd6b82cc6186d6aefc52e0440981110c1e0a2d55d"
 	// The page around the unscaled image: captured when the search index
-	// went to one entry per word, again when its <img> went .png, and again
-	// when a word's hits went to one string of deltas.
-	goldenForumsHTML = "7130:42512762a25a1c13abf79123eaaa8d483b1e7ae8d919fe8613c8ad38b2b422b4"
+	// went to one entry per word, again when its <img> went .png, again
+	// when a word's hits went to one string of deltas, and again when the
+	// index named each row of text once.
+	goldenForumsHTML = "5891:ccf9a01a893a902df5ccea7ba4fd914473d077b5de7f17f49f00ea82d7e7bd38"
 	goldenThumbJPEG  = "1576:ecd15929f88c64d7f567d1e5ec7945b7675610e0f5476a7f41dad2d6f3181d18"
 )
 

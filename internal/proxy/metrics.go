@@ -62,8 +62,9 @@ func kindOf(path string) handlerKind {
 // New on.
 type metrics struct {
 	kinds [numKinds]kindMetrics
-	// atf* time the entry's above-the-fold content by serving mode.
-	atfBuffered, atfMinimal *obs.Histogram
+	// atfMinimal times the MAML-style entry; a graphical entry's time is
+	// its msite_http_request_seconds{handler="entry"}.
+	atfMinimal *obs.Histogram
 
 	adaptations, snapshotRenders, snapshotHits *obs.Counter
 	bundleReuses, staleServed, coalesced       *obs.Counter
@@ -77,7 +78,6 @@ type kindMetrics struct {
 
 func newMetrics(reg *obs.Registry, site string) *metrics {
 	m := &metrics{
-		atfBuffered:     reg.Histogram("msite_proxy_atf_seconds", "site", site, "mode", "buffered"),
 		atfMinimal:      reg.Histogram("msite_proxy_atf_seconds", "site", site, "mode", "minimal"),
 		adaptations:     reg.Counter("msite_proxy_adaptations_total", "site", site),
 		snapshotRenders: reg.Counter("msite_proxy_snapshot_renders_total", "site", site),

@@ -533,7 +533,6 @@ func (p *Proxy) handleEntry(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header()["Content-Type"] = htmlType
 		_, _ = w.Write(p.entryOverlay(v.bundle, width, height))
-		p.metrics.atfBuffered.ObserveDuration(time.Since(start))
 	}
 }
 

@@ -1,14 +1,16 @@
 // Package search implements the searchable-snapshot attribute (§3.3
 // "Search"): a sorted word index built on the server from the rendered
 // page text, with the pixel location of each word, shipped to the device
-// as a JavaScript array plus a binary-search function. It is what lets a
+// as JavaScript strings plus a binary-search function. It is what lets a
 // pre-rendered image be searched.
 package search
 
 import (
+	"cmp"
 	"encoding/json"
 	"iter"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,60 +177,94 @@ func (idx *Index) Scale(factor float64) *Index {
 	return out
 }
 
-// JS emits the client payload: the ordered index array, the device
-// runtime, and a trigger hookup for the element the site administrator
-// designated (§3.3: "the site administrator must define an HTML element
-// (button or link) to make the initial Javascript call"). The array is flat,
-// two slots per distinct word: ["word","<hits>","word","<hits>",...], words
-// sorted. A word's hits are one string of Base64 VLQ numbers (the source-map
-// encoding), four per hit in index order: its x, y, w and h less those of
-// the word's previous hit, the first hit's less zero. A page repeats its
-// words and its rows, so most deltas are a character or two.
+// JS emits the client payload: the index, the device runtime, and a
+// trigger hookup for the element the site administrator designated (§3.3:
+// "the site administrator must define an HTML element (button or link) to
+// make the initial Javascript call"). The index is three variables:
 //
-// Every string is written as HTML-safe JSON: encoding/json escapes <, > and
-// &, so no word can close the <script> the payload ships in, and U+2028 and
-// U+2029, which older JavaScript does not allow in a string literal. A word
-// that is not valid UTF-8 ships with U+FFFD for its bad bytes.
+//   - msiteSearchWords, the distinct words, sorted, as a JSON array;
+//   - msiteSearchLines, the distinct (y, h) of the hits, sorted: a page's
+//     rows, each written once, as its y and h less those of the row before
+//     (the first row's less zero);
+//   - msiteSearchHits, the k-th word's hits as the k-th of comma-separated
+//     strings, in index order. A hit is its row's index less that of the
+//     word's previous hit, times two, plus one if its w is the previous
+//     hit's; then its x less the previous hit's; then, unless the flag is
+//     set, its w less the previous hit's. The first hit's are less zero.
+//
+// Every number is one Base64 VLQ (the source-map encoding). A page repeats
+// its rows, columns and widths: on the forum page a hit takes three or
+// four characters.
+//
+// Every word is written as HTML-safe JSON: encoding/json escapes <, > and
+// &, so no word can close the <script> the payload ships in, and U+2028
+// and U+2029, which older JavaScript does not allow in a string literal. A
+// word that is not valid UTF-8 ships with U+FFFD for its bad bytes. A VLQ
+// digit or a comma needs no escape.
 func (idx *Index) JS(triggerID string) string {
-	// Every word's hits are written into one string, which the words'
-	// entries slice: a first pass sizes it, so writing it takes one
-	// allocation, and ends[k] is where the k-th word's hits end.
+	lines := make([]line, len(idx.hits))
+	for i, h := range idx.hits {
+		lines[i] = line{h.Y, h.H}
+	}
+	slices.SortFunc(lines, compareLines)
+	lines = slices.Compact(lines)
 	var vlq [13]byte // the most digits appendVLQ writes
 	size, words := 0, 0
+	for d := range lineDeltas(lines) {
+		size += len(appendVLQ(vlq[:0], d))
+	}
 	for hits := range idx.words() {
-		for d := range deltas(hits) {
+		for d := range hitDeltas(hits, lines) {
 			size += len(appendVLQ(vlq[:0], d))
 		}
 		words++
 	}
-	var all strings.Builder
-	all.Grow(size)
-	ends := make([]int, 0, words)
+	list := make([]string, 0, words)
 	for hits := range idx.words() {
-		for d := range deltas(hits) {
-			all.Write(appendVLQ(vlq[:0], d))
-		}
-		ends = append(ends, all.Len())
+		list = append(list, hits[0].Word)
 	}
-	written := all.String()
-	entries := make([]string, 0, 2*words)
-	start := 0
-	for hits := range idx.words() {
-		end := ends[len(entries)/2]
-		entries = append(entries, hits[0].Word, written[start:end])
-		start = end
-	}
-	var b strings.Builder
-	b.WriteString("var msiteSearchIndex=")
-	b.Write(htmlSafeJSON(entries))
-	b.WriteString(";\n")
-	b.WriteString(searchRuntimeJS)
+	wordsJSON := htmlSafeJSON(list)
+	var trigger []byte
 	if triggerID != "" {
+		trigger = htmlSafeJSON(triggerID)
+	}
+	// The payload is sized before it is written, so writing it is one
+	// allocation; 96 bytes cover the names and punctuation around the parts.
+	var b strings.Builder
+	b.Grow(len(wordsJSON) + size + words + len(searchRuntimeJS) + len(trigger) + 96)
+	b.WriteString("var msiteSearchWords=")
+	b.Write(wordsJSON)
+	b.WriteString(`,msiteSearchLines="`)
+	for d := range lineDeltas(lines) {
+		b.Write(appendVLQ(vlq[:0], d))
+	}
+	b.WriteString(`",msiteSearchHits="`)
+	sep := ""
+	for hits := range idx.words() {
+		b.WriteString(sep)
+		sep = ","
+		for d := range hitDeltas(hits, lines) {
+			b.Write(appendVLQ(vlq[:0], d))
+		}
+	}
+	b.WriteString("\";\n")
+	b.WriteString(searchRuntimeJS)
+	if trigger != nil {
 		b.WriteString("msiteBindSearch(")
-		b.Write(htmlSafeJSON(triggerID))
+		b.Write(trigger)
 		b.WriteString(");\n")
 	}
 	return b.String()
+}
+
+// line is a row of text: the y and h its hits share.
+type line struct{ y, h int }
+
+func compareLines(a, b line) int {
+	if a.y != b.y {
+		return cmp.Compare(a.y, b.y)
+	}
+	return cmp.Compare(a.h, b.h)
 }
 
 // words yields the index's hits a word at a time.
@@ -247,19 +283,38 @@ func (idx *Index) words() iter.Seq[[]Hit] {
 	}
 }
 
-// deltas yields the numbers one word's hits are written as, four a hit:
-// its x, y, w and h less those of the hit before, the first hit's less
-// zero.
-func deltas(hits []Hit) iter.Seq[int] {
+// lineDeltas yields the numbers the line table is written as, two a line:
+// its y and h less those of the line before, the first line's less zero.
+func lineDeltas(lines []line) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		var prev line
+		for _, l := range lines {
+			if !yield(l.y-prev.y) || !yield(l.h-prev.h) {
+				return
+			}
+			prev = l
+		}
+	}
+}
+
+// hitDeltas yields the numbers one word's hits are written as, two or
+// three a hit: its line's index less that of the hit before, times two,
+// plus one if its w is the hit before's; its x less the hit before's; and,
+// for a new w, its w less the hit before's. The first hit's are less zero.
+func hitDeltas(hits []Hit, lines []line) iter.Seq[int] {
 	return func(yield func(int) bool) {
 		var prev Hit
+		at := 0 // the line of the hit before
 		for _, h := range hits {
-			for _, d := range [4]int{h.X - prev.X, h.Y - prev.Y, h.W - prev.W, h.H - prev.H} {
-				if !yield(d) {
-					return
-				}
+			n, _ := slices.BinarySearchFunc(lines, line{h.Y, h.H}, compareLines)
+			d, sameW := 2*(n-at), h.W == prev.W
+			if sameW {
+				d++
 			}
-			prev = h
+			if !yield(d) || !yield(h.X-prev.X) || !sameW && !yield(h.W-prev.W) {
+				return
+			}
+			prev, at = h, n
 		}
 	}
 }
@@ -289,12 +344,14 @@ func appendVLQ(b []byte, v int) []byte {
 }
 
 // searchRuntimeJS is the device-side runtime, one function a line.
-// msiteSearch normalises the query as Lookup does (lowercase, wordTrim cut
-// from both ends), binary-searches the even slots for it and decodes only
-// that word's hit string into [x,y,w,h] boxes; its arithmetic is exact to
-// 2^53. msiteHighlight outlines the first hit and scrolls to it;
-// msiteBindSearch makes the trigger element prompt for a word.
-const searchRuntimeJS = `function msiteSearch(q){q=q.toLowerCase().replace(/^[.,;:!?"'()[\]{}<>]+|[.,;:!?"'()[\]{}<>]+$/g,"");var a=msiteSearchIndex,l=0,h=a.length>>1,m,r=[];while(l<h){m=l+h>>1;if(a[2*m]<q)l=m+1;else h=m}if(a[2*l]!==q)return r;for(var s=a[2*l+1],b=[0,0,0,0],i=0,k=0,v,f,d;i<s.length;){v=0;f=1;do{d="` + vlqDigits + `".indexOf(s.charAt(i++));v+=(d&31)*f;f*=32}while(d&32);b[k]+=v%2?(1-v)/2:v/2;if(++k>3){r.push(b.slice());k=0}}return r}
+// msiteVLQ reads a string of Base64 VLQ numbers; its arithmetic is exact to
+// 2^53. msiteSearch normalises the query as Lookup does (lowercase,
+// wordTrim cut from both ends), binary-searches msiteSearchWords for it,
+// and decodes the line table and only that word's hit string into
+// [x,y,w,h] boxes. msiteHighlight outlines the first hit and scrolls to
+// it; msiteBindSearch makes the trigger element prompt for a word.
+const searchRuntimeJS = `function msiteVLQ(s){for(var r=[],i=0,v,f,d;i<s.length;r.push(v%2?(1-v)/2:v/2)){v=0;f=1;do{d="` + vlqDigits + `".indexOf(s.charAt(i++));v+=(d&31)*f;f*=32}while(d&32)}return r}
+function msiteSearch(q){q=q.toLowerCase().replace(/^[.,;:!?"'()[\]{}<>]+|[.,;:!?"'()[\]{}<>]+$/g,"");var a=msiteSearchWords,l=0,h=a.length,m,r=[],L,n,i,k=0,x=0,w=0,d;while(l<h){m=l+h>>1;if(a[m]<q)l=m+1;else h=m}if(a[l]!==q)return r;L=msiteVLQ(msiteSearchLines);for(i=2;i<L.length;i++)L[i]+=L[i-2];for(n=msiteVLQ(msiteSearchHits.split(",")[l]),i=0;i<n.length;r.push([x,L[2*k],w,L[2*k+1]])){d=n[i++];k+=Math.floor(d/2);x+=n[i++];if(d%2==0)w+=n[i++]}return r}
 function msiteHighlight(r){var d=document,o=d.getElementById("msite-hit"),h=r[0],e;if(o)o.parentNode.removeChild(o);if(!h)return;e=d.createElement("div");e.id="msite-hit";e.style.cssText="position:absolute;left:"+h[0]+"px;top:"+h[1]+"px;width:"+h[2]+"px;height:"+h[3]+"px;border:2px solid red";d.body.appendChild(e);scrollTo(0,Math.max(0,h[1]-40))}
 function msiteBindSearch(id){var e=document.getElementById(id);if(e)e.onclick=function(){var q=prompt("Search page:");if(q)msiteHighlight(msiteSearch(q));return false}}
 `

@@ -127,17 +127,19 @@ func TestJSPayload(t *testing.T) {
 	idx, _ := buildIndex(t, `<html><body><p>alpha beta</p></body></html>`)
 	js := idx.JS("search-btn")
 	for _, want := range []string{
-		`var msiteSearchIndex=["alpha","`, `","beta","`,
-		"function msiteSearch", "function msiteHighlight",
+		`var msiteSearchWords=["alpha","beta"],msiteSearchLines="`, `",msiteSearchHits="`,
+		"function msiteVLQ", "function msiteSearch", "function msiteHighlight",
 		`msiteBindSearch("search-btn")`,
 	} {
 		if !strings.Contains(js, want) {
 			t.Fatalf("js missing %q", want)
 		}
 	}
-	// Index array must be sorted for the binary search.
-	if strings.Index(js, `"alpha"`) > strings.Index(js, `"beta"`) {
-		t.Fatal("index not sorted in payload")
+	// alpha and beta share a line, which the table names once.
+	_, lines, _ := strings.Cut(js, `msiteSearchLines="`)
+	lines, _, _ = strings.Cut(lines, `"`)
+	if table, err := decodeVLQ(lines); err != nil || len(table) != 2 {
+		t.Fatalf("line table %q decodes to %v (%v), want one line", lines, table, err)
 	}
 }
 
@@ -181,37 +183,86 @@ func decodeVLQ(s string) ([]int, error) {
 	return out, nil
 }
 
-// decodePayload reads the index array back out of a JS payload the way
-// the device runtime does: words in the even slots, each strictly after
-// the one before, so a word has one entry; in the odd slot after it, its
-// hits as x,y,w,h deltas from its previous hit.
+// decodePayload reads the index back out of a JS payload the way the
+// device runtime does: the words, each strictly after the one before, so
+// a word has one entry; the line table, each (y, h) strictly after the
+// one before and each the line of some hit; and the k-th word's hits as
+// the k-th comma-separated string, each hit a line delta with the
+// same-width flag, an x delta and, without the flag, a w delta.
 func decodePayload(t *testing.T, js string) []Hit {
 	t.Helper()
-	rest, ok := strings.CutPrefix(js, "var msiteSearchIndex=")
+	rest, ok := strings.CutPrefix(js, "var msiteSearchWords=")
 	if !ok {
-		t.Fatalf("payload does not open with the index: %.40q", js)
+		t.Fatalf("payload does not open with the words: %.40q", js)
 	}
-	var slots []string
-	if err := json.NewDecoder(strings.NewReader(rest)).Decode(&slots); err != nil {
-		t.Fatalf("index array does not parse: %v\n%s", err, js)
+	dec := json.NewDecoder(strings.NewReader(rest))
+	var words []string
+	if err := dec.Decode(&words); err != nil {
+		t.Fatalf("word array does not parse: %v\n%s", err, js)
 	}
-	if len(slots)%2 != 0 {
-		t.Fatalf("index array has %d slots, want word and hits pairs", len(slots))
+	rest = rest[dec.InputOffset():]
+	rest, ok = strings.CutPrefix(rest, `,msiteSearchLines="`)
+	linesVLQ, rest, ok2 := strings.Cut(rest, `",msiteSearchHits="`)
+	postings, _, ok3 := strings.Cut(rest, "\";\n")
+	if !ok || !ok2 || !ok3 {
+		t.Fatalf("payload does not set the lines and hits after the words:\n%s", js)
+	}
+	table, err := decodeVLQ(linesVLQ)
+	if err != nil || len(table)%2 != 0 {
+		t.Fatalf("line table %q decodes to %v (%v), want (y, h) pairs", linesVLQ, table, err)
+	}
+	var lines []line
+	for i := 0; i < len(table); i += 2 {
+		var prev line
+		if i > 0 {
+			prev = lines[len(lines)-1]
+		}
+		l := line{prev.y + table[i], prev.h + table[i+1]}
+		if i > 0 && compareLines(prev, l) >= 0 {
+			t.Fatalf("line %d: %v does not sort after %v", i/2, l, prev)
+		}
+		lines = append(lines, l)
+	}
+	used := make([]bool, len(lines))
+	strs := strings.Split(postings, ",")
+	if len(words) == 0 && postings == "" {
+		strs = nil
+	}
+	if len(strs) != len(words) {
+		t.Fatalf("%d hit strings for %d words", len(strs), len(words))
 	}
 	var hits []Hit
-	for i := 0; i < len(slots); i += 2 {
-		word := slots[i]
-		if i > 0 && word <= slots[i-2] {
-			t.Fatalf("entry %d: %q does not sort after %q", i/2, word, slots[i-2])
+	for k, word := range words {
+		if k > 0 && word <= words[k-1] {
+			t.Fatalf("word %d: %q does not sort after %q", k, word, words[k-1])
 		}
-		deltas, err := decodeVLQ(slots[i+1])
-		if err != nil || len(deltas) == 0 || len(deltas)%4 != 0 {
-			t.Fatalf("entry %q: hits %q decode to %v (%v), want boxes in fours", word, slots[i+1], deltas, err)
+		n, err := decodeVLQ(strs[k])
+		if err != nil || len(n) == 0 {
+			t.Fatalf("word %q: hits %q decode to %v (%v)", word, strs[k], n, err)
 		}
 		var prev Hit
-		for ; len(deltas) > 0; deltas = deltas[4:] {
-			prev = Hit{Word: word, X: prev.X + deltas[0], Y: prev.Y + deltas[1], W: prev.W + deltas[2], H: prev.H + deltas[3]}
-			hits = append(hits, prev)
+		at := 0
+		for len(n) > 0 {
+			sameW := n[0]&1 != 0
+			at += (n[0] - n[0]&1) / 2
+			if len(n) < 2 || !sameW && len(n) < 3 || at < 0 || at >= len(lines) {
+				t.Fatalf("word %q: hits %q end inside a hit or name no line", word, strs[k])
+			}
+			h := Hit{Word: word, X: prev.X + n[1], Y: lines[at].y, W: prev.W, H: lines[at].h}
+			if n = n[2:]; !sameW {
+				if n[0] == 0 {
+					t.Fatalf("word %q: an unchanged width written as a delta", word)
+				}
+				h.W, n = prev.W+n[0], n[1:]
+			}
+			used[at] = true
+			hits = append(hits, h)
+			prev = h
+		}
+	}
+	for i, u := range used {
+		if !u {
+			t.Fatalf("line %d %v holds no hit", i, lines[i])
 		}
 	}
 	return hits
@@ -266,7 +317,14 @@ func FuzzSearchJS(f *testing.F) {
 	}
 	f.Add("alpha\x00beta\x00alpha", box(10, 20, 30, 8, 5, 40, 30, 8, -7, 0, 1<<30, -1<<31), "search-btn")
 	f.Add("x</script><img src=1>\x00bell\aok\x00\u2028\U0001F600\x00<!--", box(1, 2, 3, 4, 1, 2, 3, 4, 0, 0, 0, 0), `"</SCRIPT>`)
+	// Two lines at one y, told apart by h: alpha's second hit is on the
+	// line before its first.
+	f.Add("alpha\x00alpha\x00beta", box(0, 10, 5, 20, 5, 10, 5, 12, 9, 10, 5, 20), "go")
+	// A hit left of the one before it, on a later line.
+	f.Add("alpha", box(50, 10, 20, 8, 5, 30, 20, 8), "go")
+	// Empty indexes, with and without a trigger.
 	f.Add("", box(), "")
+	f.Add("alpha", box(), "search-btn")
 	f.Fuzz(func(t *testing.T, words string, boxes []byte, trigger string) {
 		if !utf8.ValidString(words) || !utf8.ValidString(trigger) {
 			t.Skip("a word ships as valid UTF-8")
@@ -314,7 +372,7 @@ func TestEmptyIndex(t *testing.T) {
 	if idx.Lookup("anything") != nil {
 		t.Fatal("empty index lookup should be nil")
 	}
-	if !strings.HasPrefix(idx.JS(""), "var msiteSearchIndex=[];\n") {
+	if !strings.HasPrefix(idx.JS(""), `var msiteSearchWords=[],msiteSearchLines="",msiteSearchHits="";`+"\n") {
 		t.Fatal("empty payload malformed")
 	}
 }
@@ -382,5 +440,30 @@ func TestBuildAllocationBudget(t *testing.T) {
 	t.Logf("| capitalised | %.0f |", capitalisedAllocs)
 	if capitalisedAllocs > lowerAllocs+1 {
 		t.Errorf("indexing %d capitalised words allocated %.0f objects, %.0f for lower-case ones; budget one more", words, capitalisedAllocs, lowerAllocs)
+	}
+}
+
+// TestJSAllocationBudget: writing the payload takes the same allocations
+// whatever the number of words, and no more than the budget: it is sized
+// first and written once, and a hit finds its line by binary search, not
+// in a map.
+func TestJSAllocationBudget(t *testing.T) {
+	const hits, budget = 2000, 7
+	allocs := func(words int) float64 {
+		idx := &Index{}
+		for i := range hits {
+			idx.hits = append(idx.hits, Hit{Word: fmt.Sprintf("w%04d", i%words),
+				X: 13 * (i % 10), Y: 20 * (i / 10), W: 30 + i%3, H: 12 + i%2})
+		}
+		sortHits(idx.hits)
+		return testing.AllocsPerRun(10, func() { idx.JS("search-btn") })
+	}
+	few, many := allocs(20), allocs(hits)
+	t.Logf("| JS over %d hits | allocations | budget |", hits)
+	t.Logf("|---|---|---|")
+	t.Logf("| 20 words | %.0f | %d |", few, budget)
+	t.Logf("| %d words | %.0f | %d |", hits, many, budget)
+	if many != few || many > budget {
+		t.Errorf("JS made %.0f allocations over %d words and %.0f over 20; want the same, at most %d", many, hits, few, budget)
 	}
 }
